@@ -8,8 +8,10 @@ package loopmap
 // the evaluation alongside the timing numbers.
 
 import (
+	"context"
 	"fmt"
 	"testing"
+	"time"
 
 	"repro/internal/analysis"
 	"repro/internal/baselines"
@@ -586,4 +588,39 @@ func BenchmarkSweepFanOut(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkPlanMissGrid measures the planner's cold path, as a plan-cache
+// miss runs it: one op is NewPlanCtx over a fixed grid of kernel × size ×
+// merge factor (2-D kernels at size 32, 3-D kernels at size 12, merge 1
+// and 3, mapped onto a 3-cube). ms/plan is the mean over the grid's plans.
+func BenchmarkPlanMissGrid(b *testing.B) {
+	type key struct {
+		kernel string
+		size   int64
+	}
+	var grid []key
+	for _, k := range []string{"convolution", "dct", "l1", "matvec", "stencil", "triangular"} {
+		grid = append(grid, key{k, 32})
+	}
+	for _, k := range []string{"closure", "matmul", "sor2d"} {
+		grid = append(grid, key{k, 12})
+	}
+	merges := []int64{1, 3}
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, g := range grid {
+			k := NewKernel(g.kernel, g.size)
+			for _, m := range merges {
+				opt := PlanOptions{CubeDim: 3, Partition: PartitionOptions{MergeFactor: m}}
+				if _, err := NewPlanCtx(ctx, k, opt); err != nil {
+					b.Fatalf("%s/%d merge %d: %v", g.kernel, g.size, m, err)
+				}
+			}
+		}
+	}
+	plans := float64(b.N * len(grid) * len(merges))
+	b.ReportMetric(float64(b.Elapsed())/float64(time.Millisecond)/plans, "ms/plan")
 }

@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"sort"
+
+	"repro/internal/vec"
 )
 
 // TIGEdge is one directed communication requirement between two blocks.
@@ -15,6 +17,11 @@ type TIGEdge struct {
 
 // TIG is the Task Interaction Graph of §IV: vertices are partitioned
 // blocks, edges carry the interblock communication volume.
+//
+// Edges doubles as a CSR adjacency: block u's out-edges are
+// Edges[rowStart[u]:rowStart[u+1]], sorted by To. Theorem 2 keeps a row
+// of Algorithm 1's TIG to at most 2m − β entries, so every per-edge
+// accessor is a short scan.
 type TIG struct {
 	// N is the number of blocks (TIG vertices).
 	N int
@@ -24,91 +31,173 @@ type TIG struct {
 	// Edges holds the directed edges, sorted by (From, To).
 	Edges []TIGEdge
 
-	out map[int]map[int]int64
-	// byDep[u][v][dep] breaks edge weights down by the dependence vector
-	// (index into the structure's D) that carried them. Only filled by
-	// BuildTIG; synthetic TIGs from NewTIG have no breakdown.
-	byDep map[int]map[int]map[int]int64
+	rowStart []int
+	// depW[e*nDeps+dep] is the part of Edges[e]'s weight carried by the
+	// dependence vector dep (an index into the structure's D). Only
+	// BuildTIG fills it; synthetic TIGs from NewTIG have no breakdown.
+	depW  []int64
+	nDeps int
 }
 
 // NewTIG builds a TIG directly from loads and edges — used for synthetic
 // task graphs such as the 4×4 mesh of the paper's Example 3 (Fig. 8).
+// Parallel edges accumulate.
 func NewTIG(n int, loads []int64, edges []TIGEdge) *TIG {
-	t := &TIG{N: n, out: map[int]map[int]int64{}}
+	t := &TIG{N: n}
 	t.Loads = make([]int64, n)
 	copy(t.Loads, loads)
-	for _, e := range edges {
-		m, ok := t.out[e.From]
-		if !ok {
-			m = map[int]int64{}
-			t.out[e.From] = m
+	sorted := append([]TIGEdge(nil), edges...)
+	sort.Slice(sorted, func(i, j int) bool {
+		if sorted[i].From != sorted[j].From {
+			return sorted[i].From < sorted[j].From
 		}
-		m[e.To] += e.Weight
-	}
-	for u, m := range t.out {
-		for v, w := range m {
-			t.Edges = append(t.Edges, TIGEdge{From: u, To: v, Weight: w})
-		}
-	}
-	sort.Slice(t.Edges, func(i, j int) bool {
-		if t.Edges[i].From != t.Edges[j].From {
-			return t.Edges[i].From < t.Edges[j].From
-		}
-		return t.Edges[i].To < t.Edges[j].To
+		return sorted[i].To < sorted[j].To
 	})
+	for _, e := range sorted {
+		if k := len(t.Edges) - 1; k >= 0 && t.Edges[k].From == e.From && t.Edges[k].To == e.To {
+			t.Edges[k].Weight += e.Weight
+			continue
+		}
+		t.Edges = append(t.Edges, e)
+	}
+	t.indexRows()
 	return t
 }
 
+// indexRows fills rowStart from the sorted Edges.
+func (t *TIG) indexRows() {
+	t.rowStart = make([]int, t.N+1)
+	for _, e := range t.Edges {
+		t.rowStart[e.From+1]++
+	}
+	for u := 0; u < t.N; u++ {
+		t.rowStart[u+1] += t.rowStart[u]
+	}
+}
+
 // BuildTIG constructs the TIG of a partitioning by classifying every
-// dependence arc of the computational structure.
+// dependence arc of the computational structure. Projection is linear, so
+// every arc leaving the fiber of projected point x^p along d lands on the
+// fiber of x^p + d^p: one lattice lookup per (point, dependence) pair
+// names the target block, and the pair's arc count comes from the ends of
+// its fiber, so the cost follows |V^p|·m rather than |V|·m. Blocks are
+// visited in order, so each row is complete before the next starts: a
+// per-block stamp array finds an edge in O(1), and the finished row (at
+// most 2m − β entries by Theorem 2) is sorted in place. Block membership
+// is read through Groups and the fibers, as Step 6 defines BlockOf;
+// BuildTIG panics if p.BlockOf disagrees with them, so the TIG cannot
+// silently differ from what CheckInvariants and the simulators see.
 func BuildTIG(p *Partitioning) *TIG {
-	t := &TIG{N: len(p.Groups), out: map[int]map[int]int64{}, byDep: map[int]map[int]map[int]int64{}}
+	ps := p.PS
+	st := ps.Orig
+	m := len(st.D)
+	t := &TIG{N: len(p.Groups), nDeps: m}
 	t.Loads = make([]int64, t.N)
 	for g := range p.Groups {
 		t.Loads[g] = int64(p.BlockSize(g))
 	}
-	p.PS.Orig.ForEachEdgeIdx(func(ui, vi, dep int) {
-		gu := p.BlockOf[ui]
-		gv := p.BlockOf[vi]
-		if gu == gv {
-			return
+	rowCap := max(Theorem2Bound(p), 1)
+	t.Edges = make([]TIGEdge, 0, t.N*rowCap)
+	t.depW = make([]int64, 0, t.N*rowCap*m)
+	// slot[v] is the position in Edges of the current row's edge to v,
+	// valid while stamp[v] == u+1.
+	slot := make([]int, t.N)
+	stamp := make([]int32, t.N)
+	t.rowStart = make([]int, t.N+1)
+	q := make(vec.Int, len(ps.Pi))
+	for u, g := range p.Groups {
+		row := len(t.Edges)
+		for _, pt := range g.Members {
+			for _, vi := range ps.Fibers[pt] {
+				if p.BlockOf[vi] != u {
+					panic(fmt.Sprintf("core: BuildTIG: BlockOf[%d] = %d, but its projected point %d is in group %d", vi, p.BlockOf[vi], pt, u))
+				}
+			}
+			for dep, d := range ps.Deps {
+				// A dependence parallel to Π stays on its projection
+				// line, inside the block.
+				if d.IsZero() {
+					continue
+				}
+				for k, x := range ps.Points[pt] {
+					q[k] = x + d.Scaled[k]
+				}
+				qi := ps.IndexOf(q)
+				if qi < 0 {
+					continue
+				}
+				v := p.GroupOf[qi]
+				if v == u {
+					continue
+				}
+				// The fiber is the run of lattice points of one line inside
+				// the convex index set, in line order, and the part of it
+				// whose arcs along d stay inside is a run too: trim the
+				// fiber from both ends.
+				fib := ps.Fibers[pt]
+				lo, hi := 0, len(fib)-1
+				for lo <= hi && st.NeighborIndex(fib[lo], st.D[dep]) < 0 {
+					lo++
+				}
+				for hi > lo && st.NeighborIndex(fib[hi], st.D[dep]) < 0 {
+					hi--
+				}
+				if lo > hi {
+					continue
+				}
+				arcs := int64(hi - lo + 1)
+				if stamp[v] != int32(u+1) {
+					stamp[v] = int32(u + 1)
+					slot[v] = len(t.Edges)
+					t.Edges = append(t.Edges, TIGEdge{From: u, To: v})
+					t.depW = append(t.depW, make([]int64, m)...)
+				}
+				e := slot[v]
+				t.Edges[e].Weight += arcs
+				t.depW[e*m+dep] += arcs
+			}
 		}
-		m, ok := t.out[gu]
-		if !ok {
-			m = map[int]int64{}
-			t.out[gu] = m
-		}
-		m[gv]++
-		mu, ok := t.byDep[gu]
-		if !ok {
-			mu = map[int]map[int]int64{}
-			t.byDep[gu] = mu
-		}
-		mv, ok := mu[gv]
-		if !ok {
-			mv = map[int]int64{}
-			mu[gv] = mv
-		}
-		mv[dep]++
-	})
-	for u, m := range t.out {
-		for v, w := range m {
-			t.Edges = append(t.Edges, TIGEdge{From: u, To: v, Weight: w})
+		t.sortRow(row)
+		t.rowStart[u+1] = len(t.Edges)
+	}
+	if len(t.Edges) == 0 {
+		t.Edges, t.depW = nil, nil
+	}
+	return t
+}
+
+// sortRow insertion-sorts the row Edges[from:] by To, moving the
+// per-dependence weights along with their edges.
+func (t *TIG) sortRow(from int) {
+	m := t.nDeps
+	for i := from + 1; i < len(t.Edges); i++ {
+		for j := i; j > from && t.Edges[j-1].To > t.Edges[j].To; j-- {
+			t.Edges[j-1], t.Edges[j] = t.Edges[j], t.Edges[j-1]
+			a, b := t.depW[(j-1)*m:j*m], t.depW[j*m:(j+1)*m]
+			for k := range a {
+				a[k], b[k] = b[k], a[k]
+			}
 		}
 	}
-	sort.Slice(t.Edges, func(i, j int) bool {
-		if t.Edges[i].From != t.Edges[j].From {
-			return t.Edges[i].From < t.Edges[j].From
+}
+
+// edge returns the position in Edges of the edge u → v, or -1.
+func (t *TIG) edge(u, v int) int {
+	if u < 0 || u >= t.N {
+		return -1
+	}
+	for e := t.rowStart[u]; e < t.rowStart[u+1]; e++ {
+		if t.Edges[e].To == v {
+			return e
 		}
-		return t.Edges[i].To < t.Edges[j].To
-	})
-	return t
+	}
+	return -1
 }
 
 // Weight returns the communication volume from block u to block v.
 func (t *TIG) Weight(u, v int) int64 {
-	if m, ok := t.out[u]; ok {
-		return m[v]
+	if e := t.edge(u, v); e >= 0 {
+		return t.Edges[e].Weight
 	}
 	return 0
 }
@@ -116,34 +205,36 @@ func (t *TIG) Weight(u, v int) int64 {
 // WeightByDep returns the volume from u to v carried by dependence dep
 // (an index into the structure's D). Zero for synthetic TIGs.
 func (t *TIG) WeightByDep(u, v, dep int) int64 {
-	if mu, ok := t.byDep[u]; ok {
-		if mv, ok := mu[v]; ok {
-			return mv[dep]
-		}
+	e := t.edge(u, v)
+	if e < 0 || t.depW == nil || dep < 0 || dep >= t.nDeps {
+		return 0
 	}
-	return 0
+	return t.depW[e*t.nDeps+dep]
 }
 
 // DepBreakdown returns the per-dependence volumes from u to v (nil when
 // there is no traffic or the TIG is synthetic). The returned map is a copy.
 func (t *TIG) DepBreakdown(u, v int) map[int]int64 {
-	mu, ok := t.byDep[u]
-	if !ok {
+	e := t.edge(u, v)
+	if e < 0 || t.depW == nil {
 		return nil
 	}
-	mv, ok := mu[v]
-	if !ok {
-		return nil
-	}
-	out := make(map[int]int64, len(mv))
-	for k, w := range mv {
-		out[k] = w
+	out := map[int]int64{}
+	for dep, w := range t.depW[e*t.nDeps : (e+1)*t.nDeps] {
+		if w != 0 {
+			out[dep] = w
+		}
 	}
 	return out
 }
 
 // OutDegree returns the number of distinct blocks u sends data to.
-func (t *TIG) OutDegree(u int) int { return len(t.out[u]) }
+func (t *TIG) OutDegree(u int) int {
+	if u < 0 || u >= t.N {
+		return 0
+	}
+	return t.rowStart[u+1] - t.rowStart[u]
+}
 
 // MaxOutDegree returns the largest out-degree over all blocks. Theorem 2
 // bounds it by 2m − β.
@@ -170,10 +261,11 @@ func (t *TIG) TotalTraffic() int64 {
 // Successors returns the blocks u sends data to, sorted.
 func (t *TIG) Successors(u int) []int {
 	var out []int
-	for v := range t.out[u] {
-		out = append(out, v)
+	if u >= 0 && u < t.N {
+		for _, e := range t.Edges[t.rowStart[u]:t.rowStart[u+1]] {
+			out = append(out, e.To)
+		}
 	}
-	sort.Ints(out)
 	return out
 }
 

@@ -170,26 +170,42 @@ func (n *Nest) ForEach(visit func(vec.Int)) {
 // returns false; it reports whether the walk ran to completion. It is the
 // abortable primitive behind cancellable enumeration.
 func (n *Nest) ForEachUntil(visit func(vec.Int) bool) bool {
-	idx := make(vec.Int, n.Dims)
-	stop := false
-	var rec func(j int)
-	rec = func(j int) {
-		if j == n.Dims {
-			if !visit(idx.Clone()) {
-				stop = true
+	return n.walk(func(p vec.Int) bool { return visit(p.Clone()) })
+}
+
+// walk is ForEachUntil without the per-point copy: visit sees one scratch
+// vector that the next point overwrites, so it must copy what it keeps.
+func (n *Nest) walk(visit func(vec.Int) bool) bool {
+	dims := n.Dims
+	idx := make(vec.Int, dims)
+	hi := make([]int64, dims)
+	j := 0
+	for {
+		// Descend: start every inner loop at its lower bound; an empty
+		// range stops the descent and advances the loop outside it.
+		for ; j < dims; j++ {
+			idx[j] = n.Lower[j].Eval(idx)
+			hi[j] = n.Upper[j].Eval(idx)
+			if idx[j] > hi[j] {
+				break
 			}
-			return
 		}
-		lo := n.Lower[j].Eval(idx)
-		hi := n.Upper[j].Eval(idx)
-		for v := lo; v <= hi && !stop; v++ {
-			idx[j] = v
-			rec(j + 1)
+		if j == dims {
+			if !visit(idx) {
+				return false
+			}
+			j--
 		}
-		idx[j] = 0
+		// Advance the innermost loop with iterations left.
+		for j >= 0 && idx[j] >= hi[j] {
+			j--
+		}
+		if j < 0 {
+			return true
+		}
+		idx[j]++
+		j++
 	}
-	rec(0)
-	return !stop
 }
 
 // Points materializes the index set.
@@ -301,6 +317,7 @@ type Structure struct {
 type rectIndex struct {
 	lo, hi  []int64
 	strides []int64
+	size    int64 // number of points in the box
 }
 
 // ErrTooLarge classifies iteration spaces whose sizing arithmetic
@@ -344,6 +361,7 @@ func newRectIndex(n *Nest) (*rectIndex, error) {
 			return nil, fmt.Errorf("%w: %d dimensions overflow the index space at dimension %d", ErrTooLarge, n.Dims, j+1)
 		}
 	}
+	r.size = stride
 	return r, nil
 }
 
@@ -387,6 +405,11 @@ func NewStructure(n *Nest, explicitDeps ...vec.Int) (*Structure, error) {
 // the context, amortizing the cancellation check over the hot enumeration.
 const enumCheckEvery = 8192
 
+// enumPreallocCap bounds the coordinates NewStructureCtx reserves up front
+// for a rectangular nest; a larger box grows its buffer as it enumerates,
+// so a deadline can still stop it before it is all allocated.
+const enumPreallocCap = 1 << 24
+
 // NewStructureCtx is NewStructure with cooperative cancellation: the point
 // enumeration polls ctx every enumCheckEvery points, so a caller's deadline
 // bounds the enumeration of even huge index sets. A nil ctx means
@@ -418,13 +441,23 @@ func NewStructureCtx(ctx context.Context, n *Nest, explicitDeps ...vec.Int) (*St
 	if s.rect = rect; s.rect == nil {
 		s.index = map[string]int{}
 	}
+	// All coordinates go into one flat buffer; V[i] is a capped window
+	// onto it, so enumeration makes one allocation instead of one per
+	// point. A rectangular nest knows its size up front.
+	dims := n.Dims
+	var buf []int64
+	if rect != nil && rect.size <= enumPreallocCap/int64(dims) {
+		buf = make([]int64, 0, rect.size*int64(dims))
+	}
+	count := 0
 	var ctxErr error
-	n.ForEachUntil(func(p vec.Int) bool {
+	n.walk(func(p vec.Int) bool {
 		if s.index != nil {
-			s.index[p.Key()] = len(s.V)
+			s.index[p.Key()] = count
 		}
-		s.V = append(s.V, p)
-		if len(s.V)%enumCheckEvery == 0 {
+		buf = append(buf, p...)
+		count++
+		if count%enumCheckEvery == 0 {
 			if err := ctx.Err(); err != nil {
 				ctxErr = err
 				return false
@@ -434,6 +467,12 @@ func NewStructureCtx(ctx context.Context, n *Nest, explicitDeps ...vec.Int) (*St
 	})
 	if ctxErr != nil {
 		return nil, ctxErr
+	}
+	if count > 0 {
+		s.V = make([]vec.Int, count)
+	}
+	for i := range s.V {
+		s.V[i] = buf[i*dims : i*dims+dims : i*dims+dims]
 	}
 	return s, nil
 }
@@ -490,8 +529,8 @@ func (s *Structure) ForEachEdge(visit func(Edge)) {
 }
 
 // ForEachEdgeIdx visits every dependence arc by vertex index: ui → vi along
-// D[di]. This is the allocation-free form the TIG builder and edge
-// statistics run on; callers needing coordinates use ForEachEdge.
+// D[di]. This is the allocation-free form edge statistics run on;
+// callers needing coordinates use ForEachEdge.
 func (s *Structure) ForEachEdgeIdx(visit func(ui, vi, di int)) {
 	for ui := range s.V {
 		for di, d := range s.D {

@@ -90,19 +90,165 @@ func Project(st *loop.Structure, pi vec.Int) (*Structure, error) {
 	if err := hyperplane.Check(pi, st.D); err != nil {
 		return nil, err
 	}
-	s := pi.Dot(pi)
-	ps := &Structure{Orig: st, Pi: pi.Clone(), S: s}
+	ps := &Structure{Orig: st, Pi: pi.Clone(), S: pi.Dot(pi)}
+	if !ps.bucketFibers() {
+		ps.sortFibers()
+		ps.buildIndex()
+	}
+	ps.projectDeps()
+	return ps, nil
+}
 
-	// Project every vertex into one flat coordinate buffer and sort vertex
-	// ids by (scaled projection, execution time): equal projections become
-	// adjacent runs, which yields the fiber grouping without any hashing or
-	// string keys — the construction is O(V·n·log V) straight-line code.
-	n := st.Dim()
-	nV := len(st.V)
+// bucketFibers builds Points, Fibers and the dense lattice index in time
+// linear in |V|: one pass finds the bounding box of the scaled
+// projections, a second gives every vertex its lattice table slot (the
+// first vertex to reach a slot claims it for a new point), and only the
+// |V^p| distinct points are sorted. Fibers are then filled in enumeration
+// order and put in execution-time order, which costs O(len) per fiber
+// because enumeration walks each projection line monotonically. It
+// reports false, leaving ps untouched, when V is empty or the box exceeds
+// latticeDenseCap.
+func (ps *Structure) bucketFibers() bool {
+	V, pi, s := ps.Orig.V, ps.Pi, ps.S
+	n, nV := len(pi), len(V)
+	if nV == 0 {
+		return false
+	}
+	times := make([]int64, nV)
+	lo := make([]int64, n)
+	hi := make([]int64, n)
+	for vi, x := range V {
+		t := x.Dot(pi)
+		times[vi] = t
+		for j, xj := range x {
+			y := s*xj - pi[j]*t
+			if vi == 0 || y < lo[j] {
+				lo[j] = y
+			}
+			if vi == 0 || y > hi[j] {
+				hi[j] = y
+			}
+		}
+	}
+	li := newLatticeIndex(pi, lo, hi)
+	if li == nil {
+		return false
+	}
+
+	// Slot pass: ids[vi] is the vertex's point in first-seen order, reps
+	// the first vertex of each point, slots its table slot.
+	ids := make([]int32, nV)
+	var reps []int
+	var slots []int64
+	var counts []int
+	for vi, x := range V {
+		t := times[vi]
+		var off int64
+		for j, xj := range x {
+			if j != li.drop {
+				off += (s*xj - pi[j]*t - lo[j]) * li.strides[j]
+			}
+		}
+		id := li.table[off] - 1
+		if id < 0 {
+			id = int32(len(reps))
+			li.table[off] = id + 1
+			reps = append(reps, vi)
+			slots = append(slots, off)
+			counts = append(counts, 0)
+		}
+		ids[vi] = id
+		counts[id]++
+	}
+
+	// Sort the distinct points and renumber the table by rank.
+	np := len(reps)
+	pts := make([]int64, np*n)
+	for id, vi := range reps {
+		t := times[vi]
+		for j, xj := range V[vi] {
+			pts[id*n+j] = s*xj - pi[j]*t
+		}
+	}
+	order := make([]int, np)
+	for i := range order {
+		order[i] = i
+	}
+	sort.Slice(order, func(a, b int) bool {
+		ra := pts[order[a]*n : order[a]*n+n]
+		rb := pts[order[b]*n : order[b]*n+n]
+		for j := range ra {
+			if ra[j] != rb[j] {
+				return ra[j] < rb[j]
+			}
+		}
+		return false
+	})
+	rank := make([]int32, np)
+	ps.Points = make([]vec.Int, np)
+	for r, id := range order {
+		rank[id] = int32(r)
+		li.table[slots[id]] = int32(r) + 1
+		ps.Points[r] = pts[id*n : id*n+n : id*n+n]
+	}
+
+	// Counting pass: fibers in enumeration order, then by time.
+	start := make([]int, np+1)
+	for id, c := range counts {
+		start[rank[id]+1] = c
+	}
+	for r := 0; r < np; r++ {
+		start[r+1] += start[r]
+	}
+	flat := make([]int, nV)
+	next := append([]int(nil), start[:np]...)
+	for vi, id := range ids {
+		r := rank[id]
+		flat[next[r]] = vi
+		next[r]++
+	}
+	ps.Fibers = make([][]int, np)
+	for r := range ps.Fibers {
+		fib := flat[start[r]:start[r+1]:start[r+1]]
+		sortByTime(fib, times)
+		ps.Fibers[r] = fib
+	}
+	ps.lattice = li
+	return true
+}
+
+// sortByTime orders a fiber by execution time. The vertices of one
+// projection line have distinct times, and a lexicographic enumeration
+// meets them in monotone time order, so reversing a descending fiber
+// leaves the insertion sort a single linear pass.
+func sortByTime(fib []int, times []int64) {
+	if len(fib) > 1 && times[fib[0]] > times[fib[len(fib)-1]] {
+		for i, j := 0, len(fib)-1; i < j; i, j = i+1, j-1 {
+			fib[i], fib[j] = fib[j], fib[i]
+		}
+	}
+	for i := 1; i < len(fib); i++ {
+		v := fib[i]
+		j := i
+		for ; j > 0 && times[fib[j-1]] > times[v]; j-- {
+			fib[j] = fib[j-1]
+		}
+		fib[j] = v
+	}
+}
+
+// sortFibers is the general path behind bucketFibers: it projects every
+// vertex into one flat buffer and sorts vertex ids by (scaled projection,
+// execution time), so equal projections become adjacent runs. It costs
+// O(V·n·log V) and needs no table, so it serves any bounding box.
+func (ps *Structure) sortFibers() {
+	V, pi, s := ps.Orig.V, ps.Pi, ps.S
+	n := len(pi)
+	nV := len(V)
 	buf := make([]int64, nV*n)
 	times := make([]int64, nV)
 	order := make([]int, nV)
-	for vi, x := range st.V {
+	for vi, x := range V {
 		t := x.Dot(pi)
 		times[vi] = t
 		row := buf[vi*n : vi*n+n]
@@ -145,14 +291,15 @@ func Project(st *loop.Structure, pi vec.Int) (*Structure, error) {
 		ps.Fibers = append(ps.Fibers, fib)
 		i = j
 	}
-	ps.buildIndex()
+}
 
-	// Project the dependence vectors and compute r factors.
-	for di, d := range st.D {
-		sd := ScalePoint(d, pi, s)
-		ps.Deps = append(ps.Deps, Dep{Index: di, Orig: d.Clone(), Scaled: sd, R: rFactor(sd, s)})
+// projectDeps projects the dependence vectors and computes their r
+// factors.
+func (ps *Structure) projectDeps() {
+	for di, d := range ps.Orig.D {
+		sd := ScalePoint(d, ps.Pi, ps.S)
+		ps.Deps = append(ps.Deps, Dep{Index: di, Orig: d.Clone(), Scaled: sd, R: rFactor(sd, ps.S)})
 	}
-	return ps, nil
 }
 
 // latticeDenseCap bounds the dense lattice table size (entries). Projected
@@ -175,7 +322,54 @@ type latticeIndex struct {
 	table   []int32 // point index + 1; 0 marks an empty slot
 }
 
-// buildIndex constructs the dense lattice index, falling back to the
+// newLatticeIndex lays out an empty table over the box [lo, hi], or
+// returns nil when the reduced box exceeds latticeDenseCap. It keeps lo
+// and hi.
+func newLatticeIndex(pi, lo, hi []int64) *latticeIndex {
+	n := len(pi)
+	// Drop the widest dimension with Π_k ≠ 0 (Π is nonzero, so one
+	// always exists); the hyperplane equation makes it redundant.
+	drop := -1
+	for j := 0; j < n; j++ {
+		if pi[j] == 0 {
+			continue
+		}
+		if drop < 0 || hi[j]-lo[j] > hi[drop]-lo[drop] {
+			drop = j
+		}
+	}
+	if drop < 0 {
+		return nil
+	}
+	volume := int64(1)
+	for j := 0; j < n; j++ {
+		if j == drop {
+			continue
+		}
+		// Each factor is checked before the product, so the volume
+		// cannot overflow on its way past the cap.
+		extent := hi[j] - lo[j] + 1
+		if extent <= 0 || extent > latticeDenseCap {
+			return nil
+		}
+		if volume *= extent; volume > latticeDenseCap {
+			return nil
+		}
+	}
+	li := &latticeIndex{drop: drop, lo: lo, hi: hi, strides: make([]int64, n)}
+	stride := int64(1)
+	for j := n - 1; j >= 0; j-- {
+		if j == drop {
+			continue
+		}
+		li.strides[j] = stride
+		stride *= hi[j] - lo[j] + 1
+	}
+	li.table = make([]int32, volume)
+	return li
+}
+
+// buildIndex constructs the lattice index over Points, falling back to the
 // string-keyed map when the reduced bounding box exceeds latticeDenseCap.
 func (ps *Structure) buildIndex() {
 	n := len(ps.Pi)
@@ -194,34 +388,7 @@ func (ps *Structure) buildIndex() {
 				}
 			}
 		}
-		// Drop the widest dimension with Π_k ≠ 0 (Π is nonzero, so one
-		// always exists); the hyperplane equation makes it redundant.
-		drop := -1
-		for j := 0; j < n; j++ {
-			if ps.Pi[j] == 0 {
-				continue
-			}
-			if drop < 0 || hi[j]-lo[j] > hi[drop]-lo[drop] {
-				drop = j
-			}
-		}
-		volume := int64(1)
-		for j := 0; j < n && volume <= latticeDenseCap; j++ {
-			if j != drop {
-				volume *= hi[j] - lo[j] + 1
-			}
-		}
-		if drop >= 0 && volume <= latticeDenseCap {
-			li := &latticeIndex{drop: drop, lo: lo, hi: hi, strides: make([]int64, n)}
-			stride := int64(1)
-			for j := n - 1; j >= 0; j-- {
-				if j == drop {
-					continue
-				}
-				li.strides[j] = stride
-				stride *= hi[j] - lo[j] + 1
-			}
-			li.table = make([]int32, volume)
+		if li := newLatticeIndex(ps.Pi, lo, hi); li != nil {
 			for i, p := range ps.Points {
 				li.table[li.offset(p)] = int32(i) + 1
 			}

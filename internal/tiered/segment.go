@@ -25,6 +25,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 
 	"repro/internal/persist"
 )
@@ -341,6 +342,11 @@ type segment struct {
 	f      persist.File
 	filter *bloom
 	index  []indexEntry
+	// refs counts the store's own reference, held while the segment is
+	// live in a level, plus one per reader that snapshotted it. The file
+	// closes when the last reference is released, so a compaction that
+	// retires a segment never pulls the file from under a reader.
+	refs atomic.Int32
 }
 
 // openSegment opens a segment file and loads its footer, bloom, and
@@ -405,6 +411,7 @@ func loadSegment(f persist.File, meta SegmentMeta) (*segment, error) {
 	}
 
 	s := &segment{meta: meta, f: f, filter: filter, index: index}
+	s.refs.Store(1)
 	s.meta.Count = count
 	s.meta.Bytes = size
 	s.meta.MinKey = index[0].firstKey
@@ -509,10 +516,14 @@ func (s *segment) scrub(throttle func(int)) error {
 	return nil
 }
 
-func (s *segment) close() {
-	if s.f != nil {
+// acquire takes a reader reference. The caller holds the store lock and
+// found the segment in a level, so the store's reference is still held.
+func (s *segment) acquire() { s.refs.Add(1) }
+
+// release drops one reference and closes the file with the last one.
+func (s *segment) release() {
+	if s.refs.Add(-1) == 0 {
 		_ = s.f.Close()
-		s.f = nil
 	}
 }
 

@@ -38,7 +38,7 @@ func buildSegment(t *testing.T, dir string, n int) (*segment, map[string][]byte)
 	if err != nil {
 		t.Fatalf("openSegment: %v", err)
 	}
-	t.Cleanup(seg.close)
+	t.Cleanup(seg.release)
 	return seg, want
 }
 

@@ -259,12 +259,33 @@ func Open(cfg Config) (*Store, []persist.Record, error) {
 	return s, tail, nil
 }
 
+// closeSegments drops the store's reference on every live segment; a
+// segment a reader still holds closes when that reader releases it.
 func (s *Store) closeSegments() {
-	for _, seg := range s.l0 {
-		seg.close()
+	releaseAll(s.l0)
+	releaseAll(s.l1)
+}
+
+// snapshotLocked copies the live levels and takes a reader reference on
+// every segment in them, so the caller can read them outside s.mu while
+// a compaction retires them. s.mu must be held; release the copies with
+// releaseAll.
+func (s *Store) snapshotLocked() (l0, l1 []*segment) {
+	l0 = append([]*segment(nil), s.l0...)
+	l1 = append([]*segment(nil), s.l1...)
+	for _, seg := range l0 {
+		seg.acquire()
 	}
-	for _, seg := range s.l1 {
-		seg.close()
+	for _, seg := range l1 {
+		seg.acquire()
+	}
+	return l0, l1
+}
+
+// releaseAll drops one reference on each segment.
+func releaseAll(segs []*segment) {
+	for _, seg := range segs {
+		seg.release()
 	}
 }
 
@@ -455,7 +476,7 @@ func (s *Store) doFlush(segSeq uint64, retire []uint64) {
 	if err := saveManifest(s.cfg.FS, s.cfg.Dir, s.man); err != nil {
 		s.man.L0 = s.man.L0[:len(s.man.L0)-1]
 		s.mu.Unlock()
-		seg.close()
+		seg.release()
 		s.failFlush(err)
 		return
 	}
@@ -524,12 +545,13 @@ func (s *Store) Get(key string) ([]byte, bool, error) {
 		}
 	}
 	// Snapshot the segment lists; segments are immutable and their
-	// ReadAt is concurrency-safe, so the scan runs outside the lock. A
-	// compaction may close a snapshotted segment mid-scan; that read
-	// error degrades to a miss, which the recompute path absorbs.
-	l0 := append([]*segment(nil), s.l0...)
-	l1 := append([]*segment(nil), s.l1...)
+	// ReadAt is concurrency-safe, so the scan runs outside the lock. The
+	// snapshot's references keep a segment that a compaction retires
+	// meanwhile open until this scan is done with it.
+	l0, l1 := s.snapshotLocked()
 	s.mu.Unlock()
+	defer releaseAll(l0)
+	defer releaseAll(l1)
 
 	for i := len(l0) - 1; i >= 0; i-- { // newest L0 first
 		if v, ok := s.segGet(l0[i], key); ok {
@@ -602,9 +624,10 @@ func (s *Store) compact() error {
 		s.mu.Unlock()
 		return nil
 	}
-	inL0 := append([]*segment(nil), s.l0...)
-	inL1 := append([]*segment(nil), s.l1...)
+	inL0, inL1 := s.snapshotLocked()
 	s.mu.Unlock()
+	defer releaseAll(inL0)
+	defer releaseAll(inL1)
 
 	// Budget pre-selection: drop oldest data until inputs fit.
 	var total int64
@@ -758,9 +781,7 @@ func (s *Store) compact() error {
 	for _, m := range outMetas {
 		seg, err := openSegment(s.cfg.FS, s.cfg.Dir, m)
 		if err != nil {
-			for _, o := range outSegs {
-				o.close()
-			}
+			releaseAll(outSegs)
 			for _, om := range outMetas {
 				_ = s.cfg.FS.Remove(filepath.Join(s.cfg.Dir, om.Name))
 			}
@@ -782,13 +803,19 @@ func (s *Store) compact() error {
 	}
 	s.mu.Lock()
 	var keepMeta []SegmentMeta
-	var keepSegs []*segment
+	var keepSegs, retired []*segment
 	for i, m := range s.man.L0 {
 		if !consumed[m.Name] {
 			keepMeta = append(keepMeta, m)
 			keepSegs = append(keepSegs, s.l0[i])
+		} else {
+			retired = append(retired, s.l0[i])
 		}
 	}
+	// Every live L1 segment is an input (only compaction writes L1); a
+	// scrub may have quarantined some inputs meanwhile, and those are
+	// already gone from both levels.
+	retired = append(retired, s.l1...)
 	oldMan := *s.man
 	s.man.L0 = keepMeta
 	s.man.L1 = outMetas
@@ -796,9 +823,7 @@ func (s *Store) compact() error {
 		*s.man = oldMan
 		s.latchLocked(err)
 		s.mu.Unlock()
-		for _, o := range outSegs {
-			o.close()
-		}
+		releaseAll(outSegs)
 		for _, m := range outMetas {
 			_ = s.cfg.FS.Remove(filepath.Join(s.cfg.Dir, m.Name))
 		}
@@ -809,13 +834,11 @@ func (s *Store) compact() error {
 	s.mu.Unlock()
 	s.compactions.Add(1)
 
-	// Inputs are superseded by the committed manifest: close and remove.
-	for _, seg := range inL0 {
-		seg.close()
-		_ = s.cfg.FS.Remove(filepath.Join(s.cfg.Dir, seg.meta.Name))
-	}
-	for _, seg := range inL1 {
-		seg.close()
+	// Inputs are superseded by the committed manifest: drop the store's
+	// references and unlink them. A reader still holding one keeps
+	// reading the open file; it closes with the last reference.
+	for _, seg := range retired {
+		seg.release()
 		_ = s.cfg.FS.Remove(filepath.Join(s.cfg.Dir, seg.meta.Name))
 	}
 	_ = s.cfg.FS.SyncDir(s.cfg.Dir)
@@ -829,9 +852,11 @@ func (s *Store) compact() error {
 // segments scanned and segments quarantined.
 func (s *Store) Scrub(throttle func(int)) (scanned, quarantined int, err error) {
 	s.mu.Lock()
-	segs := append(append([]*segment(nil), s.l0...), s.l1...)
+	l0, l1 := s.snapshotLocked()
 	s.mu.Unlock()
-	for _, seg := range segs {
+	defer releaseAll(l0)
+	defer releaseAll(l1)
+	for _, seg := range append(l0, l1...) {
 		scanned++
 		if serr := seg.scrub(throttle); serr != nil {
 			s.corruptions.Add(1)
@@ -875,7 +900,7 @@ func (s *Store) quarantine(sick *segment) bool {
 		s.latchLocked(err)
 	}
 	s.mu.Unlock()
-	sick.close()
+	sick.release()
 	_ = s.cfg.FS.Remove(filepath.Join(s.cfg.Dir, sick.meta.Name))
 	s.quarantined.Add(1)
 	return true
@@ -896,9 +921,10 @@ func (s *Store) ForEach(fn func(key string, value []byte) error) error {
 			memKeys = append(memKeys, entry{k, append([]byte(nil), v...)})
 		}
 	}
-	l0 := append([]*segment(nil), s.l0...)
-	l1 := append([]*segment(nil), s.l1...)
+	l0, l1 := s.snapshotLocked()
 	s.mu.Unlock()
+	defer releaseAll(l0)
+	defer releaseAll(l1)
 
 	seen := make(map[string]bool, len(memKeys))
 	for _, e := range memKeys {

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/persist"
@@ -438,5 +439,81 @@ func TestConcurrentPutGet(t *testing.T) {
 		if err != nil || !ok || string(got) != string(v) {
 			t.Fatalf("final Get(%d): ok=%v err=%v", i, ok, err)
 		}
+	}
+}
+
+// TestGetDuringCompactionKeepsSegmentsOpen hammers Get from several
+// goroutines while compactions retire every segment they snapshot. A
+// compaction must not close a segment under a reader: every Get still
+// finds its key, nothing panics, and no read is counted as corruption.
+// Run under -race in CI.
+func TestGetDuringCompactionKeepsSegmentsOpen(t *testing.T) {
+	s, _ := openTest(t, t.TempDir(), func(c *Config) {
+		c.Fsync = persist.FsyncNever // durability is not under test here
+	})
+	defer s.Close()
+	const keys, rounds, readers = 300, 40, 4
+	put := func(i int) {
+		k, v := kv(i)
+		if err := s.Put(k, v); err != nil {
+			t.Fatalf("Put(%d): %v", i, err)
+		}
+	}
+	for i := 0; i < keys; i++ {
+		put(i)
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	var gets, panics, misses atomic.Int64
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			defer func() {
+				if recover() != nil {
+					panics.Add(1)
+				}
+			}()
+			for i := r; ; i += readers {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				k, v := kv(i % keys)
+				got, ok, err := s.Get(k)
+				gets.Add(1)
+				if err != nil || !ok || string(got) != string(v) {
+					misses.Add(1)
+				}
+			}
+		}(r)
+	}
+	for round := 0; round < rounds; round++ {
+		// Rewrite some keys with their own values so every round has a
+		// fresh L0 segment for the compaction to merge.
+		for i := 0; i < 20; i++ {
+			put((round*20 + i) % keys)
+		}
+		if err := s.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Compact(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	wg.Wait()
+
+	st := s.Stats()
+	if panics.Load() != 0 || misses.Load() != 0 || st.Corruptions != 0 {
+		t.Fatalf("%d gets: %d panics, %d misses, %d corruptions", gets.Load(), panics.Load(), misses.Load(), st.Corruptions)
+	}
+	if st.Compactions < rounds {
+		t.Fatalf("compactions = %d, want >= %d", st.Compactions, rounds)
 	}
 }
