@@ -40,7 +40,7 @@ bench-json:
 loadtest:
 	$(GO) run ./cmd/loadtest -duration 2s -conc 16 -seed 1
 
-# Ten seconds each of parser, full-pipeline, and WAL-replay fuzzing
+# Ten seconds each of parser, full-pipeline, and log-replay fuzzing
 # beyond the checked-in seeds.
 fuzz:
 	$(GO) test -fuzz FuzzParseProgram -fuzztime 10s ./internal/parser/
@@ -66,8 +66,9 @@ chaos:
 	$(GO) run ./cmd/experiments -faults
 
 # Kill/restart chaos harness: build loopmapd, drive it with concurrent
-# load, SIGKILL it mid-write, restart from the same -state-dir, and
-# assert every pre-kill response is served warm and byte-identical.
+# fsync=always load (group commit under SIGKILL), kill it mid-write,
+# restart from the same -disk-cache-dir, and assert every pre-kill
+# response is served warm and byte-identical.
 crash:
 	$(GO) run ./cmd/crashtest -requests 64 -seed 1
 
@@ -91,10 +92,11 @@ partition:
 
 # Storage-fault smoke harness under the race detector: seeded disk-fault
 # plans (EIO / ENOSPC / torn writes / fsync failure / rename failure /
-# read-side bitrot) against the durable store and a two-shard cluster.
-# Asserts zero acked-durable loss, the sticky read-only latch, scrub
-# detection and repair, anti-entropy healing of quarantined records, and
-# that a fault-free plan is a byte-identical no-op.
+# on-disk bitrot) against the tiered store and a two-shard cluster.
+# Asserts zero acked-durable loss, the sticky read-only latch, that every
+# armed plan actually fires, scrub quarantine of corrupt segments,
+# anti-entropy healing from the standby, and that a fault-free plan is a
+# byte-identical no-op.
 diskchaos:
 	$(GO) run -race ./cmd/diskchaos -seed 1 -cycles 6
 

@@ -16,32 +16,23 @@ import (
 	"repro/internal/cluster"
 )
 
-// Batch wire types are aliases of the daemon's: one definition, one
-// contract.
-type (
-	BatchRequest    = api.BatchRequest
-	BatchItem       = api.BatchItem
-	BatchItemResult = api.BatchItemResult
-	BatchResponse   = api.BatchResponse
-)
-
 // PlanResult is one plan's outcome within a batch.
 type PlanResult struct {
-	Resp *PlanResponse
+	Resp *api.PlanResponse
 	ETag string // strong ETag, usable as If-None-Match later
 	Err  error
 }
 
 // SimulateResult is one simulation's outcome within a batch.
 type SimulateResult struct {
-	Resp *SimulateResponse
+	Resp *api.SimulateResponse
 	Err  error
 }
 
 // Batch sends a raw batch in one round trip. Never hedged: a batch can
 // carry arbitrarily expensive misses.
-func (c *Client) Batch(ctx context.Context, req *BatchRequest) (*BatchResponse, error) {
-	var out BatchResponse
+func (c *Client) Batch(ctx context.Context, req *api.BatchRequest) (*api.BatchResponse, error) {
+	var out api.BatchResponse
 	if err := c.doJSON(ctx, http.MethodPost, "/v1/batch", req, &out, false); err != nil {
 		return nil, err
 	}
@@ -55,15 +46,15 @@ func (c *Client) Batch(ctx context.Context, req *BatchRequest) (*BatchResponse, 
 // PlanBatch requests many plans in one round trip. Results are positional
 // with reqs; items fail independently through their Err fields. The
 // returned error covers only whole-exchange failures.
-func (c *Client) PlanBatch(ctx context.Context, reqs []*PlanRequest) ([]PlanResult, error) {
+func (c *Client) PlanBatch(ctx context.Context, reqs []*api.PlanRequest) ([]PlanResult, error) {
 	if len(reqs) == 0 {
 		return nil, nil
 	}
-	items := make([]BatchItem, len(reqs))
+	items := make([]api.BatchItem, len(reqs))
 	for i, r := range reqs {
-		items[i] = BatchItem{Plan: r}
+		items[i] = api.BatchItem{Plan: r}
 	}
-	out, err := c.Batch(ctx, &BatchRequest{Items: items})
+	out, err := c.Batch(ctx, &api.BatchRequest{Items: items})
 	if err != nil {
 		return nil, err
 	}
@@ -76,15 +67,15 @@ func (c *Client) PlanBatch(ctx context.Context, reqs []*PlanRequest) ([]PlanResu
 
 // SimulateBatch runs many simulations in one round trip. Results are
 // positional with reqs.
-func (c *Client) SimulateBatch(ctx context.Context, reqs []*SimulateRequest) ([]SimulateResult, error) {
+func (c *Client) SimulateBatch(ctx context.Context, reqs []*api.SimulateRequest) ([]SimulateResult, error) {
 	if len(reqs) == 0 {
 		return nil, nil
 	}
-	items := make([]BatchItem, len(reqs))
+	items := make([]api.BatchItem, len(reqs))
 	for i, r := range reqs {
-		items[i] = BatchItem{Simulate: r}
+		items[i] = api.BatchItem{Simulate: r}
 	}
-	out, err := c.Batch(ctx, &BatchRequest{Items: items})
+	out, err := c.Batch(ctx, &api.BatchRequest{Items: items})
 	if err != nil {
 		return nil, err
 	}
@@ -95,22 +86,22 @@ func (c *Client) SimulateBatch(ctx context.Context, reqs []*SimulateRequest) ([]
 	return results, nil
 }
 
-func decodePlanItem(res *BatchItemResult) PlanResult {
+func decodePlanItem(res *api.BatchItemResult) PlanResult {
 	if res.Status != http.StatusOK {
 		return PlanResult{Err: &APIError{Status: res.Status, Message: res.Error}}
 	}
-	var pr PlanResponse
+	var pr api.PlanResponse
 	if err := json.Unmarshal(res.Body, &pr); err != nil {
 		return PlanResult{Err: err}
 	}
 	return PlanResult{Resp: &pr, ETag: res.ETag}
 }
 
-func decodeSimulateItem(res *BatchItemResult) SimulateResult {
+func decodeSimulateItem(res *api.BatchItemResult) SimulateResult {
 	if res.Status != http.StatusOK {
 		return SimulateResult{Err: &APIError{Status: res.Status, Message: res.Error}}
 	}
-	var sr SimulateResponse
+	var sr api.SimulateResponse
 	if err := json.Unmarshal(res.Body, &sr); err != nil {
 		return SimulateResult{Err: err}
 	}
@@ -122,7 +113,7 @@ func decodeSimulateItem(res *BatchItemResult) SimulateResult {
 // Routed by the first item's plan key so a single-owner batch still
 // lands on its owner; use PlanBatch/SimulateBatch for split routing and
 // decoded results.
-func (m *Multi) Batch(ctx context.Context, req *BatchRequest) (*BatchResponse, error) {
+func (m *Multi) Batch(ctx context.Context, req *api.BatchRequest) (*api.BatchResponse, error) {
 	key := ""
 	if len(req.Items) > 0 {
 		if it := req.Items[0]; it.Plan != nil {
@@ -131,7 +122,7 @@ func (m *Multi) Batch(ctx context.Context, req *BatchRequest) (*BatchResponse, e
 			key = api.CanonicalPlanKey(&it.Simulate.PlanRequest)
 		}
 	}
-	var out *BatchResponse
+	var out *api.BatchResponse
 	err := m.call(ctx, key, func(ctx context.Context, c *Client) error {
 		r, err := c.Batch(ctx, req)
 		if err == nil {
@@ -165,7 +156,7 @@ func (m *Multi) batchGroups(keys []string) map[int][]int {
 // shard. Results are positional with reqs; a sub-batch whose exchange
 // fails marks only its own items' Err fields, and the joined exchange
 // errors are also returned.
-func (m *Multi) PlanBatch(ctx context.Context, reqs []*PlanRequest) ([]PlanResult, error) {
+func (m *Multi) PlanBatch(ctx context.Context, reqs []*api.PlanRequest) ([]PlanResult, error) {
 	if len(reqs) == 0 {
 		return nil, nil
 	}
@@ -175,7 +166,7 @@ func (m *Multi) PlanBatch(ctx context.Context, reqs []*PlanRequest) ([]PlanResul
 	}
 	results := make([]PlanResult, len(reqs))
 	err := m.batchCall(ctx, keys, func(c *Client, idxs []int) error {
-		sub := make([]*PlanRequest, len(idxs))
+		sub := make([]*api.PlanRequest, len(idxs))
 		for j, i := range idxs {
 			sub[j] = reqs[i]
 		}
@@ -193,7 +184,7 @@ func (m *Multi) PlanBatch(ctx context.Context, reqs []*PlanRequest) ([]PlanResul
 
 // SimulateBatch runs many simulations, split into one sub-batch per
 // owner shard of each embedded plan request.
-func (m *Multi) SimulateBatch(ctx context.Context, reqs []*SimulateRequest) ([]SimulateResult, error) {
+func (m *Multi) SimulateBatch(ctx context.Context, reqs []*api.SimulateRequest) ([]SimulateResult, error) {
 	if len(reqs) == 0 {
 		return nil, nil
 	}
@@ -203,7 +194,7 @@ func (m *Multi) SimulateBatch(ctx context.Context, reqs []*SimulateRequest) ([]S
 	}
 	results := make([]SimulateResult, len(reqs))
 	err := m.batchCall(ctx, keys, func(c *Client, idxs []int) error {
-		sub := make([]*SimulateRequest, len(idxs))
+		sub := make([]*api.SimulateRequest, len(idxs))
 		for j, i := range idxs {
 			sub[j] = reqs[i]
 		}

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"testing"
 
+	"repro/api"
 	"repro/internal/cluster"
 	"repro/internal/serve"
 )
@@ -18,7 +19,7 @@ func TestClientBatchAgainstRealServer(t *testing.T) {
 	ctx := context.Background()
 
 	two := 2
-	reqs := []*PlanRequest{
+	reqs := []*api.PlanRequest{
 		planReq(),
 		{Kernel: "no-such-kernel", Size: 8},
 		{Kernel: "matmul", Size: 6, CubeDim: &two},
@@ -53,9 +54,9 @@ func TestClientBatchAgainstRealServer(t *testing.T) {
 		t.Fatalf("computations = %d, want 2 (duplicate shared)", m.PlanComputations)
 	}
 
-	srs, err := c.SimulateBatch(ctx, []*SimulateRequest{
+	srs, err := c.SimulateBatch(ctx, []*api.SimulateRequest{
 		{PlanRequest: *planReq(), Sequential: true},
-		{PlanRequest: PlanRequest{Kernel: "no-such-kernel", Size: 8}},
+		{PlanRequest: api.PlanRequest{Kernel: "no-such-kernel", Size: 8}},
 	})
 	if err != nil {
 		t.Fatalf("SimulateBatch: %v", err)
@@ -79,14 +80,14 @@ func TestClientRevalidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if first.Cache != CacheMiss {
+	if first.Cache != api.CacheMiss {
 		t.Fatalf("first call cache = %q, want miss", first.Cache)
 	}
 	second, err := c.Plan(ctx, planReq())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if second.Cache != CacheHit {
+	if second.Cache != api.CacheHit {
 		t.Fatalf("second call cache = %q, want hit", second.Cache)
 	}
 	if second.Blocks != first.Blocks || second.Procs != first.Procs {
@@ -104,7 +105,7 @@ func TestClientRevalidation(t *testing.T) {
 
 	// A different key is a fresh exchange, not a revalidation.
 	d := 2
-	if _, err := c.Plan(ctx, &PlanRequest{Kernel: "l1", Size: 8, CubeDim: &d}); err != nil {
+	if _, err := c.Plan(ctx, &api.PlanRequest{Kernel: "l1", Size: 8, CubeDim: &d}); err != nil {
 		t.Fatal(err)
 	}
 	if got := c.Stats().Revalidations; got != 1 {
@@ -115,17 +116,17 @@ func TestClientRevalidation(t *testing.T) {
 // The reval cache evicts LRU at capacity and updates in place.
 func TestRevalCacheEviction(t *testing.T) {
 	rc := newRevalCache(2)
-	rc.put("a", "ea", PlanResponse{Blocks: 1})
-	rc.put("b", "eb", PlanResponse{Blocks: 2})
+	rc.put("a", "ea", api.PlanResponse{Blocks: 1})
+	rc.put("b", "eb", api.PlanResponse{Blocks: 2})
 	rc.get("a") // a is now most recent
-	rc.put("c", "ec", PlanResponse{Blocks: 3})
+	rc.put("c", "ec", api.PlanResponse{Blocks: 3})
 	if _, ok := rc.get("b"); ok {
 		t.Fatal("b survived eviction despite being LRU")
 	}
 	if e, ok := rc.get("a"); !ok || e.resp.Blocks != 1 {
 		t.Fatalf("a lost: %+v %v", e, ok)
 	}
-	rc.put("a", "ea2", PlanResponse{Blocks: 9})
+	rc.put("a", "ea2", api.PlanResponse{Blocks: 9})
 	if e, _ := rc.get("a"); e.etag != "ea2" || e.resp.Blocks != 9 {
 		t.Fatalf("in-place update failed: %+v", e)
 	}
@@ -142,14 +143,14 @@ func TestMultiBatchOwnerSplit(t *testing.T) {
 	ctx := context.Background()
 
 	// Learn the shard map first.
-	if _, err := m.Plan(ctx, &PlanRequest{Kernel: "l1", Size: 4}); err != nil {
+	if _, err := m.Plan(ctx, &api.PlanRequest{Kernel: "l1", Size: 4}); err != nil {
 		t.Fatal(err)
 	}
 
-	var reqs []*PlanRequest
+	var reqs []*api.PlanRequest
 	owners := map[int]bool{}
 	for size := int64(4); size < 16; size++ {
-		r := &PlanRequest{Kernel: "l1", Size: size}
+		r := &api.PlanRequest{Kernel: "l1", Size: size}
 		reqs = append(reqs, r)
 		owners[cluster.Owner(serve.CanonicalPlanKey(r), []int{0, 1, 2})] = true
 	}
@@ -183,9 +184,9 @@ func TestMultiBatchNoMapSingleExchange(t *testing.T) {
 	f := newFakeShards(t, 3)
 	m := newTestMulti(t, f, nil)
 
-	var reqs []*PlanRequest
+	var reqs []*api.PlanRequest
 	for size := int64(4); size < 10; size++ {
-		reqs = append(reqs, &PlanRequest{Kernel: "l1", Size: size})
+		reqs = append(reqs, &api.PlanRequest{Kernel: "l1", Size: size})
 	}
 	rs, err := m.PlanBatch(context.Background(), reqs)
 	if err != nil {

@@ -35,32 +35,10 @@ import (
 	"repro/internal/cluster"
 )
 
-// Aliases of the daemon's wire types (the api package): one definition,
-// one contract.
-type (
-	PlanRequest      = api.PlanRequest
-	PlanResponse     = api.PlanResponse
-	SimulateRequest  = api.SimulateRequest
-	SimulateResponse = api.SimulateResponse
-	FaultSpec        = api.FaultSpec
-	NodeCrashSpec    = api.NodeCrashSpec
-	LinkFailureSpec  = api.LinkFailureSpec
-	DegradedInfo     = api.DegradedInfo
-	SPMDRequest      = api.SPMDRequest
-	SPMDResponse     = api.SPMDResponse
-	KernelInfo       = api.KernelInfo
-	CacheOutcome     = api.CacheOutcome
-	ClusterInfo      = api.ClusterInfo
-	ClusterStatus    = api.ClusterStatus
-	PeerStatus       = cluster.PeerStatus
-)
-
-// Cache outcomes, re-exported for switch statements on PlanResponse.Cache.
-const (
-	CacheHit    = api.CacheHit
-	CacheMiss   = api.CacheMiss
-	CacheShared = api.CacheShared
-)
+// PeerStatus re-exports the cluster package's per-peer health record,
+// which /v1/cluster reports and internal/cluster keeps out of reach of
+// code outside this module.
+type PeerStatus = cluster.PeerStatus
 
 // APIError is a non-2xx response from the daemon, decoded from its JSON
 // error envelope.
@@ -245,9 +223,9 @@ func (c *Client) Stats() ClientStats {
 // set: plans are cached server-side, so a duplicate is usually a cheap
 // cache hit. With Config.Revalidate, a remembered response's ETag rides
 // along as If-None-Match and a 304 answers from the local copy.
-func (c *Client) Plan(ctx context.Context, req *PlanRequest) (*PlanResponse, error) {
+func (c *Client) Plan(ctx context.Context, req *api.PlanRequest) (*api.PlanResponse, error) {
 	if c.reval == nil {
-		var out PlanResponse
+		var out api.PlanResponse
 		if err := c.doJSON(ctx, http.MethodPost, "/v1/plan", req, &out, true); err != nil {
 			return nil, err
 		}
@@ -258,7 +236,7 @@ func (c *Client) Plan(ctx context.Context, req *PlanRequest) (*PlanResponse, err
 	if e, ok := c.reval.get(key); ok {
 		inm = e.etag
 	}
-	var out PlanResponse
+	var out api.PlanResponse
 	etag, notModified, err := c.exchange(ctx, http.MethodPost, "/v1/plan", req, &out, true, inm)
 	if err != nil {
 		return nil, err
@@ -272,7 +250,7 @@ func (c *Client) Plan(ctx context.Context, req *PlanRequest) (*PlanResponse, err
 			return c.planFresh(ctx, req)
 		}
 		r := e.resp // copy; the cached response stays immutable
-		r.Cache = CacheHit
+		r.Cache = api.CacheHit
 		return &r, nil
 	}
 	if etag != "" {
@@ -282,8 +260,8 @@ func (c *Client) Plan(ctx context.Context, req *PlanRequest) (*PlanResponse, err
 }
 
 // planFresh is Plan without a validator — the revalidation fallback.
-func (c *Client) planFresh(ctx context.Context, req *PlanRequest) (*PlanResponse, error) {
-	var out PlanResponse
+func (c *Client) planFresh(ctx context.Context, req *api.PlanRequest) (*api.PlanResponse, error) {
+	var out api.PlanResponse
 	etag, _, err := c.exchange(ctx, http.MethodPost, "/v1/plan", req, &out, true, "")
 	if err != nil {
 		return nil, err
@@ -296,8 +274,8 @@ func (c *Client) planFresh(ctx context.Context, req *PlanRequest) (*PlanResponse
 
 // Simulate plans and simulates a kernel. Never hedged: a cold simulate
 // is the most expensive call the daemon serves.
-func (c *Client) Simulate(ctx context.Context, req *SimulateRequest) (*SimulateResponse, error) {
-	var out SimulateResponse
+func (c *Client) Simulate(ctx context.Context, req *api.SimulateRequest) (*api.SimulateResponse, error) {
+	var out api.SimulateResponse
 	if err := c.doJSON(ctx, http.MethodPost, "/v1/simulate", req, &out, false); err != nil {
 		return nil, err
 	}
@@ -305,8 +283,8 @@ func (c *Client) Simulate(ctx context.Context, req *SimulateRequest) (*SimulateR
 }
 
 // SPMD compiles loop-DSL source into a parallel Go program.
-func (c *Client) SPMD(ctx context.Context, req *SPMDRequest) (*SPMDResponse, error) {
-	var out SPMDResponse
+func (c *Client) SPMD(ctx context.Context, req *api.SPMDRequest) (*api.SPMDResponse, error) {
+	var out api.SPMDResponse
 	if err := c.doJSON(ctx, http.MethodPost, "/v1/spmd", req, &out, false); err != nil {
 		return nil, err
 	}
@@ -315,8 +293,8 @@ func (c *Client) SPMD(ctx context.Context, req *SPMDRequest) (*SPMDResponse, err
 
 // Kernels lists the daemon's built-in kernels. Hedged when HedgeDelay is
 // set.
-func (c *Client) Kernels(ctx context.Context) ([]KernelInfo, error) {
-	var out []KernelInfo
+func (c *Client) Kernels(ctx context.Context) ([]api.KernelInfo, error) {
+	var out []api.KernelInfo
 	if err := c.doJSON(ctx, http.MethodGet, "/v1/kernels", nil, &out, true); err != nil {
 		return nil, err
 	}
@@ -326,8 +304,8 @@ func (c *Client) Kernels(ctx context.Context) ([]KernelInfo, error) {
 // ClusterStatus fetches the daemon's shard-membership table. Outside
 // cluster mode the daemon has no /v1/cluster route and this returns a
 // 404 *APIError.
-func (c *Client) ClusterStatus(ctx context.Context) (*ClusterStatus, error) {
-	var out ClusterStatus
+func (c *Client) ClusterStatus(ctx context.Context) (*api.ClusterStatus, error) {
+	var out api.ClusterStatus
 	if err := c.doJSON(ctx, http.MethodGet, "/v1/cluster", nil, &out, false); err != nil {
 		return nil, err
 	}

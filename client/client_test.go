@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/api"
 	"repro/internal/serve"
 )
 
@@ -33,9 +34,9 @@ func newTestClient(t *testing.T, h http.Handler, mutate func(*Config)) *Client {
 	return New(cfg)
 }
 
-func planReq() *PlanRequest {
+func planReq() *api.PlanRequest {
 	d := 3
-	return &PlanRequest{Kernel: "l1", Size: 8, CubeDim: &d}
+	return &api.PlanRequest{Kernel: "l1", Size: 8, CubeDim: &d}
 }
 
 // TestAgainstRealServer: the client round-trips every endpoint against an
@@ -53,7 +54,7 @@ func TestAgainstRealServer(t *testing.T) {
 		t.Fatalf("Plan returned %+v", plan)
 	}
 
-	sim, err := c.Simulate(ctx, &SimulateRequest{PlanRequest: *planReq()})
+	sim, err := c.Simulate(ctx, &api.SimulateRequest{PlanRequest: *planReq()})
 	if err != nil {
 		t.Fatalf("Simulate: %v", err)
 	}
@@ -61,7 +62,7 @@ func TestAgainstRealServer(t *testing.T) {
 		t.Fatalf("Simulate returned makespan %v", sim.Makespan)
 	}
 
-	spmd, err := c.SPMD(ctx, &SPMDRequest{Source: "for i = 0 to 7\nfor j = 0 to 7\n{\n A[i+1, j+1] = A[i+1, j] + B[i, j]\n}\n"})
+	spmd, err := c.SPMD(ctx, &api.SPMDRequest{Source: "for i = 0 to 7\nfor j = 0 to 7\n{\n A[i+1, j+1] = A[i+1, j] + B[i, j]\n}\n"})
 	if err != nil {
 		t.Fatalf("SPMD: %v", err)
 	}
@@ -86,7 +87,7 @@ func TestAgainstRealServer(t *testing.T) {
 	}
 
 	// A bad request is terminal — no retries, breaker stays closed.
-	if _, err := c.Plan(ctx, &PlanRequest{Kernel: "no-such-kernel", Size: 8}); err == nil {
+	if _, err := c.Plan(ctx, &api.PlanRequest{Kernel: "no-such-kernel", Size: 8}); err == nil {
 		t.Fatal("Plan accepted an unknown kernel")
 	} else {
 		var ae *APIError
@@ -122,7 +123,7 @@ func TestRetryHonorsRetryAfter(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Plan after 503: %v", err)
 	}
-	if plan.Cache != CacheHit {
+	if plan.Cache != api.CacheHit {
 		t.Fatalf("decoded cache = %q", plan.Cache)
 	}
 	gap := time.Duration(secondAt.Load() - firstAt.Load())
@@ -403,7 +404,7 @@ func TestHedgedReads(t *testing.T) {
 	if err != nil {
 		t.Fatalf("hedged Plan: %v", err)
 	}
-	if plan.Cache != CacheHit {
+	if plan.Cache != api.CacheHit {
 		t.Fatalf("got %+v", plan)
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Second {

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/api"
 	"repro/internal/serve"
 )
 
@@ -60,7 +61,7 @@ func TestMultiElasticMembershipRace(t *testing.T) {
 	// Warm one key so the client has a shard map before the chaos.
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	if _, err := m.Plan(ctx, &PlanRequest{Kernel: "l1", Size: 4}); err != nil {
+	if _, err := m.Plan(ctx, &api.PlanRequest{Kernel: "l1", Size: 4}); err != nil {
 		t.Fatalf("warmup: %v", err)
 	}
 
@@ -82,7 +83,7 @@ func TestMultiElasticMembershipRace(t *testing.T) {
 				default:
 				}
 				rctx, rcancel := context.WithTimeout(context.Background(), 10*time.Second)
-				_, err := m.Plan(rctx, &PlanRequest{Kernel: "l1", Size: sizes[i%len(sizes)]})
+				_, err := m.Plan(rctx, &api.PlanRequest{Kernel: "l1", Size: sizes[i%len(sizes)]})
 				rcancel()
 				if err != nil {
 					lost.Add(1)
@@ -205,7 +206,7 @@ func TestMultiEpochRefreshOnJoin(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	if _, err := m.Plan(ctx, &PlanRequest{Kernel: "l1", Size: 4}); err != nil {
+	if _, err := m.Plan(ctx, &api.PlanRequest{Kernel: "l1", Size: 4}); err != nil {
 		t.Fatalf("warmup: %v", err)
 	}
 	before := m.Stats()
@@ -231,7 +232,7 @@ func TestMultiEpochRefreshOnJoin(t *testing.T) {
 	routed := false
 	for !routed {
 		for _, size := range []int64{4, 5, 6, 7, 8, 9, 10, 11, 12, 13} {
-			resp, err := m.Plan(ctx, &PlanRequest{Kernel: "l1", Size: size})
+			resp, err := m.Plan(ctx, &api.PlanRequest{Kernel: "l1", Size: size})
 			if err != nil {
 				t.Fatalf("post-join plan: %v", err)
 			}

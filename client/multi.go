@@ -283,7 +283,7 @@ func (m *Multi) call(ctx context.Context, key string, fn func(context.Context, *
 // noteEpoch compares a response's map epoch against the local view and
 // refreshes the map from the shard that answered on any mismatch — the
 // cheap path by which joins, leaves, and deaths reach the client.
-func (m *Multi) noteEpoch(ctx context.Context, ci *ClusterInfo, c *Client) {
+func (m *Multi) noteEpoch(ctx context.Context, ci *api.ClusterInfo, c *Client) {
 	if ci == nil || ci.Epoch == 0 {
 		return
 	}
@@ -311,7 +311,7 @@ func (m *Multi) refresh(ctx context.Context, c *Client) {
 
 // adopt installs a membership snapshot as the routing view, creating
 // clients for shard URLs the configured endpoint list doesn't know.
-func (m *Multi) adopt(st *ClusterStatus) {
+func (m *Multi) adopt(st *api.ClusterStatus) {
 	m.refreshMu.Lock()
 	defer m.refreshMu.Unlock()
 	v := &shardMap{
@@ -351,8 +351,8 @@ func (m *Multi) endpointIndex(url string) int {
 
 // Plan requests a plan, routed to the key's serving owner when the map
 // is known.
-func (m *Multi) Plan(ctx context.Context, req *PlanRequest) (*PlanResponse, error) {
-	var out *PlanResponse
+func (m *Multi) Plan(ctx context.Context, req *api.PlanRequest) (*api.PlanResponse, error) {
+	var out *api.PlanResponse
 	var served *Client
 	err := m.call(ctx, api.CanonicalPlanKey(req), func(ctx context.Context, c *Client) error {
 		r, err := c.Plan(ctx, req)
@@ -369,8 +369,8 @@ func (m *Multi) Plan(ctx context.Context, req *PlanRequest) (*PlanResponse, erro
 
 // Simulate plans and simulates a kernel, routed by the embedded plan
 // request's key (the simulation reuses the owner's cached plan).
-func (m *Multi) Simulate(ctx context.Context, req *SimulateRequest) (*SimulateResponse, error) {
-	var out *SimulateResponse
+func (m *Multi) Simulate(ctx context.Context, req *api.SimulateRequest) (*api.SimulateResponse, error) {
+	var out *api.SimulateResponse
 	var served *Client
 	err := m.call(ctx, api.CanonicalPlanKey(&req.PlanRequest), func(ctx context.Context, c *Client) error {
 		r, err := c.Simulate(ctx, req)
@@ -387,8 +387,8 @@ func (m *Multi) Simulate(ctx context.Context, req *SimulateRequest) (*SimulateRe
 
 // SPMD compiles loop-DSL source on any available shard (uncached, so no
 // affinity).
-func (m *Multi) SPMD(ctx context.Context, req *SPMDRequest) (*SPMDResponse, error) {
-	var out *SPMDResponse
+func (m *Multi) SPMD(ctx context.Context, req *api.SPMDRequest) (*api.SPMDResponse, error) {
+	var out *api.SPMDResponse
 	err := m.call(ctx, "", func(ctx context.Context, c *Client) error {
 		r, err := c.SPMD(ctx, req)
 		if err == nil {
@@ -400,8 +400,8 @@ func (m *Multi) SPMD(ctx context.Context, req *SPMDRequest) (*SPMDResponse, erro
 }
 
 // Kernels lists built-in kernels from any available shard.
-func (m *Multi) Kernels(ctx context.Context) ([]KernelInfo, error) {
-	var out []KernelInfo
+func (m *Multi) Kernels(ctx context.Context) ([]api.KernelInfo, error) {
+	var out []api.KernelInfo
 	err := m.call(ctx, "", func(ctx context.Context, c *Client) error {
 		r, err := c.Kernels(ctx)
 		if err == nil {
@@ -414,8 +414,8 @@ func (m *Multi) Kernels(ctx context.Context) ([]KernelInfo, error) {
 
 // ClusterStatus returns the membership table from the first endpoint
 // that answers, refreshing the routing map as a side effect.
-func (m *Multi) ClusterStatus(ctx context.Context) (*ClusterStatus, error) {
-	var out *ClusterStatus
+func (m *Multi) ClusterStatus(ctx context.Context) (*api.ClusterStatus, error) {
+	var out *api.ClusterStatus
 	err := m.call(ctx, "", func(ctx context.Context, c *Client) error {
 		r, err := c.ClusterStatus(ctx)
 		if err == nil {

@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/api"
 	"repro/internal/cluster"
 	"repro/internal/serve"
 )
@@ -41,7 +42,7 @@ func newFakeShards(t *testing.T, n int) *fakeShards {
 		f.alive[i] = true
 		mux := http.NewServeMux()
 		mux.HandleFunc("POST /v1/plan", func(w http.ResponseWriter, r *http.Request) {
-			var req PlanRequest
+			var req api.PlanRequest
 			if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.Kernel == "bogus" {
 				http.Error(w, "bad request", http.StatusBadRequest)
 				return
@@ -57,15 +58,15 @@ func newFakeShards(t *testing.T, n int) *fakeShards {
 			}
 			owner := cluster.ServingOwner(key, all, func(id int) bool { return f.alive[id] })
 			f.mu.Unlock()
-			json.NewEncoder(w).Encode(PlanResponse{
+			json.NewEncoder(w).Encode(api.PlanResponse{
 				Kernel:  req.Kernel,
 				Size:    req.Size,
-				Cache:   CacheMiss,
-				Cluster: &ClusterInfo{Shard: i, Owner: owner, Hops: 0},
+				Cache:   api.CacheMiss,
+				Cluster: &api.ClusterInfo{Shard: i, Owner: owner, Hops: 0},
 			})
 		})
 		mux.HandleFunc("POST /v1/batch", func(w http.ResponseWriter, r *http.Request) {
-			var req BatchRequest
+			var req api.BatchRequest
 			if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 				http.Error(w, "bad request", http.StatusBadRequest)
 				return
@@ -73,27 +74,27 @@ func newFakeShards(t *testing.T, n int) *fakeShards {
 			f.mu.Lock()
 			f.batches[i]++
 			f.mu.Unlock()
-			out := BatchResponse{Results: make([]BatchItemResult, len(req.Items))}
+			out := api.BatchResponse{Results: make([]api.BatchItemResult, len(req.Items))}
 			for j, it := range req.Items {
 				if it.Plan == nil {
-					out.Results[j] = BatchItemResult{Status: http.StatusBadRequest, Error: "plan only"}
+					out.Results[j] = api.BatchItemResult{Status: http.StatusBadRequest, Error: "plan only"}
 					continue
 				}
 				// A real daemon attaches no cluster metadata to batch items;
 				// the fake does, so tests can see which shard served what.
-				body, _ := json.Marshal(PlanResponse{
+				body, _ := json.Marshal(api.PlanResponse{
 					Kernel:  it.Plan.Kernel,
 					Size:    it.Plan.Size,
-					Cache:   CacheMiss,
-					Cluster: &ClusterInfo{Shard: i},
+					Cache:   api.CacheMiss,
+					Cluster: &api.ClusterInfo{Shard: i},
 				})
-				out.Results[j] = BatchItemResult{Status: http.StatusOK, Body: body}
+				out.Results[j] = api.BatchItemResult{Status: http.StatusOK, Body: body}
 			}
 			json.NewEncoder(w).Encode(out)
 		})
 		mux.HandleFunc("GET /v1/cluster", func(w http.ResponseWriter, r *http.Request) {
 			f.mu.Lock()
-			st := ClusterStatus{Self: i, N: n, Dim: 2}
+			st := api.ClusterStatus{Self: i, N: n, Dim: 2}
 			for id := 0; id < n; id++ {
 				st.Shards = append(st.Shards, PeerStatus{
 					ID: id, URL: f.urls[id], Alive: f.alive[id], Self: id == i,
@@ -162,7 +163,7 @@ func TestMultiOwnerAffinity(t *testing.T) {
 	ctx := context.Background()
 
 	// The first call round-robins blind, then learns the shard map.
-	if _, err := m.Plan(ctx, &PlanRequest{Kernel: "l1", Size: 4}); err != nil {
+	if _, err := m.Plan(ctx, &api.PlanRequest{Kernel: "l1", Size: 4}); err != nil {
 		t.Fatal(err)
 	}
 	if got := m.Stats().MapRefreshes; got != 1 {
@@ -172,7 +173,7 @@ func TestMultiOwnerAffinity(t *testing.T) {
 	// Every subsequent call must land directly on its key's owner.
 	affine := 0
 	for size := int64(4); size <= 24; size++ {
-		req := &PlanRequest{Kernel: "l1", Size: size}
+		req := &api.PlanRequest{Kernel: "l1", Size: size}
 		want := cluster.Owner(serve.CanonicalPlanKey(req), []int{0, 1, 2})
 		pr, err := m.Plan(ctx, req)
 		if err != nil {
@@ -208,13 +209,13 @@ func TestMultiFailoverAndRehome(t *testing.T) {
 	ctx := context.Background()
 
 	// Learn the healthy map, then find a key owned by shard 2.
-	if _, err := m.Plan(ctx, &PlanRequest{Kernel: "l1", Size: 4}); err != nil {
+	if _, err := m.Plan(ctx, &api.PlanRequest{Kernel: "l1", Size: 4}); err != nil {
 		t.Fatal(err)
 	}
 	victim := 2
-	var req *PlanRequest
+	var req *api.PlanRequest
 	for size := int64(4); size <= 64; size++ {
-		r := &PlanRequest{Kernel: "l1", Size: size}
+		r := &api.PlanRequest{Kernel: "l1", Size: size}
 		if cluster.Owner(serve.CanonicalPlanKey(r), []int{0, 1, 2}) == victim {
 			req = r
 			break
@@ -274,7 +275,7 @@ func TestMultiCustomHTTPClient(t *testing.T) {
 	})
 	ctx := context.Background()
 	for size := int64(4); size <= 8; size++ {
-		if _, err := m.Plan(ctx, &PlanRequest{Kernel: "l1", Size: size}); err != nil {
+		if _, err := m.Plan(ctx, &api.PlanRequest{Kernel: "l1", Size: size}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -302,7 +303,7 @@ func (ct *countingTransport) RoundTrip(r *http.Request) (*http.Response, error) 
 func TestMultiTerminal4xxNoFailover(t *testing.T) {
 	f := newFakeShards(t, 2)
 	m := newTestMulti(t, f, nil)
-	_, err := m.Plan(context.Background(), &PlanRequest{Kernel: "bogus", Size: 4})
+	_, err := m.Plan(context.Background(), &api.PlanRequest{Kernel: "bogus", Size: 4})
 	var apiErr *APIError
 	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusBadRequest {
 		t.Fatalf("err = %v, want 400 APIError", err)
@@ -326,7 +327,7 @@ func TestMultiValidation(t *testing.T) {
 func TestMultiSingleDaemonNoClusterMode(t *testing.T) {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/plan", func(w http.ResponseWriter, r *http.Request) {
-		json.NewEncoder(w).Encode(PlanResponse{Kernel: "l1", Size: 4, Cache: CacheMiss})
+		json.NewEncoder(w).Encode(api.PlanResponse{Kernel: "l1", Size: 4, Cache: api.CacheMiss})
 	})
 	ts := httptest.NewServer(mux)
 	defer ts.Close()
@@ -336,7 +337,7 @@ func TestMultiSingleDaemonNoClusterMode(t *testing.T) {
 	}
 	ctx := context.Background()
 	for k := 0; k < 3; k++ {
-		if _, err := m.Plan(ctx, &PlanRequest{Kernel: "l1", Size: 4}); err != nil {
+		if _, err := m.Plan(ctx, &api.PlanRequest{Kernel: "l1", Size: 4}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -57,11 +57,11 @@ func TestReadOnly503FailsOverWithoutRetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	req := &PlanRequest{Kernel: "matmul", Size: 4}
+	req := &api.PlanRequest{Kernel: "matmul", Size: 4}
 
 	// Force the read-only endpoint first, regardless of the round-robin
 	// cursor: keep calling until it has been hit at least once.
-	var got *PlanResponse
+	var got *api.PlanResponse
 	for i := 0; i < 2 && roHits.Load() == 0; i++ {
 		r, err := m.Plan(context.Background(), req)
 		if err != nil {
@@ -103,7 +103,7 @@ func TestReadOnly503FailsOverWithoutRetry(t *testing.T) {
 func TestReadOnlyAPIErrorFlag(t *testing.T) {
 	ro, _ := readOnlyShard(t)
 	c := New(Config{BaseURL: ro.URL, MaxRetries: 3})
-	_, err := c.Plan(context.Background(), &PlanRequest{Kernel: "matmul", Size: 4})
+	_, err := c.Plan(context.Background(), &api.PlanRequest{Kernel: "matmul", Size: 4})
 	var apiErr *APIError
 	if !errors.As(err, &apiErr) {
 		t.Fatalf("want *APIError, got %T: %v", err, err)

@@ -8,12 +8,14 @@ package client
 import (
 	"container/list"
 	"sync"
+
+	"repro/api"
 )
 
 type revalEntry struct {
 	key  string
 	etag string
-	resp PlanResponse
+	resp api.PlanResponse
 }
 
 // revalCache is a small entry-capped LRU, safe for concurrent use.
@@ -39,7 +41,7 @@ func (c *revalCache) get(key string) (revalEntry, bool) {
 	return *el.Value.(*revalEntry), true
 }
 
-func (c *revalCache) put(key, etag string, resp PlanResponse) {
+func (c *revalCache) put(key, etag string, resp api.PlanResponse) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {

@@ -64,6 +64,7 @@ import (
 	"syscall"
 	"time"
 
+	"repro/api"
 	"repro/client"
 	"repro/internal/cluster"
 	"repro/internal/serve"
@@ -154,7 +155,7 @@ func run(bin string, shards, requests, workers int, seed int64) error {
 	// One warmup call teaches the client the shard map so the measured
 	// load runs owner-affine.
 	warmCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	_, err = m.Plan(warmCtx, &client.PlanRequest{Kernel: "l1", Size: 4})
+	_, err = m.Plan(warmCtx, &api.PlanRequest{Kernel: "l1", Size: 4})
 	cancel()
 	if err != nil {
 		return fmt.Errorf("warmup plan: %w", err)
@@ -455,7 +456,7 @@ func run(bin string, shards, requests, workers int, seed int64) error {
 			return fmt.Errorf("warm sweep: %w", err)
 		}
 		swept++
-		if n.outcome == client.CacheHit {
+		if n.outcome == api.CacheHit {
 			warm++
 		}
 		if n.cl != nil && cluster.ServingOwner(serve.CanonicalPlanKey(&want.item.plan), newActive, aliveFn) != n.cl.Owner {
@@ -677,7 +678,7 @@ func waitConverged(urls []string, wantShards int) (uint64, map[int]string, error
 	}
 }
 
-func clusterStatsFull(url string) (*client.ClusterStatus, error) {
+func clusterStatsFull(url string) (*api.ClusterStatus, error) {
 	c := client.New(client.Config{BaseURL: url, MaxRetries: 0})
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
@@ -711,7 +712,7 @@ func waitDead(survivorURL string, victim int) error {
 
 type workItem struct {
 	simulate bool
-	plan     client.PlanRequest
+	plan     api.PlanRequest
 	era      string
 	engine   string
 }
@@ -733,7 +734,7 @@ func generateWorkload(n int, seed int64) []workItem {
 	var out []workItem
 	for i := 0; i < n; i++ {
 		it := workItem{
-			plan: client.PlanRequest{
+			plan: api.PlanRequest{
 				Kernel: kernels[rng.Intn(len(kernels))],
 				Size:   sizes[rng.Intn(len(sizes))],
 			},
@@ -791,15 +792,15 @@ func (r *recorder) snapshot() map[string]recorded {
 // stripped, plus that metadata on the side.
 type norm struct {
 	resp    any
-	outcome client.CacheOutcome
-	cl      *client.ClusterInfo
+	outcome api.CacheOutcome
+	cl      *api.ClusterInfo
 }
 
 func reissue(m *client.Multi, it workItem) (norm, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	if it.simulate {
-		resp, err := m.Simulate(ctx, &client.SimulateRequest{PlanRequest: it.plan, Era: it.era, Engine: it.engine})
+		resp, err := m.Simulate(ctx, &api.SimulateRequest{PlanRequest: it.plan, Era: it.era, Engine: it.engine})
 		if err != nil {
 			return norm{}, err
 		}
@@ -816,7 +817,7 @@ func reissueSingle(c *client.Client, it workItem) (norm, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	if it.simulate {
-		resp, err := c.Simulate(ctx, &client.SimulateRequest{PlanRequest: it.plan, Era: it.era, Engine: it.engine})
+		resp, err := c.Simulate(ctx, &api.SimulateRequest{PlanRequest: it.plan, Era: it.era, Engine: it.engine})
 		if err != nil {
 			return norm{}, err
 		}
@@ -829,7 +830,7 @@ func reissueSingle(c *client.Client, it workItem) (norm, error) {
 	return normalizePlan(resp), nil
 }
 
-func normalizePlan(resp *client.PlanResponse) norm {
+func normalizePlan(resp *api.PlanResponse) norm {
 	n := norm{outcome: resp.Cache, cl: resp.Cluster}
 	resp.Cache = ""
 	resp.Cluster = nil
@@ -837,7 +838,7 @@ func normalizePlan(resp *client.PlanResponse) norm {
 	return n
 }
 
-func normalizeSim(resp *client.SimulateResponse) norm {
+func normalizeSim(resp *api.SimulateResponse) norm {
 	n := norm{outcome: resp.Cache, cl: resp.Cluster}
 	resp.Cache = ""
 	resp.Cluster = nil
@@ -893,7 +894,7 @@ type daemon struct {
 // asserts that acknowledged responses survive a SIGKILL.
 func startShard(bin string, id, port int, peers []string, stateDir string, extra ...string) (*daemon, error) {
 	args := []string{
-		"-state-dir", stateDir,
+		"-disk-cache-dir", stateDir,
 		"-fsync", "always",
 		"-drain", "10s",
 	}

@@ -1,10 +1,11 @@
 // Command crashtest is the kill/restart chaos harness for loopmapd's
 // durable plan store.
 //
-// It builds the daemon, starts it with a durable -state-dir (fsync
-// always), drives concurrent mixed /v1/plan + /v1/simulate load through
-// the resilient client, SIGKILLs the process mid-write, restarts it from
-// the same state directory, and then asserts the crash-safety contract:
+// It builds the daemon, starts it with a durable -disk-cache-dir (fsync
+// always, so concurrent writes share group-commit fsyncs), drives
+// concurrent mixed /v1/plan + /v1/simulate load through the resilient
+// client, SIGKILLs the process mid-write, restarts it from the same
+// directory, and then asserts the crash-safety contract:
 //
 //   - every request that succeeded before the kill is served warm
 //     (cache outcome "hit") by the restarted daemon;
@@ -36,12 +37,13 @@ import (
 	"syscall"
 	"time"
 
+	"repro/api"
 	"repro/client"
 )
 
 func main() {
 	bin := flag.String("bin", "", "loopmapd binary (default: go build it to a temp dir)")
-	stateDir := flag.String("state-dir", "", "durable state directory (default: a temp dir, removed on success)")
+	stateDir := flag.String("disk-cache-dir", "", "durable store directory (default: a temp dir, removed on success)")
 	requests := flag.Int("requests", 64, "total requests in the mixed load")
 	workers := flag.Int("workers", 8, "concurrent client goroutines")
 	seed := flag.Int64("seed", 1, "workload generator seed (runs are reproducible per seed)")
@@ -77,7 +79,7 @@ func run(bin, stateDir string, requests, workers int, seed int64, keep bool) err
 			defer os.RemoveAll(dir)
 		}
 	}
-	fmt.Printf("crashtest: state dir %s, %d requests, seed %d\n", stateDir, requests, seed)
+	fmt.Printf("crashtest: store dir %s, %d requests, seed %d\n", stateDir, requests, seed)
 
 	// --- Phase 1: cold daemon under load, SIGKILLed mid-write. ---
 	d, err := startDaemon(bin, stateDir)
@@ -153,7 +155,7 @@ func run(bin, stateDir string, requests, workers int, seed int64, keep bool) err
 		if err != nil {
 			return fmt.Errorf("replaying %s after restart: %w", key, err)
 		}
-		if outcome != client.CacheHit {
+		if outcome != api.CacheHit {
 			coldMisses++
 			fmt.Fprintf(os.Stderr, "crashtest: COLD after restart (%s): %s\n", outcome, key)
 		}
@@ -178,7 +180,7 @@ func run(bin, stateDir string, requests, workers int, seed int64, keep bool) err
 	fmt.Printf("crashtest: client stats: attempts=%d retries=%d failures=%d breaker=%s\n",
 		st.Attempts, st.Retries, st.Failures, st.BreakerState)
 	if keep {
-		fmt.Printf("crashtest: state kept in %s\n", stateDir)
+		fmt.Printf("crashtest: store kept in %s\n", stateDir)
 	}
 	return nil
 }
@@ -188,7 +190,7 @@ func run(bin, stateDir string, requests, workers int, seed int64, keep bool) err
 // workItem is one deterministic request: a plan, or a plan + simulate.
 type workItem struct {
 	simulate bool
-	plan     client.PlanRequest
+	plan     api.PlanRequest
 	era      string
 	engine   string
 }
@@ -214,7 +216,7 @@ func generateWorkload(n int, seed int64) []workItem {
 	var out []workItem
 	for i := 0; i < n; i++ {
 		it := workItem{
-			plan: client.PlanRequest{
+			plan: api.PlanRequest{
 				Kernel: kernels[rng.Intn(len(kernels))],
 				Size:   sizes[rng.Intn(len(sizes))],
 			},
@@ -281,11 +283,11 @@ func issue(c *client.Client, it workItem, rec *recorder) error {
 // reissue fires one item and returns (normalized response, cache
 // outcome). The normalized response has Cache cleared so pre- and
 // post-crash copies compare equal iff the payload is identical.
-func reissue(c *client.Client, it workItem) (any, client.CacheOutcome, error) {
+func reissue(c *client.Client, it workItem) (any, api.CacheOutcome, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	if it.simulate {
-		resp, err := c.Simulate(ctx, &client.SimulateRequest{PlanRequest: it.plan, Era: it.era, Engine: it.engine})
+		resp, err := c.Simulate(ctx, &api.SimulateRequest{PlanRequest: it.plan, Era: it.era, Engine: it.engine})
 		if err != nil {
 			return nil, "", err
 		}
@@ -352,7 +354,7 @@ type daemon struct {
 func startDaemon(bin, stateDir string) (*daemon, error) {
 	cmd := exec.Command(bin,
 		"-addr", "127.0.0.1:0",
-		"-state-dir", stateDir,
+		"-disk-cache-dir", stateDir,
 		"-fsync", "always",
 		"-drain", "10s",
 	)

@@ -1,27 +1,30 @@
 // Command diskchaos is the storage-fault smoke harness: it drives the
-// daemon's durable store through seeded disk-fault plans and asserts the
-// full robustness contract end to end.
+// daemon's durable store (internal/tiered) through seeded disk-fault
+// plans and asserts the full robustness contract end to end.
 //
-// Four phases, each from a clean state directory:
+// Four phases, each from a clean store directory:
 //
 //  1. No-op identity — a fault-free plan over the injection FS must leave
-//     snapshot.dat and wal.log byte-identical to the real filesystem.
+//     every WAL, segment and manifest byte-identical to the real
+//     filesystem.
 //  2. Degraded latch under concurrent load — an armed WAL-fsync fault
 //     latches the store read-only exactly once; cached reads keep
 //     serving 200 while new plans answer 503 + Retry-After + the
 //     read-only header; a restart on the real filesystem recovers every
 //     acked plan bit-identically (zero acked-durable loss).
-//  3. Seeded fault matrix — GeneratePlan(seed+i) cycles at the persist
+//  3. Seeded fault matrix — GeneratePlan(seed+i) cycles at the store
 //     layer: every write-path failure mode latches ErrDegraded, stays
 //     sticky, and a real-FS reopen recovers every acked record in order.
-//     A rename-failure cycle asserts failed compaction leaves no
-//     snapshot.tmp behind. -plan replays a JSON plan file instead.
-//  4. Two-shard repair — on-disk corruption in a stopped shard's
-//     snapshot is quarantined on restart and healed from the standby via
-//     anti-entropy; corruption under a running shard's feet is found by
-//     the scrubber and compacted away from the live cache; a read-only
+//     A rename-failure cycle asserts a failed segment flush leaves no
+//     .tmp behind. -plan replays a JSON plan file instead.
+//  4. Two-shard repair — a segment corrupted in a stopped shard is
+//     quarantined by its scrubber after restart and the shard is healed
+//     from the standby via anti-entropy; corruption under a running
+//     shard's feet is found and quarantined by the scrubber; a read-only
 //     owner's writes fail over to the healthy forwarder.
 //
+// Every armed plan must inject at least one fault: a plan that matches
+// no file the store touches fails the run instead of passing vacuously.
 // Exit code 0 and a final PASS line mean the contract held.
 package main
 
@@ -40,12 +43,14 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/api"
 	"repro/internal/diskchaos"
 	"repro/internal/persist"
 	"repro/internal/serve"
+	"repro/internal/tiered"
 )
 
 var discard = slog.New(slog.NewTextHandler(io.Discard, nil))
@@ -164,8 +169,8 @@ func waitFor(d time.Duration, what string, cond func() bool) {
 	fail("timeout waiting for %s", what)
 }
 
-// corruptByte flips one bit of a payload byte inside the file's frame
-// area, past the 8-byte magic and the first frame header.
+// corruptByte flips one bit of a payload byte inside a segment's first
+// data block, past the 8-byte magic and the first frame header.
 func corruptByte(path string, off int) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -196,7 +201,7 @@ func startShard(addr string, cfg serve.Config) (*shard, serve.RecoveryStats) {
 	srv := serve.New(cfg)
 	rs, err := srv.Recover(context.Background())
 	if err != nil {
-		fail("recover %s: %v", cfg.StateDir, err)
+		fail("recover %s: %v", cfg.DiskCacheDir, err)
 	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -215,9 +220,9 @@ func (sh *shard) stop() {
 
 // --- phase 1: fault-free no-op identity ---
 
-// An empty fault plan must be a strict pass-through: the identical append
-// + compact + append sequence on the real FS and on the injection FS must
-// leave byte-identical store files, and reopen to the same records.
+// An empty fault plan must be a strict pass-through: the identical
+// Put + flush + compact + Put sequence on the real FS and on the
+// injection FS must leave byte-identical store files.
 func phaseNoOp(root string) {
 	logf("phase 1: fault-free plan is a no-op (byte-identical store files)")
 	dirReal, dirFault := mkdir(filepath.Join(root, "real")), mkdir(filepath.Join(root, "fault"))
@@ -227,25 +232,23 @@ func phaseNoOp(root string) {
 	}
 
 	run := func(dir string, fs persist.FS) {
-		store, _, _, err := persist.Open(dir, persist.Options{Fsync: persist.FsyncAlways, FS: fs})
+		store, _, err := tiered.Open(tiered.Config{Dir: dir, Fsync: persist.FsyncAlways, FS: fs, MemtableBytes: 256})
 		if err != nil {
 			fail("open %s: %v", dir, err)
 		}
-		var recs []persist.Record
-		for i := 0; i < 8; i++ {
-			rec := persist.Record{Key: fmt.Sprintf("k%02d", i), Value: []byte(fmt.Sprintf(`{"i":%d}`, i))}
-			recs = append(recs, rec)
-			if err := store.Append(rec); err != nil {
-				fail("append %s #%d: %v", dir, i, err)
+		for i := 0; i < 11; i++ {
+			if err := store.Put(fmt.Sprintf("k%02d", i), []byte(fmt.Sprintf(`{"i":%d}`, i))); err != nil {
+				fail("put %s #%d: %v", dir, i, err)
 			}
 		}
-		if err := store.Compact(recs[:5]); err != nil {
+		if err := store.Flush(); err != nil {
+			fail("flush %s: %v", dir, err)
+		}
+		if err := store.Compact(); err != nil {
 			fail("compact %s: %v", dir, err)
 		}
-		for i := 8; i < 11; i++ {
-			if err := store.Append(persist.Record{Key: fmt.Sprintf("k%02d", i), Value: []byte(fmt.Sprintf(`{"i":%d}`, i))}); err != nil {
-				fail("append %s #%d: %v", dir, i, err)
-			}
+		if err := store.Put("tail", []byte(`{"i":99}`)); err != nil {
+			fail("put %s tail: %v", dir, err)
 		}
 		if err := store.Close(); err != nil {
 			fail("close %s: %v", dir, err)
@@ -254,23 +257,27 @@ func phaseNoOp(root string) {
 	run(dirReal, nil)
 	run(dirFault, ffs)
 
-	for _, name := range []string{"snapshot.dat", "wal.log"} {
-		a, err := os.ReadFile(filepath.Join(dirReal, name))
+	entries, err := os.ReadDir(dirReal)
+	if err != nil {
+		fail("list %s: %v", dirReal, err)
+	}
+	for _, e := range entries {
+		a, err := os.ReadFile(filepath.Join(dirReal, e.Name()))
 		if err != nil {
-			fail("read real %s: %v", name, err)
+			fail("read real %s: %v", e.Name(), err)
 		}
-		b, err := os.ReadFile(filepath.Join(dirFault, name))
+		b, err := os.ReadFile(filepath.Join(dirFault, e.Name()))
 		if err != nil {
-			fail("read fault %s: %v", name, err)
+			fail("read fault %s: %v", e.Name(), err)
 		}
 		if !bytes.Equal(a, b) {
-			fail("%s differs between real FS (%d bytes) and fault-free injection FS (%d bytes)", name, len(a), len(b))
+			fail("%s differs between real FS (%d bytes) and fault-free injection FS (%d bytes)", e.Name(), len(a), len(b))
 		}
 	}
 	if n := ffs.TotalInjected(); n != 0 {
 		fail("empty plan injected %d faults", n)
 	}
-	logf("phase 1: OK (snapshot.dat and wal.log byte-identical, 0 faults injected)")
+	logf("phase 1: OK (%d store files byte-identical, 0 faults injected)", len(entries))
 }
 
 // --- phase 2: degraded latch under concurrent load, zero acked loss ---
@@ -283,7 +290,7 @@ func phaseDegradedLatch(root string, seed uint64) {
 		fail("build fault FS: %v", err)
 	}
 	sh, _ := startShard("127.0.0.1:0", serve.Config{
-		StateDir: dir, Fsync: "always", FS: ffs, ScrubInterval: -1,
+		DiskCacheDir: dir, Fsync: "always", FS: ffs, ScrubInterval: -1,
 	})
 
 	// Warm 12 plans while the disk is healthy; these are the acked set.
@@ -298,7 +305,7 @@ func phaseDegradedLatch(root string, seed uint64) {
 		acked[b] = normalize(data)
 	}
 
-	rules := []diskchaos.Rule{{Op: diskchaos.OpSync, Path: "wal.log", Kind: diskchaos.KindEIO, Count: -1}}
+	rules := []diskchaos.Rule{{Op: diskchaos.OpSync, Path: "wal-", Kind: diskchaos.KindEIO, Count: -1}}
 	rj, _ := json.Marshal(diskchaos.Plan{Seed: seed, Rules: rules})
 	logf("phase 2: arming fault plan %s", rj)
 	if err := ffs.Arm(rules); err != nil {
@@ -340,6 +347,9 @@ func phaseDegradedLatch(root string, seed uint64) {
 	default:
 	}
 
+	if ffs.TotalInjected() == 0 {
+		fail("armed plan %s never fired", rj)
+	}
 	snap := sh.srv.Metrics()
 	if snap.StoreDegraded != 1 {
 		fail("store_degraded gauge = %d, want 1 (latch exactly once)", snap.StoreDegraded)
@@ -359,7 +369,7 @@ func phaseDegradedLatch(root string, seed uint64) {
 	// Restart on the real filesystem: every acked plan must recover and
 	// serve bit-identically from the warm cache.
 	sh2, rs := startShard("127.0.0.1:0", serve.Config{
-		StateDir: dir, Fsync: "always", ScrubInterval: -1,
+		DiskCacheDir: dir, Fsync: "always", ScrubInterval: -1,
 	})
 	// A failed fsync may still have left its written frame in the WAL, so
 	// replay can legitimately recover more than was acked — never less.
@@ -379,9 +389,18 @@ func phaseDegradedLatch(root string, seed uint64) {
 	logf("phase 2: OK (%d acked plans survived, latch fired once, reads served throughout)", len(warm))
 }
 
-// --- phase 3: seeded fault matrix at the persist layer ---
+// --- phase 3: seeded fault matrix at the store layer ---
 
-// runFaultCycle drives one store over a fault plan: appends until the
+// waitDegradeCalls waits briefly for the store's OnDegrade callback,
+// which runs on its own goroutine, and returns how often it fired.
+func waitDegradeCalls(calls *atomic.Int64) int64 {
+	for i := 0; i < 1000 && calls.Load() == 0; i++ {
+		time.Sleep(time.Millisecond)
+	}
+	return calls.Load()
+}
+
+// runFaultCycle drives one store over a fault plan: Puts until the
 // plan's failure strikes, asserts the sticky degraded latch, then reopens
 // on the real filesystem and verifies every acked record in order.
 func runFaultCycle(dir string, plan diskchaos.Plan) {
@@ -389,54 +408,55 @@ func runFaultCycle(dir string, plan diskchaos.Plan) {
 	if err != nil {
 		fail("plan %s: %v", plan, err)
 	}
-	var degradeCalls int
-	store, _, _, err := persist.Open(dir, persist.Options{
-		Fsync: persist.FsyncAlways, FS: ffs,
-		OnDegrade: func(error) { degradeCalls++ },
+	var degradeCalls atomic.Int64
+	store, _, err := tiered.Open(tiered.Config{
+		Dir: dir, Fsync: persist.FsyncAlways, FS: ffs,
+		OnDegrade: func(error) { degradeCalls.Add(1) },
 	})
 	if err != nil {
 		fail("plan %s: open: %v", plan, err)
 	}
-	acked := 0
-	var recs []persist.Record
+	var acked []persist.Record
 	for i := 0; i < 20; i++ {
 		rec := persist.Record{Key: fmt.Sprintf("k%02d", i), Value: []byte(fmt.Sprintf(`{"i":%d}`, i))}
-		if err := store.Append(rec); err != nil {
+		if err := store.Put(rec.Key, rec.Value); err != nil {
 			if !errors.Is(err, persist.ErrDegraded) {
-				fail("plan %s: append error not ErrDegraded: %v", plan, err)
+				fail("plan %s: put error not ErrDegraded: %v", plan, err)
 			}
 			break
 		}
-		recs = append(recs, rec)
-		acked++
+		acked = append(acked, rec)
 	}
 	if len(plan.Rules) > 0 {
-		if acked == 20 {
-			fail("plan %s: no fault fired in 20 appends", plan)
+		if ffs.TotalInjected() == 0 {
+			fail("plan %s: injected no fault: it matches nothing the store touches", plan)
 		}
-		if !store.Degraded() {
+		if len(acked) == 20 {
+			fail("plan %s: no Put failed in 20 attempts", plan)
+		}
+		if store.Degraded() == nil {
 			fail("plan %s: store not degraded after fault", plan)
 		}
-		if err := store.Append(persist.Record{Key: "late", Value: []byte("x")}); !errors.Is(err, persist.ErrDegraded) {
+		if err := store.Put("late", []byte("x")); !errors.Is(err, persist.ErrDegraded) {
 			fail("plan %s: latch not sticky: %v", plan, err)
 		}
-		if degradeCalls != 1 {
-			fail("plan %s: OnDegrade fired %d times, want 1", plan, degradeCalls)
+		if n := waitDegradeCalls(&degradeCalls); n != 1 {
+			fail("plan %s: OnDegrade fired %d times, want 1", plan, n)
 		}
 	}
 	store.Close()
 
-	reopened, got, _, err := persist.Open(dir, persist.Options{Fsync: persist.FsyncAlways})
+	reopened, got, err := tiered.Open(tiered.Config{Dir: dir, Fsync: persist.FsyncAlways})
 	if err != nil {
 		fail("plan %s: real-FS reopen: %v", plan, err)
 	}
 	defer reopened.Close()
-	if len(got) < acked {
-		fail("plan %s: reopen found %d records, acked %d (acked-durable loss)", plan, len(got), acked)
+	if len(got) < len(acked) {
+		fail("plan %s: reopen found %d records, acked %d (acked-durable loss)", plan, len(got), len(acked))
 	}
-	for i := 0; i < acked; i++ {
-		if got[i].Key != recs[i].Key || !bytes.Equal(got[i].Value, recs[i].Value) {
-			fail("plan %s: record %d mismatch: %q vs acked %q", plan, i, got[i].Key, recs[i].Key)
+	for i, rec := range acked {
+		if got[i].Key != rec.Key || !bytes.Equal(got[i].Value, rec.Value) {
+			fail("plan %s: record %d mismatch: %q vs acked %q", plan, i, got[i].Key, rec.Key)
 		}
 	}
 }
@@ -464,49 +484,60 @@ func phaseFaultMatrix(root string, seed uint64, cycles int, planPath string) {
 		runFaultCycle(mkdir(filepath.Join(root, fmt.Sprintf("c%02d", c))), plan)
 	}
 
-	// Rename-failure compaction cycle: the snapshot swap fails, the store
-	// latches, no stale snapshot.tmp survives, and the WAL still recovers
-	// everything.
+	// Rename-failure flush cycle: the segment swap fails, the store
+	// latches, no stale .tmp survives, and the WALs still recover
+	// everything acked.
 	dir := mkdir(filepath.Join(root, "rename"))
 	plan := diskchaos.Plan{Seed: seed, Rules: []diskchaos.Rule{
-		{Op: diskchaos.OpRename, Path: "snapshot.tmp", Kind: diskchaos.KindEIO, Count: -1},
+		{Op: diskchaos.OpRename, Path: "seg-", Kind: diskchaos.KindEIO, Count: -1},
 	}}
-	logf("phase 3: compaction-rename cycle plan %s", plan)
+	logf("phase 3: flush-rename cycle plan %s", plan)
 	ffs, err := diskchaos.New(plan)
 	if err != nil {
 		fail("rename plan: %v", err)
 	}
-	store, _, _, err := persist.Open(dir, persist.Options{Fsync: persist.FsyncAlways, FS: ffs})
+	store, _, err := tiered.Open(tiered.Config{Dir: dir, Fsync: persist.FsyncAlways, FS: ffs, MemtableBytes: 128})
 	if err != nil {
 		fail("rename cycle open: %v", err)
 	}
-	var recs []persist.Record
-	for i := 0; i < 5; i++ {
-		rec := persist.Record{Key: fmt.Sprintf("k%02d", i), Value: []byte(fmt.Sprintf(`{"i":%d}`, i))}
-		recs = append(recs, rec)
-		if err := store.Append(rec); err != nil {
-			fail("rename cycle append: %v", err)
+	var acked []string
+	for i := 0; i < 20 && store.Degraded() == nil; i++ {
+		key := fmt.Sprintf("k%02d", i)
+		if err := store.Put(key, []byte(fmt.Sprintf(`{"i":%d}`, i))); err != nil {
+			break
 		}
+		acked = append(acked, key)
 	}
-	if err := store.Compact(recs); !errors.Is(err, persist.ErrDegraded) {
-		fail("failed compaction returned %v, want ErrDegraded", err)
+	if ffs.TotalInjected() == 0 || !errors.Is(store.Degraded(), persist.ErrDegraded) {
+		fail("failed flush rename did not latch the store (injected %d)", ffs.TotalInjected())
 	}
-	if _, err := os.Stat(filepath.Join(dir, "snapshot.tmp")); !errors.Is(err, os.ErrNotExist) {
-		fail("stale snapshot.tmp left behind after failed compaction: %v", err)
+	if tmps, _ := filepath.Glob(filepath.Join(dir, "*.tmp")); len(tmps) > 0 {
+		fail("stale %v left behind after failed flush", tmps)
 	}
 	store.Close()
-	reopened, got, _, err := persist.Open(dir, persist.Options{Fsync: persist.FsyncAlways})
+	reopened, _, err := tiered.Open(tiered.Config{Dir: dir, Fsync: persist.FsyncAlways})
 	if err != nil {
 		fail("rename cycle reopen: %v", err)
 	}
-	if len(got) != len(recs) {
-		fail("rename cycle reopen found %d records, want %d", len(got), len(recs))
+	for _, key := range acked {
+		if _, ok, _ := reopened.Get(key); !ok {
+			fail("rename cycle reopen lost acked record %s", key)
+		}
 	}
 	reopened.Close()
 	logf("phase 3: OK (every fault latched, stayed sticky, and lost nothing acked)")
 }
 
 // --- phase 4: two-shard quarantine, anti-entropy repair, live scrub ---
+
+// newestSegment returns a live segment file of the store in dir.
+func newestSegment(dir string) string {
+	segs, err := filepath.Glob(filepath.Join(dir, "seg-*.sst"))
+	if err != nil || len(segs) == 0 {
+		fail("no segment in %s: %v", dir, err)
+	}
+	return segs[len(segs)-1]
+}
 
 func phaseClusterRepair(root string) {
 	logf("phase 4: two-shard corruption repair via quarantine + anti-entropy")
@@ -515,8 +546,12 @@ func phaseClusterRepair(root string) {
 	if err != nil {
 		fail("build fault FS: %v", err)
 	}
-	cfgA := serve.Config{StateDir: dirA, Fsync: "always", ScrubInterval: -1, WALMaxBytes: 512}
-	cfgB := serve.Config{StateDir: dirB, Fsync: "always", ScrubInterval: -1, WALMaxBytes: 512, FS: ffsB}
+	// A small memtable flushes records to segments within a few plans;
+	// a high compaction trigger keeps the segments the phase corrupts
+	// from being merged away underneath it.
+	cfgA := serve.Config{DiskCacheDir: dirA, Fsync: "always", ScrubInterval: -1, DiskMemtableBytes: 2 << 10, CompactTrigger: 1 << 20}
+	cfgB := cfgA
+	cfgB.DiskCacheDir, cfgB.FS = dirB, ffsB
 
 	shA, _ := startShard("127.0.0.1:0", cfgA)
 	shB, _ := startShard("127.0.0.1:0", cfgB)
@@ -547,8 +582,8 @@ func phaseClusterRepair(root string) {
 		return true
 	})
 
-	// Drive enough keys through shard A that both shards compact their
-	// WALs into snapshots (replicas persist on the standby too).
+	// Drive enough keys through shard A that both shards flush segments
+	// (replicas persist on the standby too).
 	bodies := genBodies(24)
 	want := make(map[string]string, len(bodies))
 	for _, b := range bodies {
@@ -558,8 +593,8 @@ func phaseClusterRepair(root string) {
 		}
 		want[b] = normalize(data)
 	}
-	waitFor(15*time.Second, "snapshots on both shards", func() bool {
-		return shA.srv.Metrics().SnapshotBytes > 8 && shB.srv.Metrics().SnapshotBytes > 8
+	waitFor(15*time.Second, "segments on both shards", func() bool {
+		return shA.srv.Metrics().TieredSegments > 0 && shB.srv.Metrics().TieredSegments > 0
 	})
 	// Convergence: a clean anti-entropy round on each shard after the
 	// load means owner and standby hold identical record sets.
@@ -569,29 +604,29 @@ func phaseClusterRepair(root string) {
 		return shA.srv.Metrics().AntiEntropyCleanRounds > baseA &&
 			shB.srv.Metrics().AntiEntropyCleanRounds > baseB
 	})
-	entriesA := shA.srv.Metrics().CacheEntries
 
-	// Stop shard A, flip one payload byte in its snapshot, restart it on
-	// the same address. Recovery must quarantine the bad frame, and
-	// anti-entropy must heal the missing record from the standby before
-	// any client asks for it.
+	// Stop shard A, flip one payload byte in one of its segments, and
+	// restart it on the same address. Its scrubber must quarantine the
+	// segment, and anti-entropy must heal what the restarted shard lacks
+	// from the standby before any client asks for it.
 	shA.stop()
-	corruptByte(filepath.Join(dirA, "snapshot.dat"), 20)
-	logf("phase 4: corrupted %s byte 20; restarting shard A on %s", filepath.Join(dirA, "snapshot.dat"), shA.addr)
-	shA2, rs := startShard(shA.addr, cfgA)
-	if rs.QuarantinedRegions < 1 {
-		fail("restart after corruption quarantined %d regions, want >= 1 (stats %+v)", rs.QuarantinedRegions, rs)
+	seg := newestSegment(dirA)
+	corruptByte(seg, 20)
+	logf("phase 4: corrupted %s byte 20; restarting shard A on %s", seg, shA.addr)
+	shA2, _ := startShard(shA.addr, cfgA)
+	rep, ok := shA2.srv.ScrubNow()
+	if !ok || rep.Quarantined < 1 {
+		fail("scrub after restart quarantined %d segments, want >= 1 (report %+v)", rep.Quarantined, rep)
 	}
 	enable(shA2, 0)
-	waitFor(20*time.Second, "anti-entropy repair of the quarantined record", func() bool {
-		return shA2.srv.Metrics().CacheEntries >= entriesA
+	waitFor(20*time.Second, "anti-entropy repair of the restarted shard", func() bool {
+		a, b := shA2.srv.Metrics(), shB.srv.Metrics()
+		return a.AntiEntropyRecordsPulled+b.AntiEntropyRecordsPushed > 0 && a.AntiEntropyCleanRounds > 0
 	})
-	snapA := shA2.srv.Metrics()
-	snapB := shB.srv.Metrics()
-	if snapA.AntiEntropyRecordsPulled+snapB.AntiEntropyRecordsPushed < 1 {
-		fail("repair happened without anti-entropy traffic: pulled=%d pushed=%d",
-			snapA.AntiEntropyRecordsPulled, snapB.AntiEntropyRecordsPushed)
+	computed := func() int64 {
+		return shA2.srv.Metrics().PlanComputations + shB.srv.Metrics().PlanComputations
 	}
+	before := computed()
 	for _, b := range bodies {
 		resp, data := post(shA2.url+"/v1/plan", b)
 		if resp.StatusCode != http.StatusOK {
@@ -601,30 +636,32 @@ func phaseClusterRepair(root string) {
 			fail("post-repair plan %s differs:\n  before: %s\n  after:  %s", b, want[b], got)
 		}
 	}
-	logf("phase 4: quarantine + anti-entropy repair OK (%d records verified byte-identical)", len(bodies))
+	if n := computed() - before; n != 0 {
+		fail("post-repair reads recomputed %d plans: the repair had not landed before clients asked", n)
+	}
+	logf("phase 4: quarantine + anti-entropy repair OK (%d records verified byte-identical, 0 recomputed)", len(bodies))
 
-	// Live scrub: corrupt the running standby's snapshot under its feet.
-	// ScrubNow must flag it, and the repair compaction from the live
-	// cache must leave the next pass clean without latching the store.
-	corruptByte(filepath.Join(dirB, "snapshot.dat"), 20)
-	rep, ok := shB.srv.ScrubNow()
+	// Live scrub: corrupt one of the running standby's segments under its
+	// feet. ScrubNow must quarantine it without latching the store, and
+	// the next pass must be clean.
+	corruptByte(newestSegment(dirB), 20)
+	rep, ok = shB.srv.ScrubNow()
 	if !ok || rep.Clean() {
 		fail("scrub missed live corruption: ok=%v report=%+v", ok, rep)
 	}
-	waitFor(10*time.Second, "scrub repair compaction", func() bool {
-		rep, ok := shB.srv.ScrubNow()
-		return ok && rep.Clean()
-	})
-	snapB = shB.srv.Metrics()
-	if snapB.ScrubCorrupt < 1 || snapB.ScrubRepairs < 1 {
-		fail("scrub counters after repair: corrupt=%d repairs=%d", snapB.ScrubCorrupt, snapB.ScrubRepairs)
+	if rep, _ := shB.srv.ScrubNow(); !rep.Clean() {
+		fail("second scrub pass still dirty: %+v", rep)
+	}
+	snapB := shB.srv.Metrics()
+	if snapB.ScrubCorrupt < 1 || snapB.TieredQuarantined < 1 {
+		fail("scrub counters after quarantine: corrupt=%d quarantined=%d", snapB.ScrubCorrupt, snapB.TieredQuarantined)
 	}
 	if snapB.StoreDegraded != 0 {
 		fail("repairable corruption latched the store")
 	}
 	_, metBody := get(shB.url + "/metrics")
 	for _, gauge := range []string{
-		"loopmapd_wal_bytes", "loopmapd_snapshot_bytes",
+		"loopmapd_wal_bytes", "loopmapd_tiered_quarantined_total",
 		"loopmapd_scrub_runs_total", "loopmapd_scrub_corrupt_total",
 		"loopmapd_store_degraded 0",
 	} {
@@ -632,13 +669,13 @@ func phaseClusterRepair(root string) {
 			fail("/metrics missing %q", gauge)
 		}
 	}
-	logf("phase 4: live scrub repair OK (dirty pass, compaction, clean pass)")
+	logf("phase 4: live scrub OK (dirty pass quarantined the segment, clean pass)")
 
 	// Read-only owner failover: latch shard B's store and post new
 	// B-owned plans through A. The forward comes back 503 + read-only,
 	// and A must serve the plan locally instead of failing the request.
 	if err := ffsB.Arm([]diskchaos.Rule{
-		{Op: diskchaos.OpSync, Path: "wal.log", Kind: diskchaos.KindEIO, Count: -1},
+		{Op: diskchaos.OpSync, Path: "wal-", Kind: diskchaos.KindEIO, Count: -1},
 	}); err != nil {
 		fail("arm shard B: %v", err)
 	}
@@ -656,6 +693,9 @@ func phaseClusterRepair(root string) {
 	}
 	if roBody == "" {
 		fail("no B-owned key found in %d attempts; forward_readonly_local never fired", len(extra))
+	}
+	if ffsB.TotalInjected() == 0 {
+		fail("shard B's armed WAL fault never fired")
 	}
 	// The same key straight at the degraded owner is an honest 503: B is
 	// its HRW primary, never computed it (the latch rejects before

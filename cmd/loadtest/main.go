@@ -44,6 +44,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/api"
 	"repro/client"
 	"repro/internal/benchparse"
 	"repro/internal/serve"
@@ -163,7 +164,7 @@ func selfHost() (url string, stop func(), err error) {
 // dims), so a miss-heavy stream stays miss-heavy for a whole run.
 type freshKeys struct{ n atomic.Int64 }
 
-func (f *freshKeys) take() *client.PlanRequest {
+func (f *freshKeys) take() *api.PlanRequest {
 	idx := f.n.Add(1)
 	size := 16 + idx%113
 	idx /= 113
@@ -174,7 +175,7 @@ func (f *freshKeys) take() *client.PlanRequest {
 	noAux := idx%2 == 1
 	idx /= 2
 	d := 2 + int(idx%3)
-	return &client.PlanRequest{
+	return &api.PlanRequest{
 		Kernel: kernel, Size: size, CubeDim: &d,
 		MergeFactor: merge, NoAux: noAux,
 	}
@@ -183,19 +184,19 @@ func (f *freshKeys) take() *client.PlanRequest {
 // genFor builds a workload's request generator. Each call to the
 // returned function yields the next request batch (size 1 except for the
 // batch workload) from one worker's deterministic stream.
-func genFor(workload string, opt options, worker int, fresh *freshKeys) func() []*client.PlanRequest {
+func genFor(workload string, opt options, worker int, fresh *freshKeys) func() []*api.PlanRequest {
 	rng := rand.New(rand.NewSource(opt.seed + int64(worker)*7919))
 	kernels := []string{"l1", "matmul"}
-	population := func() *client.PlanRequest {
+	population := func() *api.PlanRequest {
 		d := 2 + rng.Intn(3)
-		return &client.PlanRequest{
+		return &api.PlanRequest{
 			Kernel:  kernels[rng.Intn(len(kernels))],
 			Size:    int64(4 + rng.Intn(opt.keys/2)),
 			CubeDim: &d,
 		}
 	}
-	one := func(f func() *client.PlanRequest) func() []*client.PlanRequest {
-		return func() []*client.PlanRequest { return []*client.PlanRequest{f()} }
+	one := func(f func() *api.PlanRequest) func() []*api.PlanRequest {
+		return func() []*api.PlanRequest { return []*api.PlanRequest{f()} }
 	}
 	switch workload {
 	case "hit-heavy":
@@ -205,15 +206,15 @@ func genFor(workload string, opt options, worker int, fresh *freshKeys) func() [
 	case "single":
 		return one(population)
 	case "batch":
-		return func() []*client.PlanRequest {
-			out := make([]*client.PlanRequest, opt.batch)
+		return func() []*api.PlanRequest {
+			out := make([]*api.PlanRequest, opt.batch)
 			for i := range out {
 				out[i] = population()
 			}
 			return out
 		}
 	case "mixed":
-		return one(func() *client.PlanRequest {
+		return one(func() *api.PlanRequest {
 			if rng.Float64() < 0.8 {
 				return population()
 			}
@@ -318,7 +319,7 @@ func runWorkload(ctx context.Context, m *client.Multi, workload string, opt opti
 						errors.Add(1)
 					} else {
 						requests.Add(1)
-						if pr.Cache != client.CacheMiss {
+						if pr.Cache != api.CacheMiss {
 							hits.Add(1)
 						}
 					}
@@ -327,11 +328,11 @@ func runWorkload(ctx context.Context, m *client.Multi, workload string, opt opti
 					// burn generator CPU (shared with a self-hosted daemon) and
 					// measure the client, not the daemon. One sampled item per
 					// trip keeps the hit ratio honest.
-					items := make([]client.BatchItem, len(reqs))
+					items := make([]api.BatchItem, len(reqs))
 					for i, pr := range reqs {
-						items[i] = client.BatchItem{Plan: pr}
+						items[i] = api.BatchItem{Plan: pr}
 					}
-					br, err := m.Batch(ctx, &client.BatchRequest{Items: items})
+					br, err := m.Batch(ctx, &api.BatchRequest{Items: items})
 					if err != nil {
 						errors.Add(int64(len(reqs)))
 					} else {
@@ -344,8 +345,8 @@ func runWorkload(ctx context.Context, m *client.Multi, workload string, opt opti
 							requests.Add(1)
 							if !sampled {
 								sampled = true
-								var pr client.PlanResponse
-								if json.Unmarshal(br.Results[i].Body, &pr) == nil && pr.Cache != client.CacheMiss {
+								var pr api.PlanResponse
+								if json.Unmarshal(br.Results[i].Body, &pr) == nil && pr.Cache != api.CacheMiss {
 									hits.Add(int64(len(br.Results)))
 								}
 							}
@@ -384,7 +385,7 @@ func runWorkload(ctx context.Context, m *client.Multi, workload string, opt opti
 // kernels x 3 merge factors x 2 aux toggles x 3 cube dims).
 const coldKeySpace = 37 * 2 * 3 * 2 * 3
 
-func coldReq(i int) *client.PlanRequest {
+func coldReq(i int) *api.PlanRequest {
 	idx := i
 	size := int64(4 + idx%37)
 	idx /= 37
@@ -395,7 +396,7 @@ func coldReq(i int) *client.PlanRequest {
 	noAux := idx%2 == 1
 	idx /= 2
 	d := 2 + idx%3
-	return &client.PlanRequest{
+	return &api.PlanRequest{
 		Kernel: kernel, Size: size, CubeDim: &d,
 		MergeFactor: merge, NoAux: noAux,
 	}
@@ -504,7 +505,7 @@ func runColdset(ctx context.Context, opt options) (*result, error) {
 					continue
 				}
 				requests.Add(1)
-				if pr.Cache != client.CacheMiss {
+				if pr.Cache != api.CacheMiss {
 					hits.Add(1)
 				}
 				local = append(local, d)

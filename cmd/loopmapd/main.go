@@ -43,16 +43,13 @@ func main() {
 	maxTimeout := flag.Duration("max-timeout", 2*time.Minute, "largest per-request deadline a client may ask for")
 	maxSize := flag.Int64("max-size", 128, "largest kernel size parameter accepted")
 	drain := flag.Duration("drain", 15*time.Second, "graceful shutdown grace period")
-	stateDir := flag.String("state-dir", "", "durable plan store directory: the cache warm-starts from it and survives crashes (empty = ephemeral)")
-	diskCacheDir := flag.String("disk-cache-dir", "", "tiered on-disk plan store directory: evicted plans demote to indexed segments and promote back on touch instead of recomputing; restart replays only the WAL tail (mutually exclusive with -state-dir)")
+	diskCacheDir := flag.String("disk-cache-dir", "", "durable plan store directory: the cache warm-starts from it and survives crashes, evicted plans demote to indexed segments and promote back on touch instead of recomputing, and restart replays only the WAL tail (empty = ephemeral)")
 	diskCacheGB := flag.Float64("disk-cache-gb", 0, "disk-cache segment budget in GiB; compaction evicts oldest segments past it (0 = unbounded)")
 	compactTrigger := flag.Int("compact-trigger", 0, "L0 segments that accumulate before the disk cache compacts (0 = default 4)")
 	diskMemtableKB := flag.Int64("disk-memtable-kb", 0, "disk-cache memtable flush threshold in KiB (0 = default 4096); harnesses shrink it to force segment churn")
-	fsync := flag.String("fsync", "interval", "WAL durability policy: always, interval, never")
+	fsync := flag.String("fsync", "interval", "WAL durability policy: always (concurrent writes share one group-commit fsync), interval, never")
 	scrubInterval := flag.Duration("scrub-interval", 0, "background storage-scrub period (0 = 1m default, negative disables)")
 	scrubRateMB := flag.Int64("scrub-rate-mb", 0, "scrub read-bandwidth throttle in MiB/s (0 = 8 default, negative unthrottled)")
-	groupCommit := flag.Bool("group-commit", false, "batch fsync=always WAL appends into group commits (one fsync per window)")
-	groupWindow := flag.Duration("group-window", 0, "group-commit gather window (0 = 1ms default)")
 	respCacheMB := flag.Int64("resp-cache-mb", 16, "encoded-response cache budget in MiB (negative disables)")
 	maxBatch := flag.Int("max-batch", 0, "largest /v1/batch item count accepted (0 = 256 default)")
 	peers := flag.String("peers", "", "comma-separated shard base URLs, self included — enables cluster mode")
@@ -74,7 +71,6 @@ func main() {
 		DefaultTimeout:    *timeout,
 		MaxTimeout:        *maxTimeout,
 		MaxKernelSize:     *maxSize,
-		StateDir:          *stateDir,
 		DiskCacheDir:      *diskCacheDir,
 		DiskCacheBytes:    int64(*diskCacheGB * (1 << 30)),
 		CompactTrigger:    *compactTrigger,
@@ -82,8 +78,6 @@ func main() {
 		Fsync:             *fsync,
 		ScrubInterval:     *scrubInterval,
 		ScrubRate:         scrubRate(*scrubRateMB),
-		GroupCommit:       *groupCommit,
-		GroupWindow:       *groupWindow,
 		RespCacheBytes:    respCacheBytes(*respCacheMB),
 		MaxBatchItems:     *maxBatch,
 		AdminToken:        *adminToken,
@@ -95,21 +89,14 @@ func main() {
 		os.Exit(1)
 	}
 	if rs.Enabled {
-		dir := *stateDir
-		if dir == "" {
-			dir = *diskCacheDir
-		}
 		logger.Info("warm start",
-			"state_dir", dir,
+			"disk_cache_dir", *diskCacheDir,
 			"recovered", rs.Recovered,
 			"skipped", rs.Skipped,
 			"rejected", rs.Rejected,
 			"frames", rs.FrameRecords,
-			"snapshot_records", rs.SnapshotRecords,
 			"wal_records", rs.WALRecords,
 			"dropped_tail_bytes", rs.DroppedTailBytes,
-			"quarantined_regions", rs.QuarantinedRegions,
-			"quarantined_bytes", rs.QuarantinedBytes,
 			"tail_err", fmt.Sprint(rs.TailErr),
 			"dur_ms", rs.Elapsed.Milliseconds(),
 		)

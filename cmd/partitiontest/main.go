@@ -403,7 +403,7 @@ func checkDeadlineReject(url string) error {
 
 type workItem struct {
 	simulate bool
-	plan     client.PlanRequest
+	plan     api.PlanRequest
 	era      string
 	engine   string
 }
@@ -425,7 +425,7 @@ func generateWorkload(n int, seed int64) []workItem {
 	var out []workItem
 	for i := 0; i < n; i++ {
 		it := workItem{
-			plan: client.PlanRequest{
+			plan: api.PlanRequest{
 				Kernel: kernels[rng.Intn(len(kernels))],
 				Size:   sizes[rng.Intn(len(sizes))],
 				// A short per-request budget keeps forwards into
@@ -469,7 +469,7 @@ func reissue(m *client.Multi, it workItem) (norm, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	if it.simulate {
-		resp, err := m.Simulate(ctx, &client.SimulateRequest{PlanRequest: it.plan, Era: it.era, Engine: it.engine})
+		resp, err := m.Simulate(ctx, &api.SimulateRequest{PlanRequest: it.plan, Era: it.era, Engine: it.engine})
 		if err != nil {
 			return norm{}, err
 		}
@@ -502,7 +502,7 @@ func waitReadyAll(m *client.Multi) error {
 	}
 }
 
-func clusterStatus(url string) (*client.ClusterStatus, error) {
+func clusterStatus(url string) (*api.ClusterStatus, error) {
 	c := client.New(client.Config{BaseURL: url, MaxRetries: 0})
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()

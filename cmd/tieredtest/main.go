@@ -46,6 +46,7 @@ import (
 	"syscall"
 	"time"
 
+	"repro/api"
 	"repro/client"
 )
 
@@ -247,7 +248,7 @@ func run(bin, dir string, keys, workers int, seed int64, keep bool) error {
 		if err != nil {
 			return fmt.Errorf("re-touching key %d after restart: %w", i, err)
 		}
-		if outcome != client.CacheHit {
+		if outcome != api.CacheHit {
 			cold++
 			fmt.Fprintf(os.Stderr, "tieredtest: COLD after restart (%s): key %d\n", outcome, i)
 		}
@@ -293,7 +294,7 @@ func run(bin, dir string, keys, workers int, seed int64, keep bool) error {
 // cheap kernels, sizes, and remap-invariant options yields a distinct
 // cache key (and so distinct tier records) per index, with responses a
 // few KiB each — big enough to roll the 32 KiB memtable over constantly.
-func planReq(i int, seed int64) *client.PlanRequest {
+func planReq(i int, seed int64) *api.PlanRequest {
 	rng := rand.New(rand.NewSource(seed + int64(i)*2654435761))
 	idx := i
 	size := int64(4 + idx%29)
@@ -304,7 +305,7 @@ func planReq(i int, seed int64) *client.PlanRequest {
 	idx /= 3
 	noAux := idx%2 == 1
 	cube := 1 + rng.Intn(4)
-	return &client.PlanRequest{
+	return &api.PlanRequest{
 		Kernel: kernel, Size: size, CubeDim: &cube,
 		MergeFactor: merge, NoAux: noAux,
 	}
@@ -313,7 +314,7 @@ func planReq(i int, seed int64) *client.PlanRequest {
 // issue fires the request for key i and returns the normalized response
 // (Cache cleared, so pre- and post-crash copies compare equal iff the
 // payload is identical) plus the cache outcome.
-func issue(c *client.Client, i int, seed int64) (any, client.CacheOutcome, error) {
+func issue(c *client.Client, i int, seed int64) (any, api.CacheOutcome, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	resp, err := c.Plan(ctx, planReq(i, seed))

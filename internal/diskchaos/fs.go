@@ -234,13 +234,6 @@ func (ff *faultFile) Write(p []byte) (int, error) {
 	return 0, errFor(kind, OpWrite, ff.name)
 }
 
-func (ff *faultFile) WriteAt(p []byte, off int64) (int, error) {
-	if kind, ok := ff.fs.decide(OpWrite, ff.name); ok {
-		return 0, errFor(kind, OpWrite, ff.name)
-	}
-	return ff.f.WriteAt(p, off)
-}
-
 func (ff *faultFile) Sync() error {
 	if kind, ok := ff.fs.decide(OpSync, ff.name); ok {
 		return errFor(kind, OpSync, ff.name)

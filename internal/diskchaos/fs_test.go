@@ -2,12 +2,14 @@ package diskchaos
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"syscall"
 	"testing"
 
 	"repro/internal/persist"
+	"repro/internal/tiered"
 )
 
 func TestPlanValidate(t *testing.T) {
@@ -43,7 +45,7 @@ func TestGeneratePlanDeterministicAndValid(t *testing.T) {
 		if err := a.Validate(); err != nil {
 			t.Fatalf("seed %d: generated plan invalid: %v", seed, err)
 		}
-		if len(a.Rules) != 1 || a.Rules[0].Path != "wal.log" {
+		if len(a.Rules) != 1 || a.Rules[0].Path != walPath {
 			t.Fatalf("seed %d: unexpected shape %s", seed, a)
 		}
 	}
@@ -221,11 +223,11 @@ func TestPassThroughSatisfiesPersistFS(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	store, _, _, err := persist.Open(dir, persist.Options{Fsync: persist.FsyncAlways, FS: ffs})
+	store, _, err := tiered.Open(tiered.Config{Dir: dir, Fsync: persist.FsyncAlways, FS: ffs})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := store.Append(persist.Record{Key: "k", Value: []byte("v")}); err != nil {
+	if err := store.Put("k", []byte("v")); err != nil {
 		t.Fatal(err)
 	}
 	if err := store.Close(); err != nil {
@@ -233,5 +235,41 @@ func TestPassThroughSatisfiesPersistFS(t *testing.T) {
 	}
 	if ffs.TotalInjected() != 0 {
 		t.Fatalf("empty plan injected %d faults", ffs.TotalInjected())
+	}
+	reopened, tail, err := tiered.Open(tiered.Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	if len(tail) != 1 || tail[0].Key != "k" || string(tail[0].Value) != "v" {
+		t.Fatalf("reopen on the real FS replayed %+v, want the one record", tail)
+	}
+}
+
+// Every generated plan is aimed at a file the tiered store really
+// writes: driven through a handful of fsync=always Puts, it fires and
+// latches the store.
+func TestGeneratedPlansFireOnTier(t *testing.T) {
+	for seed := uint64(0); seed < 8; seed++ {
+		plan := GeneratePlan(seed)
+		ffs, err := New(plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		store, _, err := tiered.Open(tiered.Config{Dir: t.TempDir(), Fsync: persist.FsyncAlways, FS: ffs})
+		if err != nil {
+			t.Fatalf("plan %s: open: %v", plan, err)
+		}
+		var putErr error
+		for i := 0; i < 20 && putErr == nil; i++ {
+			putErr = store.Put(fmt.Sprintf("k%02d", i), []byte("v"))
+		}
+		store.Close()
+		if ffs.TotalInjected() == 0 {
+			t.Fatalf("plan %s never fired against the tiered store", plan)
+		}
+		if !errors.Is(putErr, persist.ErrDegraded) {
+			t.Fatalf("plan %s: Put error %v, want ErrDegraded", plan, putErr)
+		}
 	}
 }

@@ -118,6 +118,9 @@ func (p Plan) Validate() error {
 	return nil
 }
 
+// walPath matches every WAL file of the tiered store (wal-%08d.log).
+const walPath = "wal-"
+
 // GeneratePlan derives a write-path fault plan from a seed: one failure
 // mode drawn from the splitmix64 stream, aimed at a WAL append a few
 // records in, so equal seeds always yield the identical schedule. The
@@ -128,13 +131,13 @@ func GeneratePlan(seed uint64) Plan {
 	var r Rule
 	switch rng.Next() % 4 {
 	case 0: // fsync failure on the WAL: the canonical never-trust-retry case
-		r = Rule{Op: OpSync, Path: "wal.log", Kind: KindEIO, After: after, Count: -1}
+		r = Rule{Op: OpSync, Path: walPath, Kind: KindEIO, After: after, Count: -1}
 	case 1: // disk full mid-append
-		r = Rule{Op: OpWrite, Path: "wal.log", Kind: KindENOSPC, After: after, Count: -1}
+		r = Rule{Op: OpWrite, Path: walPath, Kind: KindENOSPC, After: after, Count: -1}
 	case 2: // torn append: half the frame lands, then the write dies
-		r = Rule{Op: OpWrite, Path: "wal.log", Kind: KindShort, After: after, Count: -1}
+		r = Rule{Op: OpWrite, Path: walPath, Kind: KindShort, After: after, Count: -1}
 	default: // plain EIO on the append
-		r = Rule{Op: OpWrite, Path: "wal.log", Kind: KindEIO, After: after, Count: -1}
+		r = Rule{Op: OpWrite, Path: walPath, Kind: KindEIO, After: after, Count: -1}
 	}
 	return Plan{Seed: seed, Rules: []Rule{r}}
 }

@@ -2,333 +2,71 @@ package persist_test
 
 import (
 	"errors"
-	"os"
-	"path/filepath"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/diskchaos"
 	"repro/internal/persist"
+	"repro/internal/tiered"
 )
 
-func mustFaultFS(t *testing.T, rules ...diskchaos.Rule) *diskchaos.FS {
-	t.Helper()
-	ffs, err := diskchaos.New(diskchaos.Plan{Seed: 1, Rules: rules})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return ffs
-}
-
-// A failed fsync=always append must latch the store read-only: the append
-// errors with ErrDegraded, OnDegrade fires exactly once, every later
-// mutation is refused, and the records acked before the fault survive a
-// reopen on healthy storage.
-func TestAppendSyncFailureLatches(t *testing.T) {
-	dir := t.TempDir()
-	ffs := mustFaultFS(t, diskchaos.Rule{
-		Op: diskchaos.OpSync, Path: "wal.log", Kind: diskchaos.KindEIO, After: 3, Count: -1,
-	})
-	var degrades atomic.Int64
-	store, _, _, err := persist.Open(dir, persist.Options{
-		Fsync: persist.FsyncAlways, FS: ffs,
-		OnDegrade: func(error) { degrades.Add(1) },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var acked []persist.Record
-	var failErr error
-	for i := 0; i < 10; i++ {
-		rec := persist.Record{Key: string(rune('a' + i)), Value: []byte(`{"v":1}`)}
-		if err := store.Append(rec); err != nil {
-			failErr = err
-			break
-		}
-		acked = append(acked, rec)
-	}
-	if failErr == nil {
-		t.Fatal("no append failed despite the armed sync fault")
-	}
-	if !errors.Is(failErr, persist.ErrDegraded) {
-		t.Fatalf("append failure not tagged ErrDegraded: %v", failErr)
-	}
-	if len(acked) != 2 {
-		t.Fatalf("acked %d appends before the third sync failed, want 2", len(acked))
-	}
-
-	// Sticky: every further mutation fails fast without touching disk.
-	if err := store.Append(persist.Record{Key: "late", Value: []byte("v")}); !errors.Is(err, persist.ErrDegraded) {
-		t.Fatalf("append after latch: %v", err)
-	}
-	if err := store.Sync(); !errors.Is(err, persist.ErrDegraded) {
-		t.Fatalf("sync after latch: %v", err)
-	}
-	if err := store.Compact(acked); !errors.Is(err, persist.ErrDegraded) {
-		t.Fatalf("compact after latch: %v", err)
-	}
-	if !store.Degraded() || store.DegradedCause() == nil {
-		t.Fatal("store should report degraded with a cause")
-	}
-	if n := degrades.Load(); n != 1 {
-		t.Fatalf("OnDegrade fired %d times, want exactly 1", n)
-	}
-	if err := store.Close(); err != nil {
-		t.Fatalf("close of a degraded store: %v", err)
-	}
-
-	// Reopen on the real filesystem: everything acked must be there.
-	store2, recs, _, err := persist.Open(dir, persist.Options{Fsync: persist.FsyncAlways})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer store2.Close()
-	if len(recs) < len(acked) {
-		t.Fatalf("recovered %d records, acked %d", len(recs), len(acked))
-	}
-	for i, want := range acked {
-		if recs[i].Key != want.Key || string(recs[i].Value) != string(want.Value) {
-			t.Fatalf("record %d = %+v, want %+v", i, recs[i], want)
-		}
-	}
-}
-
-// The background interval-fsync must not swallow Sync errors: a failure
-// reaches OnSyncError and latches the store, even though no foreground
-// append observed it.
-func TestIntervalFsyncFailureLatches(t *testing.T) {
-	dir := t.TempDir()
-	ffs := mustFaultFS(t, diskchaos.Rule{
-		Op: diskchaos.OpSync, Path: "wal.log", Kind: diskchaos.KindEIO, Count: -1,
-	})
-	syncErrs := make(chan error, 16)
-	degraded := make(chan error, 1)
-	store, _, _, err := persist.Open(dir, persist.Options{
-		Fsync: persist.FsyncInterval, Interval: 2 * time.Millisecond, FS: ffs,
-		OnSyncError: func(err error) { syncErrs <- err },
-		OnDegrade:   func(cause error) { degraded <- cause },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer store.Close()
-
-	if err := store.Append(persist.Record{Key: "k", Value: []byte("v")}); err != nil {
-		t.Fatalf("interval-policy append should succeed before the flush: %v", err)
-	}
-	select {
-	case err := <-syncErrs:
-		if !errors.Is(err, diskchaos.ErrInjected) {
-			t.Fatalf("OnSyncError got %v, want the injected fault", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("background fsync failure never reached OnSyncError")
-	}
-	select {
-	case <-degraded:
-	case <-time.After(5 * time.Second):
-		t.Fatal("background fsync failure never latched the store")
-	}
-	if err := store.Append(persist.Record{Key: "k2", Value: []byte("v")}); !errors.Is(err, persist.ErrDegraded) {
-		t.Fatalf("append after background latch: %v", err)
-	}
-}
-
-// A compaction whose tmp-file rename fails must remove the orphaned
-// snapshot.tmp, latch the store, and leave the WAL intact so a reopen
-// recovers every record.
-func TestCompactRenameFailureCleansTmp(t *testing.T) {
-	dir := t.TempDir()
-	ffs := mustFaultFS(t, diskchaos.Rule{
-		Op: diskchaos.OpRename, Path: "snapshot.tmp", Kind: diskchaos.KindEIO, Count: -1,
-	})
-	store, _, _, err := persist.Open(dir, persist.Options{Fsync: persist.FsyncAlways, FS: ffs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	recs := []persist.Record{
-		{Key: "a", Value: []byte(`{"v":1}`)},
-		{Key: "b", Value: []byte(`{"v":2}`)},
-	}
-	for _, r := range recs {
-		if err := store.Append(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := store.Compact(recs); !errors.Is(err, persist.ErrDegraded) {
-		t.Fatalf("compact should fail degraded on the rename fault, got %v", err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "snapshot.tmp")); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("snapshot.tmp left behind after failed compaction (stat err: %v)", err)
-	}
-	store.Close()
-
-	store2, got, _, err := persist.Open(dir, persist.Options{Fsync: persist.FsyncAlways})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer store2.Close()
-	if len(got) != len(recs) {
-		t.Fatalf("recovered %d records after failed compaction, want %d", len(got), len(recs))
-	}
-}
-
-// Open must sweep a stale snapshot.tmp left by a crash mid-compaction.
-func TestOpenRemovesStaleTmp(t *testing.T) {
-	dir := t.TempDir()
-	tmp := filepath.Join(dir, "snapshot.tmp")
-	if err := os.WriteFile(tmp, []byte("half-written snapshot"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	store, _, _, err := persist.Open(dir, persist.Options{Fsync: persist.FsyncNever})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer store.Close()
-	if _, err := os.Stat(tmp); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("stale snapshot.tmp survived Open (stat err: %v)", err)
-	}
-}
-
-// ENOSPC and torn writes latch exactly like sync failures, and a reopen
-// on healthy storage drops at most the unacked torn tail.
+// A failed WAL write under fsync=always must latch the durable store:
+// the Put errors with ErrDegraded, every later Put is refused, and the
+// records acked before the fault replay from the log on reopen, with a
+// torn tail (KindShort leaves half a frame) dropped rather than fatal.
 func TestWriteFaultsLatchAndPreserveAcked(t *testing.T) {
 	for _, kind := range []diskchaos.Kind{diskchaos.KindENOSPC, diskchaos.KindShort, diskchaos.KindEIO} {
 		t.Run(string(kind), func(t *testing.T) {
 			dir := t.TempDir()
-			ffs := mustFaultFS(t, diskchaos.Rule{
-				Op: diskchaos.OpWrite, Path: "wal.log", Kind: kind, After: 4, Count: -1,
-			})
-			store, _, _, err := persist.Open(dir, persist.Options{Fsync: persist.FsyncAlways, FS: ffs})
+			ffs, err := diskchaos.New(diskchaos.Plan{Seed: 1, Rules: []diskchaos.Rule{{
+				Op: diskchaos.OpWrite, Path: "wal-", Kind: kind, After: 4, Count: -1,
+			}}})
 			if err != nil {
 				t.Fatal(err)
 			}
-			var acked int
+			store, _, err := tiered.Open(tiered.Config{Dir: dir, Fsync: persist.FsyncAlways, FS: ffs})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var acked []string
 			for i := 0; i < 10; i++ {
-				err := store.Append(persist.Record{Key: string(rune('a' + i)), Value: []byte(`{"v":1}`)})
-				if err != nil {
+				key := string(rune('a' + i))
+				if err := store.Put(key, []byte(`{"v":1}`)); err != nil {
 					if !errors.Is(err, persist.ErrDegraded) {
-						t.Fatalf("append fault not tagged ErrDegraded: %v", err)
+						t.Fatalf("write fault not tagged ErrDegraded: %v", err)
 					}
 					break
 				}
-				acked++
+				acked = append(acked, key)
 			}
-			// Open's magic-header WriteAt is write #1 through the fault
-			// FS, so the 4th write is the 3rd append.
-			if acked != 2 {
-				t.Fatalf("acked %d appends, want 2 (fault armed on the 4th write)", acked)
+			// Open's magic header is write #1 on the new WAL, so the 4th
+			// write is the 3rd Put.
+			if len(acked) != 2 {
+				t.Fatalf("acked %d Puts, want 2 (fault armed on the 4th write)", len(acked))
+			}
+			if err := store.Put("late", []byte("v")); !errors.Is(err, persist.ErrDegraded) {
+				t.Fatalf("Put after latch: %v", err)
+			}
+			if store.Degraded() == nil {
+				t.Fatal("store should report degraded")
 			}
 			store.Close()
 
-			// The torn tail (KindShort leaves half a frame) must repair
-			// away on reopen; every acked record must survive.
-			store2, recs, stats, err := persist.Open(dir, persist.Options{Fsync: persist.FsyncAlways})
+			store2, recs, err := tiered.Open(tiered.Config{Dir: dir, Fsync: persist.FsyncAlways})
 			if err != nil {
 				t.Fatalf("reopen after %s: %v", kind, err)
 			}
 			defer store2.Close()
-			if len(recs) != acked {
-				t.Fatalf("recovered %d records, acked %d (stats %+v)", len(recs), acked, stats)
+			if len(recs) != len(acked) {
+				t.Fatalf("recovered %d records, acked %d", len(recs), len(acked))
 			}
-			if kind == diskchaos.KindShort && stats.DroppedTailBytes == 0 {
-				t.Fatal("torn write left no tail to repair — the fault did not tear")
+			for i, key := range acked {
+				if recs[i].Key != key {
+					t.Fatalf("record %d = %q, want %q", i, recs[i].Key, key)
+				}
+			}
+			if kind == diskchaos.KindShort && store2.Stats().DroppedTailBytes == 0 {
+				t.Fatal("torn write left no tail to drop — the fault did not tear")
 			}
 		})
-	}
-}
-
-// Bitrot injected on the scrub's read is detected and reported without
-// mutating the store: the next pass over the uncorrupted file is clean.
-func TestScrubDetectsBitrot(t *testing.T) {
-	dir := t.TempDir()
-	// Read #1 of each file is Open's replay; read #2 of the snapshot is
-	// the first scrub pass.
-	ffs := mustFaultFS(t, diskchaos.Rule{
-		Op: diskchaos.OpRead, Path: "snapshot.dat", Kind: diskchaos.KindBitrot, After: 2,
-	})
-
-	// Seed a snapshot through a clean store first.
-	seed, _, _, err := persist.Open(dir, persist.Options{Fsync: persist.FsyncAlways})
-	if err != nil {
-		t.Fatal(err)
-	}
-	recs := []persist.Record{
-		{Key: "a", Value: []byte(`{"kernel":"matmul","size":4}`)},
-		{Key: "b", Value: []byte(`{"kernel":"matmul","size":8}`)},
-	}
-	for _, r := range recs {
-		if err := seed.Append(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := seed.Compact(recs); err != nil {
-		t.Fatal(err)
-	}
-	seed.Close()
-
-	store, _, _, err := persist.Open(dir, persist.Options{Fsync: persist.FsyncAlways, FS: ffs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer store.Close()
-
-	dirty := store.Scrub(0)
-	if dirty.Clean() || dirty.CorruptRegions == 0 || dirty.FirstErr == nil {
-		t.Fatalf("scrub missed the injected bitrot: %+v", dirty)
-	}
-	clean := store.Scrub(0)
-	if !clean.Clean() {
-		t.Fatalf("second scrub of the untouched file should be clean: %+v", clean)
-	}
-	if clean.SnapshotRecords != len(recs) {
-		t.Fatalf("clean scrub verified %d snapshot records, want %d", clean.SnapshotRecords, len(recs))
-	}
-}
-
-// A fault-free plan is a strict no-op: the store produces byte-identical
-// files through the fault FS and the real one.
-func TestFaultFreePlanIsNoOp(t *testing.T) {
-	run := func(dir string, fs persist.FS) {
-		store, _, _, err := persist.Open(dir, persist.Options{Fsync: persist.FsyncAlways, FS: fs})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var live []persist.Record
-		for i := 0; i < 6; i++ {
-			rec := persist.Record{Key: string(rune('a' + i)), Value: []byte(`{"kernel":"matmul"}`)}
-			if err := store.Append(rec); err != nil {
-				t.Fatal(err)
-			}
-			live = append(live, rec)
-		}
-		if err := store.Compact(live[:4]); err != nil {
-			t.Fatal(err)
-		}
-		if err := store.Append(persist.Record{Key: "tail", Value: []byte(`{"v":9}`)}); err != nil {
-			t.Fatal(err)
-		}
-		if err := store.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	real := t.TempDir()
-	faulted := t.TempDir()
-	run(real, nil)
-	run(faulted, mustFaultFS(t))
-	for _, name := range []string{"snapshot.dat", "wal.log"} {
-		a, err := os.ReadFile(filepath.Join(real, name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := os.ReadFile(filepath.Join(faulted, name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(a) != string(b) {
-			t.Fatalf("%s differs between the real FS and an empty fault plan", name)
-		}
 	}
 }

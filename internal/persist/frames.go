@@ -1,7 +1,7 @@
-// Streaming record transfer: the WAL frame encoding reused as a wire
+// Streaming record transfer: the log frame encoding reused as a wire
 // format. Replication pushes and bulk keyspace transfers move records
 // between daemons as the exact [magic][len][crc][payload]... byte stream
-// a store file holds, so both ends reuse the battle-tested frame codec
+// a log file holds, so both ends reuse the battle-tested frame codec
 // and a transfer is torn-tail-safe for free: a connection cut mid-frame
 // fails the CRC and stops the scan cleanly.
 package persist
@@ -14,34 +14,14 @@ import (
 	"io"
 )
 
-// Magic is the 8-byte header opening every store-framed file and record
-// stream. Exported for the tiered tier, whose WAL files share the format.
-const Magic = fileMagic
-
-// EncodeFrame renders one record in the store frame format:
-// [len][CRC-32C][uvarint-keyed payload]. Exported for the tiered tier's
-// WAL appends; a file built from Magic + EncodeFrame output replays with
-// ReplayLog.
-func EncodeFrame(rec Record) []byte { return encodeFrame(rec) }
-
-// ReplayLog reads one store-framed log file with the WAL's tail-repair
-// semantics: every intact record up to the first bad one, the offset just
-// past the last good record (the truncate-repair point), the trailing
-// bytes dropped, and a description of what stopped the scan (nil on a
-// clean EOF). A missing file replays as empty. Exported for the tiered
-// tier's WAL replay.
-func ReplayLog(fsys FS, path string) (recs []Record, goodOff int64, dropped int64, tailErr error) {
-	return replayFile(fsys, path)
-}
-
-// WriteRecords streams records to w in the store file format (header
+// WriteRecords streams records to w in the log file format (header
 // magic followed by framed records).
 func WriteRecords(w io.Writer, recs []Record) error {
-	if _, err := w.Write([]byte(fileMagic)); err != nil {
+	if _, err := w.Write([]byte(Magic)); err != nil {
 		return err
 	}
 	for _, rec := range recs {
-		if _, err := w.Write(encodeFrame(rec)); err != nil {
+		if _, err := w.Write(EncodeFrame(rec)); err != nil {
 			return err
 		}
 	}
@@ -52,11 +32,11 @@ func WriteRecords(w io.Writer, recs []Record) error {
 // record; a torn or corrupt tail (a truncated transfer) is reported as
 // an error alongside the records read so far.
 func ReadRecords(r io.Reader) ([]Record, error) {
-	magic := make([]byte, len(fileMagic))
+	magic := make([]byte, len(Magic))
 	if _, err := io.ReadFull(r, magic); err != nil {
 		return nil, fmt.Errorf("persist: record stream: %w", err)
 	}
-	if string(magic) != fileMagic {
+	if string(magic) != Magic {
 		return nil, errors.New("persist: record stream: bad header")
 	}
 	var recs []Record

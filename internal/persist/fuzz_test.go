@@ -1,172 +1,58 @@
-package persist
+package persist_test
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"repro/internal/persist"
+	"repro/internal/tiered"
 )
 
-// FuzzSnapshotReplay drives the snapshot quarantine path with seeded
-// mid-file bit flips and truncations of a known-good snapshot: replay
-// never panics, every byte is accounted for as either an accepted frame
-// or a quarantined region, a single injected fault quarantines exactly
-// the frame it hit (the records on both sides survive), and Open always
-// succeeds on the damaged directory with matching stats.
-func FuzzSnapshotReplay(f *testing.F) {
-	// A fixed five-record snapshot; offs[i] is frame i's start, offs[5]
-	// the file size.
-	keys := []string{"a", "bb", "ccc", "dddd", "eeeee"}
-	base := []byte(fileMagic)
-	offs := []int64{int64(len(fileMagic))}
-	var want []Record
-	for i, k := range keys {
-		rec := Record{Key: k, Value: []byte(`{"kernel":"matmul","size":` + string(rune('1'+i)) + `}`)}
-		want = append(want, rec)
-		base = append(base, encodeFrame(rec)...)
-		offs = append(offs, int64(len(base)))
-	}
-	total := int64(len(base))
-
-	f.Add(uint32(0), byte(0), uint32(0))                   // pristine
-	f.Add(uint32(len(fileMagic)+3), byte(0x10), uint32(0)) // flip in frame 0
-	f.Add(uint32(offs[2]+5), byte(0x01), uint32(0))        // flip mid-file
-	f.Add(uint32(2), byte(0x80), uint32(0))                // flip in the magic
-	f.Add(uint32(0), byte(0), uint32(offs[3]+2))           // truncate mid-frame 3
-	f.Add(uint32(0), byte(0), uint32(offs[2]))             // truncate at a boundary
-	f.Add(uint32(offs[1]), byte(0xff), uint32(offs[4]+1))  // flip + truncate
-
-	f.Fuzz(func(t *testing.T, pos uint32, mask byte, truncate uint32) {
-		data := append(base[:0:0], base...)
-		flipAt := int64(pos) % total
-		if mask != 0 {
-			data[flipAt] ^= mask
-		}
-		cut := total
-		if truncate != 0 {
-			cut = int64(truncate) % (total + 1)
-			data = data[:cut]
-		}
-
-		recs, size, regions, qBytes, firstErr := replaySnapshot(nil, writeTemp(t, data))
-
-		if size != int64(len(data)) {
-			t.Fatalf("size %d != file length %d", size, len(data))
-		}
-		if (firstErr == nil) != (regions == 0) {
-			t.Fatalf("firstErr %v inconsistent with %d regions", firstErr, regions)
-		}
-		headerOK := len(data) >= len(fileMagic) && string(data[:len(fileMagic)]) == fileMagic
-		if headerOK {
-			var kept int64
-			for _, r := range recs {
-				found := false
-				for _, w := range want {
-					if r.Key == w.Key && string(r.Value) == string(w.Value) {
-						found = true
-						break
-					}
-				}
-				if !found {
-					t.Fatalf("replay accepted a record that was never written: %q", r.Key)
-				}
-				kept += int64(len(encodeFrame(r)))
-			}
-			if int64(len(fileMagic))+kept+qBytes != int64(len(data)) {
-				t.Fatalf("byte accounting: header %d + kept %d + quarantined %d != %d",
-					len(fileMagic), kept, qBytes, len(data))
-			}
-		} else if len(data) > 0 && (len(recs) != 0 || regions != 1 || qBytes != int64(len(data))) {
-			t.Fatalf("bad header: recs=%d regions=%d qBytes=%d len=%d", len(recs), regions, qBytes, len(data))
-		}
-
-		// Single mid-file flip, no truncation: exactly the hit frame is
-		// quarantined and its neighbors survive.
-		if mask != 0 && truncate == 0 && flipAt >= int64(len(fileMagic)) {
-			hit := 0
-			for offs[hit+1] <= flipAt {
-				hit++
-			}
-			if regions != 1 || qBytes != offs[hit+1]-offs[hit] {
-				t.Fatalf("flip in frame %d: regions=%d qBytes=%d, want 1 region of %d bytes",
-					hit, regions, qBytes, offs[hit+1]-offs[hit])
-			}
-			if len(recs) != len(want)-1 {
-				t.Fatalf("flip in frame %d: %d records survived, want %d", hit, len(recs), len(want)-1)
-			}
-		}
-
-		// Open must never fail on the damaged directory and must agree
-		// with replaySnapshot.
-		dir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, snapshotName), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		store, got, stats, err := Open(dir, Options{Fsync: FsyncNever})
-		if err != nil {
-			t.Fatalf("Open on damaged snapshot: %v", err)
-		}
-		defer store.Close()
-		if stats.QuarantinedRegions != regions || stats.QuarantinedBytes != qBytes {
-			t.Fatalf("Open stats (%d regions, %d bytes) disagree with replay (%d, %d)",
-				stats.QuarantinedRegions, stats.QuarantinedBytes, regions, qBytes)
-		}
-		if !reflect.DeepEqual(got, recs) {
-			t.Fatalf("Open replayed %d records, replaySnapshot saw %d", len(got), len(recs))
-		}
-	})
-}
-
-// writeTemp writes data to a fresh temp file and returns its path.
-func writeTemp(t *testing.T, data []byte) string {
-	t.Helper()
-	path := filepath.Join(t.TempDir(), snapshotName)
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return path
-}
-
-// FuzzWALReplay feeds arbitrary bytes to the WAL replay path and holds
+// FuzzWALReplay feeds arbitrary bytes to the log replay path and holds
 // it to the corrupt-tail contract: replay never panics, stops cleanly at
 // the first bad record, accounts for every byte, and the truncate-repair
-// that Open performs on the reported good offset yields a log that
-// replays identically and extends cleanly.
+// a store performs at the reported good offset yields a log that replays
+// identically and extends cleanly. The same bytes as the tiered store's
+// WAL hold tiered.Open to that repair end to end: it reports the dropped
+// tail, replays exactly the good records, and appends after them.
 func FuzzWALReplay(f *testing.F) {
 	frame := func(key string, val []byte) []byte {
-		return encodeFrame(Record{Key: key, Value: val})
+		return persist.EncodeFrame(persist.Record{Key: key, Value: val})
 	}
-	valid := append([]byte(fileMagic), frame("k1", []byte(`{"kernel":"l1"}`))...)
+	valid := append([]byte(persist.Magic), frame("k1", []byte(`{"kernel":"l1"}`))...)
 	valid = append(valid, frame("k2", []byte(`{"kernel":"matmul","size":8}`))...)
 
 	f.Add([]byte{})
-	f.Add([]byte(fileMagic))
+	f.Add([]byte(persist.Magic))
 	f.Add([]byte("LOOPMAP9"))
 	f.Add(valid)
 	f.Add(valid[:len(valid)-3])          // torn final frame
 	f.Add(append(valid[:0:0], valid...)) // full copy for mutation
 	flipped := append(valid[:0:0], valid...)
-	flipped[len(fileMagic)+10] ^= 0x40 // corrupt payload: CRC mismatch
+	flipped[len(persist.Magic)+10] ^= 0x40 // corrupt payload: CRC mismatch
 	f.Add(flipped)
-	huge := append([]byte(fileMagic), 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0)
+	huge := append([]byte(persist.Magic), 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0)
 	f.Add(huge) // absurd length prefix must not allocate 4 GiB
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
-		path := filepath.Join(dir, walName)
+		path := filepath.Join(dir, "wal.log")
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
 
-		recs, goodOff, dropped, tailErr := replayFile(nil, path)
+		recs, goodOff, dropped, tailErr := persist.ReplayLog(persist.OS(), path)
 
 		// Every byte is either replayed or reported dropped.
 		if goodOff < 0 || goodOff > int64(len(data)) {
 			t.Fatalf("goodOff %d out of [0, %d]", goodOff, len(data))
 		}
-		hasMagic := len(data) >= len(fileMagic) && string(data[:len(fileMagic)]) == fileMagic
+		hasMagic := len(data) >= len(persist.Magic) && string(data[:len(persist.Magic)]) == persist.Magic
 		if hasMagic {
-			if goodOff < int64(len(fileMagic)) {
+			if goodOff < int64(len(persist.Magic)) {
 				t.Fatalf("valid header but goodOff %d < header size", goodOff)
 			}
 			if goodOff+dropped != int64(len(data)) {
@@ -190,39 +76,95 @@ func FuzzWALReplay(f *testing.F) {
 			if err := os.WriteFile(cut, data[:goodOff], 0o644); err != nil {
 				t.Fatal(err)
 			}
-			recs2, off2, dropped2, err2 := replayFile(nil, cut)
+			recs2, off2, dropped2, err2 := persist.ReplayLog(persist.OS(), cut)
 			if err2 != nil || dropped2 != 0 || off2 != goodOff {
 				t.Fatalf("repaired log not clean: off=%d dropped=%d err=%v", off2, dropped2, err2)
 			}
 			if !reflect.DeepEqual(recs, recs2) {
 				t.Fatalf("repaired log replays %d records, original replayed %d", len(recs2), len(recs))
 			}
+
+			// The repaired log extends cleanly: a frame appended at the
+			// good offset replays after every surviving record.
+			extra := persist.Record{Key: "post-repair", Value: []byte("v")}
+			ext := append(append([]byte(nil), data[:goodOff]...), persist.EncodeFrame(extra)...)
+			if err := os.WriteFile(path, ext, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			recs3, _, dropped3, err3 := persist.ReplayLog(persist.OS(), path)
+			if err3 != nil || dropped3 != 0 {
+				t.Fatalf("log dirty after repair+append: dropped=%d err=%v", dropped3, err3)
+			}
+			want := append(append([]persist.Record(nil), recs...), extra)
+			if !reflect.DeepEqual(recs3, want) {
+				t.Fatalf("after repair+append replay has %d records, want %d", len(recs3), len(want))
+			}
 		}
 
-		// Open must always succeed on the damaged directory, surface the
-		// same record set, and leave a WAL that accepts appends and
-		// replays them back without error.
-		store, got, stats, err := Open(dir, Options{Fsync: FsyncNever})
+		// The store's own repair: Open on the damaged WAL truncates it to
+		// the good offset, reports what it dropped, and serves a log that
+		// takes a Put and replays clean on the next Open.
+		storeDir := filepath.Join(dir, "store")
+		if err := os.MkdirAll(storeDir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(storeDir, "wal-00000001.log"), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		cfg := tiered.Config{Dir: storeDir, Fsync: persist.FsyncNever, MemtableBytes: 1 << 30}
+		store, tail, err := tiered.Open(cfg)
 		if err != nil {
-			t.Fatalf("Open on damaged store: %v", err)
+			t.Fatalf("tiered.Open on damaged WAL: %v", err)
 		}
-		if stats.WALRecords != len(recs) || !reflect.DeepEqual(got, recs) {
-			t.Fatalf("Open replayed %d records, replayFile saw %d", stats.WALRecords, len(recs))
+		st := store.Stats()
+		if st.DroppedTailBytes != dropped || (st.TailErr == nil) != (tailErr == nil) {
+			t.Fatalf("Open reported dropped=%d tailErr=%v, replay saw dropped=%d tailErr=%v",
+				st.DroppedTailBytes, st.TailErr, dropped, tailErr)
 		}
-		extra := Record{Key: "post-repair", Value: []byte("v")}
-		if err := store.Append(extra); err != nil {
-			t.Fatalf("append after repair: %v", err)
+		assertTail(t, "Open on damaged WAL", tail, lastWins(recs))
+		extra := persist.Record{Key: "post-repair", Value: []byte("v")}
+		if err := store.Put(extra.Key, extra.Value); err != nil {
+			t.Fatalf("Put after repair: %v", err)
 		}
 		if err := store.Close(); err != nil {
-			t.Fatalf("close: %v", err)
+			t.Fatal(err)
 		}
-		recs3, _, dropped3, err3 := replayFile(nil, path)
-		if err3 != nil || dropped3 != 0 {
-			t.Fatalf("log dirty after repair+append: dropped=%d err=%v", dropped3, err3)
+		store, tail, err = tiered.Open(cfg)
+		if err != nil {
+			t.Fatalf("reopen after repair: %v", err)
 		}
-		want := append(append([]Record(nil), recs...), extra)
-		if !reflect.DeepEqual(recs3, want) {
-			t.Fatalf("after repair+append replay has %d records, want %d", len(recs3), len(want))
+		defer store.Close()
+		if st := store.Stats(); st.DroppedTailBytes != 0 {
+			t.Fatalf("repaired WAL still drops %d bytes on reopen: %v", st.DroppedTailBytes, st.TailErr)
 		}
+		assertTail(t, "reopen after repair+Put", tail, lastWins(append(append([]persist.Record(nil), recs...), extra)))
 	})
+}
+
+// lastWins collapses recs the way a store's replay does: one record per
+// key, at the key's first position, holding its last value.
+func lastWins(recs []persist.Record) []persist.Record {
+	var out []persist.Record
+	pos := make(map[string]int)
+	for _, r := range recs {
+		if i, ok := pos[r.Key]; ok {
+			out[i].Value = r.Value
+			continue
+		}
+		pos[r.Key] = len(out)
+		out = append(out, r)
+	}
+	return out
+}
+
+func assertTail(t *testing.T, what string, got, want []persist.Record) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: replayed %d records, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if got[i].Key != want[i].Key || !bytes.Equal(got[i].Value, want[i].Value) {
+			t.Fatalf("%s: record %d is %q=%q, want %q=%q", what, i, got[i].Key, got[i].Value, want[i].Key, want[i].Value)
+		}
+	}
 }

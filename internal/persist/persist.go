@@ -1,59 +1,29 @@
-// Package persist implements the durable record store behind loopmapd's
-// crash safety: an append-only, CRC-checksummed snapshot + write-ahead-log
-// pair.
+// Package persist holds the durable-record pieces loopmapd's store and
+// its cluster share: the CRC-checksummed record frame and its log
+// replay, the fsync policy, the sticky degraded-latch sentinel, the
+// filesystem seam, and the Merkle digest anti-entropy compares.
 //
-// The store holds opaque (key, value) records. loopmapd uses it to make
-// its plan cache survive crashes: because a plan is a pure function of its
-// canonicalized request, the durable record is the tiny canonical request
-// — not the multi-megabyte artifact — and recovery recomputes the plan,
-// which is bit-identical to the one that was lost (the same property the
-// paper's Algorithm 1 gives blocks: cheap to re-derive from Π, the
-// dependence matrix, and the bounds).
+// The store itself is internal/tiered. Because a plan is a pure
+// function of its canonicalized request, the durable record is the tiny
+// canonical request — not the multi-megabyte artifact — and recovery
+// recomputes the plan, which is bit-identical to the one that was lost
+// (the same property the paper's Algorithm 1 gives blocks: cheap to
+// re-derive from Π, the dependence matrix, and the bounds).
 //
-// # Layout
+// # Format
 //
-// A store directory contains two files sharing one format:
-//
-//	snapshot.dat  the compacted record set as of the last compaction
-//	wal.log       records appended since that compaction
-//
-// Each file is an 8-byte magic header followed by length-prefixed records:
+// A log file (and a record stream on the wire) is an 8-byte magic header
+// followed by length-prefixed frames:
 //
 //	[uint32 payload length][uint32 CRC-32C of payload][payload]
 //	payload = uvarint(len(key)) ‖ key ‖ value
 //
-// # Crash safety
-//
-// Appends go to the WAL under the configured fsync policy. Compaction
-// writes the full live set to snapshot.tmp, fsyncs it, atomically renames
-// it over snapshot.dat, and only then truncates the WAL — a crash at any
-// point leaves either the old state or the new state plus a redundant WAL
-// suffix, and replaying a record twice is harmless because keyed replay is
-// idempotent.
-//
 // # Corruption tolerance
 //
-// A SIGKILL mid-write can leave a torn record at the WAL tail. Replay
-// verifies every record's length bound and checksum and stops at the first
-// bad one, reporting — never failing on — the dropped tail; Open then
-// truncates the WAL back to the last good record so new appends extend a
-// clean log. The snapshot has no legitimate torn tail (it is written and
-// fsynced whole), so a bad record there is bitrot, not a crash artifact:
-// snapshot replay quarantines the corrupt span, resynchronizes on the next
-// frame whose checksum validates, and keeps every intact record on both
-// sides. Startup therefore always succeeds with every record that was
-// durable and readable at the time of the crash.
-//
-// # Degraded state
-//
-// A store never retries-and-trusts a failed write: the first WAL write,
-// fsync, or compaction failure latches the store into a sticky read-only
-// degraded state. Every later Append/Sync/Compact fails fast with
-// ErrDegraded, and the owner is expected to stop acknowledging durable
-// writes (loopmapd serves cached reads and 503s the rest). The latch is
-// deliberate — after one fsync failure the kernel may have dropped the
-// dirty pages, so "retry until it works" silently converts durability
-// into data loss.
+// A SIGKILL mid-write can leave a torn frame at a log's tail. ReplayLog
+// verifies every frame's length bound and checksum and stops at the
+// first bad one, reporting — never failing on — the dropped tail, so the
+// owner can truncate the log back to its last good frame.
 package persist
 
 import (
@@ -61,21 +31,14 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
-	"sync"
-	"sync/atomic"
-	"time"
 )
 
 const (
-	snapshotName = "snapshot.dat"
-	walName      = "wal.log"
-	tmpName      = "snapshot.tmp"
-
-	// fileMagic opens every store file; a format change bumps the digit.
-	fileMagic = "LOOPMAP1"
+	// Magic opens every log file and record stream; a format change
+	// bumps the digit.
+	Magic = "LOOPMAP1"
 
 	// maxRecordBytes bounds a record's length prefix during replay, so a
 	// corrupt length cannot provoke a giant allocation.
@@ -85,20 +48,22 @@ const (
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // ErrDegraded marks the sticky read-only state a store enters on its
-// first WAL write, fsync, or compaction failure. Every subsequent mutation
-// fails fast with an error matching this sentinel; reads and replay are
-// unaffected.
+// first write or fsync failure. Every subsequent mutation fails fast
+// with an error matching this sentinel; reads and replay are unaffected.
+// The latch is deliberate — after one fsync failure the kernel may have
+// dropped the dirty pages, so "retry until it works" silently converts
+// durability into data loss.
 var ErrDegraded = errors.New("persist: store degraded (read-only after a write/sync failure)")
 
 // Policy selects when appends reach stable storage.
 type Policy int
 
 const (
-	// FsyncInterval (the default) fsyncs the WAL on a background ticker
-	// every Options.Interval — bounded loss, near-zero append latency.
+	// FsyncInterval (the default) fsyncs the log on a background ticker —
+	// bounded loss, near-zero append latency.
 	FsyncInterval Policy = iota
-	// FsyncAlways fsyncs after every append: a record handed back to the
-	// caller is durable.
+	// FsyncAlways fsyncs before an append returns: a record handed back
+	// to the caller is durable.
 	FsyncAlways
 	// FsyncNever leaves flushing to the OS page cache.
 	FsyncNever
@@ -129,589 +94,15 @@ func (p Policy) String() string {
 	}
 }
 
-// Options tunes a Store.
-type Options struct {
-	// Fsync is the append durability policy.
-	Fsync Policy
-	// Interval is the FsyncInterval flush period (default 100ms).
-	Interval time.Duration
-
-	// FS is the filesystem the store runs on (default: the real one).
-	// cmd/diskchaos and tests inject a fault-injecting implementation.
-	FS FS
-
-	// GroupCommit coalesces concurrent FsyncAlways appends into one
-	// write+fsync: an appender enqueues its frame, a committer flushes the
-	// whole pending group after a short accumulation window, and every
-	// waiter gets the group's write/sync error (or nil) individually. The
-	// durability contract is unchanged — Append still returns only after
-	// the record is on stable storage — but N concurrent appenders cost
-	// ~1 fsync instead of N. Ignored under other policies, where appends
-	// never sync inline.
-	GroupCommit bool
-	// GroupWindow is how long a commit waits for more appends to join the
-	// group (default 1ms). GroupMaxBytes commits early once the pending
-	// group outgrows it (default 256 KiB).
-	GroupWindow   time.Duration
-	GroupMaxBytes int64
-	// OnGroupCommit, when set, observes every committed group: how many
-	// records it coalesced and how many bytes it wrote. Called outside the
-	// store's locks.
-	OnGroupCommit func(records, bytes int)
-
-	// OnDegrade, when set, is called exactly once — outside the store's
-	// locks — when the store latches into the degraded read-only state,
-	// with the failure that caused it.
-	OnDegrade func(cause error)
-	// OnSyncError, when set, observes every background interval-fsync
-	// failure (which also latches the store). Called outside the locks.
-	OnSyncError func(err error)
-}
-
 // Record is one durable (key, value) pair.
 type Record struct {
 	Key   string
 	Value []byte
 }
 
-// ReplayStats reports what Open recovered.
-type ReplayStats struct {
-	// SnapshotRecords and WALRecords count the records replayed from each
-	// file, in order; the caller sees their concatenation.
-	SnapshotRecords int
-	WALRecords      int
-	// DroppedTailBytes is how much trailing garbage the WAL replay
-	// discarded (torn final record, bit-flipped checksum, bad length).
-	DroppedTailBytes int64
-	// QuarantinedRegions and QuarantinedBytes count the corrupt spans the
-	// snapshot replay skipped over: unlike the WAL's torn tail, a bad
-	// snapshot record is quarantined in place and replay resynchronizes on
-	// the next intact frame, keeping the records on both sides.
-	QuarantinedRegions int
-	QuarantinedBytes   int64
-	// TailErr describes the first bad record that stopped or interrupted
-	// a replay, nil when both files were fully intact. It is
-	// informational: Open never fails on corruption.
-	TailErr error
-}
-
-// Store is an open snapshot+WAL record store. Methods are safe for
-// concurrent use; the store assumes a single owning process.
-type Store struct {
-	dir  string
-	opts Options
-	fs   FS
-
-	mu        sync.Mutex
-	wal       File
-	walBytes  int64
-	snapBytes int64
-	closed    bool
-
-	// degraded is the sticky read-only latch; degradeCause (under mu) is
-	// the failure that tripped it.
-	degraded     atomic.Bool
-	degradeCause error
-
-	stopFlush chan struct{}
-	flushDone chan struct{}
-
-	// Group-commit state (GroupCommit + FsyncAlways only). gcMu guards the
-	// pending buffer and waiter list; the committer goroutine takes s.mu
-	// only for the file write+sync, so enqueueing never blocks on I/O.
-	gcMu      sync.Mutex
-	gcPending []byte
-	gcWaiters []chan error
-	gcClosed  bool
-	gcKick    chan struct{} // buffered 1: work arrived
-	gcFull    chan struct{} // buffered 1: size bound hit, cut the window short
-	gcStop    chan struct{}
-	gcDone    chan struct{}
-}
-
-// groupMode reports whether this store coalesces appends.
-func (s *Store) groupMode() bool {
-	return s.opts.GroupCommit && s.opts.Fsync == FsyncAlways
-}
-
-// Open opens (creating if needed) the store in dir and replays it,
-// returning the surviving records in append order — snapshot first, then
-// WAL, duplicates included (keyed replay is idempotent for the caller). A
-// torn WAL tail or a corrupt snapshot region is dropped/quarantined and
-// reported in ReplayStats, never returned as an error.
-func Open(dir string, opts Options) (*Store, []Record, ReplayStats, error) {
-	if opts.Interval <= 0 {
-		opts.Interval = 100 * time.Millisecond
-	}
-	if opts.GroupWindow <= 0 {
-		opts.GroupWindow = time.Millisecond
-	}
-	if opts.GroupMaxBytes <= 0 {
-		opts.GroupMaxBytes = 256 << 10
-	}
-	if opts.FS == nil {
-		opts.FS = osFS{}
-	}
-	fsys := opts.FS
-	if err := fsys.MkdirAll(dir, 0o755); err != nil {
-		return nil, nil, ReplayStats{}, err
-	}
-	// A leftover snapshot.tmp is a compaction that never committed —
-	// either a crash mid-write or a failed rename whose cleanup also
-	// failed. Its contents are fully covered by snapshot.dat + WAL.
-	_ = fsys.Remove(filepath.Join(dir, tmpName))
-
-	var stats ReplayStats
-	snapRecs, snapSize, snapRegions, snapQBytes, snapErr := replaySnapshot(fsys, filepath.Join(dir, snapshotName))
-	stats.SnapshotRecords = len(snapRecs)
-	stats.QuarantinedRegions = snapRegions
-	stats.QuarantinedBytes = snapQBytes
-	if snapErr != nil {
-		stats.TailErr = snapErr
-	}
-
-	walPath := filepath.Join(dir, walName)
-	walRecs, goodOff, walDropped, walErr := replayFile(fsys, walPath)
-	stats.WALRecords = len(walRecs)
-	stats.DroppedTailBytes += walDropped
-	if walErr != nil && stats.TailErr == nil {
-		stats.TailErr = walErr
-	}
-
-	wal, err := fsys.OpenFile(walPath, os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		return nil, nil, stats, err
-	}
-	if goodOff < int64(len(fileMagic)) {
-		// Empty or headerless WAL: start it fresh.
-		if err := wal.Truncate(0); err != nil {
-			wal.Close()
-			return nil, nil, stats, err
-		}
-		if _, err := wal.WriteAt([]byte(fileMagic), 0); err != nil {
-			wal.Close()
-			return nil, nil, stats, err
-		}
-		goodOff = int64(len(fileMagic))
-	} else if walDropped > 0 {
-		// Repair: cut the torn tail so appends extend a clean log.
-		if err := wal.Truncate(goodOff); err != nil {
-			wal.Close()
-			return nil, nil, stats, err
-		}
-	}
-	if _, err := wal.Seek(goodOff, io.SeekStart); err != nil {
-		wal.Close()
-		return nil, nil, stats, err
-	}
-
-	s := &Store{
-		dir:       dir,
-		opts:      opts,
-		fs:        fsys,
-		wal:       wal,
-		walBytes:  goodOff,
-		snapBytes: snapSize,
-		stopFlush: make(chan struct{}),
-		flushDone: make(chan struct{}),
-	}
-	if opts.Fsync == FsyncInterval {
-		go s.flushLoop()
-	} else {
-		close(s.flushDone)
-	}
-	if s.groupMode() {
-		s.gcKick = make(chan struct{}, 1)
-		s.gcFull = make(chan struct{}, 1)
-		s.gcStop = make(chan struct{})
-		s.gcDone = make(chan struct{})
-		go s.groupLoop()
-	}
-	return s, append(snapRecs, walRecs...), stats, nil
-}
-
-// latchLocked flips the sticky degraded latch. Caller holds s.mu; returns
-// true when this call did the latching, in which case the caller must
-// invoke fireDegrade(cause) after releasing the lock.
-func (s *Store) latchLocked(cause error) bool {
-	if s.degraded.Load() {
-		return false
-	}
-	s.degradeCause = cause
-	s.degraded.Store(true)
-	return true
-}
-
-// fireDegrade delivers the one-time degraded callback outside the locks.
-func (s *Store) fireDegrade(cause error) {
-	if s.opts.OnDegrade != nil {
-		s.opts.OnDegrade(cause)
-	}
-}
-
-// degradedErrLocked wraps the latched cause in the ErrDegraded sentinel.
-// Caller holds s.mu.
-func (s *Store) degradedErrLocked() error {
-	return fmt.Errorf("%w: %v", ErrDegraded, s.degradeCause)
-}
-
-// Degraded reports whether the store has latched read-only.
-func (s *Store) Degraded() bool { return s.degraded.Load() }
-
-// DegradedCause returns the failure that latched the store (nil while
-// healthy).
-func (s *Store) DegradedCause() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.degradeCause
-}
-
-// flushLoop fsyncs the WAL on the configured interval until Close. A
-// failed background sync is a durability loss like any other: it latches
-// the store (and reports through OnSyncError) instead of being retried
-// next tick as if nothing happened.
-func (s *Store) flushLoop() {
-	defer close(s.flushDone)
-	t := time.NewTicker(s.opts.Interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-t.C:
-			var cause error
-			var latched bool
-			s.mu.Lock()
-			if !s.closed && !s.degraded.Load() {
-				if err := s.wal.Sync(); err != nil {
-					cause = err
-					latched = s.latchLocked(err)
-				}
-			}
-			s.mu.Unlock()
-			if cause != nil && s.opts.OnSyncError != nil {
-				s.opts.OnSyncError(cause)
-			}
-			if latched {
-				s.fireDegrade(cause)
-			}
-		case <-s.stopFlush:
-			return
-		}
-	}
-}
-
-// Dir returns the store directory.
-func (s *Store) Dir() string { return s.dir }
-
-// WALBytes returns the WAL's current size — the compaction trigger input.
-func (s *Store) WALBytes() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.walBytes
-}
-
-// SnapshotBytes returns the snapshot file's size as of Open or the last
-// successful compaction.
-func (s *Store) SnapshotBytes() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.snapBytes
-}
-
-// Append writes one record to the WAL under the fsync policy. In
-// group-commit mode it returns once the record's group has been written
-// and fsynced — same durability, amortized sync. Any write or sync
-// failure latches the store degraded and is returned wrapped in
-// ErrDegraded; a latched store fails every Append fast.
-func (s *Store) Append(rec Record) error {
-	frame := encodeFrame(rec)
-	if s.groupMode() {
-		return s.appendGroup(frame)
-	}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return errors.New("persist: store closed")
-	}
-	if s.degraded.Load() {
-		err := s.degradedErrLocked()
-		s.mu.Unlock()
-		return err
-	}
-	n, err := s.wal.Write(frame)
-	s.walBytes += int64(n)
-	if err == nil && s.opts.Fsync == FsyncAlways {
-		err = s.wal.Sync()
-	}
-	var latched bool
-	if err != nil {
-		latched = s.latchLocked(err)
-	}
-	s.mu.Unlock()
-	if err != nil {
-		if latched {
-			s.fireDegrade(err)
-		}
-		return fmt.Errorf("%w: %v", ErrDegraded, err)
-	}
-	return nil
-}
-
-// appendGroup enqueues one encoded frame for the committer and blocks
-// until its group reaches stable storage.
-func (s *Store) appendGroup(frame []byte) error {
-	s.gcMu.Lock()
-	if s.gcClosed {
-		s.gcMu.Unlock()
-		return errors.New("persist: store closed")
-	}
-	s.gcPending = append(s.gcPending, frame...)
-	ch := make(chan error, 1)
-	s.gcWaiters = append(s.gcWaiters, ch)
-	full := int64(len(s.gcPending)) >= s.opts.GroupMaxBytes
-	s.gcMu.Unlock()
-	select {
-	case s.gcKick <- struct{}{}:
-	default:
-	}
-	if full {
-		select {
-		case s.gcFull <- struct{}{}:
-		default:
-		}
-	}
-	return <-ch
-}
-
-// groupLoop is the committer: on the first append of a group it waits
-// GroupWindow (or until GroupMaxBytes of frames are pending) for more
-// appends to pile on, then commits them all with one write+fsync.
-func (s *Store) groupLoop() {
-	defer close(s.gcDone)
-	timer := time.NewTimer(0)
-	if !timer.Stop() {
-		<-timer.C
-	}
-	for {
-		select {
-		case <-s.gcStop:
-			s.commitGroup() // final drain: no waiter is left hanging
-			return
-		case <-s.gcKick:
-		}
-		timer.Reset(s.opts.GroupWindow)
-		select {
-		case <-timer.C:
-		case <-s.gcFull:
-			if !timer.Stop() {
-				<-timer.C
-			}
-		case <-s.gcStop:
-			if !timer.Stop() {
-				<-timer.C
-			}
-			s.commitGroup()
-			return
-		}
-		s.commitGroup()
-	}
-}
-
-// commitGroup writes and fsyncs everything pending, delivering the
-// outcome to each waiter individually. A failed group latches the store:
-// every waiter in the group gets ErrDegraded (none of their records are
-// trustworthy after a failed fsync), as does every later group.
-func (s *Store) commitGroup() {
-	s.gcMu.Lock()
-	buf, waiters := s.gcPending, s.gcWaiters
-	s.gcPending, s.gcWaiters = nil, nil
-	s.gcMu.Unlock()
-	if len(waiters) == 0 {
-		return
-	}
-	var err error
-	var cause error
-	var latched bool
-	s.mu.Lock()
-	switch {
-	case s.closed:
-		err = errors.New("persist: store closed")
-	case s.degraded.Load():
-		err = s.degradedErrLocked()
-	default:
-		var n int
-		n, err = s.wal.Write(buf)
-		s.walBytes += int64(n)
-		if err == nil {
-			err = s.wal.Sync()
-		}
-		if err != nil {
-			cause = err
-			latched = s.latchLocked(err)
-			err = fmt.Errorf("%w: %v", ErrDegraded, err)
-		}
-	}
-	s.mu.Unlock()
-	if latched {
-		s.fireDegrade(cause)
-	}
-	if s.opts.OnGroupCommit != nil {
-		s.opts.OnGroupCommit(len(waiters), len(buf))
-	}
-	for _, ch := range waiters {
-		ch <- err
-	}
-}
-
-// Sync forces the WAL to stable storage regardless of policy. A failure
-// latches the store.
-func (s *Store) Sync() error {
-	var cause error
-	var latched bool
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	if s.degraded.Load() {
-		err := s.degradedErrLocked()
-		s.mu.Unlock()
-		return err
-	}
-	err := s.wal.Sync()
-	if err != nil {
-		cause = err
-		latched = s.latchLocked(err)
-		err = fmt.Errorf("%w: %v", ErrDegraded, err)
-	}
-	s.mu.Unlock()
-	if latched {
-		s.fireDegrade(cause)
-	}
-	return err
-}
-
-// Compact atomically replaces the snapshot with the given live set and
-// resets the WAL. Appends block for the duration; the caller supplies the
-// records in the order it wants them replayed. Any failure removes the
-// temporary snapshot (nothing stale is left behind) and latches the store
-// degraded — a store whose WAL or snapshot state is uncertain must not
-// accept further writes.
-func (s *Store) Compact(live []Record) error {
-	s.mu.Lock()
-	cause, err := s.compactLocked(live)
-	var latched bool
-	if cause != nil {
-		latched = s.latchLocked(cause)
-	}
-	s.mu.Unlock()
-	if latched {
-		s.fireDegrade(cause)
-	}
-	return err
-}
-
-// compactLocked performs the compaction under s.mu. It returns the
-// latchable failure (nil for closed/already-degraded refusals, which
-// leave no uncertain state) and the error to surface.
-func (s *Store) compactLocked(live []Record) (cause, err error) {
-	if s.closed {
-		return nil, errors.New("persist: store closed")
-	}
-	if s.degraded.Load() {
-		return nil, s.degradedErrLocked()
-	}
-	tmpPath := filepath.Join(s.dir, tmpName)
-	fail := func(e error) (error, error) {
-		// Best-effort cleanup: never leave a stale snapshot.tmp for a
-		// future compaction (or Open) to trip over.
-		_ = s.fs.Remove(tmpPath)
-		return e, fmt.Errorf("%w: %v", ErrDegraded, e)
-	}
-	tmp, err := s.fs.OpenFile(tmpPath, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fail(err)
-	}
-	written := int64(0)
-	n, err := tmp.Write([]byte(fileMagic))
-	written += int64(n)
-	if err != nil {
-		tmp.Close()
-		return fail(err)
-	}
-	for _, rec := range live {
-		n, err := tmp.Write(encodeFrame(rec))
-		written += int64(n)
-		if err != nil {
-			tmp.Close()
-			return fail(err)
-		}
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fail(err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fail(err)
-	}
-	if err := s.fs.Rename(tmpPath, filepath.Join(s.dir, snapshotName)); err != nil {
-		return fail(err)
-	}
-	_ = s.fs.SyncDir(s.dir)
-	// The snapshot now covers everything; restart the WAL. A crash between
-	// the rename above and this truncate replays stale WAL records on top
-	// of the new snapshot — idempotent, so harmless. (No tmp cleanup on
-	// these paths: the rename already consumed it.)
-	if err := s.wal.Truncate(int64(len(fileMagic))); err != nil {
-		return err, fmt.Errorf("%w: %v", ErrDegraded, err)
-	}
-	if _, err := s.wal.Seek(int64(len(fileMagic)), io.SeekStart); err != nil {
-		return err, fmt.Errorf("%w: %v", ErrDegraded, err)
-	}
-	if err := s.wal.Sync(); err != nil {
-		return err, fmt.Errorf("%w: %v", ErrDegraded, err)
-	}
-	s.walBytes = int64(len(fileMagic))
-	s.snapBytes = written
-	return nil, nil
-}
-
-// Close flushes and closes the store. Further appends fail. In group-
-// commit mode the committer drains every pending append first, so a
-// caller whose Append already returned nil is never left non-durable.
-func (s *Store) Close() error {
-	if s.groupMode() {
-		s.gcMu.Lock()
-		already := s.gcClosed
-		s.gcClosed = true
-		s.gcMu.Unlock()
-		if !already {
-			close(s.gcStop)
-		}
-		<-s.gcDone
-	}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	s.closed = true
-	var err error
-	if !s.degraded.Load() {
-		// A degraded store's final sync would just fail again; its WAL
-		// state was written off at latch time.
-		err = s.wal.Sync()
-	}
-	if cerr := s.wal.Close(); err == nil {
-		err = cerr
-	}
-	s.mu.Unlock()
-	close(s.stopFlush)
-	<-s.flushDone
-	return err
-}
-
-// encodeFrame renders one record as [len][crc][payload].
-func encodeFrame(rec Record) []byte {
+// EncodeFrame renders one record as [len][crc][payload]. A file built
+// from Magic followed by EncodeFrame output replays with ReplayLog.
+func EncodeFrame(rec Record) []byte {
 	payload := make([]byte, 0, binary.MaxVarintLen64+len(rec.Key)+len(rec.Value))
 	payload = binary.AppendUvarint(payload, uint64(len(rec.Key)))
 	payload = append(payload, rec.Key...)
@@ -733,38 +124,12 @@ func decodePayload(payload []byte) (Record, error) {
 	return Record{Key: key, Value: val}, nil
 }
 
-// frameAt validates the frame starting at off and returns its decoded
-// record and total length. ok is false for any torn, oversized,
-// checksum-failed, or undecodable frame.
-func frameAt(data []byte, off, total int64) (rec Record, flen int64, ok bool) {
-	if total-off < 8 {
-		return Record{}, 0, false
-	}
-	plen := int64(binary.LittleEndian.Uint32(data[off : off+4]))
-	wantCRC := binary.LittleEndian.Uint32(data[off+4 : off+8])
-	if plen > maxRecordBytes || off+8+plen > total {
-		return Record{}, 0, false
-	}
-	payload := data[off+8 : off+8+plen]
-	if crc32.Checksum(payload, castagnoli) != wantCRC {
-		return Record{}, 0, false
-	}
-	rec, err := decodePayload(payload)
-	if err != nil {
-		return Record{}, 0, false
-	}
-	return rec, 8 + plen, true
-}
-
-// replayFile reads every intact record of one store file with the WAL's
-// tail-repair semantics: it stops at the first bad record. It returns the
-// records, the offset just past the last good record, the number of
-// trailing bytes dropped, and a description of what stopped the scan (nil
-// for a clean EOF). A missing file replays as empty.
-func replayFile(fsys FS, path string) (recs []Record, goodOff int64, dropped int64, tailErr error) {
-	if fsys == nil {
-		fsys = osFS{}
-	}
+// ReplayLog reads every intact record of one log file, stopping at the
+// first bad one. It returns the records, the offset just past the last
+// good record (the truncate-repair point), the number of trailing bytes
+// dropped, and a description of what stopped the scan (nil for a clean
+// EOF). A missing file replays as empty.
+func ReplayLog(fsys FS, path string) (recs []Record, goodOff int64, dropped int64, tailErr error) {
 	data, err := fsys.ReadFile(path)
 	if errors.Is(err, os.ErrNotExist) {
 		return nil, 0, 0, nil
@@ -772,84 +137,31 @@ func replayFile(fsys FS, path string) (recs []Record, goodOff int64, dropped int
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	if len(data) < len(fileMagic) || string(data[:len(fileMagic)]) != fileMagic {
-		return nil, 0, int64(len(data)), fmt.Errorf("persist: %s: bad or missing header", filepath.Base(path))
+	name := filepath.Base(path)
+	if len(data) < len(Magic) || string(data[:len(Magic)]) != Magic {
+		return nil, 0, int64(len(data)), fmt.Errorf("persist: %s: bad or missing header", name)
 	}
-	off := int64(len(fileMagic))
+	off := int64(len(Magic))
 	total := int64(len(data))
 	for off < total {
 		if total-off < 8 {
-			return recs, off, total - off, fmt.Errorf("persist: %s: torn frame header at offset %d", filepath.Base(path), off)
+			return recs, off, total - off, fmt.Errorf("persist: %s: torn frame header at offset %d", name, off)
 		}
 		plen := int64(binary.LittleEndian.Uint32(data[off : off+4]))
 		wantCRC := binary.LittleEndian.Uint32(data[off+4 : off+8])
 		if plen > maxRecordBytes || off+8+plen > total {
-			return recs, off, total - off, fmt.Errorf("persist: %s: bad record length %d at offset %d", filepath.Base(path), plen, off)
+			return recs, off, total - off, fmt.Errorf("persist: %s: bad record length %d at offset %d", name, plen, off)
 		}
 		payload := data[off+8 : off+8+plen]
 		if crc32.Checksum(payload, castagnoli) != wantCRC {
-			return recs, off, total - off, fmt.Errorf("persist: %s: checksum mismatch at offset %d", filepath.Base(path), off)
+			return recs, off, total - off, fmt.Errorf("persist: %s: checksum mismatch at offset %d", name, off)
 		}
 		rec, err := decodePayload(payload)
 		if err != nil {
-			return recs, off, total - off, fmt.Errorf("persist: %s: %w at offset %d", filepath.Base(path), err, off)
+			return recs, off, total - off, fmt.Errorf("persist: %s: %w at offset %d", name, err, off)
 		}
 		recs = append(recs, rec)
 		off += 8 + plen
 	}
 	return recs, off, 0, nil
-}
-
-// resync scans forward from `from` for the next offset that parses as an
-// intact frame, returning total when none exists. Quadratic only across
-// corrupt spans — intact data never enters the scan.
-func resync(data []byte, from, total int64) int64 {
-	for cand := from; cand+8 <= total; cand++ {
-		if _, _, ok := frameAt(data, cand, total); ok {
-			return cand
-		}
-	}
-	return total
-}
-
-// replaySnapshot reads every intact record of the snapshot with
-// per-record quarantine: a bad frame mid-file (bitrot) does not cost the
-// records behind it. Replay skips the corrupt span, resynchronizes on the
-// next offset whose frame checksum validates, and continues. It returns
-// the surviving records, the file size, the quarantined region count and
-// byte total, and a description of the first corruption (informational).
-func replaySnapshot(fsys FS, path string) (recs []Record, size int64, regions int, qBytes int64, firstErr error) {
-	if fsys == nil {
-		fsys = osFS{}
-	}
-	data, err := fsys.ReadFile(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil, 0, 0, 0, nil
-	}
-	if err != nil {
-		return nil, 0, 0, 0, err
-	}
-	total := int64(len(data))
-	if len(data) < len(fileMagic) || string(data[:len(fileMagic)]) != fileMagic {
-		if total == 0 {
-			return nil, 0, 0, 0, nil
-		}
-		return nil, total, 1, total, fmt.Errorf("persist: %s: bad or missing header", filepath.Base(path))
-	}
-	off := int64(len(fileMagic))
-	for off < total {
-		if rec, flen, ok := frameAt(data, off, total); ok {
-			recs = append(recs, rec)
-			off += flen
-			continue
-		}
-		next := resync(data, off+1, total)
-		regions++
-		qBytes += next - off
-		if firstErr == nil {
-			firstErr = fmt.Errorf("persist: %s: corrupt region at offset %d (%d bytes quarantined)", filepath.Base(path), off, next-off)
-		}
-		off = next
-	}
-	return recs, total, regions, qBytes, firstErr
 }

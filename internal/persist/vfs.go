@@ -13,14 +13,13 @@ import (
 )
 
 // File is the store's view of one open file. The method set is exactly
-// what the snapshot+WAL machinery and the tiered segment reader need —
-// nothing more, so a fault implementation stays small. ReaderAt serves
-// the tiered tier's one-block reads (a segment lookup reads a footer,
-// an index, and one data block, never the whole file).
+// what the tiered store's WAL, segment and manifest code needs — nothing
+// more, so a fault implementation stays small. ReaderAt serves segment
+// lookups, which read a footer, an index, and one data block, never the
+// whole file.
 type File interface {
 	io.ReaderAt
 	io.Writer
-	io.WriterAt
 	io.Seeker
 	io.Closer
 	Truncate(size int64) error

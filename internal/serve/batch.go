@@ -27,17 +27,8 @@ import (
 	"repro/internal/pool"
 )
 
-// The batch wire types live in the api package; the serve names remain
-// as aliases.
-type (
-	BatchItem       = api.BatchItem
-	BatchRequest    = api.BatchRequest
-	BatchItemResult = api.BatchItemResult
-	BatchResponse   = api.BatchResponse
-)
-
 // batchBaseKey returns the canonical base-plan key grouping this item.
-func batchBaseKey(it *BatchItem) string {
+func batchBaseKey(it *api.BatchItem) string {
 	if it.Plan != nil {
 		return it.Plan.Key()
 	}
@@ -46,7 +37,7 @@ func batchBaseKey(it *BatchItem) string {
 
 // frameBody renders a frame into a standalone response body (no trailing
 // newline — it embeds as a json.RawMessage).
-func frameBody(f *respFrame, outcome CacheOutcome) json.RawMessage {
+func frameBody(f *respFrame, outcome api.CacheOutcome) json.RawMessage {
 	b := make([]byte, 0, len(f.prefix)+len(outcome)+12)
 	b = append(b, f.prefix...)
 	b = append(b, `,"cache":"`...)
@@ -55,8 +46,8 @@ func frameBody(f *respFrame, outcome CacheOutcome) json.RawMessage {
 	return b
 }
 
-func errResult(err error) BatchItemResult {
-	return BatchItemResult{Status: errStatus(err), Error: err.Error()}
+func errResult(err error) api.BatchItemResult {
+	return api.BatchItemResult{Status: errStatus(err), Error: err.Error()}
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
@@ -65,7 +56,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("serve: reading body: %w", err))
 		return
 	}
-	var req BatchRequest
+	var req api.BatchRequest
 	if err := decodeJSONBytes(body, &req); err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
@@ -87,13 +78,13 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 
 	// Group items by base-plan key, preserving arrival order inside each
 	// group. Malformed items are answered immediately and never grouped.
-	results := make([]BatchItemResult, len(req.Items))
+	results := make([]api.BatchItemResult, len(req.Items))
 	groups := map[string][]int{}
 	var order []string
 	for i := range req.Items {
 		it := &req.Items[i]
 		if (it.Plan == nil) == (it.Simulate == nil) {
-			results[i] = BatchItemResult{
+			results[i] = api.BatchItemResult{
 				Status: http.StatusBadRequest,
 				Error:  "serve: batch item needs exactly one of plan, simulate",
 			}
@@ -101,11 +92,11 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		if it.Plan != nil {
 			if err := s.validatePlanRequest(it.Plan); err != nil {
-				results[i] = BatchItemResult{Status: http.StatusBadRequest, Error: err.Error()}
+				results[i] = api.BatchItemResult{Status: http.StatusBadRequest, Error: err.Error()}
 				continue
 			}
 		} else if err := s.validatePlanRequest(&it.Simulate.PlanRequest); err != nil {
-			results[i] = BatchItemResult{Status: http.StatusBadRequest, Error: err.Error()}
+			results[i] = api.BatchItemResult{Status: http.StatusBadRequest, Error: err.Error()}
 			continue
 		}
 		k := batchBaseKey(it)
@@ -138,7 +129,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 // would re-scan every body byte — the dominant cost of a hit-heavy
 // batch. Output is byte-identical to json.Marshal(BatchResponse) plus
 // the trailing newline writeJSON would have added.
-func encodeBatchResponse(buf *bytes.Buffer, results []BatchItemResult) {
+func encodeBatchResponse(buf *bytes.Buffer, results []api.BatchItemResult) {
 	buf.WriteString(`{"results":[`)
 	for i := range results {
 		if i > 0 {
@@ -173,7 +164,7 @@ func writeJSONString(buf *bytes.Buffer, s string) {
 }
 
 // batchItem serves one validated item under the batch context.
-func (s *Server) batchItem(ctx context.Context, it *BatchItem) BatchItemResult {
+func (s *Server) batchItem(ctx context.Context, it *api.BatchItem) api.BatchItemResult {
 	if err := ctx.Err(); err != nil {
 		return errResult(err)
 	}
@@ -182,7 +173,7 @@ func (s *Server) batchItem(ctx context.Context, it *BatchItem) BatchItemResult {
 		if err != nil {
 			return errResult(err)
 		}
-		return BatchItemResult{
+		return api.BatchItemResult{
 			Status: http.StatusOK,
 			ETag:   f.etag,
 			Body:   frameBody(f, outcome),
@@ -192,11 +183,11 @@ func (s *Server) batchItem(ctx context.Context, it *BatchItem) BatchItemResult {
 	sreq := it.Simulate
 	params, err := simParams(sreq)
 	if err != nil {
-		return BatchItemResult{Status: http.StatusBadRequest, Error: err.Error()}
+		return api.BatchItemResult{Status: http.StatusBadRequest, Error: err.Error()}
 	}
 	engine, err := simEngine(sreq)
 	if err != nil {
-		return BatchItemResult{Status: http.StatusBadRequest, Error: err.Error()}
+		return api.BatchItemResult{Status: http.StatusBadRequest, Error: err.Error()}
 	}
 	p, outcome, err := s.mappedPlan(ctx, &sreq.PlanRequest)
 	if err != nil {
@@ -215,7 +206,7 @@ func (s *Server) batchItem(ctx context.Context, it *BatchItem) BatchItemResult {
 		return errResult(err)
 	}
 	raw := bytes.TrimRight(buf.Bytes(), "\n")
-	return BatchItemResult{
+	return api.BatchItemResult{
 		Status: http.StatusOK,
 		Body:   json.RawMessage(append([]byte(nil), raw...)),
 	}

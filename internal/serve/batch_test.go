@@ -6,16 +6,18 @@ import (
 	"fmt"
 	"net/http"
 	"testing"
+
+	"repro/api"
 )
 
-func postBatch(t *testing.T, url string, req BatchRequest) (*http.Response, BatchResponse) {
+func postBatch(t *testing.T, url string, req api.BatchRequest) (*http.Response, api.BatchResponse) {
 	t.Helper()
 	body, err := json.Marshal(req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp, out := postJSON(t, url+"/v1/batch", string(body))
-	var br BatchResponse
+	var br api.BatchResponse
 	if resp.StatusCode == http.StatusOK {
 		if err := json.Unmarshal(out, &br); err != nil {
 			t.Fatalf("decode batch envelope: %v: %s", err, out)
@@ -24,21 +26,21 @@ func postBatch(t *testing.T, url string, req BatchRequest) (*http.Response, Batc
 	return resp, br
 }
 
-func planItem(body string) BatchItem {
-	var pr PlanRequest
+func planItem(body string) api.BatchItem {
+	var pr api.PlanRequest
 	if err := json.Unmarshal([]byte(body), &pr); err != nil {
 		panic(err)
 	}
-	return BatchItem{Plan: &pr}
+	return api.BatchItem{Plan: &pr}
 }
 
 func TestBatchMixedPlanSimulate(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	three := 3
-	req := BatchRequest{Items: []BatchItem{
+	req := api.BatchRequest{Items: []api.BatchItem{
 		planItem(`{"kernel": "l1", "size": 8, "cube_dim": 3}`),
-		{Simulate: &SimulateRequest{
-			PlanRequest: PlanRequest{Kernel: "l1", Size: 8, CubeDim: &three},
+		{Simulate: &api.SimulateRequest{
+			PlanRequest: api.PlanRequest{Kernel: "l1", Size: 8, CubeDim: &three},
 			Sequential:  true,
 		}},
 		planItem(`{"kernel": "matmul", "size": 6, "cube_dim": 2}`),
@@ -55,7 +57,7 @@ func TestBatchMixedPlanSimulate(t *testing.T) {
 			t.Fatalf("item %d: status %d (%s)", i, res.Status, res.Error)
 		}
 	}
-	var pr PlanResponse
+	var pr api.PlanResponse
 	if err := json.Unmarshal(br.Results[0].Body, &pr); err != nil {
 		t.Fatalf("item 0 body: %v: %s", err, br.Results[0].Body)
 	}
@@ -65,7 +67,7 @@ func TestBatchMixedPlanSimulate(t *testing.T) {
 	if br.Results[0].ETag == "" {
 		t.Fatal("plan item carries no ETag")
 	}
-	var sr SimulateResponse
+	var sr api.SimulateResponse
 	if err := json.Unmarshal(br.Results[1].Body, &sr); err != nil {
 		t.Fatalf("item 1 body: %v: %s", err, br.Results[1].Body)
 	}
@@ -89,13 +91,13 @@ func TestBatchMixedPlanSimulate(t *testing.T) {
 // items carry their own statuses, and the good items are served.
 func TestBatchPerItemErrors(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	pr := PlanRequest{Kernel: "l1", Size: 8}
-	req := BatchRequest{Items: []BatchItem{
+	pr := api.PlanRequest{Kernel: "l1", Size: 8}
+	req := api.BatchRequest{Items: []api.BatchItem{
 		planItem(`{"kernel": "l1", "size": 8, "cube_dim": 3}`),
 		planItem(`{"kernel": "no-such-kernel", "size": 8, "cube_dim": 3}`),
 		planItem(`{"kernel": "l1", "size": 9999, "cube_dim": 3}`),
 		{}, // neither plan nor simulate
-		{Plan: &pr, Simulate: &SimulateRequest{}}, // both
+		{Plan: &pr, Simulate: &api.SimulateRequest{}}, // both
 	}}
 	resp, br := postBatch(t, ts.URL, req)
 	if resp.StatusCode != http.StatusOK {
@@ -121,13 +123,13 @@ func TestBatchPerItemErrors(t *testing.T) {
 // once — they collapse into one group and share the cache line.
 func TestBatchDupKeysComputeOnce(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
-	var items []BatchItem
+	var items []api.BatchItem
 	for i := 0; i < 16; i++ {
 		// Same canonical key throughout; half vary the cube so the encoded
 		// frames differ while the base plan is still shared.
 		items = append(items, planItem(fmt.Sprintf(`{"kernel": "l1", "size": 8, "cube_dim": %d}`, 2+i%2)))
 	}
-	resp, br := postBatch(t, ts.URL, BatchRequest{Items: items})
+	resp, br := postBatch(t, ts.URL, api.BatchRequest{Items: items})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("batch status = %d", resp.StatusCode)
 	}
@@ -148,7 +150,7 @@ func TestBatchByteIdenticalToSingle(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	body := `{"kernel": "matmul", "size": 8, "cube_dim": 3}`
 
-	resp, br := postBatch(t, ts.URL, BatchRequest{Items: []BatchItem{planItem(body)}})
+	resp, br := postBatch(t, ts.URL, api.BatchRequest{Items: []api.BatchItem{planItem(body)}})
 	if resp.StatusCode != http.StatusOK || br.Results[0].Status != http.StatusOK {
 		t.Fatalf("batch failed: %d / %+v", resp.StatusCode, br.Results[0])
 	}
@@ -171,7 +173,7 @@ func TestBatchByteIdenticalToSingle(t *testing.T) {
 // The hand-rolled envelope encoder must be indistinguishable from
 // encoding/json marshaling the same BatchResponse.
 func TestBatchEnvelopeEncoding(t *testing.T) {
-	results := []BatchItemResult{
+	results := []api.BatchItemResult{
 		{Status: 200, ETag: `"p00deadbeef00"`, Body: json.RawMessage(`{"kernel":"l1","blocks":9}`)},
 		{Status: 400, Error: `serve: size 9999 out of range [1, 128]`},
 		{Status: 200, Body: json.RawMessage(`{"makespan":12.5}`)},
@@ -179,7 +181,7 @@ func TestBatchEnvelopeEncoding(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	encodeBatchResponse(&buf, results)
-	want, err := json.Marshal(BatchResponse{Results: results})
+	want, err := json.Marshal(api.BatchResponse{Results: results})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,11 +196,11 @@ func TestBatchLimits(t *testing.T) {
 	if resp, _ := postJSON(t, ts.URL+"/v1/batch", `{"items": []}`); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("empty batch: status %d, want 400", resp.StatusCode)
 	}
-	var items []BatchItem
+	var items []api.BatchItem
 	for i := 0; i < 5; i++ {
 		items = append(items, planItem(`{"kernel": "l1", "size": 8, "cube_dim": 3}`))
 	}
-	if resp, _ := postBatch(t, ts.URL, BatchRequest{Items: items}); resp.StatusCode != http.StatusBadRequest {
+	if resp, _ := postBatch(t, ts.URL, api.BatchRequest{Items: items}); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("oversize batch: status %d, want 400", resp.StatusCode)
 	}
 }
@@ -207,11 +209,11 @@ func TestBatchLimits(t *testing.T) {
 // batch path's concurrency check.
 func TestBatchDistinctKeysParallel(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
-	var items []BatchItem
+	var items []api.BatchItem
 	for size := 4; size < 16; size++ {
 		items = append(items, planItem(fmt.Sprintf(`{"kernel": "l1", "size": %d, "cube_dim": 3}`, size)))
 	}
-	resp, br := postBatch(t, ts.URL, BatchRequest{Items: items})
+	resp, br := postBatch(t, ts.URL, api.BatchRequest{Items: items})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("batch status = %d", resp.StatusCode)
 	}

@@ -172,16 +172,9 @@ func (cn *clusterNode) stopProbing() {
 	<-cn.done
 }
 
-// ClusterInfo and ClusterStatus live in the api package; the serve names
-// remain as aliases.
-type (
-	ClusterInfo   = api.ClusterInfo
-	ClusterStatus = api.ClusterStatus
-)
-
 func (s *Server) handleClusterStatus(w http.ResponseWriter, r *http.Request) {
 	cn := s.cnode()
-	writeJSON(w, http.StatusOK, ClusterStatus{
+	writeJSON(w, http.StatusOK, api.ClusterStatus{
 		Self:   cn.m.Self(),
 		N:      cn.m.N(),
 		Dim:    cn.m.Dim(),
@@ -334,13 +327,13 @@ func (cn *clusterNode) forward(ctx context.Context, path string, body []byte, ho
 
 // clusterMeta builds the response's shard metadata (nil outside cluster
 // mode).
-func (s *Server) clusterMeta(key string, r *http.Request) *ClusterInfo {
+func (s *Server) clusterMeta(key string, r *http.Request) *api.ClusterInfo {
 	cn := s.cnode()
 	if cn == nil {
 		return nil
 	}
 	hops, _ := forwardState(r)
-	return &ClusterInfo{Shard: cn.m.Self(), Owner: cn.m.Owner(key), Hops: hops, Epoch: cn.m.Epoch()}
+	return &api.ClusterInfo{Shard: cn.m.Self(), Owner: cn.m.Owner(key), Hops: hops, Epoch: cn.m.Epoch()}
 }
 
 func containsInt(xs []int, x int) bool {
@@ -366,4 +359,4 @@ func joinInts(xs []int) string {
 // CanonicalPlanKey is the canonical plan-cache key of a request — the
 // string both the LRU and cluster ownership hash over. Kept as a serve
 // re-export of api.CanonicalPlanKey for existing callers.
-func CanonicalPlanKey(r *PlanRequest) string { return api.CanonicalPlanKey(r) }
+func CanonicalPlanKey(r *api.PlanRequest) string { return api.CanonicalPlanKey(r) }

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/api"
 	"repro/internal/cluster"
 )
 
@@ -44,20 +45,20 @@ func newTestCluster(t *testing.T, n int) ([]*Server, []*httptest.Server) {
 
 // keyOwnedBy finds an l1 plan request whose canonical key rendezvous-
 // hashes to the wanted shard among candidates.
-func keyOwnedBy(t *testing.T, want int, candidates []int) (PlanRequest, string) {
+func keyOwnedBy(t *testing.T, want int, candidates []int) (api.PlanRequest, string) {
 	t.Helper()
 	for size := int64(4); size <= 64; size++ {
-		req := PlanRequest{Kernel: "l1", Size: size}
+		req := api.PlanRequest{Kernel: "l1", Size: size}
 		key := CanonicalPlanKey(&req)
 		if cluster.Owner(key, candidates) == want {
 			return req, key
 		}
 	}
 	t.Fatalf("no l1 size in [4,64] is owned by shard %d of %v", want, candidates)
-	return PlanRequest{}, ""
+	return api.PlanRequest{}, ""
 }
 
-func postPlan(t *testing.T, url string, req PlanRequest, hdr map[string]string) (*http.Response, PlanResponse) {
+func postPlan(t *testing.T, url string, req api.PlanRequest, hdr map[string]string) (*http.Response, api.PlanResponse) {
 	t.Helper()
 	body, err := json.Marshal(req)
 	if err != nil {
@@ -76,7 +77,7 @@ func postPlan(t *testing.T, url string, req PlanRequest, hdr map[string]string) 
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var pr PlanResponse
+	var pr api.PlanResponse
 	if err := json.NewDecoder(resp.Body).Decode(&pr); err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -117,8 +118,8 @@ func TestClusterForwardsToOwner(t *testing.T) {
 	if pr2.Cluster.Shard != 1 || pr2.Cluster.Hops != 0 {
 		t.Fatalf("direct hit: shard=%d hops=%d, want 1 and 0", pr2.Cluster.Shard, pr2.Cluster.Hops)
 	}
-	if pr2.Cache != CacheHit {
-		t.Fatalf("direct hit cache = %q, want %q", pr2.Cache, CacheHit)
+	if pr2.Cache != api.CacheHit {
+		t.Fatalf("direct hit cache = %q, want %q", pr2.Cache, api.CacheHit)
 	}
 }
 
@@ -190,7 +191,7 @@ func TestClusterDeadOwnerRehomes(t *testing.T) {
 	if pr2.Cluster.Shard != 0 || pr2.Cluster.Owner != 0 {
 		t.Fatalf("degraded serve: shard=%d owner=%d, want 0,0", pr2.Cluster.Shard, pr2.Cluster.Owner)
 	}
-	if pr2.Cache != CacheHit {
+	if pr2.Cache != api.CacheHit {
 		t.Fatalf("rehomed key not warm on the survivor: cache = %q", pr2.Cache)
 	}
 	if got := srvs[0].Metrics().ForwardsSent; got != 0 {
@@ -205,7 +206,7 @@ func TestClusterStatusEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var st ClusterStatus
+	var st api.ClusterStatus
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}

@@ -12,23 +12,6 @@ import (
 	"repro/internal/diskchaos"
 )
 
-// corruptSnapshotByte flips one byte inside the snapshot's frame area.
-func corruptSnapshotByte(t *testing.T, dir string, off int) {
-	t.Helper()
-	path := filepath.Join(dir, "snapshot.dat")
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(data) <= off {
-		t.Fatalf("snapshot too small (%d bytes) to corrupt at %d", len(data), off)
-	}
-	data[off] ^= 0x40
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // The full degraded-mode contract at the HTTP surface: after a WAL fault,
 // the latch fires exactly once, new plans answer 503 + Retry-After +
 // api.ReadOnlyHeader without being acked or cached, already-cached plans
@@ -40,18 +23,15 @@ func TestDegradedStoreServesReadOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	s, ts, _ := newPersistentServer(t, dir, func(c *Config) {
-		c.FS = ffs
-		c.ScrubInterval = -1
-	})
+	s, ts, _ := newPersistentServer(t, dir, func(c *Config) { c.FS = ffs })
 
 	warm := `{"kernel": "l1", "size": 8, "cube_dim": 3}`
-	if pr := planBody(t, ts.URL+"/v1/plan", warm); pr.Cache != CacheMiss {
+	if pr := planBody(t, ts.URL+"/v1/plan", warm); pr.Cache != api.CacheMiss {
 		t.Fatalf("warmup cache = %q", pr.Cache)
 	}
 
 	if err := ffs.Arm([]diskchaos.Rule{
-		{Op: diskchaos.OpSync, Path: "wal.log", Kind: diskchaos.KindEIO, Count: -1},
+		{Op: diskchaos.OpSync, Path: "wal-", Kind: diskchaos.KindEIO, Count: -1},
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +44,10 @@ func TestDegradedStoreServesReadOnly(t *testing.T) {
 	if resp.Header.Get("Retry-After") == "" || resp.Header.Get(api.ReadOnlyHeader) != "1" {
 		t.Fatalf("degraded 503 missing headers: %v", resp.Header)
 	}
-	if !s.storeDegraded.Load() || !s.store.Degraded() {
+	if ffs.TotalInjected() == 0 {
+		t.Fatal("armed WAL fault never fired")
+	}
+	if !s.storeDegraded.Load() || s.tier.Degraded() == nil {
 		t.Fatal("store did not latch degraded")
 	}
 
@@ -80,7 +63,7 @@ func TestDegradedStoreServesReadOnly(t *testing.T) {
 	}
 
 	// The warm plan is cached: reads keep flowing while degraded.
-	if pr := planBody(t, ts.URL+"/v1/plan", warm); pr.Cache != CacheHit {
+	if pr := planBody(t, ts.URL+"/v1/plan", warm); pr.Cache != api.CacheHit {
 		t.Fatalf("cached read during degradation: cache = %q", pr.Cache)
 	}
 
@@ -123,46 +106,59 @@ func TestDegradedStoreServesReadOnly(t *testing.T) {
 	if !strings.Contains(string(mb), "loopmapd_store_degraded 1") {
 		t.Fatal("/metrics missing loopmapd_store_degraded 1")
 	}
-	if !strings.Contains(string(mb), "loopmapd_snapshot_bytes") {
-		t.Fatal("/metrics missing loopmapd_snapshot_bytes")
+	if !strings.Contains(string(mb), "loopmapd_wal_bytes") {
+		t.Fatal("/metrics missing loopmapd_wal_bytes")
 	}
 }
 
-// A dirty scrub pass repairs the store from the live cache: corruption
-// written under the daemon's feet is detected by ScrubNow and compacted
-// away, and the follow-up pass is clean.
-func TestScrubRepairsFromLiveCache(t *testing.T) {
+// A dirty scrub pass finds a segment corrupted under the daemon's feet,
+// quarantines it without latching the store, and leaves the next pass
+// clean.
+func TestScrubQuarantinesCorruptSegment(t *testing.T) {
 	dir := t.TempDir()
-	s, ts, _ := newPersistentServer(t, dir, func(c *Config) {
-		c.ScrubInterval = -1 // manual passes only
-	})
-
-	for _, body := range []string{
+	s, ts, _ := newPersistentServer(t, dir, nil)
+	bodies := []string{
 		`{"kernel": "l1", "size": 8, "cube_dim": 3}`,
 		`{"kernel": "matvec", "size": 10, "cube_dim": 2}`,
-	} {
+	}
+	for _, body := range bodies {
 		planBody(t, ts.URL+"/v1/plan", body)
 	}
-	// Compact so the snapshot holds the records, then corrupt it on disk.
-	if err := s.store.Compact(s.cache.records()); err != nil {
+	if err := s.tier.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	corruptSnapshotByte(t, dir, 20)
+	segs, err := filepath.Glob(filepath.Join(dir, "seg-*.sst"))
+	if err != nil || len(segs) != 1 {
+		t.Fatalf("want one flushed segment, have %v (%v)", segs, err)
+	}
+	data, err := os.ReadFile(segs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[20] ^= 0x40 // inside the first data block
+	if err := os.WriteFile(segs[0], data, 0o644); err != nil {
+		t.Fatal(err)
+	}
 
 	rep, ok := s.ScrubNow()
-	if !ok || rep.Clean() {
+	if !ok || rep.Clean() || rep.Quarantined != 1 {
 		t.Fatalf("scrub missed on-disk corruption: ok=%v report=%+v", ok, rep)
 	}
-	s.compactWG.Wait()
 	clean, _ := s.ScrubNow()
 	if !clean.Clean() {
-		t.Fatalf("store still dirty after repair: %+v", clean)
+		t.Fatalf("store still dirty after quarantine: %+v", clean)
 	}
 	snap := s.Metrics()
-	if snap.ScrubCorrupt == 0 || snap.ScrubRepairs == 0 || snap.ScrubRuns < 2 {
-		t.Fatalf("scrub metrics: %+v", snap)
+	if snap.ScrubCorrupt != 1 || snap.ScrubRuns < 2 || snap.TieredQuarantined != 1 {
+		t.Fatalf("scrub metrics: corrupt=%d runs=%d quarantined=%d", snap.ScrubCorrupt, snap.ScrubRuns, snap.TieredQuarantined)
 	}
 	if snap.StoreDegraded != 0 {
 		t.Fatal("repairable corruption must not latch the store")
+	}
+	// Reads keep serving from the RAM caches.
+	for _, body := range bodies {
+		if pr := planBody(t, ts.URL+"/v1/plan", body); pr.Cache != api.CacheHit {
+			t.Fatalf("%s after quarantine: cache %q, want hit", body, pr.Cache)
+		}
 	}
 }

@@ -186,13 +186,13 @@ func (c *respCache) stats() (bytes int64, entries int) {
 // CanonicalResponseKey is the canonical key of a request's fully-encoded
 // response — the base-plan key plus the mapping knobs. Kept as a serve
 // re-export of api.CanonicalResponseKey for existing callers.
-func CanonicalResponseKey(r *PlanRequest) string { return api.CanonicalResponseKey(r) }
+func CanonicalResponseKey(r *api.PlanRequest) string { return api.CanonicalResponseKey(r) }
 
 // writeFrame serves one response from a frame: ETag always set, an
 // If-None-Match match answered with an empty 304, and the cache/cluster
 // metadata patched in as a suffix otherwise. encoded reports whether the
 // frame came out of the response cache (for the bytes accounting).
-func (s *Server) writeFrame(w http.ResponseWriter, r *http.Request, f *respFrame, outcome CacheOutcome, key string, encoded bool) {
+func (s *Server) writeFrame(w http.ResponseWriter, r *http.Request, f *respFrame, outcome api.CacheOutcome, key string, encoded bool) {
 	w.Header().Set("ETag", f.etag)
 	if inm := r.Header.Get("If-None-Match"); inm != "" && etagMatch(inm, f.etag) {
 		s.metrics.notModified.Add(1)

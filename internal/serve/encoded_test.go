@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	loopmap "repro"
+	"repro/api"
 )
 
 func TestEncodedHitAndETag304(t *testing.T) {
@@ -150,7 +151,7 @@ func TestHitPathAllocDrop(t *testing.T) {
 	defer warm.Close()
 	postJSON(t, warm.URL+"/v1/plan", body) // populate both caches
 
-	var req PlanRequest
+	var req api.PlanRequest
 	if err := json.Unmarshal([]byte(body), &req); err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +169,7 @@ func TestHitPathAllocDrop(t *testing.T) {
 	legacy := testing.AllocsPerRun(100, func() {
 		rec := httptest.NewRecorder()
 		hr, _ := http.NewRequest(http.MethodPost, "/v1/plan", strings.NewReader(body))
-		var r2 PlanRequest
+		var r2 api.PlanRequest
 		_ = json.Unmarshal([]byte(body), &r2)
 		p2, _ := p.RemapOpts(r2.CubeDimOrDefault(), loopmap.MapOptions{Exclusive: r2.Exclusive})
 		writeJSON(rec, http.StatusOK, buildPlanResponse(&r2, p2))
@@ -240,7 +241,7 @@ func BenchmarkHitPathEncoded(b *testing.B) {
 func BenchmarkHitPathLegacy(b *testing.B) {
 	s := New(Config{RespCacheBytes: -1})
 	body := `{"kernel": "l1", "size": 8, "cube_dim": 3}`
-	var warm PlanRequest
+	var warm api.PlanRequest
 	if err := json.Unmarshal([]byte(body), &warm); err != nil {
 		b.Fatal(err)
 	}
@@ -257,7 +258,7 @@ func BenchmarkHitPathLegacy(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		var r2 PlanRequest
+		var r2 api.PlanRequest
 		if err := decodeJSONBytes(raw, &r2); err != nil {
 			b.Fatal(err)
 		}
@@ -269,7 +270,7 @@ func BenchmarkHitPathLegacy(b *testing.B) {
 			b.Fatal(err)
 		}
 		resp := buildPlanResponse(&r2, p2)
-		resp.Cache = CacheHit
+		resp.Cache = api.CacheHit
 		out, err := json.Marshal(resp)
 		if err != nil {
 			b.Fatal(err)
@@ -286,6 +287,6 @@ func BenchmarkRespFrameWrite(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		rec := httptest.NewRecorder()
 		hr, _ := http.NewRequest(http.MethodPost, "/v1/plan", nil)
-		s.writeFrame(rec, hr, f, CacheHit, "k", true)
+		s.writeFrame(rec, hr, f, api.CacheHit, "k", true)
 	}
 }

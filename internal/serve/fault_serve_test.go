@@ -15,6 +15,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/api"
 )
 
 func TestPanicMiddlewareRecovers(t *testing.T) {
@@ -97,18 +99,18 @@ func TestOverloadShedsWithRetryAfter(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.gate.Release()
-	if pr := planBody(t, ts.URL+"/v1/plan", body); pr.Cache != CacheHit {
-		t.Fatalf("cache = %q, want %q through a saturated gate", pr.Cache, CacheHit)
+	if pr := planBody(t, ts.URL+"/v1/plan", body); pr.Cache != api.CacheHit {
+		t.Fatalf("cache = %q, want %q through a saturated gate", pr.Cache, api.CacheHit)
 	}
 }
 
-func simulateBody(t *testing.T, url, body string) SimulateResponse {
+func simulateBody(t *testing.T, url, body string) api.SimulateResponse {
 	t.Helper()
 	resp, out := postJSON(t, url, body)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("POST %s: %s: %s", url, resp.Status, out)
 	}
-	var sr SimulateResponse
+	var sr api.SimulateResponse
 	if err := json.Unmarshal(out, &sr); err != nil {
 		t.Fatalf("decode: %v: %s", err, out)
 	}

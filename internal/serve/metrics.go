@@ -113,7 +113,6 @@ type metrics struct {
 	walAppends         atomic.Int64
 	walErrors          atomic.Int64
 	walBytes           atomic.Int64
-	compactions        atomic.Int64
 
 	// tiered disk-store instruments (stay zero without -disk-cache-dir).
 	// Counters mirror tiered.Stats totals, refreshed at snapshot time.
@@ -130,14 +129,9 @@ type metrics struct {
 	tieredKeys           atomic.Int64 // gauge: entries across segments + memtable
 
 	// storage-fault instruments.
-	storeDegraded      atomic.Int64 // gauge: 1 once the store latches read-only
-	walSyncErrors      atomic.Int64 // background interval-fsync failures
-	snapshotBytes      atomic.Int64 // gauge: current snapshot file size
-	quarantinedRecords atomic.Int64 // corrupt snapshot regions skipped on replay
-	scrubRuns          atomic.Int64 // scrub passes completed
-	scrubRecords       atomic.Int64 // records verified across all passes
-	scrubCorrupt       atomic.Int64 // corrupt regions found by scrubbing
-	scrubRepairs       atomic.Int64 // store rewrites triggered by a dirty scrub
+	storeDegraded atomic.Int64 // gauge: 1 once the store latches read-only
+	scrubRuns     atomic.Int64 // scrub passes completed
+	scrubCorrupt  atomic.Int64 // segments quarantined by scrubbing
 
 	// zero-copy and batching instruments.
 	encodedHits     atomic.Int64 // responses served whole from the encoded cache
@@ -233,7 +227,6 @@ type Snapshot struct {
 	WALAppends         int64
 	WALErrors          int64
 	WALBytes           int64
-	Compactions        int64
 
 	// Tiered disk-store accounting (zero without a disk cache).
 	TieredDiskHits       int64
@@ -249,14 +242,9 @@ type Snapshot struct {
 	TieredKeys           int64
 
 	// Storage-fault accounting.
-	StoreDegraded      int64
-	WALSyncErrors      int64
-	SnapshotBytes      int64
-	QuarantinedRecords int64
-	ScrubRuns          int64
-	ScrubRecords       int64
-	ScrubCorrupt       int64
-	ScrubRepairs       int64
+	StoreDegraded int64
+	ScrubRuns     int64
+	ScrubCorrupt  int64
 
 	// Zero-copy and batching accounting.
 	EncodedHits     int64
@@ -267,7 +255,7 @@ type Snapshot struct {
 	RespCacheBytes  int64
 	RespCacheCount  int64
 	BatchSize       HistogramSnapshot
-	GroupCommitSize HistogramSnapshot
+	CommitGroupSize HistogramSnapshot
 
 	// Cluster-mode accounting (ClusterN == 0 in single-daemon mode).
 	ForwardsSent         int64
@@ -329,7 +317,6 @@ func (m *metrics) snapshot() Snapshot {
 		WALAppends:           m.walAppends.Load(),
 		WALErrors:            m.walErrors.Load(),
 		WALBytes:             m.walBytes.Load(),
-		Compactions:          m.compactions.Load(),
 		TieredDiskHits:       m.tieredDiskHits.Load(),
 		TieredDiskMisses:     m.tieredDiskMisses.Load(),
 		TieredBloomNegatives: m.tieredBloomNegatives.Load(),
@@ -342,13 +329,8 @@ func (m *metrics) snapshot() Snapshot {
 		TieredBytes:          m.tieredBytes.Load(),
 		TieredKeys:           m.tieredKeys.Load(),
 		StoreDegraded:        m.storeDegraded.Load(),
-		WALSyncErrors:        m.walSyncErrors.Load(),
-		SnapshotBytes:        m.snapshotBytes.Load(),
-		QuarantinedRecords:   m.quarantinedRecords.Load(),
 		ScrubRuns:            m.scrubRuns.Load(),
-		ScrubRecords:         m.scrubRecords.Load(),
 		ScrubCorrupt:         m.scrubCorrupt.Load(),
-		ScrubRepairs:         m.scrubRepairs.Load(),
 		EncodedHits:          m.encodedHits.Load(),
 		NotModified:          m.notModified.Load(),
 		BytesServed:          m.bytesServed.Load(),
@@ -357,7 +339,7 @@ func (m *metrics) snapshot() Snapshot {
 		RespCacheBytes:       m.respCacheBytes.Load(),
 		RespCacheCount:       m.respCacheCount.Load(),
 		BatchSize:            m.batchSize.snapshot(),
-		GroupCommitSize:      m.groupCommitSize.snapshot(),
+		CommitGroupSize:      m.groupCommitSize.snapshot(),
 		ForwardsSent:         m.forwardsSent.Load(),
 		ForwardsReceived:     m.forwardsReceived.Load(),
 		ForwardErrors:        m.forwardErrors.Load(),
@@ -411,16 +393,10 @@ func (s Snapshot) render(w io.Writer) {
 	counter("loopmapd_recovery_rejected_total", "Durable records dropped during warm restart because they no longer pass the admission limits.", s.RecoveryRejected)
 	counter("loopmapd_wal_appends_total", "Plan records appended to the durable WAL.", s.WALAppends)
 	counter("loopmapd_wal_errors_total", "Durable store write failures (the daemon keeps serving).", s.WALErrors)
-	counter("loopmapd_compactions_total", "Background snapshot compactions completed.", s.Compactions)
-	counter("loopmapd_wal_sync_errors_total", "Background interval-fsync failures (each latches the store read-only).", s.WALSyncErrors)
-	counter("loopmapd_quarantined_regions_total", "Corrupt snapshot regions quarantined during replay.", s.QuarantinedRecords)
 	counter("loopmapd_scrub_runs_total", "Background scrub passes completed.", s.ScrubRuns)
-	counter("loopmapd_scrub_records_total", "Durable records CRC-verified by scrubbing.", s.ScrubRecords)
-	counter("loopmapd_scrub_corrupt_total", "Corrupt regions found by scrubbing.", s.ScrubCorrupt)
-	counter("loopmapd_scrub_repairs_total", "Store rewrites triggered by a dirty scrub pass.", s.ScrubRepairs)
+	counter("loopmapd_scrub_corrupt_total", "Segments quarantined by scrubbing after failing verification.", s.ScrubCorrupt)
 	gauge("loopmapd_store_degraded", "1 once the durable store has latched read-only after a disk fault.", s.StoreDegraded)
-	gauge("loopmapd_wal_bytes", "Current size of the durable WAL.", s.WALBytes)
-	gauge("loopmapd_snapshot_bytes", "Current size of the durable snapshot.", s.SnapshotBytes)
+	gauge("loopmapd_wal_bytes", "Current size of the durable store's active WAL.", s.WALBytes)
 	gauge("loopmapd_inflight_plans", "Plan computations currently admitted.", s.InflightPlans)
 	gauge("loopmapd_cache_bytes", "Estimated bytes held by the plan cache.", s.CacheBytes)
 	gauge("loopmapd_cache_entries", "Entries held by the plan cache.", s.CacheEntries)
@@ -447,7 +423,7 @@ func (s Snapshot) render(w io.Writer) {
 	gauge("loopmapd_resp_cache_bytes", "Bytes held by the encoded-response cache.", s.RespCacheBytes)
 	gauge("loopmapd_resp_cache_entries", "Entries held by the encoded-response cache.", s.RespCacheCount)
 	renderHistogram(w, "loopmapd_batch_size", "Items per /v1/batch request.", s.BatchSize)
-	renderHistogram(w, "loopmapd_wal_group_commit_size", "Records coalesced per WAL group commit.", s.GroupCommitSize)
+	renderHistogram(w, "loopmapd_wal_group_commit_size", "Records written per fsync=always WAL group commit.", s.CommitGroupSize)
 
 	// Go runtime health.
 	gauge("loopmapd_goroutines", "Live goroutines.", int64(s.Goroutines))

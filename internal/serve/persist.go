@@ -1,12 +1,12 @@
-// Durable plan store wiring: warm restart and WAL maintenance.
+// Durable plan store wiring: warm restart from the tiered disk store.
 //
 // The daemon's crash safety rests on the pipeline being a pure function of
 // the canonicalized request — the same property the LRU key exploits. The
 // durable record for a cached plan is therefore the canonical request
 // itself (a few hundred bytes), not the plan artifact (megabytes): Recover
-// replays the snapshot+WAL, recomputes each plan with the exact code path
-// a live request uses, and pre-populates the cache. A recovered plan is
-// bit-identical to a freshly computed one by construction.
+// replays the tier's WAL tail, recomputes each plan with the exact code
+// path a live request uses, and pre-populates the cache. A recovered plan
+// is bit-identical to a freshly computed one by construction.
 package serve
 
 import (
@@ -18,6 +18,7 @@ import (
 	"time"
 
 	loopmap "repro"
+	"repro/api"
 	"repro/internal/persist"
 	"repro/internal/pool"
 	"repro/internal/tiered"
@@ -39,7 +40,7 @@ type storedRequest struct {
 
 // persistPayload renders the request's canonical planning fields as the
 // WAL record value.
-func persistPayload(r *PlanRequest) []byte {
+func persistPayload(r *api.PlanRequest) []byte {
 	sr := storedRequest{
 		Kernel:         r.Kernel,
 		Size:           r.Size,
@@ -68,8 +69,8 @@ func persistPayload(r *PlanRequest) []byte {
 }
 
 // planRequest reconstructs the in-memory request a stored record encodes.
-func (sr *storedRequest) planRequest() *PlanRequest {
-	return &PlanRequest{
+func (sr *storedRequest) planRequest() *api.PlanRequest {
+	return &api.PlanRequest{
 		Kernel:         sr.Kernel,
 		Size:           sr.Size,
 		Pi:             sr.Pi,
@@ -84,11 +85,10 @@ func (sr *storedRequest) planRequest() *PlanRequest {
 // RecoveryStats summarizes a warm start for the startup log line and for
 // tests.
 type RecoveryStats struct {
-	// Enabled reports whether a StateDir was configured at all.
+	// Enabled reports whether a DiskCacheDir was configured at all.
 	Enabled bool
-	// SnapshotRecords and WALRecords count the durable records replayed.
-	SnapshotRecords int
-	WALRecords      int
+	// WALRecords counts the durable records replayed from the WAL tail.
+	WALRecords int
 	// Recovered counts plans recomputed into the cache; Skipped counts
 	// records dropped as undecodable, invalid under the current limits,
 	// key-mismatched, or failed to recompute.
@@ -101,175 +101,31 @@ type RecoveryStats struct {
 	// discarding state is visible, not inferred.
 	Rejected int
 	// FrameRecords counts encoded response frames restored straight into
-	// the response cache (tiered recovery only).
+	// the response cache.
 	FrameRecords int
-	// DroppedTailBytes and TailErr report corrupt-tail repair (see
-	// persist.ReplayStats); a non-nil TailErr never fails recovery.
+	// DroppedTailBytes and TailErr report torn-tail repair (see
+	// tiered.Stats); a non-nil TailErr never fails recovery.
 	DroppedTailBytes int64
 	TailErr          error
-	// QuarantinedRegions and QuarantinedBytes report mid-snapshot
-	// corruption skipped by per-record quarantine; the intact records on
-	// both sides of each region were still recovered.
-	QuarantinedRegions int
-	QuarantinedBytes   int64
-	Elapsed            time.Duration
+	Elapsed          time.Duration
 }
 
-// Recover opens the durable store at Config.StateDir, replays it, and
-// warm-starts the plan cache: every intact record's plan is recomputed
-// (concurrently, up to MaxInflight at once) and inserted in replay order,
-// so the most recently used plans end up warmest. It must be called before
-// the handler serves traffic; with no StateDir it is a no-op. Corrupt or
-// stale records are skipped and counted, never fatal — only an unusable
-// state directory fails recovery.
-func (s *Server) Recover(ctx context.Context) (RecoveryStats, error) {
-	var rs RecoveryStats
-	if s.cfg.StateDir != "" && s.cfg.DiskCacheDir != "" {
-		return rs, errors.New("serve: StateDir and DiskCacheDir are mutually exclusive")
-	}
-	if s.cfg.DiskCacheDir != "" {
-		return s.recoverTiered(ctx)
-	}
-	if s.cfg.StateDir == "" {
-		return rs, nil
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	start := time.Now()
-	policy, err := persist.ParsePolicy(s.cfg.Fsync)
-	if err != nil {
-		return rs, err
-	}
-	store, recs, replay, err := persist.Open(s.cfg.StateDir, persist.Options{
-		Fsync:       policy,
-		Interval:    s.cfg.FsyncEvery,
-		GroupCommit: s.cfg.GroupCommit,
-		GroupWindow: s.cfg.GroupWindow,
-		FS:          s.cfg.FS,
-		OnGroupCommit: func(records, bytes int) {
-			s.metrics.groupCommitSize.observe(float64(records))
-		},
-		OnDegrade: s.latchStoreDegraded,
-		OnSyncError: func(err error) {
-			s.metrics.walSyncErrors.Add(1)
-			s.cfg.Logger.Error("background wal fsync failed", "err", err)
-		},
-	})
-	if err != nil {
-		return rs, fmt.Errorf("serve: opening state dir %s: %w", s.cfg.StateDir, err)
-	}
-	s.store = store
-	rs.Enabled = true
-	rs.SnapshotRecords = replay.SnapshotRecords
-	rs.WALRecords = replay.WALRecords
-	rs.DroppedTailBytes = replay.DroppedTailBytes
-	rs.TailErr = replay.TailErr
-	rs.QuarantinedRegions = replay.QuarantinedRegions
-	rs.QuarantinedBytes = replay.QuarantinedBytes
-	if replay.QuarantinedRegions > 0 {
-		s.metrics.quarantinedRecords.Add(int64(replay.QuarantinedRegions))
-		s.cfg.Logger.Warn("snapshot corruption quarantined on replay",
-			"regions", replay.QuarantinedRegions, "bytes", replay.QuarantinedBytes)
-	}
-	s.startScrubber()
-
-	// Deduplicate by key (replay is idempotent: a key's payload is
-	// canonical, so duplicates are byte-identical).
-	seen := make(map[string]bool, len(recs))
-	work := recs[:0]
-	for _, rec := range recs {
-		if seen[rec.Key] {
-			continue
-		}
-		seen[rec.Key] = true
-		work = append(work, rec)
-	}
-
-	// Decode and validate sequentially (cheap), recompute concurrently
-	// (expensive), insert in replay order (preserves recency).
-	type slot struct {
-		req  *PlanRequest
-		rec  persist.Record
-		plan *loopmap.Plan
-	}
-	slots := make([]*slot, 0, len(work))
-	for _, rec := range work {
-		var sr storedRequest
-		if err := json.Unmarshal(rec.Value, &sr); err != nil {
-			rs.Skipped++
-			continue
-		}
-		req := sr.planRequest()
-		if req.Key() != rec.Key {
-			// The record's key and payload disagree — a foreign or
-			// hand-edited store. Trust neither.
-			rs.Skipped++
-			continue
-		}
-		if err := s.validatePlanRequest(req); err != nil {
-			// Stale under the current admission limits (e.g. a smaller
-			// MaxKernelSize); recomputing it would admit work the daemon
-			// now rejects.
-			rs.Skipped++
-			s.noteRecoveryRejected(&rs, rec.Key, err)
-			continue
-		}
-		slots = append(slots, &slot{req: req, rec: rec})
-	}
-	pool.Run(len(slots), s.cfg.MaxInflight, func(i int) {
-		if ctx.Err() != nil {
-			return
-		}
-		k, err := loopmap.LookupKernel(slots[i].req.Kernel, slots[i].req.Size)
-		if err != nil {
-			return
-		}
-		p, err := loopmap.NewPlanCtx(ctx, k, planOptions(slots[i].req))
-		if err != nil {
-			return
-		}
-		slots[i].plan = p
-	})
-	if err := ctx.Err(); err != nil {
-		return rs, err
-	}
-	for _, sl := range slots {
-		if sl.plan == nil {
-			rs.Skipped++
-			continue
-		}
-		s.cache.put(sl.rec.Key, sl.plan, sl.rec.Value)
-		rs.Recovered++
-	}
-	s.metrics.recoveredPlans.Add(int64(rs.Recovered))
-	s.metrics.recoverySkipped.Add(int64(rs.Skipped))
-	rs.Elapsed = time.Since(start)
-	return rs, nil
-}
-
-// noteRecoveryRejected accounts one durable record dropped because it no
-// longer passes the admission limits: a dedicated counter (distinct from
-// the catch-all skip count) and one log line per recovery naming the
-// first offender — shrinking a limit should discard state loudly.
-func (s *Server) noteRecoveryRejected(rs *RecoveryStats, key string, err error) {
-	rs.Rejected++
-	s.metrics.recoveryRejected.Add(1)
-	if rs.Rejected == 1 {
-		s.cfg.Logger.Warn("recovery rejecting records invalid under current admission limits",
-			"first_key", key, "err", err)
-	}
-}
-
-// recoverTiered opens the tiered disk store at DiskCacheDir and replays
+// Recover opens the tiered disk store at Config.DiskCacheDir and replays
 // only its WAL tail — the records written since the last memtable flush.
 // Everything older is already segment-resident and is served (and
 // promoted back into RAM) on demand, which is what makes restart cost
 // O(tail) instead of O(history). Tail base records recompute concurrently
-// like the flat store's replay; tail frame records go straight into the
-// encoded-response cache.
-func (s *Server) recoverTiered(ctx context.Context) (RecoveryStats, error) {
+// (up to MaxInflight at once) and are inserted in replay order, so the
+// most recently used plans end up warmest; tail frame records go straight
+// into the encoded-response cache. It must be called before the handler
+// serves traffic; with no DiskCacheDir it is a no-op. Corrupt or stale
+// records are skipped and counted, never fatal — only an unusable
+// directory fails recovery.
+func (s *Server) Recover(ctx context.Context) (RecoveryStats, error) {
 	var rs RecoveryStats
+	if s.cfg.DiskCacheDir == "" {
+		return rs, nil
+	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -287,6 +143,9 @@ func (s *Server) recoverTiered(ctx context.Context) (RecoveryStats, error) {
 		CompactTrigger: s.cfg.CompactTrigger,
 		MemtableBytes:  s.cfg.DiskMemtableBytes,
 		OnDegrade:      s.latchStoreDegraded,
+		OnCommit: func(records int) {
+			s.metrics.groupCommitSize.observe(float64(records))
+		},
 	})
 	if err != nil {
 		return rs, fmt.Errorf("serve: opening disk cache %s: %w", s.cfg.DiskCacheDir, err)
@@ -294,10 +153,13 @@ func (s *Server) recoverTiered(ctx context.Context) (RecoveryStats, error) {
 	s.tier = tier
 	rs.Enabled = true
 	rs.WALRecords = len(tail)
+	ts := tier.Stats()
+	rs.DroppedTailBytes = ts.DroppedTailBytes
+	rs.TailErr = ts.TailErr
 	s.startScrubber()
 
 	type slot struct {
-		req  *PlanRequest
+		req  *api.PlanRequest
 		key  string
 		rec  persist.Record
 		plan *loopmap.Plan
@@ -319,10 +181,15 @@ func (s *Server) recoverTiered(ctx context.Context) (RecoveryStats, error) {
 			}
 			req := sr.planRequest()
 			if req.Key() != key {
+				// The record's key and payload disagree — a foreign or
+				// hand-edited store. Trust neither.
 				rs.Skipped++
 				continue
 			}
 			if err := s.validatePlanRequest(req); err != nil {
+				// Stale under the current admission limits (e.g. a
+				// smaller MaxKernelSize); recomputing it would admit
+				// work the daemon now rejects.
 				rs.Skipped++
 				s.noteRecoveryRejected(&rs, key, err)
 				continue
@@ -363,10 +230,23 @@ func (s *Server) recoverTiered(ctx context.Context) (RecoveryStats, error) {
 	return rs, nil
 }
 
+// noteRecoveryRejected accounts one durable record dropped because it no
+// longer passes the admission limits: a dedicated counter (distinct from
+// the catch-all skip count) and one log line per recovery naming the
+// first offender — shrinking a limit should discard state loudly.
+func (s *Server) noteRecoveryRejected(rs *RecoveryStats, key string, err error) {
+	rs.Rejected++
+	s.metrics.recoveryRejected.Add(1)
+	if rs.Rejected == 1 {
+		s.cfg.Logger.Warn("recovery rejecting records invalid under current admission limits",
+			"first_key", key, "err", err)
+	}
+}
+
 // writableStore fails fast when the durable store has latched read-only:
 // a cache miss implies a durable write the store cannot take.
 func (s *Server) writableStore() error {
-	if (s.store != nil || s.tier != nil) && s.storeDegraded.Load() {
+	if s.tier != nil && s.storeDegraded.Load() {
 		return ErrStoreDegraded
 	}
 	return nil
@@ -374,9 +254,9 @@ func (s *Server) writableStore() error {
 
 // latchStoreDegraded flips the daemon into read-only serving, exactly
 // once — it is the store's OnDegrade callback and fires on the first
-// write/sync/compaction failure. There is deliberately no unlatch: after
-// a failed fsync the kernel may already have dropped the dirty pages, so
-// only a restart on healthy storage re-earns durability.
+// write/sync/flush/compaction failure. There is deliberately no unlatch:
+// after a failed fsync the kernel may already have dropped the dirty
+// pages, so only a restart on healthy storage re-earns durability.
 func (s *Server) latchStoreDegraded(cause error) {
 	if !s.storeDegraded.CompareAndSwap(false, true) {
 		return
@@ -385,66 +265,35 @@ func (s *Server) latchStoreDegraded(cause error) {
 	s.cfg.Logger.Error("durable store degraded: serving read-only", "cause", cause)
 }
 
-// persistPlan appends one computed plan's canonical request to the WAL and
-// triggers compaction when the log has outgrown its budget. A failed
-// append is returned to the caller — the plan must not be cached or acked
-// — and has already latched the store read-only.
+// persistPlan appends one computed plan's canonical request to the tier.
+// A failed append is returned to the caller — the plan must not be
+// cached or acked — and has already latched the store read-only: the
+// latch is taken here, before the caller answers, rather than left to
+// the tier's asynchronous OnDegrade, so a client that saw the failure
+// never finds /readyz or the next miss still taking writes. The
+// tier manages its own flush/compaction cadence; the wire key carries
+// the replication prefix so transfer and ingest stream tier records
+// verbatim.
 func (s *Server) persistPlan(key string, payload []byte) error {
-	if payload == nil {
+	if s.tier == nil || payload == nil {
 		return nil
 	}
-	if s.tier != nil {
-		// The tier manages its own flush/compaction cadence; the wire key
-		// carries the replication prefix so transfer and ingest stream
-		// tier records verbatim.
-		if err := s.tier.Put(repBasePrefix+key, payload); err != nil {
-			s.metrics.walErrors.Add(1)
-			s.cfg.Logger.Error("tier append failed", "key", key, "err", err)
-			return err
-		}
-		s.metrics.walAppends.Add(1)
-		return nil
-	}
-	if s.store == nil {
-		return nil
-	}
-	if err := s.store.Append(persist.Record{Key: key, Value: payload}); err != nil {
+	if err := s.tier.Put(repBasePrefix+key, payload); err != nil {
 		s.metrics.walErrors.Add(1)
-		s.cfg.Logger.Error("wal append failed", "key", key, "err", err)
+		s.cfg.Logger.Error("tier append failed", "key", key, "err", err)
+		if errors.Is(err, persist.ErrDegraded) {
+			s.latchStoreDegraded(err)
+		}
 		return err
 	}
 	s.metrics.walAppends.Add(1)
-	s.maybeCompact()
 	return nil
 }
 
-// maybeCompact starts one background compaction when the WAL exceeds
-// WALMaxBytes: the live cache contents become the new snapshot and the WAL
-// restarts empty. At most one compaction runs at a time.
-func (s *Server) maybeCompact() {
-	if s.store.WALBytes() < s.cfg.WALMaxBytes || s.storeDegraded.Load() {
-		return
-	}
-	if !s.compacting.CompareAndSwap(false, true) {
-		return
-	}
-	s.compactWG.Add(1)
-	go func() {
-		defer s.compactWG.Done()
-		defer s.compacting.Store(false)
-		if err := s.store.Compact(s.cache.records()); err != nil {
-			s.metrics.walErrors.Add(1)
-			s.cfg.Logger.Error("compaction failed", "err", err)
-			return
-		}
-		s.metrics.compactions.Add(1)
-	}()
-}
-
-// Close stops the cluster health prober, waits for background store
-// maintenance, and closes the durable store (each a no-op when the
-// feature is off). In-flight HTTP requests are the listener's concern;
-// call this after the listener has drained.
+// Close stops the cluster health prober and the scrubber, then closes
+// the durable store (each a no-op when the feature is off). In-flight
+// HTTP requests are the listener's concern; call this after the listener
+// has drained.
 func (s *Server) Close() error {
 	if cn := s.cnode(); cn != nil {
 		cn.stopProbing()
@@ -452,12 +301,8 @@ func (s *Server) Close() error {
 		cn.stopReplication()
 	}
 	s.stopScrubber()
-	s.compactWG.Wait()
-	if s.tier != nil {
-		return s.tier.Close()
-	}
-	if s.store == nil {
+	if s.tier == nil {
 		return nil
 	}
-	return s.store.Close()
+	return s.tier.Close()
 }

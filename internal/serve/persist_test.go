@@ -7,17 +7,21 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	loopmap "repro"
+	"repro/api"
 	"repro/internal/machine"
 	"repro/internal/persist"
+	"repro/internal/tiered"
 )
 
-// newPersistentServer builds a Server on dir and warm-starts it.
+// newPersistentServer builds a Server backed by the tiered disk store on
+// dir and warm-starts it. Scrubbing is manual (ScrubNow) only.
 func newPersistentServer(t *testing.T, dir string, mutate func(*Config)) (*Server, *httptest.Server, RecoveryStats) {
 	t.Helper()
-	cfg := Config{StateDir: dir, Fsync: "always"}
+	cfg := Config{DiskCacheDir: dir, Fsync: "always", ScrubInterval: -1}
 	if mutate != nil {
 		mutate(&cfg)
 	}
@@ -78,10 +82,10 @@ func TestWarmRestartServesIdenticalPlans(t *testing.T) {
 	if rs.Recovered != 0 {
 		t.Fatalf("fresh state dir recovered %d plans", rs.Recovered)
 	}
-	var firstBodies []PlanResponse
+	var firstBodies []api.PlanResponse
 	for _, body := range requests {
 		pr := planBody(t, ts1.URL+"/v1/plan", body)
-		if pr.Cache != CacheMiss {
+		if pr.Cache != api.CacheMiss {
 			t.Fatalf("first run of %s: cache %q, want miss", body, pr.Cache)
 		}
 		firstBodies = append(firstBodies, pr)
@@ -100,13 +104,13 @@ func TestWarmRestartServesIdenticalPlans(t *testing.T) {
 	}
 	for i, body := range requests {
 		pr := planBody(t, ts2.URL+"/v1/plan", body)
-		if pr.Cache != CacheHit {
+		if pr.Cache != api.CacheHit {
 			t.Fatalf("post-restart %s: cache %q, want hit", body, pr.Cache)
 		}
 		// The response must match the pre-crash one except for the cache
 		// outcome itself.
 		pre := firstBodies[i]
-		pre.Cache = CacheHit
+		pre.Cache = api.CacheHit
 		if !reflect.DeepEqual(pr, pre) {
 			t.Fatalf("post-restart response differs:\n got %+v\nwant %+v", pr, pre)
 		}
@@ -117,7 +121,7 @@ func TestWarmRestartServesIdenticalPlans(t *testing.T) {
 
 	// Plan + Stats identity against fresh computation, per acceptance
 	// criterion: DeepEqual, not just summary equality.
-	req := &PlanRequest{Kernel: "matvec", Size: 12}
+	req := &api.PlanRequest{Kernel: "matvec", Size: 12}
 	recovered, ok := s2.cache.get(req.Key())
 	if !ok {
 		t.Fatal("recovered matvec plan missing from cache")
@@ -153,8 +157,18 @@ func TestWarmRestartServesIdenticalPlans(t *testing.T) {
 	}
 }
 
-// TestRecoverySkipsCorruptTail bit-flips the WAL tail and checks startup
-// still succeeds with every earlier record intact.
+// newestWAL returns the path of the store's active WAL file.
+func newestWAL(t *testing.T, dir string) string {
+	t.Helper()
+	names, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
+	if err != nil || len(names) == 0 {
+		t.Fatalf("no WAL in %s: %v", dir, err)
+	}
+	return names[len(names)-1] // zero-padded sequence numbers sort in order
+}
+
+// TestRecoverySkipsCorruptTail bit-flips a record near the WAL tail and
+// checks startup still succeeds with every earlier record intact.
 func TestRecoverySkipsCorruptTail(t *testing.T) {
 	dir := t.TempDir()
 	s1, ts1, _ := newPersistentServer(t, dir, nil)
@@ -170,12 +184,19 @@ func TestRecoverySkipsCorruptTail(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	walPath := filepath.Join(dir, "wal.log")
+	// The last plan's base record sits just before its encoded frame,
+	// the final record; replay stops at the flipped one and drops both.
+	walPath := newestWAL(t, dir)
 	data, err := os.ReadFile(walPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	data[len(data)-2] ^= 0x04 // flip one bit inside the final record
+	last := (&api.PlanRequest{Kernel: "l1", Size: 8}).Key()
+	at := strings.LastIndex(string(data), repBasePrefix+last)
+	if at < 0 {
+		t.Fatal("last base record not found in the WAL")
+	}
+	data[at+len(repBasePrefix)] ^= 0x04 // flip one bit inside its payload
 	if err := os.WriteFile(walPath, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -188,10 +209,10 @@ func TestRecoverySkipsCorruptTail(t *testing.T) {
 		t.Fatalf("recovered %d plans, want the 2 before the flipped record", rs.Recovered)
 	}
 	// The two intact records serve warm; the lost one recomputes.
-	if pr := planBody(t, ts2.URL+"/v1/plan", `{"kernel": "l1", "size": 7, "cube_dim": 3}`); pr.Cache != CacheHit {
+	if pr := planBody(t, ts2.URL+"/v1/plan", `{"kernel": "l1", "size": 7, "cube_dim": 3}`); pr.Cache != api.CacheHit {
 		t.Fatalf("intact record not warm: %q", pr.Cache)
 	}
-	if pr := planBody(t, ts2.URL+"/v1/plan", `{"kernel": "l1", "size": 8, "cube_dim": 3}`); pr.Cache != CacheMiss {
+	if pr := planBody(t, ts2.URL+"/v1/plan", `{"kernel": "l1", "size": 8, "cube_dim": 3}`); pr.Cache != api.CacheMiss {
 		t.Fatalf("lost record not recomputed: %q", pr.Cache)
 	}
 	_ = s2
@@ -201,83 +222,87 @@ func TestRecoverySkipsCorruptTail(t *testing.T) {
 // undecodable or inconsistent payload is skipped, not fatal.
 func TestRecoverySkipsForeignRecords(t *testing.T) {
 	dir := t.TempDir()
-	store, _, _, err := persist.Open(dir, persist.Options{Fsync: persist.FsyncAlways})
+	store, _, err := tiered.Open(tiered.Config{Dir: dir, Fsync: persist.FsyncAlways})
 	if err != nil {
 		t.Fatal(err)
 	}
-	good := &PlanRequest{Kernel: "l1", Size: 8}
-	if err := store.Append(persist.Record{Key: good.Key(), Value: persistPayload(good)}); err != nil {
-		t.Fatal(err)
-	}
-	if err := store.Append(persist.Record{Key: "junk-key", Value: []byte("not json")}); err != nil {
-		t.Fatal(err)
-	}
-	mismatched := &PlanRequest{Kernel: "matvec", Size: 8}
-	if err := store.Append(persist.Record{Key: "wrong-key", Value: persistPayload(mismatched)}); err != nil {
-		t.Fatal(err)
-	}
-	oversized := &PlanRequest{Kernel: "l1", Size: 4096}
-	if err := store.Append(persist.Record{Key: oversized.Key(), Value: persistPayload(oversized)}); err != nil {
-		t.Fatal(err)
+	good := &api.PlanRequest{Kernel: "l1", Size: 8}
+	mismatched := &api.PlanRequest{Kernel: "matvec", Size: 8}
+	oversized := &api.PlanRequest{Kernel: "l1", Size: 4096}
+	for _, rec := range []persist.Record{
+		{Key: repBasePrefix + good.Key(), Value: persistPayload(good)},
+		{Key: repBasePrefix + "junk-key", Value: []byte("not json")},
+		{Key: repBasePrefix + "wrong-key", Value: persistPayload(mismatched)},
+		{Key: repBasePrefix + oversized.Key(), Value: persistPayload(oversized)},
+		{Key: "no-prefix", Value: persistPayload(good)},
+	} {
+		if err := store.Put(rec.Key, rec.Value); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := store.Close(); err != nil {
 		t.Fatal(err)
 	}
 
 	s, _, rs := newPersistentServer(t, dir, nil)
-	if rs.Recovered != 1 || rs.Skipped != 3 {
-		t.Fatalf("recovered %d / skipped %d, want 1 / 3", rs.Recovered, rs.Skipped)
+	if rs.Recovered != 1 || rs.Skipped != 4 {
+		t.Fatalf("recovered %d / skipped %d, want 1 / 4", rs.Recovered, rs.Skipped)
 	}
-	if got := s.Metrics().RecoverySkipped; got != 3 {
-		t.Fatalf("loopmapd_recovery_skipped_total = %d, want 3", got)
+	if got := s.Metrics().RecoverySkipped; got != 4 {
+		t.Fatalf("loopmapd_recovery_skipped_total = %d, want 4", got)
 	}
 }
 
-// TestCompactionKeepsStoreRecoverable drives the WAL past its budget and
-// verifies the snapshot+truncated-WAL pair still warm-starts everything.
+// TestCompactionKeepsStoreRecoverable drives the tier through memtable
+// flushes and segment compactions and verifies a restart still serves
+// every plan warm: segment-resident ones promote from disk, the WAL tail
+// recomputes.
 func TestCompactionKeepsStoreRecoverable(t *testing.T) {
 	dir := t.TempDir()
-	s1, ts1, _ := newPersistentServer(t, dir, func(c *Config) {
-		c.WALMaxBytes = 256 // a few records
-	})
-	const n = 8
-	for i := 0; i < n; i++ {
-		planBody(t, ts1.URL+"/v1/plan", fmt.Sprintf(`{"kernel": "l1", "size": %d, "cube_dim": 3}`, i+4))
+	small := func(c *Config) {
+		c.DiskMemtableBytes = 2 << 10 // a few records per flush
+		c.CompactTrigger = 2
 	}
-	s1.compactWG.Wait()
-	if got := s1.Metrics().Compactions; got == 0 {
-		t.Fatal("no compaction despite a 256-byte WAL budget")
+	s1, ts1, _ := newPersistentServer(t, dir, small)
+	const n = 8
+	body := func(i int) string { return fmt.Sprintf(`{"kernel": "l1", "size": %d, "cube_dim": 3}`, i+4) }
+	for i := 0; i < n; i++ {
+		planBody(t, ts1.URL+"/v1/plan", body(i))
 	}
 	ts1.Close()
-	if err := s1.Close(); err != nil {
+	if err := s1.Close(); err != nil { // waits for background compaction
 		t.Fatal(err)
 	}
+	if got := s1.Metrics().TieredCompactions; got == 0 {
+		t.Fatal("no compaction despite a 2 KiB memtable and a trigger of 2")
+	}
 
-	_, ts2, rs := newPersistentServer(t, dir, nil)
-	if rs.Recovered != n {
-		t.Fatalf("recovered %d plans after compaction, want %d", rs.Recovered, n)
+	s2, ts2, rs := newPersistentServer(t, dir, small)
+	if rs.WALRecords >= 2*n {
+		t.Fatalf("restart replayed %d WAL records: nothing reached a segment", rs.WALRecords)
 	}
-	if rs.SnapshotRecords == 0 {
-		t.Fatal("compaction never produced a snapshot")
-	}
+	pre := s2.Metrics().PlanComputations
 	for i := 0; i < n; i++ {
-		pr := planBody(t, ts2.URL+"/v1/plan", fmt.Sprintf(`{"kernel": "l1", "size": %d, "cube_dim": 3}`, i+4))
-		if pr.Cache != CacheHit {
+		pr := planBody(t, ts2.URL+"/v1/plan", body(i))
+		if pr.Cache != api.CacheHit {
 			t.Fatalf("size %d not warm after compacted restart: %q", i+4, pr.Cache)
 		}
 	}
+	if got := s2.Metrics().PlanComputations; got != pre {
+		t.Fatalf("warm re-serve recomputed %d plans", got-pre)
+	}
 }
 
-// TestRecoverWithoutStateDirIsNoop keeps the ephemeral configuration
+// TestRecoverWithoutDiskCacheDirIsNoop keeps the ephemeral configuration
 // behaviour unchanged.
-func TestRecoverWithoutStateDirIsNoop(t *testing.T) {
+func TestRecoverWithoutDiskCacheDirIsNoop(t *testing.T) {
 	s := New(Config{})
 	rs, err := s.Recover(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rs.Enabled {
-		t.Fatal("Recover claimed persistence without a StateDir")
+		t.Fatal("Recover claimed persistence without a DiskCacheDir")
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -286,7 +311,7 @@ func TestRecoverWithoutStateDirIsNoop(t *testing.T) {
 
 // TestRecoverRejectsBadFsyncPolicy surfaces configuration typos early.
 func TestRecoverRejectsBadFsyncPolicy(t *testing.T) {
-	s := New(Config{StateDir: t.TempDir(), Fsync: "sometimes"})
+	s := New(Config{DiskCacheDir: t.TempDir(), Fsync: "sometimes"})
 	if _, err := s.Recover(context.Background()); err == nil {
 		t.Fatal("Recover accepted fsync policy \"sometimes\"")
 	}

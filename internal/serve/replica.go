@@ -62,7 +62,7 @@ type replicator struct {
 	cn *clusterNode
 
 	pushCh chan pushItem
-	matCh  chan *PlanRequest
+	matCh  chan *api.PlanRequest
 
 	// pending counts queued-but-unfinished work across both queues; a
 	// zero depth after traffic quiesces means every replica has landed.
@@ -82,7 +82,7 @@ func newReplicator(s *Server, cn *clusterNode) *replicator {
 		s:      s,
 		cn:     cn,
 		pushCh: make(chan pushItem, replicaQueueCap),
-		matCh:  make(chan *PlanRequest, replicaQueueCap),
+		matCh:  make(chan *api.PlanRequest, replicaQueueCap),
 		stopCh: make(chan struct{}),
 	}
 	r.wg.Add(3)
@@ -203,7 +203,7 @@ func (r *replicator) push(target int, recs []persist.Record) {
 
 // enqueueMaterialize queues one replicated base request for local
 // computation, dropping on overflow.
-func (r *replicator) enqueueMaterialize(req *PlanRequest) {
+func (r *replicator) enqueueMaterialize(req *api.PlanRequest) {
 	r.pending.Add(1)
 	select {
 	case r.matCh <- req:
@@ -226,7 +226,7 @@ func (r *replicator) materializeLoop() {
 			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 			_, outcome, err := r.s.basePlan(ctx, req)
 			cancel()
-			if err == nil && outcome == CacheMiss {
+			if err == nil && outcome == api.CacheMiss {
 				r.s.metrics.replicaMaterializations.Add(1)
 			}
 			r.pending.Add(-1)
@@ -310,7 +310,7 @@ func (s *Server) replicateBase(key string, payload []byte) {
 
 // replicateFrame pushes one freshly-encoded response frame to the base
 // key's standby, so a failover serves the zero-copy path too.
-func (s *Server) replicateFrame(req *PlanRequest, ekey string, f *respFrame) {
+func (s *Server) replicateFrame(req *api.PlanRequest, ekey string, f *respFrame) {
 	cn := s.cnode()
 	if cn == nil {
 		return

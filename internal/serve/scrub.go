@@ -1,20 +1,29 @@
 // Background scrubbing and repair: the daemon periodically re-verifies
-// its durable files' checksums (persist.Store.Scrub) so bitrot that lands
-// after startup is found while the data is still repairable. A dirty pass
-// triggers two repairs at once: the snapshot+WAL are rewritten from the
-// live cache (the cache is authoritative — every entry was either
-// computed here or CRC-verified on ingest), and in cluster mode an
-// anti-entropy round is kicked so any record the cache no longer holds is
-// re-fetched from the shard's standby replica.
+// every tier segment's block checksums (tiered.Store.Scrub) so bitrot
+// that lands after startup is found while the data is still repairable.
+// A segment that fails is quarantined by the tier — its keys recompute on
+// touch — and in cluster mode a dirty pass kicks an anti-entropy round
+// so any record the shard lost is re-fetched from its standby replica.
 package serve
 
 import (
-	"fmt"
 	"sync"
 	"time"
-
-	"repro/internal/persist"
 )
+
+// ScrubReport is one scrub pass's findings.
+type ScrubReport struct {
+	// Segments counts the segments verified; Quarantined the ones that
+	// failed verification and were dropped from the tier.
+	Segments    int
+	Quarantined int
+	// BytesScanned is the block bytes read across the pass.
+	BytesScanned int64
+	Elapsed      time.Duration
+}
+
+// Clean reports whether the pass found no corruption.
+func (r ScrubReport) Clean() bool { return r.Quarantined == 0 }
 
 // scrubber runs periodic scrub passes until stopped.
 type scrubber struct {
@@ -26,9 +35,9 @@ type scrubber struct {
 }
 
 // startScrubber launches the background scrub loop (no-op without a
-// store or disk tier, or when ScrubInterval is negative).
+// disk tier, or when ScrubInterval is negative).
 func (s *Server) startScrubber() {
-	if (s.store == nil && s.tier == nil) || s.cfg.ScrubInterval < 0 {
+	if s.tier == nil || s.cfg.ScrubInterval < 0 {
 		return
 	}
 	sc := &scrubber{
@@ -66,99 +75,49 @@ func (sc *scrubber) loop() {
 // ScrubNow runs one synchronous scrub pass and returns its report; ok is
 // false when the daemon has no durable store. Harnesses and operators use
 // it to verify storage on demand instead of waiting for the interval.
-func (s *Server) ScrubNow() (persist.ScrubReport, bool) {
-	if s.store == nil && s.tier == nil {
-		return persist.ScrubReport{}, false
+func (s *Server) ScrubNow() (ScrubReport, bool) {
+	if s.tier == nil {
+		return ScrubReport{}, false
 	}
 	return s.runScrub(), true
 }
 
-func (s *Server) runScrub() persist.ScrubReport {
+// runScrub runs one pass over the tier's segments, re-verifying every
+// block checksum under the configured bandwidth throttle.
+func (s *Server) runScrub() ScrubReport {
 	rate := s.cfg.ScrubRate
-	if rate < 0 {
-		rate = 0 // unthrottled
+	start := time.Now()
+	var scanned int64
+	throttle := func(n int) {
+		scanned += int64(n)
+		if rate <= 0 {
+			return
+		}
+		// Sleep whenever the pass is running ahead of the byte budget.
+		ahead := time.Duration(float64(scanned)/float64(rate)*float64(time.Second)) - time.Since(start)
+		if ahead > 0 {
+			time.Sleep(ahead)
+		}
 	}
-	var rep persist.ScrubReport
-	if s.tier != nil {
-		rep = s.scrubTier(rate)
-	} else {
-		rep = s.store.Scrub(rate)
-		s.metrics.scrubRecords.Add(int64(rep.SnapshotRecords + rep.WALRecords))
+	segments, quarantined, _ := s.tier.Scrub(throttle)
+	rep := ScrubReport{
+		Segments:     segments,
+		Quarantined:  quarantined,
+		BytesScanned: scanned,
+		Elapsed:      time.Since(start),
 	}
 	s.metrics.scrubRuns.Add(1)
 	if rep.Clean() {
 		return rep
 	}
-	s.metrics.scrubCorrupt.Add(int64(rep.CorruptRegions))
-	s.cfg.Logger.Error("scrub found corruption",
-		"regions", rep.CorruptRegions, "bytes", rep.CorruptBytes, "first", rep.FirstErr)
+	s.metrics.scrubCorrupt.Add(int64(quarantined))
+	s.cfg.Logger.Error("scrub quarantined corrupt segments",
+		"quarantined", quarantined, "segments", segments, "bytes_scanned", scanned)
 	if cn := s.cnode(); cn != nil && cn.ae != nil {
 		// Ask the replica layer to reconcile out of band: any record the
-		// local cache lost comes back from the Gray-neighbor standby.
+		// quarantined segment held comes back from the Gray-neighbor
+		// standby.
 		cn.ae.requestKick()
 	}
-	if s.tier == nil {
-		// The flat store repairs by rewriting itself from the live cache;
-		// a sick tier segment was already quarantined by Scrub, its keys
-		// left to recompute on touch or to anti-entropy healing.
-		s.repairStore()
-	}
 	return rep
-}
-
-// scrubTier runs one pass over the tier's segments, re-verifying every
-// block checksum under the configured bandwidth throttle, and maps the
-// outcome onto the flat store's report shape: SnapshotRecords counts the
-// segments scanned and CorruptRegions the segments quarantined.
-func (s *Server) scrubTier(rate int64) persist.ScrubReport {
-	start := time.Now()
-	var scannedBytes int64
-	throttle := func(n int) {
-		scannedBytes += int64(n)
-		if rate <= 0 {
-			return
-		}
-		// Sleep whenever the pass is running ahead of the byte budget.
-		ahead := time.Duration(float64(scannedBytes)/float64(rate)*float64(time.Second)) - time.Since(start)
-		if ahead > 0 {
-			time.Sleep(ahead)
-		}
-	}
-	scanned, quarantined, _ := s.tier.Scrub(throttle)
-	rep := persist.ScrubReport{
-		SnapshotRecords: scanned,
-		CorruptRegions:  quarantined,
-		BytesScanned:    scannedBytes,
-		Elapsed:         time.Since(start),
-	}
-	if quarantined > 0 {
-		rep.FirstErr = fmt.Errorf("tiered: %d of %d segments failed verification and were quarantined", quarantined, scanned)
-	}
-	return rep
-}
-
-// repairStore rewrites the snapshot and WAL from the live cache via the
-// normal compaction path (shared CAS keeps it single-flight with
-// WAL-growth compactions). Skipped while degraded: a store that cannot
-// take writes cannot be repaired in place.
-func (s *Server) repairStore() {
-	if s.storeDegraded.Load() {
-		return
-	}
-	if !s.compacting.CompareAndSwap(false, true) {
-		return
-	}
-	s.compactWG.Add(1)
-	go func() {
-		defer s.compactWG.Done()
-		defer s.compacting.Store(false)
-		if err := s.store.Compact(s.cache.records()); err != nil {
-			s.metrics.walErrors.Add(1)
-			s.cfg.Logger.Error("scrub repair compaction failed", "err", err)
-			return
-		}
-		s.metrics.compactions.Add(1)
-		s.metrics.scrubRepairs.Add(1)
-		s.cfg.Logger.Info("scrub repair: store rewritten from live cache")
-	}()
 }

@@ -28,7 +28,6 @@ import (
 	"runtime/debug"
 	"sort"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -40,31 +39,6 @@ import (
 	"repro/internal/pool"
 	"repro/internal/tiered"
 	"repro/internal/trace"
-)
-
-// The wire types live in the top-level api package — the stable contract
-// shared with the client. The aliases below keep every historical
-// serve.X reference compiling unchanged.
-type (
-	PlanRequest      = api.PlanRequest
-	PlanResponse     = api.PlanResponse
-	CacheOutcome     = api.CacheOutcome
-	SimulateRequest  = api.SimulateRequest
-	SimulateResponse = api.SimulateResponse
-	FaultSpec        = api.FaultSpec
-	NodeCrashSpec    = api.NodeCrashSpec
-	LinkFailureSpec  = api.LinkFailureSpec
-	DegradedInfo     = api.DegradedInfo
-	SPMDRequest      = api.SPMDRequest
-	SPMDResponse     = api.SPMDResponse
-	KernelInfo       = api.KernelInfo
-)
-
-// Cache outcome values, re-exported from api.
-const (
-	CacheHit    = api.CacheHit
-	CacheMiss   = api.CacheMiss
-	CacheShared = api.CacheShared
 )
 
 // Config tunes the daemon. The zero value gets production-ish defaults.
@@ -92,16 +66,12 @@ type Config struct {
 	MaxCubeDim     int
 	MaxBodyBytes   int64
 	MaxSourceBytes int
-	// StateDir enables the durable plan store: Recover warm-starts the
-	// cache from it and every computed plan's canonical request is
-	// appended to its WAL. Empty disables persistence.
-	StateDir string
-	// DiskCacheDir enables the tiered on-disk plan store (internal/tiered)
-	// instead of the flat snapshot+WAL store: computed plans and encoded
-	// response frames demote to indexed SSTable segments, reads that miss
-	// RAM promote back from disk without recomputing, and a warm restart
-	// replays only the WAL tail instead of the whole history. Mutually
-	// exclusive with StateDir.
+	// DiskCacheDir enables the durable plan store (internal/tiered): every
+	// computed plan's canonical request and encoded response frame is
+	// appended to its WAL and demotes to indexed SSTable segments, reads
+	// that miss RAM promote back from disk without recomputing, and
+	// Recover warm-starts from the WAL tail instead of the whole history.
+	// Empty disables persistence.
 	DiskCacheDir string
 	// DiskCacheBytes caps the tier's total segment bytes; compaction
 	// evicts oldest-generation segments past it (0 = unbounded).
@@ -115,7 +85,7 @@ type Config struct {
 	DiskMemtableBytes int64
 	// Fsync is the WAL durability policy: "always", "interval" (default),
 	// or "never"; FsyncEvery is the interval-policy flush period (default
-	// 100ms).
+	// 100ms). Under "always", concurrent writes share one write+fsync.
 	Fsync      string
 	FsyncEvery time.Duration
 	// FS overrides the filesystem the durable store runs on (nil = the
@@ -125,17 +95,10 @@ type Config struct {
 	// ScrubInterval paces the background scrubber that re-verifies the
 	// durable store's checksums at rest (default 1m, negative disables);
 	// ScrubRate throttles one pass's read bandwidth in bytes/sec (default
-	// 8 MiB/s, negative removes the throttle). No effect without StateDir.
+	// 8 MiB/s, negative removes the throttle). No effect without
+	// DiskCacheDir.
 	ScrubInterval time.Duration
 	ScrubRate     int64
-	// WALMaxBytes triggers background compaction once the WAL outgrows it
-	// (default 4 MiB).
-	WALMaxBytes int64
-	// GroupCommit coalesces concurrent fsync=always WAL appends into one
-	// write+fsync (see persist.Options.GroupCommit); GroupWindow is the
-	// accumulation window (default 1ms). No effect under other policies.
-	GroupCommit bool
-	GroupWindow time.Duration
 	// RespCacheBytes is the encoded-response cache budget (default
 	// 16 MiB). Fully-encoded /v1/plan responses are cached here so a hit
 	// is a single buffer write; 0 uses the default, negative disables.
@@ -179,9 +142,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxSourceBytes <= 0 {
 		c.MaxSourceBytes = 64 << 10
 	}
-	if c.WALMaxBytes <= 0 {
-		c.WALMaxBytes = 4 << 20
-	}
 	if c.ScrubInterval == 0 {
 		c.ScrubInterval = time.Minute
 	}
@@ -219,18 +179,12 @@ type Server struct {
 	drain   chan struct{} // closed when draining
 	mux     *http.ServeMux
 
-	// store is the durable plan store, attached by Recover (nil when
-	// persistence is disabled). It must be attached before the handler
-	// serves traffic.
-	store      *persist.Store
-	compacting atomic.Bool
-	compactWG  sync.WaitGroup
-
-	// tier is the on-disk tiered store, attached by Recover when
-	// DiskCacheDir is set (nil otherwise; never set together with store).
-	// It holds the same wire records replication uses — b|<key> canonical
-	// requests and f|<key> encoded frames — so RAM misses promote from
-	// disk instead of recomputing.
+	// tier is the durable plan store, attached by Recover when
+	// DiskCacheDir is set (nil when persistence is disabled). It must be
+	// attached before the handler serves traffic. It holds the same wire
+	// records replication uses — b|<key> canonical requests and f|<key>
+	// encoded frames — so RAM misses promote from disk instead of
+	// recomputing.
 	tier *tiered.Store
 
 	// storeDegraded latches true (exactly once, never back) when the
@@ -323,10 +277,6 @@ func (s *Server) Metrics() Snapshot {
 		s.metrics.respCacheCount.Store(int64(rn))
 	}
 	s.metrics.inflightPlans.Store(int64(s.gate.InFlight()))
-	if s.store != nil {
-		s.metrics.walBytes.Store(s.store.WALBytes())
-		s.metrics.snapshotBytes.Store(s.store.SnapshotBytes())
-	}
 	if s.tier != nil {
 		ts := s.tier.Stats()
 		s.metrics.tieredDiskHits.Store(ts.DiskHits)
@@ -521,7 +471,7 @@ func errStatus(err error) int {
 // canonicalize byte-identically.
 
 // validate applies the daemon's admission limits and option validation.
-func (s *Server) validatePlanRequest(r *PlanRequest) error {
+func (s *Server) validatePlanRequest(r *api.PlanRequest) error {
 	if r.Kernel == "" {
 		return errors.New("serve: missing kernel name")
 	}
@@ -536,7 +486,7 @@ func (s *Server) validatePlanRequest(r *PlanRequest) error {
 
 // planOptions converts the request's planning fields (cube dimension
 // excluded — base plans are cached unmapped).
-func planOptions(r *PlanRequest) loopmap.PlanOptions {
+func planOptions(r *api.PlanRequest) loopmap.PlanOptions {
 	var pi loopmap.IntVec
 	if len(r.Pi) > 0 {
 		pi = loopmap.Vec(r.Pi...)
@@ -606,11 +556,11 @@ func (s *Server) acquire(ctx context.Context) error {
 // followers see its cancellation error and may retry. This is the standard
 // singleflight trade; the alternative (detached computation) would let an
 // abandoned request burn a gate slot with nobody waiting.
-func (s *Server) basePlan(ctx context.Context, req *PlanRequest) (*loopmap.Plan, CacheOutcome, error) {
+func (s *Server) basePlan(ctx context.Context, req *api.PlanRequest) (*loopmap.Plan, api.CacheOutcome, error) {
 	key := req.Key()
 	if p, ok := s.cache.get(key); ok {
 		s.metrics.cacheHits.Add(1)
-		return p, CacheHit, nil
+		return p, api.CacheHit, nil
 	}
 	v, err, shared := s.flight.do(ctx, key, func() (any, error) {
 		// Double-check under the flight: a prior leader may have populated
@@ -655,7 +605,7 @@ func (s *Server) basePlan(ctx context.Context, req *PlanRequest) (*loopmap.Plan,
 			return nil, err
 		}
 		var payload []byte
-		if s.store != nil || s.tier != nil || s.cnode() != nil {
+		if s.tier != nil || s.cnode() != nil {
 			// Cluster mode needs the canonical payload even without a
 			// local store: it is the replication and transfer currency.
 			payload = persistPayload(req)
@@ -678,18 +628,18 @@ func (s *Server) basePlan(ctx context.Context, req *PlanRequest) (*loopmap.Plan,
 		return p, nil
 	})
 	if err != nil {
-		return nil, CacheMiss, err
+		return nil, api.CacheMiss, err
 	}
-	outcome := CacheMiss
+	outcome := api.CacheMiss
 	if shared {
 		s.metrics.singleflightShared.Add(1)
-		outcome = CacheShared
+		outcome = api.CacheShared
 	}
 	return v.(*loopmap.Plan), outcome, nil
 }
 
 // mappedPlan remaps the base plan onto the request's cube dimension.
-func (s *Server) mappedPlan(ctx context.Context, req *PlanRequest) (*loopmap.Plan, CacheOutcome, error) {
+func (s *Server) mappedPlan(ctx context.Context, req *api.PlanRequest) (*loopmap.Plan, api.CacheOutcome, error) {
 	base, outcome, err := s.basePlan(ctx, req)
 	if err != nil {
 		return nil, outcome, err
@@ -706,8 +656,8 @@ func (s *Server) mappedPlan(ctx context.Context, req *PlanRequest) (*loopmap.Pla
 // buildPlanResponse fills the invariant part of a plan response — every
 // field that is a pure function of (request, plan). Cache and Cluster
 // stay zero; writeFrame patches them per request.
-func buildPlanResponse(req *PlanRequest, p *loopmap.Plan) *PlanResponse {
-	resp := &PlanResponse{
+func buildPlanResponse(req *api.PlanRequest, p *loopmap.Plan) *api.PlanResponse {
+	resp := &api.PlanResponse{
 		Kernel:       req.Kernel,
 		Size:         req.Size,
 		Pi:           p.Schedule.Pi,
@@ -738,7 +688,7 @@ func buildPlanResponse(req *PlanRequest, p *loopmap.Plan) *PlanResponse {
 // invariant response → JSON bytes → frame. Every /v1/plan and batched
 // plan item goes through here exactly once per distinct (key, cube,
 // exclusive) while the frame stays cached.
-func encodePlanFrame(req *PlanRequest, p *loopmap.Plan) (*respFrame, error) {
+func encodePlanFrame(req *api.PlanRequest, p *loopmap.Plan) (*respFrame, error) {
 	buf := getBuf()
 	defer putBuf(buf)
 	enc := json.NewEncoder(buf)
@@ -752,20 +702,20 @@ func encodePlanFrame(req *PlanRequest, p *loopmap.Plan) (*respFrame, error) {
 // planFrame returns the encoded frame for a request: response-cache hit,
 // or plan pipeline + one encode on miss. The returned CacheOutcome is
 // what the patched-in "cache" field should report.
-func (s *Server) planFrame(ctx context.Context, req *PlanRequest) (*respFrame, CacheOutcome, bool, error) {
+func (s *Server) planFrame(ctx context.Context, req *api.PlanRequest) (*respFrame, api.CacheOutcome, bool, error) {
 	ekey := req.ResponseKey()
 	if s.resp != nil {
 		if f, ok := s.resp.get(ekey); ok {
 			s.metrics.encodedHits.Add(1)
 			s.metrics.cacheHits.Add(1)
-			return f, CacheHit, true, nil
+			return f, api.CacheHit, true, nil
 		}
 	}
 	// Disk tier: a frame evicted from RAM but still segment-resident is
 	// re-sliced and promoted back into the encoded cache — the whole
 	// pipeline (plan, remap, encode) is skipped.
 	if f, ok := s.tierFrame(ekey); ok {
-		return f, CacheHit, true, nil
+		return f, api.CacheHit, true, nil
 	}
 	p, outcome, err := s.mappedPlan(ctx, req)
 	if err != nil {
@@ -827,7 +777,7 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	body := bodyBuf.Bytes()
-	var req PlanRequest
+	var req api.PlanRequest
 	if err := decodeJSONBytes(body, &req); err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
@@ -850,7 +800,7 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 			if s.cnode() != nil {
 				hitKey = string(kb[:baseLen])
 			}
-			s.writeFrame(w, r, f, CacheHit, hitKey, true)
+			s.writeFrame(w, r, f, api.CacheHit, hitKey, true)
 			return
 		}
 	}
@@ -876,7 +826,7 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 // --- /v1/simulate ---
 
 // faultSchedule converts the JSON spec to the library's fault schedule.
-func faultSchedule(f *FaultSpec) *loopmap.FaultSchedule {
+func faultSchedule(f *api.FaultSpec) *loopmap.FaultSchedule {
 	if f == nil {
 		return nil
 	}
@@ -901,7 +851,7 @@ func faultSchedule(f *FaultSpec) *loopmap.FaultSchedule {
 
 // simParams resolves the request's machine-parameter preset and
 // overrides.
-func simParams(r *SimulateRequest) (machine.Params, error) {
+func simParams(r *api.SimulateRequest) (machine.Params, error) {
 	var p machine.Params
 	switch r.Era {
 	case "", "1991":
@@ -929,7 +879,7 @@ func simParams(r *SimulateRequest) (machine.Params, error) {
 }
 
 // simEngine resolves the request's engine selector.
-func simEngine(r *SimulateRequest) (loopmap.SimEngine, error) {
+func simEngine(r *api.SimulateRequest) (loopmap.SimEngine, error) {
 	switch r.Engine {
 	case "", "block":
 		return loopmap.EngineBlock, nil
@@ -946,7 +896,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("serve: reading body: %w", err))
 		return
 	}
-	var req SimulateRequest
+	var req api.SimulateRequest
 	if err := decodeJSONBytes(body, &req); err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
@@ -993,15 +943,15 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 // simulate request against its mapped plan: degraded remap, the engine
 // run, the optional sequential baseline, and the optional trace. Cache
 // and Cluster are left for the caller.
-func runSimulate(ctx context.Context, req *SimulateRequest, p *loopmap.Plan, params machine.Params, engine loopmap.SimEngine) (*SimulateResponse, error) {
-	var degraded *DegradedInfo
+func runSimulate(ctx context.Context, req *api.SimulateRequest, p *loopmap.Plan, params machine.Params, engine loopmap.SimEngine) (*api.SimulateResponse, error) {
+	var degraded *api.DegradedInfo
 	if len(req.FailedNodes) > 0 {
 		dp, dstats, err := p.RemapDegraded(req.FailedNodes)
 		if err != nil {
 			return nil, err
 		}
 		p = dp
-		degraded = &DegradedInfo{
+		degraded = &api.DegradedInfo{
 			FailedNodes:       dstats.FailedNodes,
 			MigratedBlocks:    dstats.MigratedBlocks,
 			MaxMigrationHops:  dstats.MaxMigrationHops,
@@ -1020,7 +970,7 @@ func runSimulate(ctx context.Context, req *SimulateRequest, p *loopmap.Plan, par
 	if err != nil {
 		return nil, err
 	}
-	resp := &SimulateResponse{
+	resp := &api.SimulateResponse{
 		Makespan:       stats.Makespan,
 		Messages:       stats.Messages,
 		Words:          stats.Words,
@@ -1056,7 +1006,7 @@ func runSimulate(ctx context.Context, req *SimulateRequest, p *loopmap.Plan, par
 // --- /v1/spmd ---
 
 func (s *Server) handleSPMD(w http.ResponseWriter, r *http.Request) {
-	var req SPMDRequest
+	var req api.SPMDRequest
 	if err := decodeJSON(r, &req); err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
@@ -1108,7 +1058,7 @@ func (s *Server) handleSPMD(w http.ResponseWriter, r *http.Request) {
 		writeError(w, code, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, SPMDResponse{Source: src})
+	writeJSON(w, http.StatusOK, api.SPMDResponse{Source: src})
 }
 
 // --- /v1/kernels ---
@@ -1116,13 +1066,13 @@ func (s *Server) handleSPMD(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleKernels(w http.ResponseWriter, r *http.Request) {
 	names := loopmap.KernelNames()
 	sort.Strings(names)
-	out := make([]KernelInfo, 0, len(names))
+	out := make([]api.KernelInfo, 0, len(names))
 	for _, n := range names {
 		k, err := loopmap.LookupKernel(n, 4)
 		if err != nil {
 			continue
 		}
-		out = append(out, KernelInfo{Name: n, Dims: k.Nest.Dims, Deps: len(k.Deps), Pi: k.Pi})
+		out = append(out, api.KernelInfo{Name: n, Dims: k.Nest.Dims, Deps: len(k.Deps), Pi: k.Pi})
 	}
 	writeJSON(w, http.StatusOK, out)
 }

@@ -11,6 +11,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/api"
 )
 
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
@@ -35,13 +37,13 @@ func postJSON(t *testing.T, url, body string) (*http.Response, []byte) {
 	return resp, out
 }
 
-func planBody(t *testing.T, url, body string) PlanResponse {
+func planBody(t *testing.T, url, body string) api.PlanResponse {
 	t.Helper()
 	resp, out := postJSON(t, url, body)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("POST %s: %s: %s", url, resp.Status, out)
 	}
-	var pr PlanResponse
+	var pr api.PlanResponse
 	if err := json.Unmarshal(out, &pr); err != nil {
 		t.Fatalf("decode: %v: %s", err, out)
 	}
@@ -53,16 +55,16 @@ func TestPlanMissThenHit(t *testing.T) {
 	body := `{"kernel": "l1", "size": 8, "cube_dim": 3}`
 
 	first := planBody(t, ts.URL+"/v1/plan", body)
-	if first.Cache != CacheMiss {
-		t.Fatalf("first request cache = %q, want %q", first.Cache, CacheMiss)
+	if first.Cache != api.CacheMiss {
+		t.Fatalf("first request cache = %q, want %q", first.Cache, api.CacheMiss)
 	}
 	if first.Blocks != 9 || first.Procs != 8 {
 		t.Fatalf("l1 size 8 on 3-cube: blocks=%d procs=%d, want 9 and 8", first.Blocks, first.Procs)
 	}
 
 	second := planBody(t, ts.URL+"/v1/plan", body)
-	if second.Cache != CacheHit {
-		t.Fatalf("second request cache = %q, want %q", second.Cache, CacheHit)
+	if second.Cache != api.CacheHit {
+		t.Fatalf("second request cache = %q, want %q", second.Cache, api.CacheHit)
 	}
 	if second.Summary != first.Summary {
 		t.Fatalf("cached plan differs:\n%s\nvs\n%s", second.Summary, first.Summary)
@@ -83,9 +85,9 @@ func TestPlanCubeDimSharesBasePlan(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	for i, dim := range []int{3, 1, 5, 0} {
 		pr := planBody(t, ts.URL+"/v1/plan", fmt.Sprintf(`{"kernel": "l1", "size": 8, "cube_dim": %d}`, dim))
-		want := CacheHit
+		want := api.CacheHit
 		if i == 0 {
-			want = CacheMiss
+			want = api.CacheMiss
 		}
 		if pr.Cache != want {
 			t.Fatalf("dim %d: cache = %q, want %q", dim, pr.Cache, want)
@@ -146,14 +148,14 @@ func TestCacheEviction(t *testing.T) {
 	a := `{"kernel": "l1", "size": 6, "cube_dim": 2}`
 	b := `{"kernel": "l1", "size": 7, "cube_dim": 2}`
 
-	if pr := planBody(t, ts.URL+"/v1/plan", a); pr.Cache != CacheMiss {
+	if pr := planBody(t, ts.URL+"/v1/plan", a); pr.Cache != api.CacheMiss {
 		t.Fatalf("first a: %q", pr.Cache)
 	}
-	if pr := planBody(t, ts.URL+"/v1/plan", b); pr.Cache != CacheMiss {
+	if pr := planBody(t, ts.URL+"/v1/plan", b); pr.Cache != api.CacheMiss {
 		t.Fatalf("first b: %q", pr.Cache)
 	}
-	if pr := planBody(t, ts.URL+"/v1/plan", a); pr.Cache != CacheMiss {
-		t.Fatalf("second a after eviction: %q, want %q", pr.Cache, CacheMiss)
+	if pr := planBody(t, ts.URL+"/v1/plan", a); pr.Cache != api.CacheMiss {
+		t.Fatalf("second a after eviction: %q, want %q", pr.Cache, api.CacheMiss)
 	}
 	m := s.Metrics()
 	if m.CacheEvictions < 2 {
@@ -222,7 +224,7 @@ func TestExclusiveMappingCubeTooSmall(t *testing.T) {
 
 func TestSimulateEnginesAgree(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	var got [2]SimulateResponse
+	var got [2]api.SimulateResponse
 	for i, engine := range []string{"point", "block"} {
 		resp, out := postJSON(t, ts.URL+"/v1/simulate",
 			fmt.Sprintf(`{"kernel": "l1", "size": 8, "cube_dim": 3, "era": "unit", "engine": %q, "sequential": true}`, engine))
@@ -248,7 +250,7 @@ func TestSimulateTrace(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("%s: %s", resp.Status, out)
 	}
-	var sr SimulateResponse
+	var sr api.SimulateResponse
 	if err := json.Unmarshal(out, &sr); err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +266,7 @@ func TestSimulateTrace(t *testing.T) {
 
 func TestSPMDEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	req, _ := json.Marshal(SPMDRequest{
+	req, _ := json.Marshal(api.SPMDRequest{
 		Name:   "l1",
 		Source: "for i = 0 to 7\nfor j = 0 to 7\n{\n  A[i+1, j+1] = A[i+1, j] + B[i, j]\n  B[i+1, j] = A[i, j] * 2 + C\n}\n",
 	})
@@ -272,7 +274,7 @@ func TestSPMDEndpoint(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("%s: %s", resp.Status, out)
 	}
-	var sr SPMDResponse
+	var sr api.SPMDResponse
 	if err := json.Unmarshal(out, &sr); err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +296,7 @@ func TestKernelsEndpoint(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("%s: %s", resp.Status, out)
 	}
-	var ks []KernelInfo
+	var ks []api.KernelInfo
 	if err := json.Unmarshal(out, &ks); err != nil {
 		t.Fatal(err)
 	}

@@ -1,35 +1,13 @@
 package serve
 
 import (
-	"context"
 	"fmt"
-	"net/http/httptest"
 	"reflect"
 	"testing"
 
 	loopmap "repro"
+	"repro/api"
 )
-
-// newTieredServer builds a Server backed by the tiered disk cache on dir
-// and warm-starts it.
-func newTieredServer(t *testing.T, dir string, mutate func(*Config)) (*Server, *httptest.Server, RecoveryStats) {
-	t.Helper()
-	cfg := Config{DiskCacheDir: dir, Fsync: "always", ScrubInterval: -1}
-	if mutate != nil {
-		mutate(&cfg)
-	}
-	s := New(cfg)
-	rs, err := s.Recover(context.Background())
-	if err != nil {
-		t.Fatalf("Recover: %v", err)
-	}
-	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(func() {
-		ts.Close()
-		s.Close()
-	})
-	return s, ts, rs
-}
 
 // TestTieredRoundTripEveryKernel is the equivalence suite: for every
 // built-in kernel, a plan computed fresh, flushed to disk segments,
@@ -43,15 +21,15 @@ func TestTieredRoundTripEveryKernel(t *testing.T) {
 		t.Fatal("no built-in kernels")
 	}
 
-	s1, ts1, rs := newTieredServer(t, dir, nil)
+	s1, ts1, rs := newPersistentServer(t, dir, nil)
 	if rs.Recovered != 0 || rs.WALRecords != 0 {
 		t.Fatalf("fresh disk cache recovered %d plans, %d WAL records", rs.Recovered, rs.WALRecords)
 	}
-	fresh := make(map[string]PlanResponse, len(kernels))
+	fresh := make(map[string]api.PlanResponse, len(kernels))
 	for _, k := range kernels {
 		body := fmt.Sprintf(`{"kernel": %q, "size": 8, "cube_dim": 3}`, k)
 		pr := planBody(t, ts1.URL+"/v1/plan", body)
-		if pr.Cache != CacheMiss {
+		if pr.Cache != api.CacheMiss {
 			t.Fatalf("first run of %s: cache %q, want miss", k, pr.Cache)
 		}
 		fresh[k] = pr
@@ -66,18 +44,18 @@ func TestTieredRoundTripEveryKernel(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s2, ts2, rs := newTieredServer(t, dir, nil)
+	s2, ts2, rs := newPersistentServer(t, dir, nil)
 	if rs.WALRecords != 0 {
 		t.Fatalf("restart replayed %d WAL records after an explicit flush — startup is not O(tail)", rs.WALRecords)
 	}
 	for _, k := range kernels {
 		body := fmt.Sprintf(`{"kernel": %q, "size": 8, "cube_dim": 3}`, k)
 		pr := planBody(t, ts2.URL+"/v1/plan", body)
-		if pr.Cache != CacheHit {
+		if pr.Cache != api.CacheHit {
 			t.Fatalf("post-restart %s: cache %q, want hit", k, pr.Cache)
 		}
 		want := fresh[k]
-		want.Cache = CacheHit
+		want.Cache = api.CacheHit
 		if !reflect.DeepEqual(pr, want) {
 			t.Fatalf("post-restart %s differs from fresh computation:\n got %+v\nwant %+v", k, pr, want)
 		}
@@ -101,17 +79,17 @@ func TestTieredDiskHitPromotion(t *testing.T) {
 	dir := t.TempDir()
 	// A 1-byte encoded-cache budget evicts every frame immediately, so
 	// the second request cannot be a RAM hit.
-	s, ts, _ := newTieredServer(t, dir, func(c *Config) { c.RespCacheBytes = 1 })
+	s, ts, _ := newPersistentServer(t, dir, func(c *Config) { c.RespCacheBytes = 1 })
 
 	body := `{"kernel": "matvec", "size": 10, "cube_dim": 2}`
-	if pr := planBody(t, ts.URL+"/v1/plan", body); pr.Cache != CacheMiss {
+	if pr := planBody(t, ts.URL+"/v1/plan", body); pr.Cache != api.CacheMiss {
 		t.Fatalf("first request: cache %q, want miss", pr.Cache)
 	}
 	// A second key pushes the first frame out of the (1-byte) encoded
 	// cache, so the re-touch below has to come off the tier.
 	planBody(t, ts.URL+"/v1/plan", `{"kernel": "l1", "size": 8, "cube_dim": 3}`)
 	pre := s.Metrics()
-	if pr := planBody(t, ts.URL+"/v1/plan", body); pr.Cache != CacheHit {
+	if pr := planBody(t, ts.URL+"/v1/plan", body); pr.Cache != api.CacheHit {
 		t.Fatalf("second request: cache %q, want hit", pr.Cache)
 	}
 	post := s.Metrics()
@@ -124,52 +102,29 @@ func TestTieredDiskHitPromotion(t *testing.T) {
 }
 
 // TestRecoveryRejectedCounter proves records dropped by current
-// admission limits during warm restart are counted, not silently lost —
-// on both the legacy snapshot+WAL path and the tiered path.
+// admission limits during warm restart are counted, not silently lost.
+// The subtest names the durable store the restart recovers from.
 func TestRecoveryRejectedCounter(t *testing.T) {
-	for _, tc := range []struct {
-		name   string
-		mutate func(dir string, c *Config)
-	}{
-		{"legacy", func(dir string, c *Config) { c.StateDir = dir; c.DiskCacheDir = "" }},
-		{"tiered", func(dir string, c *Config) {}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			dir := t.TempDir()
-			s1, ts1, _ := newTieredServer(t, dir, func(c *Config) {
-				c.MaxKernelSize = 128
-				tc.mutate(dir, c)
-			})
-			// One record each side of the tightened limit below.
-			planBody(t, ts1.URL+"/v1/plan", `{"kernel": "l1", "size": 64, "cube_dim": 3}`)
-			planBody(t, ts1.URL+"/v1/plan", `{"kernel": "l1", "size": 8, "cube_dim": 3}`)
-			ts1.Close()
-			if err := s1.Close(); err != nil {
-				t.Fatal(err)
-			}
+	t.Run("tiered", func(t *testing.T) {
+		dir := t.TempDir()
+		s1, ts1, _ := newPersistentServer(t, dir, func(c *Config) { c.MaxKernelSize = 128 })
+		// One record each side of the tightened limit below.
+		planBody(t, ts1.URL+"/v1/plan", `{"kernel": "l1", "size": 64, "cube_dim": 3}`)
+		planBody(t, ts1.URL+"/v1/plan", `{"kernel": "l1", "size": 8, "cube_dim": 3}`)
+		ts1.Close()
+		if err := s1.Close(); err != nil {
+			t.Fatal(err)
+		}
 
-			s2, _, rs := newTieredServer(t, dir, func(c *Config) {
-				c.MaxKernelSize = 16
-				tc.mutate(dir, c)
-			})
-			if rs.Rejected != 1 {
-				t.Fatalf("RecoveryStats.Rejected = %d, want 1", rs.Rejected)
-			}
-			if rs.Recovered != 1 {
-				t.Fatalf("RecoveryStats.Recovered = %d, want 1", rs.Recovered)
-			}
-			if got := s2.Metrics().RecoveryRejected; got != 1 {
-				t.Fatalf("loopmapd_recovery_rejected_total = %d, want 1", got)
-			}
-		})
-	}
-}
-
-// TestTieredStateDirExclusive pins the config contract: the legacy flat
-// store and the tiered store cannot back the same server.
-func TestTieredStateDirExclusive(t *testing.T) {
-	s := New(Config{StateDir: t.TempDir(), DiskCacheDir: t.TempDir()})
-	if _, err := s.Recover(context.Background()); err == nil {
-		t.Fatal("Recover accepted StateDir and DiskCacheDir together")
-	}
+		s2, _, rs := newPersistentServer(t, dir, func(c *Config) { c.MaxKernelSize = 16 })
+		if rs.Rejected != 1 {
+			t.Fatalf("RecoveryStats.Rejected = %d, want 1", rs.Rejected)
+		}
+		if rs.Recovered != 1 {
+			t.Fatalf("RecoveryStats.Recovered = %d, want 1", rs.Recovered)
+		}
+		if got := s2.Metrics().RecoveryRejected; got != 1 {
+			t.Fatalf("loopmapd_recovery_rejected_total = %d, want 1", got)
+		}
+	})
 }

@@ -13,14 +13,18 @@
 // wal-*.log files — which flushing retires promptly — instead of its
 // whole history.
 //
+// Under FsyncAlways, concurrent Puts share one write+fsync through a
+// windowless group commit (see Put), so a Put that returns nil is
+// durable without every writer paying its own fsync.
+//
 // The tier is a cache with durability, not a database: when the disk
 // budget is exceeded, compaction evicts whole segments (coarse,
 // write-recency-ordered — see compact), and the owner recomputes any
 // key that was dropped. Every write-path failure latches a sticky
-// degraded read-only state whose errors wrap persist.ErrDegraded, so
-// the serving layer's PR-9 read-only handling applies unchanged. All
-// file I/O goes through persist.FS, which keeps the diskchaos fault
-// matrix in play for every path here.
+// degraded read-only state whose errors wrap persist.ErrDegraded, which
+// the serving layer turns into read-only serving. All file I/O goes
+// through persist.FS, which keeps the diskchaos fault matrix in play for
+// every path here.
 package tiered
 
 import (
@@ -58,6 +62,10 @@ type Config struct {
 	// OnDegrade, if set, fires exactly once when the store latches
 	// degraded, outside the store's locks.
 	OnDegrade func(cause error)
+	// OnCommit, if set, observes how many Puts each FsyncAlways
+	// group commit wrote with its one write+fsync. Called outside the
+	// store's locks by the committing Put.
+	OnCommit func(records int)
 }
 
 func (c Config) withDefaults() Config {
@@ -93,6 +101,12 @@ type Stats struct {
 	Bytes    int64 // total segment bytes on disk
 	Keys     int64 // entries across segments (counts duplicates) + memtable
 	WALBytes int64 // active WAL tail size
+
+	// Recovery report from Open: the torn or corrupt WAL tail bytes
+	// replay dropped, and what stopped the first damaged replay (nil when
+	// every WAL was intact). Informational: Open never fails on either.
+	DroppedTailBytes int64
+	TailErr          error
 }
 
 // Store is the tiered disk cache. Safe for concurrent use.
@@ -112,6 +126,18 @@ type Store struct {
 	oldWALs  []uint64 // replayed-but-unflushed WAL seqs, retired by flush
 	flushing bool
 	closed   bool
+
+	// FsyncAlways group commit (see Put). queue holds the Puts waiting
+	// for the next commit; committing is true while some Put leads (or
+	// has been handed the lead), writing while that leader holds the WAL
+	// handle outside mu. commitIdle is signalled when either clears.
+	queue      []*pending
+	committing bool
+	writing    bool
+	commitIdle *sync.Cond
+
+	droppedTail int64 // Stats.DroppedTailBytes
+	tailErr     error // Stats.TailErr
 
 	degraded     error // latched first write failure (nil = healthy)
 	degradeFired bool
@@ -156,6 +182,7 @@ func Open(cfg Config) (*Store, []persist.Record, error) {
 		mem: make(map[string][]byte),
 		man: man,
 	}
+	s.commitIdle = sync.NewCond(&s.mu)
 
 	// Open live segments; one that fails its structural checks is
 	// quarantined on the spot (the cache recomputes; anti-entropy heals).
@@ -200,8 +227,12 @@ func Open(cfg Config) (*Store, []persist.Record, error) {
 	pos := make(map[string]int)
 	for _, seq := range walSeqs {
 		path := filepath.Join(cfg.Dir, walName(seq))
-		recs, goodOff, _, tailErr := persist.ReplayLog(fsys, path)
+		recs, goodOff, dropped, tailErr := persist.ReplayLog(fsys, path)
+		s.droppedTail += dropped
 		if tailErr != nil {
+			if s.tailErr == nil {
+				s.tailErr = tailErr
+			}
 			// Torn tail (the crash's final partial frame): truncate the
 			// file to its last good record, same repair the WAL makes.
 			if f, err := fsys.OpenFile(path, os.O_WRONLY, 0o644); err == nil {
@@ -331,47 +362,168 @@ func (s *Store) Degraded() error {
 	return s.degraded
 }
 
+// pending is one FsyncAlways Put waiting for its group commit.
+type pending struct {
+	key   string
+	value []byte
+	frame []byte
+	err   error
+	lead  bool          // handed the lead instead of an outcome
+	done  chan struct{} // closed once err is final, or lead is set
+}
+
 // Put appends one record to the WAL and memtable. The value is copied.
 // Once a Put returns nil under FsyncAlways the record survives a crash.
+//
+// Under FsyncAlways, concurrent Puts share fsyncs (LevelDB's writer
+// queue): each Put enqueues its frame, and the first one to find no
+// commit running becomes the leader. The leader takes the whole queue,
+// writes it with one write and one fsync outside mu, applies it to the
+// memtable only after the sync succeeds and wakes its waiters. If more
+// Puts queued meanwhile, it hands the lead to the front one and
+// returns, so no Put commits more than one group. There is no gather
+// window: a lone writer pays exactly one write and one fsync, and a
+// group is never larger than the number of writers blocked behind the
+// previous commit.
 func (s *Store) Put(key string, value []byte) error {
+	frame := persist.EncodeFrame(persist.Record{Key: key, Value: value})
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return fmt.Errorf("tiered: store closed")
-	}
-	if s.degraded != nil {
-		err := s.degraded
+	if err := s.writableLocked(); err != nil {
 		s.mu.Unlock()
 		return err
 	}
-	frame := persist.EncodeFrame(persist.Record{Key: key, Value: value})
+	if s.cfg.Fsync == persist.FsyncAlways {
+		return s.commitLocked(&pending{key: key, value: value, frame: frame, done: make(chan struct{})})
+	}
 	if _, err := s.wal.Write(frame); err != nil {
 		s.latchLocked(err)
 		err = s.degraded
 		s.mu.Unlock()
 		return err
 	}
-	if s.cfg.Fsync == persist.FsyncAlways {
-		if err := s.wal.Sync(); err != nil {
-			s.latchLocked(err)
-			err = s.degraded
-			s.mu.Unlock()
-			return err
-		}
-	}
 	s.walBytes += int64(len(frame))
+	s.applyLocked(key, value)
+	s.flushOrUnlock()
+	return nil
+}
+
+// writableLocked refuses a Put on a closed or latched store.
+func (s *Store) writableLocked() error {
+	if s.closed {
+		return fmt.Errorf("tiered: store closed")
+	}
+	return s.degraded
+}
+
+// applyLocked copies one acknowledged record into the memtable.
+func (s *Store) applyLocked(key string, value []byte) {
 	val := append([]byte(nil), value...)
 	if old, ok := s.mem[key]; ok {
 		s.memBytes -= int64(len(key) + len(old))
 	}
 	s.mem[key] = val
 	s.memBytes += int64(len(key) + len(val))
+}
+
+// flushOrUnlock releases mu, first starting a flush if the memtable has
+// outgrown its budget.
+func (s *Store) flushOrUnlock() {
 	if s.memBytes >= s.cfg.MemtableBytes {
-		s.maybeFlushLocked()
-		return nil // maybeFlushLocked released mu
+		s.maybeFlushLocked() // releases mu
+		return
 	}
 	s.mu.Unlock()
-	return nil
+}
+
+// commitLocked enqueues p and blocks until its group is on stable
+// storage (or failed), leading the commit if no other Put is or if the
+// previous leader hands it the lead. Called with mu held; releases it.
+func (s *Store) commitLocked(p *pending) error {
+	s.queue = append(s.queue, p)
+	if s.committing {
+		s.mu.Unlock()
+		<-p.done
+		if !p.lead {
+			return p.err
+		}
+		s.mu.Lock()
+	}
+	p.lead = true
+	s.committing = true
+	group := s.queue
+	s.queue = nil
+	if s.degraded != nil {
+		// A flush or compaction latched the store meanwhile.
+		finishGroup(group, s.degraded)
+	} else {
+		s.writeGroupLocked(group)
+	}
+	if len(s.queue) > 0 {
+		next := s.queue[0]
+		next.lead = true
+		close(next.done)
+	} else {
+		s.committing = false
+	}
+	s.commitIdle.Broadcast()
+	// Each leader checks the memtable budget while it owns the WAL, as
+	// LevelDB's MakeRoomForWrite does, so rotation keeps up under load.
+	s.flushOrUnlock()
+	return p.err
+}
+
+// writeGroupLocked writes group with one write and one fsync outside mu,
+// then applies it to the memtable. Called with mu held; holds it again
+// on return.
+func (s *Store) writeGroupLocked(group []*pending) {
+	wal := s.wal
+	s.writing = true
+	s.mu.Unlock()
+
+	buf := group[0].frame
+	if len(group) > 1 {
+		var n int
+		for _, q := range group {
+			n += len(q.frame)
+		}
+		buf = make([]byte, 0, n)
+		for _, q := range group {
+			buf = append(buf, q.frame...)
+		}
+	}
+	n, err := wal.Write(buf)
+	if err == nil {
+		err = wal.Sync()
+	}
+	if s.cfg.OnCommit != nil {
+		s.cfg.OnCommit(len(group))
+	}
+
+	s.mu.Lock()
+	s.writing = false
+	s.walBytes += int64(n)
+	if err != nil {
+		// Nothing in a failed group is acked: after a failed fsync the
+		// kernel may have dropped its pages.
+		s.latchLocked(err)
+		finishGroup(group, s.degraded)
+		return
+	}
+	for _, q := range group {
+		s.applyLocked(q.key, q.value)
+	}
+	finishGroup(group, nil)
+}
+
+// finishGroup hands every Put in a committed group its outcome. The
+// leader, already awake, just reads its own.
+func finishGroup(group []*pending, err error) {
+	for _, q := range group {
+		q.err = err
+		if !q.lead {
+			close(q.done)
+		}
+	}
 }
 
 // maybeFlushLocked freezes the memtable and flushes it to an L0
@@ -379,7 +531,10 @@ func (s *Store) Put(key string, value []byte) error {
 // rotation happens under the lock (cheap); the segment write does not,
 // so concurrent Puts keep landing in the fresh memtable.
 func (s *Store) maybeFlushLocked() {
-	if s.flushing || s.frozen != nil || len(s.mem) == 0 || s.degraded != nil {
+	// A group commit writing the active WAL handle outside mu holds off
+	// rotation; its leader re-checks the threshold when it is done. A
+	// closing store leaves its memtable to WAL replay.
+	if s.writing || s.closed || s.flushing || s.frozen != nil || len(s.mem) == 0 || s.degraded != nil {
 		s.mu.Unlock()
 		return
 	}
@@ -504,6 +659,9 @@ func (s *Store) doFlush(segSeq uint64, retire []uint64) {
 // Flush forces the memtable to disk (tests and shutdown hooks).
 func (s *Store) Flush() error {
 	s.mu.Lock()
+	for s.writing {
+		s.commitIdle.Wait()
+	}
 	if len(s.mem) == 0 || s.flushing || s.frozen != nil {
 		err := s.degraded
 		s.mu.Unlock()
@@ -977,6 +1135,9 @@ func (s *Store) Stats() Stats {
 		Bytes:    s.diskBytesLocked(),
 		WALBytes: s.walBytes,
 		Keys:     int64(len(s.mem)),
+
+		DroppedTailBytes: s.droppedTail,
+		TailErr:          s.tailErr,
 	}
 	if s.frozen != nil {
 		st.Keys += int64(len(s.frozen))
@@ -1009,6 +1170,11 @@ func (s *Store) Close() error {
 		return nil
 	}
 	s.closed = true
+	// Queued Puts were admitted before the close: let the leader commit
+	// them before the WAL is synced and closed under it.
+	for s.committing {
+		s.commitIdle.Wait()
+	}
 	var err error
 	if s.wal != nil && s.degraded == nil {
 		if serr := s.wal.Sync(); serr != nil {

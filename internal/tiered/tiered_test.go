@@ -209,7 +209,8 @@ func TestBudgetEviction(t *testing.T) {
 }
 
 // TestTornTailRepair: garbage appended to the WAL (a crash's partial
-// frame) is truncated away on reopen and every intact record survives.
+// frame) is truncated away on reopen, every intact record survives, and
+// Stats reports the dropped bytes and why.
 func TestTornTailRepair(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := openTest(t, dir, nil)
@@ -237,7 +238,8 @@ func TestTornTailRepair(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Write([]byte{42, 0, 0, 0, 99, 99}); err != nil {
+	torn := []byte{42, 0, 0, 0, 99, 99}
+	if _, err := f.Write(torn); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
@@ -246,6 +248,9 @@ func TestTornTailRepair(t *testing.T) {
 	defer s2.Close()
 	if len(recs) != 3 {
 		t.Fatalf("replayed %d records after torn tail, want 3", len(recs))
+	}
+	if st := s2.Stats(); st.DroppedTailBytes != int64(len(torn)) || st.TailErr == nil {
+		t.Fatalf("torn tail reported as %d bytes, err %v; want %d bytes and an error", st.DroppedTailBytes, st.TailErr, len(torn))
 	}
 }
 
