@@ -489,52 +489,62 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	b.ReportMetric(float64(len(plan.Structure.V)), "vertices")
 }
 
-// BenchmarkVertexIndex compares the stride-based dense vertex index against
-// the string-keyed map it replaced, resolving every vertex and one neighbor
-// probe per vertex (the partitioner's and simulator's access pattern).
+// BenchmarkVertexIndex compares the dense vertex indexes against the
+// string-keyed map they replaced, resolving every vertex and one neighbor
+// probe per vertex (the partitioner's and simulator's access pattern):
+// the stride index on matmul (rectangular) and the row-offset index on
+// triangular.
 func BenchmarkVertexIndex(b *testing.B) {
-	k := NewKernel("matmul", 24) // 13824 vertices, rectangular
-	st, err := k.Structure()
-	if err != nil {
-		b.Fatal(err)
-	}
-	d := st.D[0]
-	b.Run("dense", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			sum := 0
-			for vi, p := range st.V {
-				sum += st.VertexIndex(p) + st.NeighborIndex(vi, d)
-			}
-			if sum == 0 {
-				b.Fatal("index lookups degenerated")
-			}
+	for _, c := range []struct {
+		name   string
+		kernel string
+		size   int64
+	}{
+		{"", "matmul", 24},                 // 13824 vertices
+		{"triangular-", "triangular", 166}, // 13861 vertices
+	} {
+		st, err := NewKernel(c.kernel, c.size).Structure()
+		if err != nil {
+			b.Fatal(err)
 		}
-		b.ReportMetric(float64(2*len(st.V)), "lookups/op")
-	})
-	b.Run("map", func(b *testing.B) {
-		b.ReportAllocs()
-		m := make(map[string]int, len(st.V))
-		for i, p := range st.V {
-			m[p.Key()] = i
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			sum := 0
-			for _, p := range st.V {
-				vi := m[p.Key()]
-				ni, ok := m[p.Add(d).Key()]
-				if !ok {
-					ni = -1
+		d := st.D[0]
+		b.Run(c.name+"dense", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sum := 0
+				for vi, p := range st.V {
+					sum += st.VertexIndex(p) + st.NeighborIndex(vi, d)
 				}
-				sum += vi + ni
+				if sum == 0 {
+					b.Fatal("index lookups degenerated")
+				}
 			}
-			if sum == 0 {
-				b.Fatal("index lookups degenerated")
+			b.ReportMetric(float64(2*len(st.V)), "lookups/op")
+		})
+		b.Run(c.name+"map", func(b *testing.B) {
+			b.ReportAllocs()
+			m := make(map[string]int, len(st.V))
+			for i, p := range st.V {
+				m[p.Key()] = i
 			}
-		}
-		b.ReportMetric(float64(2*len(st.V)), "lookups/op")
-	})
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sum := 0
+				for _, p := range st.V {
+					vi := m[p.Key()]
+					ni, ok := m[p.Add(d).Key()]
+					if !ok {
+						ni = -1
+					}
+					sum += vi + ni
+				}
+				if sum == 0 {
+					b.Fatal("index lookups degenerated")
+				}
+			}
+			b.ReportMetric(float64(2*len(st.V)), "lookups/op")
+		})
+	}
 }
 
 // BenchmarkSimulateBlockLevel compares the two simulation engines on the
@@ -594,6 +604,8 @@ func BenchmarkSweepFanOut(b *testing.B) {
 // miss runs it: one op is NewPlanCtx over a fixed grid of kernel × size ×
 // merge factor (2-D kernels at size 32, 3-D kernels at size 12, merge 1
 // and 3, mapped onto a 3-cube). ms/plan is the mean over the grid's plans.
+// The plan+summary case also renders Plan.Summary, the costliest part of
+// building a plan response.
 func BenchmarkPlanMissGrid(b *testing.B) {
 	type key struct {
 		kernel string
@@ -608,19 +620,30 @@ func BenchmarkPlanMissGrid(b *testing.B) {
 	}
 	merges := []int64{1, 3}
 	ctx := context.Background()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, g := range grid {
-			k := NewKernel(g.kernel, g.size)
-			for _, m := range merges {
-				opt := PlanOptions{CubeDim: 3, Partition: PartitionOptions{MergeFactor: m}}
-				if _, err := NewPlanCtx(ctx, k, opt); err != nil {
-					b.Fatalf("%s/%d merge %d: %v", g.kernel, g.size, m, err)
+	for _, summary := range []bool{false, true} {
+		name := "plan"
+		if summary {
+			name = "plan+summary"
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, g := range grid {
+					k := NewKernel(g.kernel, g.size)
+					for _, m := range merges {
+						opt := PlanOptions{CubeDim: 3, Partition: PartitionOptions{MergeFactor: m}}
+						plan, err := NewPlanCtx(ctx, k, opt)
+						if err != nil {
+							b.Fatalf("%s/%d merge %d: %v", g.kernel, g.size, m, err)
+						}
+						if summary && plan.Summary() == "" {
+							b.Fatal("empty summary")
+						}
+					}
 				}
 			}
-		}
+			plans := float64(b.N * len(grid) * len(merges))
+			b.ReportMetric(float64(b.Elapsed())/float64(time.Millisecond)/plans, "ms/plan")
+		})
 	}
-	plans := float64(b.N * len(grid) * len(merges))
-	b.ReportMetric(float64(b.Elapsed())/float64(time.Millisecond)/plans, "ms/plan")
 }

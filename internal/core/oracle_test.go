@@ -183,6 +183,9 @@ func checkPartitionings(t *testing.T, name string, ps *project.Structure, rng *r
 			}
 			label := fmt.Sprintf("%s merge=%d noAux=%v", name, merge, noAux)
 			checkTIGAgainstMaps(t, label, BuildTIG(p), buildTIGByMaps(p), len(ps.Orig.D))
+			if got, want := p.EdgeStats(), edgeStatsWalk(p); got != want {
+				t.Fatalf("%s: EdgeStats = %+v, walk %+v", label, got, want)
+			}
 			checkStepsAgainstMaps(t, label, p, rng)
 		}
 	}

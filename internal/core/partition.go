@@ -463,14 +463,26 @@ type DepEdgeStats struct {
 
 // EdgeStats counts total and interblock dependence arcs (the paper's
 // "number of data dependencies between index points is 33, and only 12 of
-// them require interprocessor communication" for loop L1).
+// them require interprocessor communication" for loop L1). It counts them
+// per (projected point, dependence) pair as BuildTIG does, so it costs
+// |V^p|·m rather than |V|·m, and InterBlock equals the TIG's
+// TotalTraffic.
 func (p *Partitioning) EdgeStats() DepEdgeStats {
+	ps := p.PS
 	var s DepEdgeStats
-	p.PS.Orig.ForEachEdgeIdx(func(ui, vi, di int) {
-		s.Total++
-		if p.BlockOf[ui] != p.BlockOf[vi] {
-			s.InterBlock++
+	q := make(vec.Int, len(ps.Pi))
+	for pt := range ps.Points {
+		for dep := range ps.Deps {
+			qi := lineTarget(ps, pt, dep, q)
+			if qi < 0 {
+				continue
+			}
+			arcs := int(fiberArcs(ps, pt, dep))
+			s.Total += arcs
+			if p.GroupOf[qi] != p.GroupOf[pt] {
+				s.InterBlock += arcs
+			}
 		}
-	})
+	}
 	return s
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/project"
 	"repro/internal/vec"
 )
 
@@ -75,22 +76,51 @@ func (t *TIG) indexRows() {
 	}
 }
 
+// lineTarget returns the projected point x^p + d^p for x^p = ps.Points[pt]
+// and d = ps.Deps[dep], or -1 when no index point projects there. q is
+// scratch of the structure's dimension.
+func lineTarget(ps *project.Structure, pt, dep int, q vec.Int) int {
+	d := ps.Deps[dep].Scaled
+	for k, x := range ps.Points[pt] {
+		q[k] = x + d[k]
+	}
+	return ps.IndexOf(q)
+}
+
+// fiberArcs counts the dependence arcs along D[dep] that leave the fiber
+// of projected point pt. Projection is linear, so all of them land on the
+// fiber of x^p + d^p (lineTarget). The fiber is the run of lattice points
+// of one line inside the convex index set, in line order, and the part
+// of it whose arcs along d stay inside is a run too: trim the fiber from
+// both ends.
+func fiberArcs(ps *project.Structure, pt, dep int) int64 {
+	st := ps.Orig
+	d := st.D[dep]
+	fib := ps.Fibers[pt]
+	lo, hi := 0, len(fib)-1
+	for lo <= hi && st.NeighborIndex(fib[lo], d) < 0 {
+		lo++
+	}
+	for hi > lo && st.NeighborIndex(fib[hi], d) < 0 {
+		hi--
+	}
+	return int64(hi - lo + 1)
+}
+
 // BuildTIG constructs the TIG of a partitioning by classifying every
-// dependence arc of the computational structure. Projection is linear, so
-// every arc leaving the fiber of projected point x^p along d lands on the
-// fiber of x^p + d^p: one lattice lookup per (point, dependence) pair
-// names the target block, and the pair's arc count comes from the ends of
-// its fiber, so the cost follows |V^p|·m rather than |V|·m. Blocks are
-// visited in order, so each row is complete before the next starts: a
-// per-block stamp array finds an edge in O(1), and the finished row (at
-// most 2m − β entries by Theorem 2) is sorted in place. Block membership
+// dependence arc of the computational structure. One lattice lookup per
+// (projected point, dependence) pair names the target block, and the
+// pair's arc count comes from the ends of its fiber (fiberArcs), so the
+// cost follows |V^p|·m rather than |V|·m. Blocks are visited in order, so
+// each row is complete before the next starts: a per-block stamp array
+// finds an edge in O(1), and the finished row (at most 2m − β entries by
+// Theorem 2) is sorted in place. Block membership
 // is read through Groups and the fibers, as Step 6 defines BlockOf;
 // BuildTIG panics if p.BlockOf disagrees with them, so the TIG cannot
 // silently differ from what CheckInvariants and the simulators see.
 func BuildTIG(p *Partitioning) *TIG {
 	ps := p.PS
-	st := ps.Orig
-	m := len(st.D)
+	m := len(ps.Deps)
 	t := &TIG{N: len(p.Groups), nDeps: m}
 	t.Loads = make([]int64, t.N)
 	for g := range p.Groups {
@@ -119,10 +149,7 @@ func BuildTIG(p *Partitioning) *TIG {
 				if d.IsZero() {
 					continue
 				}
-				for k, x := range ps.Points[pt] {
-					q[k] = x + d.Scaled[k]
-				}
-				qi := ps.IndexOf(q)
+				qi := lineTarget(ps, pt, dep, q)
 				if qi < 0 {
 					continue
 				}
@@ -130,22 +157,10 @@ func BuildTIG(p *Partitioning) *TIG {
 				if v == u {
 					continue
 				}
-				// The fiber is the run of lattice points of one line inside
-				// the convex index set, in line order, and the part of it
-				// whose arcs along d stay inside is a run too: trim the
-				// fiber from both ends.
-				fib := ps.Fibers[pt]
-				lo, hi := 0, len(fib)-1
-				for lo <= hi && st.NeighborIndex(fib[lo], st.D[dep]) < 0 {
-					lo++
-				}
-				for hi > lo && st.NeighborIndex(fib[hi], st.D[dep]) < 0 {
-					hi--
-				}
-				if lo > hi {
+				arcs := fiberArcs(ps, pt, dep)
+				if arcs == 0 {
 					continue
 				}
-				arcs := int64(hi - lo + 1)
 				if stamp[v] != int32(u+1) {
 					stamp[v] = int32(u + 1)
 					slot[v] = len(t.Edges)

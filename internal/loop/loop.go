@@ -34,11 +34,20 @@ type Affine struct {
 func Const(c int64) Affine { return Affine{Const: c} }
 
 // Eval evaluates the expression at the given index point prefix.
-func (a Affine) Eval(idx vec.Int) int64 {
+func (a Affine) Eval(idx vec.Int) int64 { return a.evalShifted(idx, nil) }
+
+// evalShifted evaluates the expression at p+d (at p when d is nil)
+// without building the sum: a bound is affine, so its value at p+d is its
+// value at p plus coeffs·d.
+func (a Affine) evalShifted(p, d vec.Int) int64 {
 	v := a.Const
 	for k, c := range a.Coeffs {
 		if c != 0 {
-			v += c * idx[k]
+			x := p[k]
+			if d != nil {
+				x += d[k]
+			}
+			v += c * x
 		}
 	}
 	return v
@@ -170,12 +179,13 @@ func (n *Nest) ForEach(visit func(vec.Int)) {
 // returns false; it reports whether the walk ran to completion. It is the
 // abortable primitive behind cancellable enumeration.
 func (n *Nest) ForEachUntil(visit func(vec.Int) bool) bool {
-	return n.walk(func(p vec.Int) bool { return visit(p.Clone()) })
+	return n.walk(nil, func(p vec.Int) bool { return visit(p.Clone()) })
 }
 
 // walk is ForEachUntil without the per-point copy: visit sees one scratch
 // vector that the next point overwrites, so it must copy what it keeps.
-func (n *Nest) walk(visit func(vec.Int) bool) bool {
+// A non-nil rows records every prefix the walk descends into.
+func (n *Nest) walk(rows *rowIndex, visit func(vec.Int) bool) bool {
 	dims := n.Dims
 	idx := make(vec.Int, dims)
 	hi := make([]int64, dims)
@@ -186,6 +196,9 @@ func (n *Nest) walk(visit func(vec.Int) bool) bool {
 		for ; j < dims; j++ {
 			idx[j] = n.Lower[j].Eval(idx)
 			hi[j] = n.Upper[j].Eval(idx)
+			if rows != nil {
+				rows.enter(j, idx[j], hi[j])
+			}
 			if idx[j] > hi[j] {
 				break
 			}
@@ -303,12 +316,12 @@ type Structure struct {
 	V []vec.Int
 	// D is the set of dependence vectors.
 	D []vec.Int
-	// index maps a point key to its position in V (nil for rectangular
-	// nests, which use the arithmetic indexer below instead).
-	index map[string]int
 	// rect holds the arithmetic indexer for rectangular nests:
 	// idx(p) = Σ (p_k − lo_k)·stride_k.
 	rect *rectIndex
+	// rows indexes every other nest by per-level row offsets (nil when
+	// rect is set).
+	rows *rowIndex
 }
 
 // rectIndex is the O(dims) closed-form vertex indexer for nests whose
@@ -326,7 +339,7 @@ type rectIndex struct {
 var ErrTooLarge = errors.New("loop: iteration space too large")
 
 // newRectIndex builds the stride indexer, or returns (nil, nil) for nests
-// with non-constant bounds (the map fallback handles those). Stride sizing
+// with non-constant bounds (the row index handles those). Stride sizing
 // multiplies user-supplied extents, so every step is overflow-checked: a
 // product past int64 returns ErrTooLarge.
 func newRectIndex(n *Nest) (*rectIndex, error) {
@@ -342,7 +355,7 @@ func newRectIndex(n *Nest) (*rectIndex, error) {
 		r.lo[j] = n.Lower[j].Const
 		r.hi[j] = n.Upper[j].Const
 		if r.hi[j] < r.lo[j] {
-			return nil, nil // empty range: fall back to the map
+			return nil, nil // empty range: the row index handles it
 		}
 	}
 	stride := int64(1)
@@ -394,6 +407,61 @@ func (r *rectIndex) neighborOf(p vec.Int, vi int, d vec.Int) int {
 	return vi + int(off)
 }
 
+// rowIndex is the dense vertex indexer for nests whose bounds reference
+// outer indices. Number the in-range prefixes of each length in the
+// lexicographic order walk visits them in: first[j][r] is the position of
+// the first child of the length-j prefix at position r, and its child
+// with p_j = lower_j(p) + t sits at first[j][r] + t. The length-n
+// prefixes are the vertices, so descending the levels maps a point to its
+// position in V with O(dims²) bound arithmetic and no allocation. A
+// prefix whose row is empty still gets an entry (the position its
+// children would start at), so the table has exactly one entry per prefix
+// walk descends into — never more than walk itself visits. rectIndex is
+// the constant-bounds case of the same formula, with the offsets in
+// closed form.
+type rowIndex struct {
+	lower, upper []Affine
+	first        [][]int
+	// next[j] counts the length-(j+1) prefixes seen so far while walk
+	// builds the table.
+	next []int
+}
+
+func newRowIndex(n *Nest) *rowIndex {
+	return &rowIndex{
+		lower: n.Lower,
+		upper: n.Upper,
+		first: make([][]int, n.Dims),
+		next:  make([]int, n.Dims),
+	}
+}
+
+// enter records the prefix walk descends into at level j, whose row
+// spans [lo, hi].
+func (t *rowIndex) enter(j int, lo, hi int64) {
+	t.first[j] = append(t.first[j], t.next[j])
+	if hi >= lo {
+		t.next[j] += int(hi - lo + 1)
+	}
+}
+
+// find returns the position in V of p+d, or -1 when it lies outside the
+// index set; a nil d finds p itself.
+func (t *rowIndex) find(p, d vec.Int) int {
+	r := 0
+	for j, x := range p {
+		if d != nil {
+			x += d[j]
+		}
+		lo, hi := t.lower[j].evalShifted(p, d), t.upper[j].evalShifted(p, d)
+		if x < lo || x > hi {
+			return -1
+		}
+		r = t.first[j][r] + int(x-lo)
+	}
+	return r
+}
+
 // NewStructure builds the computational structure of the nest, deriving D
 // from the statements. Supplying explicit deps overrides derivation (used
 // by kernels that state their dependence matrix directly).
@@ -439,7 +507,7 @@ func NewStructureCtx(ctx context.Context, n *Nest, explicitDeps ...vec.Int) (*St
 		return nil, fmt.Errorf("loop %q: %w", n.Name, err)
 	}
 	if s.rect = rect; s.rect == nil {
-		s.index = map[string]int{}
+		s.rows = newRowIndex(n)
 	}
 	// All coordinates go into one flat buffer; V[i] is a capped window
 	// onto it, so enumeration makes one allocation instead of one per
@@ -451,10 +519,7 @@ func NewStructureCtx(ctx context.Context, n *Nest, explicitDeps ...vec.Int) (*St
 	}
 	count := 0
 	var ctxErr error
-	n.walk(func(p vec.Int) bool {
-		if s.index != nil {
-			s.index[p.Key()] = count
-		}
+	n.walk(s.rows, func(p vec.Int) bool {
 		buf = append(buf, p...)
 		count++
 		if count%enumCheckEvery == 0 {
@@ -490,27 +555,22 @@ func (s *Structure) VertexIndex(p vec.Int) int {
 	if s.rect != nil {
 		return s.rect.indexOf(p)
 	}
-	i, ok := s.index[p.Key()]
-	if !ok {
-		return -1
-	}
-	return i
+	return s.rows.find(p, nil)
 }
 
-// Rectangular reports whether the structure uses the dense stride-based
-// vertex index (all bounds constant). Non-rectangular structures fall back
-// to a string-keyed map.
+// Rectangular reports whether the structure uses the stride-based vertex
+// index (all bounds constant). Other structures use the row-offset index.
 func (s *Structure) Rectangular() bool { return s.rect != nil }
 
 // NeighborIndex returns the position in V of V[vi]+d, or -1 when the
-// neighbour lies outside the index set. For rectangular nests this is pure
-// stride arithmetic with no allocation — the primitive the partitioner and
-// both simulation engines resolve dependence arcs with.
+// neighbour lies outside the index set. It is pure arithmetic with no
+// allocation — the primitive the partitioner and both simulation engines
+// resolve dependence arcs with.
 func (s *Structure) NeighborIndex(vi int, d vec.Int) int {
 	if s.rect != nil {
 		return s.rect.neighborOf(s.V[vi], vi, d)
 	}
-	return s.VertexIndex(s.V[vi].Add(d))
+	return s.rows.find(s.V[vi], d)
 }
 
 // Edge is a dependence arc u → v (v depends on u) labelled with the

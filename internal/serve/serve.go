@@ -34,7 +34,6 @@ import (
 	loopmap "repro"
 	"repro/api"
 	"repro/internal/machine"
-	"repro/internal/mapping"
 	"repro/internal/persist"
 	"repro/internal/pool"
 	"repro/internal/tiered"
@@ -657,7 +656,9 @@ func (s *Server) mappedPlan(ctx context.Context, req *api.PlanRequest) (*loopmap
 // field that is a pure function of (request, plan). Cache and Cluster
 // stay zero; writeFrame patches them per request.
 func buildPlanResponse(req *api.PlanRequest, p *loopmap.Plan) *api.PlanResponse {
-	resp := &api.PlanResponse{
+	// Without a mapping phase ms is zero, as are the fields it fills.
+	ms, _ := p.EvaluateMapping()
+	return &api.PlanResponse{
 		Kernel:       req.Kernel,
 		Size:         req.Size,
 		Pi:           p.Schedule.Pi,
@@ -672,16 +673,12 @@ func buildPlanResponse(req *api.PlanRequest, p *loopmap.Plan) *api.PlanResponse 
 		MaxOutDegree: p.TIG.MaxOutDegree(),
 		CubeDim:      req.CubeDimOrDefault(),
 		Procs:        p.Procs(),
-		Summary:      p.Summary(),
+		Summary:      p.SummaryWith(ms),
+		HopWeight:    ms.HopWeight,
+		MaxDilation:  ms.MaxDilation,
+		MinLoad:      ms.MinLoad,
+		MaxLoad:      ms.MaxLoad,
 	}
-	if p.Mapping != nil {
-		ms := mapping.Evaluate(p.TIG, p.Mapping)
-		resp.HopWeight = ms.HopWeight
-		resp.MaxDilation = ms.MaxDilation
-		resp.MinLoad = ms.MinLoad
-		resp.MaxLoad = ms.MaxLoad
-	}
-	return resp
 }
 
 // encodePlanFrame is the single encoder for the plan response shape:

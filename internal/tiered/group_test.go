@@ -370,6 +370,97 @@ func TestPutAfterCloseFails(t *testing.T) {
 	}
 }
 
+// gateFS holds the first segment write at OpenFile until release is
+// closed (signalling started when it gets there), and counts the
+// segment read handles still open.
+type gateFS struct {
+	persist.FS
+	once             sync.Once
+	started, release chan struct{}
+	open             atomic.Int64
+}
+
+func (f *gateFS) OpenFile(name string, flag int, perm os.FileMode) (persist.File, error) {
+	base := filepath.Base(name)
+	if strings.HasSuffix(base, ".sst.tmp") {
+		f.once.Do(func() { close(f.started) })
+		<-f.release
+	}
+	file, err := f.FS.OpenFile(name, flag, perm)
+	if err != nil || !strings.HasSuffix(base, ".sst") || flag != os.O_RDONLY {
+		return file, err
+	}
+	f.open.Add(1)
+	return &countedFile{File: file, open: &f.open}, nil
+}
+
+type countedFile struct {
+	persist.File
+	open *atomic.Int64
+}
+
+func (f *countedFile) Close() error {
+	f.open.Add(-1)
+	return f.File.Close()
+}
+
+// TestCloseWaitsForInlineFlush: a Put that crosses the memtable budget
+// flushes on its own goroutine; Close, called while that flush is still
+// writing its segment, waits for it, leaves no segment file open, and a
+// reopen replays every acked key.
+func TestCloseWaitsForInlineFlush(t *testing.T) {
+	dir := t.TempDir()
+	fs := &gateFS{FS: persist.OS(), started: make(chan struct{}), release: make(chan struct{})}
+	s, _ := openTest(t, dir, func(c *Config) { c.FS = fs })
+	ackedc := make(chan []string)
+	go func() {
+		// The Put that starts the flush blocks in it; once Close has run,
+		// the next Put fails and the loop ends.
+		var acked []string
+		for i := 0; ; i++ {
+			k, v := kv(i)
+			if s.Put(k, v) != nil {
+				ackedc <- acked
+				return
+			}
+			acked = append(acked, k)
+		}
+	}()
+	<-fs.started
+	closed := make(chan error, 1)
+	go func() { closed <- s.Close() }()
+	var closeErr error
+	early := false
+	select {
+	case closeErr = <-closed:
+		early = true
+		t.Error("Close returned while a flush was still writing its segment")
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(fs.release)
+	acked := <-ackedc
+	if !early {
+		closeErr = <-closed
+	}
+	if closeErr != nil {
+		t.Fatal(closeErr)
+	}
+	if n := fs.open.Load(); n != 0 {
+		t.Fatalf("%d segment files still open after Close", n)
+	}
+	if len(acked) == 0 {
+		t.Fatal("no Put was acked")
+	}
+
+	s2, _ := openTest(t, dir, nil)
+	defer s2.Close()
+	for _, k := range acked {
+		if _, ok, _ := s2.Get(k); !ok {
+			t.Fatalf("acked key %s missing after reopen", k)
+		}
+	}
+}
+
 // TestFsyncIntervalFlushes: under the interval policy the background
 // loop fsyncs the WAL without any caller asking.
 func TestFsyncIntervalFlushes(t *testing.T) {

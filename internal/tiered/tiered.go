@@ -562,6 +562,11 @@ func (s *Store) maybeFlushLocked() {
 	s.mem = make(map[string][]byte)
 	s.memBytes = 0
 	s.flushing = true
+	// The flush runs on the caller's goroutine (often a Put's); s.bg
+	// tracks it so Close waits for it before releasing the segments,
+	// and a segment it adds is never left open after Close.
+	s.bg.Add(1)
+	defer s.bg.Done()
 	segSeq := s.man.Seq
 	s.man.Seq++
 	s.mu.Unlock()
@@ -1160,8 +1165,8 @@ func (s *Store) Stats() Stats {
 	return st
 }
 
-// Close syncs the WAL tail, waits for background work, and releases
-// every file handle. The memtable is NOT flushed: the WAL replays it on
+// Close syncs the WAL tail, waits for background work (a flush running
+// on a Put's goroutine included), and releases every file handle. The memtable is NOT flushed: the WAL replays it on
 // the next Open, which is exactly the O(tail) restart contract.
 func (s *Store) Close() error {
 	s.mu.Lock()

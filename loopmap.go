@@ -466,7 +466,15 @@ func (p *Plan) assignment() sim.Assignment {
 }
 
 // Procs returns the number of processors the plan targets.
-func (p *Plan) Procs() int { return p.placement().NumProcs }
+func (p *Plan) Procs() int {
+	switch {
+	case p.Degraded != nil:
+		return p.Degraded.Cube.N
+	case p.Mapping != nil:
+		return p.Mapping.Cube.N
+	}
+	return p.Partitioning.NumBlocks()
+}
 
 // Simulate runs the event-driven cost simulation of the planned execution.
 func (p *Plan) Simulate(params Params, opt SimOptions) (*SimStats, error) {
@@ -529,6 +537,14 @@ func (p *Plan) VerifyCtx(ctx context.Context) error {
 
 // Summary renders a human-readable description of the plan.
 func (p *Plan) Summary() string {
+	ms, _ := p.EvaluateMapping()
+	return p.SummaryWith(ms)
+}
+
+// SummaryWith is Summary for a caller that already holds the plan's
+// EvaluateMapping statistics; ms is unused when the plan has no mapping
+// phase.
+func (p *Plan) SummaryWith(ms mapping.Stats) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "kernel %s: %d iterations, %d dependences, Π = %v, %d steps\n",
 		p.Kernel.Name, len(p.Structure.V), len(p.Structure.D), p.Schedule.Pi, p.Schedule.Steps())
@@ -540,7 +556,6 @@ func (p *Plan) Summary() string {
 	fmt.Fprintf(&b, "TIG: %d edges, traffic %d, max out-degree %d (Theorem 2 bound %d)\n",
 		len(p.TIG.Edges), p.TIG.TotalTraffic(), p.TIG.MaxOutDegree(), core.Theorem2Bound(p.Partitioning))
 	if p.Mapping != nil {
-		ms := mapping.Evaluate(p.TIG, p.Mapping)
 		fmt.Fprintf(&b, "mapping: %s, hop-weight %d, max dilation %d, load [%d, %d]\n",
 			p.Mapping.Cube, ms.HopWeight, ms.MaxDilation, ms.MinLoad, ms.MaxLoad)
 	}

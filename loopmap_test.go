@@ -43,6 +43,32 @@ func TestNewPlanNoMapping(t *testing.T) {
 	}
 }
 
+// TestProcsMatchesPlacement: Procs reads the processor count without
+// building a placement, and agrees with the placement the simulators and
+// Execute use for unmapped, mapped and degraded plans.
+func TestProcsMatchesPlacement(t *testing.T) {
+	unmapped, err := NewPlan(NewKernel("matmul", 4), PlanOptions{CubeDim: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mapped, err := unmapped.Remap(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	degraded, _, err := mapped.RemapDegraded([]int{1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		plan *Plan
+	}{{"unmapped", unmapped}, {"mapped", mapped}, {"degraded", degraded}} {
+		if got, want := c.plan.Procs(), c.plan.placement().NumProcs; got != want {
+			t.Errorf("%s: Procs() = %d, placement has %d", c.name, got, want)
+		}
+	}
+}
+
 func TestNewPlanSearchPi(t *testing.T) {
 	plan, err := NewPlan(NewKernel("l1", 3), PlanOptions{SearchPi: true, CubeDim: -1})
 	if err != nil {
