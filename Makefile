@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race short bench bench-json fuzz experiments cover clean serve serve-smoke chaos crash cluster partition diskchaos tieredtest loadtest
+.PHONY: all build vet test race short bench bench-json benchpairs fuzz experiments cover clean serve serve-smoke chaos crash cluster partition diskchaos tieredtest loadtest
 
 all: build vet test
 
@@ -33,6 +33,13 @@ bench-json:
 	$(GO) run ./cmd/loadtest -duration 2s -conc 16 -seed 1 -o BENCH_6.json
 	$(GO) run ./cmd/loadtest -duration 2s -conc 16 -seed 1 -workload batch -o BENCH_8.json
 	$(GO) run ./cmd/loadtest -duration 2s -conc 16 -seed 1 -workload coldset -o BENCH_10.json
+
+# Ten alternating pairs of the benchmark (perfbench) on the parent commit
+# and the working tree, over the workloads and run length BENCHMARK.json
+# sets, summarized per metric into BENCH.json. Pass options through, e.g.
+# `make benchpairs BENCHPAIRS='--base HEAD~1 --head HEAD --out BENCH_16.json'`.
+benchpairs:
+	bash scripts/benchpairs.sh $(BENCHPAIRS)
 
 # Seeded load generator against an in-process daemon: every workload,
 # human-readable summary. Point it elsewhere with

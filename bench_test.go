@@ -177,7 +177,7 @@ func BenchmarkAblationBaselines(b *testing.B) {
 	plan := mustPlan(b, "matmul", 8, -1)
 	st := plan.Structure
 	blocks := map[string]*baselines.Blocks{
-		"paper": baselines.FromPartitioning("paper", plan.Partitioning.BlockOf, plan.Partitioning.NumBlocks()),
+		"paper": baselines.FromPartitioning("paper", plan.Partitioning.BlockOf(), plan.Partitioning.NumBlocks()),
 		"lines": baselines.LinePerBlock(plan.Projected),
 	}
 	if rr, err := baselines.RoundRobin(st, plan.Partitioning.NumBlocks()); err == nil {

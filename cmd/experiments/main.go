@@ -143,7 +143,7 @@ func fig3() string {
 	b.WriteString("\n  projected points (rational coordinates):\n")
 	for i := range plan.Projected.Points {
 		fmt.Fprintf(&b, "    v%d = %v  (%d index points on its line)\n",
-			i, plan.Projected.RatPoint(i), len(plan.Projected.Fibers[i]))
+			i, plan.Projected.RatPoint(i), plan.Projected.Fibers[i].Len)
 	}
 	return b.String()
 }
@@ -332,7 +332,7 @@ func ablate() string {
 		plan, err := loopmap.NewPlan(loopmap.NewKernel(name, size), loopmap.PlanOptions{CubeDim: -1})
 		check(err)
 		st := plan.Structure
-		paper := baselines.FromPartitioning("paper-grouping", plan.Partitioning.BlockOf, plan.Partitioning.NumBlocks())
+		paper := baselines.FromPartitioning("paper-grouping", plan.Partitioning.BlockOf(), plan.Partitioning.NumBlocks())
 		lines := baselines.LinePerBlock(plan.Projected)
 		indep, err := baselines.Independent(st)
 		check(err)

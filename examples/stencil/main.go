@@ -44,7 +44,7 @@ func main() {
 	// r = 1: the grouping theory says each group is a single projection
 	// line here, so the paper partitioning coincides with line-per-block.
 	lines := baselines.LinePerBlock(plan.Projected)
-	paper := baselines.FromPartitioning("paper", plan.Partitioning.BlockOf, plan.Partitioning.NumBlocks())
+	paper := baselines.FromPartitioning("paper", plan.Partitioning.BlockOf(), plan.Partitioning.NumBlocks())
 	tb := report.NewTable("method", "blocks", "interblock/total")
 	for _, b := range []*baselines.Blocks{paper, lines} {
 		es := b.EdgeStats(plan.Structure)

@@ -100,7 +100,7 @@ func TestLinePerBlockVsPaperPartitioning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	paper := FromPartitioning("paper", p.BlockOf, p.NumBlocks())
+	paper := FromPartitioning("paper", p.BlockOf(), p.NumBlocks())
 	ls, pp := lines.EdgeStats(st), paper.EdgeStats(st)
 	if ls.Total != pp.Total {
 		t.Fatalf("total edges differ: %d vs %d", ls.Total, pp.Total)
@@ -127,7 +127,7 @@ func TestRoundRobinWorstLocality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	paper := FromPartitioning("paper", p.BlockOf, p.NumBlocks())
+	paper := FromPartitioning("paper", p.BlockOf(), p.NumBlocks())
 	// At the same block count as the paper's partitioning, round-robin
 	// scattering makes every dependence interblock (144 of 144 for the
 	// 4×4×4 matmul) while the grouping keeps 32 internal.

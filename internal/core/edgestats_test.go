@@ -8,17 +8,18 @@ import (
 	"repro/internal/hyperplane"
 	"repro/internal/kernels"
 	"repro/internal/loop"
+	"repro/internal/nestgen"
 	"repro/internal/project"
-	"repro/internal/vec"
 )
 
 // edgeStatsWalk is the reference EdgeStats: every (vertex, dependence)
-// pair of the structure, classified through BlockOf.
+// pair of the structure, classified through the reference blocks.
 func edgeStatsWalk(p *Partitioning) DepEdgeStats {
 	var s DepEdgeStats
+	blockOf := computeBlocks(p)
 	p.PS.Orig.ForEachEdgeIdx(func(ui, vi, di int) {
 		s.Total++
-		if p.BlockOf[ui] != p.BlockOf[vi] {
+		if blockOf[ui] != blockOf[vi] {
 			s.InterBlock++
 		}
 	})
@@ -71,45 +72,15 @@ func TestEdgeStatsMatchesWalkOnMissGrid(t *testing.T) {
 	}
 }
 
-// randAffineNest builds a random 2- or 3-deep nest whose inner bounds
-// reference outer indices with positive and negative coefficients, so
-// rows can be empty, and a random set of lexicographically positive
-// dependences.
-func randAffineNest(rng *rand.Rand) (*loop.Nest, []vec.Int) {
-	dims := 2 + rng.Intn(2)
-	n := &loop.Nest{Name: "randaffine", Dims: dims}
-	n.Lower = append(n.Lower, loop.Const(int64(rng.Intn(3))))
-	n.Upper = append(n.Upper, loop.Const(int64(3+rng.Intn(5))))
-	for j := 1; j < dims; j++ {
-		lo := make([]int64, dims)
-		hi := make([]int64, dims)
-		for k := 0; k < j; k++ {
-			lo[k] = int64(rng.Intn(3)) - 1
-			hi[k] = int64(rng.Intn(3)) - 1
-		}
-		n.Lower = append(n.Lower, loop.Affine{Const: int64(rng.Intn(3)) - 1, Coeffs: lo})
-		n.Upper = append(n.Upper, loop.Affine{Const: int64(2 + rng.Intn(5)), Coeffs: hi})
-	}
-	var deps []vec.Int
-	for len(deps) < 1+rng.Intn(3) {
-		d := make(vec.Int, dims)
-		for k := range d {
-			d[k] = int64(rng.Intn(3)) - 1
-		}
-		if d.LexPositive() {
-			deps = append(deps, d)
-		}
-	}
-	return n, deps
-}
-
 // TestEdgeStatsMatchesWalkOnRandomNests compares EdgeStats with the walk
-// on random non-rectangular nests scheduled by the optimal Π.
+// on generated nests of every shape scheduled by the optimal Π.
 func TestEdgeStatsMatchesWalkOnRandomNests(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	checked := 0
 	for trial := 0; checked < 150; trial++ {
-		n, deps := randAffineNest(rng)
+		kind := nestgen.Kinds[trial%len(nestgen.Kinds)]
+		n := nestgen.Nest(rng, kind, 2+trial/len(nestgen.Kinds)%2)
+		deps := nestgen.Deps(rng, n.Dims, 1)
 		st, err := loop.NewStructure(n, deps...)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
@@ -125,7 +96,7 @@ func TestEdgeStatsMatchesWalkOnRandomNests(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		checkEdgeStats(t, fmt.Sprintf("trial %d %v D=%v Π=%v", trial, n.Upper, deps, sch.Pi), ps, 3)
+		checkEdgeStats(t, fmt.Sprintf("trial %d %s %v D=%v Π=%v", trial, kind, n.Upper, deps, sch.Pi), ps, 3)
 		checked++
 	}
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/vec"
 )
@@ -51,24 +50,12 @@ func CheckInvariants(p *Partitioning) error {
 
 	// Lemma 1 / Theorem 1: all index points of a block execute at distinct
 	// steps. A coarsened partitioning (MergeFactor > 1) deliberately
-	// relaxes the distinct-step property, so only block validity is
-	// checked then. Either way the error names the first vertex, in V
-	// order, at which a walk of V would see the violation.
-	V := ps.Orig.V
-	bad := len(V)
-	for vi := range V {
-		if g := p.BlockOf[vi]; g < 0 || g >= len(p.Groups) {
-			bad = vi
-			break
-		}
-	}
+	// relaxes the distinct-step property, so it is checked only at the
+	// paper's exact grouping.
 	if p.MergeFactor <= 1 {
-		if vi, t := p.firstStepClash(bad); vi >= 0 {
-			return fmt.Errorf("block %d executes two index points at step %d (Lemma 1 violated)", p.BlockOf[vi], t)
+		if x, g := p.firstStepClash(); x != nil {
+			return fmt.Errorf("block %d executes two index points at step %d (Lemma 1 violated)", g, ps.Pi.Dot(x))
 		}
-	}
-	if bad < len(V) {
-		return fmt.Errorf("vertex %v has invalid block %d", V[bad], p.BlockOf[bad])
 	}
 	return nil
 }
@@ -86,89 +73,57 @@ func onGroupLine(pt, base vec.Int, slot int64, dl vec.Int) bool {
 	return true
 }
 
-// stampSlack is the step range, beyond four steps per vertex, that
-// firstStepClash still covers with a stamp array.
-var stampSlack int64 = 1024
-
-// firstStepClash returns the smallest vertex index below limit whose block
-// already holds a smaller-indexed vertex at the same execution step, with
-// that step, or -1. It walks each block's vertices in index order against
-// a stamp array over the step range (stamp = block + 1, so it never needs
-// clearing); a step range far wider than V sorts each block's steps
-// instead.
-func (p *Partitioning) firstStepClash(limit int) (int, int64) {
-	if limit == 0 {
-		return -1, 0
-	}
-	V, pi := p.PS.Orig.V, p.PS.Pi
-	times := make([]int64, limit)
-	tmin, tmax := pi.Dot(V[0]), pi.Dot(V[0])
-	for vi := range times {
-		t := pi.Dot(V[vi])
-		times[vi] = t
-		tmin, tmax = min(tmin, t), max(tmax, t)
-	}
-	start, verts := p.blockVertices(limit)
-	clash := -1
-	note := func(vi int32) {
-		if clash < 0 || int(vi) < clash {
-			clash = int(vi)
-		}
-	}
-	if span := tmax - tmin; span >= 0 && span < 4*int64(limit)+stampSlack {
-		stamp := make([]int32, span+1)
-		for g := range p.Groups {
-			for _, vi := range verts[start[g]:start[g+1]] {
-				k := times[vi] - tmin
-				if stamp[k] == int32(g+1) {
-					note(vi)
-					break
+// firstStepClash finds the index point a walk of V in lexicographic order
+// would first see sharing an execution step with an earlier point of its
+// block, and returns it with its block, or nil. It works on each block's
+// fibers, never on V: fiber f runs at the times T0 + t·w, t in [0, Len),
+// with the one stride w = Π·u for every line, so two fibers of a block
+// share steps only when their first times are congruent mod w and their
+// time intervals overlap. For such a pair, the two points at one shared
+// step differ by a fixed vector, so the lexicographically larger of them
+// comes from the same fiber at every shared step and moves by u from step
+// to step: it is least at the first shared step when u is
+// lexicographically positive and at the last one otherwise. The walk's
+// first clash at a step is the second point of the block there, which is
+// the least over pairs of the larger point, so the least over all pairs
+// is the answer.
+func (p *Partitioning) firstStepClash() (vec.Int, int) {
+	ps := p.PS
+	V, u, w := ps.Orig.V, ps.U, ps.Stride()
+	uPos := u.LexPositive()
+	var best vec.Int
+	bestG := -1
+	for g, grp := range p.Groups {
+		for i, a := range grp.Members {
+			fa := ps.Fibers[a]
+			for _, b := range grp.Members[i+1:] {
+				fb := ps.Fibers[b]
+				if (fa.T0-fb.T0)%w != 0 {
+					continue
 				}
-				stamp[k] = int32(g + 1)
-			}
-		}
-	} else {
-		for g := range p.Groups {
-			// Sorted by (step, index), the second vertex of each run of
-			// equal steps is its block's clash at that step.
-			b := verts[start[g]:start[g+1]]
-			sort.Slice(b, func(i, j int) bool {
-				if ti, tj := times[b[i]], times[b[j]]; ti != tj {
-					return ti < tj
+				first := max(fa.T0, fb.T0)
+				last := min(fa.T0+int64(fa.Len-1)*w, fb.T0+int64(fb.Len-1)*w)
+				if first > last {
+					continue
 				}
-				return b[i] < b[j]
-			})
-			for i := 1; i < len(b); i++ {
-				if times[b[i]] == times[b[i-1]] {
-					note(b[i])
+				// The shared step where the larger point is least.
+				at := first
+				if !uPos {
+					at = last
+				}
+				xa := V[fa.X0].AddScaled((at-fa.T0)/w, u)
+				xb := V[fb.X0].AddScaled((at-fb.T0)/w, u)
+				x := xa
+				if xb.Cmp(xa) > 0 {
+					x = xb
+				}
+				if best == nil || x.Cmp(best) < 0 {
+					best, bestG = x, g
 				}
 			}
 		}
 	}
-	if clash < 0 {
-		return -1, 0
-	}
-	return clash, times[clash]
-}
-
-// blockVertices buckets the vertex indices below limit by block with a
-// stable counting sort: block g holds verts[start[g]:start[g+1]], in
-// increasing index order. BlockOf must be a valid block below limit.
-func (p *Partitioning) blockVertices(limit int) (start []int, verts []int32) {
-	start = make([]int, len(p.Groups)+1)
-	for _, g := range p.BlockOf[:limit] {
-		start[g+1]++
-	}
-	for g := range p.Groups {
-		start[g+1] += start[g]
-	}
-	next := append([]int(nil), start[:len(p.Groups)]...)
-	verts = make([]int32, limit)
-	for vi, g := range p.BlockOf[:limit] {
-		verts[next[g]] = int32(vi)
-		next[g]++
-	}
-	return start, verts
+	return best, bestG
 }
 
 // Theorem2Bound returns 2m − β for the partitioning, the paper's bound on

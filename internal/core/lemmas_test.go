@@ -14,12 +14,13 @@ import (
 func depTargets(p *Partitioning, g int, d vec.Int) map[int]bool {
 	targets := map[int]bool{}
 	st := p.PS.Orig
+	blockOf := p.BlockOf()
 	st.ForEachEdge(func(e loop.Edge) {
 		if !st.D[e.Dep].Equal(d) {
 			return
 		}
-		from := p.BlockOf[st.VertexIndex(e.From)]
-		to := p.BlockOf[st.VertexIndex(e.To)]
+		from := blockOf[st.VertexIndex(e.From)]
+		to := blockOf[st.VertexIndex(e.To)]
 		if from == g && to != g {
 			targets[to] = true
 		}

@@ -43,8 +43,9 @@ func TestMergeFactorBreaksLemma1(t *testing.T) {
 	}
 	collision := false
 	times := map[int]map[int64]bool{}
+	blockOf := merged.BlockOf()
 	for vi, x := range ps.Orig.V {
-		g := merged.BlockOf[vi]
+		g := blockOf[vi]
 		if times[g] == nil {
 			times[g] = map[int64]bool{}
 		}

@@ -10,6 +10,7 @@ import (
 	"repro/internal/hyperplane"
 	"repro/internal/kernels"
 	"repro/internal/loop"
+	"repro/internal/nestgen"
 	"repro/internal/parser"
 	"repro/internal/project"
 	"repro/internal/vec"
@@ -53,10 +54,22 @@ func (m *mapTIG) sortEdges() {
 	})
 }
 
+// computeBlocks is the reference Step 6: every vertex, projected and
+// looked up, takes its projected point's group.
+func computeBlocks(p *Partitioning) []int {
+	ps := p.PS
+	out := make([]int, len(ps.Orig.V))
+	for vi, x := range ps.Orig.V {
+		out[vi] = p.GroupOf[ps.IndexOf(ps.ProjectionOf(x))]
+	}
+	return out
+}
+
 func buildTIGByMaps(p *Partitioning) *mapTIG {
 	m := &mapTIG{out: map[int]map[int]int64{}, byDep: map[int]map[int]map[int]int64{}}
+	blockOf := computeBlocks(p)
 	p.PS.Orig.ForEachEdgeIdx(func(ui, vi, dep int) {
-		if gu, gv := p.BlockOf[ui], p.BlockOf[vi]; gu != gv {
+		if gu, gv := blockOf[ui], blockOf[vi]; gu != gv {
 			m.add(gu, gv, dep, 1)
 		}
 	})
@@ -106,18 +119,17 @@ func checkTIGAgainstMaps(t *testing.T, name string, tig *TIG, ref *mapTIG, nDeps
 	}
 }
 
-// checkInvariantsByMaps is the reference Lemma-1 check: one pass over V
-// with a per-block set of the steps seen so far.
+// checkInvariantsByMaps is the reference Lemma-1 check: one pass over V,
+// blocks from computeBlocks, with a per-block set of the steps seen so
+// far.
 func checkInvariantsByMaps(p *Partitioning) error {
+	if p.MergeFactor > 1 {
+		return nil
+	}
+	blockOf := computeBlocks(p)
 	times := map[int]map[int64]bool{}
 	for vi, x := range p.PS.Orig.V {
-		g := p.BlockOf[vi]
-		if g < 0 || g >= len(p.Groups) {
-			return fmt.Errorf("vertex %v has invalid block %d", x, g)
-		}
-		if p.MergeFactor > 1 {
-			continue
-		}
+		g := blockOf[vi]
 		t := p.PS.Pi.Dot(x)
 		if times[g] == nil {
 			times[g] = map[int64]bool{}
@@ -130,6 +142,104 @@ func checkInvariantsByMaps(p *Partitioning) error {
 	return nil
 }
 
+// checkInvariantsByStamps is the reference check on the stamp-array path.
+func checkInvariantsByStamps(p *Partitioning) error {
+	if p.MergeFactor > 1 {
+		return nil
+	}
+	blockOf := computeBlocks(p)
+	if vi, t := stampStepClash(p, blockOf, len(blockOf)); vi >= 0 {
+		return fmt.Errorf("block %d executes two index points at step %d (Lemma 1 violated)", blockOf[vi], t)
+	}
+	return nil
+}
+
+// stampSlack is the step range, beyond four steps per vertex, that
+// firstStepClash still covers with a stamp array.
+var stampSlack int64 = 1024
+
+// stampStepClash is the stamp-array Lemma-1 check the fiber-pair check
+// replaced. It returns the smallest vertex index below limit whose block
+// already holds a smaller-indexed vertex at the same execution step, with
+// that step, or -1. It walks each block's vertices in index order against
+// a stamp array over the step range (stamp = block + 1, so it never needs
+// clearing); a step range far wider than V sorts each block's steps
+// instead.
+func stampStepClash(p *Partitioning, blockOf []int, limit int) (int, int64) {
+	if limit == 0 {
+		return -1, 0
+	}
+	V, pi := p.PS.Orig.V, p.PS.Pi
+	times := make([]int64, limit)
+	tmin, tmax := pi.Dot(V[0]), pi.Dot(V[0])
+	for vi := range times {
+		t := pi.Dot(V[vi])
+		times[vi] = t
+		tmin, tmax = min(tmin, t), max(tmax, t)
+	}
+	start, verts := blockVertices(p, blockOf, limit)
+	clash := -1
+	note := func(vi int32) {
+		if clash < 0 || int(vi) < clash {
+			clash = int(vi)
+		}
+	}
+	if span := tmax - tmin; span >= 0 && span < 4*int64(limit)+stampSlack {
+		stamp := make([]int32, span+1)
+		for g := range p.Groups {
+			for _, vi := range verts[start[g]:start[g+1]] {
+				k := times[vi] - tmin
+				if stamp[k] == int32(g+1) {
+					note(vi)
+					break
+				}
+				stamp[k] = int32(g + 1)
+			}
+		}
+	} else {
+		for g := range p.Groups {
+			// Sorted by (step, index), the second vertex of each run of
+			// equal steps is its block's clash at that step.
+			b := verts[start[g]:start[g+1]]
+			sort.Slice(b, func(i, j int) bool {
+				if ti, tj := times[b[i]], times[b[j]]; ti != tj {
+					return ti < tj
+				}
+				return b[i] < b[j]
+			})
+			for i := 1; i < len(b); i++ {
+				if times[b[i]] == times[b[i-1]] {
+					note(b[i])
+				}
+			}
+		}
+	}
+	if clash < 0 {
+		return -1, 0
+	}
+	return clash, times[clash]
+}
+
+// blockVertices buckets the vertex indices below limit by block with a
+// stable counting sort: block g holds verts[start[g]:start[g+1]], in
+// increasing index order.
+func blockVertices(p *Partitioning, blockOf []int, limit int) (start []int, verts []int32) {
+	start = make([]int, len(p.Groups)+1)
+	for _, g := range blockOf[:limit] {
+		start[g+1]++
+	}
+	for g := range p.Groups {
+		start[g+1] += start[g]
+	}
+	next := append([]int(nil), start[:len(p.Groups)]...)
+	verts = make([]int32, limit)
+	for vi, g := range blockOf[:limit] {
+		verts[next[g]] = int32(vi)
+		next[g]++
+	}
+	return start, verts
+}
+
 func errString(err error) string {
 	if err == nil {
 		return "<nil>"
@@ -137,39 +247,120 @@ func errString(err error) string {
 	return err.Error()
 }
 
-// checkStepsAgainstMaps compares CheckInvariants with the reference on p
-// and on BlockOf mutations: vertices moved to other blocks, blocks merged
-// wholesale, and out-of-range blocks. Group structure is left intact, so
-// both checks reach the Lemma-1 pass.
+// regrouped returns a copy of p whose groups can be reshaped freely: the
+// grouping vector is dropped (so group geometry is not checked) and r is
+// lifted, so CheckInvariants reaches its Lemma-1 pass on any regrouping
+// that keeps Groups and GroupOf consistent.
+func regrouped(p *Partitioning) *Partitioning {
+	q := *p
+	q.Grouping = nil
+	q.R = 1 << 40
+	q.GroupOf = append([]int(nil), p.GroupOf...)
+	q.Groups = make([]Group, len(p.Groups))
+	for g, grp := range p.Groups {
+		grp.Members = append([]int(nil), grp.Members...)
+		grp.Slot = append([]int(nil), grp.Slot...)
+		q.Groups[g] = grp
+	}
+	return &q
+}
+
+// movePoint moves projected point pt into group to.
+func (p *Partitioning) movePoint(pt, to int) {
+	from := &p.Groups[p.GroupOf[pt]]
+	for i, m := range from.Members {
+		if m == pt {
+			from.Members = append(from.Members[:i], from.Members[i+1:]...)
+			from.Slot = append(from.Slot[:i], from.Slot[i+1:]...)
+			break
+		}
+	}
+	p.Groups[to].Members = append(p.Groups[to].Members, pt)
+	p.Groups[to].Slot = append(p.Groups[to].Slot, 0)
+	p.GroupOf[pt] = to
+}
+
+// checkStepsAgainstMaps compares CheckInvariants with the map and stamp
+// references on p and on regroupings of it: projection lines moved to
+// other groups, and groups merged wholesale.
 func checkStepsAgainstMaps(t *testing.T, name string, p *Partitioning, rng *rand.Rand) {
 	t.Helper()
-	if got, want := errString(CheckInvariants(p)), errString(checkInvariantsByMaps(p)); got != want {
-		t.Fatalf("%s: CheckInvariants = %s, reference %s", name, got, want)
+	compare := func(label string, q *Partitioning) {
+		t.Helper()
+		got := errString(CheckInvariants(q))
+		if want := errString(checkInvariantsByMaps(q)); got != want {
+			t.Fatalf("%s: CheckInvariants = %s, reference %s", label, got, want)
+		}
+		if want := errString(checkInvariantsByStamps(q)); got != want {
+			t.Fatalf("%s: CheckInvariants = %s, stamp reference %s", label, got, want)
+		}
 	}
-	saved := append([]int(nil), p.BlockOf...)
-	defer copy(p.BlockOf, saved)
-	nV, nB := len(p.BlockOf), len(p.Groups)
+	compare(name, p)
+	nP, nB := len(p.PS.Points), len(p.Groups)
 	for trial := 0; trial < 12; trial++ {
-		copy(p.BlockOf, saved)
-		switch trial % 3 {
+		q := regrouped(p)
+		switch trial % 2 {
 		case 0:
 			for k := 0; k < 1+rng.Intn(3); k++ {
-				p.BlockOf[rng.Intn(nV)] = rng.Intn(nB)
+				q.movePoint(rng.Intn(nP), rng.Intn(nB))
 			}
 		case 1:
 			from, to := rng.Intn(nB), rng.Intn(nB)
-			for vi, g := range p.BlockOf {
-				if g == from {
-					p.BlockOf[vi] = to
-				}
+			for _, m := range append([]int(nil), q.Groups[from].Members...) {
+				q.movePoint(m, to)
 			}
-		case 2:
-			p.BlockOf[rng.Intn(nV)] = rng.Intn(nB)
-			p.BlockOf[rng.Intn(nV)] = []int{-1, nB, nB + 5}[rng.Intn(3)]
 		}
-		if got, want := errString(CheckInvariants(p)), errString(checkInvariantsByMaps(p)); got != want {
-			t.Fatalf("%s trial %d: CheckInvariants = %s, reference %s", name, trial, got, want)
+		compare(fmt.Sprintf("%s trial %d", name, trial), q)
+	}
+}
+
+// fiberLists lists every fiber's V indices, in time order.
+func fiberLists(ps *project.Structure) [][]int {
+	out := make([][]int, len(ps.Fibers))
+	for i := range ps.Fibers {
+		for _, x := range ps.FiberPoints(i) {
+			out[i] = append(out[i], ps.Orig.VertexIndex(x))
 		}
+	}
+	return out
+}
+
+// fiberArcsTrim is the arc count the interval intersection replaced: trim
+// the fiber from both ends while a point's neighbour along d lies outside
+// V.
+func fiberArcsTrim(st *loop.Structure, fib []int, d vec.Int) int64 {
+	lo, hi := 0, len(fib)-1
+	for lo <= hi && st.NeighborIndex(fib[lo], d) < 0 {
+		lo++
+	}
+	for hi > lo && st.NeighborIndex(fib[hi], d) < 0 {
+		hi--
+	}
+	return int64(hi - lo + 1)
+}
+
+// checkArcsAndBlocks compares fiberArcs with the trim on every (projected
+// point, dependence) pair whose target line exists, and BlockOf with
+// computeBlocks.
+func checkArcsAndBlocks(t *testing.T, name string, p *Partitioning) {
+	t.Helper()
+	ps := p.PS
+	lists := fiberLists(ps)
+	lag := depLags(ps)
+	q := make(vec.Int, len(ps.Pi))
+	for pt := range ps.Points {
+		for dep, d := range ps.Orig.D {
+			qi := lineTarget(ps, pt, dep, q)
+			if qi < 0 {
+				continue
+			}
+			if got, want := fiberArcs(ps, pt, qi, lag[dep]), fiberArcsTrim(ps.Orig, lists[pt], d); got != want {
+				t.Fatalf("%s: fiberArcs(point %d, dep %v) = %d, trim %d", name, pt, d, got, want)
+			}
+		}
+	}
+	if got, want := p.BlockOf(), computeBlocks(p); !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: BlockOf = %v, reference %v", name, got, want)
 	}
 }
 
@@ -186,6 +377,7 @@ func checkPartitionings(t *testing.T, name string, ps *project.Structure, rng *r
 			if got, want := p.EdgeStats(), edgeStatsWalk(p); got != want {
 				t.Fatalf("%s: EdgeStats = %+v, walk %+v", label, got, want)
 			}
+			checkArcsAndBlocks(t, label, p)
 			checkStepsAgainstMaps(t, label, p, rng)
 		}
 	}
@@ -216,10 +408,11 @@ func projectKernel(t *testing.T, name string, size int64, search bool) *project.
 	return ps
 }
 
-// TestTIGAndInvariantsMatchMaps runs the CSR TIG builder and the stamp
-// Lemma-1 check against their map-based references over every built-in
-// kernel (own and searched Π), a parsed non-rectangular nest, and a Π
-// with a negative leading entry.
+// TestTIGAndInvariantsMatchMaps runs the CSR TIG builder, the per-line
+// arc counts, the derived BlockOf and the fiber-pair Lemma-1 check against
+// their enumerating references over every built-in kernel (own and
+// searched Π), a parsed non-rectangular nest, a Π with a negative leading
+// entry, and generated nests of every shape.
 func TestTIGAndInvariantsMatchMaps(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for _, name := range kernels.Names() {
@@ -263,10 +456,30 @@ for j = i to 2*i+4
 		t.Fatal(err)
 	}
 	checkPartitionings(t, "negative Π", ps, rng)
+
+	checked := 0
+	for trial := 0; checked < 80; trial++ {
+		c, ok := nestgen.Draw(rng, trial)
+		if !ok {
+			continue
+		}
+		st, err := loop.NewStructure(c.Nest, c.Deps...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ps, err := project.Project(st, c.Pi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkPartitionings(t, c.Name, ps, rng)
+		checked++
+	}
 }
 
-// TestCheckInvariantsSameStepMutation puts two points of one step into
-// one block; the check must fail, with the reference's error.
+// TestCheckInvariantsSameStepMutation moves one projection line into a
+// group that already runs another point at one of its steps; the check
+// must fail, with the references' error, and pass again once the line is
+// back.
 func TestCheckInvariantsSameStepMutation(t *testing.T) {
 	p, err := Partition(matmulProjected(t, 4), DefaultOptions())
 	if err != nil {
@@ -276,10 +489,11 @@ func TestCheckInvariantsSameStepMutation(t *testing.T) {
 		t.Fatal(err)
 	}
 	V, pi := p.PS.Orig.V, p.PS.Pi
+	blockOf := p.BlockOf()
 	a, b := -1, -1
 	for i := range V {
 		for j := i + 1; j < len(V) && a < 0; j++ {
-			if pi.Dot(V[i]) == pi.Dot(V[j]) && p.BlockOf[i] != p.BlockOf[j] {
+			if pi.Dot(V[i]) == pi.Dot(V[j]) && blockOf[i] != blockOf[j] {
 				a, b = i, j
 			}
 		}
@@ -287,41 +501,24 @@ func TestCheckInvariantsSameStepMutation(t *testing.T) {
 	if a < 0 {
 		t.Fatal("no same-step pair in different blocks")
 	}
-	saved := p.BlockOf[b]
-	p.BlockOf[b] = p.BlockOf[a]
-	err = CheckInvariants(p)
+	q := regrouped(p)
+	if err := CheckInvariants(q); err != nil {
+		t.Fatalf("regrouped copy fails before the move: %v", err)
+	}
+	line := p.PS.IndexOf(p.PS.ProjectionOf(V[b]))
+	q.movePoint(line, blockOf[a])
+	err = CheckInvariants(q)
 	if err == nil {
 		t.Fatalf("vertices %v and %v share step %d in block %d, yet the check passed",
-			V[a], V[b], pi.Dot(V[a]), p.BlockOf[a])
+			V[a], V[b], pi.Dot(V[a]), blockOf[a])
 	}
-	if want := checkInvariantsByMaps(p); errString(err) != errString(want) {
+	if want := checkInvariantsByMaps(q); errString(err) != errString(want) {
 		t.Fatalf("CheckInvariants = %v, reference %v", err, want)
 	}
-	p.BlockOf[b] = saved
-	if err := CheckInvariants(p); err != nil {
+	q.movePoint(line, blockOf[b])
+	if err := CheckInvariants(q); err != nil {
 		t.Fatalf("restored partitioning fails: %v", err)
 	}
-}
-
-// TestBuildTIGRejectsDriftedBlockOf moves one vertex to another block in
-// BlockOf only: BuildTIG reads blocks through Groups and the fibers, so it
-// must refuse rather than build a TIG the BlockOf readers disagree with.
-func TestBuildTIGRejectsDriftedBlockOf(t *testing.T) {
-	p, err := Partition(matmulProjected(t, 4), DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(p.Groups) < 2 {
-		t.Fatalf("want at least 2 blocks, got %d", len(p.Groups))
-	}
-	vi := len(p.BlockOf) / 2
-	p.BlockOf[vi] = (p.BlockOf[vi] + 1) % len(p.Groups)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("BuildTIG accepted a BlockOf that disagrees with Groups")
-		}
-	}()
-	BuildTIG(p)
 }
 
 // TestCheckInvariantsWideStepRange schedules a small structure with a Π
@@ -341,8 +538,9 @@ func TestCheckInvariantsWideStepRange(t *testing.T) {
 }
 
 // TestCheckInvariantsSortPathMatchesMaps forces the sorting path of the
-// Lemma-1 check on every built-in kernel and compares it with the
-// reference on the same mutations as the stamp path.
+// stamp reference on every built-in kernel, and compares the fiber-pair
+// check with it and with the map reference on the same regroupings as
+// the stamp path.
 func TestCheckInvariantsSortPathMatchesMaps(t *testing.T) {
 	defer func(old int64) { stampSlack = old }(stampSlack)
 	stampSlack = -1 << 40

@@ -99,11 +99,9 @@ type Partitioning struct {
 	Beta int
 	// Groups holds all groups; Groups[i].ID == i.
 	Groups []Group
-	// GroupOf maps a projected-point index to its group ID.
+	// GroupOf maps a projected-point index to its group ID; a vertex's
+	// block is the group of its projected point (see BlockOf).
 	GroupOf []int
-	// BlockOf maps an original vertex index (into PS.Orig.V) to its
-	// group/block ID.
-	BlockOf []int
 	// Conflicts counts projected points that could not be claimed by a
 	// lattice-aligned group and were grouped by fallback seeding; always 0
 	// for the convex index sets of the paper.
@@ -137,9 +135,21 @@ func (p *Partitioning) BlockPoints(g int) []vec.Int {
 func (p *Partitioning) BlockSize(g int) int {
 	n := 0
 	for _, pi := range p.Groups[g].Members {
-		n += len(p.PS.Fibers[pi])
+		n += p.PS.Fibers[pi].Len
 	}
 	return n
+}
+
+// BlockOf maps every original vertex index (into PS.Orig.V) to its block,
+// the group of the vertex's projected point (Step 6): GroupOf ∘ LineOf.
+// It costs |V| and returns a fresh slice the caller owns; the
+// partitioning itself holds no per-vertex table.
+func (p *Partitioning) BlockOf() []int {
+	out := p.PS.LineOf()
+	for vi, pt := range out {
+		out[vi] = p.GroupOf[pt]
+	}
+	return out
 }
 
 // MaxBlockSize returns the largest block load (the paper's W for the
@@ -192,7 +202,6 @@ func PartitionCtx(ctx context.Context, ps *project.Structure, opt Options) (*Par
 		// Every dependence is parallel to Π: each projected point is its
 		// own group and no interblock dependences exist along D.
 		p.singletonGroups()
-		p.computeBlocks()
 		return p, nil
 	}
 
@@ -233,13 +242,11 @@ func PartitionCtx(ctx context.Context, ps *project.Structure, opt Options) (*Par
 		}
 	}
 
-	// Steps 3–5: region growing.
+	// Steps 3–5: region growing. Step 6, pulling each group back to its
+	// block, is BlockOf.
 	if err := p.growGroups(ctx, opt.SeedBase); err != nil {
 		return nil, err
 	}
-
-	// Step 6: blocks from fibers.
-	p.computeBlocks()
 	return p, nil
 }
 
@@ -434,25 +441,13 @@ func (p *Partitioning) growGroups(ctx context.Context, seedBase vec.Int) error {
 	return nil
 }
 
-// computeBlocks fills BlockOf from GroupOf through the projection fibers.
-func (p *Partitioning) computeBlocks() {
-	ps := p.PS
-	p.BlockOf = make([]int, len(ps.Orig.V))
-	for pi, fib := range ps.Fibers {
-		g := p.GroupOf[pi]
-		for _, vi := range fib {
-			p.BlockOf[vi] = g
-		}
-	}
-}
-
-// BlockOfPoint returns the block ID of an index point.
+// BlockOfPoint returns the block ID of an index point, or -1 when x is
+// not a vertex: the group of its projected point.
 func (p *Partitioning) BlockOfPoint(x vec.Int) int {
-	vi := p.PS.Orig.VertexIndex(x)
-	if vi < 0 {
+	if !p.PS.Orig.HasVertex(x) {
 		return -1
 	}
-	return p.BlockOf[vi]
+	return p.GroupOf[p.PS.IndexOf(p.PS.ProjectionOf(x))]
 }
 
 // DepEdgeStats classifies dependence arcs as intra- or inter-block.
@@ -471,13 +466,14 @@ func (p *Partitioning) EdgeStats() DepEdgeStats {
 	ps := p.PS
 	var s DepEdgeStats
 	q := make(vec.Int, len(ps.Pi))
+	lag := depLags(ps)
 	for pt := range ps.Points {
 		for dep := range ps.Deps {
 			qi := lineTarget(ps, pt, dep, q)
 			if qi < 0 {
 				continue
 			}
-			arcs := int(fiberArcs(ps, pt, dep))
+			arcs := int(fiberArcs(ps, pt, qi, lag[dep]))
 			s.Total += arcs
 			if p.GroupOf[qi] != p.GroupOf[pt] {
 				s.InterBlock += arcs

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/project"
@@ -87,37 +88,36 @@ func lineTarget(ps *project.Structure, pt, dep int, q vec.Int) int {
 	return ps.IndexOf(q)
 }
 
-// fiberArcs counts the dependence arcs along D[dep] that leave the fiber
-// of projected point pt. Projection is linear, so all of them land on the
-// fiber of x^p + d^p (lineTarget). The fiber is the run of lattice points
-// of one line inside the convex index set, in line order, and the part
-// of it whose arcs along d stay inside is a run too: trim the fiber from
-// both ends.
-func fiberArcs(ps *project.Structure, pt, dep int) int64 {
-	st := ps.Orig
-	d := st.D[dep]
-	fib := ps.Fibers[pt]
-	lo, hi := 0, len(fib)-1
-	for lo <= hi && st.NeighborIndex(fib[lo], d) < 0 {
-		lo++
+// depLags returns Π·d for every dependence d, the time an arc spans.
+func depLags(ps *project.Structure) []int64 {
+	lag := make([]int64, len(ps.Deps))
+	for dep, d := range ps.Deps {
+		lag[dep] = ps.Pi.Dot(d.Orig)
 	}
-	for hi > lo && st.NeighborIndex(fib[hi], d) < 0 {
-		hi--
-	}
-	return int64(hi - lo + 1)
+	return lag
+}
+
+// fiberArcs counts the dependence arcs of lag Π·d that leave the fiber of
+// projected point pt; projection is linear, so all of them land on the
+// fiber qi of x^p + d^p (lineTarget). Both fibers step by u, one stride
+// w = Π·u of time apart: point t of pt runs at T0 + t·w, and its arc
+// reaches time T0 + t·w + Π·d, which is point t + k of qi with
+// k = (T0 + Π·d − T0')/w. The arcs are the t in [0, Len) whose t + k
+// falls in [0, Len'), so the count is one interval intersection.
+func fiberArcs(ps *project.Structure, pt, qi int, lag int64) int64 {
+	f, g := ps.Fibers[pt], ps.Fibers[qi]
+	k := int((f.T0 + lag - g.T0) / ps.Stride())
+	return int64(max(0, min(f.Len, g.Len-k)-max(0, -k)))
 }
 
 // BuildTIG constructs the TIG of a partitioning by classifying every
 // dependence arc of the computational structure. One lattice lookup per
 // (projected point, dependence) pair names the target block, and the
-// pair's arc count comes from the ends of its fiber (fiberArcs), so the
-// cost follows |V^p|·m rather than |V|·m. Blocks are visited in order, so
-// each row is complete before the next starts: a per-block stamp array
-// finds an edge in O(1), and the finished row (at most 2m − β entries by
-// Theorem 2) is sorted in place. Block membership
-// is read through Groups and the fibers, as Step 6 defines BlockOf;
-// BuildTIG panics if p.BlockOf disagrees with them, so the TIG cannot
-// silently differ from what CheckInvariants and the simulators see.
+// pair's arc count is an intersection of the two fibers' intervals
+// (fiberArcs), so the cost follows |V^p|·m rather than |V|·m. Blocks are
+// visited in order, so each row is complete before the next starts: a
+// per-block stamp array finds an edge in O(1), and the finished row (at
+// most 2m − β entries by Theorem 2) is sorted in place.
 func BuildTIG(p *Partitioning) *TIG {
 	ps := p.PS
 	m := len(ps.Deps)
@@ -135,14 +135,10 @@ func BuildTIG(p *Partitioning) *TIG {
 	stamp := make([]int32, t.N)
 	t.rowStart = make([]int, t.N+1)
 	q := make(vec.Int, len(ps.Pi))
+	lag := depLags(ps)
 	for u, g := range p.Groups {
 		row := len(t.Edges)
 		for _, pt := range g.Members {
-			for _, vi := range ps.Fibers[pt] {
-				if p.BlockOf[vi] != u {
-					panic(fmt.Sprintf("core: BuildTIG: BlockOf[%d] = %d, but its projected point %d is in group %d", vi, p.BlockOf[vi], pt, u))
-				}
-			}
 			for dep, d := range ps.Deps {
 				// A dependence parallel to Π stays on its projection
 				// line, inside the block.
@@ -157,7 +153,7 @@ func BuildTIG(p *Partitioning) *TIG {
 				if v == u {
 					continue
 				}
-				arcs := fiberArcs(ps, pt, dep)
+				arcs := fiberArcs(ps, pt, qi, lag[dep])
 				if arcs == 0 {
 					continue
 				}
@@ -175,8 +171,12 @@ func BuildTIG(p *Partitioning) *TIG {
 		t.sortRow(row)
 		t.rowStart[u+1] = len(t.Edges)
 	}
+	// The rows were laid out for the Theorem 2 bound; copy the edges
+	// out so a cached TIG pins only the edges it has.
 	if len(t.Edges) == 0 {
 		t.Edges, t.depW = nil, nil
+	} else {
+		t.Edges, t.depW = slices.Clone(t.Edges), slices.Clone(t.depW)
 	}
 	return t
 }

@@ -105,22 +105,16 @@ func TestCheckInvariantsCatchesCorruption(t *testing.T) {
 	}
 	p.Groups[1].ID = 1
 
-	// Corrupt BlockOf: two same-hyperplane points in one block.
-	savedBlocks := append([]int{}, p.BlockOf...)
-	for vi := range p.BlockOf {
-		p.BlockOf[vi] = 0
+	// Every line in one block: same-hyperplane points share it. The
+	// regrouped copy drops group geometry and r, so only Lemma 1 can
+	// catch this.
+	q := regrouped(p)
+	for pt := range q.GroupOf {
+		q.movePoint(pt, 0)
 	}
-	if err := CheckInvariants(p); err == nil {
+	if err := CheckInvariants(q); err == nil {
 		t.Fatal("Lemma 1 violation not detected")
 	}
-	copy(p.BlockOf, savedBlocks)
-
-	// Out-of-range block.
-	p.BlockOf[0] = 99
-	if err := CheckInvariants(p); err == nil {
-		t.Fatal("invalid block not detected")
-	}
-	copy(p.BlockOf, savedBlocks)
 
 	// Mismatched member/slot lengths.
 	savedSlots := p.Groups[0].Slot

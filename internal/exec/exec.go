@@ -44,8 +44,8 @@ type Placement struct {
 // FromMapping derives a placement from a partitioning and a hypercube
 // mapping.
 func FromMapping(p *core.Partitioning, m *mapping.Result) Placement {
-	procOf := make([]int, len(p.BlockOf))
-	for vi, b := range p.BlockOf {
+	procOf := p.BlockOf()
+	for vi, b := range procOf {
 		procOf[vi] = m.NodeOf[b]
 	}
 	return Placement{ProcOf: procOf, NumProcs: m.Cube.N}
@@ -54,8 +54,8 @@ func FromMapping(p *core.Partitioning, m *mapping.Result) Placement {
 // FromMeshMapping derives a placement from a partitioning and a mesh
 // mapping.
 func FromMeshMapping(p *core.Partitioning, m *mapping.MeshResult) Placement {
-	procOf := make([]int, len(p.BlockOf))
-	for vi, b := range p.BlockOf {
+	procOf := p.BlockOf()
+	for vi, b := range procOf {
 		procOf[vi] = m.NodeOf[b]
 	}
 	return Placement{ProcOf: procOf, NumProcs: m.Mesh.N()}
@@ -63,8 +63,7 @@ func FromMeshMapping(p *core.Partitioning, m *mapping.MeshResult) Placement {
 
 // BlocksAsProcs gives each partitioned block its own processor.
 func BlocksAsProcs(p *core.Partitioning) Placement {
-	procOf := make([]int, len(p.BlockOf))
-	copy(procOf, p.BlockOf)
+	procOf := p.BlockOf()
 	return Placement{ProcOf: procOf, NumProcs: p.NumBlocks()}
 }
 

@@ -66,7 +66,9 @@ func (s Schedule) Time(p vec.Int) int64 { return s.Pi.Dot(p) }
 func (s Schedule) Step(p vec.Int) int64 { return s.Pi.Dot(p) - s.MinTime }
 
 // NewSchedule computes the schedule of a structure under pi, after
-// validating pi against the structure's dependence set.
+// validating pi against the structure's dependence set. Π·x is linear, so
+// its extremes over an innermost row lie at the row's ends: the schedule
+// costs one dot product per row, not one per index point.
 func NewSchedule(st *loop.Structure, pi vec.Int) (Schedule, error) {
 	if len(pi) != st.Dim() {
 		return Schedule{}, fmt.Errorf("hyperplane: Π arity %d, structure dim %d", len(pi), st.Dim())
@@ -74,26 +76,30 @@ func NewSchedule(st *loop.Structure, pi vec.Int) (Schedule, error) {
 	if err := Check(pi, st.D); err != nil {
 		return Schedule{}, err
 	}
-	if len(st.V) == 0 {
+	lo, hi, ok := rowTimes(st.Nest, pi)
+	if !ok {
 		return Schedule{}, errors.New("hyperplane: empty index set")
 	}
-	s := Schedule{Pi: pi.Clone()}
-	first := true
-	for _, p := range st.V {
-		t := pi.Dot(p)
-		if first {
-			s.MinTime, s.MaxTime = t, t
-			first = false
-			continue
+	return Schedule{Pi: pi.Clone(), MinTime: lo, MaxTime: hi}, nil
+}
+
+// rowTimes returns the extremes of Π·x over the nest's index set, read
+// off the ends of its innermost rows; ok is false when the set is empty.
+func rowTimes(n *loop.Nest, pi vec.Int) (lo, hi int64, ok bool) {
+	last := len(pi) - 1
+	n.ForEachRow(func(row vec.Int, h int64) bool {
+		a := pi.Dot(row)
+		b := a + pi[last]*(h-row[last])
+		if a > b {
+			a, b = b, a
 		}
-		if t < s.MinTime {
-			s.MinTime = t
+		if !ok {
+			lo, hi, ok = a, b, true
 		}
-		if t > s.MaxTime {
-			s.MaxTime = t
-		}
-	}
-	return s, nil
+		lo, hi = min(lo, a), max(hi, b)
+		return true
+	})
+	return lo, hi, ok
 }
 
 // normalizePi divides the coefficients by their content gcd so that, e.g.,

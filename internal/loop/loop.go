@@ -16,6 +16,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/ints"
@@ -52,6 +54,10 @@ func (a Affine) evalShifted(p, d vec.Int) int64 {
 	}
 	return v
 }
+
+// linear evaluates the expression's index terms at u (its change along
+// the direction u).
+func (a Affine) linear(u vec.Int) int64 { return a.evalShifted(u, nil) - a.Const }
 
 // IsConst reports whether the expression has no index terms.
 func (a Affine) IsConst() bool {
@@ -167,6 +173,20 @@ func (n *Nest) Contains(p vec.Int) bool {
 	return true
 }
 
+// Row returns the innermost row [lo, hi] under the prefix p (whose first
+// n−1 coordinates are read), and whether the prefix lies inside the outer
+// loops' bounds with a non-empty row.
+func (n *Nest) Row(p vec.Int) (lo, hi int64, ok bool) {
+	last := n.Dims - 1
+	for j := 0; j < last; j++ {
+		if p[j] < n.Lower[j].Eval(p) || p[j] > n.Upper[j].Eval(p) {
+			return 0, 0, false
+		}
+	}
+	lo, hi = n.Lower[last].Eval(p), n.Upper[last].Eval(p)
+	return lo, hi, lo <= hi
+}
+
 // ForEach visits every point of the index set in lexicographic order.
 func (n *Nest) ForEach(visit func(vec.Int)) {
 	n.ForEachUntil(func(p vec.Int) bool {
@@ -186,14 +206,43 @@ func (n *Nest) ForEachUntil(visit func(vec.Int) bool) bool {
 // vector that the next point overwrites, so it must copy what it keeps.
 // A non-nil rows records every prefix the walk descends into.
 func (n *Nest) walk(rows *rowIndex, visit func(vec.Int) bool) bool {
-	dims := n.Dims
-	idx := make(vec.Int, dims)
-	hi := make([]int64, dims)
+	last := n.Dims - 1
+	return n.walkRows(rows, func(p vec.Int, hi int64) bool {
+		for x := p[last]; ; x++ {
+			p[last] = x
+			if !visit(p) {
+				return false
+			}
+			if x == hi {
+				return true
+			}
+		}
+	})
+}
+
+// ForEachRow visits every non-empty innermost row of the index set in
+// lexicographic order until visit returns false, and reports whether the
+// walk ran to completion. row is the row's first point (row[n−1] is the
+// innermost lower bound) and hi its innermost upper bound; row is scratch
+// that the next call overwrites, and visit may overwrite row[n−1]. The
+// walk costs one bound evaluation per row rather than one call per point.
+func (n *Nest) ForEachRow(visit func(row vec.Int, hi int64) bool) bool {
+	return n.walkRows(nil, visit)
+}
+
+// walkRows is the odometer behind every enumeration: it descends the
+// outer loops, and at the innermost level hands visit the whole row
+// [row[n−1], hi] at once. visit may overwrite row[n−1]. A non-nil rows
+// records every prefix the walk descends into, empty rows included.
+func (n *Nest) walkRows(rows *rowIndex, visit func(row vec.Int, hi int64) bool) bool {
+	last := n.Dims - 1
+	idx := make(vec.Int, n.Dims)
+	hi := make([]int64, n.Dims)
 	j := 0
 	for {
-		// Descend: start every inner loop at its lower bound; an empty
+		// Descend: start every outer loop at its lower bound; an empty
 		// range stops the descent and advances the loop outside it.
-		for ; j < dims; j++ {
+		for ; j < last; j++ {
 			idx[j] = n.Lower[j].Eval(idx)
 			hi[j] = n.Upper[j].Eval(idx)
 			if rows != nil {
@@ -203,13 +252,18 @@ func (n *Nest) walk(rows *rowIndex, visit func(vec.Int) bool) bool {
 				break
 			}
 		}
-		if j == dims {
-			if !visit(idx) {
+		if j == last {
+			idx[last] = n.Lower[last].Eval(idx)
+			h := n.Upper[last].Eval(idx)
+			if rows != nil {
+				rows.enter(last, idx[last], h)
+			}
+			if idx[last] <= h && !visit(idx, h) {
 				return false
 			}
 			j--
 		}
-		// Advance the innermost loop with iterations left.
+		// Advance the innermost outer loop with iterations left.
 		for j >= 0 && idx[j] >= hi[j] {
 			j--
 		}
@@ -218,6 +272,44 @@ func (n *Nest) walk(rows *rowIndex, visit func(vec.Int) bool) bool {
 		}
 		idx[j]++
 		j++
+	}
+}
+
+// LineEnd returns a function giving, for a point x of the index set, the
+// largest t for which x + t·u is in the index set. Every bound is an
+// affine inequality, so the index set is the lattice points of a convex
+// polytope and meets the line in one interval. The bounds that do not
+// shrink along u hold for every t ≥ 0; each one that shrinks by s per
+// step, from value v ≥ 0 at x, ends the line after ⌊v/s⌋ steps. The
+// shrinking bounds are found once, for callers that trace many parallel
+// lines. u must be nonzero.
+func (n *Nest) LineEnd(u vec.Int) func(x vec.Int) int64 {
+	// A limit is bound j's lower (or upper) inequality, x_j − L_j ≥ 0 (or
+	// U_j − x_j ≥ 0), shrinking by shrink per step along u.
+	type limit struct {
+		j      int
+		upper  bool
+		shrink int64
+	}
+	var lims []limit
+	for j := 0; j < n.Dims; j++ {
+		if s := u[j] - n.Lower[j].linear(u); s < 0 {
+			lims = append(lims, limit{j, false, -s})
+		}
+		if s := n.Upper[j].linear(u) - u[j]; s < 0 {
+			lims = append(lims, limit{j, true, -s})
+		}
+	}
+	return func(x vec.Int) int64 {
+		end := int64(math.MaxInt64)
+		for _, l := range lims {
+			v := x[l.j] - n.Lower[l.j].Eval(x)
+			if l.upper {
+				v = n.Upper[l.j].Eval(x) - x[l.j]
+			}
+			end = min(end, v/l.shrink)
+		}
+		return end
 	}
 }
 
@@ -478,8 +570,9 @@ const enumCheckEvery = 8192
 // so a deadline can still stop it before it is all allocated.
 const enumPreallocCap = 1 << 24
 
-// NewStructureCtx is NewStructure with cooperative cancellation: the point
-// enumeration polls ctx every enumCheckEvery points, so a caller's deadline
+// NewStructureCtx is NewStructure with cooperative cancellation: the
+// enumeration fills V one innermost row at a time, with no call per
+// point, and polls ctx every enumCheckEvery points, so a caller's deadline
 // bounds the enumeration of even huge index sets. A nil ctx means
 // context.Background().
 func NewStructureCtx(ctx context.Context, n *Nest, explicitDeps ...vec.Int) (*Structure, error) {
@@ -511,24 +604,54 @@ func NewStructureCtx(ctx context.Context, n *Nest, explicitDeps ...vec.Int) (*St
 	}
 	// All coordinates go into one flat buffer; V[i] is a capped window
 	// onto it, so enumeration makes one allocation instead of one per
-	// point. A rectangular nest knows its size up front.
+	// point. A rectangular nest knows its size up front; any other nest
+	// counts its rows first, so the buffer pins no spare capacity.
 	dims := n.Dims
-	var buf []int64
-	if rect != nil && rect.size <= enumPreallocCap/int64(dims) {
-		buf = make([]int64, 0, rect.size*int64(dims))
+	size := int64(-1)
+	if rect != nil {
+		size = rect.size
+	} else {
+		size = n.rowCount(ctx, enumPreallocCap/int64(dims))
 	}
-	count := 0
+	var buf []int64
+	if size >= 0 && size <= enumPreallocCap/int64(dims) {
+		buf = make([]int64, 0, size*int64(dims))
+	}
+	count, poll := 0, enumCheckEvery
 	var ctxErr error
-	n.walk(s.rows, func(p vec.Int) bool {
-		buf = append(buf, p...)
-		count++
-		if count%enumCheckEvery == 0 {
-			if err := ctx.Err(); err != nil {
-				ctxErr = err
-				return false
+	last := dims - 1
+	n.walkRows(s.rows, func(p vec.Int, hi int64) bool {
+		for lo := p[last]; ; {
+			// Fill at most enumCheckEvery points between polls.
+			end := hi
+			if hi-lo >= enumCheckEvery {
+				end = lo + enumCheckEvery - 1
 			}
+			m := int(end-lo) + 1
+			w := len(buf)
+			buf = slices.Grow(buf, m*dims)[:w+m*dims]
+			for x := lo; ; x++ {
+				for j := 0; j < last; j++ {
+					buf[w+j] = p[j]
+				}
+				buf[w+last] = x
+				w += dims
+				if x == end {
+					break
+				}
+			}
+			if count += m; count >= poll {
+				poll = count + enumCheckEvery
+				if err := ctx.Err(); err != nil {
+					ctxErr = err
+					return false
+				}
+			}
+			if end == hi {
+				return true
+			}
+			lo = end + 1
 		}
-		return true
 	})
 	if ctxErr != nil {
 		return nil, ctxErr
@@ -540,6 +663,24 @@ func NewStructureCtx(ctx context.Context, n *Nest, explicitDeps ...vec.Int) (*St
 		s.V[i] = buf[i*dims : i*dims+dims : i*dims+dims]
 	}
 	return s, nil
+}
+
+// rowCount counts the nest's points one innermost row at a time, or
+// returns -1 once the count passes limit or ctx is done, so a caller can
+// size the vertex buffer exactly before enumerating.
+func (n *Nest) rowCount(ctx context.Context, limit int64) int64 {
+	var count, rows int64
+	n.walkRows(nil, func(p vec.Int, hi int64) bool {
+		count += hi - p[n.Dims-1] + 1
+		if rows++; rows%enumCheckEvery == 0 && ctx.Err() != nil {
+			count = -1
+		}
+		if count > limit {
+			count = -1
+		}
+		return count >= 0
+	})
+	return count
 }
 
 // HasVertex reports whether p is a vertex of the structure.

@@ -4,46 +4,27 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/hyperplane"
+	"repro/internal/kernels"
 	"repro/internal/loop"
+	"repro/internal/nestgen"
 	"repro/internal/vec"
 )
 
-// buildRandom projects a random rectangular or triangular nest under a
-// random valid Π (all-positive coefficients are valid for the unit dep).
-func buildRandom(rng *rand.Rand, rect bool) (*Structure, error) {
-	dims := 2 + rng.Intn(2)
-	var n *loop.Nest
-	if rect {
-		lo := make([]int64, dims)
-		hi := make([]int64, dims)
-		for j := range lo {
-			lo[j] = int64(rng.Intn(5)) - 2
-			hi[j] = lo[j] + int64(rng.Intn(6))
+// buildRandom projects the first non-empty generated nest drawn from rng
+// under its generated Π.
+func buildRandom(rng *rand.Rand) (*Structure, error) {
+	for trial := 0; ; trial++ {
+		c, ok := nestgen.Draw(rng, trial)
+		if !ok {
+			continue
 		}
-		n = loop.NewRect("randrect", lo, hi)
-	} else {
-		n = &loop.Nest{Name: "randtri", Dims: dims}
-		n.Lower = append(n.Lower, loop.Const(0))
-		n.Upper = append(n.Upper, loop.Const(int64(2+rng.Intn(4))))
-		for j := 1; j < dims; j++ {
-			coeffs := make([]int64, dims)
-			coeffs[j-1] = 1
-			n.Lower = append(n.Lower, loop.Const(0))
-			n.Upper = append(n.Upper, loop.Affine{Const: int64(2 + rng.Intn(3)), Coeffs: coeffs})
+		st, err := loop.NewStructure(c.Nest, c.Deps...)
+		if err != nil {
+			return nil, err
 		}
+		return Project(st, c.Pi)
 	}
-	d := make(vec.Int, dims)
-	d[0] = 1
-	st, err := loop.NewStructure(n, d)
-	if err != nil {
-		return nil, err
-	}
-	pi := make(vec.Int, dims)
-	pi[0] = 1 + int64(rng.Intn(2))
-	for j := 1; j < dims; j++ {
-		pi[j] = int64(rng.Intn(3)) // zero coefficients exercise drop-dim selection
-	}
-	return Project(st, pi)
 }
 
 // TestLatticeIndexAgreesWithMap probes the dense lattice index against a
@@ -53,7 +34,7 @@ func buildRandom(rng *rand.Rand, rect bool) (*Structure, error) {
 func TestLatticeIndexAgreesWithMap(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for trial := 0; trial < 150; trial++ {
-		ps, err := buildRandom(rng, trial%2 == 0)
+		ps, err := buildRandom(rng)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -92,12 +73,12 @@ func TestLatticeFallbackMatchesDense(t *testing.T) {
 	defer func(old int64) { latticeDenseCap = old }(latticeDenseCap)
 	for trial := 0; trial < 50; trial++ {
 		latticeDenseCap = 1 << 22
-		dense, err := buildRandom(rand.New(rand.NewSource(int64(trial))), trial%2 == 0)
+		dense, err := buildRandom(rand.New(rand.NewSource(int64(trial))))
 		if err != nil {
 			t.Fatal(err)
 		}
 		latticeDenseCap = 0
-		sparse, err := buildRandom(rand.New(rand.NewSource(int64(trial))), trial%2 == 0)
+		sparse, err := buildRandom(rand.New(rand.NewSource(int64(trial))))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -113,5 +94,69 @@ func TestLatticeFallbackMatchesDense(t *testing.T) {
 				t.Fatalf("trial %d: dense IndexOf(%v) = %d, map fallback = %d", trial, q, got, want)
 			}
 		}
+	}
+}
+
+// widestDropVolume is the dense table volume the index would have if it
+// dropped the widest coordinate with Π_k ≠ 0 instead of the last one.
+func widestDropVolume(pi, lo, hi []int64) int64 {
+	drop, widest := -1, int64(-1)
+	for j := range pi {
+		if e := hi[j] - lo[j] + 1; pi[j] != 0 && e > widest {
+			drop, widest = j, e
+		}
+	}
+	v := int64(1)
+	for j := range pi {
+		if j != drop {
+			v *= hi[j] - lo[j] + 1
+		}
+	}
+	return v
+}
+
+// TestLatticeTableVolumeOnMissGrid compares the dense table, which drops
+// the last coordinate with Π_k ≠ 0 so that slot order is lexicographic,
+// with the smaller table that dropping the widest such coordinate would
+// give, over the sizes a plan-cache miss plans (2-D kernels 8 to 128 in
+// steps of 3, 3-D kernels 4 to 28 in steps of 2) under each kernel's own
+// Π and the searched one. Every grid plan must stay dense, and no kernel's
+// table may grow by more than maxGrowth; the per-kernel worst ratio is
+// logged so a kernel whose table grows sharply shows up.
+func TestLatticeTableVolumeOnMissGrid(t *testing.T) {
+	const maxGrowth = 2.0
+	for _, name := range kernels.Names() {
+		k, err := kernels.Lookup(name, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		from, to, step := int64(8), int64(128), int64(3)
+		if k.Nest.Dims == 3 {
+			from, to, step = 4, 28, 2
+		}
+		worst := 1.0
+		for size := from; size <= to; size += step {
+			k, st := kernelStructure(t, name, size)
+			pis := []vec.Int{k.Pi}
+			if sch, err := hyperplane.FindOptimal(st, 2); err == nil {
+				pis = append(pis, sch.Pi)
+			}
+			for _, pi := range pis {
+				ps, err := Project(st, pi)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !ps.Dense() {
+					t.Fatalf("%s size %d Π=%v: fell back to the map", name, size, pi)
+				}
+				li := ps.lattice
+				ratio := float64(len(li.table)) / float64(widestDropVolume(ps.Pi, li.lo, li.hi))
+				if ratio > maxGrowth {
+					t.Errorf("%s size %d Π=%v: table %d slots, %.2f× the widest-drop table", name, size, pi, len(li.table), ratio)
+				}
+				worst = max(worst, ratio)
+			}
+		}
+		t.Logf("%-12s worst table growth over widest drop %.2f×", name, worst)
 	}
 }

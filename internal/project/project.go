@@ -19,7 +19,7 @@ package project
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/hyperplane"
 	"repro/internal/ints"
@@ -54,6 +54,16 @@ func (d Dep) Rat(s int64) vec.Rat {
 	return out
 }
 
+// Fiber is the run of index points on one projection line, in execution
+// order: x0 + t·u for t in [0, Len), where x0 = Orig.V[X0] is the line's
+// first point and u = Π/gcd(Π) the line's primitive direction. Point t
+// runs at time T0 + t·Π·u with T0 = Π·x0.
+type Fiber struct {
+	X0  int
+	T0  int64
+	Len int
+}
+
 // Structure is the projected structure Q^p = (V^p, D^p) of Definition 5,
 // in scaled-integer representation.
 type Structure struct {
@@ -63,13 +73,15 @@ type Structure struct {
 	Pi vec.Int
 	// S is the scale factor Π·Π.
 	S int64
+	// U is Π/gcd(Π), the primitive direction of every projection line:
+	// two index points share a line exactly when they differ by a
+	// multiple of U.
+	U vec.Int
 	// Points holds the distinct scaled projected points, in lexicographic
 	// order.
 	Points []vec.Int
-	// Fibers[p] lists, for projected point p, the indices into Orig.V of
-	// the index points lying on its projection line, sorted by execution
-	// time Π·x.
-	Fibers [][]int
+	// Fibers[p] is the projection line of projected point p.
+	Fibers []Fiber
 	// Deps holds one entry per original dependence vector.
 	Deps []Dep
 
@@ -91,206 +103,159 @@ func Project(st *loop.Structure, pi vec.Int) (*Structure, error) {
 		return nil, err
 	}
 	ps := &Structure{Orig: st, Pi: pi.Clone(), S: pi.Dot(pi)}
-	if !ps.bucketFibers() {
-		ps.sortFibers()
-		ps.buildIndex()
+	g := pi.ContentGCD()
+	ps.U = make(vec.Int, len(pi))
+	for k, a := range pi {
+		ps.U[k] = a / g
 	}
+	ps.sortLines(ps.traceLines())
 	ps.projectDeps()
 	return ps, nil
 }
 
-// bucketFibers builds Points, Fibers and the dense lattice index in time
-// linear in |V|: one pass finds the bounding box of the scaled
-// projections, a second gives every vertex its lattice table slot (the
-// first vertex to reach a slot claims it for a new point), and only the
-// |V^p| distinct points are sorted. Fibers are then filled in enumeration
-// order and put in execution-time order, which costs O(len) per fiber
-// because enumeration walks each projection line monotonically. It
-// reports false, leaving ps untouched, when V is empty or the box exceeds
-// latticeDenseCap.
-func (ps *Structure) bucketFibers() bool {
-	V, pi, s := ps.Orig.V, ps.Pi, ps.S
-	n, nV := len(pi), len(V)
-	if nV == 0 {
-		return false
-	}
-	times := make([]int64, nV)
-	lo := make([]int64, n)
-	hi := make([]int64, n)
-	for vi, x := range V {
-		t := x.Dot(pi)
-		times[vi] = t
-		for j, xj := range x {
-			y := s*xj - pi[j]*t
-			if vi == 0 || y < lo[j] {
-				lo[j] = y
-			}
-			if vi == 0 || y > hi[j] {
-				hi[j] = y
-			}
-		}
-	}
-	li := newLatticeIndex(pi, lo, hi)
-	if li == nil {
-		return false
-	}
+// Stride returns Π·u, the time between consecutive points of a line.
+func (ps *Structure) Stride() int64 { return ps.Pi.Dot(ps.U) }
 
-	// Slot pass: ids[vi] is the vertex's point in first-seen order, reps
-	// the first vertex of each point, slots its table slot.
-	ids := make([]int32, nV)
-	var reps []int
-	var slots []int64
-	var counts []int
-	for vi, x := range V {
-		t := times[vi]
-		var off int64
-		for j, xj := range x {
-			if j != li.drop {
-				off += (s*xj - pi[j]*t - lo[j]) * li.strides[j]
-			}
-		}
-		id := li.table[off] - 1
-		if id < 0 {
-			id = int32(len(reps))
-			li.table[off] = id + 1
-			reps = append(reps, vi)
-			slots = append(slots, off)
-			counts = append(counts, 0)
-		}
-		ids[vi] = id
-		counts[id]++
-	}
-
-	// Sort the distinct points and renumber the table by rank.
-	np := len(reps)
-	pts := make([]int64, np*n)
-	for id, vi := range reps {
-		t := times[vi]
-		for j, xj := range V[vi] {
-			pts[id*n+j] = s*xj - pi[j]*t
-		}
-	}
-	order := make([]int, np)
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		ra := pts[order[a]*n : order[a]*n+n]
-		rb := pts[order[b]*n : order[b]*n+n]
-		for j := range ra {
-			if ra[j] != rb[j] {
-				return ra[j] < rb[j]
-			}
-		}
-		return false
+// traceLines finds every projection line that meets the nest from the
+// nest's bounds, without visiting its points, and fills Fibers in row
+// order. A line's first point x0 is the one whose predecessor x0 − u lies
+// outside V. Within an innermost row those points are the row minus the
+// predecessor row (firstRuns), so each row yields at most two runs of
+// first points; the line's length then comes from Nest.LineEnd. A first
+// pass over the rows counts the lines so the second fills exactly sized
+// arrays. It returns the lines' scaled projections, n per line in the
+// same order. Each line is already in time order, since Π·u > 0.
+func (ps *Structure) traceLines() []int64 {
+	nest, pi, u, s := ps.Orig.Nest, ps.Pi, ps.U, ps.S
+	n := len(pi)
+	last := n - 1
+	pred := make(vec.Int, n)
+	np := 0
+	nest.ForEachRow(func(row vec.Int, hi int64) bool {
+		a1, b1, a2, b2 := firstRuns(nest, row, hi, u, pred)
+		np += int(max(0, b1-a1+1) + max(0, b2-a2+1))
+		return true
 	})
-	rank := make([]int32, np)
+	lineEnd := nest.LineEnd(u)
+	ps.Fibers = make([]Fiber, 0, np)
+	buf := make([]int64, 0, np*n) // scaled projections, n per line
+	vi := 0                       // position in V of the current row's first point
+	nest.ForEachRow(func(row vec.Int, hi int64) bool {
+		lo := row[last]
+		add := func(a, b int64) {
+			if a > b {
+				return
+			}
+			row[last] = a
+			t := pi.Dot(row)
+			for x := a; ; x++ {
+				row[last] = x
+				ps.Fibers = append(ps.Fibers, Fiber{X0: vi + int(x-lo), T0: t, Len: int(lineEnd(row)) + 1})
+				w := len(buf)
+				buf = buf[:w+n]
+				for j, xj := range row {
+					buf[w+j] = s*xj - pi[j]*t
+				}
+				if x == b {
+					break
+				}
+				t += pi[last]
+			}
+		}
+		a1, b1, a2, b2 := firstRuns(nest, row, hi, u, pred)
+		add(a1, b1)
+		add(a2, b2)
+		vi += int(hi-lo) + 1
+		return true
+	})
+	return buf
+}
+
+// sortLines puts the lines traceLines found in the lexicographic order of
+// their projections: Points become windows onto buf, the fibers follow
+// their points, and the lattice index is laid over them.
+func (ps *Structure) sortLines(buf []int64) {
+	n, np := len(ps.Pi), len(ps.Fibers)
+	if np == 0 {
+		ps.buildIndex()
+		return
+	}
+	lo := append([]int64(nil), buf[:n]...)
+	hi := append([]int64(nil), buf[:n]...)
+	for i := n; i < len(buf); i += n {
+		for j, y := range buf[i : i+n] {
+			lo[j], hi[j] = min(lo[j], y), max(hi[j], y)
+		}
+	}
+	// order lists the lines by their points' lexicographic order. The
+	// lattice table's slot order is that order, so one scan of the table
+	// sorts the lines and renumbers the slots by rank.
+	order := make([]int32, 0, np)
+	li := newLatticeIndex(ps.Pi, lo, hi)
+	if li != nil {
+		for id := 0; id < np; id++ {
+			li.table[li.offset(buf[id*n:id*n+n])] = int32(id) + 1
+		}
+		for off, v := range li.table {
+			if v != 0 {
+				order = append(order, v-1)
+				li.table[off] = int32(len(order))
+			}
+		}
+	} else {
+		for id := 0; id < np; id++ {
+			order = append(order, int32(id))
+		}
+		slices.SortFunc(order, func(a, b int32) int {
+			return slices.Compare(buf[int(a)*n:int(a)*n+n], buf[int(b)*n:int(b)*n+n])
+		})
+	}
 	ps.Points = make([]vec.Int, np)
 	for r, id := range order {
-		rank[id] = int32(r)
-		li.table[slots[id]] = int32(r) + 1
-		ps.Points[r] = pts[id*n : id*n+n : id*n+n]
+		i := int(id) * n
+		ps.Points[r] = buf[i : i+n : i+n]
 	}
-
-	// Counting pass: fibers in enumeration order, then by time.
-	start := make([]int, np+1)
-	for id, c := range counts {
-		start[rank[id]+1] = c
-	}
-	for r := 0; r < np; r++ {
-		start[r+1] += start[r]
-	}
-	flat := make([]int, nV)
-	next := append([]int(nil), start[:np]...)
-	for vi, id := range ids {
-		r := rank[id]
-		flat[next[r]] = vi
-		next[r]++
-	}
-	ps.Fibers = make([][]int, np)
-	for r := range ps.Fibers {
-		fib := flat[start[r]:start[r+1]:start[r+1]]
-		sortByTime(fib, times)
-		ps.Fibers[r] = fib
-	}
-	ps.lattice = li
-	return true
-}
-
-// sortByTime orders a fiber by execution time. The vertices of one
-// projection line have distinct times, and a lexicographic enumeration
-// meets them in monotone time order, so reversing a descending fiber
-// leaves the insertion sort a single linear pass.
-func sortByTime(fib []int, times []int64) {
-	if len(fib) > 1 && times[fib[0]] > times[fib[len(fib)-1]] {
-		for i, j := 0, len(fib)-1; i < j; i, j = i+1, j-1 {
-			fib[i], fib[j] = fib[j], fib[i]
+	// Put the fibers in rank order in place, one permutation cycle at a
+	// time: fiber r takes the one at order[r], and a placed slot's order
+	// entry is cleared to -1.
+	for r := range order {
+		if order[r] < 0 {
+			continue
+		}
+		first := ps.Fibers[r]
+		for j := r; ; {
+			k := int(order[j])
+			order[j] = -1
+			if k == r {
+				ps.Fibers[j] = first
+				break
+			}
+			ps.Fibers[j] = ps.Fibers[k]
+			j = k
 		}
 	}
-	for i := 1; i < len(fib); i++ {
-		v := fib[i]
-		j := i
-		for ; j > 0 && times[fib[j-1]] > times[v]; j-- {
-			fib[j] = fib[j-1]
-		}
-		fib[j] = v
+	if li != nil {
+		ps.lattice = li
+	} else {
+		ps.mapIndex()
 	}
 }
 
-// sortFibers is the general path behind bucketFibers: it projects every
-// vertex into one flat buffer and sorts vertex ids by (scaled projection,
-// execution time), so equal projections become adjacent runs. It costs
-// O(V·n·log V) and needs no table, so it serves any bounding box.
-func (ps *Structure) sortFibers() {
-	V, pi, s := ps.Orig.V, ps.Pi, ps.S
-	n := len(pi)
-	nV := len(V)
-	buf := make([]int64, nV*n)
-	times := make([]int64, nV)
-	order := make([]int, nV)
-	for vi, x := range V {
-		t := x.Dot(pi)
-		times[vi] = t
-		row := buf[vi*n : vi*n+n]
-		for j, xj := range x {
-			row[j] = s*xj - pi[j]*t
-		}
-		order[vi] = vi
+// firstRuns returns the one or two runs [a1, b1] and [a2, b2] of the row
+// [row[n−1], hi] whose points x have their predecessor x − u outside V;
+// an empty run has a > b. The predecessors of the row's points lie on the
+// row of the prefix shifted by −u, moved by u_n, so the runs are the row
+// minus that interval. pred is scratch of the nest's depth.
+func firstRuns(nest *loop.Nest, row vec.Int, hi int64, u, pred vec.Int) (a1, b1, a2, b2 int64) {
+	last := len(row) - 1
+	for j := range row[:last] {
+		pred[j] = row[j] - u[j]
 	}
-	sort.Slice(order, func(a, b int) bool {
-		ra := buf[order[a]*n : order[a]*n+n]
-		rb := buf[order[b]*n : order[b]*n+n]
-		for j := 0; j < n; j++ {
-			if ra[j] != rb[j] {
-				return ra[j] < rb[j]
-			}
-		}
-		return times[order[a]] < times[order[b]]
-	})
-	sameRow := func(a, b int) bool {
-		ra := buf[a*n : a*n+n]
-		rb := buf[b*n : b*n+n]
-		for j := 0; j < n; j++ {
-			if ra[j] != rb[j] {
-				return false
-			}
-		}
-		return true
+	lo := row[last]
+	if plo, phi, ok := nest.Row(pred); ok {
+		return lo, min(hi, plo+u[last]-1), max(lo, phi+u[last]+1), hi
 	}
-	for i := 0; i < nV; {
-		vi := order[i]
-		// Copy the unique projection out of buf so the big per-vertex
-		// buffer is not pinned by the (much smaller) point set.
-		ps.Points = append(ps.Points, vec.Int(buf[vi*n:vi*n+n]).Clone())
-		j := i
-		for j < nV && sameRow(vi, order[j]) {
-			j++
-		}
-		fib := make([]int, j-i)
-		copy(fib, order[i:j])
-		ps.Fibers = append(ps.Fibers, fib)
-		i = j
-	}
+	return lo, hi, 1, 0
 }
 
 // projectDeps projects the dependence vectors and computes their r
@@ -327,14 +292,14 @@ type latticeIndex struct {
 // and hi.
 func newLatticeIndex(pi, lo, hi []int64) *latticeIndex {
 	n := len(pi)
-	// Drop the widest dimension with Π_k ≠ 0 (Π is nonzero, so one
-	// always exists); the hyperplane equation makes it redundant.
+	// Drop the last dimension with Π_k ≠ 0 (Π is nonzero, so one always
+	// exists); the hyperplane equation makes it redundant. It is a
+	// function of the coordinates before it, since Π is zero after it,
+	// so the table's row-major slot order is the lexicographic order of
+	// the points.
 	drop := -1
 	for j := 0; j < n; j++ {
-		if pi[j] == 0 {
-			continue
-		}
-		if drop < 0 || hi[j]-lo[j] > hi[drop]-lo[drop] {
+		if pi[j] != 0 {
 			drop = j
 		}
 	}
@@ -396,6 +361,11 @@ func (ps *Structure) buildIndex() {
 			return
 		}
 	}
+	ps.mapIndex()
+}
+
+// mapIndex builds the string-keyed fallback index over Points.
+func (ps *Structure) mapIndex() {
 	ps.index = make(map[string]int, len(ps.Points))
 	for i, p := range ps.Points {
 		ps.index[p.Key()] = i
@@ -465,6 +435,15 @@ func (ps *Structure) IndexOf(scaled vec.Int) int {
 	return i
 }
 
+// IndexBytes returns the bytes the point index holds: the dense lattice
+// table, or an estimate of the fallback map's keys and buckets.
+func (ps *Structure) IndexBytes() int64 {
+	if ps.lattice != nil {
+		return int64(len(ps.lattice.table)) * 4
+	}
+	return int64(len(ps.index)) * 64
+}
+
 // Dense reports whether lookups run on the dense lattice table rather than
 // the string-keyed fallback map.
 func (ps *Structure) Dense() bool { return ps.lattice != nil }
@@ -521,12 +500,32 @@ func (ps *Structure) NonzeroDeps() []Dep {
 	return out
 }
 
+// LineOf maps every original vertex index (into Orig.V) to the projected
+// point of its projection line. It walks each fiber, so it costs |V| and
+// returns a fresh slice the caller owns.
+func (ps *Structure) LineOf() []int {
+	st := ps.Orig
+	out := make([]int, len(st.V))
+	for pt, f := range ps.Fibers {
+		for vi, t := f.X0, 0; ; t++ {
+			out[vi] = pt
+			if t+1 == f.Len {
+				break
+			}
+			vi = st.NeighborIndex(vi, ps.U)
+		}
+	}
+	return out
+}
+
 // FiberPoints returns the index points on the projection line of projected
 // point i, in execution-time order.
 func (ps *Structure) FiberPoints(i int) []vec.Int {
-	out := make([]vec.Int, len(ps.Fibers[i]))
-	for j, vi := range ps.Fibers[i] {
-		out[j] = ps.Orig.V[vi]
+	f := ps.Fibers[i]
+	out := make([]vec.Int, f.Len)
+	x := ps.Orig.V[f.X0]
+	for t := range out {
+		out[t] = x.AddScaled(int64(t), ps.U)
 	}
 	return out
 }

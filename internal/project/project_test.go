@@ -96,7 +96,7 @@ func TestL1Fibers(t *testing.T) {
 	// Total fiber sizes must cover all 16 points.
 	total := 0
 	for i := range ps.Points {
-		total += len(ps.Fibers[i])
+		total += ps.Fibers[i].Len
 	}
 	if total != 16 {
 		t.Fatalf("fibers cover %d points, want 16", total)

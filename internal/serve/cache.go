@@ -100,24 +100,36 @@ func (c *planCache) stats() (bytes int64, entries int) {
 	return c.bytes, c.ll.Len()
 }
 
-// planBytes estimates the resident size of a base plan: the vertex set and
-// its projection dominate, with the partitioning's per-point tables and the
-// TIG behind them. The estimate only needs to be proportional — the cache
-// budget is a sizing knob, not an allocator.
+// planBytes estimates the resident size of a base plan from what it
+// holds: the vertex set (one flat coordinate buffer plus a slice header
+// per vertex), the projected points with their fibers and point index,
+// the partitioning's groups and per-point group table, and the TIG. A
+// plan holds no per-vertex table besides V: fibers are one (X0, T0, Len)
+// triple per projection line, and blocks are derived from the groups. The
+// cache budget compares these sums against its byte limit, so they
+// should track the heap the cached plans actually pin.
 func planBytes(p *loopmap.Plan) int64 {
-	const vecHeader = 24 // slice header per vec.Int
+	const (
+		sliceHeader = 24
+		fiberBytes  = 24  // one project.Fiber
+		groupBytes  = 112 // a Group's fixed fields
+		edgeBytes   = 24  // one TIGEdge
+	)
 	dims := int64(p.Structure.Nest.Dims)
-	perVec := dims*8 + vecHeader
+	perVec := dims*8 + sliceHeader
 
 	b := int64(len(p.Structure.V)) * perVec
-	b += int64(len(p.Projected.Points)) * (perVec + vecHeader)
-	for _, f := range p.Projected.Fibers {
-		b += int64(len(f)) * 8
+	ps := p.Projected
+	b += int64(len(ps.Points))*perVec + int64(len(ps.Fibers))*fiberBytes
+	b += ps.IndexBytes()
+	part := p.Partitioning
+	b += int64(len(part.GroupOf)) * 8
+	for _, g := range part.Groups {
+		b += groupBytes + perVec + int64(cap(g.Members)+cap(g.Slot)+cap(g.Coords))*8
 	}
-	b += int64(len(p.Partitioning.BlockOf)+len(p.Partitioning.GroupOf)) * 8
-	for _, g := range p.Partitioning.Groups {
-		b += perVec + int64(len(g.Members)+len(g.Slot))*8 + int64(len(g.Coords))*8
-	}
-	b += int64(len(p.TIG.Edges))*24 + int64(len(p.TIG.Loads))*8
+	// Each TIG edge carries its per-dependence weights; each block a load
+	// and a row offset.
+	nDeps := int64(len(p.Structure.D))
+	b += int64(len(p.TIG.Edges))*(edgeBytes+8*nDeps) + int64(len(p.TIG.Loads))*16
 	return b + 512 // fixed struct overhead
 }

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -129,5 +130,59 @@ func TestFlightGroupPropagatesError(t *testing.T) {
 	v, err, _ := g.do(context.Background(), "k", func() (any, error) { return 1, nil })
 	if err != nil || v.(int) != 1 {
 		t.Fatalf("retry after failure: v=%v err=%v", v, err)
+	}
+}
+
+// TestPlanBytesTracksHeap builds base plans shaped like the miss-cold
+// grid (every kernel, sizes across the grid, merge factors 1–10, aux on
+// and off) and checks that their summed planBytes stays within
+// [0.85, 1.30] of the live heap they pin, so the cache's byte budget
+// bounds the memory the cached plans really hold.
+func TestPlanBytesTracksHeap(t *testing.T) {
+	type key struct {
+		kernel string
+		size   int64
+	}
+	var keys []key
+	for _, k := range []string{"convolution", "dct", "l1", "matvec", "stencil", "triangular"} {
+		for size := int64(8); size <= 128; size += 15 {
+			keys = append(keys, key{k, size})
+		}
+	}
+	for _, k := range []string{"closure", "matmul", "sor2d"} {
+		for size := int64(4); size <= 28; size += 4 {
+			keys = append(keys, key{k, size})
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	plans := make([]*loopmap.Plan, 0, len(keys))
+	for i, k := range keys {
+		kern, err := loopmap.LookupKernel(k.kernel, k.size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := loopmap.NewPlan(kern, loopmap.PlanOptions{
+			CubeDim:   -1,
+			Partition: loopmap.PartitionOptions{MergeFactor: int64(1 + i%10), NoAux: i%2 == 1},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		plans = append(plans, p)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	var est int64
+	for _, p := range plans {
+		est += planBytes(p)
+	}
+	live := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	runtime.KeepAlive(plans)
+	ratio := float64(est) / float64(live)
+	t.Logf("%d plans: planBytes sum %d, live heap %d, ratio %.3f", len(plans), est, live, ratio)
+	if ratio < 0.85 || ratio > 1.30 {
+		t.Fatalf("planBytes sum is %.3f× the live heap of %d plans, want within [0.85, 1.30]", ratio, len(plans))
 	}
 }

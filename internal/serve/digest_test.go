@@ -1,0 +1,101 @@
+package serve
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"flag"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"regexp"
+	"strings"
+	"testing"
+
+	"repro/api"
+)
+
+var updateDigest = flag.Bool("update-digest", false, "rewrite testdata/plan_digest.txt from the current planner")
+
+const digestFile = "testdata/plan_digest.txt"
+
+// digestKeys is the request sample the response digest covers. The miss
+// part follows the miss-cold benchmark grid (2-D kernels at sizes 8–128
+// in steps of 3, 3-D kernels at 4–28 in steps of 2): each grid group
+// contributes one base key whose merge factor and aux toggle rotate with
+// the group index, requested at every cube dimension from −1 to 4. The searched part plans every kernel at sizes
+// 2–9 with SearchPi, at cube dimension 3.
+func digestKeys() []api.PlanRequest {
+	var out []api.PlanRequest
+	j := 0
+	add := func(kernels []string, from, to, step int64) {
+		for _, k := range kernels {
+			for size := from; size <= to; size += step {
+				merge, noAux := int64(1+j%10), j%20 >= 10
+				for cube := -1; cube <= 4; cube++ {
+					c := cube
+					out = append(out, api.PlanRequest{Kernel: k, Size: size, CubeDim: &c, MergeFactor: merge, NoAux: noAux})
+				}
+				j++
+			}
+		}
+	}
+	add([]string{"convolution", "dct", "l1", "matvec", "stencil", "triangular"}, 8, 128, 3)
+	add([]string{"closure", "matmul", "sor2d"}, 4, 28, 2)
+	for _, k := range []string{"closure", "convolution", "dct", "l1", "matmul", "matvec", "sor2d", "stencil", "triangular"} {
+		for size := int64(2); size <= 9; size++ {
+			c := 3
+			out = append(out, api.PlanRequest{Kernel: k, Size: size, CubeDim: &c, SearchPi: true})
+		}
+	}
+	return out
+}
+
+// cacheField is the per-request cache outcome the frame writer appends;
+// it depends on what the plan cache still holds, not on the plan, so the
+// digest leaves it out.
+var cacheField = regexp.MustCompile(`,"cache":"[a-z]+"`)
+
+// TestPlanResponseDigest pins the /v1/plan response bodies of a fixed
+// request sample to a committed SHA-256 digest, so a planner change that
+// alters any answer — block counts, TIG traffic, the summary text — fails
+// here. Run with -update-digest to rewrite the digest after an intended
+// change.
+func TestPlanResponseDigest(t *testing.T) {
+	s := New(Config{})
+	h := s.Handler()
+	keys := digestKeys()
+	if len(keys) < 1000 {
+		t.Fatalf("digest sample has %d keys, want at least 1000", len(keys))
+	}
+	sum := sha256.New()
+	for _, req := range keys {
+		body, err := json.Marshal(&req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/plan", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: %d %s", body, rec.Code, rec.Body.Bytes())
+		}
+		fmt.Fprintf(sum, "%s\n", body)
+		sum.Write(cacheField.ReplaceAll(rec.Body.Bytes(), nil))
+	}
+	got := fmt.Sprintf("%d %s", len(keys), hex.EncodeToString(sum.Sum(nil)))
+	if *updateDigest {
+		if err := os.WriteFile(digestFile, []byte(got+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(digestFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w := strings.TrimSpace(string(want)); got != w {
+		t.Fatalf("plan response digest = %s, want %s (run with -update-digest only if the change is intended)", got, w)
+	}
+}

@@ -99,7 +99,7 @@ func (s *Server) runScrub() ScrubReport {
 			time.Sleep(ahead)
 		}
 	}
-	segments, quarantined, _ := s.tier.Scrub(throttle)
+	segments, quarantined := s.tier.Scrub(throttle)
 	rep := ScrubReport{
 		Segments:     segments,
 		Quarantined:  quarantined,

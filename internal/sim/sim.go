@@ -56,8 +56,8 @@ type Assignment struct {
 // FromMapping combines a partitioning and a hypercube mapping into a
 // vertex-level assignment with e-cube hop counts.
 func FromMapping(p *core.Partitioning, m *mapping.Result) Assignment {
-	procOf := make([]int, len(p.BlockOf))
-	for vi, b := range p.BlockOf {
+	procOf := p.BlockOf()
+	for vi, b := range procOf {
 		procOf[vi] = m.NodeOf[b]
 	}
 	cube := m.Cube
@@ -72,8 +72,8 @@ func FromMapping(p *core.Partitioning, m *mapping.Result) Assignment {
 // FromMeshMapping combines a partitioning and a mesh mapping into a
 // vertex-level assignment with Manhattan hop counts.
 func FromMeshMapping(p *core.Partitioning, m *mapping.MeshResult) Assignment {
-	procOf := make([]int, len(p.BlockOf))
-	for vi, b := range p.BlockOf {
+	procOf := p.BlockOf()
+	for vi, b := range procOf {
 		procOf[vi] = m.NodeOf[b]
 	}
 	msh := m.Mesh
@@ -90,8 +90,8 @@ func FromMeshMapping(p *core.Partitioning, m *mapping.MeshResult) Assignment {
 // assignment with surviving-graph hop counts and routes. Failed nodes
 // keep their processor ids but host no vertices.
 func FromDegradedMapping(p *core.Partitioning, d *mapping.Degraded) Assignment {
-	procOf := make([]int, len(p.BlockOf))
-	for vi, b := range p.BlockOf {
+	procOf := p.BlockOf()
+	for vi, b := range procOf {
 		procOf[vi] = d.NodeOf[b]
 	}
 	return Assignment{
@@ -105,8 +105,7 @@ func FromDegradedMapping(p *core.Partitioning, d *mapping.Degraded) Assignment {
 // BlocksAsProcs assigns each partitioned block its own processor — the
 // pre-mapping ideal the partitioning phase reasons about.
 func BlocksAsProcs(p *core.Partitioning) Assignment {
-	procOf := make([]int, len(p.BlockOf))
-	copy(procOf, p.BlockOf)
+	procOf := p.BlockOf()
 	return Assignment{ProcOf: procOf, NumProcs: p.NumBlocks()}
 }
 

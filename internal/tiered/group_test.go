@@ -461,6 +461,47 @@ func TestCloseWaitsForInlineFlush(t *testing.T) {
 	}
 }
 
+// TestFlushWaitsForRunningFlush: Flush, called while a flush another
+// goroutine started is still writing its segment, waits for that flush
+// and then flushes what was Put since, so on return both are segments.
+func TestFlushWaitsForRunningFlush(t *testing.T) {
+	dir := t.TempDir()
+	fs := &gateFS{FS: persist.OS(), started: make(chan struct{}), release: make(chan struct{})}
+	s, _ := openTest(t, dir, func(c *Config) {
+		c.FS = fs
+		c.MemtableBytes = 1 << 20 // only explicit flushes
+	})
+	defer s.Close()
+	put := func(i int) {
+		k, v := kv(i)
+		if err := s.Put(k, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	put(0)
+	first := make(chan error, 1)
+	go func() { first <- s.Flush() }()
+	<-fs.started
+	put(1)
+	second := make(chan error, 1)
+	go func() { second <- s.Flush() }()
+	select {
+	case err := <-second:
+		second <- err
+		t.Error("Flush returned while another flush was still writing its segment")
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(fs.release)
+	for _, c := range []chan error{first, second} {
+		if err := <-c; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := s.Stats().Flushes; got != 2 {
+		t.Fatalf("%d flushes after both Flush calls returned, want 2", got)
+	}
+}
+
 // TestFsyncIntervalFlushes: under the interval policy the background
 // loop fsyncs the WAL without any caller asking.
 func TestFsyncIntervalFlushes(t *testing.T) {

@@ -126,6 +126,8 @@ type Store struct {
 	oldWALs  []uint64 // replayed-but-unflushed WAL seqs, retired by flush
 	flushing bool
 	closed   bool
+	// flushIdle is signalled when flushing clears.
+	flushIdle *sync.Cond
 
 	// FsyncAlways group commit (see Put). queue holds the Puts waiting
 	// for the next commit; committing is true while some Put leads (or
@@ -183,6 +185,7 @@ func Open(cfg Config) (*Store, []persist.Record, error) {
 		man: man,
 	}
 	s.commitIdle = sync.NewCond(&s.mu)
+	s.flushIdle = sync.NewCond(&s.mu)
 
 	// Open live segments; one that fails its structural checks is
 	// quarantined on the spot (the cache recomputes; anti-entropy heals).
@@ -591,6 +594,7 @@ func (s *Store) maybeFlushLocked() {
 func (s *Store) failFlush(err error) {
 	s.mu.Lock()
 	s.flushing = false
+	s.flushIdle.Broadcast()
 	s.latchLocked(err)
 	s.mu.Unlock()
 }
@@ -643,6 +647,7 @@ func (s *Store) doFlush(segSeq uint64, retire []uint64) {
 	s.l0 = append(s.l0, seg)
 	s.frozen = nil
 	s.flushing = false
+	s.flushIdle.Broadcast()
 	s.oldWALs = nil
 	needCompact := len(s.l0) >= s.cfg.CompactTrigger ||
 		(s.cfg.BudgetBytes > 0 && s.diskBytesLocked() > s.cfg.BudgetBytes)
@@ -661,13 +666,20 @@ func (s *Store) doFlush(segSeq uint64, retire []uint64) {
 	}
 }
 
-// Flush forces the memtable to disk (tests and shutdown hooks).
+// Flush forces the memtable to disk (tests and shutdown hooks). It first
+// waits out a group commit writing the WAL and a flush running on another
+// goroutine, so on return every Put acked before the call sits in a
+// segment, unless the store is degraded.
 func (s *Store) Flush() error {
 	s.mu.Lock()
-	for s.writing {
-		s.commitIdle.Wait()
+	for s.writing || s.flushing {
+		if s.flushing {
+			s.flushIdle.Wait()
+		} else {
+			s.commitIdle.Wait()
+		}
 	}
-	if len(s.mem) == 0 || s.flushing || s.frozen != nil {
+	if len(s.mem) == 0 || s.frozen != nil {
 		err := s.degraded
 		s.mu.Unlock()
 		return err
@@ -1013,7 +1025,7 @@ func (s *Store) compact() error {
 // segment that fails is quarantined: dropped from the manifest and
 // deleted, its keys left to recompute or anti-entropy healing. Returns
 // segments scanned and segments quarantined.
-func (s *Store) Scrub(throttle func(int)) (scanned, quarantined int, err error) {
+func (s *Store) Scrub(throttle func(int)) (scanned, quarantined int) {
 	s.mu.Lock()
 	l0, l1 := s.snapshotLocked()
 	s.mu.Unlock()
@@ -1028,7 +1040,7 @@ func (s *Store) Scrub(throttle func(int)) (scanned, quarantined int, err error) 
 			}
 		}
 	}
-	return scanned, quarantined, nil
+	return scanned, quarantined
 }
 
 // quarantine drops one segment from the manifest and deletes its file.

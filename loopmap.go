@@ -442,8 +442,8 @@ func (p *Plan) RemapDegradedTopology(failedNodes []int, failedLinks [][2]int) (*
 // placement returns the vertex→processor placement of the plan.
 func (p *Plan) placement() exec.Placement {
 	if p.Degraded != nil {
-		procOf := make([]int, len(p.Partitioning.BlockOf))
-		for vi, b := range p.Partitioning.BlockOf {
+		procOf := p.Partitioning.BlockOf()
+		for vi, b := range procOf {
 			procOf[vi] = p.Degraded.NodeOf[b]
 		}
 		return exec.Placement{ProcOf: procOf, NumProcs: p.Degraded.Cube.N}

@@ -10,52 +10,43 @@ package loopmap
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/hyperplane"
 	"repro/internal/kernels"
 	"repro/internal/loop"
-	"repro/internal/vec"
+	"repro/internal/nestgen"
 )
 
-// randomUniformLoop synthesizes a random nest + dependence matrix for
+// randomUniformLoop synthesizes a kernel over a generated nest (every
+// shape in turn, 2-D or 3-D) with a generated dependence matrix, for
 // which a valid hyperplane time function exists in the search bound.
 func randomUniformLoop(rng *rand.Rand, trial int) (*Kernel, bool) {
-	dims := 2 + rng.Intn(2) // 2-D or 3-D
-	lo := make([]int64, dims)
-	hi := make([]int64, dims)
-	for d := 0; d < dims; d++ {
-		lo[d] = int64(rng.Intn(3))
-		hi[d] = lo[d] + int64(2+rng.Intn(3)) // 3..5 iterations per dim
-	}
-	nest := loop.NewRect(fmt.Sprintf("fuzz-%d", trial), lo, hi)
+	kind := nestgen.Kinds[trial%len(nestgen.Kinds)]
+	nest := nestgen.Nest(rng, kind, 2+rng.Intn(2))
+	nest.Name = fmt.Sprintf("fuzz-%d-%s", trial, kind)
+	return uniformKernel(rng, nest)
+}
 
-	nDeps := 1 + rng.Intn(3)
-	seen := map[string]bool{}
-	var deps []vec.Int
-	for len(deps) < nDeps {
-		d := make(vec.Int, dims)
-		for i := range d {
-			d[i] = int64(rng.Intn(5) - 2)
-		}
-		if d.IsZero() {
-			continue
-		}
-		if !d.LexPositive() {
-			d = d.Scale(-1)
-		}
-		if seen[d.Key()] {
-			continue
-		}
-		seen[d.Key()] = true
-		deps = append(deps, d)
-	}
+// randomBoxLoop is randomUniformLoop over a box with 3 to 5 iterations
+// per dimension.
+func randomBoxLoop(rng *rand.Rand, trial int) (*Kernel, bool) {
+	nest := nestgen.Box(rng, 2+rng.Intn(2), 3, 5)
+	nest.Name = fmt.Sprintf("fuzz-%d-box", trial)
+	return uniformKernel(rng, nest)
+}
+
+// uniformKernel gives nest a generated dependence matrix and the optimal
+// Π in the search bound, or reports false when none exists.
+func uniformKernel(rng *rand.Rand, nest *loop.Nest) (*Kernel, bool) {
+	deps := nestgen.Deps(rng, nest.Dims, 2)
 
 	// Check a valid Π exists; otherwise skip this draw (e.g. dependences
 	// (1,0) plus (1,-9ish) combinations may be infeasible in the bound).
 	st, err := loop.NewStructure(nest, deps...)
-	if err != nil {
+	if err != nil || len(st.V) == 0 {
 		return nil, false
 	}
 	sch, err := hyperplane.FindOptimal(st, 2)
@@ -163,14 +154,17 @@ func TestPipelineFuzzRandomPi(t *testing.T) {
 
 func TestPipelineFuzzSimulation(t *testing.T) {
 	// The simulator must accept every feasible random loop and produce a
-	// makespan at least as large as the critical computation.
+	// makespan at least as large as the critical computation. The loops
+	// are boxes of 3 to 5 iterations a side, whose dependence chains span
+	// the schedule; a thin nest can finish its short chains in fewer
+	// steps than its hyperplanes number.
 	rng := rand.New(rand.NewSource(42))
 	valid := 0
 	for trial := 0; valid < 30; trial++ {
 		if trial > 300 {
 			t.Fatalf("too few feasible random loops")
 		}
-		k, ok := randomUniformLoop(rng, trial)
+		k, ok := randomBoxLoop(rng, trial)
 		if !ok {
 			continue
 		}
@@ -225,5 +219,40 @@ func TestPipelineFuzzDeterminism(t *testing.T) {
 	}
 	if !r1.Equal(r2) {
 		t.Fatal("traces differ across identical seeds")
+	}
+}
+
+func TestPipelineFuzzEnginesAgree(t *testing.T) {
+	// On generated nests of every shape, placed through the derived
+	// block map, the block-level and point-level simulation engines must
+	// agree bit for bit, with and without message aggregation.
+	rng := rand.New(rand.NewSource(99))
+	valid := 0
+	for trial := 0; valid < 40; trial++ {
+		if trial > 400 {
+			t.Fatalf("too few feasible random loops")
+		}
+		k, ok := randomUniformLoop(rng, trial)
+		if !ok {
+			continue
+		}
+		valid++
+		plan, err := NewPlan(k, PlanOptions{CubeDim: rng.Intn(3)})
+		if err != nil {
+			t.Fatalf("%s: %v", k.Name, err)
+		}
+		params := Params{TCalc: 1 + float64(rng.Intn(5)), TStart: float64(rng.Intn(20)), TComm: float64(rng.Intn(5))}
+		agg := rng.Intn(2) == 0
+		point, err := plan.Simulate(params, SimOptions{Engine: EnginePoint, Aggregate: agg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		block, err := plan.Simulate(params, SimOptions{Engine: EngineBlock, Aggregate: agg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(point, block) {
+			t.Fatalf("%s (Π %v, aggregate %v): point engine %+v, block engine %+v", k.Name, k.Pi, agg, point, block)
+		}
 	}
 }
