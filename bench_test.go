@@ -19,6 +19,7 @@ import (
 	"repro/internal/hyperplane"
 	"repro/internal/machine"
 	"repro/internal/mapping"
+	"repro/internal/project"
 	"repro/internal/sim"
 )
 
@@ -58,7 +59,7 @@ func BenchmarkFig3PartitionL1(b *testing.B) {
 	var inter int
 	for i := 0; i < b.N; i++ {
 		plan := mustPlan(b, "l1", 3, -1)
-		es := plan.Partitioning.EdgeStats()
+		es := plan.TIG.EdgeStats()
 		if plan.Partitioning.NumBlocks() != 4 || es.InterBlock != 12 {
 			b.Fatalf("Fig. 3 shape broken: blocks=%d inter=%d", plan.Partitioning.NumBlocks(), es.InterBlock)
 		}
@@ -600,24 +601,32 @@ func BenchmarkSweepFanOut(b *testing.B) {
 	})
 }
 
-// BenchmarkPlanMissGrid measures the planner's cold path, as a plan-cache
-// miss runs it: one op is NewPlanCtx over a fixed grid of kernel × size ×
-// merge factor (2-D kernels at size 32, 3-D kernels at size 12, merge 1
-// and 3, mapped onto a 3-cube). ms/plan is the mean over the grid's plans.
-// The plan+summary case also renders Plan.Summary, the costliest part of
-// building a plan response.
-func BenchmarkPlanMissGrid(b *testing.B) {
-	type key struct {
-		kernel string
-		size   int64
-	}
-	var grid []key
+// missGridKey is one kernel and size of the miss-path benchmarks' grid.
+type missGridKey struct {
+	kernel string
+	size   int64
+}
+
+// missGridKeys is the grid of the miss-path benchmarks: 2-D kernels at
+// size 32 and 3-D kernels at size 12.
+func missGridKeys() []missGridKey {
+	var grid []missGridKey
 	for _, k := range []string{"convolution", "dct", "l1", "matvec", "stencil", "triangular"} {
-		grid = append(grid, key{k, 32})
+		grid = append(grid, missGridKey{k, 32})
 	}
 	for _, k := range []string{"closure", "matmul", "sor2d"} {
-		grid = append(grid, key{k, 12})
+		grid = append(grid, missGridKey{k, 12})
 	}
+	return grid
+}
+
+// BenchmarkPlanMissGrid measures the planner's cold path, as a plan-cache
+// miss runs it: one op is NewPlanCtx over a fixed grid of kernel × size ×
+// merge factor (missGridKeys, merge 1 and 3, mapped onto a 3-cube).
+// ms/plan is the mean over the grid's plans. The plan+summary case also
+// renders Plan.Summary, the costliest part of building a plan response.
+func BenchmarkPlanMissGrid(b *testing.B) {
+	grid := missGridKeys()
 	merges := []int64{1, 3}
 	ctx := context.Background()
 	for _, summary := range []bool{false, true} {
@@ -646,4 +655,33 @@ func BenchmarkPlanMissGrid(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed())/float64(time.Millisecond)/plans, "ms/plan")
 		})
 	}
+}
+
+// BenchmarkPartitionMissGrid measures Algorithm 1 alone on the grid of
+// BenchmarkPlanMissGrid: one op partitions every kernel's projected
+// structure at merge factors 1 and 3. ms/partition is the mean per call.
+func BenchmarkPartitionMissGrid(b *testing.B) {
+	merges := []int64{1, 3}
+	var structs []*project.Structure
+	for _, g := range missGridKeys() {
+		plan, err := NewPlan(NewKernel(g.kernel, g.size), PlanOptions{CubeDim: -1})
+		if err != nil {
+			b.Fatalf("%s/%d: %v", g.kernel, g.size, err)
+		}
+		structs = append(structs, plan.Projected)
+	}
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, ps := range structs {
+			for _, m := range merges {
+				if _, err := core.PartitionCtx(ctx, ps, core.Options{MergeFactor: m}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
+	calls := float64(b.N * len(structs) * len(merges))
+	b.ReportMetric(float64(b.Elapsed())/float64(time.Millisecond)/calls, "ms/partition")
 }

@@ -132,7 +132,7 @@ func fig3() string {
 	pv(&b, "projected points", 7, len(plan.Projected.Points))
 	pv(&b, "group size r", 2, plan.Partitioning.R)
 	pv(&b, "groups/blocks", 4, plan.Partitioning.NumBlocks())
-	es := plan.Partitioning.EdgeStats()
+	es := plan.TIG.EdgeStats()
 	pv(&b, "data dependencies", 33, es.Total)
 	pv(&b, "interblock dependencies", 12, es.InterBlock)
 	b.WriteString("\n  block of each iteration (i down, j right):\n")

@@ -50,7 +50,7 @@ func main() {
 	// Each block pairs two projection lines, so no two of its iterations
 	// share a hyperplane — assigning a block per processor keeps the
 	// 7-step schedule intact while cutting interblock traffic to 12.
-	es := plan.Partitioning.EdgeStats()
+	es := plan.TIG.EdgeStats()
 	fmt.Printf("\n%d of %d dependences cross blocks (the paper reports 12 of 33)\n",
 		es.InterBlock, es.Total)
 

@@ -2,22 +2,49 @@ package loopmap
 
 import (
 	"context"
+	"math/rand"
 	"testing"
 	"time"
+
+	"repro/internal/kernels"
+	"repro/internal/nestgen"
 )
+
+// fuzzNestgen is the kernel name under which FuzzNewPlan plans a
+// generated nest instead of a built-in kernel.
+const fuzzNestgen = "nestgen"
+
+// fuzzKernel returns the kernel a fuzz input names: the built-in kernel
+// at size, or for fuzzNestgen the nest, dependences and Π that nestgen
+// draws from seed (its low three bits pick the shape and depth).
+func fuzzKernel(name string, size, seed int64) (*Kernel, bool) {
+	if name != fuzzNestgen {
+		k, err := LookupKernel(name, size)
+		return k, err == nil
+	}
+	c, ok := nestgen.Draw(rand.New(rand.NewSource(seed)), int(seed&7))
+	if !ok {
+		return nil, false
+	}
+	return kernels.Generic(c.Nest.Name, c.Nest, c.Deps, c.Pi, uint64(seed)), true
+}
 
 // FuzzNewPlan throws fuzzer-mutated option combinations at the full
 // schedule → projection → partitioning → mapping pipeline, seeded from
-// every built-in kernel. The contract under test: NewPlan either returns
-// a structurally sound plan or a typed error — it must never panic,
-// overflow, or hang past its context.
+// every built-in kernel and from generated nests of every shape. The
+// contract under test: NewPlan either returns a structurally sound plan
+// or a typed error — it must never panic, overflow, or hang past its
+// context.
 func FuzzNewPlan(f *testing.F) {
 	for i, name := range KernelNames() {
-		f.Add(name, int64(4+i%5), 3, false, int64(0), false, 0)
-		f.Add(name, int64(8), -1, true, int64(2), true, 1)
-		f.Add(name, int64(6), 2, false, int64(3), false, 2)
+		f.Add(name, int64(4+i%5), 3, false, int64(0), false, 0, int64(0))
+		f.Add(name, int64(8), -1, true, int64(2), true, 1, int64(0))
+		f.Add(name, int64(6), 2, false, int64(3), false, 2, int64(0))
 	}
-	f.Fuzz(func(t *testing.T, name string, size int64, cubeDim int, searchPi bool, merge int64, noAux bool, choice int) {
+	for seed := int64(0); seed < 16; seed++ {
+		f.Add(fuzzNestgen, int64(1), int(seed%4), seed%3 == 0, seed%4, seed%2 == 1, int(seed%3), seed)
+	}
+	f.Fuzz(func(t *testing.T, name string, size int64, cubeDim int, searchPi bool, merge int64, noAux bool, choice int, seed int64) {
 		// Clamp the fuzzed inputs to the daemon's own admission range:
 		// anything outside is rejected before planning ever runs.
 		if size < 1 || size > 16 {
@@ -29,9 +56,9 @@ func FuzzNewPlan(f *testing.F) {
 		if merge < 0 || merge > 4 || choice < 0 || choice > 8 {
 			t.Skip()
 		}
-		k, err := LookupKernel(name, size)
-		if err != nil {
-			t.Skip() // unknown kernel name: not this fuzzer's target
+		k, ok := fuzzKernel(name, size, seed)
+		if !ok {
+			t.Skip() // unknown kernel name or no valid Π: not this fuzzer's target
 		}
 		opt := PlanOptions{
 			SearchPi: searchPi,

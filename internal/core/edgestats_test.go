@@ -27,8 +27,10 @@ func edgeStatsWalk(p *Partitioning) DepEdgeStats {
 }
 
 // checkEdgeStats partitions ps at merge factors 1 to maxMerge, with and
-// without auxiliary vectors, and compares EdgeStats with the walk and
-// its InterBlock with the TIG's traffic.
+// without auxiliary vectors, diffs the groups and the TIG's EdgeStats
+// against the visited-set region growing and the per-pair count
+// (checkGrowAgainstVecSet), and compares EdgeStats with the walk and
+// InterBlock with the TIG's traffic.
 func checkEdgeStats(t *testing.T, name string, ps *project.Structure, maxMerge int64) {
 	t.Helper()
 	for merge := int64(1); merge <= maxMerge; merge++ {
@@ -37,11 +39,13 @@ func checkEdgeStats(t *testing.T, name string, ps *project.Structure, maxMerge i
 			if err != nil {
 				t.Fatalf("%s merge=%d noAux=%v: %v", name, merge, noAux, err)
 			}
-			got, want := p.EdgeStats(), edgeStatsWalk(p)
+			checkGrowAgainstVecSet(t, fmt.Sprintf("%s merge=%d noAux=%v", name, merge, noAux), p, nil)
+			tig := BuildTIG(p)
+			got, want := tig.EdgeStats(), edgeStatsWalk(p)
 			if got != want {
 				t.Fatalf("%s merge=%d noAux=%v: EdgeStats = %+v, walk %+v", name, merge, noAux, got, want)
 			}
-			if traffic := BuildTIG(p).TotalTraffic(); int64(got.InterBlock) != traffic {
+			if traffic := tig.TotalTraffic(); int64(got.InterBlock) != traffic {
 				t.Fatalf("%s merge=%d noAux=%v: InterBlock = %d, TIG traffic %d", name, merge, noAux, got.InterBlock, traffic)
 			}
 		}

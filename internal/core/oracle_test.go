@@ -354,7 +354,7 @@ func checkArcsAndBlocks(t *testing.T, name string, p *Partitioning) {
 			if qi < 0 {
 				continue
 			}
-			if got, want := fiberArcs(ps, pt, qi, lag[dep]), fiberArcsTrim(ps.Orig, lists[pt], d); got != want {
+			if got, want := fiberArcs(ps, pt, qi, lag[dep], ps.Stride()), fiberArcsTrim(ps.Orig, lists[pt], d); got != want {
 				t.Fatalf("%s: fiberArcs(point %d, dep %v) = %d, trim %d", name, pt, d, got, want)
 			}
 		}
@@ -374,7 +374,7 @@ func checkPartitionings(t *testing.T, name string, ps *project.Structure, rng *r
 			}
 			label := fmt.Sprintf("%s merge=%d noAux=%v", name, merge, noAux)
 			checkTIGAgainstMaps(t, label, BuildTIG(p), buildTIGByMaps(p), len(ps.Orig.D))
-			if got, want := p.EdgeStats(), edgeStatsWalk(p); got != want {
+			if got, want := BuildTIG(p).EdgeStats(), edgeStatsWalk(p); got != want {
 				t.Fatalf("%s: EdgeStats = %+v, walk %+v", label, got, want)
 			}
 			checkArcsAndBlocks(t, label, p)

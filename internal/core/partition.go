@@ -23,6 +23,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/project"
@@ -183,6 +184,9 @@ func PartitionCtx(ctx context.Context, ps *project.Structure, opt Options) (*Par
 	if opt.MergeFactor < 0 {
 		return nil, fmt.Errorf("core: negative merge factor %d", opt.MergeFactor)
 	}
+	if opt.SeedBase != nil && len(opt.SeedBase) != len(ps.Pi) {
+		return nil, fmt.Errorf("core: seed base arity %d, structure dim %d", len(opt.SeedBase), len(ps.Pi))
+	}
 	merge := opt.MergeFactor
 	if merge < 1 {
 		merge = 1
@@ -250,193 +254,213 @@ func PartitionCtx(ctx context.Context, ps *project.Structure, opt Options) (*Par
 	return p, nil
 }
 
-// singletonGroups makes every projected point its own group.
+// singletonGroups makes every projected point its own group. The bases
+// share one flat buffer and the members and slots another, like the
+// groups of growGroups.
 func (p *Partitioning) singletonGroups() {
 	ps := p.PS
-	p.GroupOf = make([]int, len(ps.Points))
+	np, n := len(ps.Points), len(ps.Pi)
+	p.GroupOf = make([]int, np)
+	ms := make([]int, 2*np)
+	bases := make([]int64, np*n)
+	p.Groups = make([]Group, np)
 	for i, pt := range ps.Points {
-		p.Groups = append(p.Groups, Group{
-			ID: i, Base: pt.Clone(), Members: []int{i}, Slot: []int{0},
+		ms[i] = i // every slot is 0
+		base := bases[i*n : (i+1)*n : (i+1)*n]
+		copy(base, pt)
+		p.Groups[i] = Group{
+			ID: i, Base: base, Members: ms[i : i+1 : i+1], Slot: ms[np+i : np+i+1 : np+i+1],
 			Component: 0, Coords: []int64{},
-		})
+		}
 		p.GroupOf[i] = i
 	}
-}
-
-// vecSet is a visited-set over integer lattice positions, keyed by FNV-1a
-// hashing of the raw coordinates with bucket chaining. The region growing
-// probes it once per candidate group base; hashing the int64 words directly
-// avoids the decimal string formatting a map[string]bool key would pay.
-type vecSet struct {
-	buckets map[uint64][]vec.Int
-}
-
-func newVecSet(sizeHint int) *vecSet {
-	return &vecSet{buckets: make(map[uint64][]vec.Int, sizeHint)}
-}
-
-// add inserts v (cloned) and reports whether it was absent before.
-func (s *vecSet) add(v vec.Int) bool {
-	const offset64, prime64 = 14695981039346656037, 1099511628211
-	h := uint64(offset64)
-	for _, x := range v {
-		u := uint64(x)
-		for b := 0; b < 8; b++ {
-			h ^= u & 0xff
-			h *= prime64
-			u >>= 8
-		}
-	}
-	for _, w := range s.buckets[h] {
-		if w.Equal(v) {
-			return false
-		}
-	}
-	s.buckets[h] = append(s.buckets[h], v.Clone())
-	return true
 }
 
 // growCheckEvery is how often (in BFS queue pops) growGroups polls the
 // context, amortizing the cancellation check over the sweep.
 const growCheckEvery = 1024
 
+// grower holds the region growing's state on flat storage. Group g's
+// base and lattice coordinates are rec[g*w : g*w+n] and
+// rec[g*w+n : (g+1)*w] with w = n + axes, its members and slots are
+// members[start[g]:start[g+1]] and slots[start[g]:start[g+1]], and its
+// component is comp[g]. Every projected point joins exactly one group, so
+// members and slots are exactly |V^p| long and fill in creation order.
+type grower struct {
+	ps      *project.Structure
+	r       int64
+	dl      vec.Int
+	n, w    int
+	groupOf []int
+	members []int
+	slots   []int
+	rec     []int64
+	start   []int
+	comp    []int
+	// cand is scratch for one probed lattice position.
+	cand vec.Int
+	// conflicts counts points a new group found already owned.
+	conflicts int
+}
+
+// groups returns the number of groups created so far.
+func (g *grower) groups() int { return len(g.comp) }
+
+// base returns group id's base in rec.
+func (g *grower) base(id int) []int64 { return g.rec[id*g.w : id*g.w+g.n] }
+
+// tryCreate claims the free projected points at base + k·d_l^p for k in
+// [0, r) as a new group of component comp with the given lattice
+// coordinates, and reports whether it made one. Points already owned by
+// another group are left alone (counted as conflicts when the overlap is
+// partial).
+//
+// No visited set is needed: a position whose probe created nothing had no
+// free point, and one that created a group claimed every free point, so
+// probing a position again can never create a group, and ownership only
+// grows. A second probe of a grown position returns at its first owned
+// point, whose group has this base; other repeats re-scan their r
+// positions and find nothing free.
+func (g *grower) tryCreate(base []int64, comp int, coords []int64) bool {
+	ps, cand := g.ps, g.cand
+	at := g.start[len(g.start)-1]
+	free, owned := 0, 0
+	for k := int64(0); k < g.r; k++ {
+		for j := range cand {
+			cand[j] = base[j] + k*g.dl[j]
+		}
+		idx := ps.IndexOf(cand)
+		if idx < 0 {
+			continue
+		}
+		if o := g.groupOf[idx]; o >= 0 {
+			if vec.Int(g.base(o)).Equal(base) {
+				return false
+			}
+			owned++
+			continue
+		}
+		g.members[at+free], g.slots[at+free] = idx, int(k)
+		free++
+	}
+	if free == 0 {
+		return false
+	}
+	g.conflicts += owned
+	id := g.groups()
+	for _, m := range g.members[at : at+free] {
+		g.groupOf[m] = id
+	}
+	g.rec = append(append(g.rec, base...), coords...)
+	g.start = append(g.start, at+free)
+	g.comp = append(g.comp, comp)
+	return true
+}
+
 // growGroups implements Steps 3–5: BFS region growing from seed groups.
 // seedBase, when non-nil, pins the base vertex of the very first group.
 // It polls ctx every growCheckEvery expansions and returns its error on
 // cancellation.
+//
+// Groups are created in BFS order and every created group is queued, so
+// the queue of a component is the run of groups created since its seed:
+// a pop is one step of an index. The groups are grown on flat scratch
+// (see grower) and carved at the end from exactly sized buffers, so the
+// number of allocations does not grow with the number of groups or
+// probes unless more groups than the scratch's estimate sit on the
+// boundary.
 func (p *Partitioning) growGroups(ctx context.Context, seedBase vec.Int) error {
 	ps := p.PS
-	r := p.R
-	dl := p.Grouping.Scaled
-
-	p.GroupOf = make([]int, len(ps.Points))
+	np, n, axes := len(ps.Points), len(ps.Pi), 1+len(p.Aux)
+	p.GroupOf = make([]int, np)
 	for i := range p.GroupOf {
 		p.GroupOf[i] = -1
 	}
-	visited := newVecSet(len(ps.Points))
+	ms := make([]int, 2*np)
+	// About |V^p|/r groups fill the interior; the slack covers partial
+	// groups on the boundary, and append grows the scratch past it.
+	est := min(np, np/int(p.R)+16)
+	w := n + axes
+	scratch := make([]int64, 3*n+2*axes)
+	g := &grower{
+		ps: ps, r: p.R, dl: p.Grouping.Scaled, n: n, w: w,
+		groupOf: p.GroupOf, members: ms[:np:np], slots: ms[np:],
+		rec:   make([]int64, 0, est*w),
+		start: append(make([]int, 0, est+1), 0),
+		comp:  make([]int, 0, est),
+		cand:  scratch[:n:n],
+	}
+	// base and coords hold the group being expanded, next and nextCoords
+	// the neighbour being probed.
+	base, next := vec.Int(scratch[n:2*n:2*n]), vec.Int(scratch[2*n:3*n:3*n])
+	coords, nextCoords := scratch[3*n:3*n+axes:3*n+axes], scratch[3*n+axes:]
 
-	// membersAt returns the projected points present at base + k·d_l^p for
-	// k in [0, r), with their slots. The candidate position is built in a
-	// reused scratch vector, so the r-step probe allocates nothing.
-	cand := make(vec.Int, len(dl))
-	membersAt := func(base vec.Int) (mem []int, slots []int) {
-		for k := int64(0); k < r; k++ {
-			for j := range cand {
-				cand[j] = base[j] + k*dl[j]
-			}
-			if idx := ps.IndexOf(cand); idx >= 0 {
-				mem = append(mem, idx)
-				slots = append(slots, int(k))
-			}
+	// probe tries the neighbour of the expanded group at
+	// base + delta·stride·v, delta steps along coordinate axis.
+	probe := func(comp int, v vec.Int, stride int64, axis int, delta int64) {
+		for j := range next {
+			next[j] = base[j] + delta*stride*v[j]
 		}
-		return mem, slots
+		copy(nextCoords, coords)
+		nextCoords[axis] += delta
+		g.tryCreate(next, comp, nextCoords)
 	}
 
-	// tryCreate claims the free members at base and appends a new group.
-	// Points already owned by another group are left alone (counted as
-	// conflicts when the overlap is partial).
-	tryCreate := func(base vec.Int, comp int, coords []int64) (created bool, anyPresent bool) {
-		mem, slots := membersAt(base)
-		if len(mem) == 0 {
-			return false, false
-		}
-		var freeMem []int
-		var freeSlots []int
-		for i, m := range mem {
-			if p.GroupOf[m] < 0 {
-				freeMem = append(freeMem, m)
-				freeSlots = append(freeSlots, slots[i])
-			}
-		}
-		if len(freeMem) == 0 {
-			return false, true
-		}
-		if len(freeMem) < len(mem) {
-			p.Conflicts += len(mem) - len(freeMem)
-		}
-		id := len(p.Groups)
-		g := Group{
-			ID: id, Base: base.Clone(), Members: freeMem, Slot: freeSlots,
-			Component: comp, Coords: append([]int64{}, coords...),
-		}
-		for _, m := range freeMem {
-			p.GroupOf[m] = id
-		}
-		p.Groups = append(p.Groups, g)
-		return true, true
-	}
-
-	nextUngrouped := func() int {
-		for i := range ps.Points {
-			if p.GroupOf[i] < 0 {
-				return i
-			}
-		}
-		return -1
-	}
-
-	comp := 0
-	pops := 0
-	for {
-		seed := nextUngrouped()
-		if seed < 0 {
-			break
-		}
+	dl := p.Grouping.Scaled
+	pops, cursor := 0, 0
+	for comp := 0; ; comp++ {
 		// Step 3: seed a group at the first ungrouped point (the paper
 		// selects a line and a point on it arbitrarily; lexicographic
 		// order makes the choice deterministic). A caller-pinned base
-		// overrides the choice for the first component.
-		var base vec.Int
+		// overrides the choice for the first component. Points are
+		// never ungrouped again, so the scan resumes where it stopped.
+		for cursor < np && p.GroupOf[cursor] >= 0 {
+			cursor++
+		}
+		if cursor == np {
+			break
+		}
 		if comp == 0 && seedBase != nil {
-			base = seedBase.Clone()
+			copy(next, seedBase)
 		} else {
-			base = ps.Points[seed]
+			copy(next, ps.Points[cursor])
 		}
-		coords := make([]int64, 1+len(p.Aux))
-		queue := []int{}
-		if created, _ := tryCreate(base, comp, coords); created {
-			queue = append(queue, len(p.Groups)-1)
-		}
-		visited.add(base)
+		clear(nextCoords)
+		head := g.groups()
+		g.tryCreate(next, comp, nextCoords)
 
 		// Step 4: BFS over forward/backward neighbours along the grouping
 		// vector (stride r·d_l^p) and each auxiliary vector (stride d_j^p).
-		for len(queue) > 0 {
-			gid := queue[0]
-			queue = queue[1:]
+		for ; head < g.groups(); head++ {
 			if pops++; pops%growCheckEvery == 0 {
 				if err := ctx.Err(); err != nil {
 					return err
 				}
 			}
-			g := p.Groups[gid]
-
-			type step struct {
-				base   vec.Int
-				coords []int64
-			}
-			var steps []step
-			addStep := func(base vec.Int, axis int, delta int64) {
-				c := append([]int64{}, g.Coords...)
-				c[axis] += delta
-				steps = append(steps, step{base: base, coords: c})
-			}
-			addStep(g.Base.AddScaled(r, dl), 0, 1)
-			addStep(g.Base.AddScaled(-r, dl), 0, -1)
+			rec := g.rec[head*w : (head+1)*w]
+			copy(base, rec[:n])
+			copy(coords, rec[n:])
+			probe(comp, dl, p.R, 0, 1)
+			probe(comp, dl, p.R, 0, -1)
 			for j, a := range p.Aux {
-				addStep(g.Base.Add(a.Scaled), 1+j, 1)
-				addStep(g.Base.Sub(a.Scaled), 1+j, -1)
-			}
-			for _, st := range steps {
-				if !visited.add(st.base) {
-					continue
-				}
-				if created, _ := tryCreate(st.base, comp, st.coords); created {
-					queue = append(queue, len(p.Groups)-1)
-				}
+				probe(comp, a.Scaled, 1, 1+j, 1)
+				probe(comp, a.Scaled, 1, 1+j, -1)
 			}
 		}
-		comp++
+	}
+	p.Conflicts = g.conflicts
+
+	// Carve the groups: bases and coordinates from one exactly sized copy
+	// of rec, members and slots from the shared point-sized buffers.
+	flat := slices.Clone(g.rec)
+	p.Groups = make([]Group, g.groups())
+	for id := range p.Groups {
+		rec := flat[id*w : (id+1)*w : (id+1)*w]
+		s, e := g.start[id], g.start[id+1]
+		p.Groups[id] = Group{
+			ID: id, Base: rec[:n:n], Members: g.members[s:e:e], Slot: g.slots[s:e:e],
+			Component: g.comp[id], Coords: rec[n:],
+		}
 	}
 	return nil
 }
@@ -448,37 +472,4 @@ func (p *Partitioning) BlockOfPoint(x vec.Int) int {
 		return -1
 	}
 	return p.GroupOf[p.PS.IndexOf(p.PS.ProjectionOf(x))]
-}
-
-// DepEdgeStats classifies dependence arcs as intra- or inter-block.
-type DepEdgeStats struct {
-	Total      int // all dependence arcs in Q
-	InterBlock int // arcs whose endpoints lie in different blocks
-}
-
-// EdgeStats counts total and interblock dependence arcs (the paper's
-// "number of data dependencies between index points is 33, and only 12 of
-// them require interprocessor communication" for loop L1). It counts them
-// per (projected point, dependence) pair as BuildTIG does, so it costs
-// |V^p|·m rather than |V|·m, and InterBlock equals the TIG's
-// TotalTraffic.
-func (p *Partitioning) EdgeStats() DepEdgeStats {
-	ps := p.PS
-	var s DepEdgeStats
-	q := make(vec.Int, len(ps.Pi))
-	lag := depLags(ps)
-	for pt := range ps.Points {
-		for dep := range ps.Deps {
-			qi := lineTarget(ps, pt, dep, q)
-			if qi < 0 {
-				continue
-			}
-			arcs := int(fiberArcs(ps, pt, qi, lag[dep]))
-			s.Total += arcs
-			if p.GroupOf[qi] != p.GroupOf[pt] {
-				s.InterBlock += arcs
-			}
-		}
-	}
-	return s
 }

@@ -53,7 +53,7 @@ func TestL1PartitioningFig3(t *testing.T) {
 	if err := CheckInvariants(p); err != nil {
 		t.Fatal(err)
 	}
-	s := p.EdgeStats()
+	s := BuildTIG(p).EdgeStats()
 	if s.Total != 33 {
 		t.Fatalf("total deps = %d, want 33", s.Total)
 	}
@@ -271,6 +271,12 @@ func TestSeedBaseOutsideStructureIsHarmless(t *testing.T) {
 	}
 	if p.NumBlocks() != 4 {
 		t.Fatalf("blocks = %d, want 4", p.NumBlocks())
+	}
+}
+
+func TestSeedBaseWrongArityIsAnError(t *testing.T) {
+	if _, err := Partition(l1Projected(t), Options{SeedBase: vec.NewInt(1)}); err == nil {
+		t.Fatal("a 1-D seed base for a 2-D structure was accepted")
 	}
 }
 

@@ -34,6 +34,10 @@ type TIG struct {
 	Edges []TIGEdge
 
 	rowStart []int
+	// arcs is the number of dependence arcs in the structure, intra-block
+	// and Π-parallel ones included; a synthetic TIG knows only its
+	// interblock arcs.
+	arcs int64
 	// depW[e*nDeps+dep] is the part of Edges[e]'s weight carried by the
 	// dependence vector dep (an index into the structure's D). Only
 	// BuildTIG fills it; synthetic TIGs from NewTIG have no breakdown.
@@ -63,6 +67,7 @@ func NewTIG(n int, loads []int64, edges []TIGEdge) *TIG {
 		t.Edges = append(t.Edges, e)
 	}
 	t.indexRows()
+	t.arcs = t.TotalTraffic()
 	return t
 }
 
@@ -103,10 +108,11 @@ func depLags(ps *project.Structure) []int64 {
 // w = Π·u of time apart: point t of pt runs at T0 + t·w, and its arc
 // reaches time T0 + t·w + Π·d, which is point t + k of qi with
 // k = (T0 + Π·d − T0')/w. The arcs are the t in [0, Len) whose t + k
-// falls in [0, Len'), so the count is one interval intersection.
-func fiberArcs(ps *project.Structure, pt, qi int, lag int64) int64 {
+// falls in [0, Len'), so the count is one interval intersection. w is
+// ps.Stride(), passed in so a loop over pairs computes it once.
+func fiberArcs(ps *project.Structure, pt, qi int, lag, w int64) int64 {
 	f, g := ps.Fibers[pt], ps.Fibers[qi]
-	k := int((f.T0 + lag - g.T0) / ps.Stride())
+	k := int((f.T0 + lag - g.T0) / w)
 	return int64(max(0, min(f.Len, g.Len-k)-max(0, -k)))
 }
 
@@ -114,7 +120,8 @@ func fiberArcs(ps *project.Structure, pt, qi int, lag int64) int64 {
 // dependence arc of the computational structure. One lattice lookup per
 // (projected point, dependence) pair names the target block, and the
 // pair's arc count is an intersection of the two fibers' intervals
-// (fiberArcs), so the cost follows |V^p|·m rather than |V|·m. Blocks are
+// (fiberArcs), so the cost follows |V^p|·m rather than |V|·m. The pairs
+// that stay inside a block count toward EdgeStats' total. Blocks are
 // visited in order, so each row is complete before the next starts: a
 // per-block stamp array finds an edge in O(1), and the finished row (at
 // most 2m − β entries by Theorem 2) is sorted in place.
@@ -135,26 +142,23 @@ func BuildTIG(p *Partitioning) *TIG {
 	stamp := make([]int32, t.N)
 	t.rowStart = make([]int, t.N+1)
 	q := make(vec.Int, len(ps.Pi))
-	lag := depLags(ps)
+	lag, w := depLags(ps), ps.Stride()
 	for u, g := range p.Groups {
 		row := len(t.Edges)
 		for _, pt := range g.Members {
 			for dep, d := range ps.Deps {
 				// A dependence parallel to Π stays on its projection
 				// line, inside the block.
-				if d.IsZero() {
-					continue
+				qi := pt
+				if !d.IsZero() {
+					if qi = lineTarget(ps, pt, dep, q); qi < 0 {
+						continue
+					}
 				}
-				qi := lineTarget(ps, pt, dep, q)
-				if qi < 0 {
-					continue
-				}
+				arcs := fiberArcs(ps, pt, qi, lag[dep], w)
+				t.arcs += arcs
 				v := p.GroupOf[qi]
-				if v == u {
-					continue
-				}
-				arcs := fiberArcs(ps, pt, qi, lag[dep])
-				if arcs == 0 {
+				if v == u || arcs == 0 {
 					continue
 				}
 				if stamp[v] != int32(u+1) {
@@ -241,6 +245,21 @@ func (t *TIG) DepBreakdown(u, v int) map[int]int64 {
 		}
 	}
 	return out
+}
+
+// DepEdgeStats classifies dependence arcs as intra- or inter-block.
+type DepEdgeStats struct {
+	Total      int // all dependence arcs in Q
+	InterBlock int // arcs whose endpoints lie in different blocks
+}
+
+// EdgeStats returns the total and interblock dependence arc counts (the
+// paper's "number of data dependencies between index points is 33, and
+// only 12 of them require interprocessor communication" for loop L1).
+// BuildTIG counts them as it classifies the arcs, so this costs one pass
+// over the edges; InterBlock equals TotalTraffic.
+func (t *TIG) EdgeStats() DepEdgeStats {
+	return DepEdgeStats{Total: int(t.arcs), InterBlock: int(t.TotalTraffic())}
 }
 
 // OutDegree returns the number of distinct blocks u sends data to.

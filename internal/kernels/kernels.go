@@ -22,6 +22,7 @@ import (
 	"math"
 	"sort"
 	"strings"
+	"sync"
 
 	"repro/internal/loop"
 	"repro/internal/vec"
@@ -187,6 +188,15 @@ func dataMatrix(seed uint64, rows, cols int) [][]float64 {
 	return m
 }
 
+// lazyMatrix returns a function that fills dataMatrix(seed, rows, cols)
+// on its first call and returns the same matrix on every later one. Only
+// a kernel's Sem closures read its input data, so looking a kernel up
+// and planning it never builds the matrix, and a cached plan does not pin
+// it.
+func lazyMatrix(seed uint64, rows, cols int) func() [][]float64 {
+	return sync.OnceValue(func() [][]float64 { return dataMatrix(seed, rows, cols) })
+}
+
 func dataVector(seed uint64, n int) []float64 {
 	g := &prng{s: seed | 1}
 	v := make([]float64, n)
@@ -258,8 +268,8 @@ func MatMul(size int64) *Kernel {
 			Ops:    2,
 		},
 	}
-	a := dataMatrix(101, int(size), int(size))
-	b := dataMatrix(202, int(size), int(size))
+	a := lazyMatrix(101, int(size), int(size))
+	b := lazyMatrix(202, int(size), int(size))
 	// Channel order matches sorted dependence order:
 	// dep0 = (0,0,1) carries C, dep1 = (0,1,0) carries A, dep2 = (1,0,0) carries B.
 	deps := []vec.Int{vec.NewInt(0, 0, 1), vec.NewInt(0, 1, 0), vec.NewInt(1, 0, 0)}
@@ -271,9 +281,9 @@ func MatMul(size int64) *Kernel {
 				return 0
 			case 1: // A[i,k] enters at j = 0
 				_ = j
-				return a[i][k]
+				return a()[i][k]
 			default: // B[k,j] enters at i = 0
-				return b[k][j]
+				return b()[k][j]
 			}
 		},
 		Compute: func(x vec.Int, in []float64) []float64 {
@@ -321,7 +331,7 @@ func MatVec(m int64) *Kernel {
 			Ops:    2,
 		},
 	}
-	a := dataMatrix(303, int(m)+1, int(m)+1)
+	a := lazyMatrix(303, int(m)+1, int(m)+1)
 	x := dataVector(404, int(m)+1)
 	// dep0 = (0,1) carries y; dep1 = (1,0) carries x.
 	deps := []vec.Int{vec.NewInt(0, 1), vec.NewInt(1, 0)}
@@ -333,7 +343,7 @@ func MatVec(m int64) *Kernel {
 			return x[p[1]] // x[j] enters at i = 1
 		},
 		Compute: func(p vec.Int, in []float64) []float64 {
-			y := in[0] + a[p[0]][p[1]]*in[1]
+			y := in[0] + a()[p[0]][p[1]]*in[1]
 			return []float64{y, in[1]}
 		},
 	}
@@ -513,7 +523,7 @@ func Closure(size int64) *Kernel {
 	k := MatMul(size)
 	k.Name = "closure"
 	k.Nest.Name = "closure"
-	adj := dataMatrix(808, int(size), int(size))
+	adj := lazyMatrix(808, int(size), int(size))
 	bit := func(v float64) float64 {
 		if v > 0.3 {
 			return 1
@@ -527,9 +537,9 @@ func Closure(size int64) *Kernel {
 			case 0:
 				return 0
 			case 1:
-				return bit(adj[i][kk])
+				return bit(adj()[i][kk])
 			default:
-				return bit(adj[kk][j])
+				return bit(adj()[kk][j])
 			}
 		},
 		Compute: func(x vec.Int, in []float64) []float64 {
@@ -649,7 +659,7 @@ func SOR2D(steps, width int64) *Kernel {
 		Reads:  reads,
 		Ops:    5,
 	}}
-	u0 := dataMatrix(1111, int(width), int(width))
+	u0 := lazyMatrix(1111, int(width), int(width))
 	// Dependence channel order (lexicographic): (1,-1,0), (1,0,-1),
 	// (1,0,0), (1,0,1), (1,1,0); the value arriving along (1,a,b) comes
 	// from grid cell (i−a, j−b) of the previous timestep.
@@ -661,7 +671,7 @@ func SOR2D(steps, width int64) *Kernel {
 		if i < 0 || i >= width || j < 0 || j >= width {
 			return 0
 		}
-		return u0[i][j]
+		return u0()[i][j]
 	}
 	sem := &Semantics{
 		Boundary: func(p vec.Int, dep int) float64 {

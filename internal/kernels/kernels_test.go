@@ -314,3 +314,29 @@ func TestPRNGDeterminism(t *testing.T) {
 		t.Fatal("different seeds produced identical data")
 	}
 }
+
+// TestLookupDoesNotBuildInputMatrices checks that the matrix kernels fill
+// their input data on first use by the semantics, not at lookup: looking
+// one up at size 64 costs far fewer allocations than the matrix's 64
+// rows, and the semantics still read the seeded data.
+func TestLookupDoesNotBuildInputMatrices(t *testing.T) {
+	for _, name := range []string{"closure", "matmul", "matvec", "sor2d"} {
+		allocs := testing.AllocsPerRun(5, func() {
+			if _, err := Lookup(name, 64); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs >= 64 {
+			t.Errorf("%s: Lookup(64) makes %v allocations, want fewer than the 64 rows of one input matrix", name, allocs)
+		}
+	}
+	k, err := Lookup("matvec", 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := dataMatrix(303, 4, 4)
+	in := []float64{1, 2}
+	if got, want := k.Sem.Compute(vec.NewInt(1, 2), in)[0], 1+m[1][2]*2; got != want {
+		t.Fatalf("matvec Compute at (1,2) = %v, want %v from the seeded matrix", got, want)
+	}
+}

@@ -15,9 +15,11 @@
 package mapping
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"repro/internal/core"
@@ -174,24 +176,23 @@ func MapItems(items []Item, dim int, opt Options) (*Result, error) {
 		bits[axis]++
 		var next []cluster
 		for _, cl := range clusters {
-			sort.SliceStable(cl.items, func(i, j int) bool {
-				a, b := cl.items[i], cl.items[j]
-				if a.Component != b.Component {
-					return a.Component < b.Component
+			slices.SortStableFunc(cl.items, func(a, b Item) int {
+				if c := cmp.Compare(a.Component, b.Component); c != 0 {
+					return c
 				}
-				if ca, cb := coord(a, axis), coord(b, axis); ca != cb {
-					return ca < cb
+				if c := cmp.Compare(coord(a, axis), coord(b, axis)); c != 0 {
+					return c
 				}
 				// Tie-break on the remaining axes, then ID, for determinism.
 				for o := 0; o < axes; o++ {
 					if o == axis {
 						continue
 					}
-					if ca, cb := coord(a, o), coord(b, o); ca != cb {
-						return ca < cb
+					if c := cmp.Compare(coord(a, o), coord(b, o)); c != 0 {
+						return c
 					}
 				}
-				return a.ID < b.ID
+				return cmp.Compare(a.ID, b.ID)
 			})
 			mid := (len(cl.items) + 1) / 2
 			lo := cluster{items: cl.items[:mid], axisIdx: append([]int{}, cl.axisIdx...)}

@@ -103,11 +103,12 @@ func (c *planCache) stats() (bytes int64, entries int) {
 // planBytes estimates the resident size of a base plan from what it
 // holds: the vertex set (one flat coordinate buffer plus a slice header
 // per vertex), the projected points with their fibers and point index,
-// the partitioning's groups and per-point group table, and the TIG. A
-// plan holds no per-vertex table besides V: fibers are one (X0, T0, Len)
-// triple per projection line, and blocks are derived from the groups. The
-// cache budget compares these sums against its byte limit, so they
-// should track the heap the cached plans actually pin.
+// the partitioning's groups with their shared buffers and per-point group
+// table, and the TIG. A plan holds no per-vertex table besides V: fibers
+// are one (X0, T0, Len) triple per projection line, and blocks are
+// derived from the groups. The cache budget compares these sums against
+// its byte limit, so they should track the heap the cached plans actually
+// pin.
 func planBytes(p *loopmap.Plan) int64 {
 	const (
 		sliceHeader = 24
@@ -122,10 +123,14 @@ func planBytes(p *loopmap.Plan) int64 {
 	ps := p.Projected
 	b += int64(len(ps.Points))*perVec + int64(len(ps.Fibers))*fiberBytes
 	b += ps.IndexBytes()
+	// GroupOf, and the members and slots that the groups carve from one
+	// shared buffer of 2·|V^p| entries; each group's base and lattice
+	// coordinates come from a second shared buffer.
 	part := p.Partitioning
-	b += int64(len(part.GroupOf)) * 8
-	for _, g := range part.Groups {
-		b += groupBytes + perVec + int64(cap(g.Members)+cap(g.Slot)+cap(g.Coords))*8
+	b += int64(len(part.GroupOf)) * 3 * 8
+	if len(part.Groups) > 0 {
+		g := part.Groups[0]
+		b += int64(len(part.Groups)) * (groupBytes + int64(len(g.Base)+len(g.Coords))*8)
 	}
 	// Each TIG edge carries its per-dependence weights; each block a load
 	// and a row offset.

@@ -550,7 +550,7 @@ func (p *Plan) SummaryWith(ms mapping.Stats) string {
 		p.Kernel.Name, len(p.Structure.V), len(p.Structure.D), p.Schedule.Pi, p.Schedule.Steps())
 	fmt.Fprintf(&b, "projection: %d projected points (s = %d), group size r = %d, β = %d\n",
 		len(p.Projected.Points), p.Projected.S, p.Partitioning.R, p.Partitioning.Beta)
-	es := p.Partitioning.EdgeStats()
+	es := p.TIG.EdgeStats()
 	fmt.Fprintf(&b, "partitioning: %d blocks, max block %d points, %d/%d dependences interblock\n",
 		p.Partitioning.NumBlocks(), p.Partitioning.MaxBlockSize(), es.InterBlock, es.Total)
 	fmt.Fprintf(&b, "TIG: %d edges, traffic %d, max out-degree %d (Theorem 2 bound %d)\n",
