@@ -58,16 +58,32 @@ func (r *PlanRequest) Key() string {
 
 // AppendKey renders the canonical base key into b — the hit path builds
 // the base and encoded keys in one buffer without intermediate strings.
+// It is the stage key (AppendStageKey) followed by Algorithm 1's options.
 func (r *PlanRequest) AppendKey(b []byte) []byte {
+	merge := r.MergeFactor
+	if merge < 1 {
+		merge = 1
+	}
+	b = r.AppendStageKey(b)
+	b = append(b, "|merge="...)
+	b = strconv.AppendInt(b, merge, 10)
+	b = append(b, "|noaux="...)
+	b = strconv.AppendBool(b, r.NoAux)
+	b = append(b, "|choice="...)
+	b = strconv.AppendInt(b, int64(r.GroupingChoice), 10)
+	return b
+}
+
+// AppendStageKey renders the canonical stage key into b: the prefix of
+// the base key that fixes enumeration, the schedule and the projection
+// (kernel, size and the time-function fields). Requests that differ only
+// in Algorithm 1's options share it, and with it one projection.
+func (r *PlanRequest) AppendStageKey(b []byte) []byte {
 	bound := r.SearchBound
 	if !r.SearchPi {
 		bound = 0
 	} else if bound <= 0 {
 		bound = 2
-	}
-	merge := r.MergeFactor
-	if merge < 1 {
-		merge = 1
 	}
 	b = append(b, "kernel="...)
 	b = append(b, r.Kernel...)
@@ -84,12 +100,6 @@ func (r *PlanRequest) AppendKey(b []byte) []byte {
 	b = strconv.AppendBool(b, r.SearchPi)
 	b = append(b, "|bound="...)
 	b = strconv.AppendInt(b, bound, 10)
-	b = append(b, "|merge="...)
-	b = strconv.AppendInt(b, merge, 10)
-	b = append(b, "|noaux="...)
-	b = strconv.AppendBool(b, r.NoAux)
-	b = append(b, "|choice="...)
-	b = strconv.AppendInt(b, int64(r.GroupingChoice), 10)
 	return b
 }
 

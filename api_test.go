@@ -130,6 +130,30 @@ func TestNewPlanCtxCancellation(t *testing.T) {
 	}
 }
 
+// TestStagePlanCtx: PlanCtx on a prepared stage validates its options,
+// honors cancellation, and shares the stage's artifacts with the plan.
+func TestStagePlanCtx(t *testing.T) {
+	st, err := PrepareCtx(context.Background(), NewKernel("stencil", 12), PlanOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.PlanCtx(nil, PlanOptions{Partition: PartitionOptions{MergeFactor: -1}}); err == nil {
+		t.Fatal("PlanCtx accepted a negative merge factor")
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := st.PlanCtx(ctx, PlanOptions{CubeDim: -1}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	p, err := st.PlanCtx(nil, PlanOptions{CubeDim: 2, Partition: PartitionOptions{MergeFactor: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Structure != st.Structure || p.Projected != st.Projected || p.Stage().Projected != st.Projected {
+		t.Fatal("plan does not share the stage's structure and projection")
+	}
+}
+
 func TestSimulateCtxCancellation(t *testing.T) {
 	k, err := LookupKernel("l1", 8)
 	if err != nil {

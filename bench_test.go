@@ -625,6 +625,8 @@ func missGridKeys() []missGridKey {
 // merge factor (missGridKeys, merge 1 and 3, mapped onto a 3-cube).
 // ms/plan is the mean over the grid's plans. The plan+summary case also
 // renders Plan.Summary, the costliest part of building a plan response.
+// The shared-stages case builds one Stage per grid key and runs only
+// Stage.PlanCtx per merge factor, as the daemon does on a stage hit.
 func BenchmarkPlanMissGrid(b *testing.B) {
 	grid := missGridKeys()
 	merges := []int64{1, 3}
@@ -655,6 +657,25 @@ func BenchmarkPlanMissGrid(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed())/float64(time.Millisecond)/plans, "ms/plan")
 		})
 	}
+	b.Run("shared-stages", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for _, g := range grid {
+				st, err := PrepareCtx(ctx, NewKernel(g.kernel, g.size), PlanOptions{})
+				if err != nil {
+					b.Fatalf("%s/%d: %v", g.kernel, g.size, err)
+				}
+				for _, m := range merges {
+					opt := PlanOptions{CubeDim: 3, Partition: PartitionOptions{MergeFactor: m}}
+					if _, err := st.PlanCtx(ctx, opt); err != nil {
+						b.Fatalf("%s/%d merge %d: %v", g.kernel, g.size, m, err)
+					}
+				}
+			}
+		}
+		plans := float64(b.N * len(grid) * len(merges))
+		b.ReportMetric(float64(b.Elapsed())/float64(time.Millisecond)/plans, "ms/plan")
+	})
 }
 
 // BenchmarkPartitionMissGrid measures Algorithm 1 alone on the grid of

@@ -12,20 +12,34 @@ import (
 // CubeDim = -1, the expensive enumerate→schedule→partition→TIG artifact).
 // One cached partitioning serves every cube dimension through Plan.Remap,
 // so the mapping phase is never a cache dimension. Capacity is accounted
-// in estimated bytes (see planBytes), not entry counts, because plan size
-// varies by orders of magnitude across kernels and sizes.
+// in estimated bytes (see stageBytes and partitionBytes), not entry
+// counts, because plan size varies by orders of magnitude across kernels
+// and sizes.
+//
+// Plans that differ only in Algorithm 1's options share one Π-stage
+// (enumeration, schedule, projection), kept once per stage key in stages.
+// A stage is charged to the budget once, when the first plan built on it
+// enters, and released when the last such plan is evicted; it has no LRU
+// position of its own. A plan whose stage is a different copy from the
+// one cached under its stage key (two leaders raced to build it) is
+// charged its own copy instead.
 type planCache struct {
 	mu       sync.Mutex
 	maxBytes int64
 	bytes    int64
 	ll       *list.List // front = most recently used
 	items    map[string]*list.Element
+	stages   map[string]*stageEntry
 }
 
 type cacheEntry struct {
 	key   string
 	plan  *loopmap.Plan
 	bytes int64
+	// stageKey and stage name the shared stage the plan is charged to;
+	// stage is nil when the plan is charged its own copy.
+	stageKey string
+	stage    *stageEntry
 	// payload is the canonical request the plan was computed from — the
 	// compact durable encoding the persist WAL stores (the plan itself is
 	// a pure function of it, so recovery recomputes instead of
@@ -33,8 +47,21 @@ type cacheEntry struct {
 	payload []byte
 }
 
+// stageEntry is one cached Π-stage and the number of cached plans that
+// reference it.
+type stageEntry struct {
+	stage *loopmap.Stage
+	refs  int
+	bytes int64
+}
+
 func newPlanCache(maxBytes int64) *planCache {
-	return &planCache{maxBytes: maxBytes, ll: list.New(), items: map[string]*list.Element{}}
+	return &planCache{
+		maxBytes: maxBytes,
+		ll:       list.New(),
+		items:    map[string]*list.Element{},
+		stages:   map[string]*stageEntry{},
+	}
 }
 
 // get returns the cached base plan for key, promoting it to most recent.
@@ -49,31 +76,71 @@ func (c *planCache) get(key string) (*loopmap.Plan, bool) {
 	return el.Value.(*cacheEntry).plan, true
 }
 
-// put inserts a base plan and evicts least-recently-used entries until the
-// byte budget holds again; the newest entry itself is never evicted, so a
-// single oversized plan still caches (and evicts everything else). It
-// returns the number of evictions.
-func (c *planCache) put(key string, p *loopmap.Plan, payload []byte) int {
-	b := planBytes(p)
+// stage returns the cached Π-stage for a stage key, if a cached plan
+// still references it.
+func (c *planCache) stage(stageKey string) (*loopmap.Stage, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	se, ok := c.stages[stageKey]
+	if !ok {
+		return nil, false
+	}
+	return se.stage, true
+}
+
+// put inserts a base plan under key, sharing the stage cached under
+// stageKey when the plan was built on it, and evicts least-recently-used
+// entries until the byte budget holds again; the newest entry itself is
+// never evicted, so a single oversized plan still caches (and evicts
+// everything else). It returns the number of evictions.
+func (c *planCache) put(key, stageKey string, p *loopmap.Plan, payload []byte) int {
+	pb := partitionBytes(p)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
 		c.ll.MoveToFront(el)
 		return 0
 	}
-	el := c.ll.PushFront(&cacheEntry{key: key, plan: p, bytes: b, payload: payload})
-	c.items[key] = el
-	c.bytes += b
+	e := &cacheEntry{key: key, plan: p, bytes: pb, stageKey: stageKey, payload: payload}
+	se := c.stages[stageKey]
+	if se == nil {
+		st := p.Stage()
+		se = &stageEntry{stage: st, bytes: stageBytes(st)}
+		c.stages[stageKey] = se
+		c.bytes += se.bytes
+	}
+	if se.stage.Projected == p.Projected {
+		se.refs++
+		e.stage = se
+	} else {
+		// A racing leader built its own copy of the stage.
+		e.bytes += stageBytes(p.Stage())
+	}
+	c.items[key] = c.ll.PushFront(e)
+	c.bytes += e.bytes
 	evicted := 0
 	for c.bytes > c.maxBytes && c.ll.Len() > 1 {
-		oldest := c.ll.Back()
-		e := oldest.Value.(*cacheEntry)
-		c.ll.Remove(oldest)
-		delete(c.items, e.key)
-		c.bytes -= e.bytes
+		c.evictOldest()
 		evicted++
 	}
 	return evicted
+}
+
+// evictOldest removes the least-recently-used plan and uncharges it, and
+// its shared stage when this was the stage's last plan. c.mu must be
+// held.
+func (c *planCache) evictOldest() {
+	oldest := c.ll.Back()
+	c.ll.Remove(oldest)
+	e := oldest.Value.(*cacheEntry)
+	delete(c.items, e.key)
+	c.bytes -= e.bytes
+	if se := e.stage; se != nil {
+		if se.refs--; se.refs == 0 {
+			delete(c.stages, e.stageKey)
+			c.bytes -= se.bytes
+		}
+	}
 }
 
 // records dumps the live entries as durable records, least-recently-used
@@ -100,34 +167,39 @@ func (c *planCache) stats() (bytes int64, entries int) {
 	return c.bytes, c.ll.Len()
 }
 
-// planBytes estimates the resident size of a base plan from what it
+// stageBytes estimates the resident size of a Π-stage from what it
 // holds: the vertex set (one flat coordinate buffer plus a slice header
-// per vertex), the projected points with their fibers and point index,
-// the partitioning's groups with their shared buffers and per-point group
-// table, and the TIG. A plan holds no per-vertex table besides V: fibers
-// are one (X0, T0, Len) triple per projection line, and blocks are
-// derived from the groups. The cache budget compares these sums against
-// its byte limit, so they should track the heap the cached plans actually
-// pin.
-func planBytes(p *loopmap.Plan) int64 {
+// per vertex) and the projected points with their fibers and point index.
+// A stage holds no per-vertex table besides V: fibers are one
+// (X0, T0, Len) triple per projection line. The cache budget compares
+// these sums against its byte limit, so they should track the heap the
+// cached stages and plans actually pin.
+func stageBytes(st *loopmap.Stage) int64 {
 	const (
 		sliceHeader = 24
-		fiberBytes  = 24  // one project.Fiber
-		groupBytes  = 112 // a Group's fixed fields
-		edgeBytes   = 24  // one TIGEdge
+		fiberBytes  = 24 // one project.Fiber
 	)
-	dims := int64(p.Structure.Nest.Dims)
-	perVec := dims*8 + sliceHeader
-
-	b := int64(len(p.Structure.V)) * perVec
-	ps := p.Projected
+	perVec := int64(st.Structure.Nest.Dims)*8 + sliceHeader
+	b := int64(len(st.Structure.V)) * perVec
+	ps := st.Projected
 	b += int64(len(ps.Points))*perVec + int64(len(ps.Fibers))*fiberBytes
 	b += ps.IndexBytes()
+	return b + 256 // fixed struct overhead
+}
+
+// partitionBytes estimates what a plan holds beyond its stage: the
+// partitioning's groups with their shared buffers and per-point group
+// table, and the TIG. Blocks are derived from the groups.
+func partitionBytes(p *loopmap.Plan) int64 {
+	const (
+		groupBytes = 112 // a Group's fixed fields
+		edgeBytes  = 24  // one TIGEdge
+	)
 	// GroupOf, and the members and slots that the groups carve from one
 	// shared buffer of 2·|V^p| entries; each group's base and lattice
 	// coordinates come from a second shared buffer.
 	part := p.Partitioning
-	b += int64(len(part.GroupOf)) * 3 * 8
+	b := int64(len(part.GroupOf)) * 3 * 8
 	if len(part.Groups) > 0 {
 		g := part.Groups[0]
 		b += int64(len(part.Groups)) * (groupBytes + int64(len(g.Base)+len(g.Coords))*8)
@@ -136,5 +208,5 @@ func planBytes(p *loopmap.Plan) int64 {
 	// and a row offset.
 	nDeps := int64(len(p.Structure.D))
 	b += int64(len(p.TIG.Edges))*(edgeBytes+8*nDeps) + int64(len(p.TIG.Loads))*16
-	return b + 512 // fixed struct overhead
+	return b + 256 // fixed struct overhead
 }

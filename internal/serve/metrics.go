@@ -103,6 +103,7 @@ type metrics struct {
 	cacheEvictions     atomic.Int64
 	singleflightShared atomic.Int64
 	planComputations   atomic.Int64
+	stageReuses        atomic.Int64
 	inflightPlans      atomic.Int64
 	cacheBytes         atomic.Int64
 	cacheEntries       atomic.Int64
@@ -217,6 +218,7 @@ type Snapshot struct {
 	CacheEvictions     int64
 	SingleflightShared int64
 	PlanComputations   int64
+	StageReuses        int64 // plan computations that ran on a cached Π-stage
 	InflightPlans      int64
 	CacheBytes         int64
 	CacheEntries       int64
@@ -307,6 +309,7 @@ func (m *metrics) snapshot() Snapshot {
 		CacheEvictions:       m.cacheEvictions.Load(),
 		SingleflightShared:   m.singleflightShared.Load(),
 		PlanComputations:     m.planComputations.Load(),
+		StageReuses:          m.stageReuses.Load(),
 		InflightPlans:        m.inflightPlans.Load(),
 		CacheBytes:           m.cacheBytes.Load(),
 		CacheEntries:         m.cacheEntries.Load(),
@@ -387,6 +390,7 @@ func (s Snapshot) render(w io.Writer) {
 	counter("loopmapd_cache_evictions_total", "Plan cache evictions.", s.CacheEvictions)
 	counter("loopmapd_singleflight_shared_total", "Requests served by joining an in-flight computation.", s.SingleflightShared)
 	counter("loopmapd_plan_computations_total", "Underlying NewPlan computations performed.", s.PlanComputations)
+	counter("loopmapd_stage_reuses_total", "Plan computations that reused a cached enumeration, schedule and projection.", s.StageReuses)
 	counter("loopmapd_panics_total", "Handler panics recovered by the middleware.", s.Panics)
 	counter("loopmapd_recovered_plans_total", "Plans recomputed into the cache during warm restart.", s.RecoveredPlans)
 	counter("loopmapd_recovery_skipped_total", "Durable records skipped during warm restart (undecodable, invalid, or key-mismatched).", s.RecoverySkipped)

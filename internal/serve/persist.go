@@ -115,7 +115,8 @@ type RecoveryStats struct {
 // Everything older is already segment-resident and is served (and
 // promoted back into RAM) on demand, which is what makes restart cost
 // O(tail) instead of O(history). Tail base records recompute concurrently
-// (up to MaxInflight at once) and are inserted in replay order, so the
+// (up to MaxInflight at once), each Π-stage once for all the records that
+// share its stage key, and are inserted in replay order, so the
 // most recently used plans end up warmest; tail frame records go straight
 // into the encoded-response cache. It must be called before the handler
 // serves traffic; with no DiskCacheDir it is a no-op. Corrupt or stale
@@ -158,13 +159,24 @@ func (s *Server) Recover(ctx context.Context) (RecoveryStats, error) {
 	rs.TailErr = ts.TailErr
 	s.startScrubber()
 
+	// Base records are grouped by stage key, so each (kernel, size, Π)
+	// stage is enumerated and projected once, and the cache charges it
+	// once, as it does for live traffic.
 	type slot struct {
-		req  *api.PlanRequest
-		key  string
-		rec  persist.Record
-		plan *loopmap.Plan
+		req   *api.PlanRequest
+		key   string
+		stage int // index into stages
+		rec   persist.Record
+		plan  *loopmap.Plan
+	}
+	type stageSlot struct {
+		key   string
+		req   *api.PlanRequest // the group's first request
+		stage *loopmap.Stage
 	}
 	var slots []*slot
+	var stages []*stageSlot
+	stageOf := map[string]int{}
 	for _, rec := range tail {
 		switch {
 		case strings.HasPrefix(rec.Key, repFramePrefix):
@@ -194,24 +206,35 @@ func (s *Server) Recover(ctx context.Context) (RecoveryStats, error) {
 				s.noteRecoveryRejected(&rs, key, err)
 				continue
 			}
-			slots = append(slots, &slot{req: req, key: key, rec: rec})
+			skey := string(req.AppendStageKey(nil))
+			si, ok := stageOf[skey]
+			if !ok {
+				si = len(stages)
+				stageOf[skey] = si
+				stages = append(stages, &stageSlot{key: skey, req: req})
+			}
+			slots = append(slots, &slot{req: req, key: key, stage: si, rec: rec})
 		default:
 			rs.Skipped++
 		}
 	}
-	pool.Run(len(slots), s.cfg.MaxInflight, func(i int) {
+	pool.Run(len(stages), s.cfg.MaxInflight, func(i int) {
 		if ctx.Err() != nil {
 			return
 		}
-		k, err := loopmap.LookupKernel(slots[i].req.Kernel, slots[i].req.Size)
+		st := stages[i]
+		k, err := loopmap.LookupKernel(st.req.Kernel, st.req.Size)
 		if err != nil {
 			return
 		}
-		p, err := loopmap.NewPlanCtx(ctx, k, planOptions(slots[i].req))
-		if err != nil {
+		st.stage, _ = loopmap.PrepareCtx(ctx, k, planOptions(st.req))
+	})
+	pool.Run(len(slots), s.cfg.MaxInflight, func(i int) {
+		st := stages[slots[i].stage].stage
+		if ctx.Err() != nil || st == nil {
 			return
 		}
-		slots[i].plan = p
+		slots[i].plan, _ = st.PlanCtx(ctx, planOptions(slots[i].req))
 	})
 	if err := ctx.Err(); err != nil {
 		return rs, err
@@ -221,7 +244,7 @@ func (s *Server) Recover(ctx context.Context) (RecoveryStats, error) {
 			rs.Skipped++
 			continue
 		}
-		s.cache.put(sl.key, sl.plan, sl.rec.Value)
+		s.cache.put(sl.key, stages[sl.stage].key, sl.plan, sl.rec.Value)
 		rs.Recovered++
 	}
 	s.metrics.recoveredPlans.Add(int64(rs.Recovered))

@@ -316,3 +316,35 @@ func TestRecoverRejectsBadFsyncPolicy(t *testing.T) {
 		t.Fatal("Recover accepted fsync policy \"sometimes\"")
 	}
 }
+
+// TestRecoverBuildsEachStageOnce: ten merge variants of one kernel come
+// back from the WAL on one Π-stage, and the recovered cache charges the
+// same bytes as a live daemon that served the same keys.
+func TestRecoverBuildsEachStageOnce(t *testing.T) {
+	dir := t.TempDir()
+	s1, ts1, _ := newPersistentServer(t, dir, nil)
+	for merge := 1; merge <= 10; merge++ {
+		planBody(t, ts1.URL+"/v1/plan", fmt.Sprintf(`{"kernel": "stencil", "size": 20, "merge_factor": %d}`, merge))
+	}
+	live := s1.Metrics()
+	if live.StageReuses != 9 {
+		t.Fatalf("live stage reuses = %d, want 9", live.StageReuses)
+	}
+	ts1.Close()
+	if err := s1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, _, rs := newPersistentServer(t, dir, nil)
+	if rs.Recovered != 10 || rs.Skipped != 0 {
+		t.Fatalf("recovered %d / skipped %d, want 10 / 0", rs.Recovered, rs.Skipped)
+	}
+	got := s2.Metrics()
+	if n := cachedStages(s2.cache); n != 1 {
+		t.Fatalf("recovered cache holds %d stages, want 1", n)
+	}
+	if got.CacheBytes != live.CacheBytes || got.CacheEntries != live.CacheEntries {
+		t.Fatalf("recovered cache: %d bytes in %d entries; live daemon: %d bytes in %d entries",
+			got.CacheBytes, got.CacheEntries, live.CacheBytes, live.CacheEntries)
+	}
+}

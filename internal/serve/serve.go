@@ -594,12 +594,8 @@ func (s *Server) basePlan(ctx context.Context, req *api.PlanRequest) (*loopmap.P
 		s.metrics.inflightPlans.Add(1)
 		defer s.metrics.inflightPlans.Add(-1)
 
-		k, err := loopmap.LookupKernel(req.Kernel, req.Size)
-		if err != nil {
-			return nil, err
-		}
-		s.metrics.planComputations.Add(1)
-		p, err := loopmap.NewPlanCtx(ctx, k, planOptions(req))
+		skey := string(req.AppendStageKey(make([]byte, 0, 64)))
+		p, err := s.computePlan(ctx, req, skey)
 		if err != nil {
 			return nil, err
 		}
@@ -620,7 +616,7 @@ func (s *Server) basePlan(ctx context.Context, req *api.PlanRequest) (*loopmap.P
 				return nil, err
 			}
 		}
-		if ev := s.cache.put(key, p, payload); ev > 0 {
+		if ev := s.cache.put(key, skey, p, payload); ev > 0 {
 			s.metrics.cacheEvictions.Add(int64(ev))
 		}
 		s.replicateBase(key, payload)
@@ -635,6 +631,28 @@ func (s *Server) basePlan(ctx context.Context, req *api.PlanRequest) (*loopmap.P
 		outcome = api.CacheShared
 	}
 	return v.(*loopmap.Plan), outcome, nil
+}
+
+// computePlan builds the request's base plan. A Π-stage cached under
+// skey is reused, so only Algorithm 1 onward runs; otherwise the whole
+// pipeline runs and put caches the new stage with the plan.
+func (s *Server) computePlan(ctx context.Context, req *api.PlanRequest, skey string) (*loopmap.Plan, error) {
+	opt := planOptions(req)
+	st, ok := s.cache.stage(skey)
+	if !ok {
+		k, err := loopmap.LookupKernel(req.Kernel, req.Size)
+		if err != nil {
+			return nil, err
+		}
+		s.metrics.planComputations.Add(1)
+		if st, err = loopmap.PrepareCtx(ctx, k, opt); err != nil {
+			return nil, err
+		}
+		return st.PlanCtx(ctx, opt)
+	}
+	s.metrics.planComputations.Add(1)
+	s.metrics.stageReuses.Add(1)
+	return st.PlanCtx(ctx, opt)
 }
 
 // mappedPlan remaps the base plan onto the request's cube dimension.

@@ -305,7 +305,33 @@ func NewPlan(k *Kernel, opt PlanOptions) (*Plan, error) {
 // stages — index-set enumeration and the region-growing sweep — poll ctx
 // internally, and every stage boundary checks it, so a caller's deadline
 // bounds the whole pipeline. A nil ctx means context.Background().
+//
+// It is PrepareCtx followed by Stage.PlanCtx.
 func NewPlanCtx(ctx context.Context, k *Kernel, opt PlanOptions) (*Plan, error) {
+	st, err := PrepareCtx(ctx, k, opt)
+	if err != nil {
+		return nil, err
+	}
+	return st.PlanCtx(ctx, opt)
+}
+
+// Stage holds the pipeline's Π-stage: the enumerated structure, its
+// schedule and the projection onto Π·x = 0. They depend only on the
+// kernel and the time function (opt.Pi, SearchPi, SearchBound), never on
+// Algorithm 1 or Algorithm 2 options, so plans that differ only in those
+// options can be built from one Stage. A Stage is read-only once built:
+// any number of goroutines may call PlanCtx on it at once.
+type Stage struct {
+	Kernel    *Kernel
+	Structure *Structure
+	Schedule  Schedule
+	Projected *Projected
+}
+
+// PrepareCtx runs the first half of NewPlanCtx: option validation,
+// enumeration, the schedule (or Π search) and the projection. Its errors
+// are NewPlanCtx's for those stages. A nil ctx means context.Background().
+func PrepareCtx(ctx context.Context, k *Kernel, opt PlanOptions) (*Stage, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -342,7 +368,22 @@ func NewPlanCtx(ctx context.Context, k *Kernel, opt PlanOptions) (*Plan, error) 
 	if err != nil {
 		return nil, err
 	}
-	part, err := core.PartitionCtx(ctx, ps, opt.Partition)
+	return &Stage{Kernel: k, Structure: st, Schedule: sch, Projected: ps}, nil
+}
+
+// PlanCtx runs the second half of NewPlanCtx on the stage: Algorithm 1,
+// the invariant check, the TIG and (for CubeDim >= 0) Algorithm 2. The
+// stage fixed the time function, so opt.Pi, SearchPi and SearchBound are
+// validated but otherwise ignored. The plan shares the stage's artifacts.
+// A nil ctx means context.Background().
+func (s *Stage) PlanCtx(ctx context.Context, opt PlanOptions) (*Plan, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	if err := opt.Validate(); err != nil {
+		return nil, err
+	}
+	part, err := core.PartitionCtx(ctx, s.Projected, opt.Partition)
 	if err != nil {
 		return nil, err
 	}
@@ -353,10 +394,10 @@ func NewPlanCtx(ctx context.Context, k *Kernel, opt PlanOptions) (*Plan, error) 
 		return nil, err
 	}
 	plan := &Plan{
-		Kernel:       k,
-		Structure:    st,
-		Schedule:     sch,
-		Projected:    ps,
+		Kernel:       s.Kernel,
+		Structure:    s.Structure,
+		Schedule:     s.Schedule,
+		Projected:    s.Projected,
 		Partitioning: part,
 		TIG:          core.BuildTIG(part),
 	}
@@ -368,6 +409,12 @@ func NewPlanCtx(ctx context.Context, k *Kernel, opt PlanOptions) (*Plan, error) 
 		plan.Mapping = m
 	}
 	return plan, nil
+}
+
+// Stage returns the Π-stage the plan was built from; PlanCtx on it builds
+// plans that differ from this one only in Algorithm 1 and 2 options.
+func (p *Plan) Stage() *Stage {
+	return &Stage{Kernel: p.Kernel, Structure: p.Structure, Schedule: p.Schedule, Projected: p.Projected}
 }
 
 // Remap returns a plan that shares this plan's structure, schedule,
