@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race short bench bench-json benchpairs fuzz experiments cover clean serve serve-smoke chaos crash cluster partition diskchaos tieredtest loadtest
+.PHONY: all build vet test race short bench bench-json benchpairs fuzz experiments cover clean serve serve-smoke chaos scenario loadtest
 
 all: build vet test
 
@@ -72,49 +72,13 @@ chaos:
 	$(GO) test -race -run 'Fault|Degraded|Panic|Overload' ./...
 	$(GO) run ./cmd/experiments -faults
 
-# Kill/restart chaos harness: build loopmapd, drive it with concurrent
-# fsync=always load (group commit under SIGKILL), kill it mid-write,
-# restart from the same -disk-cache-dir, and assert every pre-kill
-# response is served warm and byte-identical.
-crash:
-	$(GO) run ./cmd/crashtest -requests 64 -seed 1
-
-# Cluster elasticity/kill chaos harness: boot 3 sharded daemons with an
-# admin token, drive mixed load through the cluster-aware client, join a
-# 4th shard under live traffic (asserting only its keyspace moves), then
-# SIGKILL the busiest shard and assert its keyspace serves warm from the
-# replicas — zero recomputations, every acknowledged response re-served
-# byte-identically.
-cluster:
-	$(GO) run ./cmd/clustertest -requests 48 -seed 1
-
-# Network-partition chaos harness under the race detector: an in-process
-# 4-shard cluster with every inter-shard connection routed through a
-# seeded TCP chaos fabric. Each cycle injects a partition / blackhole /
-# asymmetric cut / latency / reset, drives load, heals, and asserts zero
-# acked-plan loss, digest convergence on every owner↔standby pair, and
-# deadline-budgeted forwarding.
-partition:
-	$(GO) run -race ./cmd/partitiontest -shards 4 -cycles 6 -requests 24 -seed 1
-
-# Storage-fault smoke harness under the race detector: seeded disk-fault
-# plans (EIO / ENOSPC / torn writes / fsync failure / rename failure /
-# on-disk bitrot) against the tiered store and a two-shard cluster.
-# Asserts zero acked-durable loss, the sticky read-only latch, that every
-# armed plan actually fires, scrub quarantine of corrupt segments,
-# anti-entropy healing from the standby, and that a fault-free plan is a
-# byte-identical no-op.
-diskchaos:
-	$(GO) run -race ./cmd/diskchaos -seed 1 -cycles 6
-
-# Tiered-store smoke harness: a daemon with a tiny RAM LRU and a churny
-# disk tier is filled past RAM, SIGKILLed inside a compaction window,
-# and restarted. Asserts zero acked-plan loss (every pre-kill response
-# re-served byte-identical), zero recomputations on re-touch (disk hits
-# only), and O(WAL-tail) startup — segments attach via the manifest
-# instead of being replayed.
-tieredtest:
-	$(GO) run ./cmd/tieredtest -keys 96 -seed 1
+# The end-to-end fault scenarios under the race detector, one subtest
+# per row: crash (SIGKILL and restart), cluster (join and shard kill),
+# partition (seeded network faults), diskchaos (seeded disk faults) and
+# tiered (SIGKILL inside a compaction). `go test ./...` runs them too;
+# -short skips the rows that start loopmapd subprocesses.
+scenario:
+	$(GO) test -race -v -run TestScenario ./internal/scenario
 
 cover:
 	$(GO) test -coverprofile=cover.out ./...

@@ -103,10 +103,6 @@ type Partitioning struct {
 	// GroupOf maps a projected-point index to its group ID; a vertex's
 	// block is the group of its projected point (see BlockOf).
 	GroupOf []int
-	// Conflicts counts projected points that could not be claimed by a
-	// lattice-aligned group and were grouped by fallback seeding; always 0
-	// for the convex index sets of the paper.
-	Conflicts int
 	// MergeFactor records Options.MergeFactor (1 for the paper's exact
 	// grouping). When > 1, Theorem 1 is deliberately relaxed: blocks may
 	// hold same-hyperplane points.
@@ -299,8 +295,6 @@ type grower struct {
 	comp    []int
 	// cand is scratch for one probed lattice position.
 	cand vec.Int
-	// conflicts counts points a new group found already owned.
-	conflicts int
 }
 
 // groups returns the number of groups created so far.
@@ -312,8 +306,8 @@ func (g *grower) base(id int) []int64 { return g.rec[id*g.w : id*g.w+g.n] }
 // tryCreate claims the free projected points at base + k·d_l^p for k in
 // [0, r) as a new group of component comp with the given lattice
 // coordinates, and reports whether it made one. Points already owned by
-// another group are left alone (counted as conflicts when the overlap is
-// partial).
+// another group are left alone; the reference grower's test asserts that
+// a new group never finds one (no partial overlap) on its input grid.
 //
 // No visited set is needed: a position whose probe created nothing had no
 // free point, and one that created a group claimed every free point, so
@@ -324,7 +318,7 @@ func (g *grower) base(id int) []int64 { return g.rec[id*g.w : id*g.w+g.n] }
 func (g *grower) tryCreate(base []int64, comp int, coords []int64) bool {
 	ps, cand := g.ps, g.cand
 	at := g.start[len(g.start)-1]
-	free, owned := 0, 0
+	free := 0
 	for k := int64(0); k < g.r; k++ {
 		for j := range cand {
 			cand[j] = base[j] + k*g.dl[j]
@@ -337,7 +331,6 @@ func (g *grower) tryCreate(base []int64, comp int, coords []int64) bool {
 			if vec.Int(g.base(o)).Equal(base) {
 				return false
 			}
-			owned++
 			continue
 		}
 		g.members[at+free], g.slots[at+free] = idx, int(k)
@@ -346,7 +339,6 @@ func (g *grower) tryCreate(base []int64, comp int, coords []int64) bool {
 	if free == 0 {
 		return false
 	}
-	g.conflicts += owned
 	id := g.groups()
 	for _, m := range g.members[at : at+free] {
 		g.groupOf[m] = id
@@ -448,7 +440,6 @@ func (p *Partitioning) growGroups(ctx context.Context, seedBase vec.Int) error {
 			}
 		}
 	}
-	p.Conflicts = g.conflicts
 
 	// Carve the groups: bases and coordinates from one exactly sized copy
 	// of rec, members and slots from the shared point-sized buffers.

@@ -60,9 +60,6 @@ func TestL1PartitioningFig3(t *testing.T) {
 	if s.InterBlock != 12 {
 		t.Fatalf("interblock deps = %d, want 12", s.InterBlock)
 	}
-	if p.Conflicts != 0 {
-		t.Fatalf("conflicts = %d", p.Conflicts)
-	}
 }
 
 func TestL1Beta(t *testing.T) {

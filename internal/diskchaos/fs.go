@@ -1,7 +1,7 @@
 // The fault-injecting filesystem: a persist.FS that wraps a real one and
 // fails scripted calls. With no armed rules it is a strict pass-through —
-// byte-identical behavior to the inner FS — which cmd/diskchaos asserts
-// directly (a fault-free plan must be a no-op).
+// byte-identical behavior to the inner FS — which TestScenario/diskchaos
+// asserts directly (a fault-free plan must be a no-op).
 package diskchaos
 
 import (

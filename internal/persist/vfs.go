@@ -1,10 +1,10 @@
 // The VFS seam: every filesystem touch the store makes — open, write,
 // sync, rename, remove, read, directory sync — goes through the FS
 // interface instead of the os package directly. Production uses the real
-// filesystem (OS); tests and cmd/diskchaos inject internal/diskchaos's
-// seeded fault-injecting implementation to exercise EIO, ENOSPC, torn
-// writes, sync failures, rename failures, and read-side bitrot on the
-// exact code paths a real disk would fail.
+// filesystem (OS); tests, TestScenario/diskchaos among them, inject
+// internal/diskchaos's seeded fault-injecting implementation to exercise
+// EIO, ENOSPC, torn writes, sync failures, rename failures, and
+// read-side bitrot on the exact code paths a real disk would fail.
 package persist
 
 import (

@@ -88,8 +88,8 @@ type Config struct {
 	Fsync      string
 	FsyncEvery time.Duration
 	// FS overrides the filesystem the durable store runs on (nil = the
-	// real one). cmd/diskchaos and tests inject the fault-injecting
-	// implementation here; production leaves it unset.
+	// real one). Tests, TestScenario/diskchaos among them, inject the
+	// fault-injecting implementation here; production leaves it unset.
 	FS persist.FS
 	// ScrubInterval paces the background scrubber that re-verifies the
 	// durable store's checksums at rest (default 1m, negative disables);
