@@ -112,13 +112,13 @@ func fig1() string {
 	plan, err := loopmap.NewPlan(loopmap.NewKernel("l1", 3), loopmap.PlanOptions{CubeDim: -1})
 	check(err)
 	var b strings.Builder
-	pv(&b, "index points", 16, len(plan.Structure.V))
+	pv(&b, "index points", 16, plan.Structure.Len())
 	pv(&b, "dependence vectors", "[(0, 1) (1, 0) (1, 1)]", fmt.Sprint(plan.Structure.D))
 	pv(&b, "hyperplanes i+j=0..6 (steps)", 7, plan.Schedule.Steps())
 	sizes := hyperplane.WavefrontSizes(plan.Structure, plan.Schedule)
 	pv(&b, "wavefront sizes", "[1 2 3 4 3 2 1]", fmt.Sprint(sizes))
 	b.WriteString("\n  execution step of each iteration (i down, j right):\n")
-	grid := report.Grid2D(plan.Structure.V, func(p vec.Int) string {
+	grid := report.Grid2D(plan.Structure.Vertices(), func(p vec.Int) string {
 		return fmt.Sprint(plan.Schedule.Step(p))
 	})
 	b.WriteString(indent(grid, "    "))
@@ -136,7 +136,7 @@ func fig3() string {
 	pv(&b, "data dependencies", 33, es.Total)
 	pv(&b, "interblock dependencies", 12, es.InterBlock)
 	b.WriteString("\n  block of each iteration (i down, j right):\n")
-	grid := report.Grid2D(plan.Structure.V, func(p vec.Int) string {
+	grid := report.Grid2D(plan.Structure.Vertices(), func(p vec.Int) string {
 		return fmt.Sprintf("B%d", plan.Partitioning.BlockOfPoint(p))
 	})
 	b.WriteString(indent(grid, "    "))
@@ -251,7 +251,7 @@ func fig9() string {
 	pv(&b, "projected points (2M−1)", 7, len(plan.Projected.Points))
 	pv(&b, "blocks (M)", 4, plan.Partitioning.NumBlocks())
 	b.WriteString("\n  block of each iteration (i down, j right):\n")
-	grid := report.Grid2D(plan.Structure.V, func(p vec.Int) string {
+	grid := report.Grid2D(plan.Structure.Vertices(), func(p vec.Int) string {
 		return fmt.Sprintf("B%d", plan.Partitioning.BlockOfPoint(p))
 	})
 	b.WriteString(indent(grid, "    "))
@@ -340,7 +340,7 @@ func ablate() string {
 		check(err)
 
 		coarse := machine.Params{TCalc: 50, TStart: 2, TComm: 1}
-		fmt.Fprintf(&b, "  kernel %s (%d iterations):\n", name, len(st.V))
+		fmt.Fprintf(&b, "  kernel %s (%d iterations):\n", name, st.Len())
 		tb := report.NewTable("method", "blocks", "interblock/total deps", "max load",
 			"makespan fine-grain (Era1991)", "makespan coarse-grain")
 		for _, bl := range []*baselines.Blocks{paper, lines, indep, rr} {
@@ -513,7 +513,7 @@ func verifyExp() string {
 		if err := plan.Verify(); err != nil {
 			status = err.Error()
 		}
-		return row{len(plan.Structure.V), plan.Procs(), stats.Messages, status}, nil
+		return row{plan.Structure.Len(), plan.Procs(), stats.Messages, status}, nil
 	})
 	check(err)
 	for i, j := range jobs {

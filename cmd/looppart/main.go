@@ -126,7 +126,7 @@ func main() {
 			fail(fmt.Errorf("-grid requires a 2-D kernel, %s is %d-D", *kernel, plan.Structure.Dim()))
 		}
 		fmt.Println("\nblock of each iteration (first index down, second right):")
-		fmt.Print(report.Grid2D(plan.Structure.V, func(p vec.Int) string {
+		fmt.Print(report.Grid2D(plan.Structure.Vertices(), func(p vec.Int) string {
 			return strconv.Itoa(plan.Partitioning.BlockOfPoint(p))
 		}))
 	}

@@ -1,0 +1,86 @@
+package loopmap
+
+import (
+	"context"
+	"reflect"
+	"testing"
+)
+
+// TestCompactPlanRunsMatchEager: on a plan built from a compact stage,
+// Verify passes and Execute, both simulation engines, the sequential
+// baseline and the placement the SPMD generator reads all equal the eager
+// NewPlan's, for every built-in kernel. The first run builds V.
+func TestCompactPlanRunsMatchEager(t *testing.T) {
+	ctx := context.Background()
+	for _, name := range KernelNames() {
+		size := int64(7)
+		switch name {
+		case "closure", "matmul", "sor2d":
+			size = 3
+		}
+		k := NewKernel(name, size)
+		opt := PlanOptions{CubeDim: 2}
+		st, err := PrepareCtx(ctx, k, opt)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		compact, err := st.Compact().PlanCtx(ctx, opt)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		eager, err := NewPlan(k, opt)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if compact.Structure.Materialized() {
+			t.Fatalf("%s: planning built V", name)
+		}
+		if got, want := compact.Summary(), eager.Summary(); got != want {
+			t.Fatalf("%s: compact summary\n%s\neager\n%s", name, got, want)
+		}
+		if !reflect.DeepEqual(compact.placement(), eager.placement()) {
+			t.Fatalf("%s: compact and eager placements differ", name)
+		}
+		if !compact.Structure.Materialized() {
+			t.Fatalf("%s: placement did not build V", name)
+		}
+		if err := compact.Verify(); err != nil {
+			t.Fatalf("%s: compact Verify: %v", name, err)
+		}
+		gotRes, gotStats, err := compact.Execute()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		wantRes, wantStats, err := eager.Execute()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !gotRes.Equal(wantRes) || !reflect.DeepEqual(gotStats, wantStats) {
+			t.Fatalf("%s: compact execution %+v differs from eager %+v", name, gotStats, wantStats)
+		}
+		for _, engine := range []SimEngine{EngineBlock, EnginePoint} {
+			got, err := compact.Simulate(Era1991(), SimOptions{Engine: engine})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := eager.Simulate(Era1991(), SimOptions{Engine: engine})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s engine %v: compact %+v, eager %+v", name, engine, got, want)
+			}
+		}
+		got, err := compact.SimulateSequential(Era1991())
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := eager.SimulateSequential(Era1991())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s sequential: compact %+v, eager %+v", name, got, want)
+		}
+	}
+}

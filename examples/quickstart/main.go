@@ -38,12 +38,12 @@ func main() {
 	fmt.Print(plan.Summary())
 
 	fmt.Println("\nexecution step of each iteration (Fig. 1; i down, j right):")
-	fmt.Print(report.Grid2D(plan.Structure.V, func(p vec.Int) string {
+	fmt.Print(report.Grid2D(plan.Structure.Vertices(), func(p vec.Int) string {
 		return fmt.Sprint(plan.Schedule.Step(p))
 	}))
 
 	fmt.Println("\nblock of each iteration (Fig. 3(b); i down, j right):")
-	fmt.Print(report.Grid2D(plan.Structure.V, func(p vec.Int) string {
+	fmt.Print(report.Grid2D(plan.Structure.Vertices(), func(p vec.Int) string {
 		return fmt.Sprintf("B%d", plan.Partitioning.BlockOfPoint(p))
 	}))
 

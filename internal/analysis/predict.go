@@ -72,7 +72,7 @@ func PredictBlocks(p *core.Partitioning, t *core.TIG, params machine.Params) Pre
 // SequentialTime returns the single-processor execution time of a
 // structure.
 func SequentialTime(st *loop.Structure, params machine.Params) float64 {
-	return float64(len(st.V)*st.Nest.OpsPerIteration()) * params.TCalc
+	return float64(st.Len()*st.Nest.OpsPerIteration()) * params.TCalc
 }
 
 // OptimalMachineSize finds, over hypercube sizes N = 2^0 … 2^maxDim, the N

@@ -86,10 +86,11 @@ func onGroupLine(pt, base vec.Int, slot int64, dl vec.Int) bool {
 // lexicographically positive and at the last one otherwise. The walk's
 // first clash at a step is the second point of the block there, which is
 // the least over pairs of the larger point, so the least over all pairs
-// is the answer.
+// is the answer. Only a clash reads the vertex set, for the points' first
+// coordinates, so a compact structure stays compact when Lemma 1 holds.
 func (p *Partitioning) firstStepClash() (vec.Int, int) {
 	ps := p.PS
-	V, u, w := ps.Orig.V, ps.U, ps.Stride()
+	u, w := ps.U, ps.Stride()
 	uPos := u.LexPositive()
 	var best vec.Int
 	bestG := -1
@@ -111,6 +112,7 @@ func (p *Partitioning) firstStepClash() (vec.Int, int) {
 				if !uPos {
 					at = last
 				}
+				V := ps.Orig.Vertices()
 				xa := V[fa.X0].AddScaled((at-fa.T0)/w, u)
 				xb := V[fb.X0].AddScaled((at-fb.T0)/w, u)
 				x := xa

@@ -137,8 +137,9 @@ func (p *Partitioning) BlockSize(g int) int {
 	return n
 }
 
-// BlockOf maps every original vertex index (into PS.Orig.V) to its block,
-// the group of the vertex's projected point (Step 6): GroupOf ∘ LineOf.
+// BlockOf maps every original vertex index (into PS.Orig.Vertices()) to
+// its block, the group of the vertex's projected point (Step 6):
+// GroupOf ∘ LineOf.
 // It costs |V| and returns a fresh slice the caller owns; the
 // partitioning itself holds no per-vertex table.
 func (p *Partitioning) BlockOf() []int {

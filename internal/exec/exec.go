@@ -87,8 +87,8 @@ func Run(k *kernels.Kernel, st *loop.Structure, pl Placement) (*kernels.Result, 
 	if err := hyperplane.Check(k.Pi, st.D); err != nil {
 		return nil, nil, fmt.Errorf("exec: kernel %s: %w", k.Name, err)
 	}
-	if len(pl.ProcOf) != len(st.V) {
-		return nil, nil, fmt.Errorf("exec: placement covers %d vertices, structure has %d", len(pl.ProcOf), len(st.V))
+	if len(pl.ProcOf) != st.Len() {
+		return nil, nil, fmt.Errorf("exec: placement covers %d vertices, structure has %d", len(pl.ProcOf), st.Len())
 	}
 	if pl.NumProcs <= 0 {
 		return nil, nil, errors.New("exec: no processors")
@@ -100,16 +100,17 @@ func Run(k *kernels.Kernel, st *loop.Structure, pl Placement) (*kernels.Result, 
 	}
 
 	nD := len(st.D)
+	V := st.Vertices()
 
 	// Pre-compute, per processor: owned vertices in schedule order, and the
 	// exact number of remote inputs (to size inbox buffers so sends never
 	// block).
 	owned := make([][]int, pl.NumProcs)
 	inbound := make([]int, pl.NumProcs)
-	for vi := range st.V {
+	for vi := range V {
 		owned[pl.ProcOf[vi]] = append(owned[pl.ProcOf[vi]], vi)
 	}
-	timeOf := func(vi int) int64 { return k.Pi.Dot(st.V[vi]) }
+	timeOf := func(vi int) int64 { return k.Pi.Dot(V[vi]) }
 	for pr := range owned {
 		sort.Slice(owned[pr], func(a, b int) bool {
 			ta, tb := timeOf(owned[pr][a]), timeOf(owned[pr][b])
@@ -144,7 +145,7 @@ func Run(k *kernels.Kernel, st *loop.Structure, pl Placement) (*kernels.Result, 
 			out := make(map[string][]float64, len(owned[pr]))
 			in := make([]float64, nD)
 			for _, vi := range owned[pr] {
-				x := st.V[vi]
+				x := V[vi]
 				for di, d := range st.D {
 					pred := x.Sub(d)
 					pi := st.VertexIndex(pred)
@@ -185,7 +186,7 @@ func Run(k *kernels.Kernel, st *loop.Structure, pl Placement) (*kernels.Result, 
 	}
 	wg.Wait()
 
-	res := &kernels.Result{Out: make(map[string][]float64, len(st.V))}
+	res := &kernels.Result{Out: make(map[string][]float64, st.Len())}
 	stats := &Stats{PointsPerProc: make([]int64, pl.NumProcs)}
 	for pr, m := range results {
 		for k, v := range m {

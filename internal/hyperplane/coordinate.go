@@ -52,13 +52,13 @@ func CoordinateMethod(st *loop.Structure) Coordinate {
 	}
 	// Count distinct sequential-coordinate tuples.
 	if len(c.SequentialDims) == 0 {
-		if len(st.V) > 0 {
+		if st.Len() > 0 {
 			c.Steps = 1
 		}
 		return c
 	}
 	seen := map[string]bool{}
-	for _, x := range st.V {
+	for _, x := range st.Vertices() {
 		key := ""
 		for _, j := range c.SequentialDims {
 			key += "," + itoa(x[j])

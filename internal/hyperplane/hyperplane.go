@@ -194,7 +194,7 @@ func StepsRect(pi vec.Int, lo, hi []int64) int64 {
 // that hyperplane — the degree of parallelism available at each step.
 func WavefrontSizes(st *loop.Structure, sch Schedule) []int64 {
 	sizes := make([]int64, sch.Steps())
-	for _, p := range st.V {
+	for _, p := range st.Vertices() {
 		sizes[sch.Step(p)]++
 	}
 	return sizes

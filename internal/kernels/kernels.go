@@ -117,7 +117,7 @@ func (r *Result) ExitValues(st *loop.Structure, dep int) []float64 {
 		v float64
 	}
 	var out []kv
-	for _, p := range st.V {
+	for _, p := range st.Vertices() {
 		succ := p.Add(st.D[dep])
 		if !st.HasVertex(succ) {
 			out = append(out, kv{p: p, v: r.Out[p.Key()][dep]})
@@ -143,9 +143,9 @@ func RunSequential(k *Kernel) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Out: make(map[string][]float64, len(st.V))}
+	res := &Result{Out: make(map[string][]float64, st.Len())}
 	in := make([]float64, len(st.D))
-	for _, p := range st.V {
+	for _, p := range st.Vertices() {
 		for di, d := range st.D {
 			pred := p.Sub(d)
 			if st.HasVertex(pred) {

@@ -19,6 +19,8 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/ints"
 	"repro/internal/vec"
@@ -404,10 +406,16 @@ func (n *Nest) DependenceDetails() []DepInfo {
 // Structure is the computational structure Q = (V, D) of Definition 2.
 type Structure struct {
 	Nest *Nest
-	// V is the vertex set (index points) in lexicographic order.
+	// V is the vertex set (index points) in lexicographic order. The
+	// constructors fill it; a compact structure (see Compact) leaves it
+	// nil. Read it through Vertices, which builds it on a compact one.
 	V []vec.Int
 	// D is the set of dependence vectors.
 	D []vec.Int
+	// n is |V|, counted at enumeration.
+	n int
+	// lazy builds V on first use; nil when V is filled.
+	lazy *lazyVertices
 	// rect holds the arithmetic indexer for rectangular nests:
 	// idx(p) = Σ (p_k − lo_k)·stride_k.
 	rect *rectIndex
@@ -574,7 +582,7 @@ const enumPreallocCap = 1 << 24
 // enumeration fills V one innermost row at a time, with no call per
 // point, and polls ctx every enumCheckEvery points, so a caller's deadline
 // bounds the enumeration of even huge index sets. A nil ctx means
-// context.Background().
+// context.Background(). The structure it returns holds V.
 func NewStructureCtx(ctx context.Context, n *Nest, explicitDeps ...vec.Int) (*Structure, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -602,17 +610,30 @@ func NewStructureCtx(ctx context.Context, n *Nest, explicitDeps ...vec.Int) (*St
 	if s.rect = rect; s.rect == nil {
 		s.rows = newRowIndex(n)
 	}
-	// All coordinates go into one flat buffer; V[i] is a capped window
-	// onto it, so enumeration makes one allocation instead of one per
-	// point. A rectangular nest knows its size up front; any other nest
-	// counts its rows first, so the buffer pins no spare capacity.
-	dims := n.Dims
-	size := int64(-1)
+	// A rectangular nest knows its size up front; any other nest counts
+	// its rows first, so the buffer pins no spare capacity.
+	var size int64
 	if rect != nil {
 		size = rect.size
 	} else {
-		size = n.rowCount(ctx, enumPreallocCap/int64(dims))
+		size = n.rowCount(ctx, enumPreallocCap/int64(n.Dims))
 	}
+	v, err := n.vertices(ctx, s.rows, size)
+	if err != nil {
+		return nil, err
+	}
+	s.V, s.n = v, len(v)
+	return s, nil
+}
+
+// vertices enumerates the index set one innermost row at a time, with no
+// call per point, polling ctx every enumCheckEvery points. All
+// coordinates go into one flat buffer and each vertex is a capped window
+// onto it, so enumeration makes one allocation instead of one per point;
+// size, when known (≥ 0), sizes that buffer up front. A non-nil rows
+// records the row index as the walk goes.
+func (n *Nest) vertices(ctx context.Context, rows *rowIndex, size int64) ([]vec.Int, error) {
+	dims := n.Dims
 	var buf []int64
 	if size >= 0 && size <= enumPreallocCap/int64(dims) {
 		buf = make([]int64, 0, size*int64(dims))
@@ -620,7 +641,7 @@ func NewStructureCtx(ctx context.Context, n *Nest, explicitDeps ...vec.Int) (*St
 	count, poll := 0, enumCheckEvery
 	var ctxErr error
 	last := dims - 1
-	n.walkRows(s.rows, func(p vec.Int, hi int64) bool {
+	n.walkRows(rows, func(p vec.Int, hi int64) bool {
 		for lo := p[last]; ; {
 			// Fill at most enumCheckEvery points between polls.
 			end := hi
@@ -656,14 +677,57 @@ func NewStructureCtx(ctx context.Context, n *Nest, explicitDeps ...vec.Int) (*St
 	if ctxErr != nil {
 		return nil, ctxErr
 	}
-	if count > 0 {
-		s.V = make([]vec.Int, count)
+	if count == 0 {
+		return nil, nil
 	}
-	for i := range s.V {
-		s.V[i] = buf[i*dims : i*dims+dims : i*dims+dims]
+	v := make([]vec.Int, count)
+	for i := range v {
+		v[i] = buf[i*dims : i*dims+dims : i*dims+dims]
 	}
-	return s, nil
+	return v, nil
 }
+
+// lazyVertices builds a compact structure's V once, on first use.
+type lazyVertices struct {
+	once  sync.Once
+	v     []vec.Int
+	built atomic.Bool
+}
+
+// Compact returns a copy of the structure without its vertex set: it
+// shares the nest, D and the vertex index, and builds V on the first
+// Vertices call (or any method that reads V), once, by the same row walk
+// as NewStructureCtx. A compact structure is safe for concurrent use.
+func (s *Structure) Compact() *Structure {
+	return &Structure{Nest: s.Nest, D: s.D, n: s.n, rect: s.rect, rows: s.rows, lazy: &lazyVertices{}}
+}
+
+// Vertices returns the vertex set V in lexicographic order, building it
+// on the first call when the structure is compact. Callers must not
+// modify it.
+func (s *Structure) Vertices() []vec.Int {
+	l := s.lazy
+	if l == nil {
+		return s.V
+	}
+	l.once.Do(func() {
+		// The walk never fails without a deadline, and the row index
+		// already exists.
+		l.v, _ = s.Nest.vertices(context.Background(), nil, int64(s.n))
+		l.built.Store(true)
+	})
+	return l.v
+}
+
+// Materialized reports whether the structure holds its vertex set: always
+// for one the constructors built, and for a compact one once Vertices has
+// built it.
+func (s *Structure) Materialized() bool {
+	return s.lazy == nil || s.lazy.built.Load()
+}
+
+// Len returns |V|, the number of index points, without building V.
+func (s *Structure) Len() int { return s.n }
 
 // rowCount counts the nest's points one innermost row at a time, or
 // returns -1 once the count passes limit or ctx is done, so a caller can
@@ -688,7 +752,8 @@ func (s *Structure) HasVertex(p vec.Int) bool {
 	return s.VertexIndex(p) >= 0
 }
 
-// VertexIndex returns the position of p in V, or -1.
+// VertexIndex returns the position of p in V, or -1. It reads the vertex
+// index, never V.
 func (s *Structure) VertexIndex(p vec.Int) int {
 	if len(p) != s.Nest.Dims {
 		return -1
@@ -708,10 +773,11 @@ func (s *Structure) Rectangular() bool { return s.rect != nil }
 // allocation — the primitive the partitioner and both simulation engines
 // resolve dependence arcs with.
 func (s *Structure) NeighborIndex(vi int, d vec.Int) int {
+	p := s.Vertices()[vi]
 	if s.rect != nil {
-		return s.rect.neighborOf(s.V[vi], vi, d)
+		return s.rect.neighborOf(p, vi, d)
 	}
-	return s.rows.find(s.V[vi], d)
+	return s.rows.find(p, d)
 }
 
 // Edge is a dependence arc u → v (v depends on u) labelled with the
@@ -724,8 +790,9 @@ type Edge struct {
 // ForEachEdge visits every dependence arc of the structure: for each vertex
 // u and dependence d ∈ D, the arc u → u+d when u+d is also a vertex.
 func (s *Structure) ForEachEdge(visit func(Edge)) {
+	v := s.Vertices()
 	s.ForEachEdgeIdx(func(ui, vi, di int) {
-		visit(Edge{From: s.V[ui], To: s.V[vi], Dep: di})
+		visit(Edge{From: v[ui], To: v[vi], Dep: di})
 	})
 }
 
@@ -733,7 +800,7 @@ func (s *Structure) ForEachEdge(visit func(Edge)) {
 // D[di]. This is the allocation-free form edge statistics run on;
 // callers needing coordinates use ForEachEdge.
 func (s *Structure) ForEachEdgeIdx(visit func(ui, vi, di int)) {
-	for ui := range s.V {
+	for ui := range s.Vertices() {
 		for di, d := range s.D {
 			if vi := s.NeighborIndex(ui, d); vi >= 0 {
 				visit(ui, vi, di)

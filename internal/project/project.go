@@ -55,9 +55,9 @@ func (d Dep) Rat(s int64) vec.Rat {
 }
 
 // Fiber is the run of index points on one projection line, in execution
-// order: x0 + t·u for t in [0, Len), where x0 = Orig.V[X0] is the line's
-// first point and u = Π/gcd(Π) the line's primitive direction. Point t
-// runs at time T0 + t·Π·u with T0 = Π·x0.
+// order: x0 + t·u for t in [0, Len), where x0 = Orig.Vertices()[X0] is
+// the line's first point and u = Π/gcd(Π) the line's primitive
+// direction. Point t runs at time T0 + t·Π·u with T0 = Π·x0.
 type Fiber struct {
 	X0  int
 	T0  int64
@@ -500,12 +500,12 @@ func (ps *Structure) NonzeroDeps() []Dep {
 	return out
 }
 
-// LineOf maps every original vertex index (into Orig.V) to the projected
-// point of its projection line. It walks each fiber, so it costs |V| and
-// returns a fresh slice the caller owns.
+// LineOf maps every original vertex index (into Orig.Vertices()) to the
+// projected point of its projection line. It walks each fiber, so it
+// costs |V| and returns a fresh slice the caller owns.
 func (ps *Structure) LineOf() []int {
 	st := ps.Orig
-	out := make([]int, len(st.V))
+	out := make([]int, st.Len())
 	for pt, f := range ps.Fibers {
 		for vi, t := f.X0, 0; ; t++ {
 			out[vi] = pt
@@ -523,7 +523,7 @@ func (ps *Structure) LineOf() []int {
 func (ps *Structure) FiberPoints(i int) []vec.Int {
 	f := ps.Fibers[i]
 	out := make([]vec.Int, f.Len)
-	x := ps.Orig.V[f.X0]
+	x := ps.Orig.Vertices()[f.X0]
 	for t := range out {
 		out[t] = x.AddScaled(int64(t), ps.U)
 	}

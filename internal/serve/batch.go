@@ -193,7 +193,7 @@ func (s *Server) batchItem(ctx context.Context, it *api.BatchItem) api.BatchItem
 	if err != nil {
 		return errResult(err)
 	}
-	resp, err := runSimulate(ctx, sreq, p, params, engine)
+	resp, err := s.runSimulate(ctx, sreq, p, params, engine)
 	if err != nil {
 		return errResult(err)
 	}

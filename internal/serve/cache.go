@@ -118,6 +118,38 @@ func (c *planCache) put(key, stageKey string, p *loopmap.Plan, payload []byte) i
 	}
 	c.items[key] = c.ll.PushFront(e)
 	c.bytes += e.bytes
+	return c.evictOverBudget()
+}
+
+// chargeVertices re-charges the stage of the plan cached under key once
+// running a plan on it has built the stage's vertex set, then evicts
+// least-recently-used entries until the budget holds again (never the
+// last one). It returns the number of evictions; an uncached key is a
+// no-op.
+func (c *planCache) chargeVertices(key string) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.items[key]
+	if !ok {
+		return 0
+	}
+	e := el.Value.(*cacheEntry)
+	if se := e.stage; se != nil {
+		b := stageBytes(se.stage)
+		c.bytes += b - se.bytes
+		se.bytes = b
+	} else {
+		b := partitionBytes(e.plan) + stageBytes(e.plan.Stage())
+		c.bytes += b - e.bytes
+		e.bytes = b
+	}
+	return c.evictOverBudget()
+}
+
+// evictOverBudget evicts least-recently-used plans until the byte budget
+// holds or one plan is left, and returns how many it evicted. c.mu must
+// be held.
+func (c *planCache) evictOverBudget() int {
 	evicted := 0
 	for c.bytes > c.maxBytes && c.ll.Len() > 1 {
 		c.evictOldest()
@@ -168,19 +200,24 @@ func (c *planCache) stats() (bytes int64, entries int) {
 }
 
 // stageBytes estimates the resident size of a Π-stage from what it
-// holds: the vertex set (one flat coordinate buffer plus a slice header
-// per vertex) and the projected points with their fibers and point index.
-// A stage holds no per-vertex table besides V: fibers are one
-// (X0, T0, Len) triple per projection line. The cache budget compares
-// these sums against its byte limit, so they should track the heap the
-// cached stages and plans actually pin.
+// holds: the projected points with their fibers and point index, and the
+// vertex set (one flat coordinate buffer plus a slice header per vertex)
+// only while the structure holds it. A cached stage is compact, so V is
+// charged once a simulation builds it (see chargeVertices). A stage holds
+// no other per-vertex table: fibers are one (X0, T0, Len) triple per
+// projection line. The cache budget compares these sums against its byte
+// limit, so they should track the heap the cached stages and plans
+// actually pin.
 func stageBytes(st *loopmap.Stage) int64 {
 	const (
 		sliceHeader = 24
 		fiberBytes  = 24 // one project.Fiber
 	)
 	perVec := int64(st.Structure.Nest.Dims)*8 + sliceHeader
-	b := int64(len(st.Structure.V)) * perVec
+	var b int64
+	if st.Structure.Materialized() {
+		b = int64(st.Structure.Len()) * perVec
+	}
 	ps := st.Projected
 	b += int64(len(ps.Points))*perVec + int64(len(ps.Fibers))*fiberBytes
 	b += ps.IndexBytes()

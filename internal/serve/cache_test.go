@@ -4,13 +4,17 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	loopmap "repro"
+	"repro/api"
 )
 
 func testPlan(t *testing.T, size int64) *loopmap.Plan {
@@ -328,6 +332,49 @@ func TestSharedStageBytesTracksHeap(t *testing.T) {
 		}
 		return est, c, fmt.Sprintf("%d plans on %d shared stages, cache bytes", n, len(c.stages))
 	})
+}
+
+// TestCompactStageBytesTracksHeap is TestSharedStageBytesTracksHeap on
+// the daemon's own stages: every miss-grid key planned through the
+// server at merge factors 1–10 (aux on and off by key), so each stage is
+// compact and shared by ten plans. The second case then serves one
+// /v1/simulate per stage, which builds the stage's V and charges it. In
+// both, the cache's byte count must stay within the band of the live
+// heap.
+func TestCompactStageBytesTracksHeap(t *testing.T) {
+	ctx := context.Background()
+	keys := missGridKeys()
+	for _, simulate := range []bool{false, true} {
+		s := New(Config{CacheBytes: 1 << 40, RespCacheBytes: -1})
+		checkBytesTrackHeap(t, func() (int64, any, string) {
+			for i, k := range keys {
+				noAux := i%2 == 1
+				for merge := int64(1); merge <= 10; merge++ {
+					req := &api.PlanRequest{Kernel: k.kernel, Size: k.size, MergeFactor: merge, NoAux: noAux}
+					if _, _, err := s.basePlan(ctx, req); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if simulate {
+					body := fmt.Sprintf(`{"kernel": %q, "size": %d, "no_aux": %v, "engine": "block"}`, k.kernel, k.size, noAux)
+					rec := httptest.NewRecorder()
+					s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/simulate", strings.NewReader(body)))
+					if rec.Code != http.StatusOK {
+						t.Fatalf("simulate %s: %d %s", body, rec.Code, rec.Body)
+					}
+				}
+			}
+			est, n := s.cache.stats()
+			if n != 10*len(keys) || cachedStages(s.cache) != len(keys) {
+				t.Fatalf("cached %d plans on %d stages, want %d on %d", n, cachedStages(s.cache), 10*len(keys), len(keys))
+			}
+			what := "compact stages"
+			if simulate {
+				what = "stages after one simulation each"
+			}
+			return est, s, fmt.Sprintf("%d plans on %d %s, cache bytes", n, len(keys), what)
+		})
+	}
 }
 
 // checkBytesTrackHeap runs build, which returns a byte estimate, what it

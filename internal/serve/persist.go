@@ -227,7 +227,7 @@ func (s *Server) Recover(ctx context.Context) (RecoveryStats, error) {
 		if err != nil {
 			return
 		}
-		st.stage, _ = loopmap.PrepareCtx(ctx, k, planOptions(st.req))
+		st.stage, _ = prepareStage(ctx, k, planOptions(st.req))
 	})
 	pool.Run(len(slots), s.cfg.MaxInflight, func(i int) {
 		st := stages[slots[i].stage].stage

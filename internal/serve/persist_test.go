@@ -41,7 +41,9 @@ func newPersistentServer(t *testing.T, dir string, mutate func(*Config)) (*Serve
 // planArtifactsEqual DeepEquals every derived artifact of two plans. The
 // Kernel itself is compared structurally (name, nest, deps, Π) because its
 // executable semantics are function values, which DeepEqual cannot
-// meaningfully compare.
+// meaningfully compare. Both plans must be built the same way (on
+// compact stages, as the daemon builds them, with V not yet built): a
+// compact and an eager structure differ in V.
 func planArtifactsEqual(t *testing.T, got, want *loopmap.Plan) {
 	t.Helper()
 	if got.Kernel.Name != want.Kernel.Name {
@@ -126,8 +128,15 @@ func TestWarmRestartServesIdenticalPlans(t *testing.T) {
 	if !ok {
 		t.Fatal("recovered matvec plan missing from cache")
 	}
-	k := loopmap.NewKernel("matvec", 12)
-	fresh, err := loopmap.NewPlan(k, planOptions(req))
+	// The daemon caches compact stages, so the fresh computation builds
+	// one too: a compact structure and an eager one differ in V, which
+	// DeepEqual sees. TestCompactStagePlansMatchEager compares compact
+	// plans with eager NewPlan ones.
+	st, err := prepareStage(context.Background(), loopmap.NewKernel("matvec", 12), planOptions(req))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := st.PlanCtx(context.Background(), planOptions(req))
 	if err != nil {
 		t.Fatal(err)
 	}

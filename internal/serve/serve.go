@@ -645,7 +645,7 @@ func (s *Server) computePlan(ctx context.Context, req *api.PlanRequest, skey str
 			return nil, err
 		}
 		s.metrics.planComputations.Add(1)
-		if st, err = loopmap.PrepareCtx(ctx, k, opt); err != nil {
+		if st, err = prepareStage(ctx, k, opt); err != nil {
 			return nil, err
 		}
 		return st.PlanCtx(ctx, opt)
@@ -653,6 +653,18 @@ func (s *Server) computePlan(ctx context.Context, req *api.PlanRequest, skey str
 	s.metrics.planComputations.Add(1)
 	s.metrics.stageReuses.Add(1)
 	return st.PlanCtx(ctx, opt)
+}
+
+// prepareStage builds a Π-stage as the plan cache keeps it: enumeration,
+// schedule and projection, then compacted, so the stage holds no vertex
+// set until something runs a plan on it. Live misses and recovery both
+// build their stages here.
+func prepareStage(ctx context.Context, k *loopmap.Kernel, opt loopmap.PlanOptions) (*loopmap.Stage, error) {
+	st, err := loopmap.PrepareCtx(ctx, k, opt)
+	if err != nil {
+		return nil, err
+	}
+	return st.Compact(), nil
 }
 
 // mappedPlan remaps the base plan onto the request's cube dimension.
@@ -681,7 +693,7 @@ func buildPlanResponse(req *api.PlanRequest, p *loopmap.Plan) *api.PlanResponse 
 		Size:         req.Size,
 		Pi:           p.Schedule.Pi,
 		Steps:        p.Schedule.Steps(),
-		Iterations:   len(p.Structure.V),
+		Iterations:   p.Structure.Len(),
 		Blocks:       p.Partitioning.NumBlocks(),
 		MaxBlock:     p.Partitioning.MaxBlockSize(),
 		GroupSizeR:   p.Partitioning.R,
@@ -944,7 +956,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, errStatus(err), err)
 		return
 	}
-	resp, err := runSimulate(ctx, &req, p, params, engine)
+	resp, err := s.runSimulate(ctx, &req, p, params, engine)
 	if err != nil {
 		writeError(w, errStatus(err), err)
 		return
@@ -958,7 +970,17 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 // simulate request against its mapped plan: degraded remap, the engine
 // run, the optional sequential baseline, and the optional trace. Cache
 // and Cluster are left for the caller.
-func runSimulate(ctx context.Context, req *api.SimulateRequest, p *loopmap.Plan, params machine.Params, engine loopmap.SimEngine) (*api.SimulateResponse, error) {
+func (s *Server) runSimulate(ctx context.Context, req *api.SimulateRequest, p *loopmap.Plan, params machine.Params, engine loopmap.SimEngine) (*api.SimulateResponse, error) {
+	// The first run on a cached stage builds its vertex set, which the
+	// plan cache then holds: charge it to the budget (a no-op once
+	// charged).
+	defer func(st *loopmap.Structure) {
+		if st.Materialized() {
+			if ev := s.cache.chargeVertices(req.PlanRequest.Key()); ev > 0 {
+				s.metrics.cacheEvictions.Add(int64(ev))
+			}
+		}
+	}(p.Structure)
 	var degraded *api.DegradedInfo
 	if len(req.FailedNodes) > 0 {
 		dp, dstats, err := p.RemapDegraded(req.FailedNodes)

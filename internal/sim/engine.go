@@ -52,7 +52,7 @@ func simulateBlockLevel(ctx context.Context, st *loop.Structure, sch hyperplane.
 		hops = defaultHops
 	}
 
-	nV, nD := len(st.V), len(st.D)
+	nV, nD := st.Len(), len(st.D)
 	opsPerPoint := float64(st.Nest.OpsPerIteration())
 	opsInt := int64(opsPerPoint)
 	compute := opsPerPoint * p.TCalc
@@ -64,7 +64,7 @@ func simulateBlockLevel(ctx context.Context, st *loop.Structure, sch hyperplane.
 	nSteps := int(sch.Steps())
 	counts := make([]int, nSteps+1)
 	stepOf := make([]int32, nV)
-	for vi, x := range st.V {
+	for vi, x := range st.Vertices() {
 		s := int(sch.Step(x))
 		if s < 0 || s >= nSteps {
 			return nil, fmt.Errorf("sim: vertex %v at step %d outside schedule [0, %d)", x, s, nSteps)
@@ -78,7 +78,7 @@ func simulateBlockLevel(ctx context.Context, st *loop.Structure, sch hyperplane.
 	bucket := make([]int32, nV)
 	fill := make([]int, nSteps)
 	copy(fill, counts[:nSteps])
-	for vi := range st.V {
+	for vi := range nV {
 		s := stepOf[vi]
 		bucket[fill[s]] = int32(vi)
 		fill[s]++

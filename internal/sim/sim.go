@@ -40,7 +40,7 @@ var ErrBadOptions = errors.New("sim: conflicting options")
 // Assignment places every vertex of a computational structure on a
 // processor.
 type Assignment struct {
-	// ProcOf[vi] is the processor of vertex vi (indices into Structure.V).
+	// ProcOf[vi] is the processor of vertex vi (indices into Structure.Vertices()).
 	ProcOf []int
 	// NumProcs is the processor count.
 	NumProcs int
@@ -111,7 +111,7 @@ func BlocksAsProcs(p *core.Partitioning) Assignment {
 
 // Sequential places everything on one processor.
 func Sequential(st *loop.Structure) Assignment {
-	return Assignment{ProcOf: make([]int, len(st.V)), NumProcs: 1}
+	return Assignment{ProcOf: make([]int, st.Len()), NumProcs: 1}
 }
 
 // Engine selects the simulation implementation.
@@ -289,8 +289,8 @@ func validate(st *loop.Structure, a Assignment, p machine.Params, opt Options) e
 	if err := p.Validate(); err != nil {
 		return err
 	}
-	if len(a.ProcOf) != len(st.V) {
-		return fmt.Errorf("sim: assignment covers %d vertices, structure has %d", len(a.ProcOf), len(st.V))
+	if len(a.ProcOf) != st.Len() {
+		return fmt.Errorf("sim: assignment covers %d vertices, structure has %d", len(a.ProcOf), st.Len())
 	}
 	if a.NumProcs <= 0 {
 		return errors.New("sim: no processors")
@@ -384,7 +384,7 @@ func SimulateCtx(ctx context.Context, st *loop.Structure, sch hyperplane.Schedul
 		hops = defaultHops
 	}
 
-	nV, nD := len(st.V), len(st.D)
+	nV, nD := st.Len(), len(st.D)
 	opsPerPoint := float64(st.Nest.OpsPerIteration())
 
 	// Precompute predecessor and successor vertex indices per dependence
@@ -397,7 +397,7 @@ func SimulateCtx(ctx context.Context, st *loop.Structure, sch hyperplane.Schedul
 	}
 	pred := make([]int, nV*nD)
 	succ := make([]int, nV*nD)
-	for vi := range st.V {
+	for vi := range nV {
 		for di, d := range st.D {
 			pred[vi*nD+di] = st.NeighborIndex(vi, negD[di])
 			succ[vi*nD+di] = st.NeighborIndex(vi, d)
@@ -408,9 +408,9 @@ func SimulateCtx(ctx context.Context, st *loop.Structure, sch hyperplane.Schedul
 	// because Π·d > 0 strictly).
 	order := make([]int, nV)
 	steps := make([]int64, nV)
-	for i := range order {
+	for i, x := range st.Vertices() {
 		order[i] = i
-		steps[i] = sch.Step(st.V[i])
+		steps[i] = sch.Step(x)
 	}
 	sort.Slice(order, func(i, j int) bool {
 		si, sj := steps[order[i]], steps[order[j]]

@@ -38,12 +38,13 @@ func Structure2D(st *loop.Structure, blockOf func(p vec.Int) int, numBlocks int,
 	if st.Dim() != 2 {
 		return "", fmt.Errorf("svg: Structure2D needs a 2-D structure, got %d-D", st.Dim())
 	}
-	if len(st.V) == 0 {
+	V := st.Vertices()
+	if len(V) == 0 {
 		return "", fmt.Errorf("svg: empty structure")
 	}
-	minI, maxI := st.V[0][0], st.V[0][0]
-	minJ, maxJ := st.V[0][1], st.V[0][1]
-	for _, p := range st.V {
+	minI, maxI := V[0][0], V[0][0]
+	minJ, maxJ := V[0][1], V[0][1]
+	for _, p := range V {
 		if p[0] < minI {
 			minI = p[0]
 		}
@@ -85,7 +86,7 @@ func Structure2D(st *loop.Structure, blockOf func(p vec.Int) int, numBlocks int,
 			x1+ux*radius, y1+uy*radius, x2-ux*(radius+3), y2-uy*(radius+3))
 	})
 
-	for _, p := range st.V {
+	for _, p := range V {
 		x, y := px(p)
 		fill := palette(0, 1)
 		if blockOf != nil {

@@ -411,6 +411,17 @@ func (s *Stage) PlanCtx(ctx context.Context, opt PlanOptions) (*Plan, error) {
 	return plan, nil
 }
 
+// Compact returns a stage that shares this one's schedule and projection
+// but whose structure holds no vertex set (see loop.Structure.Compact).
+// Plans built on it never build V; the first call that runs one
+// (Simulate, Execute, Verify) builds V once and the stage keeps it.
+func (s *Stage) Compact() *Stage {
+	st := s.Structure.Compact()
+	ps := *s.Projected
+	ps.Orig = st
+	return &Stage{Kernel: s.Kernel, Structure: st, Schedule: s.Schedule, Projected: &ps}
+}
+
 // Stage returns the Π-stage the plan was built from; PlanCtx on it builds
 // plans that differ from this one only in Algorithm 1 and 2 options.
 func (p *Plan) Stage() *Stage {
@@ -594,7 +605,7 @@ func (p *Plan) Summary() string {
 func (p *Plan) SummaryWith(ms mapping.Stats) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "kernel %s: %d iterations, %d dependences, Π = %v, %d steps\n",
-		p.Kernel.Name, len(p.Structure.V), len(p.Structure.D), p.Schedule.Pi, p.Schedule.Steps())
+		p.Kernel.Name, p.Structure.Len(), len(p.Structure.D), p.Schedule.Pi, p.Schedule.Steps())
 	fmt.Fprintf(&b, "projection: %d projected points (s = %d), group size r = %d, β = %d\n",
 		len(p.Projected.Points), p.Projected.S, p.Partitioning.R, p.Partitioning.Beta)
 	es := p.TIG.EdgeStats()

@@ -10,7 +10,8 @@
 #
 # --base (default HEAD) is the parent. The change is --head, or, without
 # it, the working tree: tracked and untracked files that .gitignore does
-# not exclude. Each side is extracted (git archive for a revision) and
+# not exclude, less any tracked file deleted but not yet removed from
+# the index. Each side is extracted (git archive for a revision) and
 # built under .bench_build/pairs/<side>. For every seed 1..N and workload
 # both sides run perfbench/run.sh with --trace 0; odd seeds run the parent
 # first, even seeds the change. Every run's output is kept under
@@ -46,7 +47,12 @@ if [ -n "$head" ]; then
 	git archive "$(git rev-parse "$head")" | tar -x -C "$work/head/src"
 	headname="$(git rev-parse --short "$head")"
 else
+	# A tracked file deleted in the working tree (not yet git rm'd) is
+	# still listed; skip it, as the change does not have it.
 	git ls-files -z --cached --others --exclude-standard |
+		while IFS= read -r -d '' f; do
+			if [ -e "$f" ] || [ -L "$f" ]; then printf '%s\0' "$f"; fi
+		done |
 		xargs -0 tar -c -f - | tar -x -C "$work/head/src"
 	headname="working tree"
 fi
