@@ -2,7 +2,7 @@ package api
 
 import "encoding/json"
 
-// SimulateRequest extends PlanRequest with machine and engine knobs.
+// SimulateRequest extends PlanRequest with machine and simulation knobs.
 type SimulateRequest struct {
 	PlanRequest
 	// Era selects a parameter preset: "1991" (default), "unit",
@@ -12,7 +12,9 @@ type SimulateRequest struct {
 	TStart *float64 `json:"tstart,omitempty"`
 	TComm  *float64 `json:"tcomm,omitempty"`
 	THop   *float64 `json:"thop,omitempty"`
-	// Engine: "block" (default — the Lemma-1 coarse engine) or "point".
+	// Engine is accepted for compatibility: "", "block" and "point"
+	// return identical bytes, since the daemon has one simulator; any
+	// other value is rejected.
 	Engine     string `json:"engine,omitempty"`
 	Aggregate  bool   `json:"aggregate,omitempty"`
 	Contention bool   `json:"contention,omitempty"`

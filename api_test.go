@@ -102,10 +102,11 @@ func TestPlanOptionsValidate(t *testing.T) {
 }
 
 func TestSimOptionsValidate(t *testing.T) {
-	if err := (SimOptions{Engine: 99}).Validate(); err == nil {
-		t.Fatal("unknown engine accepted")
+	bad := SimOptions{Faults: &FaultSchedule{LossProb: 2}}
+	if err := bad.Validate(); !errors.Is(err, ErrBadFaultSchedule) {
+		t.Fatalf("loss probability 2: err = %v, want ErrBadFaultSchedule", err)
 	}
-	if err := (SimOptions{Engine: EngineBlock}).Validate(); err != nil {
+	if err := (SimOptions{}).Validate(); err != nil {
 		t.Fatal(err)
 	}
 	k, _ := LookupKernel("l1", 4)
@@ -113,8 +114,8 @@ func TestSimOptionsValidate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := plan.Simulate(Era1991(), SimOptions{Engine: 99}); err == nil {
-		t.Fatal("Simulate accepted an unknown engine")
+	if _, err := plan.Simulate(Era1991(), bad); !errors.Is(err, ErrBadFaultSchedule) {
+		t.Fatalf("Simulate: err = %v, want ErrBadFaultSchedule", err)
 	}
 }
 
@@ -166,10 +167,7 @@ func TestSimulateCtxCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := plan.SimulateCtx(ctx, Era1991(), SimOptions{}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("point engine: err = %v, want context.Canceled", err)
-	}
-	if _, err := plan.SimulateCtx(ctx, Era1991(), SimOptions{Engine: EngineBlock}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("block engine: err = %v, want context.Canceled", err)
+		t.Fatalf("simulate: err = %v, want context.Canceled", err)
 	}
 	if err := plan.VerifyCtx(ctx); !errors.Is(err, context.Canceled) {
 		t.Fatalf("verify: err = %v, want context.Canceled", err)

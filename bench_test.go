@@ -548,30 +548,27 @@ func BenchmarkVertexIndex(b *testing.B) {
 	}
 }
 
-// BenchmarkSimulateBlockLevel compares the two simulation engines on the
-// Table I workload shape — matvec on a 32-processor cube — where they are
-// proven bit-identical (see internal/sim engine tests).
-func BenchmarkSimulateBlockLevel(b *testing.B) {
+// BenchmarkSimulate times the simulator on the Table I workload shape —
+// matvec on a 32-processor cube — with default options. One untimed run
+// first builds the vertex→line map the projection caches.
+func BenchmarkSimulate(b *testing.B) {
 	plan := mustPlan(b, "matvec", 512, 5)
 	params := machine.Era1991()
-	for _, eng := range []struct {
-		name   string
-		engine SimEngine
-	}{{"point", EnginePoint}, {"block", EngineBlock}} {
-		b.Run(eng.name, func(b *testing.B) {
-			b.ReportAllocs()
-			var makespan float64
-			for i := 0; i < b.N; i++ {
-				s, err := plan.Simulate(params, SimOptions{Engine: eng.engine})
-				if err != nil {
-					b.Fatal(err)
-				}
-				makespan = s.Makespan
-			}
-			b.ReportMetric(makespan, "makespan")
-			b.ReportMetric(float64(len(plan.Structure.V)), "vertices")
-		})
+	if _, err := plan.Simulate(params, SimOptions{}); err != nil {
+		b.Fatal(err)
 	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var makespan float64
+	for i := 0; i < b.N; i++ {
+		s, err := plan.Simulate(params, SimOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		makespan = s.Makespan
+	}
+	b.ReportMetric(makespan, "makespan")
+	b.ReportMetric(float64(plan.Structure.Len()), "vertices")
 }
 
 // BenchmarkSweepFanOut measures the Remap-based sweep unit — clone the

@@ -536,8 +536,7 @@ func faultSweep(size int64, dim int) string {
 	plan, err := loopmap.NewPlan(loopmap.NewKernel("matvec", size), loopmap.PlanOptions{CubeDim: dim})
 	check(err)
 	params := machine.Era1991()
-	opt := loopmap.SimOptions{Engine: loopmap.EngineBlock}
-	base, err := plan.Simulate(params, opt)
+	base, err := plan.Simulate(params, loopmap.SimOptions{})
 	check(err)
 	fmt.Fprintf(&b, "  matvec M=%d on a %d-cube, fault-free makespan %.0f (Era1991, block engine)\n\n",
 		size, dim, base.Makespan)
@@ -575,7 +574,7 @@ func faultSweep(size int64, dim int) string {
 			if every > 0 {
 				sch.Checkpoint.Cost = ckptCost
 			}
-			s, err := plan.Simulate(params, loopmap.SimOptions{Engine: loopmap.EngineBlock, Faults: sch})
+			s, err := plan.Simulate(params, loopmap.SimOptions{Faults: sch})
 			check(err)
 			row = append(row, fmt.Sprintf("%.3f", s.Makespan/base.Makespan),
 				fmt.Sprintf("%.0f", s.CheckpointTime+s.ReplayTime))

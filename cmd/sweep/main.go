@@ -9,7 +9,6 @@
 // Usage:
 //
 //	sweep -s exectime                  # T_exec(M, N): analytic + simulated
-//	sweep -s exectime -engine block    # same series on the coarse engine
 //	sweep -s grain                     # comm/comp ratio over M for several N
 //	sweep -s mapping                   # hop-weight of gray/linear/random over cube dims
 //	sweep -s speedup -tstart 10        # speedup/efficiency curves
@@ -32,7 +31,6 @@ import (
 // cfg carries the flag settings into the series generators.
 type cfg struct {
 	params  machine.Params
-	sim     loopmap.SimOptions
 	workers int
 }
 
@@ -43,7 +41,6 @@ func main() {
 		tcalc   = flag.Float64("tcalc", 1, "time per floating-point operation")
 		tstart  = flag.Float64("tstart", 100, "message startup time")
 		tcomm   = flag.Float64("tcomm", 10, "per-word transmission time")
-		engine  = flag.String("engine", "point", "simulation engine: point or block")
 		workers = flag.Int("workers", 0, "worker pool size (0 = one per CPU)")
 	)
 	flag.Parse()
@@ -53,14 +50,6 @@ func main() {
 	}
 	if err := c.params.Validate(); err != nil {
 		fail(err)
-	}
-	switch *engine {
-	case "point":
-		c.sim.Engine = loopmap.EnginePoint
-	case "block":
-		c.sim.Engine = loopmap.EngineBlock
-	default:
-		fail(fmt.Errorf("unknown engine %q (use point or block)", *engine))
 	}
 
 	gens := map[string]func(cfg) *report.Table{
@@ -125,7 +114,7 @@ func execTime(c cfg) *report.Table {
 			errs[i] = err
 			return
 		}
-		s, err := plan.Simulate(c.params, c.sim)
+		s, err := plan.Simulate(c.params, loopmap.SimOptions{})
 		if err != nil {
 			errs[i] = err
 			return

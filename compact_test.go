@@ -7,7 +7,7 @@ import (
 )
 
 // TestCompactPlanRunsMatchEager: on a plan built from a compact stage,
-// Verify passes and Execute, both simulation engines, the sequential
+// Verify passes and Execute, the simulation, the sequential
 // baseline and the placement the SPMD generator reads all equal the eager
 // NewPlan's, for every built-in kernel. The first run builds V.
 func TestCompactPlanRunsMatchEager(t *testing.T) {
@@ -58,24 +58,22 @@ func TestCompactPlanRunsMatchEager(t *testing.T) {
 		if !gotRes.Equal(wantRes) || !reflect.DeepEqual(gotStats, wantStats) {
 			t.Fatalf("%s: compact execution %+v differs from eager %+v", name, gotStats, wantStats)
 		}
-		for _, engine := range []SimEngine{EngineBlock, EnginePoint} {
-			got, err := compact.Simulate(Era1991(), SimOptions{Engine: engine})
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := eager.Simulate(Era1991(), SimOptions{Engine: engine})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s engine %v: compact %+v, eager %+v", name, engine, got, want)
-			}
-		}
-		got, err := compact.SimulateSequential(Era1991())
+		got, err := compact.Simulate(Era1991(), SimOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := eager.SimulateSequential(Era1991())
+		want, err := eager.Simulate(Era1991(), SimOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: compact %+v, eager %+v", name, got, want)
+		}
+		got, err = compact.SimulateSequential(Era1991())
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err = eager.SimulateSequential(Era1991())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -87,7 +87,7 @@ func TestRemapDegradedErrors(t *testing.T) {
 func TestPlanSimulateWithFaults(t *testing.T) {
 	plan := degradedPlan(t, 16, 3)
 	params := Era1991()
-	base, err := plan.Simulate(params, SimOptions{Engine: EngineBlock})
+	base, err := plan.Simulate(params, SimOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestPlanSimulateWithFaults(t *testing.T) {
 	}
 	var prev *SimStats
 	for run := 0; run < 3; run++ {
-		got, err := plan.Simulate(params, SimOptions{Engine: EngineBlock, Faults: sched})
+		got, err := plan.Simulate(params, SimOptions{Faults: sched})
 		if err != nil {
 			t.Fatal(err)
 		}

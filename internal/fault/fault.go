@@ -1,7 +1,7 @@
 // Package fault describes deterministic fault injection for the
 // simulator: node crashes, link failures, and per-message loss, together
 // with the retry and checkpoint policies that bound their cost. A
-// Schedule is pure data — the simulation engines (internal/sim) consume
+// Schedule is pure data — the simulator (internal/sim) consumes
 // it, and the degraded-mode remapper (internal/mapping) consumes the
 // static node/link failure sets — so the same schedule replays
 // bit-identically for a fixed Seed.
@@ -200,10 +200,9 @@ func (s *Schedule) FailedNodes() []int {
 }
 
 // RNG is a splitmix64 generator: tiny, allocation-free, and fully
-// deterministic for a fixed seed. Both simulation engines consume loss
-// decisions from one sequential stream; because they process message
-// sends in the identical global order, a fixed seed reproduces the same
-// loss pattern on either engine.
+// deterministic for a fixed seed. The simulator consumes loss decisions
+// from one sequential stream in its deterministic send order, so a fixed
+// seed reproduces the same loss pattern.
 type RNG struct{ state uint64 }
 
 // NewRNG returns a generator seeded with seed.

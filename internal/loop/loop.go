@@ -770,8 +770,8 @@ func (s *Structure) Rectangular() bool { return s.rect != nil }
 
 // NeighborIndex returns the position in V of V[vi]+d, or -1 when the
 // neighbour lies outside the index set. It is pure arithmetic with no
-// allocation — the primitive the partitioner and both simulation engines
-// resolve dependence arcs with.
+// allocation — the primitive the partitioner and the simulator resolve
+// dependence arcs with.
 func (s *Structure) NeighborIndex(vi int, d vec.Int) int {
 	p := s.Vertices()[vi]
 	if s.rect != nil {

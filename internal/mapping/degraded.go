@@ -294,6 +294,10 @@ func (d *Degraded) Hops(a, b int) int {
 	return int(h)
 }
 
+// Reachable reports whether the surviving graph connects a and b; it is
+// false when either endpoint failed.
+func (d *Degraded) Reachable(a, b int) bool { return d.dist[a][b] >= 0 }
+
 // Route returns a shortest surviving-graph path from src to dst,
 // inclusive of both endpoints.
 func (d *Degraded) Route(src, dst int) []int {

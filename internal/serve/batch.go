@@ -185,15 +185,14 @@ func (s *Server) batchItem(ctx context.Context, it *api.BatchItem) api.BatchItem
 	if err != nil {
 		return api.BatchItemResult{Status: http.StatusBadRequest, Error: err.Error()}
 	}
-	engine, err := simEngine(sreq)
-	if err != nil {
+	if err := simEngine(sreq); err != nil {
 		return api.BatchItemResult{Status: http.StatusBadRequest, Error: err.Error()}
 	}
 	p, outcome, err := s.mappedPlan(ctx, &sreq.PlanRequest)
 	if err != nil {
 		return errResult(err)
 	}
-	resp, err := s.runSimulate(ctx, sreq, p, params, engine)
+	resp, err := s.runSimulate(ctx, sreq, p, params)
 	if err != nil {
 		return errResult(err)
 	}

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -136,35 +137,41 @@ func eagerSimulate(t *testing.T, s *Server, sreq *api.SimulateRequest) api.Simul
 	if err != nil {
 		t.Fatal(err)
 	}
-	engine, err := simEngine(sreq)
-	if err != nil {
+	if err := simEngine(sreq); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := s.runSimulate(context.Background(), sreq, p, params, engine)
+	resp, err := s.runSimulate(context.Background(), sreq, p, params)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return *resp
 }
 
-// simulateVariants are the /v1/simulate bodies (without the plan fields)
-// every consumer test runs: both engines, the sequential baseline, a
-// trace, a fault schedule and a degraded cube.
+// simulateVariants are the /v1/simulate fields (after the plan and
+// engine fields) every consumer test runs: the plain run, the sequential
+// baseline, a trace, aggregation, contention, fault schedules and
+// degraded cubes, one of them with a crash.
 var simulateVariants = []string{
-	`"engine": "block"`,
-	`"engine": "point", "sequential": true`,
-	`"engine": "point", "trace": true, "contention": true`,
-	`"engine": "block", "aggregate": true, "sequential": true`,
-	`"engine": "block", "faults": {"seed": 7, "loss_prob": 0.3, "crashes": [{"node": 1, "t": 40}], "checkpoint_steps": 2, "checkpoint_cost": 5, "restart_cost": 10}`,
-	`"engine": "point", "faults": {"seed": 3, "loss_prob": 0.2}`,
-	`"engine": "block", "failed_nodes": [0, 5]`,
+	``,
+	`, "sequential": true`,
+	`, "trace": true, "contention": true`,
+	`, "aggregate": true, "sequential": true`,
+	`, "faults": {"seed": 7, "loss_prob": 0.3, "crashes": [{"node": 1, "t": 40}], "checkpoint_steps": 2, "checkpoint_cost": 5, "restart_cost": 10}`,
+	`, "faults": {"seed": 3, "loss_prob": 0.2}`,
+	`, "failed_nodes": [0, 5]`,
+	`, "failed_nodes": [0], "trace": true, "faults": {"crashes": [{"node": 1, "t": 100}]}`,
 }
+
+// simulateEngines spells the engine field every way the API accepts it.
+// The daemon has one simulator, so all three return the same bytes.
+var simulateEngines = []string{``, `, "engine": "block"`, `, "engine": "point"`}
 
 // TestCompactCachedPlanConsumers: every reader of V answers from a
 // compact cached plan exactly as from an eager one. Each kernel is
-// planned first, so /v1/simulate (both engines, faults, degraded cubes,
-// the sequential baseline) and /v1/batch run on the cached compact
-// stage; the first run builds V and the cache charges it.
+// planned first, so /v1/simulate (faults, degraded cubes, the
+// sequential baseline) and /v1/batch run on the cached compact stage; the
+// first run builds V and the cache charges it. Every engine spelling of a
+// request gets byte-identical /v1/simulate and /v1/batch bodies.
 func TestCompactCachedPlanConsumers(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	for _, kern := range []struct {
@@ -183,22 +190,37 @@ func TestCompactCachedPlanConsumers(t *testing.T) {
 		var items []api.BatchItem
 		var want []api.SimulateResponse
 		for _, v := range simulateVariants {
-			body := "{" + plan + ", " + v + "}"
-			var sreq api.SimulateRequest
-			if err := json.Unmarshal([]byte(body), &sreq); err != nil {
-				t.Fatal(err)
+			var first []byte
+			for _, e := range simulateEngines {
+				body := "{" + plan + e + v + "}"
+				var sreq api.SimulateRequest
+				if err := json.Unmarshal([]byte(body), &sreq); err != nil {
+					t.Fatal(err)
+				}
+				exp := eagerSimulate(t, s, &sreq)
+				resp, out := postJSON(t, ts.URL+"/v1/simulate", body)
+				if resp.StatusCode != http.StatusOK {
+					t.Fatalf("%s %s: %s: %s", kern.name, body, resp.Status, out)
+				}
+				if first == nil {
+					first = out
+				} else if !bytes.Equal(out, first) {
+					t.Fatalf("%s %s: body differs by engine spelling:\n%s\n%s", kern.name, body, out, first)
+				}
+				var got api.SimulateResponse
+				if err := json.Unmarshal(out, &got); err != nil {
+					t.Fatal(err)
+				}
+				if got.Cache != api.CacheHit {
+					t.Fatalf("%s %s: cache %q, want a hit on the planned key", kern.name, body, got.Cache)
+				}
+				got.Cache = ""
+				if !reflect.DeepEqual(got, exp) {
+					t.Fatalf("%s %s: compact\n%+v\neager\n%+v", kern.name, body, got, exp)
+				}
+				items = append(items, api.BatchItem{Simulate: &sreq})
+				want = append(want, exp)
 			}
-			exp := eagerSimulate(t, s, &sreq)
-			got := simulateBody(t, ts.URL+"/v1/simulate", body)
-			if got.Cache != api.CacheHit {
-				t.Fatalf("%s %s: cache %q, want a hit on the planned key", kern.name, v, got.Cache)
-			}
-			got.Cache = ""
-			if !reflect.DeepEqual(got, exp) {
-				t.Fatalf("%s %s: compact\n%+v\neager\n%+v", kern.name, v, got, exp)
-			}
-			items = append(items, api.BatchItem{Simulate: &sreq})
-			want = append(want, exp)
 		}
 		if !st.Structure.Materialized() {
 			t.Fatalf("%s: simulating did not build the cached stage's V", kern.name)
@@ -214,13 +236,17 @@ func TestCompactCachedPlanConsumers(t *testing.T) {
 			t.Fatalf("%s: batch returned %d results, want %d", kern.name, len(br.Results), len(items))
 		}
 		for i, res := range br.Results {
+			variant := simulateVariants[i/len(simulateEngines)] + simulateEngines[i%len(simulateEngines)]
+			if first := br.Results[i-i%len(simulateEngines)].Body; !bytes.Equal(res.Body, first) {
+				t.Fatalf("%s batch item %s: body differs by engine spelling:\n%s\n%s", kern.name, variant, res.Body, first)
+			}
 			var got api.SimulateResponse
 			if err := json.Unmarshal(res.Body, &got); err != nil {
 				t.Fatalf("%s batch item %d: %v (%s)", kern.name, i, err, res.Error)
 			}
 			got.Cache = ""
 			if !reflect.DeepEqual(got, want[i]) {
-				t.Fatalf("%s batch item %s: compact\n%+v\neager\n%+v", kern.name, simulateVariants[i], got, want[i])
+				t.Fatalf("%s batch item %s: compact\n%+v\neager\n%+v", kern.name, variant, got, want[i])
 			}
 		}
 	}

@@ -12,6 +12,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -192,6 +193,63 @@ func TestSimulateFaultBadRequests(t *testing.T) {
 		resp, out := postJSON(t, ts.URL+"/v1/simulate", c.body)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status = %s, want 400; body %s", c.name, resp.Status, out)
+		}
+	}
+}
+
+// TestSimulateDegradedCrash: a crash on a degraded cube hands the crashed
+// node's work to a surviving node, never to one named in failed_nodes or
+// cut off by them (convolution/4 leaves node 4 empty, and failing 0, 5
+// and 6 strands it), and a schedule that crashes every surviving node is
+// a 400 that names the reason, as crashing every node of an intact cube
+// is.
+func TestSimulateDegradedCrash(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	for _, c := range []struct {
+		body string
+		idle []int // nodes that must run nothing
+	}{
+		{`{"kernel":"matvec","size":16,"cube_dim":3,"failed_nodes":[0],"trace":true,"faults":{"crashes":[{"node":1,"t":100}]}}`, []int{0}},
+		{`{"kernel":"convolution","size":4,"cube_dim":3,"failed_nodes":[0,5,6],"trace":true,"faults":{"crashes":[{"node":1,"t":100}]}}`, []int{0, 4, 5, 6}},
+	} {
+		sr := simulateBody(t, ts.URL+"/v1/simulate", c.body)
+		if sr.Crashes != 1 {
+			t.Fatalf("%s: crashes = %d, want 1", c.body, sr.Crashes)
+		}
+		var events []struct {
+			Ph  string  `json:"ph"`
+			Ts  float64 `json:"ts"`
+			Dur float64 `json:"dur"`
+			Tid int     `json:"tid"`
+		}
+		if err := json.Unmarshal(sr.Trace, &events); err != nil {
+			t.Fatal(err)
+		}
+		tookOver := false
+		for _, e := range events {
+			switch {
+			case e.Ph != "X":
+			case slices.Contains(c.idle, e.Tid):
+				t.Fatalf("%s: event %+v runs on node %d", c.body, e, e.Tid)
+			case e.Tid == 1 && e.Ts+e.Dur > 100:
+				t.Fatalf("%s: event %+v runs on node 1 after its crash", c.body, e)
+			case e.Ts >= 100:
+				tookOver = true
+			}
+		}
+		if !tookOver {
+			t.Fatalf("%s: no work ran after the crash", c.body)
+		}
+	}
+
+	for _, c := range []struct{ name, body string }{
+		{"every survivor crashes", `{"kernel":"matvec","size":16,"cube_dim":2,"failed_nodes":[0],"faults":{"crashes":[{"node":1,"t":100},{"node":2,"t":100},{"node":3,"t":100}]}}`},
+		{"every reachable survivor crashes", `{"kernel":"convolution","size":4,"cube_dim":3,"failed_nodes":[0,5,6],"faults":{"crashes":[{"node":1,"t":100},{"node":2,"t":100},{"node":3,"t":100},{"node":7,"t":100}]}}`},
+		{"every node crashes", `{"kernel":"matvec","size":16,"cube_dim":2,"faults":{"crashes":[{"node":0,"t":100},{"node":1,"t":100},{"node":2,"t":100},{"node":3,"t":100}]}}`},
+	} {
+		resp, out := postJSON(t, ts.URL+"/v1/simulate", c.body)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(out), "no takeover node survives") {
+			t.Errorf("%s: %s %s, want 400 naming the missing takeover node", c.name, resp.Status, out)
 		}
 	}
 }

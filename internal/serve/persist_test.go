@@ -151,18 +151,16 @@ func TestWarmRestartServesIdenticalPlans(t *testing.T) {
 		t.Fatal(err)
 	}
 	planArtifactsEqual(t, recMapped, freshMapped)
-	for _, engine := range []loopmap.SimEngine{loopmap.EngineBlock, loopmap.EnginePoint} {
-		recStats, err := recMapped.Simulate(machine.Era1991(), loopmap.SimOptions{Engine: engine})
-		if err != nil {
-			t.Fatal(err)
-		}
-		freshStats, err := freshMapped.Simulate(machine.Era1991(), loopmap.SimOptions{Engine: engine})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(recStats, freshStats) {
-			t.Fatalf("engine %v: recovered stats %+v != fresh %+v", engine, recStats, freshStats)
-		}
+	recStats, err := recMapped.Simulate(machine.Era1991(), loopmap.SimOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	freshStats, err := freshMapped.Simulate(machine.Era1991(), loopmap.SimOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(recStats, freshStats) {
+		t.Fatalf("recovered stats %+v != fresh %+v", recStats, freshStats)
 	}
 }
 

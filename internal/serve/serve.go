@@ -905,15 +905,15 @@ func simParams(r *api.SimulateRequest) (machine.Params, error) {
 	return p, p.Validate()
 }
 
-// simEngine resolves the request's engine selector.
-func simEngine(r *api.SimulateRequest) (loopmap.SimEngine, error) {
+// simEngine validates the request's engine field. The daemon has one
+// simulator; "block" and "point" are accepted for compatibility and
+// return the same answer.
+func simEngine(r *api.SimulateRequest) error {
 	switch r.Engine {
-	case "", "block":
-		return loopmap.EngineBlock, nil
-	case "point":
-		return loopmap.EnginePoint, nil
+	case "", "block", "point":
+		return nil
 	default:
-		return 0, fmt.Errorf("serve: unknown engine %q (have block, point)", r.Engine)
+		return fmt.Errorf("serve: unknown engine %q (have block, point)", r.Engine)
 	}
 }
 
@@ -937,8 +937,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	engine, err := simEngine(&req)
-	if err != nil {
+	if err := simEngine(&req); err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
@@ -956,7 +955,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, errStatus(err), err)
 		return
 	}
-	resp, err := s.runSimulate(ctx, &req, p, params, engine)
+	resp, err := s.runSimulate(ctx, &req, p, params)
 	if err != nil {
 		writeError(w, errStatus(err), err)
 		return
@@ -967,10 +966,10 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 }
 
 // runSimulate executes the simulation half of a (possibly batched)
-// simulate request against its mapped plan: degraded remap, the engine
-// run, the optional sequential baseline, and the optional trace. Cache
+// simulate request against its mapped plan: degraded remap, the
+// simulation, the optional sequential baseline, and the optional trace. Cache
 // and Cluster are left for the caller.
-func (s *Server) runSimulate(ctx context.Context, req *api.SimulateRequest, p *loopmap.Plan, params machine.Params, engine loopmap.SimEngine) (*api.SimulateResponse, error) {
+func (s *Server) runSimulate(ctx context.Context, req *api.SimulateRequest, p *loopmap.Plan, params machine.Params) (*api.SimulateResponse, error) {
 	// The first run on a cached stage builds its vertex set, which the
 	// plan cache then holds: charge it to the budget (a no-op once
 	// charged).
@@ -997,7 +996,6 @@ func (s *Server) runSimulate(ctx context.Context, req *api.SimulateRequest, p *l
 		}
 	}
 	opt := loopmap.SimOptions{
-		Engine:         engine,
 		Aggregate:      req.Aggregate,
 		LinkContention: req.Contention,
 		Timeline:       req.Trace,

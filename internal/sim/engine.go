@@ -9,40 +9,48 @@ import (
 	"repro/internal/machine"
 )
 
-// SimulateBlockLevel runs the block-level coarse simulation engine.
+// Simulate runs the event-driven execution of a partitioned, mapped nest.
 //
-// The point-level engine (Simulate) carries full per-vertex machinery:
-// predecessor/successor tables of size |V|·|D|, a per-(vertex, dependence)
-// arrival matrix, per-vertex finish times, and a comparison sort of the
-// whole vertex set. Lemma 1 of the paper (§III) licenses something much
-// lighter for partitioned executions: no block ever executes two index
-// points at the same hyperplane step, and a processor executes its blocks'
-// step slots in schedule order, so a slot's start time is determined by
-// just two numbers — the processor clock and the latest remote arrival at
-// the vertex. Local predecessor finish times never bind: a local
-// predecessor occupies an earlier hyperplane step (Π·d > 0) on the same
-// processor, so the processor clock already dominates its finish time.
+// Lemma 1 of the paper (§III) says no block ever executes two index points
+// at the same hyperplane step, and a processor executes its blocks' step
+// slots in schedule order, so a slot's start time is determined by just
+// two numbers — the processor clock and the latest remote arrival at the
+// vertex. Local predecessor finish times never bind: a local predecessor
+// occupies an earlier hyperplane step (Π·d > 0) on the same processor, so
+// the processor clock already dominates its finish time. (The processing
+// order is by (step, vertex), not by block, so a MergeFactor > 1
+// partitioning that puts same-step points in one block stays exact too.)
 //
-// The engine therefore schedules one slot per (block, hyperplane step):
-// vertices are bucketed by step with a counting pass (no comparison sort),
-// dependence arcs are resolved with O(dims) stride arithmetic
-// (loop.Structure.NeighborIndex — no tables), and the only per-vertex state
-// is a single float64 arrival time. Memory drops from ~9 words per vertex
-// per dependence to ~2 words per vertex, and the hot loop performs no
-// allocation. It supports every Options knob (Aggregate, Timeline,
-// LinkContention) with the same deterministic event ordering as Simulate,
-// and its results — makespan, per-processor busy/send times, word and
-// message counts — are bit-identical, which the equivalence tests assert on
-// every built-in kernel.
-func SimulateBlockLevel(st *loop.Structure, sch hyperplane.Schedule, a Assignment, p machine.Params, opt Options) (*Stats, error) {
-	return simulateBlockLevel(context.Background(), st, sch, a, p, opt)
+// The simulation therefore schedules one slot per (block, hyperplane
+// step): vertices are bucketed by step with a counting pass (no
+// comparison sort), dependence arcs are resolved with O(dims) stride
+// arithmetic (loop.Structure.NeighborIndex — no tables), and the only
+// per-vertex state is a single float64 arrival time, about 2 words per
+// vertex, with no allocation in the hot loop. Every Options knob
+// (Aggregate, Timeline, LinkContention, Faults) follows the same
+// deterministic event order. The tests compare its whole Stats with a
+// point-level reference simulator that keeps full predecessor/successor
+// tables.
+func Simulate(st *loop.Structure, sch hyperplane.Schedule, a Assignment, p machine.Params, opt Options) (*Stats, error) {
+	return SimulateCtx(context.Background(), st, sch, a, p, opt)
 }
 
-// simulateBlockLevel is the engine body; it polls ctx every simCheckEvery
-// executed slots (see SimulateCtx).
-func simulateBlockLevel(ctx context.Context, st *loop.Structure, sch hyperplane.Schedule, a Assignment, p machine.Params, opt Options) (*Stats, error) {
+// simCheckEvery is how often (in executed slots) the simulation polls the
+// context, amortizing the cancellation check over the event loop.
+const simCheckEvery = 4096
+
+// SimulateCtx is Simulate with cooperative cancellation: the event loop
+// polls ctx every simCheckEvery executed slots, so a caller's deadline
+// bounds even huge simulations. A nil ctx means context.Background().
+func SimulateCtx(ctx context.Context, st *loop.Structure, sch hyperplane.Schedule, a Assignment, p machine.Params, opt Options) (*Stats, error) {
 	if ctx == nil {
 		ctx = context.Background()
+	}
+	if err := opt.Validate(); err != nil {
+		return nil, err
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
 	if err := validate(st, a, p, opt); err != nil {
 		return nil, err
@@ -59,8 +67,7 @@ func simulateBlockLevel(ctx context.Context, st *loop.Structure, sch hyperplane.
 
 	// Bucket vertices by hyperplane step with a counting pass. V is in
 	// lexicographic order, so each bucket keeps ascending vertex ids and the
-	// global processing order matches the point-level engine's
-	// (step, vertex) sort exactly.
+	// global processing order is the (step, vertex) order.
 	nSteps := int(sch.Steps())
 	counts := make([]int, nSteps+1)
 	stepOf := make([]int32, nV)
@@ -93,10 +100,9 @@ func simulateBlockLevel(ctx context.Context, st *loop.Structure, sch hyperplane.
 	}
 	// Fault injection is a strict no-op unless a non-empty schedule is
 	// set: fs stays nil and every fault branch below is skipped, leaving
-	// the fault-free arithmetic byte-for-byte unchanged. Both engines call
-	// the fault hooks at the same points of the same global (step, vertex)
-	// order, so a fixed seed reproduces identical fault behavior on either
-	// engine.
+	// the fault-free arithmetic byte-for-byte unchanged. The fault hooks
+	// run at fixed points of the global (step, vertex) order, so a fixed
+	// seed reproduces identical fault behavior.
 	var fs *faultState
 	if opt.Faults != nil && !opt.Faults.Empty() {
 		fs = newFaultState(opt.Faults, a, p, hops, stats)
@@ -107,10 +113,9 @@ func simulateBlockLevel(ctx context.Context, st *loop.Structure, sch hyperplane.
 	}
 
 	clock := make([]float64, a.NumProcs)
-	// arrival[vi] is the latest remote-input arrival at vertex vi. The
-	// point-level engine keeps one arrival per (vertex, dependence), but
-	// readiness only ever takes the maximum over the dependences, so a
-	// single running maximum is equivalent.
+	// arrival[vi] is the latest remote-input arrival at vertex vi:
+	// readiness only ever takes the maximum over the dependences, so one
+	// running maximum stands in for an arrival per (vertex, dependence).
 	arrival := make([]float64, nV)
 
 	// Scratch for remote successors of one slot (at most |D| entries),
@@ -171,8 +176,8 @@ func simulateBlockLevel(ctx context.Context, st *loop.Structure, sch hyperplane.
 			}
 			if opt.Aggregate {
 				// One message per destination processor, destinations in
-				// ascending processor order (matching the point engine's
-				// sorted grouping). Insertion sort over ≤ |D| pairs.
+				// ascending processor order. Insertion sort over ≤ |D|
+				// pairs.
 				for i := 1; i < len(remoteProc); i++ {
 					for j := i; j > 0 && remoteProc[j-1] > remoteProc[j]; j-- {
 						remoteProc[j-1], remoteProc[j] = remoteProc[j], remoteProc[j-1]

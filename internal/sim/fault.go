@@ -1,10 +1,10 @@
-// Fault-injection runtime shared by both simulation engines. The
-// faultState hooks into the engines at exactly three points — slot start
-// (crash detection and takeover), message send (loss retries and link
-// detours), and hyperplane-step boundaries (checkpoints) — so the two
-// engines stay bit-identical to each other under any fault schedule, and
-// the fault-free paths stay byte-for-byte untouched (a nil or empty
-// schedule is a strict no-op).
+// Fault-injection runtime of the simulator. The faultState hooks into
+// the event loop at exactly three points — slot start (crash detection
+// and takeover), message send (loss retries and link detours), and
+// hyperplane-step boundaries (checkpoints) — so a fault schedule replays
+// identically in any simulator that fires the hooks in the same
+// (step, vertex) order, and the fault-free path stays byte-for-byte
+// untouched (a nil or empty schedule is a strict no-op).
 package sim
 
 import (
@@ -18,8 +18,8 @@ import (
 // faultState carries the mutable fault-injection state of one simulation
 // run. All decisions are deterministic: crash takeover picks the nearest
 // not-yet-doomed processor with ties broken by lowest id, loss decisions
-// come from a seeded splitmix64 stream consumed in the engines' (shared)
-// deterministic send order, and link failures are static data.
+// come from a seeded splitmix64 stream consumed in the deterministic send
+// order, and link failures are static data.
 type faultState struct {
 	sch  *fault.Schedule
 	p    machine.Params
@@ -70,6 +70,14 @@ func newFaultState(sch *fault.Schedule, a Assignment, p machine.Params, hops fun
 	}
 	for _, c := range sch.Crashes {
 		fs.crashT[c.Node] = c.T
+	}
+	// An offline processor counts as crashed before the run, so crash
+	// never picks it for takeover (a degraded mapping has no route to
+	// it).
+	for pr, off := range a.Offline {
+		if off {
+			fs.crashT[pr] = math.Inf(-1)
+		}
 	}
 	if len(sch.LinkFailures) > 0 {
 		fs.failedLinks = make(map[[2]int]float64, len(sch.LinkFailures))
@@ -167,8 +175,8 @@ func (fs *faultState) crash(e int, clock []float64) error {
 
 // endStep runs the checkpoint boundary after hyperplane step s: every
 // live processor with un-checkpointed work pays the checkpoint cost and
-// becomes stable. Both engines call it at the same points of the global
-// (step, vertex) order, so clocks stay identical across engines.
+// becomes stable. It runs after each step's slots in the global
+// (step, vertex) order.
 func (fs *faultState) endStep(s int, clock []float64) {
 	ck := fs.sch.Checkpoint
 	if ck.EverySteps <= 0 || (s+1)%ck.EverySteps != 0 {

@@ -10,10 +10,11 @@ import (
 	"repro/internal/fault"
 	"repro/internal/kernels"
 	"repro/internal/machine"
+	"repro/internal/mapping"
 )
 
-// runBoth simulates the same inputs on both engines and asserts they
-// agree bit-for-bit, returning the (shared) stats.
+// runBoth simulates a built-in kernel with Simulate and the point oracle,
+// asserts identical Stats, and returns them.
 func runBoth(t *testing.T, label string, name string, size int64, cubeDim int, p machine.Params, opt Options) *Stats {
 	t.Helper()
 	k, a, sch, _ := buildCase(t, name, size, cubeDim)
@@ -21,31 +22,13 @@ func runBoth(t *testing.T, label string, name string, size int64, cubeDim int, p
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt.Engine = EnginePoint
-	point, err := Simulate(st, sch, a, p, opt)
-	if err != nil {
-		t.Fatalf("%s: point engine: %v", label, err)
-	}
-	opt.Engine = EngineBlock
-	block, err := Simulate(st, sch, a, p, opt)
-	if err != nil {
-		t.Fatalf("%s: block engine: %v", label, err)
-	}
-	assertStatsEqual(t, label, point, block)
-	if point.Crashes != block.Crashes || point.Retransmits != block.Retransmits ||
-		point.CheckpointTime != block.CheckpointTime || point.ReplayTime != block.ReplayTime {
-		t.Errorf("%s: fault accounting diverged: point={%d %d %v %v} block={%d %d %v %v}",
-			label,
-			point.Crashes, point.Retransmits, point.CheckpointTime, point.ReplayTime,
-			block.Crashes, block.Retransmits, block.CheckpointTime, block.ReplayTime)
-	}
-	return point
+	return matchOracle(t, label, st, sch, a, p, opt)
 }
 
 // TestEmptyFaultScheduleStrictNoOp asserts the acceptance criterion: a
 // nil, zero, or configured-but-inert fault schedule leaves Stats
 // byte-for-byte identical to the fault-free run, for every built-in
-// kernel, both engines, mapped and unmapped.
+// kernel, mapped and unmapped.
 func TestEmptyFaultScheduleStrictNoOp(t *testing.T) {
 	params := machine.Era1991()
 	empties := []*fault.Schedule{
@@ -55,25 +38,23 @@ func TestEmptyFaultScheduleStrictNoOp(t *testing.T) {
 	}
 	for _, name := range kernels.Names() {
 		for _, cubeDim := range []int{-1, 2, 3} {
-			for _, eng := range []Engine{EnginePoint, EngineBlock} {
-				label := fmt.Sprintf("%s/dim=%d/engine=%d", name, cubeDim, eng)
-				k, a, sch, _ := buildCase(t, name, 6, cubeDim)
-				st, err := k.Structure()
+			label := fmt.Sprintf("%s/dim=%d", name, cubeDim)
+			k, a, sch, _ := buildCase(t, name, 6, cubeDim)
+			st, err := k.Structure()
+			if err != nil {
+				t.Fatal(err)
+			}
+			base, err := Simulate(st, sch, a, params, Options{Aggregate: true})
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			for i, sched := range empties {
+				got, err := Simulate(st, sch, a, params, Options{Aggregate: true, Faults: sched})
 				if err != nil {
-					t.Fatal(err)
+					t.Fatalf("%s: empty schedule #%d: %v", label, i, err)
 				}
-				base, err := Simulate(st, sch, a, params, Options{Engine: eng, Aggregate: true})
-				if err != nil {
-					t.Fatalf("%s: %v", label, err)
-				}
-				for i, sched := range empties {
-					got, err := Simulate(st, sch, a, params, Options{Engine: eng, Aggregate: true, Faults: sched})
-					if err != nil {
-						t.Fatalf("%s: empty schedule #%d: %v", label, i, err)
-					}
-					if !reflect.DeepEqual(base, got) {
-						t.Fatalf("%s: empty schedule #%d perturbed Stats:\nbase %+v\ngot  %+v", label, i, base, got)
-					}
+				if !reflect.DeepEqual(base, got) {
+					t.Fatalf("%s: empty schedule #%d perturbed Stats:\nbase %+v\ngot  %+v", label, i, base, got)
 				}
 			}
 		}
@@ -103,8 +84,8 @@ func faultSchedules(baseline float64) map[string]*fault.Schedule {
 
 // TestFaultNeverDecreasesMakespan is the monotonicity property: under the
 // uncontended §IV cost model every injected fault only adds time, so no
-// schedule may beat the fault-free makespan. Asserted on both engines
-// (which must also stay bit-identical to each other).
+// schedule may beat the fault-free makespan. Each run must also match
+// the point oracle.
 func TestFaultNeverDecreasesMakespan(t *testing.T) {
 	params := machine.Era1991()
 	for _, name := range []string{"matvec", "sor2d"} {
@@ -139,30 +120,28 @@ func TestFaultDeterministicReplay(t *testing.T) {
 		LinkFailures: []fault.LinkFailure{{A: 0, B: 1, T: 1000}},
 		Checkpoint:   fault.Checkpoint{EverySteps: 3, Cost: 7, RestartCost: 11},
 	}
-	for _, eng := range []Engine{EnginePoint, EngineBlock} {
-		opt := Options{Engine: eng, Faults: sched}
-		ref, err := Simulate(st, sch, a, params, opt)
-		if err != nil {
-			t.Fatal(err)
+	opt := Options{Faults: sched}
+	ref, err := Simulate(st, sch, a, params, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	runs := make([]*Stats, 10)
+	errs := make([]error, 10)
+	for i := range runs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			runs[i], errs[i] = Simulate(st, sch, a, params, opt)
+		}(i)
+	}
+	wg.Wait()
+	for i, got := range runs {
+		if errs[i] != nil {
+			t.Fatalf("run %d: %v", i, errs[i])
 		}
-		var wg sync.WaitGroup
-		runs := make([]*Stats, 10)
-		errs := make([]error, 10)
-		for i := range runs {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				runs[i], errs[i] = Simulate(st, sch, a, params, opt)
-			}(i)
-		}
-		wg.Wait()
-		for i, got := range runs {
-			if errs[i] != nil {
-				t.Fatalf("engine %d run %d: %v", eng, i, errs[i])
-			}
-			if !reflect.DeepEqual(ref, got) {
-				t.Fatalf("engine %d run %d diverged:\nref %+v\ngot %+v", eng, i, ref, got)
-			}
+		if !reflect.DeepEqual(ref, got) {
+			t.Fatalf("run %d diverged:\nref %+v\ngot %+v", i, ref, got)
 		}
 	}
 }
@@ -267,6 +246,23 @@ func TestFaultValidation(t *testing.T) {
 	}})
 	if err == nil || !errors.Is(err, ErrBadOptions) {
 		t.Errorf("link failures without Route: err = %v", err)
+	}
+
+	// Every in-service processor of a degraded cube crashing leaves no
+	// takeover node, though node 0 (failed before the run) does not.
+	m, err := mapping.MapPartitioning(part, 2, mapping.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, _, err := mapping.Degrade(m, nil, []int{0}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = Simulate(st, sch, FromDegradedMapping(part, d), params, Options{Faults: &fault.Schedule{
+		Crashes: []fault.NodeCrash{{Node: 1, T: 1}, {Node: 2, T: 1}, {Node: 3, T: 1}},
+	}})
+	if !errors.Is(err, fault.ErrInvalid) {
+		t.Errorf("every survivor crashes: err = %v", err)
 	}
 
 	// Options.Validate catches size-free schedule errors before any

@@ -17,18 +17,14 @@
 package sim
 
 import (
-	"context"
 	"errors"
 	"fmt"
-	"sort"
 
 	"repro/internal/core"
 	"repro/internal/fault"
-	"repro/internal/hyperplane"
 	"repro/internal/loop"
 	"repro/internal/machine"
 	"repro/internal/mapping"
-	"repro/internal/vec"
 )
 
 // ErrBadOptions wraps every rejection of a silently-conflicting option
@@ -51,6 +47,10 @@ type Assignment struct {
 	// follows; required for Options.LinkContention. nil models an
 	// uncontended network.
 	Route func(a, b int) []int
+	// Offline[p] marks a processor that is out of service for the whole
+	// run: it hosts no vertices, and a crashed node's work never moves to
+	// it. nil means every processor is in service.
+	Offline []bool
 }
 
 // FromMapping combines a partitioning and a hypercube mapping into a
@@ -88,17 +88,29 @@ func FromMeshMapping(p *core.Partitioning, m *mapping.MeshResult) Assignment {
 // FromDegradedMapping combines a partitioning and a degraded hypercube
 // mapping (failed nodes/links remapped and rerouted) into a vertex-level
 // assignment with surviving-graph hop counts and routes. Failed nodes
-// keep their processor ids but host no vertices.
+// keep their processor ids but host no vertices; they and any survivor
+// the failures cut off from the block hosts are Offline, since Hops and
+// Route have no path to them.
 func FromDegradedMapping(p *core.Partitioning, d *mapping.Degraded) Assignment {
 	procOf := p.BlockOf()
 	for vi, b := range procOf {
 		procOf[vi] = d.NodeOf[b]
+	}
+	offline := append([]bool(nil), d.Failed...)
+	if len(d.NodeOf) > 0 {
+		// Degrade keeps the block hosts mutually reachable, so one host
+		// identifies their component of the surviving graph.
+		host := d.NodeOf[0]
+		for n := range offline {
+			offline[n] = !d.Reachable(host, n)
+		}
 	}
 	return Assignment{
 		ProcOf:   procOf,
 		NumProcs: d.Cube.N,
 		Hops:     d.Hops,
 		Route:    d.Route,
+		Offline:  offline,
 	}
 }
 
@@ -114,27 +126,8 @@ func Sequential(st *loop.Structure) Assignment {
 	return Assignment{ProcOf: make([]int, st.Len()), NumProcs: 1}
 }
 
-// Engine selects the simulation implementation.
-type Engine int
-
-const (
-	// EnginePoint is the original per-index-point event simulation with
-	// full predecessor/successor tables — the reference engine.
-	EnginePoint Engine = iota
-	// EngineBlock is the block-level coarse engine (SimulateBlockLevel):
-	// it exploits Lemma 1 — a partitioned block never executes two index
-	// points at the same hyperplane step — to schedule one slot per
-	// (block, step) from per-processor clocks and a single arrival time
-	// per vertex, with no dependency tables and no per-event allocation.
-	// It produces bit-identical results to EnginePoint.
-	EngineBlock
-)
-
 // Options tunes the simulation.
 type Options struct {
-	// Engine picks the simulation implementation; the zero value is the
-	// point-level reference engine.
-	Engine Engine
 	// Aggregate merges all values a vertex sends to one destination
 	// processor into a single message (one t_start, k words). The default
 	// false charges every word its own message, the paper's accounting.
@@ -158,22 +151,13 @@ type Options struct {
 	Faults *fault.Schedule
 }
 
-// Validate rejects option values no engine understands, with actionable
-// messages. Simulate calls it on entry; callers building Options from
-// external input can call it early to classify the failure as a caller
-// error.
+// Validate rejects malformed options with actionable messages. Simulate
+// calls it on entry; callers building Options from external input can
+// call it early to classify the failure as a caller error.
+// Machine-size-dependent checks (crash node ranges, Route requirements)
+// run once the assignment is known.
 func (o Options) Validate() error {
-	switch o.Engine {
-	case EnginePoint, EngineBlock:
-	default:
-		return fmt.Errorf("sim: unknown Engine %d (have EnginePoint=%d, EngineBlock=%d)", o.Engine, EnginePoint, EngineBlock)
-	}
-	// Machine-size-dependent checks (crash node ranges, Route
-	// requirements) run in validate once the assignment is known.
-	if err := o.Faults.Validate(0); err != nil {
-		return err
-	}
-	return nil
+	return o.Faults.Validate(0)
 }
 
 // SpanKind distinguishes timeline activities.
@@ -282,9 +266,9 @@ func (s *Stats) CriticalInOutWords() int64 {
 	return s.SendWords[p] + s.RecvWords[p]
 }
 
-// validate checks the simulation inputs shared by both engines, including
-// option combinations that only become checkable once the assignment is
-// known (Route requirements, crash-node ranges).
+// validate checks the simulation inputs, including option combinations
+// that only become checkable once the assignment is known (Route
+// requirements, crash-node ranges, a takeover node surviving).
 func validate(st *loop.Structure, a Assignment, p machine.Params, opt Options) error {
 	if err := p.Validate(); err != nil {
 		return err
@@ -294,6 +278,9 @@ func validate(st *loop.Structure, a Assignment, p machine.Params, opt Options) e
 	}
 	if a.NumProcs <= 0 {
 		return errors.New("sim: no processors")
+	}
+	if a.Offline != nil && len(a.Offline) != a.NumProcs {
+		return fmt.Errorf("sim: Offline covers %d processors, assignment has %d", len(a.Offline), a.NumProcs)
 	}
 	for vi, pr := range a.ProcOf {
 		if pr < 0 || pr >= a.NumProcs {
@@ -309,6 +296,22 @@ func validate(st *loop.Structure, a Assignment, p machine.Params, opt Options) e
 		}
 		if len(opt.Faults.LinkFailures) > 0 && a.Route == nil {
 			return fmt.Errorf("%w: fault schedule has link failures but Assignment.Route is nil (detours follow the message path) — map onto a topology or drop the link failures", ErrBadOptions)
+		}
+		if a.Offline != nil {
+			online, crashing := 0, 0
+			for _, off := range a.Offline {
+				if !off {
+					online++
+				}
+			}
+			for _, c := range opt.Faults.Crashes {
+				if !a.Offline[c.Node] {
+					crashing++
+				}
+			}
+			if crashing >= online {
+				return fmt.Errorf("%w: all %d surviving processors crash — no takeover node survives", fault.ErrInvalid, online)
+			}
 		}
 	}
 	return nil
@@ -326,7 +329,7 @@ func defaultHops(x, y int) int {
 // networkArrivalFunc builds the message-arrival model: when k words
 // injected at t0 reach dst. Under link contention each link of the route
 // carries one message at a time (reservation follows the deterministic
-// simulation order), so both engines produce identical contention queues.
+// simulation order).
 func networkArrivalFunc(a Assignment, p machine.Params, hops func(int, int) int, contend bool) func(t0 float64, src, dst int, k int64) float64 {
 	if !contend {
 		return func(t0 float64, src, dst int, k int64) float64 {
@@ -348,253 +351,4 @@ func networkArrivalFunc(a Assignment, p machine.Params, hops func(int, int) int,
 		}
 		return t
 	}
-}
-
-// Simulate runs the event-driven execution with the engine selected in
-// Options (the point-level reference engine by default).
-func Simulate(st *loop.Structure, sch hyperplane.Schedule, a Assignment, p machine.Params, opt Options) (*Stats, error) {
-	return SimulateCtx(context.Background(), st, sch, a, p, opt)
-}
-
-// simCheckEvery is how often (in executed index points) the engines poll
-// the context, amortizing the cancellation check over the event loop.
-const simCheckEvery = 4096
-
-// SimulateCtx is Simulate with cooperative cancellation: the event loop
-// polls ctx every simCheckEvery executed points, so a caller's deadline
-// bounds even huge simulations. A nil ctx means context.Background().
-func SimulateCtx(ctx context.Context, st *loop.Structure, sch hyperplane.Schedule, a Assignment, p machine.Params, opt Options) (*Stats, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if err := opt.Validate(); err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if opt.Engine == EngineBlock {
-		return simulateBlockLevel(ctx, st, sch, a, p, opt)
-	}
-	if err := validate(st, a, p, opt); err != nil {
-		return nil, err
-	}
-	hops := a.Hops
-	if hops == nil {
-		hops = defaultHops
-	}
-
-	nV, nD := st.Len(), len(st.D)
-	opsPerPoint := float64(st.Nest.OpsPerIteration())
-
-	// Precompute predecessor and successor vertex indices per dependence
-	// (-1 when outside the index set). NeighborIndex resolves each arc with
-	// stride arithmetic on rectangular nests, so the precompute allocates
-	// nothing per entry.
-	negD := make([]vec.Int, nD)
-	for di, d := range st.D {
-		negD[di] = d.Scale(-1)
-	}
-	pred := make([]int, nV*nD)
-	succ := make([]int, nV*nD)
-	for vi := range nV {
-		for di, d := range st.D {
-			pred[vi*nD+di] = st.NeighborIndex(vi, negD[di])
-			succ[vi*nD+di] = st.NeighborIndex(vi, d)
-		}
-	}
-
-	// Execution order: by schedule step, then vertex index (topological
-	// because Π·d > 0 strictly).
-	order := make([]int, nV)
-	steps := make([]int64, nV)
-	for i, x := range st.Vertices() {
-		order[i] = i
-		steps[i] = sch.Step(x)
-	}
-	sort.Slice(order, func(i, j int) bool {
-		si, sj := steps[order[i]], steps[order[j]]
-		if si != sj {
-			return si < sj
-		}
-		return order[i] < order[j]
-	})
-
-	stats := &Stats{
-		Busy:      make([]float64, a.NumProcs),
-		SendTime:  make([]float64, a.NumProcs),
-		SendWords: make([]int64, a.NumProcs),
-		RecvWords: make([]int64, a.NumProcs),
-	}
-
-	// Fault injection is a strict no-op unless a non-empty schedule is
-	// set: fs stays nil and every fault branch below is skipped, leaving
-	// the fault-free arithmetic byte-for-byte unchanged.
-	var fs *faultState
-	if opt.Faults != nil && !opt.Faults.Empty() {
-		fs = newFaultState(opt.Faults, a, p, hops, stats)
-	}
-	networkArrival := networkArrivalFunc(a, p, hops, opt.LinkContention && a.Route != nil)
-	if fs != nil {
-		networkArrival = fs.arrivalFunc(opt.LinkContention && a.Route != nil)
-	}
-	clock := make([]float64, a.NumProcs)
-	finish := make([]float64, nV)
-	// arrival[vi*nD+di] is when the value along dependence di reaches
-	// vertex vi; zero when the predecessor is local or outside.
-	arrival := make([]float64, nV*nD)
-	stats.ProcOps = make([]int64, a.NumProcs)
-	procOps := stats.ProcOps
-
-	// prevStep tracks hyperplane-step boundaries for checkpoint hooks; the
-	// order is step-sorted, so crossing a boundary fires the same endStep
-	// sequence the block engine fires after each step bucket.
-	var prevStep int64
-	for oi, vi := range order {
-		if oi%simCheckEvery == simCheckEvery-1 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		pr := a.ProcOf[vi]
-		if fs != nil {
-			for prevStep < steps[vi] {
-				fs.endStep(int(prevStep), clock)
-				prevStep++
-			}
-		}
-		// Ready once all remote inputs have arrived.
-		ready := 0.0
-		for di := 0; di < nD; di++ {
-			if t := arrival[vi*nD+di]; t > ready {
-				ready = t
-			}
-			if pi := pred[vi*nD+di]; pi >= 0 && a.ProcOf[pi] == pr {
-				if finish[pi] > ready {
-					ready = finish[pi]
-				}
-			}
-		}
-		// exec is the processor that physically runs the slot: pr itself on
-		// the fault-free path, pr's takeover node after a crash.
-		exec := pr
-		start := clock[pr]
-		if ready > start {
-			start = ready
-		}
-		if fs != nil {
-			var err error
-			exec, start, err = fs.beginCompute(pr, ready, opsPerPoint*p.TCalc, clock)
-			if err != nil {
-				return nil, err
-			}
-			fs.workSince[exec] += opsPerPoint * p.TCalc
-		}
-		end := start + opsPerPoint*p.TCalc
-		stats.Busy[exec] += opsPerPoint * p.TCalc
-		procOps[exec] += int64(opsPerPoint)
-		finish[vi] = end
-		clock[exec] = end
-		if opt.Timeline {
-			stats.Spans = append(stats.Spans, Span{Proc: exec, Kind: SpanCompute, Start: start, End: end})
-		}
-
-		// Deliver outputs; remote sends occupy the sender.
-		type sendItem struct {
-			target int // vertex
-			dep    int
-			proc   int
-		}
-		var remote []sendItem
-		for di := 0; di < nD; di++ {
-			si := succ[vi*nD+di]
-			if si < 0 {
-				continue
-			}
-			if a.ProcOf[si] != pr {
-				remote = append(remote, sendItem{target: si, dep: di, proc: a.ProcOf[si]})
-			}
-		}
-		if len(remote) == 0 {
-			continue
-		}
-		if opt.Aggregate {
-			// One message per destination processor.
-			byProc := map[int][]sendItem{}
-			var procsOrder []int
-			for _, s := range remote {
-				if _, ok := byProc[s.proc]; !ok {
-					procsOrder = append(procsOrder, s.proc)
-				}
-				byProc[s.proc] = append(byProc[s.proc], s)
-			}
-			sort.Ints(procsOrder)
-			for _, dst := range procsOrder {
-				items := byProc[dst]
-				k := int64(len(items))
-				var arrivalTime float64
-				if fs != nil {
-					arrivalTime = fs.send(exec, pr, dst, k, clock, networkArrival, opt.Timeline)
-				} else {
-					sendDone := clock[pr] + p.TStart + float64(k)*p.TComm
-					arrivalTime = networkArrival(clock[pr], pr, dst, k)
-					if opt.Timeline {
-						stats.Spans = append(stats.Spans, Span{Proc: pr, Kind: SpanSend, Start: clock[pr], End: sendDone})
-					}
-					clock[pr] = sendDone
-					stats.SendTime[pr] += p.TStart + float64(k)*p.TComm
-					stats.Messages++
-					stats.Words += k
-					stats.SendWords[pr] += k
-					stats.RecvWords[dst] += k
-				}
-				for _, s := range items {
-					if arrivalTime > arrival[s.target*nD+s.dep] {
-						arrival[s.target*nD+s.dep] = arrivalTime
-					}
-				}
-			}
-		} else {
-			// The paper's model: every word is its own message.
-			for _, s := range remote {
-				var arrivalTime float64
-				if fs != nil {
-					arrivalTime = fs.send(exec, pr, s.proc, 1, clock, networkArrival, opt.Timeline)
-				} else {
-					sendDone := clock[pr] + p.TStart + p.TComm
-					arrivalTime = networkArrival(clock[pr], pr, s.proc, 1)
-					if opt.Timeline {
-						stats.Spans = append(stats.Spans, Span{Proc: pr, Kind: SpanSend, Start: clock[pr], End: sendDone})
-					}
-					clock[pr] = sendDone
-					stats.SendTime[pr] += p.TStart + p.TComm
-					stats.Messages++
-					stats.Words++
-					stats.SendWords[pr]++
-					stats.RecvWords[s.proc]++
-				}
-				if arrivalTime > arrival[s.target*nD+s.dep] {
-					arrival[s.target*nD+s.dep] = arrivalTime
-				}
-			}
-		}
-	}
-
-	if fs != nil {
-		for last := sch.Steps(); prevStep < last; prevStep++ {
-			fs.endStep(int(prevStep), clock)
-		}
-	}
-
-	for _, c := range clock {
-		if c > stats.Makespan {
-			stats.Makespan = c
-		}
-	}
-	for _, o := range procOps {
-		if o > stats.MaxProcOps {
-			stats.MaxProcOps = o
-		}
-	}
-	return stats, nil
 }

@@ -40,6 +40,44 @@ func pipeline(t *testing.T, k *kernels.Kernel, dim int) (*loop.Structure, hyperp
 	return st, sch, p, m
 }
 
+// buildCase runs the full pipeline for a kernel and returns the pieces both
+// engines consume.
+func buildCase(t *testing.T, name string, size int64, cubeDim int) (*kernels.Kernel, Assignment, hyperplane.Schedule, *core.Partitioning) {
+	t.Helper()
+	ctor, ok := kernels.Registry[name]
+	if !ok {
+		t.Fatalf("unknown kernel %q", name)
+	}
+	k := ctor(size)
+	st, err := k.Structure()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sch, err := hyperplane.NewSchedule(st, k.Pi)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ps, err := project.Project(st, sch.Pi)
+	if err != nil {
+		t.Fatal(err)
+	}
+	part, err := core.Partition(ps, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var a Assignment
+	if cubeDim >= 0 {
+		m, err := mapping.MapPartitioning(part, cubeDim, mapping.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		a = FromMapping(part, m)
+	} else {
+		a = BlocksAsProcs(part)
+	}
+	return k, a, sch, part
+}
+
 func TestSequentialMakespanIsPureCompute(t *testing.T) {
 	k := kernels.MatVec(8)
 	st, sch, _, _ := pipeline(t, k, 0)
@@ -322,19 +360,16 @@ func TestLinkContentionSerializesSharedLink(t *testing.T) {
 func TestLinkContentionRejectedWithoutRoute(t *testing.T) {
 	// LinkContention with no Route used to be silently ignored — an
 	// uncontended run masquerading as a contention experiment. It is now a
-	// classified caller error, on both engines.
+	// classified caller error.
 	k := kernels.MatVec(8)
 	st, sch, p, _ := pipeline(t, k, 0)
 	a := BlocksAsProcs(p) // no Route
-	params := machine.Era1991()
-	for _, eng := range []Engine{EnginePoint, EngineBlock} {
-		_, err := Simulate(st, sch, a, params, Options{Engine: eng, LinkContention: true})
-		if err == nil {
-			t.Fatalf("engine %d: LinkContention without Route accepted", eng)
-		}
-		if !errors.Is(err, ErrBadOptions) {
-			t.Fatalf("engine %d: error %v does not wrap ErrBadOptions", eng, err)
-		}
+	_, err := Simulate(st, sch, a, machine.Era1991(), Options{LinkContention: true})
+	if err == nil {
+		t.Fatal("LinkContention without Route accepted")
+	}
+	if !errors.Is(err, ErrBadOptions) {
+		t.Fatalf("error %v does not wrap ErrBadOptions", err)
 	}
 }
 
@@ -405,5 +440,37 @@ func TestDeterminism(t *testing.T) {
 	}
 	if s1.Makespan != s2.Makespan || s1.Messages != s2.Messages {
 		t.Fatal("simulation not deterministic")
+	}
+}
+
+// TestCriticalProcCached checks the cached critical processor agrees with a
+// fresh scan and that the dependent accessors use it.
+func TestCriticalProcCached(t *testing.T) {
+	k, a, sch, _ := buildCase(t, "matvec", 8, 2)
+	st, err := k.Structure()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := Simulate(st, sch, a, machine.Era1991(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	scan := 0
+	for p := range s.ProcOps {
+		if s.ProcOps[p] > s.ProcOps[scan] {
+			scan = p
+		}
+	}
+	if got := s.CriticalProc(); got != scan {
+		t.Fatalf("CriticalProc() = %d, scan = %d", got, scan)
+	}
+	if got := s.CriticalProc(); got != scan {
+		t.Fatalf("cached CriticalProc() = %d, scan = %d", got, scan)
+	}
+	if want := s.SendWords[scan]; s.CriticalCommWords() != want {
+		t.Fatalf("CriticalCommWords() = %d, want %d", s.CriticalCommWords(), want)
+	}
+	if want := s.SendWords[scan] + s.RecvWords[scan]; s.CriticalInOutWords() != want {
+		t.Fatalf("CriticalInOutWords() = %d, want %d", s.CriticalInOutWords(), want)
 	}
 }

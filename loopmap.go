@@ -71,8 +71,6 @@ type (
 	SimStats = sim.Stats
 	// SimOptions tunes the simulator.
 	SimOptions = sim.Options
-	// SimEngine selects the simulation engine in SimOptions.Engine.
-	SimEngine = sim.Engine
 	// ExecStats is the concurrent executor's accounting.
 	ExecStats = exec.Stats
 	// ExecResult is a kernel's dataflow trace.
@@ -96,15 +94,6 @@ type (
 	DegradedMapping = mapping.Degraded
 	// DegradationStats quantifies what a degraded remap cost.
 	DegradationStats = mapping.DegradationStats
-)
-
-// Simulation engines for SimOptions.Engine: the point-level reference
-// simulator and the Lemma-1 block-level coarse engine, which produces
-// identical results with far less memory and time (see DESIGN.md,
-// "Performance architecture").
-const (
-	EnginePoint = sim.EnginePoint
-	EngineBlock = sim.EngineBlock
 )
 
 // Era1991 returns machine parameters with the paper-era cost ratios
@@ -460,7 +449,7 @@ func (p *Plan) RemapOpts(cubeDim int, opt MapOptions) (*Plan, error) {
 // Algorithm 2 paid for), and Hops/Route reroute over the surviving cube.
 // The shared pipeline artifacts are reused; only the placement changes.
 // The returned DegradationStats includes the makespan inflation under the
-// paper-era cost model (block engine, Era1991 parameters).
+// paper-era cost model (Era1991 parameters).
 //
 // Errors wrap ErrDegraded: no mapping phase, all nodes failed, addresses
 // out of range, or a surviving cube too partitioned to carry the
@@ -483,11 +472,11 @@ func (p *Plan) RemapDegradedTopology(failedNodes []int, failedLinks [][2]int) (*
 	clone := *p
 	clone.Degraded = d
 	params := machine.Era1991()
-	base, err := p.Simulate(params, SimOptions{Engine: EngineBlock})
+	base, err := p.Simulate(params, SimOptions{})
 	if err != nil {
 		return nil, nil, err
 	}
-	degr, err := clone.Simulate(params, SimOptions{Engine: EngineBlock})
+	degr, err := clone.Simulate(params, SimOptions{})
 	if err != nil {
 		return nil, nil, err
 	}

@@ -10,7 +10,6 @@ package loopmap
 import (
 	"fmt"
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -219,40 +218,5 @@ func TestPipelineFuzzDeterminism(t *testing.T) {
 	}
 	if !r1.Equal(r2) {
 		t.Fatal("traces differ across identical seeds")
-	}
-}
-
-func TestPipelineFuzzEnginesAgree(t *testing.T) {
-	// On generated nests of every shape, placed through the derived
-	// block map, the block-level and point-level simulation engines must
-	// agree bit for bit, with and without message aggregation.
-	rng := rand.New(rand.NewSource(99))
-	valid := 0
-	for trial := 0; valid < 40; trial++ {
-		if trial > 400 {
-			t.Fatalf("too few feasible random loops")
-		}
-		k, ok := randomUniformLoop(rng, trial)
-		if !ok {
-			continue
-		}
-		valid++
-		plan, err := NewPlan(k, PlanOptions{CubeDim: rng.Intn(3)})
-		if err != nil {
-			t.Fatalf("%s: %v", k.Name, err)
-		}
-		params := Params{TCalc: 1 + float64(rng.Intn(5)), TStart: float64(rng.Intn(20)), TComm: float64(rng.Intn(5))}
-		agg := rng.Intn(2) == 0
-		point, err := plan.Simulate(params, SimOptions{Engine: EnginePoint, Aggregate: agg})
-		if err != nil {
-			t.Fatal(err)
-		}
-		block, err := plan.Simulate(params, SimOptions{Engine: EngineBlock, Aggregate: agg})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(point, block) {
-			t.Fatalf("%s (Π %v, aggregate %v): point engine %+v, block engine %+v", k.Name, k.Pi, agg, point, block)
-		}
 	}
 }

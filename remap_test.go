@@ -46,27 +46,23 @@ func TestRemapMatchesNewPlan(t *testing.T) {
 
 // TestRemapParallelSimulate exercises the sweep drivers' sharing pattern
 // under the race detector: many goroutines remap one base plan and simulate
-// concurrently on both engines. Run with -race to validate that the shared
-// structure, schedule, and partitioning artifacts are read-only.
+// concurrently. Run with -race to validate that the shared structure,
+// schedule, and partitioning artifacts are read-only.
 func TestRemapParallelSimulate(t *testing.T) {
 	base, err := NewPlan(NewKernel("matvec", 32), PlanOptions{CubeDim: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	type cfg struct {
-		dim    int
-		engine SimEngine
+	var dims []int
+	for range 2 {
+		dims = append(dims, 0, 1, 2, 3, 4, 5)
 	}
-	var cfgs []cfg
-	for _, dim := range []int{0, 1, 2, 3, 4, 5} {
-		cfgs = append(cfgs, cfg{dim, EnginePoint}, cfg{dim, EngineBlock})
-	}
-	makespans, err := pool.MapErr(len(cfgs), func(i int) (float64, error) {
-		plan, err := base.Remap(cfgs[i].dim)
+	makespans, err := pool.MapErr(len(dims), func(i int) (float64, error) {
+		plan, err := base.Remap(dims[i])
 		if err != nil {
 			return 0, err
 		}
-		s, err := plan.Simulate(Era1991(), SimOptions{Engine: cfgs[i].engine})
+		s, err := plan.Simulate(Era1991(), SimOptions{})
 		if err != nil {
 			return 0, err
 		}
@@ -75,25 +71,18 @@ func TestRemapParallelSimulate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Same dim on the two engines must agree (they are bit-identical), and
-	// each result must be reproducible sequentially.
-	for i := 0; i < len(cfgs); i += 2 {
-		if makespans[i] != makespans[i+1] {
-			t.Errorf("dim %d: point makespan %v != block makespan %v",
-				cfgs[i].dim, makespans[i], makespans[i+1])
-		}
-	}
-	for i, c := range cfgs {
-		plan, err := base.Remap(c.dim)
+	// Each result must be reproducible sequentially.
+	for i, dim := range dims {
+		plan, err := base.Remap(dim)
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := plan.Simulate(Era1991(), SimOptions{Engine: c.engine})
+		s, err := plan.Simulate(Era1991(), SimOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if s.Makespan != makespans[i] {
-			t.Errorf("%+v: parallel makespan %v != sequential %v", c, makespans[i], s.Makespan)
+			t.Errorf("dim %d: parallel makespan %v != sequential %v", dim, makespans[i], s.Makespan)
 		}
 	}
 }
@@ -114,7 +103,7 @@ func ExamplePlan_Remap() {
 		if err != nil {
 			panic(err)
 		}
-		s, err := plan.Simulate(computeBound, SimOptions{Engine: EngineBlock})
+		s, err := plan.Simulate(computeBound, SimOptions{})
 		if err != nil {
 			panic(err)
 		}
