@@ -47,12 +47,13 @@ benchpairs:
 loadtest:
 	$(GO) run ./cmd/loadtest -duration 2s -conc 16 -seed 1
 
-# Ten seconds each of parser, full-pipeline, and log-replay fuzzing
-# beyond the checked-in seeds.
+# Ten seconds each of parser, full-pipeline, log-replay and /v1/plan
+# wire-decoder fuzzing beyond the checked-in seeds.
 fuzz:
 	$(GO) test -fuzz FuzzParseProgram -fuzztime 10s ./internal/parser/
 	$(GO) test -fuzz FuzzNewPlan -fuzztime 10s -run '^$$' .
 	$(GO) test -fuzz FuzzWALReplay -fuzztime 10s ./internal/persist/
+	$(GO) test -fuzz FuzzPlanWire -fuzztime 10s -run '^$$' ./api/
 
 # Run the plan-serving daemon on :8080.
 serve:

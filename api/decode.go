@@ -1,0 +1,451 @@
+package api
+
+import "unicode/utf8"
+
+// Reflection-free decoders for the two /v1/plan messages.
+//
+// The daemon and the client exchange one fixed JSON shape per message, so
+// these scanners fill PlanRequest and PlanResponse straight from the bytes.
+// They accept a deliberately small subset of JSON: one object, any key
+// order and whitespace, duplicate keys (the last one wins), integer
+// literals, strings whose escapes are not \u, and the "cluster" object.
+// Everything else — null, unknown or case-variant keys, \u escapes,
+// non-integer or out-of-range numbers, invalid UTF-8, trailing data — is
+// declined, and the caller hands the same bytes to encoding/json, which
+// stays the only authority on what the input means and on how it is
+// rejected. Where a decoder accepts, encoding/json accepts too and fills a
+// zero value identically (FuzzPlanWire and TestPlanResponseDigest check
+// this).
+
+// DecodePlanRequest fills r from b and reports whether it could. On false
+// r is untouched and b must be decoded by encoding/json instead (strictly:
+// unknown fields and trailing data are errors). On true *r is replaced by
+// the decoded request.
+func DecodePlanRequest(b []byte, r *PlanRequest) bool {
+	var v PlanRequest
+	s := scanner{b: b}
+	for s.member() {
+		switch string(s.key) {
+		case "kernel":
+			v.Kernel = s.str()
+		case "size":
+			v.Size = s.int64()
+		case "cube_dim":
+			if v.CubeDim == nil {
+				v.CubeDim = new(int)
+			}
+			*v.CubeDim = s.int()
+		case "exclusive":
+			v.Exclusive = s.bool()
+		case "pi":
+			v.Pi = s.int64s()
+		case "search_pi":
+			v.SearchPi = s.bool()
+		case "search_bound":
+			v.SearchBound = s.int64()
+		case "merge_factor":
+			v.MergeFactor = s.int64()
+		case "no_aux":
+			v.NoAux = s.bool()
+		case "grouping_choice":
+			v.GroupingChoice = s.int()
+		case "timeout_ms":
+			v.TimeoutMS = s.int64()
+		default:
+			return false
+		}
+	}
+	if !s.done() {
+		return false
+	}
+	*r = v
+	return true
+}
+
+// DecodePlanResponse fills r from b and reports whether it could. On false
+// r is untouched and b must be decoded by json.Unmarshal instead. On true
+// *r is replaced by the decoded response.
+func DecodePlanResponse(b []byte, r *PlanResponse) bool {
+	var v PlanResponse
+	s := scanner{b: b}
+	for s.member() {
+		switch string(s.key) {
+		case "kernel":
+			v.Kernel = s.str()
+		case "size":
+			v.Size = s.int64()
+		case "pi":
+			v.Pi = s.int64s()
+		case "steps":
+			v.Steps = s.int64()
+		case "iterations":
+			v.Iterations = s.int()
+		case "blocks":
+			v.Blocks = s.int()
+		case "max_block":
+			v.MaxBlock = s.int()
+		case "group_size_r":
+			v.GroupSizeR = s.int64()
+		case "beta":
+			v.Beta = s.int()
+		case "tig_edges":
+			v.TIGEdges = s.int()
+		case "tig_traffic":
+			v.TIGTraffic = s.int64()
+		case "max_out_degree":
+			v.MaxOutDegree = s.int()
+		case "cube_dim":
+			v.CubeDim = s.int()
+		case "procs":
+			v.Procs = s.int()
+		case "hop_weight":
+			v.HopWeight = s.int64()
+		case "max_dilation":
+			v.MaxDilation = s.int()
+		case "min_load":
+			v.MinLoad = s.int64()
+		case "max_load":
+			v.MaxLoad = s.int64()
+		case "summary":
+			v.Summary = s.str()
+		case "cache":
+			v.Cache = cacheOutcome(s.strBytes())
+		case "cluster":
+			// encoding/json decodes a repeated object into the value the
+			// first one allocated, so fields merge across duplicates.
+			if v.Cluster == nil {
+				v.Cluster = new(ClusterInfo)
+			}
+			s.cluster(v.Cluster)
+		default:
+			return false
+		}
+	}
+	if !s.done() {
+		return false
+	}
+	*r = v
+	return true
+}
+
+// cacheOutcome returns the named constant for the outcomes the daemon
+// sends, so a decode allocates no string for them.
+func cacheOutcome(b []byte) CacheOutcome {
+	switch string(b) {
+	case "hit":
+		return CacheHit
+	case "miss":
+		return CacheMiss
+	case "shared":
+		return CacheShared
+	}
+	return CacheOutcome(b)
+}
+
+// cluster decodes the nested "cluster" object into c.
+func (s *scanner) cluster(c *ClusterInfo) {
+	if s.failed {
+		return
+	}
+	in := scanner{b: s.b, i: s.i}
+	for in.member() {
+		switch string(in.key) {
+		case "shard":
+			c.Shard = in.int()
+		case "owner":
+			c.Owner = in.int()
+		case "hops":
+			c.Hops = in.int()
+		case "epoch":
+			c.Epoch = in.uint64()
+		default:
+			in.failed = true
+		}
+	}
+	if in.failed || !in.closed {
+		s.fail()
+		return
+	}
+	s.i = in.i
+}
+
+// scanner walks one JSON object. Any input outside the accepted subset
+// sets failed, after which every method is a no-op and done reports false.
+type scanner struct {
+	b      []byte
+	i      int
+	key    []byte // the current member's key
+	opened bool   // '{' consumed
+	closed bool   // '}' consumed
+	failed bool
+}
+
+func (s *scanner) fail() bool {
+	s.failed = true
+	return false
+}
+
+func (s *scanner) ws() {
+	for s.i < len(s.b) {
+		switch s.b[s.i] {
+		case ' ', '\t', '\n', '\r':
+			s.i++
+		default:
+			return
+		}
+	}
+}
+
+func (s *scanner) eat(c byte) bool {
+	if s.i < len(s.b) && s.b[s.i] == c {
+		s.i++
+		return true
+	}
+	return false
+}
+
+// member advances to the object's next member: it consumes '{' or ',',
+// the key and the ':', and leaves s at the value with s.key set. It
+// returns false at the closing '}' or on failure.
+func (s *scanner) member() bool {
+	if s.failed {
+		return false
+	}
+	s.ws()
+	if !s.opened {
+		if !s.eat('{') {
+			return s.fail()
+		}
+		s.opened = true
+		s.ws()
+		if s.eat('}') {
+			s.closed = true
+			return false
+		}
+	} else {
+		if s.eat('}') {
+			s.closed = true
+			return false
+		}
+		if !s.eat(',') {
+			return s.fail()
+		}
+		s.ws()
+	}
+	// Keys are matched byte for byte, so a key with an escape or a
+	// non-ASCII byte (which encoding/json might fold onto a field name)
+	// is declined.
+	if !s.eat('"') {
+		return s.fail()
+	}
+	start := s.i
+	for s.i < len(s.b) && s.b[s.i] != '"' {
+		if c := s.b[s.i]; c == '\\' || c < 0x20 || c >= utf8.RuneSelf {
+			return s.fail()
+		}
+		s.i++
+	}
+	if s.i == len(s.b) {
+		return s.fail()
+	}
+	s.key = s.b[start:s.i]
+	s.i++
+	s.ws()
+	if !s.eat(':') {
+		return s.fail()
+	}
+	s.ws()
+	return true
+}
+
+// done reports whether the whole input was one accepted object followed
+// by nothing but whitespace.
+func (s *scanner) done() bool {
+	if s.failed || !s.closed {
+		return false
+	}
+	s.ws()
+	return s.i == len(s.b)
+}
+
+// strBytes decodes a string value. The result aliases the input unless
+// the string holds escapes.
+func (s *scanner) strBytes() []byte {
+	if s.failed {
+		return nil
+	}
+	if !s.eat('"') {
+		s.fail()
+		return nil
+	}
+	start := s.i
+	escaped, ascii := false, true
+	for ; s.i < len(s.b); s.i++ {
+		switch c := s.b[s.i]; {
+		case c == '"':
+			raw := s.b[start:s.i]
+			s.i++
+			// encoding/json replaces invalid UTF-8 with U+FFFD; decline it.
+			if !ascii && !utf8.Valid(raw) {
+				s.fail()
+				return nil
+			}
+			if escaped {
+				return unescape(raw)
+			}
+			return raw
+		case c == '\\':
+			s.i++
+			if s.i == len(s.b) || unescapeByte(s.b[s.i]) == 0 {
+				s.fail()
+				return nil
+			}
+			escaped = true
+		case c < 0x20:
+			s.fail()
+			return nil
+		case c >= utf8.RuneSelf:
+			ascii = false
+		}
+	}
+	s.fail()
+	return nil
+}
+
+func (s *scanner) str() string {
+	return string(s.strBytes())
+}
+
+// unescapeByte maps the byte after a backslash to the byte it stands for,
+// or 0 for \u and invalid escapes.
+func unescapeByte(c byte) byte {
+	switch c {
+	case '"', '\\', '/':
+		return c
+	case 'b':
+		return '\b'
+	case 'f':
+		return '\f'
+	case 'n':
+		return '\n'
+	case 'r':
+		return '\r'
+	case 't':
+		return '\t'
+	}
+	return 0
+}
+
+// unescape decodes a string body already checked by strBytes.
+func unescape(raw []byte) []byte {
+	out := make([]byte, 0, len(raw))
+	for i := 0; i < len(raw); i++ {
+		c := raw[i]
+		if c == '\\' {
+			i++
+			c = unescapeByte(raw[i])
+		}
+		out = append(out, c)
+	}
+	return out
+}
+
+// digits scans an unsigned integer literal in JSON form (no leading zero
+// unless it is the only digit) of at most 19 digits, so it fits uint64.
+// Longer literals are declined; encoding/json decides whether they fit.
+func (s *scanner) digits() uint64 {
+	start := s.i
+	var n uint64
+	for s.i < len(s.b) && s.b[s.i] >= '0' && s.b[s.i] <= '9' {
+		n = n*10 + uint64(s.b[s.i]-'0')
+		s.i++
+	}
+	if d := s.i - start; d == 0 || d > 19 || (d > 1 && s.b[start] == '0') {
+		s.fail()
+		return 0
+	}
+	// A fraction or exponent cannot follow: member and done accept only
+	// ',', '}' or whitespace after a value, so "1.5" and "1e2" fail there.
+	return n
+}
+
+func (s *scanner) int64() int64 {
+	if s.failed {
+		return 0
+	}
+	neg := s.eat('-')
+	n := s.digits()
+	switch {
+	case neg && n <= 1<<63:
+		return int64(-n)
+	case !neg && n < 1<<63:
+		return int64(n)
+	}
+	s.fail()
+	return 0
+}
+
+func (s *scanner) int() int {
+	n := s.int64()
+	if int64(int(n)) != n {
+		s.fail()
+	}
+	return int(n)
+}
+
+func (s *scanner) uint64() uint64 {
+	if s.failed {
+		return 0
+	}
+	return s.digits()
+}
+
+func (s *scanner) bool() bool {
+	if s.failed {
+		return false
+	}
+	rest := s.b[s.i:]
+	switch {
+	case len(rest) >= 4 && string(rest[:4]) == "true":
+		s.i += 4
+		return true
+	case len(rest) >= 5 && string(rest[:5]) == "false":
+		s.i += 5
+		return false
+	}
+	s.fail()
+	return false
+}
+
+// int64s decodes an array of integers. An empty array yields an empty,
+// non-nil slice, as encoding/json gives.
+func (s *scanner) int64s() []int64 {
+	if s.failed {
+		return nil
+	}
+	if !s.eat('[') {
+		s.fail()
+		return nil
+	}
+	var buf [8]int64
+	vals := buf[:0]
+	s.ws()
+	if !s.eat(']') {
+		for {
+			vals = append(vals, s.int64())
+			s.ws()
+			if s.eat(']') {
+				break
+			}
+			if s.failed || !s.eat(',') {
+				s.fail()
+				return nil
+			}
+			s.ws()
+		}
+	}
+	if s.failed {
+		return nil
+	}
+	return append(make([]int64, 0, len(vals)), vals...)
+}

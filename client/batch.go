@@ -91,7 +91,7 @@ func decodePlanItem(res *api.BatchItemResult) PlanResult {
 		return PlanResult{Err: &APIError{Status: res.Status, Message: res.Error}}
 	}
 	var pr api.PlanResponse
-	if err := json.Unmarshal(res.Body, &pr); err != nil {
+	if err := decodeBody(res.Body, &pr); err != nil {
 		return PlanResult{Err: err}
 	}
 	return PlanResult{Resp: &pr, ETag: res.ETag}

@@ -427,7 +427,7 @@ func (c *Client) exchange(ctx context.Context, method, path string, in, out any,
 			return "", false, apiErrorFrom(res)
 		default:
 			if out != nil {
-				if err := json.Unmarshal(res.body, out); err != nil {
+				if err := decodeBody(res.body, out); err != nil {
 					// A 2xx with an undecodable body is corruption, not
 					// load: terminal, and a breaker failure.
 					c.breaker.record(false)
@@ -558,7 +558,7 @@ func (c *Client) roundTrip(ctx context.Context, method, path string, body []byte
 		return nil, err
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
+	data, err := readBody(resp)
 	if err != nil {
 		return nil, fmt.Errorf("reading response: %w", err)
 	}
@@ -569,6 +569,35 @@ func (c *Client) roundTrip(ctx context.Context, method, path string, body []byte
 		readOnly:   resp.Header.Get(api.ReadOnlyHeader) == "1",
 		body:       data,
 	}, nil
+}
+
+// maxSizedBody caps the buffer readBody allocates up front from a
+// response's Content-Length; longer bodies grow through io.ReadAll as
+// their bytes actually arrive.
+const maxSizedBody = 1 << 20
+
+// readBody reads a whole response body, into one exact-size buffer when
+// the length is declared and small.
+func readBody(resp *http.Response) ([]byte, error) {
+	n := resp.ContentLength
+	if n < 0 || n > maxSizedBody {
+		return io.ReadAll(resp.Body)
+	}
+	buf := make([]byte, n)
+	if _, err := io.ReadFull(resp.Body, buf); err != nil {
+		return nil, err
+	}
+	return buf, nil
+}
+
+// decodeBody decodes a 2xx response body into out. Plan responses go
+// through the reflection-free api.DecodePlanResponse, falling back to
+// encoding/json for anything it declines.
+func decodeBody(b []byte, out any) error {
+	if pr, ok := out.(*api.PlanResponse); ok && api.DecodePlanResponse(b, pr) {
+		return nil
+	}
+	return json.Unmarshal(b, out)
 }
 
 // parseRetryAfter reads a delta-seconds Retry-After value (the only form

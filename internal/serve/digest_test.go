@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"reflect"
 	"regexp"
 	"strings"
 	"testing"
@@ -71,6 +72,7 @@ func TestPlanResponseDigest(t *testing.T) {
 		t.Fatalf("digest sample has %d keys, want at least 1000", len(keys))
 	}
 	sum := sha256.New()
+	fastReqs, fastResps := 0, 0
 	for _, req := range keys {
 		body, err := json.Marshal(&req)
 		if err != nil {
@@ -83,6 +85,32 @@ func TestPlanResponseDigest(t *testing.T) {
 		}
 		fmt.Fprintf(sum, "%s\n", body)
 		sum.Write(cacheField.ReplaceAll(rec.Body.Bytes(), nil))
+
+		// Both byte scanners against their encoding/json oracles: the
+		// strict request decoder and json.Unmarshal of the response.
+		var fastReq, strictReq api.PlanRequest
+		if api.DecodePlanRequest(body, &fastReq) {
+			fastReqs++
+		}
+		if err := decodeJSONBytes(body, &strictReq); err != nil {
+			t.Fatalf("%s: strict decode: %v", body, err)
+		}
+		if !reflect.DeepEqual(fastReq, strictReq) {
+			t.Fatalf("%s: DecodePlanRequest = %+v, encoding/json gives %+v", body, fastReq, strictReq)
+		}
+		var fastResp, jsonResp api.PlanResponse
+		if api.DecodePlanResponse(rec.Body.Bytes(), &fastResp) {
+			fastResps++
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &jsonResp); err != nil {
+			t.Fatalf("%s: json.Unmarshal of the response: %v", body, err)
+		}
+		if !reflect.DeepEqual(fastResp, jsonResp) {
+			t.Fatalf("%s: DecodePlanResponse = %+v, json.Unmarshal gives %+v", body, fastResp, jsonResp)
+		}
+	}
+	if fastReqs != len(keys) || fastResps != len(keys) {
+		t.Fatalf("fast decoders handled %d requests and %d responses of %d, want all", fastReqs, fastResps, len(keys))
 	}
 	got := fmt.Sprintf("%d %s", len(keys), hex.EncodeToString(sum.Sum(nil)))
 	if *updateDigest {

@@ -154,10 +154,19 @@ func (c Config) withDefaults() Config {
 		c.MaxBatchItems = 256
 	}
 	if c.Logger == nil {
-		c.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
+		c.Logger = slog.New(discardHandler{})
 	}
 	return c
 }
+
+// discardHandler is the default log handler: never enabled, so a record
+// is neither built nor formatted. (slog.DiscardHandler needs Go 1.24.)
+type discardHandler struct{}
+
+func (discardHandler) Enabled(context.Context, slog.Level) bool  { return false }
+func (discardHandler) Handle(context.Context, slog.Record) error { return nil }
+func (h discardHandler) WithAttrs([]slog.Attr) slog.Handler      { return h }
+func (h discardHandler) WithGroup(string) slog.Handler           { return h }
 
 // endpoints instrumented individually in /metrics.
 var endpointNames = []string{
@@ -377,13 +386,16 @@ func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFun
 		elapsed := time.Since(start)
 		s.metrics.observe(endpoint, sw.code, elapsed.Seconds())
 		s.metrics.bytesServed.Add(sw.bytes)
-		s.cfg.Logger.Info("request",
-			"method", r.Method,
-			"path", r.URL.Path,
-			"status", sw.code,
-			"dur_ms", float64(elapsed.Microseconds())/1000,
-			"remote", r.RemoteAddr,
-		)
+		// Checked first so a discarded log boxes no attributes.
+		if s.cfg.Logger.Enabled(r.Context(), slog.LevelInfo) {
+			s.cfg.Logger.LogAttrs(r.Context(), slog.LevelInfo, "request",
+				slog.String("method", r.Method),
+				slog.String("path", r.URL.Path),
+				slog.Int("status", sw.code),
+				slog.Float64("dur_ms", float64(elapsed.Microseconds())/1000),
+				slog.String("remote", r.RemoteAddr),
+			)
+		}
 	}
 }
 
@@ -804,10 +816,15 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	body := bodyBuf.Bytes()
+	// The byte scanner handles what clients send; anything it declines
+	// goes through the strict encoding/json decoder, which alone decides
+	// rejections and their text.
 	var req api.PlanRequest
-	if err := decodeJSONBytes(body, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
+	if !api.DecodePlanRequest(body, &req) {
+		if err := decodeJSONBytes(body, &req); err != nil {
+			writeError(w, http.StatusBadRequest, err)
+			return
+		}
 	}
 	// Fast path before validation: a frame cached under an identical
 	// canonical key can only have been produced by a request that already
@@ -1147,21 +1164,24 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 // decodeJSON strictly decodes one JSON object from the request body.
 func decodeJSON(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+	b, err := io.ReadAll(r.Body)
+	if err != nil {
 		return fmt.Errorf("serve: bad request body: %w", err)
 	}
-	return nil
+	return decodeJSONBytes(b, v)
 }
 
 // decodeJSONBytes strictly decodes one JSON object from a pre-read body
-// (the forwarding path needs the raw bytes to relay).
+// (the forwarding path needs the raw bytes to relay): unknown fields and
+// anything but whitespace after the object are errors.
 func decodeJSONBytes(b []byte, v any) error {
 	dec := json.NewDecoder(bytes.NewReader(b))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return fmt.Errorf("serve: bad request body: %w", err)
+	}
+	if len(bytes.TrimLeft(b[dec.InputOffset():], " \t\r\n")) > 0 {
+		return fmt.Errorf("serve: bad request body: trailing data after the JSON object")
 	}
 	return nil
 }

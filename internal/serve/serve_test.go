@@ -2,9 +2,11 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -194,6 +196,10 @@ func TestBadRequests(t *testing.T) {
 		{"cube dim too large", "/v1/plan", `{"kernel": "l1", "size": 8, "cube_dim": 99}`},
 		{"negative search bound", "/v1/plan", `{"kernel": "l1", "size": 8, "search_bound": -1}`},
 		{"pi conflicts with search", "/v1/plan", `{"kernel": "l1", "size": 8, "pi": [1, 1], "search_pi": true}`},
+		{"trailing junk", "/v1/plan", `{"kernel":"l1","size":8} junk`},
+		{"two objects", "/v1/plan", `{"kernel":"l1","size":8}{"kernel":"l1","size":8}`},
+		{"simulate trailing junk", "/v1/simulate", `{"kernel":"l1","size":8} junk`},
+		{"batch trailing object", "/v1/batch", `{"items":[{"plan":{"kernel":"l1","size":8}}]}{}`},
 		{"unknown era", "/v1/simulate", `{"kernel": "l1", "size": 8, "era": "victorian"}`},
 		{"unknown engine", "/v1/simulate", `{"kernel": "l1", "size": 8, "engine": "warp"}`},
 		{"spmd missing source", "/v1/spmd", `{"name": "x"}`},
@@ -203,6 +209,36 @@ func TestBadRequests(t *testing.T) {
 		resp, out := postJSON(t, ts.URL+c.path, c.body)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status = %s, want 400; body %s", c.name, resp.Status, out)
+		}
+	}
+}
+
+// TestRequestLog: a configured logger gets one "request" record per
+// /v1/plan carrying method, path and status, so the Enabled check in
+// instrument silences only the default logger, which reports disabled.
+func TestRequestLog(t *testing.T) {
+	if New(Config{}).cfg.Logger.Enabled(context.Background(), slog.LevelError) {
+		t.Fatal("default logger is enabled; it should discard records before formatting them")
+	}
+	var buf bytes.Buffer
+	h := New(Config{Logger: slog.New(slog.NewTextHandler(&buf, nil))}).Handler()
+	bodies := []string{`{"kernel":"l1","size":8}`, `{"kernel":"l1","size":8}`, `{"kernel":"nope","size":8}`}
+	for _, body := range bodies {
+		h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodPost, "/v1/plan", strings.NewReader(body)))
+	}
+	var records []string
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if strings.Contains(line, " msg=request ") {
+			records = append(records, line)
+		}
+	}
+	if len(records) != len(bodies) {
+		t.Fatalf("%d request records for %d requests:\n%s", len(records), len(bodies), buf.String())
+	}
+	for i, status := range []int{200, 200, 400} {
+		want := fmt.Sprintf("method=POST path=/v1/plan status=%d ", status)
+		if !strings.Contains(records[i], want) {
+			t.Errorf("record %d = %q, want it to contain %q", i, records[i], want)
 		}
 	}
 }
