@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race short bench bench-json benchpairs fuzz experiments cover clean serve serve-smoke chaos scenario loadtest
+.PHONY: all build vet test race short bench benchpairs fuzz experiments cover clean serve serve-smoke chaos scenario
 
 all: build vet test
 
@@ -25,27 +25,12 @@ race:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Machine-readable benchmark results (ns/op, allocs, and the custom paper
-# metrics) for regression tracking, plus the serving-path load-test
-# artifact (latency percentiles and saturation throughput per workload).
-bench-json:
-	$(GO) run ./cmd/benchjson -benchtime 1x -o BENCH_1.json
-	$(GO) run ./cmd/loadtest -duration 2s -conc 16 -seed 1 -o BENCH_6.json
-	$(GO) run ./cmd/loadtest -duration 2s -conc 16 -seed 1 -workload batch -o BENCH_8.json
-	$(GO) run ./cmd/loadtest -duration 2s -conc 16 -seed 1 -workload coldset -o BENCH_10.json
-
 # Ten alternating pairs of the benchmark (perfbench) on the parent commit
 # and the working tree, over the workloads and run length BENCHMARK.json
 # sets, summarized per metric into BENCH.json. Pass options through, e.g.
 # `make benchpairs BENCHPAIRS='--base HEAD~1 --head HEAD --out BENCH_16.json'`.
 benchpairs:
 	bash scripts/benchpairs.sh $(BENCHPAIRS)
-
-# Seeded load generator against an in-process daemon: every workload,
-# human-readable summary. Point it elsewhere with
-# `go run ./cmd/loadtest -target http://host:8080`.
-loadtest:
-	$(GO) run ./cmd/loadtest -duration 2s -conc 16 -seed 1
 
 # Ten seconds each of parser, full-pipeline, log-replay and /v1/plan
 # wire-decoder fuzzing beyond the checked-in seeds.

@@ -4,7 +4,9 @@
 // every workload and end-to-end metric of BENCHMARK.json (plus
 // error_ratio) it reports each side's median and quartiles over the
 // seeds, and how many seeds the change (head) won, ties counting for
-// neither. It prints a table and writes the summary as JSON. With -plan it
+// neither; error_ratio is each run's failed calls over attempted ones. A
+// run perfbench marked incorrect, or one missing an end-to-end metric, is
+// an error. It prints a table and writes the summary as JSON. With -plan it
 // instead prints BENCHMARK.json's run length and workload names on one
 // line, for the script to run.
 package main
@@ -90,11 +92,7 @@ func main() {
 		os.Exit(1)
 	}
 	if *plan {
-		fields := []string{strconv.Itoa(def.RunSeconds)}
-		for _, w := range def.Workloads {
-			fields = append(fields, w.Name)
-		}
-		fmt.Println(strings.Join(fields, " "))
+		fmt.Println(planLine(def))
 		return
 	}
 	s, err := summarize(*results, def)
@@ -139,7 +137,19 @@ func parseRun(path string) (*result, string, error) {
 	if r == nil {
 		return nil, "", fmt.Errorf("%s: no result line", path)
 	}
+	if !r.Correct {
+		return nil, "", fmt.Errorf("%s: run marked incorrect (%d of %d calls failed)", path, r.Failed, r.Attempted)
+	}
 	return r, meta, nil
+}
+
+// planLine is BENCHMARK.json's run length and workload names on one line.
+func planLine(def *benchmark) string {
+	fields := []string{strconv.Itoa(def.RunSeconds)}
+	for _, w := range def.Workloads {
+		fields = append(fields, w.Name)
+	}
+	return strings.Join(fields, " ")
 }
 
 // machine keeps the fields of a meta line that describe the host.
@@ -185,20 +195,26 @@ func summarize(dir string, def *benchmark) (*summary, error) {
 		runs := map[string]map[string][]float64{"base": {}, "head": {}}
 		for _, seed := range seeds {
 			for sideName, vals := range runs {
-				r, meta, err := parseRun(filepath.Join(dir, fmt.Sprintf("%s-%d-%s.txt", w.Name, seed, sideName)))
+				path := filepath.Join(dir, fmt.Sprintf("%s-%d-%s.txt", w.Name, seed, sideName))
+				r, meta, err := parseRun(path)
 				if err != nil {
 					return nil, err
 				}
 				if s.Machine == "" {
 					s.Machine = machine(meta)
 				}
-				for _, d := range defs {
-					v := r.Metrics[d.Name].Value
-					if d.Name == "error_ratio" && r.Attempted > 0 {
-						v = float64(r.Failed) / float64(r.Attempted)
+				for _, d := range def.EndToEnd {
+					m, ok := r.Metrics[d.Name]
+					if !ok {
+						return nil, fmt.Errorf("%s: no %s metric", path, d.Name)
 					}
-					vals[d.Name] = append(vals[d.Name], v)
+					vals[d.Name] = append(vals[d.Name], m.Value)
 				}
+				errorRatio := 0.0
+				if r.Attempted > 0 {
+					errorRatio = float64(r.Failed) / float64(r.Attempted)
+				}
+				vals["error_ratio"] = append(vals["error_ratio"], errorRatio)
 			}
 		}
 		ws := map[string]metricSummary{}
