@@ -673,6 +673,49 @@ func BenchmarkPlanMissGrid(b *testing.B) {
 		plans := float64(b.N * len(grid) * len(merges))
 		b.ReportMetric(float64(b.Elapsed())/float64(time.Millisecond)/plans, "ms/plan")
 	})
+	// The tig and map cases time the TIG build and Algorithm 2 alone on
+	// shared stages: every grid key partitioned at merge factors 1–10,
+	// aux on and off, and each partitioning mapped onto cubes of
+	// dimension 2–4. µs/plan is the mean per call.
+	var parts []*core.Partitioning
+	for _, g := range grid {
+		st, err := PrepareCtx(ctx, NewKernel(g.kernel, g.size), PlanOptions{})
+		if err != nil {
+			b.Fatalf("%s/%d: %v", g.kernel, g.size, err)
+		}
+		for m := int64(1); m <= 10; m++ {
+			for _, noAux := range []bool{false, true} {
+				p, err := core.PartitionCtx(ctx, st.Projected, core.Options{MergeFactor: m, NoAux: noAux})
+				if err != nil {
+					b.Fatalf("%s/%d merge %d: %v", g.kernel, g.size, m, err)
+				}
+				parts = append(parts, p)
+			}
+		}
+	}
+	b.Run("tig", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for _, p := range parts {
+				core.BuildTIG(p)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed())/float64(time.Microsecond)/float64(b.N*len(parts)), "µs/plan")
+	})
+	dims := []int{2, 3, 4}
+	b.Run("map", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for _, p := range parts {
+				for _, d := range dims {
+					if _, err := mapping.MapPartitioning(p, d, mapping.Options{}); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed())/float64(time.Microsecond)/float64(b.N*len(parts)*len(dims)), "µs/plan")
+	})
 }
 
 // BenchmarkPartitionMissGrid measures Algorithm 1 alone on the grid of

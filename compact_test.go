@@ -9,7 +9,8 @@ import (
 // TestCompactPlanRunsMatchEager: on a plan built from a compact stage,
 // Verify passes and Execute, the simulation, the sequential
 // baseline and the placement the SPMD generator reads all equal the eager
-// NewPlan's, for every built-in kernel. The first run builds V.
+// NewPlan's, for every built-in kernel. The first run builds V. The
+// compact stage shares the stage's line graph rather than copying it.
 func TestCompactPlanRunsMatchEager(t *testing.T) {
 	ctx := context.Background()
 	for _, name := range KernelNames() {
@@ -34,6 +35,9 @@ func TestCompactPlanRunsMatchEager(t *testing.T) {
 		}
 		if compact.Structure.Materialized() {
 			t.Fatalf("%s: planning built V", name)
+		}
+		if a, b := compact.Projected.Arcs, st.Projected.Arcs; len(a) == 0 || &a[0] != &b[0] {
+			t.Fatalf("%s: the compact stage does not share the stage's line graph", name)
 		}
 		if got, want := compact.Summary(), eager.Summary(); got != want {
 			t.Fatalf("%s: compact summary\n%s\neager\n%s", name, got, want)

@@ -150,18 +150,6 @@ func (p *Partitioning) BlockOf() []int {
 	return out
 }
 
-// MaxBlockSize returns the largest block load (the paper's W for the
-// most-loaded processor when each block maps to its own processor).
-func (p *Partitioning) MaxBlockSize() int {
-	m := 0
-	for g := range p.Groups {
-		if s := p.BlockSize(g); s > m {
-			m = s
-		}
-	}
-	return m
-}
-
 // Partition runs Algorithm 1 on the projected structure.
 func Partition(ps *project.Structure, opt Options) (*Partitioning, error) {
 	return PartitionCtx(context.Background(), ps, opt)

@@ -138,7 +138,7 @@ func TestMatVecPartitioning(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The largest block contains the main diagonal: M + (M-1) points.
-	if got := p.MaxBlockSize(); got != 2*m-1 {
+	if got := BuildTIG(p).MaxLoad(); got != 2*m-1 {
 		t.Fatalf("max block = %d, want %d", got, 2*m-1)
 	}
 }

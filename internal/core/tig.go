@@ -4,9 +4,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-
-	"repro/internal/project"
-	"repro/internal/vec"
 )
 
 // TIGEdge is one directed communication requirement between two blocks.
@@ -38,11 +35,10 @@ type TIG struct {
 	// and Π-parallel ones included; a synthetic TIG knows only its
 	// interblock arcs.
 	arcs int64
-	// depW[e*nDeps+dep] is the part of Edges[e]'s weight carried by the
-	// dependence vector dep (an index into the structure's D). Only
-	// BuildTIG fills it; synthetic TIGs from NewTIG have no breakdown.
-	depW  []int64
-	nDeps int
+	// part is the partitioning BuildTIG walked, whose line graph the
+	// per-dependence accessors re-sum; nil for synthetic TIGs from
+	// NewTIG, which have no breakdown.
+	part *Partitioning
 }
 
 // NewTIG builds a TIG directly from loads and edges — used for synthetic
@@ -82,122 +78,60 @@ func (t *TIG) indexRows() {
 	}
 }
 
-// lineTarget returns the projected point x^p + d^p for x^p = ps.Points[pt]
-// and d = ps.Deps[dep], or -1 when no index point projects there. q is
-// scratch of the structure's dimension.
-func lineTarget(ps *project.Structure, pt, dep int, q vec.Int) int {
-	d := ps.Deps[dep].Scaled
-	for k, x := range ps.Points[pt] {
-		q[k] = x + d[k]
-	}
-	return ps.IndexOf(q)
-}
-
-// depLags returns Π·d for every dependence d, the time an arc spans.
-func depLags(ps *project.Structure) []int64 {
-	lag := make([]int64, len(ps.Deps))
-	for dep, d := range ps.Deps {
-		lag[dep] = ps.Pi.Dot(d.Orig)
-	}
-	return lag
-}
-
-// fiberArcs counts the dependence arcs of lag Π·d that leave the fiber of
-// projected point pt; projection is linear, so all of them land on the
-// fiber qi of x^p + d^p (lineTarget). Both fibers step by u, one stride
-// w = Π·u of time apart: point t of pt runs at T0 + t·w, and its arc
-// reaches time T0 + t·w + Π·d, which is point t + k of qi with
-// k = (T0 + Π·d − T0')/w. The arcs are the t in [0, Len) whose t + k
-// falls in [0, Len'), so the count is one interval intersection. w is
-// ps.Stride(), passed in so a loop over pairs computes it once.
-func fiberArcs(ps *project.Structure, pt, qi int, lag, w int64) int64 {
-	f, g := ps.Fibers[pt], ps.Fibers[qi]
-	k := int((f.T0 + lag - g.T0) / w)
-	return int64(max(0, min(f.Len, g.Len-k)-max(0, -k)))
-}
-
 // BuildTIG constructs the TIG of a partitioning by classifying every
-// dependence arc of the computational structure. One lattice lookup per
-// (projected point, dependence) pair names the target block, and the
-// pair's arc count is an intersection of the two fibers' intervals
-// (fiberArcs), so the cost follows |V^p|·m rather than |V|·m. The pairs
-// that stay inside a block count toward EdgeStats' total. Blocks are
-// visited in order, so each row is complete before the next starts: a
-// per-block stamp array finds an edge in O(1), and the finished row (at
-// most 2m − β entries by Theorem 2) is sorted in place.
+// dependence arc of the computational structure. The stage's line graph
+// (project.Structure.Arcs) already names each (projected point,
+// dependence) pair's target line and arc count, so the build is one walk
+// over the table rows of each block's points, |V^p|·m entries in all.
+// The pairs that stay inside a block count toward EdgeStats' total.
+// Blocks are visited in order, so each row is complete before the next
+// starts: a per-block stamp array finds an edge in O(1), and the finished
+// row (at most 2m − β entries by Theorem 2) is sorted in place.
 func BuildTIG(p *Partitioning) *TIG {
 	ps := p.PS
-	m := len(ps.Deps)
-	t := &TIG{N: len(p.Groups), nDeps: m}
+	t := &TIG{N: len(p.Groups), part: p}
 	t.Loads = make([]int64, t.N)
 	for g := range p.Groups {
 		t.Loads[g] = int64(p.BlockSize(g))
 	}
 	rowCap := max(Theorem2Bound(p), 1)
 	t.Edges = make([]TIGEdge, 0, t.N*rowCap)
-	t.depW = make([]int64, 0, t.N*rowCap*m)
 	// slot[v] is the position in Edges of the current row's edge to v,
 	// valid while stamp[v] == u+1.
 	slot := make([]int, t.N)
 	stamp := make([]int32, t.N)
 	t.rowStart = make([]int, t.N+1)
-	q := make(vec.Int, len(ps.Pi))
-	lag, w := depLags(ps), ps.Stride()
 	for u, g := range p.Groups {
 		row := len(t.Edges)
 		for _, pt := range g.Members {
-			for dep, d := range ps.Deps {
-				// A dependence parallel to Π stays on its projection
-				// line, inside the block.
-				qi := pt
-				if !d.IsZero() {
-					if qi = lineTarget(ps, pt, dep, q); qi < 0 {
-						continue
-					}
+			for _, a := range ps.Line(pt) {
+				if a.To < 0 {
+					continue
 				}
-				arcs := fiberArcs(ps, pt, qi, lag[dep], w)
-				t.arcs += arcs
-				v := p.GroupOf[qi]
-				if v == u || arcs == 0 {
+				t.arcs += a.Arcs
+				v := p.GroupOf[a.To]
+				if v == u || a.Arcs == 0 {
 					continue
 				}
 				if stamp[v] != int32(u+1) {
 					stamp[v] = int32(u + 1)
 					slot[v] = len(t.Edges)
 					t.Edges = append(t.Edges, TIGEdge{From: u, To: v})
-					t.depW = append(t.depW, make([]int64, m)...)
 				}
-				e := slot[v]
-				t.Edges[e].Weight += arcs
-				t.depW[e*m+dep] += arcs
+				t.Edges[slot[v]].Weight += a.Arcs
 			}
 		}
-		t.sortRow(row)
+		slices.SortFunc(t.Edges[row:], func(a, b TIGEdge) int { return a.To - b.To })
 		t.rowStart[u+1] = len(t.Edges)
 	}
 	// The rows were laid out for the Theorem 2 bound; copy the edges
 	// out so a cached TIG pins only the edges it has.
 	if len(t.Edges) == 0 {
-		t.Edges, t.depW = nil, nil
+		t.Edges = nil
 	} else {
-		t.Edges, t.depW = slices.Clone(t.Edges), slices.Clone(t.depW)
+		t.Edges = slices.Clone(t.Edges)
 	}
 	return t
-}
-
-// sortRow insertion-sorts the row Edges[from:] by To, moving the
-// per-dependence weights along with their edges.
-func (t *TIG) sortRow(from int) {
-	m := t.nDeps
-	for i := from + 1; i < len(t.Edges); i++ {
-		for j := i; j > from && t.Edges[j-1].To > t.Edges[j].To; j-- {
-			t.Edges[j-1], t.Edges[j] = t.Edges[j], t.Edges[j-1]
-			a, b := t.depW[(j-1)*m:j*m], t.depW[j*m:(j+1)*m]
-			for k := range a {
-				a[k], b[k] = b[k], a[k]
-			}
-		}
-	}
 }
 
 // edge returns the position in Edges of the edge u → v, or -1.
@@ -222,26 +156,35 @@ func (t *TIG) Weight(u, v int) int64 {
 }
 
 // WeightByDep returns the volume from u to v carried by dependence dep
-// (an index into the structure's D). Zero for synthetic TIGs.
+// (an index into the structure's D). Zero for synthetic TIGs. The TIG
+// keeps no per-dependence weights: this sums block u's line graph
+// entries, O(block lines · m).
 func (t *TIG) WeightByDep(u, v, dep int) int64 {
-	e := t.edge(u, v)
-	if e < 0 || t.depW == nil || dep < 0 || dep >= t.nDeps {
+	if t.edge(u, v) < 0 || t.part == nil || dep < 0 || dep >= len(t.part.PS.Deps) {
 		return 0
 	}
-	return t.depW[e*t.nDeps+dep]
+	var w int64
+	for _, pt := range t.part.Groups[u].Members {
+		if a := t.part.PS.Line(pt)[dep]; a.To >= 0 && t.part.GroupOf[a.To] == v {
+			w += a.Arcs
+		}
+	}
+	return w
 }
 
 // DepBreakdown returns the per-dependence volumes from u to v (nil when
-// there is no traffic or the TIG is synthetic). The returned map is a copy.
+// there is no traffic or the TIG is synthetic), summed like WeightByDep
+// in O(block lines · m). The returned map is the caller's.
 func (t *TIG) DepBreakdown(u, v int) map[int]int64 {
-	e := t.edge(u, v)
-	if e < 0 || t.depW == nil {
+	if t.edge(u, v) < 0 || t.part == nil {
 		return nil
 	}
 	out := map[int]int64{}
-	for dep, w := range t.depW[e*t.nDeps : (e+1)*t.nDeps] {
-		if w != 0 {
-			out[dep] = w
+	for _, pt := range t.part.Groups[u].Members {
+		for dep, a := range t.part.PS.Line(pt) {
+			if a.To >= 0 && a.Arcs != 0 && t.part.GroupOf[a.To] == v {
+				out[dep] += a.Arcs
+			}
 		}
 	}
 	return out
@@ -278,6 +221,17 @@ func (t *TIG) MaxOutDegree() int {
 		if d := t.OutDegree(u); d > mx {
 			mx = d
 		}
+	}
+	return mx
+}
+
+// MaxLoad returns the largest block load (the paper's W for the
+// most-loaded processor when each block maps to its own processor),
+// read from Loads without walking the blocks again.
+func (t *TIG) MaxLoad() int64 {
+	var mx int64
+	for _, l := range t.Loads {
+		mx = max(mx, l)
 	}
 	return mx
 }

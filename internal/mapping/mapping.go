@@ -96,146 +96,230 @@ func MapItems(items []Item, dim int, opt Options) (*Result, error) {
 	if opt.Exclusive && int64(len(items)) > int64(1)<<dim {
 		return nil, fmt.Errorf("%w: exclusive placement of %d blocks needs more than the 2^%d available nodes", ErrCubeTooSmall, len(items), dim)
 	}
-	maxID := 0
-	for _, it := range items {
-		if it.ID < 0 {
-			return nil, fmt.Errorf("mapping: negative item ID %d", it.ID)
-		}
-		if it.ID > maxID {
-			maxID = it.ID
-		}
+	b, maxID, err := newBisection(items)
+	if err != nil {
+		return nil, err
 	}
-
-	// Normalize coordinate arity; items with no coordinates sort by ID,
-	// which follows the lexicographic order of the projected points.
-	axes := 0
-	for _, it := range items {
-		if len(it.Coords) > axes {
-			axes = len(it.Coords)
-		}
-	}
-	if axes == 0 {
-		axes = 1
-	}
-	coord := func(it Item, a int) int64 {
-		if len(it.Coords) == 0 {
-			if a == 0 {
-				return int64(it.ID)
-			}
-			return 0
-		}
-		if a < len(it.Coords) {
-			return it.Coords[a]
-		}
-		return 0
-	}
-
-	// cluster carries its member items plus the per-axis slice index
-	// accumulated over the bisections.
-	type cluster struct {
-		items   []Item
-		axisIdx []int
-	}
-	clusters := []cluster{{items: append([]Item{}, items...), axisIdx: make([]int, axes)}}
-	bits := make([]int, axes)
-
-	chooseAxis := func(step int) int {
-		switch opt.Policy {
-		case WidestFirst:
-			// Widest coordinate span inside the largest cluster.
-			var biggest *cluster
-			for i := range clusters {
-				if biggest == nil || len(clusters[i].items) > len(biggest.items) {
-					biggest = &clusters[i]
-				}
-			}
-			bestAxis, bestSpan := 0, int64(-1)
-			for a := 0; a < axes; a++ {
-				var mn, mx int64
-				for i, it := range biggest.items {
-					c := coord(it, a)
-					if i == 0 || c < mn {
-						mn = c
-					}
-					if i == 0 || c > mx {
-						mx = c
-					}
-				}
-				if span := mx - mn; span > bestSpan {
-					bestAxis, bestSpan = a, span
-				}
-			}
-			return bestAxis
-		default:
-			return step % axes
-		}
-	}
-
+	// Phase I: each step halves every cluster along one axis, which is
+	// also the address field the halves differ in.
+	bits := make([]int, b.axes)
 	for step := 0; step < dim; step++ {
-		axis := chooseAxis(step)
-		bits[axis]++
-		var next []cluster
-		for _, cl := range clusters {
-			slices.SortStableFunc(cl.items, func(a, b Item) int {
-				if c := cmp.Compare(a.Component, b.Component); c != 0 {
-					return c
-				}
-				if c := cmp.Compare(coord(a, axis), coord(b, axis)); c != 0 {
-					return c
-				}
-				// Tie-break on the remaining axes, then ID, for determinism.
-				for o := 0; o < axes; o++ {
-					if o == axis {
-						continue
-					}
-					if c := cmp.Compare(coord(a, o), coord(b, o)); c != 0 {
-						return c
-					}
-				}
-				return cmp.Compare(a.ID, b.ID)
-			})
-			mid := (len(cl.items) + 1) / 2
-			lo := cluster{items: cl.items[:mid], axisIdx: append([]int{}, cl.axisIdx...)}
-			hi := cluster{items: cl.items[mid:], axisIdx: append([]int{}, cl.axisIdx...)}
-			lo.axisIdx[axis] = cl.axisIdx[axis] * 2
-			hi.axisIdx[axis] = cl.axisIdx[axis]*2 + 1
-			next = append(next, lo, hi)
+		axis := step % b.axes
+		if opt.Policy == WidestFirst {
+			axis = b.widestAxis()
 		}
-		clusters = next
+		bits[axis]++
+		b.split(axis, axis)
 	}
 
 	// Phase II: per-axis Gray fields concatenated into the node address,
 	// axis 0 in the most significant position.
-	shift := make([]int, axes)
+	shift := make([]int, b.axes)
 	total := 0
-	for a := axes - 1; a >= 0; a-- {
+	for a := b.axes - 1; a >= 0; a-- {
 		shift[a] = total
 		total += bits[a]
 	}
-	res := &Result{
-		Cube:        hypercube.New(dim),
-		NodeOf:      make([]int, maxID+1),
-		BitsPerAxis: bits,
-	}
-	for i := range res.NodeOf {
-		res.NodeOf[i] = -1
-	}
-	res.Clusters = make([][]int, res.Cube.N)
-	for _, cl := range clusters {
+	res := &Result{Cube: hypercube.New(dim), BitsPerAxis: bits}
+	idx := make([]int, b.axes)
+	res.NodeOf, res.Clusters = b.place(maxID, res.Cube.N, func(c int) int {
+		b.fieldIndices(c, idx)
 		node := 0
-		for a := 0; a < axes; a++ {
-			g := int(ints.Gray(uint64(cl.axisIdx[a])))
-			node |= g << uint(shift[a])
+		for a, x := range idx {
+			node |= int(ints.Gray(uint64(x))) << uint(shift[a])
 		}
-		for _, it := range cl.items {
-			res.NodeOf[it.ID] = node
-			res.Clusters[node] = append(res.Clusters[node], it.ID)
-		}
-	}
-	for node := range res.Clusters {
-		sort.Ints(res.Clusters[node])
-	}
+		return node
+	})
 	return res, nil
+}
+
+// bisection is Phase I's state, shared by the cube and the mesh mappers.
+// Clusters are numbered by their path of halves: cluster c splits into
+// 2c, its lower half, and 2c+1. An axis's items are sorted once, on its
+// first split, by Component, then the axis coordinate, then the other
+// axes in order, then ID. That order restricted to one cluster is the
+// cluster sorted, so a split halves every cluster in one pass over it.
+// Items the order cannot tell apart share their ID and coordinates, so
+// which of them lands in which half never shows in a result.
+type bisection struct {
+	items []Item
+	// axes is the longest Coords length, at least 1.
+	axes int
+	// orders[a] lists item positions in axis a's order; nil until axis
+	// a is first split.
+	orders [][]int32
+	// cluster[i] is item i's cluster and size[c] cluster c's item count.
+	cluster []int
+	size    []int
+	// fields[s] is the address field split s halved along.
+	fields []int
+}
+
+// newBisection puts every item in cluster 0 and returns the largest item
+// ID. It fails on a negative ID.
+func newBisection(items []Item) (*bisection, int, error) {
+	maxID, axes := 0, 1
+	for _, it := range items {
+		if it.ID < 0 {
+			return nil, 0, fmt.Errorf("mapping: negative item ID %d", it.ID)
+		}
+		maxID = max(maxID, it.ID)
+		axes = max(axes, len(it.Coords))
+	}
+	b := &bisection{items: items, axes: axes, orders: make([][]int32, axes), cluster: make([]int, len(items)), size: []int{len(items)}}
+	return b, maxID, nil
+}
+
+// coord returns an item's coordinate along axis a. Items with no
+// coordinates sort by ID, which follows the lexicographic order of the
+// projected points; missing trailing coordinates are 0.
+func coord(it *Item, a int) int64 {
+	if len(it.Coords) == 0 {
+		if a == 0 {
+			return int64(it.ID)
+		}
+		return 0
+	}
+	if a < len(it.Coords) {
+		return it.Coords[a]
+	}
+	return 0
+}
+
+// compare is Phase I's order along axis: Component, the axis coordinate,
+// the remaining axes in order, then ID.
+func (b *bisection) compare(x, y *Item, axis int) int {
+	if c := cmp.Compare(x.Component, y.Component); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(coord(x, axis), coord(y, axis)); c != 0 {
+		return c
+	}
+	for o := 0; o < b.axes; o++ {
+		if o == axis {
+			continue
+		}
+		if c := cmp.Compare(coord(x, o), coord(y, o)); c != 0 {
+			return c
+		}
+	}
+	return cmp.Compare(x.ID, y.ID)
+}
+
+// order returns the item positions in axis order, sorting them on first
+// use.
+func (b *bisection) order(axis int) []int32 {
+	if b.orders[axis] == nil {
+		ord := make([]int32, len(b.items))
+		for i := range ord {
+			ord[i] = int32(i)
+		}
+		slices.SortFunc(ord, func(i, j int32) int { return b.compare(&b.items[i], &b.items[j], axis) })
+		b.orders[axis] = ord
+	}
+	return b.orders[axis]
+}
+
+// split halves every cluster along axis, recording field as the address
+// field the halves differ in: the first ⌈n/2⌉ of a cluster's n items in
+// axis order form its lower half.
+func (b *bisection) split(axis, field int) {
+	size := make([]int, 2*len(b.size))
+	room := make([]int, len(b.size))
+	for c, n := range b.size {
+		size[2*c], size[2*c+1] = (n+1)/2, n/2
+		room[c] = (n + 1) / 2
+	}
+	for _, i := range b.order(axis) {
+		c := b.cluster[i]
+		if room[c] > 0 {
+			room[c]--
+			b.cluster[i] = 2 * c
+		} else {
+			b.cluster[i] = 2*c + 1
+		}
+	}
+	b.size = size
+	b.fields = append(b.fields, field)
+}
+
+// widestAxis returns the axis with the widest coordinate span inside the
+// first of the largest clusters (the WidestFirst policy).
+func (b *bisection) widestAxis() int {
+	biggest := 0
+	for c, n := range b.size {
+		if n > b.size[biggest] {
+			biggest = c
+		}
+	}
+	bestAxis, bestSpan := 0, int64(-1)
+	for a := 0; a < b.axes; a++ {
+		var mn, mx int64
+		first := true
+		for i := range b.items {
+			if b.cluster[i] != biggest {
+				continue
+			}
+			c := coord(&b.items[i], a)
+			if first || c < mn {
+				mn = c
+			}
+			if first || c > mx {
+				mx = c
+			}
+			first = false
+		}
+		if span := mx - mn; span > bestSpan {
+			bestAxis, bestSpan = a, span
+		}
+	}
+	return bestAxis
+}
+
+// fieldIndices fills idx[f] with cluster c's slice index along address
+// field f: the halves it took at f's splits, read as binary digits.
+func (b *bisection) fieldIndices(c int, idx []int) {
+	clear(idx)
+	last := len(b.fields) - 1
+	for s, f := range b.fields {
+		idx[f] = idx[f]*2 + c>>(last-s)&1
+	}
+}
+
+// place puts every cluster's items on node(c), visiting clusters in
+// number order. It returns the node of each item ID (-1 for an ID no item
+// has; an ID held by items in several clusters takes the last cluster's
+// node) and each node's IDs, sorted. Distinct clusters must map to
+// distinct nodes.
+func (b *bisection) place(maxID, nodes int, node func(c int) int) (nodeOf []int, clusters [][]int) {
+	nodeOf = make([]int, maxID+1)
+	for i := range nodeOf {
+		nodeOf[i] = -1
+	}
+	// Bucket the IDs by cluster; each node's list is a window onto ids.
+	start := make([]int, len(b.size)+1)
+	for c, n := range b.size {
+		start[c+1] = start[c] + n
+	}
+	next := slices.Clone(start[:len(b.size)])
+	ids := make([]int, len(b.items))
+	for i, c := range b.cluster {
+		ids[next[c]] = b.items[i].ID
+		next[c]++
+	}
+	clusters = make([][]int, nodes)
+	for c := range b.size {
+		if start[c] == start[c+1] {
+			continue
+		}
+		n, cl := node(c), ids[start[c]:start[c+1]:start[c+1]]
+		slices.Sort(cl)
+		clusters[n] = cl
+		for _, id := range cl {
+			nodeOf[id] = n
+		}
+	}
+	return nodeOf, clusters
 }
 
 // ItemsOf converts a partitioning's groups into mappable items.

@@ -3,7 +3,6 @@ package mapping
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"repro/internal/core"
 	"repro/internal/ints"
@@ -34,115 +33,35 @@ func MapItemsMesh(items []Item, rows, cols int, opt Options) (*MeshResult, error
 	if !ints.IsPow2(int64(rows)) || !ints.IsPow2(int64(cols)) {
 		return nil, fmt.Errorf("mapping: mesh dimensions %dx%d must be powers of two", rows, cols)
 	}
-	maxID := 0
-	axes := 0
-	for _, it := range items {
-		if it.ID < 0 {
-			return nil, fmt.Errorf("mapping: negative item ID %d", it.ID)
-		}
-		if it.ID > maxID {
-			maxID = it.ID
-		}
-		if len(it.Coords) > axes {
-			axes = len(it.Coords)
-		}
+	b, maxID, err := newBisection(items)
+	if err != nil {
+		return nil, err
 	}
-	if axes == 0 {
-		axes = 1
-	}
-	coord := func(it Item, a int) int64 {
-		if len(it.Coords) == 0 {
-			if a == 0 {
-				return int64(it.ID)
-			}
-			return 0
-		}
-		if a < len(it.Coords) {
-			return it.Coords[a]
-		}
-		return 0
-	}
-
-	rowAxis := 0
+	const rowField, colField = 0, 1
 	colAxis := 0
-	if axes > 1 {
+	if b.axes > 1 {
 		colAxis = 1
 	}
-
-	type cluster struct {
-		items  []Item
-		rowIdx int
-		colIdx int
-	}
-	clusters := []cluster{{items: append([]Item{}, items...)}}
+	// Split along the dimension with more halvings left, rows on a tie.
 	rowBudget := ints.Log2Ceil(int64(rows))
 	colBudget := ints.Log2Ceil(int64(cols))
-
-	split := func(alongRow bool) {
-		axis := colAxis
-		if alongRow {
-			axis = rowAxis
-		}
-		var next []cluster
-		for _, cl := range clusters {
-			sort.SliceStable(cl.items, func(i, j int) bool {
-				a, b := cl.items[i], cl.items[j]
-				if a.Component != b.Component {
-					return a.Component < b.Component
-				}
-				if ca, cb := coord(a, axis), coord(b, axis); ca != cb {
-					return ca < cb
-				}
-				for o := 0; o < axes; o++ {
-					if o == axis {
-						continue
-					}
-					if ca, cb := coord(a, o), coord(b, o); ca != cb {
-						return ca < cb
-					}
-				}
-				return a.ID < b.ID
-			})
-			mid := (len(cl.items) + 1) / 2
-			lo := cluster{items: cl.items[:mid], rowIdx: cl.rowIdx, colIdx: cl.colIdx}
-			hi := cluster{items: cl.items[mid:], rowIdx: cl.rowIdx, colIdx: cl.colIdx}
-			if alongRow {
-				lo.rowIdx, hi.rowIdx = cl.rowIdx*2, cl.rowIdx*2+1
-			} else {
-				lo.colIdx, hi.colIdx = cl.colIdx*2, cl.colIdx*2+1
-			}
-			next = append(next, lo, hi)
-		}
-		clusters = next
-	}
 	for rowBudget > 0 || colBudget > 0 {
-		if rowBudget >= colBudget && rowBudget > 0 {
-			split(true)
+		if rowBudget >= colBudget {
+			b.split(0, rowField)
 			rowBudget--
-			continue
-		}
-		if colBudget > 0 {
-			split(false)
+		} else {
+			b.split(colAxis, colField)
 			colBudget--
 		}
 	}
 
 	m := mesh.New(rows, cols)
-	res := &MeshResult{Mesh: m, NodeOf: make([]int, maxID+1)}
-	for i := range res.NodeOf {
-		res.NodeOf[i] = -1
-	}
-	res.Clusters = make([][]int, m.N())
-	for _, cl := range clusters {
-		node := m.Node(cl.rowIdx, cl.colIdx)
-		for _, it := range cl.items {
-			res.NodeOf[it.ID] = node
-			res.Clusters[node] = append(res.Clusters[node], it.ID)
-		}
-	}
-	for node := range res.Clusters {
-		sort.Ints(res.Clusters[node])
-	}
+	res := &MeshResult{Mesh: m}
+	idx := make([]int, 2)
+	res.NodeOf, res.Clusters = b.place(maxID, m.N(), func(c int) int {
+		b.fieldIndices(c, idx)
+		return m.Node(idx[rowField], idx[colField])
+	})
 	return res, nil
 }
 

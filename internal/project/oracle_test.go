@@ -243,7 +243,8 @@ func expandFibers(t *testing.T, ps *Structure) [][]int {
 // same V indices in the same time order, first times T0 = Π·x0 — and with
 // the bucketing projection, lattice table included, whenever that applies.
 // IndexOf must agree with the reference index on every point and on
-// lattice probes around them. It returns the projection.
+// lattice probes around them, and the line graph with checkLineGraph. It
+// returns the projection.
 func checkAgainstSorted(t *testing.T, name string, st *loop.Structure, pi vec.Int) *Structure {
 	t.Helper()
 	got, err := Project(st, pi)
@@ -299,6 +300,7 @@ func checkAgainstSorted(t *testing.T, name string, st *loop.Structure, pi vec.In
 			t.Fatalf("%s: IndexOf(%v) = %d, reference %d", name, q, g, w)
 		}
 	}
+	checkLineGraph(t, name, got)
 	return got
 }
 

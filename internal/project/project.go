@@ -64,6 +64,18 @@ type Fiber struct {
 	Len int
 }
 
+// LineArc is one entry of the line graph over Q^p: the arcs of one
+// dependence d that leave one projection line. Projection is linear, so
+// they all land on the line of x^p + d^p.
+type LineArc struct {
+	// To is the projected point of the target line, or -1 when no index
+	// point projects to x^p + d^p (then Arcs is 0). A dependence parallel
+	// to Π stays on its own line.
+	To int
+	// Arcs is the number of dependence arcs from the line to To.
+	Arcs int64
+}
+
 // Structure is the projected structure Q^p = (V^p, D^p) of Definition 5,
 // in scaled-integer representation.
 type Structure struct {
@@ -84,6 +96,9 @@ type Structure struct {
 	Fibers []Fiber
 	// Deps holds one entry per original dependence vector.
 	Deps []Dep
+	// Arcs is the line graph: Arcs[p·m + i] is where dependence Deps[i]
+	// leads from projected point p, m = len(Deps). See Line.
+	Arcs []LineArc
 
 	// lattice is the dense O(dims) indexer over the scaled hyperplane
 	// lattice; nil when the point set's bounding box is too large, in which
@@ -110,11 +125,51 @@ func Project(st *loop.Structure, pi vec.Int) (*Structure, error) {
 	}
 	ps.sortLines(ps.traceLines())
 	ps.projectDeps()
+	ps.buildLineGraph()
 	return ps, nil
 }
 
 // Stride returns Π·u, the time between consecutive points of a line.
 func (ps *Structure) Stride() int64 { return ps.Pi.Dot(ps.U) }
+
+// Line returns the line graph's entries for projected point p, one per
+// dependence in Deps order.
+func (ps *Structure) Line(p int) []LineArc {
+	m := len(ps.Deps)
+	return ps.Arcs[p*m : p*m+m : p*m+m]
+}
+
+// buildLineGraph fills Arcs with one lattice lookup and one interval
+// intersection per (line, dependence) pair. Both fibers step by u, one
+// stride w = Π·u of time apart: point t of line p runs at T0 + t·w, and
+// its arc of lag Π·d reaches time T0 + t·w + Π·d, which is point t + k of
+// the target line q with k = (T0 + Π·d − T0')/w. The arcs are the t in
+// [0, Len) whose t + k falls in [0, Len'), so the count is the overlap of
+// two intervals.
+func (ps *Structure) buildLineGraph() {
+	m := len(ps.Deps)
+	ps.Arcs = make([]LineArc, len(ps.Points)*m)
+	q := make(vec.Int, len(ps.Pi))
+	w := ps.Stride()
+	for i, d := range ps.Deps {
+		lag, parallel := ps.Pi.Dot(d.Orig), d.IsZero()
+		for p, x := range ps.Points {
+			qi := p
+			if !parallel {
+				for k, xk := range x {
+					q[k] = xk + d.Scaled[k]
+				}
+				if qi = ps.IndexOf(q); qi < 0 {
+					ps.Arcs[p*m+i] = LineArc{To: -1}
+					continue
+				}
+			}
+			f, g := ps.Fibers[p], ps.Fibers[qi]
+			k := int((f.T0 + lag - g.T0) / w)
+			ps.Arcs[p*m+i] = LineArc{To: qi, Arcs: int64(max(0, min(f.Len, g.Len-k)-max(0, -k)))}
+		}
+	}
+}
 
 // traceLines finds every projection line that meets the nest from the
 // nest's bounds, without visiting its points, and fills Fibers in row

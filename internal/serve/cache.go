@@ -200,18 +200,20 @@ func (c *planCache) stats() (bytes int64, entries int) {
 }
 
 // stageBytes estimates the resident size of a Π-stage from what it
-// holds: the projected points with their fibers and point index, and the
-// vertex set (one flat coordinate buffer plus a slice header per vertex)
-// only while the structure holds it. A cached stage is compact, so V is
-// charged once a simulation builds it (see chargeVertices). A stage holds
-// no other per-vertex table: fibers are one (X0, T0, Len) triple per
-// projection line. The cache budget compares these sums against its byte
-// limit, so they should track the heap the cached stages and plans
-// actually pin.
+// holds: the projected points with their fibers, point index and line
+// graph, and the vertex set (one flat coordinate buffer plus a slice
+// header per vertex) only while the structure holds it. A cached stage is
+// compact, so V is charged once a simulation builds it (see
+// chargeVertices). A stage holds no other per-vertex table: fibers are
+// one (X0, T0, Len) triple per projection line, and the line graph one
+// (target, arc count) pair per line and dependence. The cache budget
+// compares these sums against its byte limit, so they should track the
+// heap the cached stages and plans actually pin.
 func stageBytes(st *loopmap.Stage) int64 {
 	const (
-		sliceHeader = 24
-		fiberBytes  = 24 // one project.Fiber
+		sliceHeader  = 24
+		fiberBytes   = 24 // one project.Fiber
+		lineArcBytes = 16 // one project.LineArc
 	)
 	perVec := int64(st.Structure.Nest.Dims)*8 + sliceHeader
 	var b int64
@@ -220,7 +222,7 @@ func stageBytes(st *loopmap.Stage) int64 {
 	}
 	ps := st.Projected
 	b += int64(len(ps.Points))*perVec + int64(len(ps.Fibers))*fiberBytes
-	b += ps.IndexBytes()
+	b += ps.IndexBytes() + int64(len(ps.Arcs))*lineArcBytes
 	return b + 256 // fixed struct overhead
 }
 
@@ -241,9 +243,9 @@ func partitionBytes(p *loopmap.Plan) int64 {
 		g := part.Groups[0]
 		b += int64(len(part.Groups)) * (groupBytes + int64(len(g.Base)+len(g.Coords))*8)
 	}
-	// Each TIG edge carries its per-dependence weights; each block a load
-	// and a row offset.
-	nDeps := int64(len(p.Structure.D))
-	b += int64(len(p.TIG.Edges))*(edgeBytes+8*nDeps) + int64(len(p.TIG.Loads))*16
+	// Each TIG edge is one TIGEdge; each block has a load and a row
+	// offset. Per-dependence weights are summed from the stage's line
+	// graph on demand, so the TIG holds none.
+	b += int64(len(p.TIG.Edges))*edgeBytes + int64(len(p.TIG.Loads))*16
 	return b + 256 // fixed struct overhead
 }

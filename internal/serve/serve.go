@@ -707,7 +707,7 @@ func buildPlanResponse(req *api.PlanRequest, p *loopmap.Plan) *api.PlanResponse 
 		Steps:        p.Schedule.Steps(),
 		Iterations:   p.Structure.Len(),
 		Blocks:       p.Partitioning.NumBlocks(),
-		MaxBlock:     p.Partitioning.MaxBlockSize(),
+		MaxBlock:     int(p.TIG.MaxLoad()),
 		GroupSizeR:   p.Partitioning.R,
 		Beta:         p.Partitioning.Beta,
 		TIGEdges:     len(p.TIG.Edges),

@@ -599,7 +599,7 @@ func (p *Plan) SummaryWith(ms mapping.Stats) string {
 		len(p.Projected.Points), p.Projected.S, p.Partitioning.R, p.Partitioning.Beta)
 	es := p.TIG.EdgeStats()
 	fmt.Fprintf(&b, "partitioning: %d blocks, max block %d points, %d/%d dependences interblock\n",
-		p.Partitioning.NumBlocks(), p.Partitioning.MaxBlockSize(), es.InterBlock, es.Total)
+		p.Partitioning.NumBlocks(), p.TIG.MaxLoad(), es.InterBlock, es.Total)
 	fmt.Fprintf(&b, "TIG: %d edges, traffic %d, max out-degree %d (Theorem 2 bound %d)\n",
 		len(p.TIG.Edges), p.TIG.TotalTraffic(), p.TIG.MaxOutDegree(), core.Theorem2Bound(p.Partitioning))
 	if p.Mapping != nil {
