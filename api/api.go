@@ -4,8 +4,8 @@
 // plain data — no handler logic — so external tools can depend on them
 // without pulling in the serving stack's behavior.
 //
-// Canonicalization lives here too: CanonicalPlanKey and
-// CanonicalResponseKey are the exact strings the daemon caches and
+// Canonicalization lives here too: PlanRequest.Key and
+// PlanRequest.ResponseKey are the exact strings the daemon caches and
 // rendezvous-hashes over, so clients, shards, and harnesses all agree on
 // ownership byte for byte.
 package api
@@ -118,15 +118,6 @@ func (r *PlanRequest) AppendResponseSuffix(b []byte) []byte {
 	b = strconv.AppendBool(b, r.Exclusive)
 	return b
 }
-
-// CanonicalPlanKey is the canonical plan-cache key of a request — the
-// string the daemon's LRU and cluster ownership hash over.
-func CanonicalPlanKey(r *PlanRequest) string { return r.Key() }
-
-// CanonicalResponseKey is the canonical key of a request's fully-encoded
-// response — what the daemon's encoded-response cache and the client's
-// ETag revalidation cache index by.
-func CanonicalResponseKey(r *PlanRequest) string { return r.ResponseKey() }
 
 // CacheOutcome reports how a request's base plan was obtained.
 type CacheOutcome string

@@ -117,9 +117,9 @@ func (m *Multi) Batch(ctx context.Context, req *api.BatchRequest) (*api.BatchRes
 	key := ""
 	if len(req.Items) > 0 {
 		if it := req.Items[0]; it.Plan != nil {
-			key = api.CanonicalPlanKey(it.Plan)
+			key = it.Plan.Key()
 		} else if it.Simulate != nil {
-			key = api.CanonicalPlanKey(&it.Simulate.PlanRequest)
+			key = it.Simulate.PlanRequest.Key()
 		}
 	}
 	var out *api.BatchResponse
@@ -162,7 +162,7 @@ func (m *Multi) PlanBatch(ctx context.Context, reqs []*api.PlanRequest) ([]PlanR
 	}
 	keys := make([]string, len(reqs))
 	for i, r := range reqs {
-		keys[i] = api.CanonicalPlanKey(r)
+		keys[i] = r.Key()
 	}
 	results := make([]PlanResult, len(reqs))
 	err := m.batchCall(ctx, keys, func(c *Client, idxs []int) error {
@@ -190,7 +190,7 @@ func (m *Multi) SimulateBatch(ctx context.Context, reqs []*api.SimulateRequest) 
 	}
 	keys := make([]string, len(reqs))
 	for i, r := range reqs {
-		keys[i] = api.CanonicalPlanKey(&r.PlanRequest)
+		keys[i] = r.PlanRequest.Key()
 	}
 	results := make([]SimulateResult, len(reqs))
 	err := m.batchCall(ctx, keys, func(c *Client, idxs []int) error {

@@ -152,7 +152,7 @@ func TestMultiBatchOwnerSplit(t *testing.T) {
 	for size := int64(4); size < 16; size++ {
 		r := &api.PlanRequest{Kernel: "l1", Size: size}
 		reqs = append(reqs, r)
-		owners[cluster.Owner(serve.CanonicalPlanKey(r), []int{0, 1, 2})] = true
+		owners[cluster.Owner(r.Key(), []int{0, 1, 2})] = true
 	}
 	rs, err := m.PlanBatch(ctx, reqs)
 	if err != nil {
@@ -162,7 +162,7 @@ func TestMultiBatchOwnerSplit(t *testing.T) {
 		if r.Err != nil {
 			t.Fatalf("item %d: %v", i, r.Err)
 		}
-		want := cluster.Owner(serve.CanonicalPlanKey(reqs[i]), []int{0, 1, 2})
+		want := cluster.Owner(reqs[i].Key(), []int{0, 1, 2})
 		if r.Resp.Cluster.Shard != want {
 			t.Fatalf("item %d served by shard %d, want owner %d", i, r.Resp.Cluster.Shard, want)
 		}

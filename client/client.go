@@ -92,11 +92,13 @@ type Config struct {
 	// with their strong ETag, repeats carry If-None-Match, and a 304
 	// answers from the local copy — no response body on the wire. The
 	// daemon's ETags are pure functions of the request, so entries stay
-	// valid across server restarts. RevalidateCap bounds the cache
-	// (default 256 entries).
-	Revalidate    bool
-	RevalidateCap int
+	// valid across server restarts. The cache keeps the 256 most
+	// recently used entries.
+	Revalidate bool
 }
+
+// revalidateCap bounds the Revalidate cache's entries.
+const revalidateCap = 256
 
 func (c Config) withDefaults() Config {
 	if c.HTTPClient == nil {
@@ -119,9 +121,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.BreakerCooldown <= 0 {
 		c.BreakerCooldown = 2 * time.Second
-	}
-	if c.RevalidateCap <= 0 {
-		c.RevalidateCap = 256
 	}
 	return c
 }
@@ -191,7 +190,7 @@ func New(cfg Config) *Client {
 		breaker: newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown),
 	}
 	if cfg.Revalidate {
-		c.reval = newRevalCache(cfg.RevalidateCap)
+		c.reval = newRevalCache(revalidateCap)
 	}
 	return c
 }
@@ -231,7 +230,7 @@ func (c *Client) Plan(ctx context.Context, req *api.PlanRequest) (*api.PlanRespo
 		}
 		return &out, nil
 	}
-	key := api.CanonicalResponseKey(req)
+	key := req.ResponseKey()
 	var inm string
 	if e, ok := c.reval.get(key); ok {
 		inm = e.etag
@@ -267,7 +266,7 @@ func (c *Client) planFresh(ctx context.Context, req *api.PlanRequest) (*api.Plan
 		return nil, err
 	}
 	if etag != "" {
-		c.reval.put(api.CanonicalResponseKey(req), etag, out)
+		c.reval.put(req.ResponseKey(), etag, out)
 	}
 	return &out, nil
 }

@@ -34,10 +34,9 @@ func TestMultiElasticMembershipRace(t *testing.T) {
 	}
 	for i, s := range srvs {
 		if err := s.EnableCluster(serve.ClusterOptions{
-			SelfID:        i,
-			Peers:         urls,
-			ProbeInterval: 50 * time.Millisecond,
-			FailThreshold: 2,
+			SelfID:      i,
+			Peers:       urls,
+			PeerOptions: serve.PeerOptions{ProbeInterval: 50 * time.Millisecond, FailThreshold: 2},
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -101,11 +100,10 @@ func TestMultiElasticMembershipRace(t *testing.T) {
 	t.Cleanup(jts.Close)
 	t.Cleanup(func() { joiner.Close() })
 	if err := joiner.JoinCluster(ctx, serve.JoinOptions{
-		SeedURL:       urls[0],
-		AdvertiseURL:  jts.URL,
-		AdminToken:    token,
-		ProbeInterval: 50 * time.Millisecond,
-		FailThreshold: 2,
+		SeedURL:      urls[0],
+		AdvertiseURL: jts.URL,
+		AdminToken:   token,
+		PeerOptions:  serve.PeerOptions{ProbeInterval: 50 * time.Millisecond, FailThreshold: 2},
 	}); err != nil {
 		t.Fatalf("join under load: %v", err)
 	}
@@ -190,10 +188,9 @@ func TestMultiEpochRefreshOnJoin(t *testing.T) {
 	}
 	for i, s := range srvs {
 		if err := s.EnableCluster(serve.ClusterOptions{
-			SelfID:        i,
-			Peers:         urls,
-			ProbeInterval: 25 * time.Millisecond,
-			FailThreshold: 2,
+			SelfID:      i,
+			Peers:       urls,
+			PeerOptions: serve.PeerOptions{ProbeInterval: 25 * time.Millisecond, FailThreshold: 2},
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -216,11 +213,10 @@ func TestMultiEpochRefreshOnJoin(t *testing.T) {
 	t.Cleanup(jts.Close)
 	t.Cleanup(func() { joiner.Close() })
 	if err := joiner.JoinCluster(ctx, serve.JoinOptions{
-		SeedURL:       urls[0],
-		AdvertiseURL:  jts.URL,
-		AdminToken:    token,
-		ProbeInterval: 25 * time.Millisecond,
-		FailThreshold: 2,
+		SeedURL:      urls[0],
+		AdvertiseURL: jts.URL,
+		AdminToken:   token,
+		PeerOptions:  serve.PeerOptions{ProbeInterval: 25 * time.Millisecond, FailThreshold: 2},
 	}); err != nil {
 		t.Fatalf("join: %v", err)
 	}

@@ -4,7 +4,7 @@
 // the preferred one is down or its breaker is open.
 //
 // Routing mirrors the server exactly: the canonical plan-cache key
-// (api.CanonicalPlanKey) is rendezvous-hashed over the active shard set
+// (api.PlanRequest.Key) is rendezvous-hashed over the active shard set
 // from the last /v1/cluster snapshot, then redirected along the Gray
 // ring to the standby when the primary is down — the same ServingOwner
 // walk the daemons use, so a failover lands on the shard already holding
@@ -47,13 +47,6 @@ type MultiConfig struct {
 	// outage costs a fixed number of attempts instead of endpoints ×
 	// retries × hedges.
 	RetryBudget int
-	// ReadOnlyTTL is how long an endpoint that answered a write with a
-	// read-only 503 (its durable store latched after a disk fault) is
-	// demoted to last preference for keyed calls (default 15s, negative
-	// disables demotion). It stays fully eligible for keyless calls and
-	// as the failover of last resort — a read-only shard still serves
-	// cache hits.
-	ReadOnlyTTL time.Duration
 	// Clock overrides time.Now for the read-only demotion window (tests).
 	Clock func() time.Time
 }
@@ -83,7 +76,6 @@ type Multi struct {
 
 	// read-only demotion state: endpoint index → demotion deadline.
 	now     func() time.Time
-	roTTL   time.Duration
 	roMu    sync.Mutex
 	roUntil map[int]time.Time
 
@@ -106,13 +98,6 @@ func NewMulti(cfg MultiConfig) (*Multi, error) {
 	if budget < 0 {
 		budget = 0
 	}
-	roTTL := cfg.ReadOnlyTTL
-	if roTTL == 0 {
-		roTTL = 15 * time.Second
-	}
-	if roTTL < 0 {
-		roTTL = 0
-	}
 	now := cfg.Clock
 	if now == nil {
 		now = time.Now
@@ -120,7 +105,7 @@ func NewMulti(cfg MultiConfig) (*Multi, error) {
 	m := &Multi{
 		cfg: cfg.Config, retryBudget: budget,
 		clients: make([]*Client, len(cfg.Endpoints)),
-		now:     now, roTTL: roTTL, roUntil: make(map[int]time.Time),
+		now:     now, roUntil: make(map[int]time.Time),
 	}
 	seen := make(map[string]bool, len(cfg.Endpoints))
 	for i, url := range cfg.Endpoints {
@@ -208,14 +193,18 @@ func (m *Multi) order(key string) (idxs []int, affine bool) {
 	return idxs, affine
 }
 
-// markReadOnly demotes endpoint i for keyed calls until the TTL expires.
+// readOnlyTTL is how long an endpoint that answered a write with a
+// read-only 503 (its durable store latched after a disk fault) is
+// demoted to last preference for keyed calls. It stays fully eligible
+// for keyless calls and as the failover of last resort — a read-only
+// shard still serves cache hits.
+const readOnlyTTL = 15 * time.Second
+
+// markReadOnly demotes endpoint i for keyed calls for readOnlyTTL.
 func (m *Multi) markReadOnly(i int) {
-	if m.roTTL <= 0 {
-		return
-	}
 	m.readOnlySkips.Add(1)
 	m.roMu.Lock()
-	m.roUntil[i] = m.now().Add(m.roTTL)
+	m.roUntil[i] = m.now().Add(readOnlyTTL)
 	m.roMu.Unlock()
 }
 
@@ -354,7 +343,7 @@ func (m *Multi) endpointIndex(url string) int {
 func (m *Multi) Plan(ctx context.Context, req *api.PlanRequest) (*api.PlanResponse, error) {
 	var out *api.PlanResponse
 	var served *Client
-	err := m.call(ctx, api.CanonicalPlanKey(req), func(ctx context.Context, c *Client) error {
+	err := m.call(ctx, req.Key(), func(ctx context.Context, c *Client) error {
 		r, err := c.Plan(ctx, req)
 		if err == nil {
 			out, served = r, c
@@ -372,7 +361,7 @@ func (m *Multi) Plan(ctx context.Context, req *api.PlanRequest) (*api.PlanRespon
 func (m *Multi) Simulate(ctx context.Context, req *api.SimulateRequest) (*api.SimulateResponse, error) {
 	var out *api.SimulateResponse
 	var served *Client
-	err := m.call(ctx, api.CanonicalPlanKey(&req.PlanRequest), func(ctx context.Context, c *Client) error {
+	err := m.call(ctx, req.PlanRequest.Key(), func(ctx context.Context, c *Client) error {
 		r, err := c.Simulate(ctx, req)
 		if err == nil {
 			out, served = r, c

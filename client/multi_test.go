@@ -12,7 +12,6 @@ import (
 
 	"repro/api"
 	"repro/internal/cluster"
-	"repro/internal/serve"
 )
 
 // fakeShards emulates an n-shard loopmapd cluster: each fake serves
@@ -47,7 +46,7 @@ func newFakeShards(t *testing.T, n int) *fakeShards {
 				http.Error(w, "bad request", http.StatusBadRequest)
 				return
 			}
-			key := serve.CanonicalPlanKey(&req)
+			key := req.Key()
 			f.mu.Lock()
 			f.hits[i]++
 			// Mirror the daemon: HRW primary over the full roster,
@@ -174,7 +173,7 @@ func TestMultiOwnerAffinity(t *testing.T) {
 	affine := 0
 	for size := int64(4); size <= 24; size++ {
 		req := &api.PlanRequest{Kernel: "l1", Size: size}
-		want := cluster.Owner(serve.CanonicalPlanKey(req), []int{0, 1, 2})
+		want := cluster.Owner(req.Key(), []int{0, 1, 2})
 		pr, err := m.Plan(ctx, req)
 		if err != nil {
 			t.Fatal(err)
@@ -216,7 +215,7 @@ func TestMultiFailoverAndRehome(t *testing.T) {
 	var req *api.PlanRequest
 	for size := int64(4); size <= 64; size++ {
 		r := &api.PlanRequest{Kernel: "l1", Size: size}
-		if cluster.Owner(serve.CanonicalPlanKey(r), []int{0, 1, 2}) == victim {
+		if cluster.Owner(r.Key(), []int{0, 1, 2}) == victim {
 			req = r
 			break
 		}
@@ -246,7 +245,7 @@ func TestMultiFailoverAndRehome(t *testing.T) {
 	// The refreshed map marks the dead shard down: the same key now
 	// routes straight to its Gray-ring standby — the shard holding its
 	// replicas — with no further failovers.
-	rehomed := cluster.ServingOwner(serve.CanonicalPlanKey(req), []int{0, 1, 2},
+	rehomed := cluster.ServingOwner(req.Key(), []int{0, 1, 2},
 		func(id int) bool { return id != victim })
 	before := m.Stats().Failovers
 	pr2, err := m.Plan(ctx, req)

@@ -49,8 +49,8 @@ func main() {
 	diskMemtableKB := flag.Int64("disk-memtable-kb", 0, "disk-cache memtable flush threshold in KiB (0 = default 4096); harnesses shrink it to force segment churn")
 	fsync := flag.String("fsync", "interval", "WAL durability policy: always (concurrent writes share one group-commit fsync), interval, never")
 	scrubInterval := flag.Duration("scrub-interval", 0, "background storage-scrub period (0 = 1m default, negative disables)")
-	scrubRateMB := flag.Int64("scrub-rate-mb", 0, "scrub read-bandwidth throttle in MiB/s (0 = 8 default, negative unthrottled)")
-	respCacheMB := flag.Int64("resp-cache-mb", 16, "encoded-response cache budget in MiB (negative disables)")
+	scrubRateMB := flag.Int64("scrub-rate-mb", 0, "scrub read-bandwidth throttle in MiB/s (0 = 8 default)")
+	respCacheMB := flag.Int64("resp-cache-mb", 16, "encoded-response cache budget in MiB (0 = 16 default)")
 	maxBatch := flag.Int("max-batch", 0, "largest /v1/batch item count accepted (0 = 256 default)")
 	peers := flag.String("peers", "", "comma-separated shard base URLs, self included — enables cluster mode")
 	shardID := flag.Int("shard-id", 0, "this daemon's shard ID: its index in -peers and its hypercube address")
@@ -63,6 +63,10 @@ func main() {
 	pprofOn := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 	smoke := flag.Bool("smoke", false, "start on an ephemeral port, serve one self-issued /v1/plan request, and exit")
 	flag.Parse()
+	if *scrubRateMB < 0 || *respCacheMB < 0 {
+		fmt.Fprintln(os.Stderr, "loopmapd: -scrub-rate-mb and -resp-cache-mb must not be negative")
+		os.Exit(1)
+	}
 
 	logger := slog.New(slog.NewTextHandler(os.Stderr, nil))
 	srv := serve.New(serve.Config{
@@ -77,8 +81,8 @@ func main() {
 		DiskMemtableBytes: *diskMemtableKB << 10,
 		Fsync:             *fsync,
 		ScrubInterval:     *scrubInterval,
-		ScrubRate:         scrubRate(*scrubRateMB),
-		RespCacheBytes:    respCacheBytes(*respCacheMB),
+		ScrubRate:         *scrubRateMB << 20,
+		RespCacheBytes:    *respCacheMB << 20,
 		MaxBatchItems:     *maxBatch,
 		AdminToken:        *adminToken,
 		Logger:            logger,
@@ -111,6 +115,11 @@ func main() {
 		os.Exit(1)
 	}
 
+	peerOpts := serve.PeerOptions{
+		ProbeInterval:       *probeInterval,
+		FailThreshold:       *failThreshold,
+		AntiEntropyInterval: *antiEntropy,
+	}
 	if *peers != "" {
 		var urls []string
 		for _, p := range strings.Split(*peers, ",") {
@@ -119,11 +128,9 @@ func main() {
 			}
 		}
 		if err := srv.EnableCluster(serve.ClusterOptions{
-			SelfID:              *shardID,
-			Peers:               urls,
-			ProbeInterval:       *probeInterval,
-			FailThreshold:       *failThreshold,
-			AntiEntropyInterval: *antiEntropy,
+			SelfID:      *shardID,
+			Peers:       urls,
+			PeerOptions: peerOpts,
 		}); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
@@ -158,12 +165,10 @@ func main() {
 	if *joinSeed != "" {
 		go func() {
 			if err := srv.JoinCluster(ctx, serve.JoinOptions{
-				SeedURL:             *joinSeed,
-				AdvertiseURL:        *advertise,
-				AdminToken:          *adminToken,
-				ProbeInterval:       *probeInterval,
-				FailThreshold:       *failThreshold,
-				AntiEntropyInterval: *antiEntropy,
+				SeedURL:      *joinSeed,
+				AdvertiseURL: *advertise,
+				AdminToken:   *adminToken,
+				PeerOptions:  peerOpts,
 			}); err != nil {
 				fmt.Fprintln(os.Stderr, err)
 				os.Exit(1)
@@ -177,22 +182,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-}
-
-// respCacheBytes maps the -resp-cache-mb flag onto the Config encoding
-// (0 = default, negative = disabled).
-func respCacheBytes(mb int64) int64 {
-	if mb < 0 {
-		return -1
-	}
-	return mb << 20
-}
-
-func scrubRate(mb int64) int64 {
-	if mb < 0 {
-		return -1
-	}
-	return mb << 20
 }
 
 // withPprof optionally mounts net/http/pprof in front of the API

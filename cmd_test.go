@@ -163,3 +163,18 @@ func TestCmdLoopmapdSmoke(t *testing.T) {
 		}
 	}
 }
+
+// The encoded-response cache has no off switch and the scrubber no
+// unthrottled mode: a negative budget is a flag error, not a mode.
+func TestCmdLoopmapdRejectsNegativeBudgets(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs cmds via the go tool")
+	}
+	for _, flag := range []string{"-resp-cache-mb", "-scrub-rate-mb"} {
+		cmd := exec.Command("go", "run", "./cmd/loopmapd", flag, "-1", "-smoke")
+		out, err := cmd.CombinedOutput()
+		if err == nil || !strings.Contains(string(out), "must not be negative") {
+			t.Errorf("loopmapd %s -1: err %v, output:\n%s", flag, err, out)
+		}
+	}
+}

@@ -42,7 +42,7 @@ func TestCompactPlanRunsMatchEager(t *testing.T) {
 		if got, want := compact.Summary(), eager.Summary(); got != want {
 			t.Fatalf("%s: compact summary\n%s\neager\n%s", name, got, want)
 		}
-		if !reflect.DeepEqual(compact.placement(), eager.placement()) {
+		if ca, ea := compact.assignment(), eager.assignment(); ca.NumProcs != ea.NumProcs || !reflect.DeepEqual(ca.ProcOf, ea.ProcOf) {
 			t.Fatalf("%s: compact and eager placements differ", name)
 		}
 		if !compact.Structure.Materialized() {

@@ -19,11 +19,9 @@ import (
 	"sort"
 	"sync"
 
-	"repro/internal/core"
 	"repro/internal/hyperplane"
 	"repro/internal/kernels"
 	"repro/internal/loop"
-	"repro/internal/mapping"
 )
 
 // message carries one value along one dependence edge between processors.
@@ -31,40 +29,6 @@ type message struct {
 	target int // vertex index of the consumer
 	dep    int
 	value  float64
-}
-
-// Placement assigns vertices to processors.
-type Placement struct {
-	// ProcOf[vi] is the processor that executes vertex vi.
-	ProcOf []int
-	// NumProcs is the processor count.
-	NumProcs int
-}
-
-// FromMapping derives a placement from a partitioning and a hypercube
-// mapping.
-func FromMapping(p *core.Partitioning, m *mapping.Result) Placement {
-	procOf := p.BlockOf()
-	for vi, b := range procOf {
-		procOf[vi] = m.NodeOf[b]
-	}
-	return Placement{ProcOf: procOf, NumProcs: m.Cube.N}
-}
-
-// FromMeshMapping derives a placement from a partitioning and a mesh
-// mapping.
-func FromMeshMapping(p *core.Partitioning, m *mapping.MeshResult) Placement {
-	procOf := p.BlockOf()
-	for vi, b := range procOf {
-		procOf[vi] = m.NodeOf[b]
-	}
-	return Placement{ProcOf: procOf, NumProcs: m.Mesh.N()}
-}
-
-// BlocksAsProcs gives each partitioned block its own processor.
-func BlocksAsProcs(p *core.Partitioning) Placement {
-	procOf := p.BlockOf()
-	return Placement{ProcOf: procOf, NumProcs: p.NumBlocks()}
 }
 
 // Stats summarizes a concurrent run.
@@ -75,9 +39,10 @@ type Stats struct {
 	PointsPerProc []int64
 }
 
-// Run executes the kernel concurrently under the placement and returns the
-// dataflow trace plus run statistics.
-func Run(k *kernels.Kernel, st *loop.Structure, pl Placement) (*kernels.Result, *Stats, error) {
+// Run executes the kernel concurrently on numProcs processors, vertex vi
+// on processor procOf[vi], and returns the dataflow trace plus run
+// statistics.
+func Run(k *kernels.Kernel, st *loop.Structure, procOf []int, numProcs int) (*kernels.Result, *Stats, error) {
 	if k.Sem == nil {
 		return nil, nil, fmt.Errorf("exec: kernel %s has no semantics", k.Name)
 	}
@@ -87,14 +52,14 @@ func Run(k *kernels.Kernel, st *loop.Structure, pl Placement) (*kernels.Result, 
 	if err := hyperplane.Check(k.Pi, st.D); err != nil {
 		return nil, nil, fmt.Errorf("exec: kernel %s: %w", k.Name, err)
 	}
-	if len(pl.ProcOf) != st.Len() {
-		return nil, nil, fmt.Errorf("exec: placement covers %d vertices, structure has %d", len(pl.ProcOf), st.Len())
+	if len(procOf) != st.Len() {
+		return nil, nil, fmt.Errorf("exec: placement covers %d vertices, structure has %d", len(procOf), st.Len())
 	}
-	if pl.NumProcs <= 0 {
+	if numProcs <= 0 {
 		return nil, nil, errors.New("exec: no processors")
 	}
-	for vi, pr := range pl.ProcOf {
-		if pr < 0 || pr >= pl.NumProcs {
+	for vi, pr := range procOf {
+		if pr < 0 || pr >= numProcs {
 			return nil, nil, fmt.Errorf("exec: vertex %d on invalid processor %d", vi, pr)
 		}
 	}
@@ -105,10 +70,10 @@ func Run(k *kernels.Kernel, st *loop.Structure, pl Placement) (*kernels.Result, 
 	// Pre-compute, per processor: owned vertices in schedule order, and the
 	// exact number of remote inputs (to size inbox buffers so sends never
 	// block).
-	owned := make([][]int, pl.NumProcs)
-	inbound := make([]int, pl.NumProcs)
+	owned := make([][]int, numProcs)
+	inbound := make([]int, numProcs)
 	for vi := range V {
-		owned[pl.ProcOf[vi]] = append(owned[pl.ProcOf[vi]], vi)
+		owned[procOf[vi]] = append(owned[procOf[vi]], vi)
 	}
 	timeOf := func(vi int) int64 { return k.Pi.Dot(V[vi]) }
 	for pr := range owned {
@@ -123,20 +88,20 @@ func Run(k *kernels.Kernel, st *loop.Structure, pl Placement) (*kernels.Result, 
 	st.ForEachEdge(func(e loop.Edge) {
 		from := st.VertexIndex(e.From)
 		to := st.VertexIndex(e.To)
-		if pl.ProcOf[from] != pl.ProcOf[to] {
-			inbound[pl.ProcOf[to]]++
+		if procOf[from] != procOf[to] {
+			inbound[procOf[to]]++
 		}
 	})
 
-	inbox := make([]chan message, pl.NumProcs)
+	inbox := make([]chan message, numProcs)
 	for pr := range inbox {
 		inbox[pr] = make(chan message, inbound[pr])
 	}
 
-	results := make([]map[string][]float64, pl.NumProcs)
-	msgCounts := make([]int64, pl.NumProcs)
+	results := make([]map[string][]float64, numProcs)
+	msgCounts := make([]int64, numProcs)
 	var wg sync.WaitGroup
-	for pr := 0; pr < pl.NumProcs; pr++ {
+	for pr := 0; pr < numProcs; pr++ {
 		wg.Add(1)
 		go func(pr int) {
 			defer wg.Done()
@@ -152,7 +117,7 @@ func Run(k *kernels.Kernel, st *loop.Structure, pl Placement) (*kernels.Result, 
 					switch {
 					case pi < 0:
 						in[di] = k.Sem.Boundary(x, di)
-					case pl.ProcOf[pi] == pr:
+					case procOf[pi] == pr:
 						in[di] = local[pi][di]
 					default:
 						key := int64(vi)*int64(nD) + int64(di)
@@ -174,10 +139,10 @@ func Run(k *kernels.Kernel, st *loop.Structure, pl Placement) (*kernels.Result, 
 				for di, d := range st.D {
 					succ := x.Add(d)
 					si := st.VertexIndex(succ)
-					if si < 0 || pl.ProcOf[si] == pr {
+					if si < 0 || procOf[si] == pr {
 						continue
 					}
-					inbox[pl.ProcOf[si]] <- message{target: si, dep: di, value: vals[di]}
+					inbox[procOf[si]] <- message{target: si, dep: di, value: vals[di]}
 					msgCounts[pr]++
 				}
 			}
@@ -187,7 +152,7 @@ func Run(k *kernels.Kernel, st *loop.Structure, pl Placement) (*kernels.Result, 
 	wg.Wait()
 
 	res := &kernels.Result{Out: make(map[string][]float64, st.Len())}
-	stats := &Stats{PointsPerProc: make([]int64, pl.NumProcs)}
+	stats := &Stats{PointsPerProc: make([]int64, numProcs)}
 	for pr, m := range results {
 		for k, v := range m {
 			res.Out[k] = v

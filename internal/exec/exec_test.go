@@ -8,10 +8,11 @@ import (
 	"repro/internal/loop"
 	"repro/internal/mapping"
 	"repro/internal/project"
+	"repro/internal/sim"
 	"repro/internal/vec"
 )
 
-func setup(t *testing.T, k *kernels.Kernel, dim int) (*loop.Structure, Placement, *core.Partitioning) {
+func setup(t *testing.T, k *kernels.Kernel, dim int) (*loop.Structure, sim.Assignment, *core.Partitioning) {
 	t.Helper()
 	st, err := k.Structure()
 	if err != nil {
@@ -29,7 +30,7 @@ func setup(t *testing.T, k *kernels.Kernel, dim int) (*loop.Structure, Placement
 	if err != nil {
 		t.Fatal(err)
 	}
-	return st, FromMapping(p, m), p
+	return st, sim.FromMapping(p, m), p
 }
 
 func TestAllKernelsMatchSequentialAcrossMachineSizes(t *testing.T) {
@@ -41,7 +42,7 @@ func TestAllKernelsMatchSequentialAcrossMachineSizes(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			got, _, err := Run(k, st, pl)
+			got, _, err := Run(k, st, pl.ProcOf, pl.NumProcs)
 			if err != nil {
 				t.Fatalf("%s dim=%d: %v", name, dim, err)
 			}
@@ -59,7 +60,8 @@ func TestBlocksAsProcsMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, stats, err := Run(k, st, BlocksAsProcs(p))
+	a := sim.BlocksAsProcs(p)
+	got, stats, err := Run(k, st, a.ProcOf, a.NumProcs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,8 +78,7 @@ func TestBlocksAsProcsMatchesSequential(t *testing.T) {
 func TestSingleProcessorNoMessages(t *testing.T) {
 	k := kernels.MatVec(6)
 	st, _, _ := setup(t, k, 0)
-	pl := Placement{ProcOf: make([]int, len(st.V)), NumProcs: 1}
-	res, stats, err := Run(k, st, pl)
+	res, stats, err := Run(k, st, make([]int, len(st.V)), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +94,7 @@ func TestSingleProcessorNoMessages(t *testing.T) {
 func TestPointsPerProcCoverStructure(t *testing.T) {
 	k := kernels.MatMul(5)
 	st, pl, _ := setup(t, k, 2)
-	_, stats, err := Run(k, st, pl)
+	_, stats, err := Run(k, st, pl.ProcOf, pl.NumProcs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,15 +112,16 @@ func TestPartitioningReducesMessagesVsPointwise(t *testing.T) {
 	// round-robin placement (the fine-grain strawman).
 	k := kernels.MatMul(5)
 	st, _, p := setup(t, k, 2)
-	_, blockStats, err := Run(k, st, BlocksAsProcs(p))
+	a := sim.BlocksAsProcs(p)
+	_, blockStats, err := Run(k, st, a.ProcOf, a.NumProcs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rr := Placement{ProcOf: make([]int, len(st.V)), NumProcs: 8}
+	rr := make([]int, len(st.V))
 	for vi := range st.V {
-		rr.ProcOf[vi] = vi % 8
+		rr[vi] = vi % 8
 	}
-	_, rrStats, err := Run(k, st, rr)
+	_, rrStats, err := Run(k, st, rr, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +152,8 @@ func TestMeshPlacementMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := Run(k, st, FromMeshMapping(p, m))
+	a := sim.FromMeshMapping(p, m)
+	got, _, err := Run(k, st, a.ProcOf, a.NumProcs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,18 +167,18 @@ func TestRunErrors(t *testing.T) {
 	st, pl, _ := setup(t, k, 1)
 	noSem := kernels.MatVec(4)
 	noSem.Sem = nil
-	if _, _, err := Run(noSem, st, pl); err == nil {
+	if _, _, err := Run(noSem, st, pl.ProcOf, pl.NumProcs); err == nil {
 		t.Fatal("kernel without semantics accepted")
 	}
-	if _, _, err := Run(k, st, Placement{ProcOf: []int{0}, NumProcs: 1}); err == nil {
+	if _, _, err := Run(k, st, []int{0}, 1); err == nil {
 		t.Fatal("short placement accepted")
 	}
-	if _, _, err := Run(k, st, Placement{ProcOf: make([]int, len(st.V)), NumProcs: 0}); err == nil {
+	if _, _, err := Run(k, st, make([]int, len(st.V)), 0); err == nil {
 		t.Fatal("zero processors accepted")
 	}
-	bad := Placement{ProcOf: make([]int, len(st.V)), NumProcs: 2}
-	bad.ProcOf[0] = 7
-	if _, _, err := Run(k, st, bad); err == nil {
+	bad := make([]int, len(st.V))
+	bad[0] = 7
+	if _, _, err := Run(k, st, bad, 2); err == nil {
 		t.Fatal("out-of-range processor accepted")
 	}
 }
@@ -186,7 +189,7 @@ func TestRunRejectsInvalidPi(t *testing.T) {
 	k := kernels.MatVec(4)
 	st, pl, _ := setup(t, k, 1)
 	k.Pi = loopmapVec(1, -1) // Π·(0,1) < 0
-	if _, _, err := Run(k, st, pl); err == nil {
+	if _, _, err := Run(k, st, pl.ProcOf, pl.NumProcs); err == nil {
 		t.Fatal("invalid Π accepted")
 	}
 }
@@ -197,12 +200,12 @@ func TestRepeatedRunsDeterministic(t *testing.T) {
 	// Concurrency must not introduce nondeterminism in the trace.
 	k := kernels.Convolution(8, 4)
 	st, pl, _ := setup(t, k, 2)
-	first, _, err := Run(k, st, pl)
+	first, _, err := Run(k, st, pl.ProcOf, pl.NumProcs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		again, _, err := Run(k, st, pl)
+		again, _, err := Run(k, st, pl.ProcOf, pl.NumProcs)
 		if err != nil {
 			t.Fatal(err)
 		}

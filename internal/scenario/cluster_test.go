@@ -68,7 +68,7 @@ func demand(before, after counters) int64 {
 	return (after.comp - before.comp) - (after.mats - before.mats)
 }
 
-func baseKey(it item) string { return serve.CanonicalPlanKey(&it.PlanRequest) }
+func baseKey(it item) string { return it.PlanRequest.Key() }
 
 // elasticCluster boots p.shards loopmapd shards, checks owner routing
 // under p.n mixed requests, joins one more shard under load, SIGKILLs
@@ -343,9 +343,11 @@ func partition(t *testing.T, p params) {
 		// Each shard dials its peers through its own fabric edges.
 		through := &http.Client{Transport: &http.Transport{DialContext: fabric.DialContext(i), MaxIdleConnsPerHost: 4}}
 		if err := sh.srv.EnableCluster(serve.ClusterOptions{
-			SelfID: i, Peers: urls, ProbeInterval: 100 * time.Millisecond, ProbeTimeout: 500 * time.Millisecond,
-			FailThreshold: 2, ForwardClient: through, Prober: cluster.HTTPProber{Client: through},
-			AntiEntropyInterval: 150 * time.Millisecond,
+			SelfID: i, Peers: urls, PeerOptions: serve.PeerOptions{
+				ProbeInterval: 100 * time.Millisecond, ProbeTimeout: 500 * time.Millisecond,
+				FailThreshold: 2, ForwardClient: through, Prober: cluster.HTTPProber{Client: through},
+				AntiEntropyInterval: 150 * time.Millisecond,
+			},
 		}); err != nil {
 			t.Fatal(err)
 		}

@@ -346,8 +346,10 @@ func clusterRepair(t *testing.T) {
 	urls := []string{shA.url, shB.url}
 	enable := func(sh *shard, id int) {
 		if err := sh.srv.EnableCluster(serve.ClusterOptions{
-			SelfID: id, Peers: urls, ProbeInterval: 100 * time.Millisecond, ProbeTimeout: 500 * time.Millisecond,
-			FailThreshold: 2, AntiEntropyInterval: 150 * time.Millisecond,
+			SelfID: id, Peers: urls, PeerOptions: serve.PeerOptions{
+				ProbeInterval: 100 * time.Millisecond, ProbeTimeout: 500 * time.Millisecond,
+				FailThreshold: 2, AntiEntropyInterval: 150 * time.Millisecond,
+			},
 		}); err != nil {
 			t.Fatal(err)
 		}

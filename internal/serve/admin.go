@@ -91,10 +91,11 @@ func (s *Server) handleAdminDrain(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleAdminTransfer streams every locally-held record whose key the
-// requesting shard would own once active: base-plan requests from the
-// plan cache and encoded frames from the response cache, as one framed
-// record stream. The joiner replays it through the same ingest path a
-// replica push uses.
+// requesting shard would own once active — base-plan requests and
+// encoded frames from RAM and the disk tier, so a joiner receives the
+// full keyspace it will own, not just what happens to be warm here — as
+// one framed record stream. The joiner replays it through the same
+// ingest path a replica push uses.
 func (s *Server) handleAdminTransfer(w http.ResponseWriter, r *http.Request) {
 	cn := s.cnode()
 	if cn == nil {
@@ -116,24 +117,9 @@ func (s *Server) handleAdminTransfer(w http.ResponseWriter, r *http.Request) {
 	}
 
 	var recs []persist.Record
-	seen := make(map[string]bool)
-	for _, rec := range s.cache.records() {
-		seen[repBasePrefix+rec.Key] = true
-		if cluster.Owner(rec.Key, candidates) == req.ForShard {
-			recs = append(recs, persist.Record{Key: repBasePrefix + rec.Key, Value: rec.Value})
-		}
-	}
-	for _, d := range s.resp.dump() {
-		seen[repFramePrefix+d.key] = true
-		if cluster.Owner(frameBaseKey(d.key), candidates) == req.ForShard {
-			recs = append(recs, persist.Record{Key: repFramePrefix + d.key, Value: d.encoded})
-		}
-	}
-	// Disk-tier records the RAM caches evicted: a joiner streams the full
-	// keyspace it will own, not just what happens to be warm here.
-	s.forEachTierRecord(seen, func(wireKey, baseKey string, value []byte) {
+	s.forEachHeldRecord(func(rec persist.Record, baseKey string) {
 		if cluster.Owner(baseKey, candidates) == req.ForShard {
-			recs = append(recs, persist.Record{Key: wireKey, Value: value})
+			recs = append(recs, rec)
 		}
 	})
 

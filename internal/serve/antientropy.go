@@ -256,7 +256,7 @@ func (ae *antiEntropy) authorize(req *http.Request) {
 	}
 }
 
-// replicaRecordsOwnedBy enumerates every locally-held record whose base
+// replicaRecordsOwnedBy enumerates every RAM-held record whose base
 // key owner (over active) is `owner`, keyed exactly as replica pushes
 // key them — so the owner's and the standby's enumerations of one
 // keyspace are directly comparable.
@@ -265,18 +265,11 @@ func (s *Server) replicaRecordsOwnedBy(owner int, active []int) []persist.Record
 	if len(active) == 0 {
 		return out
 	}
-	for _, rec := range s.cache.records() {
-		if cluster.Owner(rec.Key, active) == owner {
-			out = append(out, persist.Record{Key: repBasePrefix + rec.Key, Value: rec.Value})
+	s.forEachCachedRecord(func(rec persist.Record, baseKey string) {
+		if cluster.Owner(baseKey, active) == owner {
+			out = append(out, rec)
 		}
-	}
-	if s.resp != nil {
-		for _, d := range s.resp.dump() {
-			if cluster.Owner(frameBaseKey(d.key), active) == owner {
-				out = append(out, persist.Record{Key: repFramePrefix + d.key, Value: d.encoded})
-			}
-		}
-	}
+	})
 	return out
 }
 

@@ -29,11 +29,9 @@ func newRepairCluster(t *testing.T, n int) ([]*Server, []*httptest.Server) {
 	}
 	for i, s := range srvs {
 		if err := s.EnableCluster(ClusterOptions{
-			SelfID:              i,
-			Peers:               urls,
-			ProbeInterval:       -1,
-			AntiEntropyInterval: -1,
-			FailThreshold:       1,
+			SelfID:      i,
+			Peers:       urls,
+			PeerOptions: PeerOptions{ProbeInterval: -1, AntiEntropyInterval: -1, FailThreshold: 1},
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -207,10 +205,9 @@ func TestForwardPropagatesDeadline(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 	if err := s.EnableCluster(ClusterOptions{
-		SelfID:              0,
-		Peers:               []string{ts.URL, stub.URL},
-		ProbeInterval:       -1,
-		AntiEntropyInterval: -1,
+		SelfID:      0,
+		Peers:       []string{ts.URL, stub.URL},
+		PeerOptions: PeerOptions{ProbeInterval: -1, AntiEntropyInterval: -1},
 	}); err != nil {
 		t.Fatal(err)
 	}

@@ -345,7 +345,7 @@ func TestCompactStageBytesTracksHeap(t *testing.T) {
 	ctx := context.Background()
 	keys := missGridKeys()
 	for _, simulate := range []bool{false, true} {
-		s := New(Config{CacheBytes: 1 << 40, RespCacheBytes: -1})
+		s := New(Config{CacheBytes: 1 << 40})
 		checkBytesTrackHeap(t, func() (int64, any, string) {
 			for i, k := range keys {
 				noAux := i%2 == 1

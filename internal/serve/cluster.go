@@ -30,18 +30,9 @@ const (
 	pathHeader = "X-Loopmap-Path"
 )
 
-// ClusterOptions configures sharded multi-daemon serving.
-type ClusterOptions struct {
-	// SelfID is this daemon's shard ID: its index in Peers and its
-	// hypercube address.
-	SelfID int
-	// Peers lists every shard's base URL by shard ID, self included.
-	// Ignored when JoinMap is set.
-	Peers []string
-	// JoinMap, when non-nil, bootstraps membership from an adopted
-	// epoch-versioned cluster map instead of the static Peers list — the
-	// dynamic-join path, where SelfID is the ID the seed assigned.
-	JoinMap *cluster.Map
+// PeerOptions are the peer-facing settings a shard runs with, however it
+// entered the cluster (EnableCluster or JoinCluster).
+type PeerOptions struct {
 	// ProbeInterval is the peer health-probe period (default 2s). A
 	// negative value disables background probing entirely — tests drive
 	// Membership.Tick by hand.
@@ -58,6 +49,16 @@ type ClusterOptions struct {
 	// this shard's standby (default 3s). Negative disables the worker;
 	// repair then only happens via replication and transfers.
 	AntiEntropyInterval time.Duration
+}
+
+// ClusterOptions configures sharded multi-daemon serving.
+type ClusterOptions struct {
+	// SelfID is this daemon's shard ID: its index in Peers and its
+	// hypercube address.
+	SelfID int
+	// Peers lists every shard's base URL by shard ID, self included.
+	Peers []string
+	PeerOptions
 }
 
 // clusterNode is the server's cluster-mode state.
@@ -85,6 +86,14 @@ type clusterNode struct {
 // /v1/simulate ownership-aware. Call it after New and before serving
 // traffic.
 func (s *Server) EnableCluster(opts ClusterOptions) error {
+	return s.enableCluster(opts, nil)
+}
+
+// enableCluster is EnableCluster with an optional adopted cluster map:
+// when joinMap is non-nil, membership bootstraps from it instead of the
+// static Peers list (the dynamic-join path, where SelfID is the ID the
+// seed assigned).
+func (s *Server) enableCluster(opts ClusterOptions, joinMap *cluster.Map) error {
 	if s.cnode() != nil {
 		return errors.New("serve: cluster already enabled")
 	}
@@ -102,8 +111,8 @@ func (s *Server) EnableCluster(opts ClusterOptions) error {
 	}
 	var m *cluster.Membership
 	var err error
-	if opts.JoinMap != nil {
-		m, err = cluster.NewFromMap(ccfg, *opts.JoinMap)
+	if joinMap != nil {
+		m, err = cluster.NewFromMap(ccfg, *joinMap)
 	} else {
 		m, err = cluster.New(ccfg)
 	}
@@ -355,8 +364,3 @@ func joinInts(xs []int) string {
 	}
 	return b.String()
 }
-
-// CanonicalPlanKey is the canonical plan-cache key of a request — the
-// string both the LRU and cluster ownership hash over. Kept as a serve
-// re-export of api.CanonicalPlanKey for existing callers.
-func CanonicalPlanKey(r *api.PlanRequest) string { return api.CanonicalPlanKey(r) }

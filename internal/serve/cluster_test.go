@@ -31,10 +31,9 @@ func newTestCluster(t *testing.T, n int) ([]*Server, []*httptest.Server) {
 	}
 	for i, s := range srvs {
 		if err := s.EnableCluster(ClusterOptions{
-			SelfID:        i,
-			Peers:         urls,
-			ProbeInterval: -1, // manual Tick only
-			FailThreshold: 1,
+			SelfID:      i,
+			Peers:       urls,
+			PeerOptions: PeerOptions{ProbeInterval: -1 /* manual Tick only */, FailThreshold: 1},
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -49,7 +48,7 @@ func keyOwnedBy(t *testing.T, want int, candidates []int) (api.PlanRequest, stri
 	t.Helper()
 	for size := int64(4); size <= 64; size++ {
 		req := api.PlanRequest{Kernel: "l1", Size: size}
-		key := CanonicalPlanKey(&req)
+		key := req.Key()
 		if cluster.Owner(key, candidates) == want {
 			return req, key
 		}

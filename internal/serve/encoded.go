@@ -183,11 +183,6 @@ func (c *respCache) stats() (bytes int64, entries int) {
 	return c.bytes, c.ll.Len()
 }
 
-// CanonicalResponseKey is the canonical key of a request's fully-encoded
-// response — the base-plan key plus the mapping knobs. Kept as a serve
-// re-export of api.CanonicalResponseKey for existing callers.
-func CanonicalResponseKey(r *api.PlanRequest) string { return api.CanonicalResponseKey(r) }
-
 // writeFrame serves one response from a frame: ETag always set, an
 // If-None-Match match answered with an empty 304, and the cache/cluster
 // metadata patched in as a suffix otherwise. encoded reports whether the

@@ -13,6 +13,7 @@ import (
 
 	loopmap "repro"
 	"repro/api"
+	"repro/internal/persist"
 )
 
 func TestEncodedHitAndETag304(t *testing.T) {
@@ -239,7 +240,7 @@ func BenchmarkHitPathEncoded(b *testing.B) {
 // the cube, build the response struct, and marshal it — what every hit
 // paid before the encoded cache existed.
 func BenchmarkHitPathLegacy(b *testing.B) {
-	s := New(Config{RespCacheBytes: -1})
+	s := New(Config{})
 	body := `{"kernel": "l1", "size": 8, "cube_dim": 3}`
 	var warm api.PlanRequest
 	if err := json.Unmarshal([]byte(body), &warm); err != nil {
@@ -288,5 +289,67 @@ func BenchmarkRespFrameWrite(b *testing.B) {
 		rec := httptest.NewRecorder()
 		hr, _ := http.NewRequest(http.MethodPost, "/v1/plan", nil)
 		s.writeFrame(rec, hr, f, api.CacheHit, "k", true)
+	}
+}
+
+// TestRespCacheBudgetBelowOneIsDefault: a RespCacheBytes ≤ 0 means the
+// default budget, never "no encoded cache". A shard built that way
+// ingests a replica frame into the encoded cache, serves /v1/plan for its
+// key from there, and walks the frame in the epoch sweep and the
+// keyspace transfer — each of which runs on a background goroutine in a
+// live cluster, where a panic would kill the daemon.
+func TestRespCacheBudgetBelowOneIsDefault(t *testing.T) {
+	const token = "tok"
+	s, ts := newTestServer(t, Config{RespCacheBytes: -1, AdminToken: token})
+	opts := ClusterOptions{SelfID: 0, Peers: []string{ts.URL}}
+	opts.ProbeInterval = -1
+	opts.AntiEntropyInterval = -1
+	if err := s.EnableCluster(opts); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+
+	body := `{"kernel": "l1", "size": 8, "cube_dim": 3}`
+	var req api.PlanRequest
+	if err := json.Unmarshal([]byte(body), &req); err != nil {
+		t.Fatal(err)
+	}
+	frame := persist.Record{
+		Key:   repFramePrefix + req.ResponseKey(),
+		Value: []byte(`{"kernel":"l1","size":8,"planted":true}` + "\n"),
+	}
+	if n := s.ingestRecords([]persist.Record{frame}); n != 1 {
+		t.Fatalf("ingested %d records, want 1", n)
+	}
+
+	resp, out := postJSON(t, ts.URL+"/v1/plan", body)
+	if resp.StatusCode != http.StatusOK || !bytes.Contains(out, []byte(`"planted":true,"cache":"hit"`)) {
+		t.Fatalf("plan for the ingested key: %s %s", resp.Status, out)
+	}
+	if m := s.Metrics(); m.EncodedHits != 1 || m.PlanComputations != 0 {
+		t.Fatalf("encoded hits %d, computations %d; want 1 and 0", m.EncodedHits, m.PlanComputations)
+	}
+
+	s.cnode().rep.sweepOwned()
+
+	treq, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/admin/transfer", strings.NewReader(`{"for_shard": 0}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	treq.Header.Set(api.AdminTokenHeader, token)
+	tresp, err := http.DefaultClient.Do(treq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tresp.Body.Close()
+	if tresp.StatusCode != http.StatusOK {
+		t.Fatalf("transfer: status %s", tresp.Status)
+	}
+	recs, err := persist.ReadRecords(tresp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 1 || recs[0].Key != frame.Key || !bytes.Equal(recs[0].Value, frame.Value) {
+		t.Fatalf("transfer streamed %+v, want the ingested frame", recs)
 	}
 }

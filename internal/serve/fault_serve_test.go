@@ -15,7 +15,6 @@ import (
 	"slices"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/api"
 )
@@ -71,7 +70,7 @@ func TestPanicMiddlewareRecovers(t *testing.T) {
 }
 
 func TestOverloadShedsWithRetryAfter(t *testing.T) {
-	s, ts := newTestServer(t, Config{MaxInflight: 1, AcquireTimeout: 20 * time.Millisecond})
+	s, ts := newTestServer(t, Config{MaxInflight: 1})
 
 	// Saturate the single admission slot from outside the request path.
 	if err := s.gate.Acquire(context.Background()); err != nil {

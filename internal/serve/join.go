@@ -39,18 +39,7 @@ type JoinOptions struct {
 	// AdminToken authenticates the join and transfer calls (must match
 	// the cluster's -admin-token).
 	AdminToken string
-	// Client is the transport for the join protocol (default: 30s
-	// timeout).
-	Client *http.Client
-	// Probe settings and test hooks, as in ClusterOptions.
-	ProbeInterval time.Duration
-	ProbeTimeout  time.Duration
-	FailThreshold int
-	ForwardClient *http.Client
-	Prober        cluster.Prober
-	// AntiEntropyInterval paces the digest repair exchange with the
-	// standby, as in ClusterOptions (default 3s, negative disables).
-	AntiEntropyInterval time.Duration
+	PeerOptions
 }
 
 // JoinCluster runs the join protocol. On return the server is an active
@@ -63,26 +52,13 @@ func (s *Server) JoinCluster(ctx context.Context, opts JoinOptions) error {
 	if opts.SeedURL == "" || opts.AdvertiseURL == "" {
 		return errors.New("serve: join needs a seed URL and an advertise URL")
 	}
-	client := opts.Client
-	if client == nil {
-		client = &http.Client{Timeout: 30 * time.Second}
-	}
+	client := &http.Client{Timeout: 30 * time.Second}
 
 	jr, err := s.joinCall(ctx, client, opts, opts.SeedURL)
 	if err != nil {
 		return fmt.Errorf("serve: joining via %s: %w", opts.SeedURL, err)
 	}
-	if err := s.EnableCluster(ClusterOptions{
-		SelfID:        jr.ID,
-		JoinMap:       &jr.Map,
-		ProbeInterval: opts.ProbeInterval,
-		ProbeTimeout:  opts.ProbeTimeout,
-		FailThreshold: opts.FailThreshold,
-		ForwardClient: opts.ForwardClient,
-		Prober:        opts.Prober,
-
-		AntiEntropyInterval: opts.AntiEntropyInterval,
-	}); err != nil {
+	if err := s.enableCluster(ClusterOptions{SelfID: jr.ID, PeerOptions: opts.PeerOptions}, &jr.Map); err != nil {
 		return err
 	}
 	cn := s.cnode()

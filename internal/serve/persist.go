@@ -139,7 +139,6 @@ func (s *Server) Recover(ctx context.Context) (RecoveryStats, error) {
 		Dir:            s.cfg.DiskCacheDir,
 		FS:             s.cfg.FS,
 		Fsync:          policy,
-		Interval:       s.cfg.FsyncEvery,
 		BudgetBytes:    s.cfg.DiskCacheBytes,
 		CompactTrigger: s.cfg.CompactTrigger,
 		MemtableBytes:  s.cfg.DiskMemtableBytes,
@@ -180,10 +179,8 @@ func (s *Server) Recover(ctx context.Context) (RecoveryStats, error) {
 	for _, rec := range tail {
 		switch {
 		case strings.HasPrefix(rec.Key, repFramePrefix):
-			if s.resp != nil {
-				s.resp.put(rec.Key[len(repFramePrefix):], newRespFrame(rec.Value))
-				rs.FrameRecords++
-			}
+			s.resp.put(rec.Key[len(repFramePrefix):], newRespFrame(rec.Value))
+			rs.FrameRecords++
 		case strings.HasPrefix(rec.Key, repBasePrefix):
 			key := rec.Key[len(repBasePrefix):]
 			var sr storedRequest

@@ -259,30 +259,13 @@ func (r *replicator) epochWatch() {
 	}
 }
 
-// sweepOwned enqueues a replica push for every locally-held record this
-// shard currently owns: base plans from the plan cache, encoded frames
-// from the response cache, and — when a disk tier is attached — every
-// tier-resident record the RAM caches evicted.
+// sweepOwned enqueues a replica push for every record this shard holds
+// and currently owns (see forEachHeldRecord).
 func (r *replicator) sweepOwned() {
 	pushed := 0
-	seen := make(map[string]bool)
-	for _, rec := range r.s.cache.records() {
-		seen[repBasePrefix+rec.Key] = true
-		if target, ok := r.s.replicaTargetFor(rec.Key); ok {
-			r.enqueuePush(target, persist.Record{Key: repBasePrefix + rec.Key, Value: rec.Value})
-			pushed++
-		}
-	}
-	for _, d := range r.s.resp.dump() {
-		seen[repFramePrefix+d.key] = true
-		if target, ok := r.s.replicaTargetFor(frameBaseKey(d.key)); ok {
-			r.enqueuePush(target, persist.Record{Key: repFramePrefix + d.key, Value: d.encoded})
-			pushed++
-		}
-	}
-	r.s.forEachTierRecord(seen, func(wireKey, baseKey string, value []byte) {
+	r.s.forEachHeldRecord(func(rec persist.Record, baseKey string) {
 		if target, ok := r.s.replicaTargetFor(baseKey); ok {
-			r.enqueuePush(target, persist.Record{Key: wireKey, Value: value})
+			r.enqueuePush(target, rec)
 			pushed++
 		}
 	})
@@ -407,12 +390,29 @@ func (s *Server) tierIngest(rec persist.Record) {
 	_ = s.tier.Put(rec.Key, rec.Value)
 }
 
-// forEachTierRecord visits every record the disk tier holds, skipping
-// wire keys in seen (the RAM caches were streamed first and are newer),
-// and hands the callback the wire key, the base-plan key its ownership
-// hashes by, and the value. Transfer and epoch sweeps use it to stream
-// keys the RAM tier has long evicted.
-func (s *Server) forEachTierRecord(seen map[string]bool, fn func(wireKey, baseKey string, value []byte)) {
+// forEachCachedRecord visits every record the RAM caches hold — base
+// plans from the plan cache, then encoded frames from the response cache
+// — keyed as replica pushes key them, with the base-plan key its
+// ownership hashes by.
+func (s *Server) forEachCachedRecord(fn func(rec persist.Record, baseKey string)) {
+	for _, rec := range s.cache.records() {
+		fn(persist.Record{Key: repBasePrefix + rec.Key, Value: rec.Value}, rec.Key)
+	}
+	for _, d := range s.resp.dump() {
+		fn(persist.Record{Key: repFramePrefix + d.key, Value: d.encoded}, frameBaseKey(d.key))
+	}
+}
+
+// forEachHeldRecord is forEachCachedRecord followed by every disk-tier
+// record the RAM caches do not hold (they were visited first and are
+// newer). Transfer and epoch sweeps use it to stream keys the RAM tier
+// has long evicted.
+func (s *Server) forEachHeldRecord(fn func(rec persist.Record, baseKey string)) {
+	seen := make(map[string]bool)
+	s.forEachCachedRecord(func(rec persist.Record, baseKey string) {
+		seen[rec.Key] = true
+		fn(rec, baseKey)
+	})
 	if s.tier == nil {
 		return
 	}
@@ -427,7 +427,7 @@ func (s *Server) forEachTierRecord(seen map[string]bool, fn func(wireKey, baseKe
 		case strings.HasPrefix(key, repBasePrefix):
 			base = key[len(repBasePrefix):]
 		}
-		fn(key, base, value)
+		fn(persist.Record{Key: key, Value: value}, base)
 		return nil
 	})
 }

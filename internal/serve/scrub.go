@@ -90,9 +90,6 @@ func (s *Server) runScrub() ScrubReport {
 	var scanned int64
 	throttle := func(n int) {
 		scanned += int64(n)
-		if rate <= 0 {
-			return
-		}
 		// Sleep whenever the pass is running ahead of the byte budget.
 		ahead := time.Duration(float64(scanned)/float64(rate)*float64(time.Second)) - time.Since(start)
 		if ahead > 0 {

@@ -40,6 +40,21 @@ import (
 	"repro/internal/trace"
 )
 
+// Limits no deployment varies.
+const (
+	// maxCubeDim caps the hypercube dimension a request may ask for.
+	maxCubeDim = 10
+	// maxBodyBytes caps a request body.
+	maxBodyBytes = 1 << 20
+	// maxSourceBytes caps inline DSL source.
+	maxSourceBytes = 64 << 10
+	// acquireTimeout bounds how long a request queues for an admission
+	// slot before the daemon sheds it with 503 + Retry-After. Shedding
+	// beats queueing when the gate is saturated: the client learns to
+	// back off while its deadline still has budget.
+	acquireTimeout = time.Second
+)
+
 // Config tunes the daemon. The zero value gets production-ish defaults.
 type Config struct {
 	// CacheBytes is the plan cache budget (default 64 MiB).
@@ -52,19 +67,9 @@ type Config struct {
 	// (default 2m).
 	DefaultTimeout time.Duration
 	MaxTimeout     time.Duration
-	// AcquireTimeout bounds how long a request queues for an admission
-	// slot before the daemon sheds it with 503 + Retry-After (default
-	// 1s). Shedding beats queueing when the gate is saturated: the
-	// client learns to back off while its deadline still has budget.
-	AcquireTimeout time.Duration
 	// MaxKernelSize caps the size parameter of built-in kernels (default
-	// 128); MaxCubeDim caps the hypercube dimension (default 10);
-	// MaxBodyBytes caps a request body (default 1 MiB); MaxSourceBytes
-	// caps inline DSL source (default 64 KiB).
-	MaxKernelSize  int64
-	MaxCubeDim     int
-	MaxBodyBytes   int64
-	MaxSourceBytes int
+	// 128).
+	MaxKernelSize int64
 	// DiskCacheDir enables the durable plan store (internal/tiered): every
 	// computed plan's canonical request and encoded response frame is
 	// appended to its WAL and demotes to indexed SSTable segments, reads
@@ -82,11 +87,10 @@ type Config struct {
 	// (0 = the tier's default, 4 MiB). Benchmarks and harnesses shrink it
 	// so segment churn shows up at small keyspace scales.
 	DiskMemtableBytes int64
-	// Fsync is the WAL durability policy: "always", "interval" (default),
-	// or "never"; FsyncEvery is the interval-policy flush period (default
-	// 100ms). Under "always", concurrent writes share one write+fsync.
-	Fsync      string
-	FsyncEvery time.Duration
+	// Fsync is the WAL durability policy: "always", "interval" (default,
+	// a background fsync every 100ms), or "never". Under "always",
+	// concurrent writes share one write+fsync.
+	Fsync string
 	// FS overrides the filesystem the durable store runs on (nil = the
 	// real one). Tests, TestScenario/diskchaos among them, inject the
 	// fault-injecting implementation here; production leaves it unset.
@@ -94,13 +98,12 @@ type Config struct {
 	// ScrubInterval paces the background scrubber that re-verifies the
 	// durable store's checksums at rest (default 1m, negative disables);
 	// ScrubRate throttles one pass's read bandwidth in bytes/sec (default
-	// 8 MiB/s, negative removes the throttle). No effect without
-	// DiskCacheDir.
+	// 8 MiB/s for any value ≤ 0). No effect without DiskCacheDir.
 	ScrubInterval time.Duration
 	ScrubRate     int64
 	// RespCacheBytes is the encoded-response cache budget (default
-	// 16 MiB). Fully-encoded /v1/plan responses are cached here so a hit
-	// is a single buffer write; 0 uses the default, negative disables.
+	// 16 MiB for any value ≤ 0). Fully-encoded /v1/plan responses are
+	// cached here so a hit is a single buffer write.
 	RespCacheBytes int64
 	// MaxBatchItems caps the items one /v1/batch request may carry
 	// (default 256).
@@ -126,28 +129,16 @@ func (c Config) withDefaults() Config {
 	if c.MaxTimeout <= 0 {
 		c.MaxTimeout = 2 * time.Minute
 	}
-	if c.AcquireTimeout <= 0 {
-		c.AcquireTimeout = time.Second
-	}
 	if c.MaxKernelSize <= 0 {
 		c.MaxKernelSize = 128
-	}
-	if c.MaxCubeDim <= 0 {
-		c.MaxCubeDim = 10
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 1 << 20
-	}
-	if c.MaxSourceBytes <= 0 {
-		c.MaxSourceBytes = 64 << 10
 	}
 	if c.ScrubInterval == 0 {
 		c.ScrubInterval = time.Minute
 	}
-	if c.ScrubRate == 0 {
+	if c.ScrubRate <= 0 {
 		c.ScrubRate = 8 << 20
 	}
-	if c.RespCacheBytes == 0 {
+	if c.RespCacheBytes <= 0 {
 		c.RespCacheBytes = 16 << 20
 	}
 	if c.MaxBatchItems <= 0 {
@@ -180,7 +171,7 @@ var endpointNames = []string{
 type Server struct {
 	cfg     Config
 	cache   *planCache
-	resp    *respCache // encoded /v1/plan responses (nil when disabled)
+	resp    *respCache // encoded /v1/plan responses
 	flight  flightGroup
 	gate    *pool.Gate
 	metrics *metrics
@@ -218,13 +209,11 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:     cfg,
 		cache:   newPlanCache(cfg.CacheBytes),
+		resp:    newRespCache(cfg.RespCacheBytes),
 		gate:    pool.NewGate(cfg.MaxInflight),
 		metrics: newMetrics(endpointNames),
 		drain:   make(chan struct{}),
 		mux:     http.NewServeMux(),
-	}
-	if cfg.RespCacheBytes > 0 {
-		s.resp = newRespCache(cfg.RespCacheBytes)
 	}
 	s.mux.HandleFunc("POST /v1/plan", s.instrument("/v1/plan", s.handlePlan))
 	s.mux.HandleFunc("POST /v1/simulate", s.instrument("/v1/simulate", s.handleSimulate))
@@ -279,11 +268,9 @@ func (s *Server) Metrics() Snapshot {
 	b, n := s.cache.stats()
 	s.metrics.cacheBytes.Store(b)
 	s.metrics.cacheEntries.Store(int64(n))
-	if s.resp != nil {
-		rb, rn := s.resp.stats()
-		s.metrics.respCacheBytes.Store(rb)
-		s.metrics.respCacheCount.Store(int64(rn))
-	}
+	rb, rn := s.resp.stats()
+	s.metrics.respCacheBytes.Store(rb)
+	s.metrics.respCacheCount.Store(int64(rn))
 	s.metrics.inflightPlans.Store(int64(s.gate.InFlight()))
 	if s.tier != nil {
 		ts := s.tier.Stats()
@@ -358,7 +345,7 @@ func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFun
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		if r.Body != nil {
-			r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+			r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 		}
 		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
 		if cn := s.cnode(); cn != nil {
@@ -489,8 +476,8 @@ func (s *Server) validatePlanRequest(r *api.PlanRequest) error {
 	if r.Size < 1 || r.Size > s.cfg.MaxKernelSize {
 		return fmt.Errorf("serve: size %d out of range [1, %d]", r.Size, s.cfg.MaxKernelSize)
 	}
-	if d := r.CubeDimOrDefault(); d > s.cfg.MaxCubeDim {
-		return fmt.Errorf("serve: cube_dim %d exceeds the maximum %d", d, s.cfg.MaxCubeDim)
+	if d := r.CubeDimOrDefault(); d > maxCubeDim {
+		return fmt.Errorf("serve: cube_dim %d exceeds the maximum %d", d, maxCubeDim)
 	}
 	return planOptions(r).Validate()
 }
@@ -541,13 +528,13 @@ func (s *Server) requestContext(r *http.Request, timeoutMS int64) (context.Conte
 }
 
 // acquire admits the request through the gate, but queues for at most
-// AcquireTimeout: a saturated gate sheds load with ErrOverloaded (503 +
+// acquireTimeout: a saturated gate sheds load with ErrOverloaded (503 +
 // Retry-After) instead of holding the connection until its deadline.
 func (s *Server) acquire(ctx context.Context) error {
 	if s.gate.TryAcquire() {
 		return nil
 	}
-	actx, cancel := context.WithTimeout(ctx, s.cfg.AcquireTimeout)
+	actx, cancel := context.WithTimeout(ctx, acquireTimeout)
 	defer cancel()
 	if err := s.gate.Acquire(actx); err != nil {
 		if ctxErr := ctx.Err(); ctxErr != nil {
@@ -743,12 +730,10 @@ func encodePlanFrame(req *api.PlanRequest, p *loopmap.Plan) (*respFrame, error) 
 // what the patched-in "cache" field should report.
 func (s *Server) planFrame(ctx context.Context, req *api.PlanRequest) (*respFrame, api.CacheOutcome, bool, error) {
 	ekey := req.ResponseKey()
-	if s.resp != nil {
-		if f, ok := s.resp.get(ekey); ok {
-			s.metrics.encodedHits.Add(1)
-			s.metrics.cacheHits.Add(1)
-			return f, api.CacheHit, true, nil
-		}
+	if f, ok := s.resp.get(ekey); ok {
+		s.metrics.encodedHits.Add(1)
+		s.metrics.cacheHits.Add(1)
+		return f, api.CacheHit, true, nil
 	}
 	// Disk tier: a frame evicted from RAM but still segment-resident is
 	// re-sliced and promoted back into the encoded cache — the whole
@@ -764,9 +749,7 @@ func (s *Server) planFrame(ctx context.Context, req *api.PlanRequest) (*respFram
 	if err != nil {
 		return nil, outcome, false, err
 	}
-	if s.resp != nil {
-		s.resp.put(ekey, f)
-	}
+	s.resp.put(ekey, f)
 	s.demoteFrame(ekey, f)
 	s.replicateFrame(req, ekey, f)
 	return f, outcome, false, nil
@@ -783,9 +766,7 @@ func (s *Server) tierFrame(ekey string) (*respFrame, bool) {
 		return nil, false
 	}
 	f := newRespFrame(enc)
-	if s.resp != nil {
-		s.resp.put(ekey, f)
-	}
+	s.resp.put(ekey, f)
 	s.metrics.encodedHits.Add(1)
 	s.metrics.cacheHits.Add(1)
 	return f, true
@@ -835,18 +816,16 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	// materialized off the fast path (or for cluster metadata).
 	kb := req.AppendKey(make([]byte, 0, 128))
 	baseLen := len(kb)
-	if s.resp != nil {
-		kb = req.AppendResponseSuffix(kb)
-		if f, ok := s.resp.getBytes(kb); ok {
-			s.metrics.encodedHits.Add(1)
-			s.metrics.cacheHits.Add(1)
-			hitKey := ""
-			if s.cnode() != nil {
-				hitKey = string(kb[:baseLen])
-			}
-			s.writeFrame(w, r, f, api.CacheHit, hitKey, true)
-			return
+	kb = req.AppendResponseSuffix(kb)
+	if f, ok := s.resp.getBytes(kb); ok {
+		s.metrics.encodedHits.Add(1)
+		s.metrics.cacheHits.Add(1)
+		hitKey := ""
+		if s.cnode() != nil {
+			hitKey = string(kb[:baseLen])
 		}
+		s.writeFrame(w, r, f, api.CacheHit, hitKey, true)
+		return
 	}
 	key := string(kb[:baseLen])
 	if err := s.validatePlanRequest(&req); err != nil {
@@ -1067,8 +1046,8 @@ func (s *Server) handleSPMD(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, errors.New("serve: missing loop-DSL source"))
 		return
 	}
-	if len(req.Source) > s.cfg.MaxSourceBytes {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("serve: source %d bytes exceeds the maximum %d", len(req.Source), s.cfg.MaxSourceBytes))
+	if len(req.Source) > maxSourceBytes {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("serve: source %d bytes exceeds the maximum %d", len(req.Source), maxSourceBytes))
 		return
 	}
 	name := req.Name
@@ -1079,8 +1058,8 @@ func (s *Server) handleSPMD(w http.ResponseWriter, r *http.Request) {
 	if req.CubeDim != nil {
 		dim = *req.CubeDim
 	}
-	if dim > s.cfg.MaxCubeDim {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("serve: cube_dim %d exceeds the maximum %d", dim, s.cfg.MaxCubeDim))
+	if dim > maxCubeDim {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("serve: cube_dim %d exceeds the maximum %d", dim, maxCubeDim))
 		return
 	}
 	seed := req.Seed

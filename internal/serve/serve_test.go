@@ -144,11 +144,12 @@ func TestConcurrentIdenticalRequestsComputeOnce(t *testing.T) {
 func TestCacheEviction(t *testing.T) {
 	// A one-byte budget keeps only the newest plan: the second distinct
 	// request evicts the first, and repeating the first misses again. The
-	// encoded-response cache is disabled — it would (correctly) answer the
-	// repeat without consulting the plan LRU under test here.
-	s, ts := newTestServer(t, Config{CacheBytes: 1, RespCacheBytes: -1})
+	// repeat asks for another cube dimension, so the encoded-response
+	// cache misses too and the outcome is the plan LRU's.
+	s, ts := newTestServer(t, Config{CacheBytes: 1})
 	a := `{"kernel": "l1", "size": 6, "cube_dim": 2}`
 	b := `{"kernel": "l1", "size": 7, "cube_dim": 2}`
+	a3 := `{"kernel": "l1", "size": 6, "cube_dim": 3}`
 
 	if pr := planBody(t, ts.URL+"/v1/plan", a); pr.Cache != api.CacheMiss {
 		t.Fatalf("first a: %q", pr.Cache)
@@ -156,7 +157,7 @@ func TestCacheEviction(t *testing.T) {
 	if pr := planBody(t, ts.URL+"/v1/plan", b); pr.Cache != api.CacheMiss {
 		t.Fatalf("first b: %q", pr.Cache)
 	}
-	if pr := planBody(t, ts.URL+"/v1/plan", a); pr.Cache != api.CacheMiss {
+	if pr := planBody(t, ts.URL+"/v1/plan", a3); pr.Cache != api.CacheMiss {
 		t.Fatalf("second a after eviction: %q, want %q", pr.Cache, api.CacheMiss)
 	}
 	m := s.Metrics()
@@ -416,8 +417,8 @@ func TestMetricsEndpoint(t *testing.T) {
 }
 
 func TestRequestBodyLimit(t *testing.T) {
-	_, ts := newTestServer(t, Config{MaxBodyBytes: 64})
-	huge := `{"kernel": "l1", "size": 8, "pi": [` + strings.Repeat("1,", 200) + `1]}`
+	_, ts := newTestServer(t, Config{})
+	huge := `{"kernel": "l1", "size": 8, "pi": [` + strings.Repeat("1,", maxBodyBytes/2) + `1]}`
 	resp, _ := postJSON(t, ts.URL+"/v1/plan", huge)
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("oversized body: status %d, want 400", resp.StatusCode)

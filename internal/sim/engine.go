@@ -184,56 +184,35 @@ func SimulateCtx(ctx context.Context, st *loop.Structure, sch hyperplane.Schedul
 						remoteSucc[j-1], remoteSucc[j] = remoteSucc[j], remoteSucc[j-1]
 					}
 				}
-				for i := 0; i < len(remoteProc); {
-					dst := int(remoteProc[i])
-					j := i
-					for j < len(remoteProc) && int(remoteProc[j]) == dst {
-						j++
-					}
-					k := int64(j - i)
-					var arrivalTime float64
-					if fs != nil {
-						arrivalTime = fs.send(exec, pr, dst, k, clock, networkArrival, opt.Timeline)
-					} else {
-						sendDone := clock[pr] + p.TStart + float64(k)*p.TComm
-						arrivalTime = networkArrival(clock[pr], pr, dst, k)
-						if opt.Timeline {
-							stats.Spans = append(stats.Spans, Span{Proc: pr, Kind: SpanSend, Start: clock[pr], End: sendDone})
-						}
-						clock[pr] = sendDone
-						stats.SendTime[pr] += p.TStart + float64(k)*p.TComm
-						stats.Messages++
-						stats.Words += k
-						stats.SendWords[pr] += k
-						stats.RecvWords[dst] += k
-					}
-					for ; i < j; i++ {
-						si := remoteSucc[i]
-						if arrivalTime > arrival[si] {
-							arrival[si] = arrivalTime
-						}
-					}
+			}
+			// One message per destination group: the run of successors on
+			// one processor under Aggregate, otherwise each word alone in
+			// dependence order (the paper's model).
+			for i := 0; i < len(remoteProc); {
+				dst := int(remoteProc[i])
+				j := i + 1
+				for opt.Aggregate && j < len(remoteProc) && int(remoteProc[j]) == dst {
+					j++
 				}
-			} else {
-				// The paper's model: every word is its own message.
-				for i, si := range remoteSucc {
-					dst := int(remoteProc[i])
-					var arrivalTime float64
-					if fs != nil {
-						arrivalTime = fs.send(exec, pr, dst, 1, clock, networkArrival, opt.Timeline)
-					} else {
-						sendDone := clock[pr] + p.TStart + p.TComm
-						arrivalTime = networkArrival(clock[pr], pr, dst, 1)
-						if opt.Timeline {
-							stats.Spans = append(stats.Spans, Span{Proc: pr, Kind: SpanSend, Start: clock[pr], End: sendDone})
-						}
-						clock[pr] = sendDone
-						stats.SendTime[pr] += p.TStart + p.TComm
-						stats.Messages++
-						stats.Words++
-						stats.SendWords[pr]++
-						stats.RecvWords[dst]++
+				k := int64(j - i)
+				var arrivalTime float64
+				if fs != nil {
+					arrivalTime = fs.send(exec, pr, dst, k, clock, networkArrival, opt.Timeline)
+				} else {
+					sendDone := clock[pr] + p.TStart + float64(k)*p.TComm
+					arrivalTime = networkArrival(clock[pr], pr, dst, k)
+					if opt.Timeline {
+						stats.Spans = append(stats.Spans, Span{Proc: pr, Kind: SpanSend, Start: clock[pr], End: sendDone})
 					}
+					clock[pr] = sendDone
+					stats.SendTime[pr] += p.TStart + float64(k)*p.TComm
+					stats.Messages++
+					stats.Words += k
+					stats.SendWords[pr] += k
+					stats.RecvWords[dst] += k
+				}
+				for ; i < j; i++ {
+					si := remoteSucc[i]
 					if arrivalTime > arrival[si] {
 						arrival[si] = arrivalTime
 					}

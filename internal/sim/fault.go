@@ -252,22 +252,10 @@ func (fs *faultState) arrivalFunc(contend bool) func(t0 float64, src, dst int, k
 			return t
 		}
 	}
-	linkFree := map[[2]int]float64{}
-	return func(t0 float64, src, dst int, k int64) float64 {
-		path := fs.a.Route(src, dst)
-		t := t0 + fs.p.TStart
-		for i := 1; i < len(path); i++ {
-			per := float64(k)*fs.p.TComm + fs.p.THop
-			if fs.linkFailedAt(path[i-1], path[i], t0) {
-				per *= 3
-			}
-			lk := [2]int{path[i-1], path[i]}
-			if linkFree[lk] > t {
-				t = linkFree[lk]
-			}
-			t += per
-			linkFree[lk] = t
+	return contendedArrival(fs.a.Route, fs.p, func(u, v int, t0 float64) float64 {
+		if fs.linkFailedAt(u, v, t0) {
+			return 3
 		}
-		return t
-	}
+		return 1
+	})
 }

@@ -271,3 +271,34 @@ func TestFaultValidation(t *testing.T) {
 		t.Error("Options.Validate accepted LossProb 2")
 	}
 }
+
+// TestContendedArrivalSlowsFailedLinks pins the contended-link arithmetic
+// by hand on one two-link route: each message holds each link for
+// k·t_comm + t_hop after it frees, a failed link triples that for
+// messages injected at or after its failure time, and the fault-free
+// model is the same walk at full speed.
+func TestContendedArrivalSlowsFailedLinks(t *testing.T) {
+	a := Assignment{NumProcs: 4, Route: func(src, dst int) []int { return []int{src, 1, dst} }}
+	p := machine.Params{TCalc: 1, TStart: 2, TComm: 1, THop: 0.5}
+	sch := &fault.Schedule{LinkFailures: []fault.LinkFailure{{A: 3, B: 1, T: 1}}}
+
+	// Per link, a 2-word message takes 2·1 + 0.5 = 2.5 at full speed and
+	// 7.5 on the failed link.
+	for _, c := range []struct {
+		name   string
+		arrive func(t0 float64, src, dst int, k int64) float64
+		want   [2]float64
+	}{
+		// Second message: t = 1+2 = 3, waits for link 0–1 until 4.5, then
+		// 7, waits for link 1–3 until 7, then 9.5.
+		{"fault-free", networkArrivalFunc(a, p, defaultHops, true), [2]float64{7, 9.5}},
+		// The first message is injected before the failure (full speed);
+		// the second crosses 1–3 after it: 7 + 7.5.
+		{"failed link", newFaultState(sch, a, p, defaultHops, &Stats{}).arrivalFunc(true), [2]float64{7, 14.5}},
+	} {
+		got := [2]float64{c.arrive(0, 0, 3, 2), c.arrive(1, 0, 3, 2)}
+		if got != c.want {
+			t.Errorf("%s: arrivals %v, want %v", c.name, got, c.want)
+		}
+	}
+}

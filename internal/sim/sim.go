@@ -327,18 +327,26 @@ func defaultHops(x, y int) int {
 }
 
 // networkArrivalFunc builds the message-arrival model: when k words
-// injected at t0 reach dst. Under link contention each link of the route
-// carries one message at a time (reservation follows the deterministic
-// simulation order).
+// injected at t0 reach dst. Under link contention it is contendedArrival
+// with every link at full speed.
 func networkArrivalFunc(a Assignment, p machine.Params, hops func(int, int) int, contend bool) func(t0 float64, src, dst int, k int64) float64 {
 	if !contend {
 		return func(t0 float64, src, dst int, k int64) float64 {
 			return t0 + p.MessageTime(k, hops(src, dst))
 		}
 	}
+	return contendedArrival(a.Route, p, func(u, v int, t0 float64) float64 { return 1 })
+}
+
+// contendedArrival is the link-contention arrival model: each link of
+// the route carries one message at a time (reservation follows the
+// deterministic simulation order), and a message holds link u→v for
+// slow(u, v, t0) times its store-and-forward time k·t_comm + t_hop, where
+// t0 is its injection time.
+func contendedArrival(route func(a, b int) []int, p machine.Params, slow func(u, v int, t0 float64) float64) func(t0 float64, src, dst int, k int64) float64 {
 	linkFree := map[[2]int]float64{}
 	return func(t0 float64, src, dst int, k int64) float64 {
-		path := a.Route(src, dst)
+		path := route(src, dst)
 		t := t0 + p.TStart
 		per := float64(k)*p.TComm + p.THop
 		for i := 1; i < len(path); i++ {
@@ -346,7 +354,7 @@ func networkArrivalFunc(a Assignment, p machine.Params, hops func(int, int) int,
 			if linkFree[lk] > t {
 				t = linkFree[lk]
 			}
-			t += per
+			t += per * slow(path[i-1], path[i], t0)
 			linkFree[lk] = t
 		}
 		return t

@@ -510,7 +510,6 @@ func TestFsyncIntervalFlushes(t *testing.T) {
 	s, _ := openTest(t, dir, func(c *Config) {
 		c.FS = fs
 		c.Fsync = persist.FsyncInterval
-		c.Interval = 2 * time.Millisecond
 	})
 	if err := s.Put("k", []byte("v")); err != nil {
 		t.Fatal(err)
@@ -544,7 +543,6 @@ func TestIntervalFsyncFailureLatches(t *testing.T) {
 	s, _ := openTest(t, t.TempDir(), func(c *Config) {
 		c.FS = chaos
 		c.Fsync = persist.FsyncInterval
-		c.Interval = 2 * time.Millisecond
 		c.OnDegrade = func(cause error) { degraded <- cause }
 	})
 	defer s.Close()

@@ -40,16 +40,18 @@ import (
 	"repro/internal/persist"
 )
 
+// syncInterval is the FsyncInterval policy's WAL flush period.
+const syncInterval = 100 * time.Millisecond
+
 // Config tunes a Store.
 type Config struct {
 	// Dir is the tier's directory (created if missing).
 	Dir string
 	// FS is the filesystem seam (default: the real one).
 	FS persist.FS
-	// Fsync is the WAL durability policy; Interval is the FsyncInterval
-	// flush period (default 100ms).
-	Fsync    persist.Policy
-	Interval time.Duration
+	// Fsync is the WAL durability policy; under FsyncInterval the WAL
+	// is fsynced every syncInterval.
+	Fsync persist.Policy
 	// MemtableBytes triggers a flush once the memtable holds this much
 	// key+value data (default 4 MiB).
 	MemtableBytes int64
@@ -77,9 +79,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CompactTrigger <= 0 {
 		c.CompactTrigger = 4
-	}
-	if c.Interval <= 0 {
-		c.Interval = 100 * time.Millisecond
 	}
 	return c
 }
@@ -326,7 +325,7 @@ func releaseAll(segs []*segment) {
 // syncLoop is the FsyncInterval background flusher.
 func (s *Store) syncLoop() {
 	defer s.bg.Done()
-	t := time.NewTicker(s.cfg.Interval)
+	t := time.NewTicker(syncInterval)
 	defer t.Stop()
 	for range t.C {
 		s.mu.Lock()

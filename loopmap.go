@@ -196,8 +196,8 @@ func GenerateSPMDCtx(ctx context.Context, name, src string, cubeDim int, seed ui
 	if err != nil {
 		return "", err
 	}
-	pl := plan.placement()
-	return codegen.Generate(prog, plan.Schedule.Pi, pl.ProcOf, pl.NumProcs, seed)
+	a := plan.assignment()
+	return codegen.Generate(prog, plan.Schedule.Pi, a.ProcOf, a.NumProcs, seed)
 }
 
 // buildParsedKernel derives channels, searches Π, and builds the
@@ -486,21 +486,6 @@ func (p *Plan) RemapDegradedTopology(failedNodes []int, failedLinks [][2]int) (*
 	return &clone, stats, nil
 }
 
-// placement returns the vertex→processor placement of the plan.
-func (p *Plan) placement() exec.Placement {
-	if p.Degraded != nil {
-		procOf := p.Partitioning.BlockOf()
-		for vi, b := range procOf {
-			procOf[vi] = p.Degraded.NodeOf[b]
-		}
-		return exec.Placement{ProcOf: procOf, NumProcs: p.Degraded.Cube.N}
-	}
-	if p.Mapping != nil {
-		return exec.FromMapping(p.Partitioning, p.Mapping)
-	}
-	return exec.BlocksAsProcs(p.Partitioning)
-}
-
 // assignment returns the simulator assignment of the plan.
 func (p *Plan) assignment() sim.Assignment {
 	if p.Degraded != nil {
@@ -543,7 +528,8 @@ func (p *Plan) SimulateSequential(params Params) (*SimStats, error) {
 // Execute runs the kernel for real — one goroutine per processor, channels
 // as links — and returns the dataflow trace.
 func (p *Plan) Execute() (*ExecResult, *ExecStats, error) {
-	return exec.Run(p.Kernel, p.Structure, p.placement())
+	a := p.assignment()
+	return exec.Run(p.Kernel, p.Structure, a.ProcOf, a.NumProcs)
 }
 
 // Verify executes the plan concurrently and checks the result against the

@@ -63,7 +63,7 @@ func TestProcsMatchesPlacement(t *testing.T) {
 		name string
 		plan *Plan
 	}{{"unmapped", unmapped}, {"mapped", mapped}, {"degraded", degraded}} {
-		if got, want := c.plan.Procs(), c.plan.placement().NumProcs; got != want {
+		if got, want := c.plan.Procs(), c.plan.assignment().NumProcs; got != want {
 			t.Errorf("%s: Procs() = %d, placement has %d", c.name, got, want)
 		}
 	}
