@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"repro/internal/core"
-	"repro/internal/loop"
 	"repro/internal/machine"
 	"repro/internal/mapping"
 )
@@ -58,51 +57,4 @@ func Predict(p *core.Partitioning, t *core.TIG, nodeOf []int, numProcs int, para
 // PredictMapped is Predict for a hypercube mapping.
 func PredictMapped(p *core.Partitioning, t *core.TIG, m *mapping.Result, params machine.Params) Prediction {
 	return Predict(p, t, m.NodeOf, m.Cube.N, params)
-}
-
-// PredictBlocks is Predict for the one-block-per-processor ideal.
-func PredictBlocks(p *core.Partitioning, t *core.TIG, params machine.Params) Prediction {
-	nodeOf := make([]int, t.N)
-	for b := range nodeOf {
-		nodeOf[b] = b
-	}
-	return Predict(p, t, nodeOf, t.N, params)
-}
-
-// SequentialTime returns the single-processor execution time of a
-// structure.
-func SequentialTime(st *loop.Structure, params machine.Params) float64 {
-	return float64(st.Len()*st.Nest.OpsPerIteration()) * params.TCalc
-}
-
-// OptimalMachineSize finds, over hypercube sizes N = 2^0 … 2^maxDim, the N
-// minimizing the paper's matvec T_exec(N) for problem size m. Because the
-// communication term is constant in N while computation shrinks, T_exec is
-// monotone decreasing and the optimum is the largest feasible machine —
-// unless N exceeds M, where the model stops applying; the search therefore
-// caps N at M. The more interesting output is the knee: the smallest N
-// within `within` (e.g. 1.05 = 5%) of the best time, which quantifies how
-// much machine actually pays off at a given grain size.
-func OptimalMachineSize(m int64, maxDim int, params machine.Params, within float64) (bestN, kneeN int64) {
-	best := MatVecExecTime(m, 1, params)
-	bestN = 1
-	var sizes []int64
-	for d := 0; d <= maxDim; d++ {
-		n := int64(1) << uint(d)
-		if n > m {
-			break
-		}
-		sizes = append(sizes, n)
-		if t := MatVecExecTime(m, n, params); t < best {
-			best, bestN = t, n
-		}
-	}
-	kneeN = bestN
-	for _, n := range sizes {
-		if MatVecExecTime(m, n, params) <= best*within {
-			kneeN = n
-			break
-		}
-	}
-	return bestN, kneeN
 }

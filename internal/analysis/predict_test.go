@@ -85,7 +85,12 @@ func TestPredictMatVecMatchesTableI(t *testing.T) {
 func TestPredictBlocksConsistentWithTIG(t *testing.T) {
 	k := kernels.MatMul(5)
 	p, tig, _, _ := buildPipeline(t, k, 2)
-	pred := PredictBlocks(p, tig, machine.Unit())
+	// One block per processor.
+	nodeOf := make([]int, tig.N)
+	for b := range nodeOf {
+		nodeOf[b] = b
+	}
+	pred := Predict(p, tig, nodeOf, tig.N, machine.Unit())
 	var totalSend int64
 	for _, w := range pred.SendWords {
 		totalSend += w
@@ -100,43 +105,5 @@ func TestPredictBlocksConsistentWithTIG(t *testing.T) {
 	want := int64(len(p.PS.Orig.V) * p.PS.Orig.Nest.OpsPerIteration())
 	if totalOps != want {
 		t.Fatalf("prediction ops %d != structure total %d", totalOps, want)
-	}
-}
-
-func TestSequentialTime(t *testing.T) {
-	k := kernels.MatVec(8)
-	st, err := k.Structure()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := SequentialTime(st, machine.Params{TCalc: 2, TStart: 1, TComm: 1})
-	if got != float64(64*3*2) {
-		t.Fatalf("SequentialTime = %v", got)
-	}
-}
-
-func TestOptimalMachineSize(t *testing.T) {
-	params := machine.Era1991()
-	bestN, kneeN := OptimalMachineSize(1024, 10, params, 1.05)
-	// T_exec is monotone decreasing in N, so the best is the largest
-	// machine considered.
-	if bestN != 1024 {
-		t.Fatalf("bestN = %d", bestN)
-	}
-	// The knee comes earlier: most of the benefit arrives well before
-	// N = 1024 because the constant comm term dominates.
-	if kneeN >= bestN || kneeN < 64 {
-		t.Fatalf("kneeN = %d", kneeN)
-	}
-	// With free communication the knee moves to the largest machine.
-	free := machine.Params{TCalc: 1}
-	_, kneeFree := OptimalMachineSize(1024, 10, free, 1.0)
-	if kneeFree != 1024 {
-		t.Fatalf("free-comm knee = %d", kneeFree)
-	}
-	// N never exceeds M.
-	b, _ := OptimalMachineSize(8, 10, params, 1.05)
-	if b > 8 {
-		t.Fatalf("bestN %d exceeds M", b)
 	}
 }

@@ -18,17 +18,10 @@
 package cluster
 
 import (
-	"fmt"
 	"hash/fnv"
 
 	"repro/internal/hypercube"
 )
-
-// Shard is one cluster member: its hypercube address and base URL.
-type Shard struct {
-	ID  int    `json:"id"`
-	URL string `json:"url"`
-}
 
 // RendezvousScore is the highest-random-weight score of (key, shard).
 // It is a pure function of its arguments — every process that computes it
@@ -90,14 +83,4 @@ func NextHop(c hypercube.Cube, from, to int, usable func(int) bool) int {
 		}
 	}
 	return to
-}
-
-// CubeFor returns the smallest hypercube addressing n shards. Shard IDs
-// are node addresses; when n is not a power of two the top addresses are
-// simply unpopulated and NextHop routes around them like dead nodes.
-func CubeFor(n int) (hypercube.Cube, error) {
-	if n < 1 {
-		return hypercube.Cube{}, fmt.Errorf("cluster: need at least one shard, got %d", n)
-	}
-	return hypercube.FromProcessors(n), nil
 }

@@ -133,12 +133,9 @@ func TestNextHopFallsBackDirect(t *testing.T) {
 // A 6-shard cluster lives in a 3-cube with addresses 6 and 7 unpopulated;
 // routes must avoid them like dead nodes.
 func TestNextHopNonPowerOfTwo(t *testing.T) {
-	cube, err := CubeFor(6)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cube := hypercube.FromProcessors(6)
 	if cube.Dim != 3 {
-		t.Fatalf("CubeFor(6).Dim = %d, want 3", cube.Dim)
+		t.Fatalf("FromProcessors(6).Dim = %d, want 3", cube.Dim)
 	}
 	usable := func(id int) bool { return id < 6 }
 	for from := 0; from < 6; from++ {
@@ -196,6 +193,18 @@ func testMembership(t *testing.T, prober Prober) *Membership {
 	return m
 }
 
+// aliveIDs lists the members of testMembership's four-shard roster that
+// IsAlive reports alive, in ID order.
+func aliveIDs(m *Membership) []int {
+	var out []int
+	for id := 0; id < 4; id++ {
+		if m.IsAlive(id) {
+			out = append(out, id)
+		}
+	}
+	return out
+}
+
 func TestMembershipValidation(t *testing.T) {
 	if _, err := New(Config{Self: 0, Peers: nil}); err == nil {
 		t.Fatal("empty peer list accepted")
@@ -211,8 +220,8 @@ func TestMembershipValidation(t *testing.T) {
 func TestMembershipFailureDetectionThreshold(t *testing.T) {
 	p := &fakeProber{}
 	m := testMembership(t, p)
-	if want := []int{0, 1, 2, 3}; !reflect.DeepEqual(m.Alive(), want) {
-		t.Fatalf("initial alive = %v, want %v", m.Alive(), want)
+	if got, want := aliveIDs(m), []int{0, 1, 2, 3}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("initial alive = %v, want %v", got, want)
 	}
 
 	p.set("http://c", errors.New("connection refused"))
@@ -230,8 +239,8 @@ func TestMembershipFailureDetectionThreshold(t *testing.T) {
 	if m.IsAlive(2) {
 		t.Fatal("peer 2 alive after FailThreshold consecutive failures")
 	}
-	if want := []int{0, 1, 3}; !reflect.DeepEqual(m.Alive(), want) {
-		t.Fatalf("alive = %v, want %v", m.Alive(), want)
+	if got, want := aliveIDs(m), []int{0, 1, 3}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("alive = %v, want %v", got, want)
 	}
 
 	// Degraded ownership: the dead shard owns nothing.
@@ -262,8 +271,8 @@ func TestMembershipSelfAlwaysAlive(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		m.Tick(context.Background())
 	}
-	if want := []int{0}; !reflect.DeepEqual(m.Alive(), want) {
-		t.Fatalf("alive = %v, want just self", m.Alive())
+	if got, want := aliveIDs(m), []int{0}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("alive = %v, want just self", got)
 	}
 	// With everyone else dead, self owns everything and routes are direct.
 	if m.Owner("anything") != 0 {
@@ -298,6 +307,7 @@ func TestMembershipMarkDeadAndSnapshot(t *testing.T) {
 
 func TestMembershipRunStopsOnCancel(t *testing.T) {
 	p := &fakeProber{}
+	p.set("http://b", errors.New("down"))
 	m, err := New(Config{
 		Self:          0,
 		Peers:         []string{"http://a", "http://b"},
@@ -308,9 +318,34 @@ func TestMembershipRunStopsOnCancel(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
+	ticks := make(chan int)
 	done := make(chan struct{})
-	go func() { m.Run(ctx); close(done) }()
-	time.Sleep(10 * time.Millisecond)
+	go func() {
+		m.Run(ctx, func(failures int) {
+			select {
+			case ticks <- failures:
+			case <-ctx.Done():
+			}
+		})
+		close(done)
+	}()
+	// onTick sees each round's failure count: the one down peer, then
+	// none once it answers again.
+	for i := 0; i < 3; i++ {
+		if got := <-ticks; got != 1 {
+			t.Fatalf("tick %d: onTick got %d failures, want 1", i, got)
+		}
+	}
+	p.set("http://b", nil)
+	// A round already in flight may still see the old answer.
+	for got := <-ticks; got != 0; got = <-ticks {
+		if got != 1 {
+			t.Fatalf("onTick got %d failures, want 0 or 1", got)
+		}
+	}
+	if got := <-ticks; got != 0 {
+		t.Fatalf("onTick got %d failures after the peer recovered, want 0", got)
+	}
 	cancel()
 	select {
 	case <-done:

@@ -105,19 +105,6 @@ func (m Map) Active() []int {
 	return out
 }
 
-// Members returns the sorted IDs of every non-tombstone shard (up or
-// joining) — the probe set.
-func (m Map) Members() []int {
-	out := make([]int, 0, len(m.Shards))
-	for _, s := range m.Shards {
-		if s.State != StateLeft {
-			out = append(out, s.ID)
-		}
-	}
-	sort.Ints(out)
-	return out
-}
-
 // StaticMap builds the epoch-1 map of a fixed -peers roster: shard i at
 // urls[i], everyone up. Every member of a static cluster constructs the
 // identical map, so gossip is a no-op until the first membership event.

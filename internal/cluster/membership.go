@@ -308,22 +308,6 @@ func (m *Membership) IsAlive(id int) bool {
 	return ok && p.alive
 }
 
-// Alive returns the sorted IDs of every member currently believed alive
-// (joining members included — they are probed and reachable). Self is
-// always a member, so the set is never empty.
-func (m *Membership) Alive() []int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]int, 0, len(m.peers))
-	for id, p := range m.peers {
-		if p.alive || id == m.cfg.Self {
-			out = append(out, id)
-		}
-	}
-	sort.Ints(out)
-	return out
-}
-
 // ActiveIDs returns the sorted IDs of every state-up shard — the HRW
 // ownership candidates, independent of probed liveness (a primary's
 // keyspace does not rehash away during a transient death; the Gray-ring
@@ -344,13 +328,6 @@ func (m *Membership) Owner(key string) int {
 		return m.cfg.Self
 	}
 	return ServingOwner(key, active, m.IsAlive)
-}
-
-// ReplicaTarget returns the shard that should hold key's replica — the
-// Gray-ring successor of its primary — or -1 when the cluster has fewer
-// than two active shards.
-func (m *Membership) ReplicaTarget(key string) int {
-	return ReplicaFor(key, m.ActiveIDs())
 }
 
 // NextHop returns the next shard on the e-cube route from self toward
@@ -575,11 +552,12 @@ func (m *Membership) Tick(ctx context.Context) int {
 }
 
 // Run probes on a seeded ±20% jitter around ProbeInterval until ctx is
-// cancelled. Unjittered, every shard of a cluster booted together would
+// cancelled, passing each round's failure count (Tick's result) to
+// onTick. Unjittered, every shard of a cluster booted together would
 // probe the whole mesh on the same beat; the self-ID seed keeps each
 // shard's schedule distinct and replayable.
-func (m *Membership) Run(ctx context.Context) {
-	rng := fault.NewRNG(0x70726f6265 ^ uint64(m.cfg.Self+1))
+func (m *Membership) Run(ctx context.Context, onTick func(failures int)) {
+	rng := fault.NewRNG(0x6c6f6f706d ^ uint64(m.cfg.Self+1))
 	t := time.NewTimer(JitterInterval(m.cfg.ProbeInterval, rng))
 	defer t.Stop()
 	for {
@@ -587,7 +565,7 @@ func (m *Membership) Run(ctx context.Context) {
 		case <-ctx.Done():
 			return
 		case <-t.C:
-			m.Tick(ctx)
+			onTick(m.Tick(ctx))
 			t.Reset(JitterInterval(m.cfg.ProbeInterval, rng))
 		}
 	}

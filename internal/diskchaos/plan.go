@@ -1,8 +1,9 @@
-// Package diskchaos is the storage-fault twin of internal/netchaos: a
-// deterministic, seeded fault-injecting implementation of the persist.FS
-// seam. A Plan is pure data — which operation fails, on which file, on
-// which call, with which failure mode — so a seed fully determines the
-// fault schedule and a failing run replays from its logged plan JSON.
+// Package diskchaos is the storage-fault twin of the netchaos fabric in
+// internal/scenario's tests: a deterministic, seeded fault-injecting
+// implementation of the persist.FS seam. A Plan is pure data — which
+// operation fails, on which file, on which call, with which failure
+// mode — so a seed fully determines the fault schedule and a failing run
+// replays from its logged plan JSON.
 //
 // Supported failure modes cover the disk-fault matrix the store must
 // survive: EIO on any operation, ENOSPC on writes, short (torn) writes

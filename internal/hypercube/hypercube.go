@@ -38,21 +38,6 @@ func FromProcessors(p int) Cube {
 // Valid reports whether node is a legal address.
 func (c Cube) Valid(node int) bool { return node >= 0 && node < c.N }
 
-// Neighbors returns the n adjacent nodes of a node, in dimension order.
-func (c Cube) Neighbors(node int) []int {
-	if !c.Valid(node) {
-		panic(fmt.Sprintf("hypercube: invalid node %d", node))
-	}
-	out := make([]int, c.Dim)
-	for d := 0; d < c.Dim; d++ {
-		out[d] = node ^ (1 << uint(d))
-	}
-	return out
-}
-
-// Adjacent reports whether two nodes share a physical link.
-func (c Cube) Adjacent(a, b int) bool { return c.Distance(a, b) == 1 }
-
 // Distance returns the Hamming distance (hop count of the shortest path)
 // between two nodes.
 func (c Cube) Distance(a, b int) int {
@@ -82,30 +67,5 @@ func (c Cube) Route(src, dst int) []int {
 	return path
 }
 
-// GrayNode returns the node address of the i-th element of the n-bit
-// binary-reflected Gray sequence: consecutive i map to adjacent nodes.
-// This is the numbering Algorithm 2 Phase II uses per divided direction.
-func (c Cube) GrayNode(i int) int {
-	if i < 0 || i >= c.N {
-		panic(fmt.Sprintf("hypercube: Gray index %d out of range for %d nodes", i, c.N))
-	}
-	return int(ints.Gray(uint64(i)))
-}
-
 // String renders the cube briefly.
 func (c Cube) String() string { return fmt.Sprintf("hypercube(dim=%d, N=%d)", c.Dim, c.N) }
-
-// SubcubePartitionBits splits n address bits across m directions as evenly
-// as the paper's Phase I round-robin does: direction i (0-based) receives
-// p_i = number of times the round-robin `j mod m` hits i in n draws, so
-// n = p_1 + … + p_m. Used for per-axis Gray field widths.
-func SubcubePartitionBits(n, m int) []int {
-	if m <= 0 || n < 0 {
-		panic("hypercube: invalid SubcubePartitionBits arguments")
-	}
-	out := make([]int, m)
-	for j := 0; j < n; j++ {
-		out[j%m]++
-	}
-	return out
-}

@@ -1,6 +1,7 @@
 package hypercube
 
 import (
+	"math/bits"
 	"testing"
 )
 
@@ -21,46 +22,6 @@ func TestFromProcessors(t *testing.T) {
 	for _, c := range cases {
 		if got := FromProcessors(c.p).Dim; got != c.wantDim {
 			t.Errorf("FromProcessors(%d).Dim = %d, want %d", c.p, got, c.wantDim)
-		}
-	}
-}
-
-func TestNeighbors(t *testing.T) {
-	c := New(3)
-	nb := c.Neighbors(5) // 101 -> 100, 111, 001
-	want := []int{4, 7, 1}
-	if len(nb) != 3 {
-		t.Fatalf("neighbors = %v", nb)
-	}
-	for i := range want {
-		if nb[i] != want[i] {
-			t.Errorf("nb[%d] = %d, want %d", i, nb[i], want[i])
-		}
-	}
-	for _, b := range nb {
-		if !c.Adjacent(5, b) {
-			t.Errorf("5 and %d should be adjacent", b)
-		}
-	}
-}
-
-func TestNeighborSymmetryAndDegree(t *testing.T) {
-	c := New(4)
-	for a := 0; a < c.N; a++ {
-		nb := c.Neighbors(a)
-		if len(nb) != c.Dim {
-			t.Fatalf("node %d degree %d", a, len(nb))
-		}
-		for _, b := range nb {
-			found := false
-			for _, x := range c.Neighbors(b) {
-				if x == a {
-					found = true
-				}
-			}
-			if !found {
-				t.Fatalf("adjacency not symmetric between %d and %d", a, b)
-			}
 		}
 	}
 }
@@ -102,56 +63,10 @@ func TestRoute(t *testing.T) {
 				t.Fatalf("route %d->%d length %d, distance %d", src, dst, len(path)-1, c.Distance(src, dst))
 			}
 			for i := 1; i < len(path); i++ {
-				if !c.Adjacent(path[i-1], path[i]) {
+				if bits.OnesCount(uint(path[i-1]^path[i])) != 1 {
 					t.Fatalf("route %d->%d uses non-link %d-%d", src, dst, path[i-1], path[i])
 				}
 			}
-		}
-	}
-}
-
-func TestGrayNodeAdjacency(t *testing.T) {
-	// Consecutive Gray indices land on adjacent nodes, and the numbering is
-	// a bijection.
-	c := New(4)
-	seen := map[int]bool{}
-	for i := 0; i < c.N; i++ {
-		node := c.GrayNode(i)
-		if seen[node] {
-			t.Fatalf("GrayNode not a bijection at %d", i)
-		}
-		seen[node] = true
-		if i > 0 && !c.Adjacent(c.GrayNode(i-1), node) {
-			t.Fatalf("GrayNode(%d)=%d and GrayNode(%d)=%d not adjacent", i-1, c.GrayNode(i-1), i, node)
-		}
-	}
-}
-
-func TestSubcubePartitionBits(t *testing.T) {
-	cases := []struct {
-		n, m int
-		want []int
-	}{
-		{3, 2, []int{2, 1}}, // Example 3: divided twice along y, once along x
-		{4, 2, []int{2, 2}},
-		{5, 3, []int{2, 2, 1}},
-		{0, 2, []int{0, 0}},
-		{3, 5, []int{1, 1, 1, 0, 0}},
-	}
-	for _, c := range cases {
-		got := SubcubePartitionBits(c.n, c.m)
-		if len(got) != len(c.want) {
-			t.Fatalf("SubcubePartitionBits(%d,%d) = %v", c.n, c.m, got)
-		}
-		total := 0
-		for i := range got {
-			if got[i] != c.want[i] {
-				t.Errorf("SubcubePartitionBits(%d,%d)[%d] = %d, want %d", c.n, c.m, i, got[i], c.want[i])
-			}
-			total += got[i]
-		}
-		if total != c.n {
-			t.Errorf("bits do not sum to n: %v", got)
 		}
 	}
 }
@@ -166,8 +81,6 @@ func TestPanicsOnBadInput(t *testing.T) {
 		f()
 	}
 	mustPanic("New(-1)", func() { New(-1) })
-	mustPanic("Neighbors", func() { New(2).Neighbors(4) })
 	mustPanic("Distance", func() { New(2).Distance(0, 9) })
-	mustPanic("GrayNode", func() { New(2).GrayNode(4) })
 	mustPanic("FromProcessors(0)", func() { FromProcessors(0) })
 }

@@ -168,28 +168,6 @@ func FindOptimal(st *loop.Structure, bound int64) (Schedule, error) {
 	return best, nil
 }
 
-// StepsRect returns the schedule length of Π over the rectangular index
-// set [lo_1,hi_1]×…×[lo_n,hi_n] in closed form — each dimension
-// contributes |a_k|·(hi_k − lo_k) to the time spread regardless of sign:
-//
-//	steps = Σ_k |a_k|·(hi_k − lo_k) + 1
-//
-// This avoids enumerating the index set when only the schedule length is
-// needed (e.g. ranking candidate Π for very large nests).
-func StepsRect(pi vec.Int, lo, hi []int64) int64 {
-	if len(pi) != len(lo) || len(lo) != len(hi) {
-		panic("hyperplane: StepsRect arity mismatch")
-	}
-	var spread int64
-	for k := range pi {
-		if hi[k] < lo[k] {
-			return 0 // empty index set
-		}
-		spread += ints.Abs(pi[k]) * (hi[k] - lo[k])
-	}
-	return spread + 1
-}
-
 // WavefrontSizes returns, per execution step, the number of index points on
 // that hyperplane — the degree of parallelism available at each step.
 func WavefrontSizes(st *loop.Structure, sch Schedule) []int64 {

@@ -2,6 +2,7 @@ package hyperplane
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"repro/internal/loop"
@@ -172,8 +173,9 @@ func TestFindOptimalBadBound(t *testing.T) {
 }
 
 func TestStepsRectMatchesEnumeration(t *testing.T) {
-	// The closed form must agree with NewSchedule on rectangular nests,
-	// including negative Π components and shifted bounds.
+	// On rectangular nests, Steps (read off the row ends) must equal the
+	// spread of Π·x over the enumerated points plus one, including
+	// negative Π components and shifted bounds.
 	cases := []struct {
 		pi     vec.Int
 		lo, hi []int64
@@ -194,12 +196,13 @@ func TestStepsRectMatchesEnumeration(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := StepsRect(c.pi, c.lo, c.hi); got != sch.Steps() {
-			t.Errorf("StepsRect(%v, %v, %v) = %d, enumeration says %d", c.pi, c.lo, c.hi, got, sch.Steps())
+		lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
+		for _, p := range st.Vertices() {
+			lo, hi = min(lo, c.pi.Dot(p)), max(hi, c.pi.Dot(p))
 		}
-	}
-	if StepsRect(vec.NewInt(1), []int64{3}, []int64{2}) != 0 {
-		t.Error("empty range should have 0 steps")
+		if got := hi - lo + 1; got != sch.Steps() {
+			t.Errorf("Π=%v over %v..%v: enumeration spans %d steps, Steps() = %d", c.pi, c.lo, c.hi, got, sch.Steps())
+		}
 	}
 }
 

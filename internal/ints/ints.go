@@ -1,15 +1,12 @@
 // Package ints provides exact integer helpers used throughout the
-// partitioning pipeline: GCD/LCM, floor/ceiling division, Gray codes,
-// and overflow-checked arithmetic.
+// partitioning pipeline: GCD/LCM, floor division, Gray codes, and
+// overflow-checked arithmetic.
 //
 // Everything in the combinatorial part of the reproduction is exact
 // integer or rational arithmetic; this package is the lowest layer.
 package ints
 
-import (
-	"fmt"
-	"math/bits"
-)
+import "fmt"
 
 // Abs returns the absolute value of x. It panics on math.MinInt64 whose
 // absolute value is not representable.
@@ -21,18 +18,6 @@ func Abs(x int64) int64 {
 		return -x
 	}
 	return x
-}
-
-// Sign returns -1, 0, or +1 according to the sign of x.
-func Sign(x int64) int {
-	switch {
-	case x < 0:
-		return -1
-	case x > 0:
-		return 1
-	default:
-		return 0
-	}
 }
 
 // GCD returns the greatest common divisor of a and b, always non-negative.
@@ -67,18 +52,6 @@ func LCM(a, b int64) int64 {
 	return Abs(a/g) * Abs(b)
 }
 
-// LCMAll folds LCM over all values; LCMAll() == 1 (the identity).
-func LCMAll(vals ...int64) int64 {
-	var l int64 = 1
-	for _, v := range vals {
-		l = LCM(l, v)
-		if l == 0 {
-			return 0
-		}
-	}
-	return l
-}
-
 // FloorDiv returns floor(a/b) for b != 0 (rounds toward negative infinity).
 func FloorDiv(a, b int64) int64 {
 	if b == 0 {
@@ -91,32 +64,9 @@ func FloorDiv(a, b int64) int64 {
 	return q
 }
 
-// CeilDiv returns ceil(a/b) for b != 0 (rounds toward positive infinity).
-func CeilDiv(a, b int64) int64 {
-	if b == 0 {
-		panic("ints: CeilDiv by zero")
-	}
-	q := a / b
-	if (a%b != 0) && ((a < 0) == (b < 0)) {
-		q++
-	}
-	return q
-}
-
-// Mod returns the non-negative remainder a mod b for b > 0,
-// i.e. a - FloorDiv(a,b)*b, which is always in [0, b).
-func Mod(a, b int64) int64 {
-	if b <= 0 {
-		panic("ints: Mod requires positive modulus")
-	}
-	m := a % b
-	if m < 0 {
-		m += b
-	}
-	return m
-}
-
-// Gray returns the binary-reflected Gray code of i (i >= 0).
+// Gray returns the binary-reflected Gray code of i (i >= 0). Consecutive
+// integers have codes one bit apart: the property Algorithm 2 of the paper
+// relies on to place neighbouring clusters on adjacent hypercube nodes.
 func Gray(i uint64) uint64 {
 	return i ^ (i >> 1)
 }
@@ -128,14 +78,6 @@ func GrayInv(g uint64) uint64 {
 		i ^= g
 	}
 	return i
-}
-
-// GrayDistance returns the Hamming distance between the Gray codes of a and b.
-// Consecutive integers always have GrayDistance 1 — the property Algorithm 2
-// of the paper relies on to place neighbouring clusters on adjacent hypercube
-// nodes.
-func GrayDistance(a, b uint64) int {
-	return bits.OnesCount64(Gray(a) ^ Gray(b))
 }
 
 // Pow2 returns 2^k for 0 <= k < 63.
@@ -192,23 +134,6 @@ func CheckedSub(a, b int64) (int64, bool) {
 		return 0, false
 	}
 	return d, true
-}
-
-// MinMax returns the smallest and largest of vals; panics on empty input.
-func MinMax(vals ...int64) (mn, mx int64) {
-	if len(vals) == 0 {
-		panic("ints: MinMax of empty slice")
-	}
-	mn, mx = vals[0], vals[0]
-	for _, v := range vals[1:] {
-		if v < mn {
-			mn = v
-		}
-		if v > mx {
-			mx = v
-		}
-	}
-	return mn, mx
 }
 
 // SumRange returns the sum of the integers l..u inclusive (0 if l > u).

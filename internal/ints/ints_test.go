@@ -2,6 +2,7 @@ package ints
 
 import (
 	"math"
+	"math/bits"
 	"testing"
 	"testing/quick"
 )
@@ -25,12 +26,6 @@ func TestAbsPanicsOnMinInt64(t *testing.T) {
 		}
 	}()
 	Abs(math.MinInt64)
-}
-
-func TestSign(t *testing.T) {
-	if Sign(-7) != -1 || Sign(0) != 0 || Sign(9) != 1 {
-		t.Fatal("Sign basic cases failed")
-	}
 }
 
 func TestGCD(t *testing.T) {
@@ -95,28 +90,19 @@ func TestGCDAllLCMAll(t *testing.T) {
 	if GCDAll(12, 18, 30) != 6 {
 		t.Error("GCDAll(12,18,30) != 6")
 	}
-	if LCMAll() != 1 {
-		t.Error("LCMAll() != 1")
-	}
-	if LCMAll(2, 3, 4) != 12 {
-		t.Error("LCMAll(2,3,4) != 12")
-	}
-	if LCMAll(2, 0, 4) != 0 {
-		t.Error("LCMAll with zero should be 0")
+	if GCDAll(4, 6, 1, 8) != 1 {
+		t.Error("GCDAll(4,6,1,8) != 1")
 	}
 }
 
 func TestFloorCeilDiv(t *testing.T) {
-	cases := []struct{ a, b, fl, ce int64 }{
-		{7, 2, 3, 4}, {-7, 2, -4, -3}, {7, -2, -4, -3}, {-7, -2, 3, 4},
-		{6, 3, 2, 2}, {-6, 3, -2, -2}, {0, 5, 0, 0},
+	cases := []struct{ a, b, fl int64 }{
+		{7, 2, 3}, {-7, 2, -4}, {7, -2, -4}, {-7, -2, 3},
+		{6, 3, 2}, {-6, 3, -2}, {0, 5, 0},
 	}
 	for _, c := range cases {
 		if got := FloorDiv(c.a, c.b); got != c.fl {
 			t.Errorf("FloorDiv(%d,%d) = %d, want %d", c.a, c.b, got, c.fl)
-		}
-		if got := CeilDiv(c.a, c.b); got != c.ce {
-			t.Errorf("CeilDiv(%d,%d) = %d, want %d", c.a, c.b, got, c.ce)
 		}
 	}
 }
@@ -127,26 +113,15 @@ func TestFloorCeilDivProperties(t *testing.T) {
 			return true
 		}
 		x, y := int64(a), int64(b)
-		fl, ce := FloorDiv(x, y), CeilDiv(x, y)
-		// floor <= ceil, differ by at most 1, and bracket the true quotient.
-		if fl > ce || ce-fl > 1 {
-			return false
+		fl := FloorDiv(x, y)
+		// floor(x/y)·y and (floor(x/y)+1)·y bracket x.
+		if y > 0 {
+			return fl*y <= x && x < (fl+1)*y
 		}
-		return fl*y <= x == (y > 0) || fl*y >= x == (y < 0)
+		return fl*y >= x && x > (fl+1)*y
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestMod(t *testing.T) {
-	cases := []struct{ a, b, want int64 }{
-		{7, 3, 1}, {-7, 3, 2}, {0, 3, 0}, {-3, 3, 0}, {5, 5, 0},
-	}
-	for _, c := range cases {
-		if got := Mod(c.a, c.b); got != c.want {
-			t.Errorf("Mod(%d,%d) = %d, want %d", c.a, c.b, got, c.want)
-		}
 	}
 }
 
@@ -155,9 +130,10 @@ func TestModIdentity(t *testing.T) {
 		if b <= 0 {
 			return true
 		}
+		// The remainder left by floor division is in [0, y).
 		x, y := int64(a), int64(b)
-		m := Mod(x, y)
-		return m >= 0 && m < y && FloorDiv(x, y)*y+m == x
+		m := x - FloorDiv(x, y)*y
+		return m >= 0 && m < y
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -181,8 +157,8 @@ func TestGrayBijection(t *testing.T) {
 func TestGrayAdjacency(t *testing.T) {
 	// The defining property: consecutive codes differ in exactly one bit.
 	for i := uint64(0); i < 4096; i++ {
-		if d := GrayDistance(i, i+1); d != 1 {
-			t.Fatalf("GrayDistance(%d,%d) = %d, want 1", i, i+1, d)
+		if d := bits.OnesCount64(Gray(i) ^ Gray(i+1)); d != 1 {
+			t.Fatalf("Gray(%d) and Gray(%d) differ in %d bits, want 1", i, i+1, d)
 		}
 	}
 }
@@ -245,13 +221,6 @@ func TestCheckedAdd(t *testing.T) {
 	}
 	if _, ok := CheckedAdd(math.MinInt64, -1); ok {
 		t.Error("CheckedAdd underflow not detected")
-	}
-}
-
-func TestMinMax(t *testing.T) {
-	mn, mx := MinMax(3, -1, 7, 0)
-	if mn != -1 || mx != 7 {
-		t.Fatalf("MinMax = (%d,%d)", mn, mx)
 	}
 }
 

@@ -1,28 +1,33 @@
 package loop_test
 
 import (
+	"bytes"
+	"encoding/json"
+	"errors"
 	"go/ast"
-	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"sort"
-	"strings"
 	"testing"
 )
 
 const loopPath = "repro/internal/loop"
 
 // vFieldReads type-checks one package from its parsed files and returns
-// the position of every selection of loop.Structure's V field in it.
-func vFieldReads(t *testing.T, fset *token.FileSet, imp types.Importer, path string, files []*ast.File) []string {
+// the package and the position of every selection of loop.Structure's V
+// field in it.
+func vFieldReads(t *testing.T, fset *token.FileSet, imp types.Importer, path string, files []*ast.File) (*types.Package, []string) {
 	t.Helper()
 	info := &types.Info{Selections: map[*ast.SelectorExpr]*types.Selection{}}
 	conf := types.Config{Importer: imp}
-	if _, err := conf.Check(path, fset, files, info); err != nil {
+	pkg, err := conf.Check(path, fset, files, info)
+	if err != nil {
 		t.Fatalf("type-checking %s: %v", path, err)
 	}
 	var out []string
@@ -40,27 +45,84 @@ func vFieldReads(t *testing.T, fset *token.FileSet, imp types.Importer, path str
 		}
 		out = append(out, fset.Position(sel.Sel.Pos()).String())
 	}
-	return out
+	return pkg, out
 }
+
+// importerFunc adapts a function to types.Importer.
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
 
 // TestVertexSetHasOneReadPath: outside this package, non-test code reads
 // a structure's vertex set only through Vertices (and counts it with
 // Len), never through the V field, which a compact structure leaves nil.
-// Every package of the module is type-checked from source; perfbench is
-// its own module and is not listed.
+// One go list call orders the module's packages after their
+// dependencies; each module package is type-checked from source once,
+// and the standard library is imported from its export data. perfbench
+// is its own module and is not listed.
 func TestVertexSetHasOneReadPath(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the go tool and type-checks the module from source")
 	}
-	out, err := exec.Command("go", "list", "-f", "{{.ImportPath}}\t{{.Dir}}\t{{join .GoFiles \" \"}}", "repro/...").Output()
+	out, err := exec.Command("go", "list", "-deps", "-export", "-json", "repro/...").Output()
 	if err != nil {
 		t.Fatalf("go list: %v", err)
 	}
+	type listed struct {
+		ImportPath, Dir, Export string
+		GoFiles                 []string
+		Standard                bool
+	}
+	var pkgs []listed
+	exports := map[string]string{}
+	for dec := json.NewDecoder(bytes.NewReader(out)); ; {
+		var p listed
+		if err := dec.Decode(&p); errors.Is(err, io.EOF) {
+			break
+		} else if err != nil {
+			t.Fatalf("decoding go list output: %v", err)
+		}
+		pkgs = append(pkgs, p)
+		exports[p.ImportPath] = p.Export
+	}
+
 	fset := token.NewFileSet()
-	// Type-check the standard library's pure-Go files, as the go tool
-	// does without a C toolchain.
-	build.Default.CgoEnabled = false
-	imp := importer.ForCompiler(fset, "source", nil)
+	std := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		if exports[path] == "" {
+			return nil, errors.New("no export data for " + path)
+		}
+		return os.Open(exports[path])
+	})
+	checked := map[string]*types.Package{}
+	imp := importerFunc(func(path string) (*types.Package, error) {
+		if p, ok := checked[path]; ok {
+			return p, nil
+		}
+		return std.Import(path)
+	})
+
+	var bad []string
+	for _, p := range pkgs {
+		if p.Standard || len(p.GoFiles) == 0 {
+			continue
+		}
+		var files []*ast.File
+		for _, name := range p.GoFiles {
+			af, err := parser.ParseFile(fset, filepath.Join(p.Dir, name), nil, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			files = append(files, af)
+		}
+		pkg, reads := vFieldReads(t, fset, imp, p.ImportPath, files)
+		checked[p.ImportPath] = pkg
+		if p.ImportPath != loopPath {
+			bad = append(bad, reads...)
+		}
+	}
+	if len(checked) < 20 {
+		t.Fatalf("checked only %d packages; go list output:\n%s", len(checked), out)
+	}
 
 	// The check must see a read that is there.
 	probe, err := parser.ParseFile(fset, filepath.Join(".", "probe.go"),
@@ -68,31 +130,10 @@ func TestVertexSetHasOneReadPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := vFieldReads(t, fset, imp, "probe", []*ast.File{probe}); len(got) != 1 {
+	if _, got := vFieldReads(t, fset, imp, "probe", []*ast.File{probe}); len(got) != 1 {
 		t.Fatalf("probe reading s.V: found %d reads, want 1", len(got))
 	}
 
-	var bad []string
-	checked := 0
-	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
-		f := strings.Split(line, "\t")
-		if len(f) != 3 || f[0] == loopPath || f[2] == "" {
-			continue
-		}
-		var files []*ast.File
-		for _, name := range strings.Fields(f[2]) {
-			af, err := parser.ParseFile(fset, filepath.Join(f[1], name), nil, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			files = append(files, af)
-		}
-		bad = append(bad, vFieldReads(t, fset, imp, f[0], files)...)
-		checked++
-	}
-	if checked < 20 {
-		t.Fatalf("checked only %d packages; go list output:\n%s", checked, out)
-	}
 	sort.Strings(bad)
 	for _, pos := range bad {
 		t.Errorf("%s: reads loop.Structure.V; use Vertices() or Len()", pos)

@@ -9,7 +9,6 @@ package mapping
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"repro/internal/core"
 	"repro/internal/hypercube"
@@ -316,18 +315,4 @@ func (d *Degraded) Route(src, dst int) []int {
 // placement and surviving-graph distances.
 func (d *Degraded) Evaluate(t *core.TIG) Stats {
 	return EvaluateGeneral(t, d.NodeOf, d.Cube.N, d.Hops)
-}
-
-// SortFailed normalizes a failed-node list: sorted, deduplicated.
-func SortFailed(nodes []int) []int {
-	out := append([]int(nil), nodes...)
-	sort.Ints(out)
-	j := 0
-	for i, n := range out {
-		if i == 0 || n != out[j-1] {
-			out[j] = n
-			j++
-		}
-	}
-	return out[:j]
 }

@@ -168,16 +168,3 @@ func TestDegradeDeterministic(t *testing.T) {
 		t.Fatalf("stats differ: %+v vs %+v", sa, sb)
 	}
 }
-
-func TestSortFailed(t *testing.T) {
-	got := SortFailed([]int{5, 1, 5, 3, 1})
-	want := []int{1, 3, 5}
-	if len(got) != len(want) {
-		t.Fatalf("SortFailed = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("SortFailed = %v, want %v", got, want)
-		}
-	}
-}

@@ -42,34 +42,12 @@ func (m Mesh) Node(row, col int) int {
 	return row*m.Cols + col
 }
 
-// Neighbors returns the 2–4 adjacent nodes.
-func (m Mesh) Neighbors(node int) []int {
-	r, c := m.Coord(node)
-	var out []int
-	if r > 0 {
-		out = append(out, m.Node(r-1, c))
-	}
-	if r < m.Rows-1 {
-		out = append(out, m.Node(r+1, c))
-	}
-	if c > 0 {
-		out = append(out, m.Node(r, c-1))
-	}
-	if c < m.Cols-1 {
-		out = append(out, m.Node(r, c+1))
-	}
-	return out
-}
-
 // Distance returns the Manhattan distance between two nodes.
 func (m Mesh) Distance(a, b int) int {
 	ra, ca := m.Coord(a)
 	rb, cb := m.Coord(b)
 	return abs(ra-rb) + abs(ca-cb)
 }
-
-// Adjacent reports whether two nodes share a link.
-func (m Mesh) Adjacent(a, b int) bool { return m.Distance(a, b) == 1 }
 
 // Route returns the XY (column-first) route from src to dst inclusive.
 func (m Mesh) Route(src, dst int) []int {

@@ -19,25 +19,6 @@ func TestNewAndBasics(t *testing.T) {
 	}
 }
 
-func TestNeighborsDegrees(t *testing.T) {
-	m := New(3, 3)
-	// Corners have 2 neighbors, edges 3, the center 4.
-	if got := len(m.Neighbors(0)); got != 2 {
-		t.Errorf("corner degree = %d", got)
-	}
-	if got := len(m.Neighbors(1)); got != 3 {
-		t.Errorf("edge degree = %d", got)
-	}
-	if got := len(m.Neighbors(4)); got != 4 {
-		t.Errorf("center degree = %d", got)
-	}
-	for _, nb := range m.Neighbors(4) {
-		if !m.Adjacent(4, nb) {
-			t.Errorf("neighbor %d not adjacent", nb)
-		}
-	}
-}
-
 func TestDistanceManhattan(t *testing.T) {
 	m := New(4, 4)
 	cases := []struct{ a, b, want int }{
@@ -62,7 +43,7 @@ func TestRouteXY(t *testing.T) {
 				t.Fatalf("route %d->%d length %d != distance %d", src, dst, len(path)-1, m.Distance(src, dst))
 			}
 			for i := 1; i < len(path); i++ {
-				if !m.Adjacent(path[i-1], path[i]) {
+				if m.Distance(path[i-1], path[i]) != 1 {
 					t.Fatalf("route %d->%d hops over non-link", src, dst)
 				}
 			}

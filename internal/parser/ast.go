@@ -132,37 +132,3 @@ func collectAccessRefs(e Expr, out *[]*AccessRef) {
 		collectAccessRefs(v.R, out)
 	}
 }
-
-// Scalars returns the free scalar names of the program, sorted.
-func (p *Program) Scalars() []string {
-	seen := map[string]bool{}
-	var walk func(Expr)
-	walk = func(e Expr) {
-		switch v := e.(type) {
-		case *ScalarRef:
-			seen[v.Name] = true
-		case *Unary:
-			walk(v.X)
-		case *Binary:
-			walk(v.L)
-			walk(v.R)
-		}
-	}
-	for _, s := range p.Stmts {
-		walk(s.Expr)
-	}
-	var out []string
-	for n := range seen {
-		out = append(out, n)
-	}
-	sortStrings(out)
-	return out
-}
-
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
-}

@@ -298,17 +298,6 @@ for j = 0 to 3
 	}
 }
 
-func TestScalarsListing(t *testing.T) {
-	prog, err := ParseProgram("sc", "for i = 0 to 3\n{\n y[i+1] = y[i]*alpha + beta - alpha\n}")
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := prog.Scalars()
-	if len(got) != 2 || got[0] != "alpha" || got[1] != "beta" {
-		t.Fatalf("Scalars = %v", got)
-	}
-}
-
 func TestExprString(t *testing.T) {
 	prog, err := ParseProgram("es", "for i = 0 to 3\n{\n y[i+1] = -y[i] * 2 + c\n}")
 	if err != nil {

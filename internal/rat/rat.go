@@ -2,9 +2,9 @@
 // denominators.
 //
 // Projected points in the partitioning algorithm have rational coordinates
-// whose denominators divide Π·Π, and the linear-algebra layer (rank, basis
-// extraction, solving for group lattice coordinates) needs exact arithmetic:
-// floating point would mis-classify linear dependence. Values are kept in
+// whose denominators divide Π·Π, and the linear-algebra layer (rank and
+// linear independence) needs exact arithmetic: floating point would
+// mis-classify linear dependence. Values are kept in
 // canonical form (den > 0, gcd(num,den) == 1) so == works on the struct and
 // values are usable as map keys.
 package rat
@@ -12,7 +12,6 @@ package rat
 import (
 	"fmt"
 	"strconv"
-	"strings"
 
 	"repro/internal/ints"
 )
@@ -23,12 +22,6 @@ type Rat struct {
 	num int64
 	den int64
 }
-
-// Zero and One are the additive and multiplicative identities.
-var (
-	Zero = Rat{0, 1}
-	One  = Rat{1, 1}
-)
 
 // New returns the canonical rational num/den. It panics if den == 0.
 func New(num, den int64) Rat {
@@ -49,12 +42,6 @@ func New(num, den int64) Rat {
 func FromInt(n int64) Rat { return Rat{normDen(n), 1} }
 
 func normDen(n int64) int64 { return n } // identity; keeps FromInt inlineable
-
-// Num returns the canonical numerator.
-func (r Rat) Num() int64 { return r.norm().num }
-
-// Den returns the canonical denominator (always > 0).
-func (r Rat) Den() int64 { return r.norm().den }
 
 // norm repairs a zero-value Rat (0/0 struct zero becomes 0/1).
 func (r Rat) norm() Rat {
@@ -99,20 +86,6 @@ func (r Rat) Mul(s Rat) Rat {
 	return New((r.num/n1)*(s.num/n2), (r.den/n2)*(s.den/n1))
 }
 
-// Div returns r / s. It panics if s is zero.
-func (r Rat) Div(s Rat) Rat {
-	s = s.norm()
-	if s.num == 0 {
-		panic("rat: division by zero")
-	}
-	return r.Mul(Rat{s.den, s.num}.canon())
-}
-
-// canon re-canonicalizes a raw struct (sign of den, gcd).
-func (r Rat) canon() Rat {
-	return New(r.num, r.den)
-}
-
 // Inv returns 1/r. It panics if r is zero.
 func (r Rat) Inv() Rat {
 	r = r.norm()
@@ -122,69 +95,8 @@ func (r Rat) Inv() Rat {
 	return New(r.den, r.num)
 }
 
-// ScaleInt returns r * n.
-func (r Rat) ScaleInt(n int64) Rat {
-	r = r.norm()
-	g := ints.GCD(n, r.den)
-	if g == 0 {
-		g = 1
-	}
-	return New(r.num*(n/g), r.den/g)
-}
-
-// Sign returns -1, 0, or +1.
-func (r Rat) Sign() int { return ints.Sign(r.norm().num) }
-
 // IsZero reports whether r == 0.
 func (r Rat) IsZero() bool { return r.norm().num == 0 }
-
-// IsInt reports whether r is an integer.
-func (r Rat) IsInt() bool { return r.norm().den == 1 }
-
-// Int returns the integer value of r; ok is false when r is not integral.
-func (r Rat) Int() (v int64, ok bool) {
-	r = r.norm()
-	if r.den != 1 {
-		return 0, false
-	}
-	return r.num, true
-}
-
-// Cmp compares r and s, returning -1, 0, or +1.
-func (r Rat) Cmp(s Rat) int {
-	return r.Sub(s).Sign()
-}
-
-// Equal reports whether r == s.
-func (r Rat) Equal(s Rat) bool { return r.norm() == s.norm() }
-
-// Floor returns the greatest integer <= r.
-func (r Rat) Floor() int64 {
-	r = r.norm()
-	return ints.FloorDiv(r.num, r.den)
-}
-
-// Ceil returns the least integer >= r.
-func (r Rat) Ceil() int64 {
-	r = r.norm()
-	return ints.CeilDiv(r.num, r.den)
-}
-
-// Abs returns |r|.
-func (r Rat) Abs() Rat {
-	r = r.norm()
-	if r.num < 0 {
-		return Rat{-r.num, r.den}
-	}
-	return r
-}
-
-// Float returns the float64 approximation of r (for reporting only; the
-// pipeline itself never rounds).
-func (r Rat) Float() float64 {
-	r = r.norm()
-	return float64(r.num) / float64(r.den)
-}
 
 // String renders r as "n" or "n/d".
 func (r Rat) String() string {
@@ -193,28 +105,4 @@ func (r Rat) String() string {
 		return strconv.FormatInt(r.num, 10)
 	}
 	return fmt.Sprintf("%d/%d", r.num, r.den)
-}
-
-// Parse parses "n" or "n/d" into a Rat.
-func Parse(s string) (Rat, error) {
-	s = strings.TrimSpace(s)
-	if i := strings.IndexByte(s, '/'); i >= 0 {
-		n, err := strconv.ParseInt(strings.TrimSpace(s[:i]), 10, 64)
-		if err != nil {
-			return Zero, fmt.Errorf("rat: parse %q: %w", s, err)
-		}
-		d, err := strconv.ParseInt(strings.TrimSpace(s[i+1:]), 10, 64)
-		if err != nil {
-			return Zero, fmt.Errorf("rat: parse %q: %w", s, err)
-		}
-		if d == 0 {
-			return Zero, fmt.Errorf("rat: parse %q: zero denominator", s)
-		}
-		return New(n, d), nil
-	}
-	n, err := strconv.ParseInt(s, 10, 64)
-	if err != nil {
-		return Zero, fmt.Errorf("rat: parse %q: %w", s, err)
-	}
-	return FromInt(n), nil
 }

@@ -45,8 +45,8 @@ func TestNewCanonical(t *testing.T) {
 	}
 	for _, c := range cases {
 		r := New(c.n, c.d)
-		if r.Num() != c.wantN || r.Den() != c.wantD {
-			t.Errorf("New(%d,%d) = %d/%d, want %d/%d", c.n, c.d, r.Num(), r.Den(), c.wantN, c.wantD)
+		if r.num != c.wantN || r.den != c.wantD {
+			t.Errorf("New(%d,%d) = %d/%d, want %d/%d", c.n, c.d, r.num, r.den, c.wantN, c.wantD)
 		}
 		if r.String() != c.wantText {
 			t.Errorf("New(%d,%d).String() = %q, want %q", c.n, c.d, r.String(), c.wantText)
@@ -56,7 +56,7 @@ func TestNewCanonical(t *testing.T) {
 
 func TestZeroValueIsZero(t *testing.T) {
 	var r Rat // struct zero value, den==0 internally
-	if !r.IsZero() || r.String() != "0" || !r.Add(One).Equal(One) {
+	if !r.IsZero() || r.String() != "0" || r.Add(FromInt(1)) != FromInt(1) {
 		t.Fatal("zero-value Rat does not behave as 0")
 	}
 }
@@ -73,36 +73,18 @@ func TestNewPanicsOnZeroDen(t *testing.T) {
 func TestArithmeticBasics(t *testing.T) {
 	half := New(1, 2)
 	third := New(1, 3)
-	if got := half.Add(third); !got.Equal(New(5, 6)) {
+	if got := half.Add(third); got != New(5, 6) {
 		t.Errorf("1/2+1/3 = %v", got)
 	}
-	if got := half.Sub(third); !got.Equal(New(1, 6)) {
+	if got := half.Sub(third); got != New(1, 6) {
 		t.Errorf("1/2-1/3 = %v", got)
 	}
-	if got := half.Mul(third); !got.Equal(New(1, 6)) {
+	if got := half.Mul(third); got != New(1, 6) {
 		t.Errorf("1/2*1/3 = %v", got)
 	}
-	if got := half.Div(third); !got.Equal(New(3, 2)) {
-		t.Errorf("(1/2)/(1/3) = %v", got)
-	}
-	if got := half.Neg(); !got.Equal(New(-1, 2)) {
+	if got := half.Neg(); got != New(-1, 2) {
 		t.Errorf("-1/2 = %v", got)
 	}
-	if got := New(-3, 4).Abs(); !got.Equal(New(3, 4)) {
-		t.Errorf("|-3/4| = %v", got)
-	}
-	if got := half.ScaleInt(6); !got.Equal(FromInt(3)) {
-		t.Errorf("(1/2)*6 = %v", got)
-	}
-}
-
-func TestDivByZeroPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Div by zero did not panic")
-		}
-	}()
-	One.Div(Zero)
 }
 
 func TestInvZeroPanics(t *testing.T) {
@@ -111,26 +93,26 @@ func TestInvZeroPanics(t *testing.T) {
 			t.Fatal("Inv of zero did not panic")
 		}
 	}()
-	Zero.Inv()
+	New(0, 1).Inv()
 }
 
 func TestFieldAxioms(t *testing.T) {
-	add := func(a, b Rat) bool { return a.Add(b).Equal(b.Add(a)) }
+	add := func(a, b Rat) bool { return a.Add(b) == b.Add(a) }
 	if err := quick.Check(add, quickCfg); err != nil {
 		t.Error("add commutativity:", err)
 	}
-	mul := func(a, b Rat) bool { return a.Mul(b).Equal(b.Mul(a)) }
+	mul := func(a, b Rat) bool { return a.Mul(b) == b.Mul(a) }
 	if err := quick.Check(mul, quickCfg); err != nil {
 		t.Error("mul commutativity:", err)
 	}
 	assoc := func(a, b, c Rat) bool {
-		return a.Add(b).Add(c).Equal(a.Add(b.Add(c)))
+		return a.Add(b).Add(c) == a.Add(b.Add(c))
 	}
 	if err := quick.Check(assoc, quickCfg); err != nil {
 		t.Error("add associativity:", err)
 	}
 	distrib := func(a, b, c Rat) bool {
-		return a.Mul(b.Add(c)).Equal(a.Mul(b).Add(a.Mul(c)))
+		return a.Mul(b.Add(c)) == a.Mul(b).Add(a.Mul(c))
 	}
 	if err := quick.Check(distrib, quickCfg); err != nil {
 		t.Error("distributivity:", err)
@@ -139,7 +121,7 @@ func TestFieldAxioms(t *testing.T) {
 		if a.IsZero() {
 			return true
 		}
-		return a.Mul(a.Inv()).Equal(One) && a.Add(a.Neg()).IsZero()
+		return a.Mul(a.Inv()) == FromInt(1) && a.Add(a.Neg()).IsZero()
 	}
 	if err := quick.Check(inverse, quickCfg); err != nil {
 		t.Error("inverses:", err)
@@ -149,105 +131,14 @@ func TestFieldAxioms(t *testing.T) {
 func TestCanonicalFormInvariant(t *testing.T) {
 	f := func(a, b Rat) bool {
 		for _, v := range []Rat{a.Add(b), a.Sub(b), a.Mul(b)} {
-			if v.Den() <= 0 {
+			if v.den <= 0 {
 				return false
 			}
-			if v.Num() == 0 && v.Den() != 1 {
+			if v.num == 0 && v.den != 1 {
 				return false
 			}
 		}
 		return true
-	}
-	if err := quick.Check(f, quickCfg); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestCmpOrdering(t *testing.T) {
-	vals := []Rat{New(-3, 2), New(-1, 1), Zero, New(1, 3), New(1, 2), One, New(7, 3)}
-	for i := range vals {
-		for j := range vals {
-			want := 0
-			if i < j {
-				want = -1
-			} else if i > j {
-				want = 1
-			}
-			if got := vals[i].Cmp(vals[j]); got != want {
-				t.Errorf("Cmp(%v,%v) = %d, want %d", vals[i], vals[j], got, want)
-			}
-		}
-	}
-}
-
-func TestFloorCeil(t *testing.T) {
-	cases := []struct {
-		r      Rat
-		fl, ce int64
-	}{
-		{New(7, 2), 3, 4},
-		{New(-7, 2), -4, -3},
-		{FromInt(5), 5, 5},
-		{Zero, 0, 0},
-		{New(-1, 3), -1, 0},
-	}
-	for _, c := range cases {
-		if c.r.Floor() != c.fl || c.r.Ceil() != c.ce {
-			t.Errorf("%v: floor=%d ceil=%d, want %d,%d", c.r, c.r.Floor(), c.r.Ceil(), c.fl, c.ce)
-		}
-	}
-}
-
-func TestIntAndIsInt(t *testing.T) {
-	if v, ok := FromInt(9).Int(); !ok || v != 9 {
-		t.Error("FromInt(9).Int() failed")
-	}
-	if _, ok := New(1, 2).Int(); ok {
-		t.Error("New(1,2).Int() should not be integral")
-	}
-	if !New(4, 2).IsInt() {
-		t.Error("4/2 should be integral")
-	}
-}
-
-func TestParse(t *testing.T) {
-	cases := []struct {
-		in   string
-		want Rat
-		err  bool
-	}{
-		{"1/2", New(1, 2), false},
-		{"-3/9", New(-1, 3), false},
-		{" 4 / 6 ", New(2, 3), false},
-		{"7", FromInt(7), false},
-		{"-7", FromInt(-7), false},
-		{"1/0", Zero, true},
-		{"abc", Zero, true},
-		{"1/x", Zero, true},
-		{"x/1", Zero, true},
-	}
-	for _, c := range cases {
-		got, err := Parse(c.in)
-		if c.err {
-			if err == nil {
-				t.Errorf("Parse(%q) expected error", c.in)
-			}
-			continue
-		}
-		if err != nil {
-			t.Errorf("Parse(%q) error: %v", c.in, err)
-			continue
-		}
-		if !got.Equal(c.want) {
-			t.Errorf("Parse(%q) = %v, want %v", c.in, got, c.want)
-		}
-	}
-}
-
-func TestParseRoundTrip(t *testing.T) {
-	f := func(a Rat) bool {
-		got, err := Parse(a.String())
-		return err == nil && got.Equal(a)
 	}
 	if err := quick.Check(f, quickCfg); err != nil {
 		t.Error(err)
@@ -260,11 +151,5 @@ func TestMapKeyUsability(t *testing.T) {
 	m[New(2, 4)] = 2 // same canonical value must overwrite
 	if len(m) != 1 || m[New(3, 6)] != 2 {
 		t.Fatal("canonical Rats are not usable as map keys")
-	}
-}
-
-func TestFloat(t *testing.T) {
-	if New(1, 2).Float() != 0.5 || New(-3, 4).Float() != -0.75 {
-		t.Fatal("Float conversion wrong")
 	}
 }

@@ -19,7 +19,6 @@ import (
 	"repro/api"
 	"repro/client"
 	"repro/internal/cluster"
-	"repro/internal/netchaos"
 	"repro/internal/serve"
 )
 
@@ -321,7 +320,7 @@ const retryBudget = 8
 // drives p.n mixed requests, heals, and requires every acknowledged
 // answer to survive and every owner/standby digest to converge.
 func partition(t *testing.T, p params) {
-	plan := netchaos.GeneratePlan(uint64(p.seed), p.shards, p.cycles)
+	plan := GeneratePlan(uint64(p.seed), p.shards, p.cycles)
 	if err := plan.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +333,7 @@ func partition(t *testing.T, p params) {
 		shards[i], _ = startShard(t, "127.0.0.1:0", serve.Config{})
 		urls[i], addrs[i] = shards[i].url, shards[i].addr
 	}
-	fabric, err := netchaos.NewFabric(addrs)
+	fabric, err := NewFabric(addrs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,7 +20,6 @@ import (
 
 	"repro/api"
 	"repro/internal/cluster"
-	"repro/internal/fault"
 )
 
 // Forwarding headers: the hop count so far and the comma-separated shard
@@ -97,14 +96,10 @@ func (s *Server) enableCluster(opts ClusterOptions, joinMap *cluster.Map) error 
 	if s.cnode() != nil {
 		return errors.New("serve: cluster already enabled")
 	}
-	interval := opts.ProbeInterval
-	if interval == 0 {
-		interval = 2 * time.Second
-	}
 	ccfg := cluster.Config{
 		Self:          opts.SelfID,
 		Peers:         opts.Peers,
-		ProbeInterval: interval,
+		ProbeInterval: opts.ProbeInterval,
 		ProbeTimeout:  opts.ProbeTimeout,
 		FailThreshold: opts.FailThreshold,
 		Prober:        opts.Prober,
@@ -125,27 +120,14 @@ func (s *Server) enableCluster(opts ClusterOptions, joinMap *cluster.Map) error 
 	}
 	cn := &clusterNode{m: m, fwd: fwd, done: make(chan struct{})}
 	cn.rep = newReplicator(s, cn)
-	if interval < 0 {
+	if opts.ProbeInterval < 0 {
 		close(cn.done) // manual probing: nothing to stop
 	} else {
 		ctx, cancel := context.WithCancel(context.Background())
 		cn.stop = cancel
 		go func() {
 			defer close(cn.done)
-			// Seeded ±20% jitter: shards booted together must not probe
-			// the whole mesh on the same beat.
-			rng := fault.NewRNG(0x6c6f6f706d ^ uint64(opts.SelfID+1))
-			t := time.NewTimer(cluster.JitterInterval(interval, rng))
-			defer t.Stop()
-			for {
-				select {
-				case <-ctx.Done():
-					return
-				case <-t.C:
-					s.metrics.probeFailures.Add(int64(m.Tick(ctx)))
-					t.Reset(cluster.JitterInterval(interval, rng))
-				}
-			}
+			m.Run(ctx, func(failures int) { s.metrics.probeFailures.Add(int64(failures)) })
 		}()
 	}
 	aeInterval := opts.AntiEntropyInterval

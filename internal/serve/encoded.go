@@ -68,13 +68,15 @@ func newRespFrame(encoded []byte) *respFrame {
 }
 
 // etagMatch implements the If-None-Match comparison: a "*" or any listed
-// entity tag matching the frame's.
+// entity tag matching the frame's. If-None-Match uses the weak comparison
+// function (RFC 9110 §13.1.2), so a listed tag's W/ prefix is ignored: a
+// proxy that weakens the tag when it compresses the body still gets 304.
 func etagMatch(header, etag string) bool {
 	if header == "*" {
 		return true
 	}
 	for _, part := range strings.Split(header, ",") {
-		if strings.TrimSpace(part) == etag {
+		if strings.TrimPrefix(strings.TrimSpace(part), "W/") == etag {
 			return true
 		}
 	}

@@ -112,6 +112,9 @@ func TestEtagMatch(t *testing.T) {
 		{`"other", "p01"`, true},
 		{`"other"`, false},
 		{``, false},
+		{`W/"p01"`, true},
+		{`"other", W/"p01"`, true},
+		{`W/"other"`, false},
 	} {
 		if got := etagMatch(tc.header, `"p01"`); got != tc.want {
 			t.Errorf("etagMatch(%q) = %v, want %v", tc.header, got, tc.want)

@@ -50,24 +50,6 @@ func MatFromIntColumns(cols ...Int) *Mat {
 	return MatFromColumns(rs...)
 }
 
-// MatFromRows builds a matrix from row vectors.
-func MatFromRows(rows ...Rat) *Mat {
-	if len(rows) == 0 {
-		return NewMat(0, 0)
-	}
-	n := len(rows[0])
-	m := NewMat(len(rows), n)
-	for i, r := range rows {
-		if len(r) != n {
-			panic("vec: ragged rows")
-		}
-		for j := range r {
-			m.Set(i, j, r[j])
-		}
-	}
-	return m
-}
-
 // At returns element (i, j).
 func (m *Mat) At(i, j int) rat.Rat {
 	m.check(i, j)
@@ -90,40 +72,6 @@ func (m *Mat) check(i, j int) {
 func (m *Mat) Clone() *Mat {
 	out := NewMat(m.Rows, m.Cols)
 	copy(out.a, m.a)
-	return out
-}
-
-// Row returns a copy of row i.
-func (m *Mat) Row(i int) Rat {
-	out := make(Rat, m.Cols)
-	for j := 0; j < m.Cols; j++ {
-		out[j] = m.At(i, j)
-	}
-	return out
-}
-
-// Col returns a copy of column j.
-func (m *Mat) Col(j int) Rat {
-	out := make(Rat, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		out[i] = m.At(i, j)
-	}
-	return out
-}
-
-// MulVec returns m·x.
-func (m *Mat) MulVec(x Rat) Rat {
-	if len(x) != m.Cols {
-		panic("vec: MulVec dimension mismatch")
-	}
-	out := make(Rat, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		s := rat.Zero
-		for j := 0; j < m.Cols; j++ {
-			s = s.Add(m.At(i, j).Mul(x[j]))
-		}
-		out[i] = s
-	}
 	return out
 }
 
@@ -202,38 +150,6 @@ func (m *Mat) Rank() int {
 	return len(pivots)
 }
 
-// Solve finds x with m·x = b, if one exists. When the system is
-// underdetermined it returns one particular solution (free variables zero).
-// ok is false when the system is inconsistent.
-func (m *Mat) Solve(b Rat) (x Rat, ok bool) {
-	if len(b) != m.Rows {
-		panic("vec: Solve dimension mismatch")
-	}
-	// Build the augmented matrix [m | b].
-	aug := NewMat(m.Rows, m.Cols+1)
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			aug.Set(i, j, m.At(i, j))
-		}
-		aug.Set(i, m.Cols, b[i])
-	}
-	r, pivots := aug.rref()
-	// Inconsistent if a pivot landed in the augmented column.
-	for _, p := range pivots {
-		if p == m.Cols {
-			return nil, false
-		}
-	}
-	x = make(Rat, m.Cols)
-	for i := range x {
-		x[i] = rat.Zero
-	}
-	for row, col := range pivots {
-		x[col] = r.At(row, m.Cols)
-	}
-	return x, true
-}
-
 // LinearlyIndependent reports whether the given rational vectors are
 // linearly independent.
 func LinearlyIndependent(vs ...Rat) bool {
@@ -250,13 +166,4 @@ func RankOfIntColumns(cols ...Int) int {
 		return 0
 	}
 	return MatFromIntColumns(cols...).Rank()
-}
-
-// Identity returns the n×n rational identity matrix.
-func Identity(n int) *Mat {
-	m := NewMat(n, n)
-	for i := 0; i < n; i++ {
-		m.Set(i, i, rat.One)
-	}
-	return m
 }

@@ -1,8 +1,7 @@
-// Package vec provides exact integer and rational vectors and matrices with
-// the linear algebra the partitioning/mapping pipeline needs: dot products,
-// projection, exact Gaussian elimination (rank, linear independence), and
-// exact linear solving (used to express group base vertices in the
-// grouping-vector lattice basis for Algorithm 2).
+// Package vec provides exact integer vectors, and the rational vectors and
+// matrices behind the one piece of linear algebra the partitioning pipeline
+// needs exactly: Gaussian elimination for rank and linear independence
+// (the paper's β and the choice of auxiliary grouping vectors).
 package vec
 
 import (
@@ -168,97 +167,6 @@ func (v Int) ContentGCD() int64 {
 // Rat is a rational vector.
 type Rat []rat.Rat
 
-// NewRat builds a rational vector from numerator/denominator pairs given as
-// alternating values: NewRat(1,2, -1,3) = (1/2, -1/3).
-func NewRat(pairs ...int64) Rat {
-	if len(pairs)%2 != 0 {
-		panic("vec: NewRat needs num,den pairs")
-	}
-	out := make(Rat, len(pairs)/2)
-	for i := range out {
-		out[i] = rat.New(pairs[2*i], pairs[2*i+1])
-	}
-	return out
-}
-
-// Clone returns a copy of v.
-func (v Rat) Clone() Rat {
-	w := make(Rat, len(v))
-	copy(w, v)
-	return w
-}
-
-// Add returns v + w.
-func (v Rat) Add(w Rat) Rat {
-	mustSameLen(len(v), len(w))
-	out := make(Rat, len(v))
-	for i := range v {
-		out[i] = v[i].Add(w[i])
-	}
-	return out
-}
-
-// Sub returns v - w.
-func (v Rat) Sub(w Rat) Rat {
-	mustSameLen(len(v), len(w))
-	out := make(Rat, len(v))
-	for i := range v {
-		out[i] = v[i].Sub(w[i])
-	}
-	return out
-}
-
-// Scale returns k*v for rational k.
-func (v Rat) Scale(k rat.Rat) Rat {
-	out := make(Rat, len(v))
-	for i := range v {
-		out[i] = v[i].Mul(k)
-	}
-	return out
-}
-
-// Dot returns the rational inner product.
-func (v Rat) Dot(w Rat) rat.Rat {
-	mustSameLen(len(v), len(w))
-	s := rat.Zero
-	for i := range v {
-		s = s.Add(v[i].Mul(w[i]))
-	}
-	return s
-}
-
-// IsZero reports whether all components are zero.
-func (v Rat) IsZero() bool {
-	for _, x := range v {
-		if !x.IsZero() {
-			return false
-		}
-	}
-	return true
-}
-
-// Equal reports component-wise equality.
-func (v Rat) Equal(w Rat) bool {
-	if len(v) != len(w) {
-		return false
-	}
-	for i := range v {
-		if !v[i].Equal(w[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-// Key returns a canonical map key for v.
-func (v Rat) Key() string {
-	parts := make([]string, len(v))
-	for i, x := range v {
-		parts[i] = x.String()
-	}
-	return strings.Join(parts, ",")
-}
-
 // String renders v as "(a, b, ...)".
 func (v Rat) String() string {
 	parts := make([]string, len(v))
@@ -266,41 +174,6 @@ func (v Rat) String() string {
 		parts[i] = x.String()
 	}
 	return "(" + strings.Join(parts, ", ") + ")"
-}
-
-// IsIntegral reports whether every component is an integer.
-func (v Rat) IsIntegral() bool {
-	for _, x := range v {
-		if !x.IsInt() {
-			return false
-		}
-	}
-	return true
-}
-
-// ToInt converts v to an integer vector; ok is false if any component is
-// fractional.
-func (v Rat) ToInt() (Int, bool) {
-	out := make(Int, len(v))
-	for i, x := range v {
-		n, ok := x.Int()
-		if !ok {
-			return nil, false
-		}
-		out[i] = n
-	}
-	return out, true
-}
-
-// Project returns the projection of v onto the hyperplane orthogonal to p:
-// v - (v·p / p·p) p (Definition 3 of the paper).
-func (v Rat) Project(p Rat) Rat {
-	pp := p.Dot(p)
-	if pp.IsZero() {
-		panic("vec: projection onto zero vector")
-	}
-	c := v.Dot(p).Div(pp)
-	return v.Sub(p.Scale(c))
 }
 
 func mustSameLen(a, b int) {

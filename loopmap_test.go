@@ -3,9 +3,6 @@ package loopmap
 import (
 	"strings"
 	"testing"
-
-	"repro/internal/kernels"
-	"repro/internal/loop"
 )
 
 func TestNewPlanMatMulDefaults(t *testing.T) {
@@ -279,39 +276,6 @@ func TestVerifyErrorPaths(t *testing.T) {
 	plan.Kernel.Sem = nil
 	if err := plan.Verify(); err == nil {
 		t.Fatal("Verify without semantics should error")
-	}
-}
-
-func TestSteppedNestThroughPipeline(t *testing.T) {
-	// A non-unit-stride loop is normalized (the paper's "WLOG k_j = 1")
-	// and then flows through the whole pipeline.
-	s := &loop.SteppedNest{
-		Name:  "stepped",
-		Lower: []int64{2, 1},
-		Upper: []int64{16, 13},
-		Step:  []int64{2, 3},
-		Stmts: []loop.Stmt{{
-			Label:  "S1",
-			Writes: []loop.Access{{Var: "A", Offset: Vec(0, 0)}},
-			Reads:  []loop.Access{{Var: "A", Offset: Vec(-2, 0)}, {Var: "A", Offset: Vec(0, -3)}},
-		}},
-	}
-	nest, err := s.Normalize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	deps := nest.Dependences()
-	k := kernels.Generic("stepped", nest, deps, Vec(1, 1), 5)
-	plan, err := NewPlan(k, PlanOptions{CubeDim: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := plan.Verify(); err != nil {
-		t.Fatal(err)
-	}
-	// 8×5 normalized iterations.
-	if len(plan.Structure.V) != 40 {
-		t.Fatalf("|V| = %d, want 40", len(plan.Structure.V))
 	}
 }
 
