@@ -10,6 +10,7 @@ package loopmap
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -720,7 +721,8 @@ func BenchmarkPlanMissGrid(b *testing.B) {
 
 // BenchmarkPartitionMissGrid measures Algorithm 1 alone on the grid of
 // BenchmarkPlanMissGrid: one op partitions every kernel's projected
-// structure at merge factors 1 and 3. ms/partition is the mean per call.
+// structure at merge factors 1 and 3. ms/partition is the mean per call,
+// and retained-B/partition the live heap one partitioning pins.
 func BenchmarkPartitionMissGrid(b *testing.B) {
 	merges := []int64{1, 3}
 	var structs []*project.Structure
@@ -745,4 +747,25 @@ func BenchmarkPartitionMissGrid(b *testing.B) {
 	}
 	calls := float64(b.N * len(structs) * len(merges))
 	b.ReportMetric(float64(b.Elapsed())/float64(time.Millisecond)/calls, "ms/partition")
+
+	// Retained bytes: the live heap that one more pass over the grid
+	// leaves after a GC, per partitioning kept.
+	b.StopTimer()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	kept := make([]*core.Partitioning, 0, len(structs)*len(merges))
+	for _, ps := range structs {
+		for _, m := range merges {
+			p, err := core.PartitionCtx(ctx, ps, core.Options{MergeFactor: m})
+			if err != nil {
+				b.Fatal(err)
+			}
+			kept = append(kept, p)
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(int64(after.HeapAlloc)-int64(before.HeapAlloc))/float64(len(kept)), "retained-B/partition")
+	runtime.KeepAlive(kept)
 }

@@ -182,8 +182,9 @@ func fig7() string {
 	})
 	check(err)
 	g1 := "missing"
-	for _, g := range seeded.Partitioning.Groups {
-		if g.Base.Equal(vec.NewInt(-3, -3, 6)) && len(g.Members) == 3 {
+	sp := seeded.Partitioning
+	for g := range sp.NumBlocks() {
+		if sp.Base(g).Equal(vec.NewInt(-3, -3, 6)) && len(sp.Members(g)) == 3 {
 			g1 = "{(-1,-1,2) (-4/3,-1/3,5/3) (-5/3,1/3,4/3)}"
 		}
 	}

@@ -114,9 +114,10 @@ func main() {
 	if *groups {
 		fmt.Println("\ngroups:")
 		tb := report.NewTable("group", "base (scaled)", "projected points", "block size", "sends to")
-		for _, g := range plan.Partitioning.Groups {
-			tb.AddRow(fmt.Sprintf("G%d", g.ID), g.Base, len(g.Members),
-				plan.Partitioning.BlockSize(g.ID), fmt.Sprint(plan.TIG.Successors(g.ID)))
+		part := plan.Partitioning
+		for g := range part.NumBlocks() {
+			tb.AddRow(fmt.Sprintf("G%d", g), part.Base(g), len(part.Members(g)),
+				part.BlockSize(g), fmt.Sprint(plan.TIG.Successors(g)))
 		}
 		tb.Render(os.Stdout)
 	}

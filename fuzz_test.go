@@ -2,6 +2,7 @@ package loopmap
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -44,16 +45,24 @@ func FuzzNewPlan(f *testing.F) {
 	for seed := int64(0); seed < 16; seed++ {
 		f.Add(fuzzNestgen, int64(1), int(seed%4), seed%3 == 0, seed%4, seed%2 == 1, int(seed%3), seed)
 	}
+	// Merge factors far past any kernel's extent, and one whose r·q
+	// overflows int64.
+	for _, merge := range []int64{1 << 40, math.MaxInt64} {
+		f.Add("l1", int64(8), 2, false, merge, false, 0, int64(0))
+		f.Add("matmul", int64(6), 3, false, merge, true, 0, int64(0))
+		f.Add(fuzzNestgen, int64(1), 2, false, merge, false, 0, int64(5))
+	}
 	f.Fuzz(func(t *testing.T, name string, size int64, cubeDim int, searchPi bool, merge int64, noAux bool, choice int, seed int64) {
-		// Clamp the fuzzed inputs to the daemon's own admission range:
-		// anything outside is rejected before planning ever runs.
+		// Keep the fuzzed size, cube dimension and grouping choice small;
+		// the merge factor spans every value the daemon admits (any
+		// q >= 0).
 		if size < 1 || size > 16 {
 			t.Skip()
 		}
 		if cubeDim < -1 || cubeDim > 4 {
 			t.Skip()
 		}
-		if merge < 0 || merge > 4 || choice < 0 || choice > 8 {
+		if merge < 0 || choice < 0 || choice > 8 {
 			t.Skip()
 		}
 		k, ok := fuzzKernel(name, size, seed)

@@ -31,7 +31,7 @@ func TestLemma1ClashOnCompactStructure(t *testing.T) {
 		}
 		clashes := 0
 		for pt := range ps.Points {
-			to := (p.GroupOf[pt] + 1) % len(p.Groups)
+			to := (int(p.GroupOf[pt]) + 1) % p.NumBlocks()
 			q, cq := regrouped(p), regrouped(cp)
 			q.movePoint(pt, to)
 			cq.movePoint(pt, to)

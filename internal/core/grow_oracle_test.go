@@ -46,18 +46,36 @@ func (s *vecSet) add(v vec.Int) bool {
 	return true
 }
 
-// growGroupsByVecSet is the reference Steps 3–5: BFS region growing with
-// a queue of group IDs, a visited set of probed bases, per-group slices
-// and a rescan from point 0 for every new component. It returns the
-// number of points a new group found already owned by another group.
-func (p *Partitioning) growGroupsByVecSet(seedBase vec.Int) (conflicts int) {
+// refGroup is one group as the reference grower keeps it: per-group
+// slices, slots included.
+type refGroup struct {
+	ID        int
+	Base      vec.Int
+	Members   []int
+	Slot      []int
+	Component int
+	Coords    []int64
+}
+
+// refGroups is the reference grower's output: GroupOf and the groups.
+type refGroups struct {
+	GroupOf []int
+	Groups  []refGroup
+}
+
+// growGroupsByVecSet is the reference Steps 3–5 on p's Steps 1–2: BFS
+// region growing with a queue of group IDs, a visited set of probed
+// bases, per-group slices and a rescan from point 0 for every new
+// component. It also returns the number of points a new group found
+// already owned by another group.
+func (p *Partitioning) growGroupsByVecSet(seedBase vec.Int) (ref refGroups, conflicts int) {
 	ps := p.PS
 	r := p.R
 	dl := p.Grouping.Scaled
 
-	p.GroupOf = make([]int, len(ps.Points))
-	for i := range p.GroupOf {
-		p.GroupOf[i] = -1
+	ref.GroupOf = make([]int, len(ps.Points))
+	for i := range ref.GroupOf {
+		ref.GroupOf[i] = -1
 	}
 	visited := newVecSet(len(ps.Points))
 
@@ -79,7 +97,7 @@ func (p *Partitioning) growGroupsByVecSet(seedBase vec.Int) (conflicts int) {
 		mem, slots := membersAt(base)
 		var freeMem, freeSlots []int
 		for i, m := range mem {
-			if p.GroupOf[m] < 0 {
+			if ref.GroupOf[m] < 0 {
 				freeMem = append(freeMem, m)
 				freeSlots = append(freeSlots, slots[i])
 			}
@@ -88,11 +106,11 @@ func (p *Partitioning) growGroupsByVecSet(seedBase vec.Int) (conflicts int) {
 			return false
 		}
 		conflicts += len(mem) - len(freeMem)
-		id := len(p.Groups)
+		id := len(ref.Groups)
 		for _, m := range freeMem {
-			p.GroupOf[m] = id
+			ref.GroupOf[m] = id
 		}
-		p.Groups = append(p.Groups, Group{
+		ref.Groups = append(ref.Groups, refGroup{
 			ID: id, Base: base.Clone(), Members: freeMem, Slot: freeSlots,
 			Component: comp, Coords: append([]int64{}, coords...),
 		})
@@ -101,7 +119,7 @@ func (p *Partitioning) growGroupsByVecSet(seedBase vec.Int) (conflicts int) {
 
 	nextUngrouped := func() int {
 		for i := range ps.Points {
-			if p.GroupOf[i] < 0 {
+			if ref.GroupOf[i] < 0 {
 				return i
 			}
 		}
@@ -111,7 +129,7 @@ func (p *Partitioning) growGroupsByVecSet(seedBase vec.Int) (conflicts int) {
 	for comp := 0; ; comp++ {
 		seed := nextUngrouped()
 		if seed < 0 {
-			return conflicts
+			return ref, conflicts
 		}
 		base := ps.Points[seed]
 		if comp == 0 && seedBase != nil {
@@ -119,11 +137,11 @@ func (p *Partitioning) growGroupsByVecSet(seedBase vec.Int) (conflicts int) {
 		}
 		var queue []int
 		if tryCreate(base, comp, make([]int64, 1+len(p.Aux))) {
-			queue = append(queue, len(p.Groups)-1)
+			queue = append(queue, len(ref.Groups)-1)
 		}
 		visited.add(base)
 		for len(queue) > 0 {
-			g := p.Groups[queue[0]]
+			g := ref.Groups[queue[0]]
 			queue = queue[1:]
 			step := func(base vec.Int, axis int, delta int64) {
 				if !visited.add(base) {
@@ -132,7 +150,7 @@ func (p *Partitioning) growGroupsByVecSet(seedBase vec.Int) (conflicts int) {
 				c := append([]int64{}, g.Coords...)
 				c[axis] += delta
 				if tryCreate(base, comp, c) {
-					queue = append(queue, len(p.Groups)-1)
+					queue = append(queue, len(ref.Groups)-1)
 				}
 			}
 			step(g.Base.AddScaled(r, dl), 0, 1)
@@ -143,6 +161,29 @@ func (p *Partitioning) growGroupsByVecSet(seedBase vec.Int) (conflicts int) {
 			}
 		}
 	}
+}
+
+// flatViews reads p's flat tables back as the reference grower's
+// per-group slices, each member's slot derived from its group's base.
+func flatViews(t *testing.T, name string, p *Partitioning) refGroups {
+	t.Helper()
+	var v refGroups
+	for _, g := range p.GroupOf {
+		v.GroupOf = append(v.GroupOf, int(g))
+	}
+	for g := range p.NumBlocks() {
+		grp := refGroup{ID: g, Base: p.Base(g), Component: p.Component(g), Coords: p.Coords(g)}
+		for _, m := range p.Members(g) {
+			k, ok := p.slot(g, int(m))
+			if !ok {
+				t.Fatalf("%s: group %d member %d is off its group line", name, g, m)
+			}
+			grp.Members = append(grp.Members, int(m))
+			grp.Slot = append(grp.Slot, int(k))
+		}
+		v.Groups = append(v.Groups, grp)
+	}
+	return v
 }
 
 // edgeStatsPerPair is the reference arc count the TIG build absorbed:
@@ -179,39 +220,40 @@ func partitionAndCheck(t *testing.T, name string, ps *project.Structure, opt Opt
 	checkGrowAgainstVecSet(t, name, p, opt.SeedBase)
 }
 
-// checkGrowAgainstVecSet compares p's Groups and GroupOf with the
-// reference region growing run on the same Steps 1–2 and seed, and the
-// TIG's arc counts with the per-pair reference. It also requires that no
-// reference group overlaps an earlier one: every point a new group probes
-// is either free or owned by a group with the same base.
+// checkGrowAgainstVecSet compares the flat views of p's tables (see
+// flatViews) with the reference region growing run on the same Steps 1–2
+// and seed, and the TIG's arc counts with the per-pair reference. It also
+// requires that no reference group overlaps an earlier one: every point a
+// new group probes is either free or owned by a group with the same base.
 func checkGrowAgainstVecSet(t *testing.T, name string, p *Partitioning, seedBase vec.Int) {
 	t.Helper()
 	if got, want := BuildTIG(p).EdgeStats(), edgeStatsPerPair(p); got != want {
 		t.Fatalf("%s: TIG.EdgeStats = %+v, per-pair %+v", name, got, want)
 	}
+	view := flatViews(t, name, p)
 	if p.Grouping == nil {
 		// Every projected point is its own group.
-		for i, g := range p.Groups {
-			want := Group{ID: i, Base: p.PS.Points[i], Members: []int{i}, Slot: []int{0}, Coords: []int64{}}
-			if !reflect.DeepEqual(g, want) || p.GroupOf[i] != i {
-				t.Fatalf("%s: singleton group %d = %+v (GroupOf %d), want %+v", name, i, g, p.GroupOf[i], want)
+		for i, g := range view.Groups {
+			want := refGroup{ID: i, Base: p.PS.Points[i], Members: []int{i}, Slot: []int{0}, Coords: []int64{}}
+			if !reflect.DeepEqual(g, want) || view.GroupOf[i] != i {
+				t.Fatalf("%s: singleton group %d = %+v (GroupOf %d), want %+v", name, i, g, view.GroupOf[i], want)
 			}
 		}
 		return
 	}
-	ref := &Partitioning{PS: p.PS, R: p.R, Grouping: p.Grouping, Aux: p.Aux, Beta: p.Beta, MergeFactor: p.MergeFactor}
-	if conflicts := ref.growGroupsByVecSet(seedBase); conflicts != 0 {
+	ref, conflicts := p.growGroupsByVecSet(seedBase)
+	if conflicts != 0 {
 		t.Fatalf("%s: reference grower found %d points already owned by another group", name, conflicts)
 	}
-	if !reflect.DeepEqual(p.GroupOf, ref.GroupOf) {
-		t.Fatalf("%s: GroupOf = %v, reference %v", name, p.GroupOf, ref.GroupOf)
+	if !reflect.DeepEqual(view.GroupOf, ref.GroupOf) {
+		t.Fatalf("%s: GroupOf = %v, reference %v", name, view.GroupOf, ref.GroupOf)
 	}
-	if len(p.Groups) != len(ref.Groups) {
-		t.Fatalf("%s: %d groups, reference %d", name, len(p.Groups), len(ref.Groups))
+	if len(view.Groups) != len(ref.Groups) {
+		t.Fatalf("%s: %d groups, reference %d", name, len(view.Groups), len(ref.Groups))
 	}
-	for i := range p.Groups {
-		if !reflect.DeepEqual(p.Groups[i], ref.Groups[i]) {
-			t.Fatalf("%s: group %d = %+v, reference %+v", name, i, p.Groups[i], ref.Groups[i])
+	for i := range view.Groups {
+		if !reflect.DeepEqual(view.Groups[i], ref.Groups[i]) {
+			t.Fatalf("%s: group %d = %+v, reference %+v", name, i, view.Groups[i], ref.Groups[i])
 		}
 	}
 }

@@ -11,35 +11,50 @@ import (
 //
 //   - Completeness/disjointness: every index point belongs to exactly one
 //     block (Definition 6 partitions V).
-//   - Group geometry: member k of a group sits at Base + slot_k·d_l^p.
+//   - Group geometry: every member of a group sits at Base + k·d_l^p for
+//     a slot k in [0, r), and a group lists its members in slot order.
 //   - Lemma 1 / Theorem 1: no two index points of one block share an
 //     execution step, so blocks respect the schedule of Π.
 //   - Group size: no group exceeds r members.
 func CheckInvariants(p *Partitioning) error {
 	ps := p.PS
+	np, groups, n := len(ps.Points), p.NumBlocks(), len(ps.Pi)
+	if len(p.GroupOf) != np || len(p.members) != np || len(p.start) != groups+1 || p.start[0] != 0 ||
+		int(p.start[groups]) != np || p.w < n || len(p.rec) != groups*p.w {
+		return fmt.Errorf("group tables do not cover %d projected points in %d groups", np, groups)
+	}
 
 	// Every projected point grouped exactly once.
-	seen := make([]int, len(ps.Points))
-	for gi, g := range p.Groups {
-		if g.ID != gi {
-			return fmt.Errorf("group %d has ID %d", gi, g.ID)
+	seen := make([]int32, np)
+	for g := range groups {
+		s, e := p.start[g], p.start[g+1]
+		if e < s || int(e) > np {
+			return fmt.Errorf("group %d has members [%d, %d) of %d", g, s, e, np)
 		}
-		if int64(len(g.Members)) > p.R {
-			return fmt.Errorf("group %d has %d members, exceeds r=%d", gi, len(g.Members), p.R)
+		if int64(e-s) > p.R {
+			return fmt.Errorf("group %d has %d members, exceeds r=%d", g, e-s, p.R)
 		}
-		if len(g.Members) != len(g.Slot) {
-			return fmt.Errorf("group %d: members/slots length mismatch", gi)
-		}
-		for mi, m := range g.Members {
+		prev := int64(-1)
+		for _, m := range p.members[s:e] {
+			if m < 0 || int(m) >= np {
+				return fmt.Errorf("group %d lists projected point %d of %d", g, m, np)
+			}
 			seen[m]++
-			if p.GroupOf[m] != gi {
-				return fmt.Errorf("GroupOf[%d] = %d, expected %d", m, p.GroupOf[m], gi)
+			if p.GroupOf[m] != int32(g) {
+				return fmt.Errorf("GroupOf[%d] = %d, expected %d", m, p.GroupOf[m], g)
 			}
-			if p.Grouping != nil && !onGroupLine(ps.Points[m], g.Base, int64(g.Slot[mi]), p.Grouping.Scaled) {
-				want := g.Base.AddScaled(int64(g.Slot[mi]), p.Grouping.Scaled)
-				return fmt.Errorf("group %d member %d at %v, want %v (base %v slot %d)",
-					gi, m, ps.Points[m], want, g.Base, g.Slot[mi])
+			if p.Grouping == nil {
+				continue
 			}
+			k, ok := p.slot(g, int(m))
+			if !ok || k < 0 || k >= p.R {
+				return fmt.Errorf("group %d member %d at %v is off its group line at slots [0, %d) (base %v)",
+					g, m, ps.Points[m], p.R, p.Base(g))
+			}
+			if k <= prev {
+				return fmt.Errorf("group %d member %d at slot %d follows slot %d", g, m, k, prev)
+			}
+			prev = k
 		}
 	}
 	for i, c := range seen {
@@ -58,19 +73,6 @@ func CheckInvariants(p *Partitioning) error {
 		}
 	}
 	return nil
-}
-
-// onGroupLine reports whether pt == base + slot·dl, without allocating.
-func onGroupLine(pt, base vec.Int, slot int64, dl vec.Int) bool {
-	if len(pt) != len(base) || len(base) != len(dl) {
-		return false
-	}
-	for k, x := range pt {
-		if x != base[k]+slot*dl[k] {
-			return false
-		}
-	}
-	return true
 }
 
 // firstStepClash finds the index point a walk of V in lexicographic order
@@ -94,10 +96,11 @@ func (p *Partitioning) firstStepClash() (vec.Int, int) {
 	uPos := u.LexPositive()
 	var best vec.Int
 	bestG := -1
-	for g, grp := range p.Groups {
-		for i, a := range grp.Members {
+	for g := range p.NumBlocks() {
+		members := p.Members(g)
+		for i, a := range members {
 			fa := ps.Fibers[a]
-			for _, b := range grp.Members[i+1:] {
+			for _, b := range members[i+1:] {
 				fb := ps.Fibers[b]
 				if (fa.T0-fb.T0)%w != 0 {
 					continue

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -60,7 +61,7 @@ func computeBlocks(p *Partitioning) []int {
 	ps := p.PS
 	out := make([]int, len(ps.Orig.V))
 	for vi, x := range ps.Orig.V {
-		out[vi] = p.GroupOf[ps.IndexOf(ps.ProjectionOf(x))]
+		out[vi] = int(p.GroupOf[ps.IndexOf(ps.ProjectionOf(x))])
 	}
 	return out
 }
@@ -186,7 +187,7 @@ func stampStepClash(p *Partitioning, blockOf []int, limit int) (int, int64) {
 	}
 	if span := tmax - tmin; span >= 0 && span < 4*int64(limit)+stampSlack {
 		stamp := make([]int32, span+1)
-		for g := range p.Groups {
+		for g := range p.NumBlocks() {
 			for _, vi := range verts[start[g]:start[g+1]] {
 				k := times[vi] - tmin
 				if stamp[k] == int32(g+1) {
@@ -197,7 +198,7 @@ func stampStepClash(p *Partitioning, blockOf []int, limit int) (int, int64) {
 			}
 		}
 	} else {
-		for g := range p.Groups {
+		for g := range p.NumBlocks() {
 			// Sorted by (step, index), the second vertex of each run of
 			// equal steps is its block's clash at that step.
 			b := verts[start[g]:start[g+1]]
@@ -224,14 +225,14 @@ func stampStepClash(p *Partitioning, blockOf []int, limit int) (int, int64) {
 // stable counting sort: block g holds verts[start[g]:start[g+1]], in
 // increasing index order.
 func blockVertices(p *Partitioning, blockOf []int, limit int) (start []int, verts []int32) {
-	start = make([]int, len(p.Groups)+1)
+	start = make([]int, p.NumBlocks()+1)
 	for _, g := range blockOf[:limit] {
 		start[g+1]++
 	}
-	for g := range p.Groups {
+	for g := range p.NumBlocks() {
 		start[g+1] += start[g]
 	}
-	next := append([]int(nil), start[:len(p.Groups)]...)
+	next := append([]int(nil), start[:p.NumBlocks()]...)
 	verts = make([]int32, limit)
 	for vi, g := range blockOf[:limit] {
 		verts[next[g]] = int32(vi)
@@ -250,34 +251,33 @@ func errString(err error) string {
 // regrouped returns a copy of p whose groups can be reshaped freely: the
 // grouping vector is dropped (so group geometry is not checked) and r is
 // lifted, so CheckInvariants reaches its Lemma-1 pass on any regrouping
-// that keeps Groups and GroupOf consistent.
+// that keeps the member tables and GroupOf consistent.
 func regrouped(p *Partitioning) *Partitioning {
 	q := *p
 	q.Grouping = nil
 	q.R = 1 << 40
-	q.GroupOf = append([]int(nil), p.GroupOf...)
-	q.Groups = make([]Group, len(p.Groups))
-	for g, grp := range p.Groups {
-		grp.Members = append([]int(nil), grp.Members...)
-		grp.Slot = append([]int(nil), grp.Slot...)
-		q.Groups[g] = grp
-	}
+	q.GroupOf = slices.Clone(p.GroupOf)
+	q.members = slices.Clone(p.members)
+	q.start = slices.Clone(p.start)
 	return &q
 }
 
-// movePoint moves projected point pt into group to.
+// movePoint moves projected point pt to the end of group to's members,
+// rebuilding the member tables.
 func (p *Partitioning) movePoint(pt, to int) {
-	from := &p.Groups[p.GroupOf[pt]]
-	for i, m := range from.Members {
-		if m == pt {
-			from.Members = append(from.Members[:i], from.Members[i+1:]...)
-			from.Slot = append(from.Slot[:i], from.Slot[i+1:]...)
-			break
-		}
+	lists := make([][]int32, p.NumBlocks())
+	for g := range lists {
+		lists[g] = slices.Clone(p.Members(g))
 	}
-	p.Groups[to].Members = append(p.Groups[to].Members, pt)
-	p.Groups[to].Slot = append(p.Groups[to].Slot, 0)
-	p.GroupOf[pt] = to
+	from := p.GroupOf[pt]
+	lists[from] = slices.DeleteFunc(lists[from], func(m int32) bool { return int(m) == pt })
+	lists[to] = append(lists[to], int32(pt))
+	p.members, p.start = p.members[:0], p.start[:1]
+	for _, l := range lists {
+		p.members = append(p.members, l...)
+		p.start = append(p.start, int32(len(p.members)))
+	}
+	p.GroupOf[pt] = int32(to)
 }
 
 // checkStepsAgainstMaps compares CheckInvariants with the map and stamp
@@ -296,7 +296,7 @@ func checkStepsAgainstMaps(t *testing.T, name string, p *Partitioning, rng *rand
 		}
 	}
 	compare(name, p)
-	nP, nB := len(p.PS.Points), len(p.Groups)
+	nP, nB := len(p.PS.Points), p.NumBlocks()
 	for trial := 0; trial < 12; trial++ {
 		q := regrouped(p)
 		switch trial % 2 {
@@ -306,8 +306,8 @@ func checkStepsAgainstMaps(t *testing.T, name string, p *Partitioning, rng *rand
 			}
 		case 1:
 			from, to := rng.Intn(nB), rng.Intn(nB)
-			for _, m := range append([]int(nil), q.Groups[from].Members...) {
-				q.movePoint(m, to)
+			for _, m := range slices.Clone(q.Members(from)) {
+				q.movePoint(int(m), to)
 			}
 		}
 		compare(fmt.Sprintf("%s trial %d", name, trial), q)

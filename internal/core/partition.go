@@ -23,9 +23,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"slices"
+	"math"
 	"sort"
 
+	"repro/internal/ints"
+	"repro/internal/loop"
 	"repro/internal/project"
 	"repro/internal/vec"
 )
@@ -53,38 +55,22 @@ type Options struct {
 	// share a hyperplane and must then execute sequentially, stretching
 	// the schedule — in exchange for fewer blocks and less interblock
 	// communication. The granularity ablation quantifies the trade-off.
-	// 0 and 1 mean the paper's exact grouping.
+	// 0 and 1 mean the paper's exact grouping. Any larger q is admitted;
+	// one whose r·q or R·d_l^p overflows int64 is refused with an error
+	// wrapping loop.ErrTooLarge.
 	MergeFactor int64
 }
 
 // DefaultOptions returns the paper-default options.
 func DefaultOptions() Options { return Options{} }
 
-// Group is one group of projected points (Definition 6) and, through the
-// projection fibers, one partitioned block B_i.
-type Group struct {
-	// ID is the group's index in Partitioning.Groups.
-	ID int
-	// Base is the scaled base vertex v_0^p of the group. For boundary
-	// groups the base may be a virtual lattice position outside V^p.
-	Base vec.Int
-	// Members holds indices into the projected structure's Points, in
-	// order along the grouping vector (member k sits at Base + k·d_l^p).
-	Members []int
-	// Slot[k] is the within-group position of Members[k] (0..r-1); for
-	// boundary groups Members may skip slots.
-	Slot []int
-	// Component identifies the region-growing component the group belongs
-	// to (Step 3 re-seeds a new component for unreached lines).
-	Component int
-	// Coords are the integer lattice coordinates of the group's base
-	// relative to its component seed: Coords[0] counts steps of r·d_l^p
-	// along the grouping axis and Coords[1+j] counts steps of the j-th
-	// auxiliary vector. Used by the mapping phase's recursive bisection.
-	Coords []int64
-}
-
 // Partitioning is the result of Algorithm 1: G_Π(Q) = {B_0, …, B_{α−1}}.
+//
+// Algorithm 1 labels the projected lattice: every projected point gets a
+// group, and every group a base, lattice coordinates and a component. The
+// labels live in flat, pointer-free tables read through NumBlocks,
+// Members, Base, Coords and Component. A member's within-group slot is not
+// stored: member k of group g sits at Base(g) + k·d_l^p (see slot).
 type Partitioning struct {
 	// PS is the projected structure the partitioning was computed from.
 	PS *project.Structure
@@ -98,25 +84,87 @@ type Partitioning struct {
 	Aux []project.Dep
 	// Beta is rank(mat(D^p)).
 	Beta int
-	// Groups holds all groups; Groups[i].ID == i.
-	Groups []Group
 	// GroupOf maps a projected-point index to its group ID; a vertex's
 	// block is the group of its projected point (see BlockOf).
-	GroupOf []int
+	GroupOf []int32
 	// MergeFactor records Options.MergeFactor (1 for the paper's exact
 	// grouping). When > 1, Theorem 1 is deliberately relaxed: blocks may
 	// hold same-hyperplane points.
 	MergeFactor int64
+
+	// members lists the groups' projected points, group after group, each
+	// group's in slot order: group g holds members[start[g]:start[g+1]].
+	members []int32
+	start   []int32
+	// comp[g] is the region-growing component of group g (Step 3
+	// re-seeds a new component for unreached lines).
+	comp []int32
+	// rec holds every group's scaled base vertex v_0^p and lattice
+	// coordinates, w entries per group: see Base and Coords.
+	rec []int64
+	w   int
 }
 
 // NumBlocks returns α, the number of partitioned blocks.
-func (p *Partitioning) NumBlocks() int { return len(p.Groups) }
+func (p *Partitioning) NumBlocks() int { return len(p.comp) }
+
+// Members returns the projected points of group g (indices into
+// PS.Points) in slot order along the grouping vector. The slice is the
+// partitioning's; callers must not modify it.
+func (p *Partitioning) Members(g int) []int32 {
+	s, e := p.start[g], p.start[g+1]
+	return p.members[s:e:e]
+}
+
+// Base returns the scaled base vertex v_0^p of group g. For boundary
+// groups the base may be a virtual lattice position outside V^p. The
+// vector is the partitioning's; callers must not modify it.
+func (p *Partitioning) Base(g int) vec.Int {
+	n := len(p.PS.Pi)
+	return p.rec[g*p.w : g*p.w+n : g*p.w+n]
+}
+
+// Coords returns the integer lattice coordinates of group g's base
+// relative to its component seed: Coords[0] counts steps of r·d_l^p along
+// the grouping axis and Coords[1+j] counts steps of the j-th auxiliary
+// vector. Singleton groups (no grouping vector) have none. The mapping
+// phase's recursive bisection reads them; callers must not modify them.
+func (p *Partitioning) Coords(g int) []int64 {
+	n := len(p.PS.Pi)
+	return p.rec[g*p.w+n : (g+1)*p.w : (g+1)*p.w]
+}
+
+// Component returns the region-growing component of group g.
+func (p *Partitioning) Component(g int) int { return int(p.comp[g]) }
+
+// slot returns the k with PS.Points[pt] = Base(g) + k·d_l^p, and whether
+// one exists; without a grouping vector the point must be the base (k = 0).
+func (p *Partitioning) slot(g, pt int) (int64, bool) {
+	x, base := p.PS.Points[pt], p.Base(g)
+	if p.Grouping == nil {
+		return 0, x.Equal(base)
+	}
+	dl := p.Grouping.Scaled
+	var k int64
+	for j, d := range dl {
+		if d != 0 {
+			k = (x[j] - base[j]) / d
+			break
+		}
+	}
+	for j, d := range dl {
+		if x[j] != base[j]+k*d {
+			return 0, false
+		}
+	}
+	return k, true
+}
 
 // BlockPoints returns the index points of block g in execution-time order.
 func (p *Partitioning) BlockPoints(g int) []vec.Int {
 	var out []vec.Int
-	for _, pi := range p.Groups[g].Members {
-		out = append(out, p.PS.FiberPoints(pi)...)
+	for _, pi := range p.Members(g) {
+		out = append(out, p.PS.FiberPoints(int(pi))...)
 	}
 	sort.Slice(out, func(i, j int) bool {
 		ti, tj := p.PS.Pi.Dot(out[i]), p.PS.Pi.Dot(out[j])
@@ -131,7 +179,7 @@ func (p *Partitioning) BlockPoints(g int) []vec.Int {
 // BlockSize returns the number of index points in block g.
 func (p *Partitioning) BlockSize(g int) int {
 	n := 0
-	for _, pi := range p.Groups[g].Members {
+	for _, pi := range p.Members(g) {
 		n += p.PS.Fibers[pi].Len
 	}
 	return n
@@ -145,7 +193,7 @@ func (p *Partitioning) BlockSize(g int) int {
 func (p *Partitioning) BlockOf() []int {
 	out := p.PS.LineOf()
 	for vi, pt := range out {
-		out[vi] = p.GroupOf[pt]
+		out[vi] = int(p.GroupOf[pt])
 	}
 	return out
 }
@@ -165,6 +213,9 @@ func PartitionCtx(ctx context.Context, ps *project.Structure, opt Options) (*Par
 	}
 	if len(ps.Points) == 0 {
 		return nil, errors.New("core: empty projected structure")
+	}
+	if len(ps.Points) > math.MaxInt32 {
+		return nil, fmt.Errorf("core: %d projected points exceed the int32 group tables: %w", len(ps.Points), loop.ErrTooLarge)
 	}
 	if opt.MergeFactor < 0 {
 		return nil, fmt.Errorf("core: negative merge factor %d", opt.MergeFactor)
@@ -213,7 +264,11 @@ func PartitionCtx(ctx context.Context, ps *project.Structure, opt Options) (*Par
 	p.Grouping = &gvec
 	// r = max_i r_i regardless of which vector is chosen; MergeFactor > 1
 	// coarsens beyond the paper's r (relaxing Theorem 1).
-	p.R = ps.GroupSizeR() * merge
+	r, ok := ints.CheckedMul(ps.GroupSizeR(), merge)
+	if !ok {
+		return nil, fmt.Errorf("core: merge factor %d: group size r·q overflows int64: %w", merge, loop.ErrTooLarge)
+	}
+	p.R = r
 
 	// Step 2: auxiliary vectors — greedily extend {d_l^p} to a linearly
 	// independent set of size β from the remaining projected deps.
@@ -239,25 +294,18 @@ func PartitionCtx(ctx context.Context, ps *project.Structure, opt Options) (*Par
 	return p, nil
 }
 
-// singletonGroups makes every projected point its own group. The bases
-// share one flat buffer and the members and slots another, like the
-// groups of growGroups.
+// singletonGroups makes every projected point its own group: group i
+// holds point i, is based at it, and has no lattice coordinates.
 func (p *Partitioning) singletonGroups() {
 	ps := p.PS
 	np, n := len(ps.Points), len(ps.Pi)
-	p.GroupOf = make([]int, np)
-	ms := make([]int, 2*np)
-	bases := make([]int64, np*n)
-	p.Groups = make([]Group, np)
+	tab := make([]int32, 4*np+1)
+	p.GroupOf, p.members = tab[:np:np], tab[np:2*np:2*np]
+	p.start, p.comp = tab[2*np:3*np+1:3*np+1], tab[3*np+1:]
+	p.rec, p.w = make([]int64, np*n), n
 	for i, pt := range ps.Points {
-		ms[i] = i // every slot is 0
-		base := bases[i*n : (i+1)*n : (i+1)*n]
-		copy(base, pt)
-		p.Groups[i] = Group{
-			ID: i, Base: base, Members: ms[i : i+1 : i+1], Slot: ms[np+i : np+i+1 : np+i+1],
-			Component: 0, Coords: []int64{},
-		}
-		p.GroupOf[i] = i
+		p.GroupOf[i], p.members[i], p.start[i+1] = int32(i), int32(i), int32(i+1)
+		copy(p.rec[i*n:], pt)
 	}
 }
 
@@ -265,36 +313,86 @@ func (p *Partitioning) singletonGroups() {
 // context, amortizing the cancellation check over the sweep.
 const growCheckEvery = 1024
 
-// grower holds the region growing's state on flat storage. Group g's
-// base and lattice coordinates are rec[g*w : g*w+n] and
-// rec[g*w+n : (g+1)*w] with w = n + axes, its members and slots are
-// members[start[g]:start[g+1]] and slots[start[g]:start[g+1]], and its
-// component is comp[g]. Every projected point joins exactly one group, so
-// members and slots are exactly |V^p| long and fill in creation order.
+// grower holds the region growing's state on flat storage. Every
+// projected point joins exactly one group, so groupOf and members are
+// |V^p| long, and members fills in creation order, filled entries so far.
+// Group g's record is rec[g*rw : (g+1)*rw]: its base (n entries), its
+// lattice coordinates (one per axis), the end of its run in members, and
+// its component. lo and hi bound the projected points.
 type grower struct {
 	ps      *project.Structure
 	r       int64
 	dl      vec.Int
-	n, w    int
-	groupOf []int
-	members []int
-	slots   []int
+	n, rw   int
+	lo, hi  []int64
+	groupOf []int32
+	members []int32
+	filled  int
 	rec     []int64
-	start   []int
-	comp    []int
 	// cand is scratch for one probed lattice position.
 	cand vec.Int
 }
 
 // groups returns the number of groups created so far.
-func (g *grower) groups() int { return len(g.comp) }
+func (g *grower) groups() int { return len(g.rec) / g.rw }
 
 // base returns group id's base in rec.
-func (g *grower) base(id int) []int64 { return g.rec[id*g.w : id*g.w+g.n] }
+func (g *grower) base(id int) []int64 { return g.rec[id*g.rw : id*g.rw+g.n] }
+
+// span returns the range [kLo, kHi) of the k in [0, r) whose position
+// base + k·d_l^p lies inside the bounding box [lo, hi] of the projected
+// points; kLo >= kHi when there is none. No projected point lies outside
+// the box, so the clip is exact, and it costs O(dims) however large r is.
+// The distances are taken in uint64, where they are exact for any base.
+func (g *grower) span(base []int64) (kLo, kHi int64) {
+	kHi = g.r
+	for j, d := range g.dl {
+		b, lo, hi := base[j], g.lo[j], g.hi[j]
+		// gap is how far base lies before the box along d, room how far
+		// the box reaches past base along d, both in coordinate units.
+		var step, gap, room uint64
+		switch {
+		case d == 0:
+			if b < lo || b > hi {
+				return 0, 0
+			}
+			continue
+		case d > 0:
+			if b > hi {
+				return 0, 0
+			}
+			step, room = uint64(d), uint64(hi)-uint64(b)
+			if b < lo {
+				gap = uint64(lo) - uint64(b)
+			}
+		default:
+			if b < lo {
+				return 0, 0
+			}
+			step, room = -uint64(d), uint64(b)-uint64(lo)
+			if b > hi {
+				gap = uint64(b) - uint64(hi)
+			}
+		}
+		first, last := gap/step, room/step
+		if gap%step != 0 {
+			first++
+		}
+		if first > last || first >= uint64(kHi) {
+			return 0, 0
+		}
+		kLo = max(kLo, int64(first))
+		if last < uint64(kHi-1) {
+			kHi = int64(last) + 1
+		}
+	}
+	return kLo, kHi
+}
 
 // tryCreate claims the free projected points at base + k·d_l^p for k in
 // [0, r) as a new group of component comp with the given lattice
-// coordinates, and reports whether it made one. Points already owned by
+// coordinates, and reports whether it made one. Only the k that span
+// keeps inside the bounding box are probed. Points already owned by
 // another group are left alone; the reference grower's test asserts that
 // a new group never finds one (no partial overlap) on its input grid.
 //
@@ -302,13 +400,17 @@ func (g *grower) base(id int) []int64 { return g.rec[id*g.w : id*g.w+g.n] }
 // free point, and one that created a group claimed every free point, so
 // probing a position again can never create a group, and ownership only
 // grows. A second probe of a grown position returns at its first owned
-// point, whose group has this base; other repeats re-scan their r
-// positions and find nothing free.
+// point, whose group has this base; other repeats re-scan their positions
+// and find nothing free.
 func (g *grower) tryCreate(base []int64, comp int, coords []int64) bool {
 	ps, cand := g.ps, g.cand
-	at := g.start[len(g.start)-1]
-	free := 0
-	for k := int64(0); k < g.r; k++ {
+	// The group's members go to members[g.filled:end], committed only
+	// when it is made.
+	end := g.filled
+	kLo, kHi := g.span(base)
+	for k := kLo; k < kHi; k++ {
+		// The sum lies in the box, so it is exact even where the
+		// product k·d_l^p wraps.
 		for j := range cand {
 			cand[j] = base[j] + k*g.dl[j]
 		}
@@ -317,64 +419,71 @@ func (g *grower) tryCreate(base []int64, comp int, coords []int64) bool {
 			continue
 		}
 		if o := g.groupOf[idx]; o >= 0 {
-			if vec.Int(g.base(o)).Equal(base) {
+			if vec.Int(g.base(int(o))).Equal(base) {
 				return false
 			}
 			continue
 		}
-		g.members[at+free], g.slots[at+free] = idx, int(k)
-		free++
+		g.members[end] = int32(idx)
+		end++
 	}
-	if free == 0 {
+	if end == g.filled {
 		return false
 	}
-	id := g.groups()
-	for _, m := range g.members[at : at+free] {
+	id := int32(g.groups())
+	for _, m := range g.members[g.filled:end] {
 		g.groupOf[m] = id
 	}
-	g.rec = append(append(g.rec, base...), coords...)
-	g.start = append(g.start, at+free)
-	g.comp = append(g.comp, comp)
+	g.filled = end
+	g.rec = append(append(append(g.rec, base...), coords...), int64(end), int64(comp))
 	return true
 }
 
 // growGroups implements Steps 3–5: BFS region growing from seed groups.
 // seedBase, when non-nil, pins the base vertex of the very first group.
 // It polls ctx every growCheckEvery expansions and returns its error on
-// cancellation.
+// cancellation, and it refuses a group size whose probes would leave
+// int64 (see checkReach).
 //
 // Groups are created in BFS order and every created group is queued, so
 // the queue of a component is the run of groups created since its seed:
 // a pop is one step of an index. The groups are grown on flat scratch
-// (see grower) and carved at the end from exactly sized buffers, so the
+// (see grower) and copied at the end into exactly sized tables, so the
 // number of allocations does not grow with the number of groups or
 // probes unless more groups than the scratch's estimate sit on the
 // boundary.
 func (p *Partitioning) growGroups(ctx context.Context, seedBase vec.Int) error {
 	ps := p.PS
 	np, n, axes := len(ps.Points), len(ps.Pi), 1+len(p.Aux)
-	p.GroupOf = make([]int, np)
+	w := n + axes
+	scratch := make([]int64, 5*n+2*axes)
+	lo, hi := scratch[3*n:4*n:4*n], scratch[4*n:5*n:5*n]
+	copy(lo, ps.Points[0])
+	copy(hi, ps.Points[0])
+	for _, pt := range ps.Points[1:] {
+		for j, x := range pt {
+			lo[j], hi[j] = min(lo[j], x), max(hi[j], x)
+		}
+	}
+	if err := p.checkReach(lo, hi); err != nil {
+		return err
+	}
+	tab := make([]int32, 2*np)
+	p.GroupOf, p.members = tab[:np:np], tab[np:]
 	for i := range p.GroupOf {
 		p.GroupOf[i] = -1
 	}
-	ms := make([]int, 2*np)
 	// About |V^p|/r groups fill the interior; the slack covers partial
 	// groups on the boundary, and append grows the scratch past it.
-	est := min(np, np/int(p.R)+16)
-	w := n + axes
-	scratch := make([]int64, 3*n+2*axes)
+	est := min(np, np/int(min(p.R, int64(np)))+16)
 	g := &grower{
-		ps: ps, r: p.R, dl: p.Grouping.Scaled, n: n, w: w,
-		groupOf: p.GroupOf, members: ms[:np:np], slots: ms[np:],
-		rec:   make([]int64, 0, est*w),
-		start: append(make([]int, 0, est+1), 0),
-		comp:  make([]int, 0, est),
-		cand:  scratch[:n:n],
+		ps: ps, r: p.R, dl: p.Grouping.Scaled, n: n, rw: w + 2, lo: lo, hi: hi,
+		groupOf: p.GroupOf, members: p.members, rec: make([]int64, 0, est*(w+2)), cand: scratch[:n:n],
 	}
 	// base and coords hold the group being expanded, next and nextCoords
 	// the neighbour being probed.
 	base, next := vec.Int(scratch[n:2*n:2*n]), vec.Int(scratch[2*n:3*n:3*n])
-	coords, nextCoords := scratch[3*n:3*n+axes:3*n+axes], scratch[3*n+axes:]
+	coords, nextCoords := scratch[5*n:5*n+axes:5*n+axes], scratch[5*n+axes:]
 
 	// probe tries the neighbour of the expanded group at
 	// base + delta·stride·v, delta steps along coordinate axis.
@@ -418,7 +527,7 @@ func (p *Partitioning) growGroups(ctx context.Context, seedBase vec.Int) error {
 					return err
 				}
 			}
-			rec := g.rec[head*w : (head+1)*w]
+			rec := g.rec[head*g.rw : head*g.rw+w]
 			copy(base, rec[:n])
 			copy(coords, rec[n:])
 			probe(comp, dl, p.R, 0, 1)
@@ -430,16 +539,41 @@ func (p *Partitioning) growGroups(ctx context.Context, seedBase vec.Int) error {
 		}
 	}
 
-	// Carve the groups: bases and coordinates from one exactly sized copy
-	// of rec, members and slots from the shared point-sized buffers.
-	flat := slices.Clone(g.rec)
-	p.Groups = make([]Group, g.groups())
-	for id := range p.Groups {
-		rec := flat[id*w : (id+1)*w : (id+1)*w]
-		s, e := g.start[id], g.start[id+1]
-		p.Groups[id] = Group{
-			ID: id, Base: rec[:n:n], Members: g.members[s:e:e], Slot: g.slots[s:e:e],
-			Component: g.comp[id], Coords: rec[n:],
+	// Copy the records into exactly sized tables: bases and coordinates
+	// into rec, the run ends into start and the components into comp.
+	groups := g.groups()
+	p.rec, p.w = make([]int64, groups*w), w
+	idx := make([]int32, 2*groups+1)
+	p.start, p.comp = idx[:groups+1:groups+1], idx[groups+1:]
+	for id := range groups {
+		r := g.rec[id*g.rw : (id+1)*g.rw]
+		copy(p.rec[id*w:], r[:w])
+		p.start[id+1], p.comp[id] = int32(r[w]), int32(r[w+1])
+	}
+	return nil
+}
+
+// checkReach refuses a group size R whose region growing would leave
+// int64. A created group's base lies within (R−1)·|d_l^p| of a projected
+// point inside the box [lo, hi], so every probe from it lies within
+// 2R·|d_l^p| + max_j |d_j^p| of the box. That reach, and so R·d_l^p,
+// must fit in int64 on every axis.
+func (p *Partitioning) checkReach(lo, hi []int64) error {
+	for j, d := range p.Grouping.Scaled {
+		var aux int64
+		for _, a := range p.Aux {
+			aux = max(aux, a.Scaled[j], -a.Scaled[j])
+		}
+		stride, ok := ints.CheckedMul(p.R, max(d, -d))
+		reach := max(hi[j], -lo[j])
+		for _, x := range [...]int64{aux, stride, stride} {
+			if ok {
+				reach, ok = ints.CheckedAdd(reach, x)
+			}
+		}
+		if !ok {
+			return fmt.Errorf("core: merge factor %d: stride R·d_l^p = %d·%v overflows int64: %w",
+				p.MergeFactor, p.R, p.Grouping.Scaled, loop.ErrTooLarge)
 		}
 	}
 	return nil
@@ -451,5 +585,5 @@ func (p *Partitioning) BlockOfPoint(x vec.Int) int {
 	if !p.PS.Orig.HasVertex(x) {
 		return -1
 	}
-	return p.GroupOf[p.PS.IndexOf(p.PS.ProjectionOf(x))]
+	return int(p.GroupOf[p.PS.IndexOf(p.PS.ProjectionOf(x))])
 }

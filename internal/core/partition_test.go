@@ -188,28 +188,29 @@ func TestGroupCoordsConsistent(t *testing.T) {
 	}
 	// Locate each component's seed (coords all zero).
 	seeds := map[int]vec.Int{}
-	for _, g := range p.Groups {
+	for g := range p.NumBlocks() {
 		allZero := true
-		for _, c := range g.Coords {
+		for _, c := range p.Coords(g) {
 			if c != 0 {
 				allZero = false
 			}
 		}
 		if allZero {
-			seeds[g.Component] = g.Base
+			seeds[p.Component(g)] = p.Base(g)
 		}
 	}
-	for _, g := range p.Groups {
-		seed, ok := seeds[g.Component]
+	for g := range p.NumBlocks() {
+		seed, ok := seeds[p.Component(g)]
 		if !ok {
-			t.Fatalf("component %d has no seed group", g.Component)
+			t.Fatalf("component %d has no seed group", p.Component(g))
 		}
-		want := seed.AddScaled(g.Coords[0]*p.R, p.Grouping.Scaled)
+		coords := p.Coords(g)
+		want := seed.AddScaled(coords[0]*p.R, p.Grouping.Scaled)
 		for j, a := range p.Aux {
-			want = want.AddScaled(g.Coords[1+j], a.Scaled)
+			want = want.AddScaled(coords[1+j], a.Scaled)
 		}
-		if !g.Base.Equal(want) {
-			t.Fatalf("group %d base %v, lattice position %v (coords %v)", g.ID, g.Base, want, g.Coords)
+		if !p.Base(g).Equal(want) {
+			t.Fatalf("group %d base %v, lattice position %v (coords %v)", g, p.Base(g), want, coords)
 		}
 	}
 }
@@ -233,15 +234,15 @@ func TestSeedBaseReproducesPaperExample2Grouping(t *testing.T) {
 	// Locate the group based at (−3,−3,6) and check its members.
 	want := []vec.Int{vec.NewInt(-3, -3, 6), vec.NewInt(-4, -1, 5), vec.NewInt(-5, 1, 4)}
 	found := false
-	for _, g := range p.Groups {
-		if !g.Base.Equal(want[0]) {
+	for g := range p.NumBlocks() {
+		if !p.Base(g).Equal(want[0]) {
 			continue
 		}
 		found = true
-		if len(g.Members) != 3 {
-			t.Fatalf("paper's G1 has 3 members, got %d", len(g.Members))
+		if len(p.Members(g)) != 3 {
+			t.Fatalf("paper's G1 has 3 members, got %d", len(p.Members(g)))
 		}
-		for i, m := range g.Members {
+		for i, m := range p.Members(g) {
 			if !ps.Points[m].Equal(want[i]) {
 				t.Fatalf("member %d = %v, want %v", i, ps.Points[m], want[i])
 			}

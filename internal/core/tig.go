@@ -81,55 +81,65 @@ func (t *TIG) indexRows() {
 // BuildTIG constructs the TIG of a partitioning by classifying every
 // dependence arc of the computational structure. The stage's line graph
 // (project.Structure.Arcs) already names each (projected point,
-// dependence) pair's target line and arc count, so the build is one walk
-// over the table rows of each block's points, |V^p|·m entries in all.
-// The pairs that stay inside a block count toward EdgeStats' total.
-// Blocks are visited in order, so each row is complete before the next
-// starts: a per-block stamp array finds an edge in O(1), and the finished
-// row (at most 2m − β entries by Theorem 2) is sorted in place.
+// dependence) pair's target line and arc count, so the build walks the
+// table rows of each block's points, |V^p|·m entries in all. The pairs
+// that stay inside a block count toward EdgeStats' total. A first walk
+// counts each block's distinct targets, so Edges is laid out at its
+// exact length; the second fills the rows. Blocks are visited in order,
+// so each row is complete before the next starts: a per-block stamp
+// array finds an edge in O(1), and the finished row (at most 2m − β
+// entries by Theorem 2) is sorted in place.
 func BuildTIG(p *Partitioning) *TIG {
 	ps := p.PS
-	t := &TIG{N: len(p.Groups), part: p}
-	t.Loads = make([]int64, t.N)
-	for g := range p.Groups {
-		t.Loads[g] = int64(p.BlockSize(g))
-	}
-	rowCap := max(Theorem2Bound(p), 1)
-	t.Edges = make([]TIGEdge, 0, t.N*rowCap)
-	// slot[v] is the position in Edges of the current row's edge to v,
-	// valid while stamp[v] == u+1.
-	slot := make([]int, t.N)
-	stamp := make([]int32, t.N)
-	t.rowStart = make([]int, t.N+1)
-	for u, g := range p.Groups {
-		row := len(t.Edges)
-		for _, pt := range g.Members {
-			for _, a := range ps.Line(pt) {
+	n := p.NumBlocks()
+	t := &TIG{N: n, part: p}
+	t.Loads = make([]int64, n)
+	t.rowStart = make([]int, n+1)
+	// The first walk sets stamp[v] = u+1 when row u first targets v, the
+	// second −(u+1), and slot[v] is then the position in Edges of the
+	// row's edge to v.
+	marks := make([]int32, 2*n)
+	stamp, slot := marks[:n:n], marks[n:]
+	for u := range n {
+		targets := 0
+		for _, pt := range p.Members(u) {
+			t.Loads[u] += int64(ps.Fibers[pt].Len)
+			for _, a := range ps.Line(int(pt)) {
 				if a.To < 0 {
 					continue
 				}
 				t.arcs += a.Arcs
-				v := p.GroupOf[a.To]
-				if v == u || a.Arcs == 0 {
+				if v := p.GroupOf[a.To]; int(v) != u && a.Arcs != 0 && stamp[v] != int32(u+1) {
+					stamp[v] = int32(u + 1)
+					targets++
+				}
+			}
+		}
+		t.rowStart[u+1] = t.rowStart[u] + targets
+	}
+	if t.rowStart[n] > 0 {
+		t.Edges = make([]TIGEdge, 0, t.rowStart[n])
+	}
+	for u := range n {
+		row := len(t.Edges)
+		for _, pt := range p.Members(u) {
+			for _, a := range ps.Line(int(pt)) {
+				if a.To < 0 || a.Arcs == 0 {
 					continue
 				}
-				if stamp[v] != int32(u+1) {
-					stamp[v] = int32(u + 1)
-					slot[v] = len(t.Edges)
-					t.Edges = append(t.Edges, TIGEdge{From: u, To: v})
+				v := p.GroupOf[a.To]
+				if int(v) == u {
+					continue
+				}
+				if stamp[v] != -int32(u+1) {
+					stamp[v] = -int32(u + 1)
+					slot[v] = int32(len(t.Edges))
+					t.Edges = append(t.Edges, TIGEdge{From: u, To: int(v)})
 				}
 				t.Edges[slot[v]].Weight += a.Arcs
 			}
 		}
 		slices.SortFunc(t.Edges[row:], func(a, b TIGEdge) int { return a.To - b.To })
-		t.rowStart[u+1] = len(t.Edges)
-	}
-	// The rows were laid out for the Theorem 2 bound; copy the edges
-	// out so a cached TIG pins only the edges it has.
-	if len(t.Edges) == 0 {
-		t.Edges = nil
-	} else {
-		t.Edges = slices.Clone(t.Edges)
 	}
 	return t
 }
@@ -164,8 +174,8 @@ func (t *TIG) WeightByDep(u, v, dep int) int64 {
 		return 0
 	}
 	var w int64
-	for _, pt := range t.part.Groups[u].Members {
-		if a := t.part.PS.Line(pt)[dep]; a.To >= 0 && t.part.GroupOf[a.To] == v {
+	for _, pt := range t.part.Members(u) {
+		if a := t.part.PS.Line(int(pt))[dep]; a.To >= 0 && int(t.part.GroupOf[a.To]) == v {
 			w += a.Arcs
 		}
 	}
@@ -180,9 +190,9 @@ func (t *TIG) DepBreakdown(u, v int) map[int]int64 {
 		return nil
 	}
 	out := map[int]int64{}
-	for _, pt := range t.part.Groups[u].Members {
-		for dep, a := range t.part.PS.Line(pt) {
-			if a.To >= 0 && a.Arcs != 0 && t.part.GroupOf[a.To] == v {
+	for _, pt := range t.part.Members(u) {
+		for dep, a := range t.part.PS.Line(int(pt)) {
+			if a.To >= 0 && a.Arcs != 0 && int(t.part.GroupOf[a.To]) == v {
 				out[dep] += a.Arcs
 			}
 		}

@@ -64,9 +64,9 @@ func fiberArcs(ps *project.Structure, pt, qi int, lag, w int64) int64 {
 func buildTIGByLookup(p *Partitioning) *lookupTIG {
 	ps := p.PS
 	m := len(ps.Deps)
-	t := &lookupTIG{TIG: TIG{N: len(p.Groups)}, nDeps: m}
+	t := &lookupTIG{TIG: TIG{N: p.NumBlocks()}, nDeps: m}
 	t.Loads = make([]int64, t.N)
-	for g := range p.Groups {
+	for g := range p.NumBlocks() {
 		t.Loads[g] = int64(p.BlockSize(g))
 	}
 	rowCap := max(Theorem2Bound(p), 1)
@@ -79,9 +79,10 @@ func buildTIGByLookup(p *Partitioning) *lookupTIG {
 	t.rowStart = make([]int, t.N+1)
 	q := make(vec.Int, len(ps.Pi))
 	lag, w := depLags(ps), ps.Stride()
-	for u, g := range p.Groups {
+	for u := range p.NumBlocks() {
 		row := len(t.Edges)
-		for _, pt := range g.Members {
+		for _, member := range p.Members(u) {
+			pt := int(member)
 			for dep, d := range ps.Deps {
 				// A dependence parallel to Π stays on its projection
 				// line, inside the block.
@@ -93,7 +94,7 @@ func buildTIGByLookup(p *Partitioning) *lookupTIG {
 				}
 				arcs := fiberArcs(ps, pt, qi, lag[dep], w)
 				t.arcs += arcs
-				v := p.GroupOf[qi]
+				v := int(p.GroupOf[qi])
 				if v == u || arcs == 0 {
 					continue
 				}

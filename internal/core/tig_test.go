@@ -92,18 +92,28 @@ func TestCheckInvariantsCatchesCorruption(t *testing.T) {
 	}
 	// Corrupt GroupOf: point claimed by the wrong group.
 	saved := p.GroupOf[0]
-	p.GroupOf[0] = (saved + 1) % len(p.Groups)
+	p.GroupOf[0] = (saved + 1) % int32(p.NumBlocks())
 	if err := CheckInvariants(p); err == nil {
 		t.Fatal("corrupted GroupOf not detected")
 	}
 	p.GroupOf[0] = saved
 
-	// Corrupt a group ID.
-	p.Groups[1].ID = 7
+	// Corrupt a group's base: its members leave the group line.
+	base := p.Base(1)
+	base[0]++
 	if err := CheckInvariants(p); err == nil {
-		t.Fatal("corrupted group ID not detected")
+		t.Fatal("corrupted group base not detected")
 	}
-	p.Groups[1].ID = 1
+	base[0]--
+
+	// Shift a group's base one step forward: its first member falls to
+	// slot −1, outside [0, r).
+	saveBase := base.Clone()
+	copy(base, base.Add(p.Grouping.Scaled))
+	if err := CheckInvariants(p); err == nil {
+		t.Fatal("member at slot -1 not detected")
+	}
+	copy(base, saveBase)
 
 	// Every line in one block: same-hyperplane points share it. The
 	// regrouped copy drops group geometry and r, so only Lemma 1 can
@@ -116,13 +126,24 @@ func TestCheckInvariantsCatchesCorruption(t *testing.T) {
 		t.Fatal("Lemma 1 violation not detected")
 	}
 
-	// Mismatched member/slot lengths.
-	savedSlots := p.Groups[0].Slot
-	p.Groups[0].Slot = p.Groups[0].Slot[:0]
-	if err := CheckInvariants(p); err == nil {
-		t.Fatal("member/slot mismatch not detected")
+	// Members out of slot order.
+	g := 0
+	for len(p.Members(g)) < 2 {
+		g++
 	}
-	p.Groups[0].Slot = savedSlots
+	ms := p.Members(g)
+	ms[0], ms[1] = ms[1], ms[0]
+	if err := CheckInvariants(p); err == nil {
+		t.Fatal("members out of slot order not detected")
+	}
+	ms[0], ms[1] = ms[1], ms[0]
+
+	// Member offsets that run backwards.
+	p.start[1], p.start[2] = p.start[2], p.start[1]
+	if err := CheckInvariants(p); err == nil {
+		t.Fatal("backward member offsets not detected")
+	}
+	p.start[1], p.start[2] = p.start[2], p.start[1]
 
 	// After restoring everything the check passes again.
 	if err := CheckInvariants(p); err != nil {

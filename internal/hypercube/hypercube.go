@@ -7,6 +7,7 @@ package hypercube
 import (
 	"fmt"
 	"math/bits"
+	"strconv"
 
 	"repro/internal/ints"
 )
@@ -68,4 +69,11 @@ func (c Cube) Route(src, dst int) []int {
 }
 
 // String renders the cube briefly.
-func (c Cube) String() string { return fmt.Sprintf("hypercube(dim=%d, N=%d)", c.Dim, c.N) }
+func (c Cube) String() string { return string(c.AppendString(nil)) }
+
+// AppendString appends c.String() to b.
+func (c Cube) AppendString(b []byte) []byte {
+	b = strconv.AppendInt(append(b, "hypercube(dim="...), int64(c.Dim), 10)
+	b = strconv.AppendInt(append(b, ", N="...), int64(c.N), 10)
+	return append(b, ')')
+}

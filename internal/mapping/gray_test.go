@@ -82,8 +82,8 @@ func checkAxisNeighboursOneHop(t *testing.T, name string, p *core.Partitioning, 
 		t.Fatalf("%s: %v", name, err)
 	}
 	ref := refSlices(ItemsOf(p), dim)
-	for a := range p.Groups {
-		for b := a + 1; b < len(p.Groups); b++ {
+	for a := range p.NumBlocks() {
+		for b := a + 1; b < p.NumBlocks(); b++ {
 			sa, sb := ref[a], ref[b]
 			apart, gap := 0, 0
 			for k := range sa {

@@ -322,11 +322,12 @@ func (b *bisection) place(maxID, nodes int, node func(c int) int) (nodeOf []int,
 	return nodeOf, clusters
 }
 
-// ItemsOf converts a partitioning's groups into mappable items.
+// ItemsOf converts a partitioning's groups into mappable items. The
+// items share the partitioning's coordinate table.
 func ItemsOf(p *core.Partitioning) []Item {
-	items := make([]Item, len(p.Groups))
-	for i, g := range p.Groups {
-		items[i] = Item{ID: g.ID, Component: g.Component, Coords: g.Coords}
+	items := make([]Item, p.NumBlocks())
+	for g := range items {
+		items[g] = Item{ID: g, Component: p.Component(g), Coords: p.Coords(g)}
 	}
 	return items
 }

@@ -227,25 +227,25 @@ func stageBytes(st *loopmap.Stage) int64 {
 }
 
 // partitionBytes estimates what a plan holds beyond its stage: the
-// partitioning's groups with their shared buffers and per-point group
-// table, and the TIG. Blocks are derived from the groups.
+// partitioning's flat tables and the TIG. Blocks are derived from the
+// groups.
 func partitionBytes(p *loopmap.Plan) int64 {
-	const (
-		groupBytes = 112 // a Group's fixed fields
-		edgeBytes  = 24  // one TIGEdge
-	)
-	// GroupOf, and the members and slots that the groups carve from one
-	// shared buffer of 2·|V^p| entries; each group's base and lattice
-	// coordinates come from a second shared buffer.
+	const edgeBytes = 24 // one TIGEdge
+	// Per projected point, its group and its place in the member list
+	// (an int32 each); per group, a member offset and a component (an
+	// int32 each) and its base and lattice coordinates (int64s).
 	part := p.Partitioning
-	b := int64(len(part.GroupOf)) * 3 * 8
-	if len(part.Groups) > 0 {
-		g := part.Groups[0]
-		b += int64(len(part.Groups)) * (groupBytes + int64(len(g.Base)+len(g.Coords))*8)
+	groups := int64(part.NumBlocks())
+	b := int64(len(part.GroupOf))*2*4 + groups*2*4
+	if groups > 0 {
+		b += groups * int64(len(part.Base(0))+len(part.Coords(0))) * 8
 	}
 	// Each TIG edge is one TIGEdge; each block has a load and a row
 	// offset. Per-dependence weights are summed from the stage's line
 	// graph on demand, so the TIG holds none.
 	b += int64(len(p.TIG.Edges))*edgeBytes + int64(len(p.TIG.Loads))*16
-	return b + 256 // fixed struct overhead
+	// Fixed: the Plan (96 B), Partitioning (192 B) and TIG (96 B)
+	// structs, the grouping vector's Dep (64 B) and the auxiliary
+	// vectors' backing array.
+	return b + 512
 }

@@ -453,3 +453,38 @@ func TestSPMDOverflowBoundsRejected(t *testing.T) {
 		t.Fatalf("error body %s does not name the overflow", out)
 	}
 }
+
+// TestHugeMergeFactorAnswersPromptly: /v1/plan with a merge factor far
+// past the kernel's extent answers 200 inside its 500 ms budget and gives
+// its admission slot back; one whose r·q overflows int64 is a 400. Each
+// request must be answered within 5 s.
+func TestHugeMergeFactorAnswersPromptly(t *testing.T) {
+	s := New(Config{})
+	h := s.Handler()
+	for _, c := range []struct {
+		merge string
+		want  int
+	}{
+		{"1099511627776", http.StatusOK},
+		{"9223372036854775807", http.StatusBadRequest},
+	} {
+		body := `{"kernel":"l1","size":8,"merge_factor":` + c.merge + `,"timeout_ms":500}`
+		done := make(chan *httptest.ResponseRecorder, 1)
+		go func() {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/plan", strings.NewReader(body)))
+			done <- rec
+		}()
+		select {
+		case rec := <-done:
+			if rec.Code != c.want {
+				t.Fatalf("%s: status %d, want %d: %s", body, rec.Code, c.want, rec.Body)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s: no answer within 5 s (%d plans in flight)", body, s.Metrics().InflightPlans)
+		}
+		if n := s.Metrics().InflightPlans; n != 0 {
+			t.Fatalf("%s: %d plans still in flight after the answer", body, n)
+		}
+	}
+}

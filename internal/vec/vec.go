@@ -142,12 +142,18 @@ func (v Int) Key() string {
 }
 
 // String renders v as "(a, b, ...)".
-func (v Int) String() string {
-	parts := make([]string, len(v))
+func (v Int) String() string { return string(v.AppendString(nil)) }
+
+// AppendString appends v.String() to b.
+func (v Int) AppendString(b []byte) []byte {
+	b = append(b, '(')
 	for i, x := range v {
-		parts[i] = fmt.Sprintf("%d", x)
+		if i > 0 {
+			b = append(b, ", "...)
+		}
+		b = strconv.AppendInt(b, x, 10)
 	}
-	return "(" + strings.Join(parts, ", ") + ")"
+	return append(b, ')')
 }
 
 // ToRat converts v to a rational vector.

@@ -25,7 +25,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strings"
+	"strconv"
 
 	"repro/internal/codegen"
 	"repro/internal/core"
@@ -578,21 +578,37 @@ func (p *Plan) Summary() string {
 // EvaluateMapping statistics; ms is unused when the plan has no mapping
 // phase.
 func (p *Plan) SummaryWith(ms mapping.Stats) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "kernel %s: %d iterations, %d dependences, Π = %v, %d steps\n",
-		p.Kernel.Name, p.Structure.Len(), len(p.Structure.D), p.Schedule.Pi, p.Schedule.Steps())
-	fmt.Fprintf(&b, "projection: %d projected points (s = %d), group size r = %d, β = %d\n",
-		len(p.Projected.Points), p.Projected.S, p.Partitioning.R, p.Partitioning.Beta)
+	b := make([]byte, 0, 512)
+	// put appends text and then x in decimal.
+	put := func(text string, x int64) { b = strconv.AppendInt(append(b, text...), x, 10) }
+	b = append(append(b, "kernel "...), p.Kernel.Name...)
+	put(": ", int64(p.Structure.Len()))
+	put(" iterations, ", int64(len(p.Structure.D)))
+	b = p.Schedule.Pi.AppendString(append(b, " dependences, Π = "...))
+	put(", ", p.Schedule.Steps())
+	put(" steps\nprojection: ", int64(len(p.Projected.Points)))
+	put(" projected points (s = ", p.Projected.S)
+	put("), group size r = ", p.Partitioning.R)
+	put(", β = ", int64(p.Partitioning.Beta))
 	es := p.TIG.EdgeStats()
-	fmt.Fprintf(&b, "partitioning: %d blocks, max block %d points, %d/%d dependences interblock\n",
-		p.Partitioning.NumBlocks(), p.TIG.MaxLoad(), es.InterBlock, es.Total)
-	fmt.Fprintf(&b, "TIG: %d edges, traffic %d, max out-degree %d (Theorem 2 bound %d)\n",
-		len(p.TIG.Edges), p.TIG.TotalTraffic(), p.TIG.MaxOutDegree(), core.Theorem2Bound(p.Partitioning))
+	put("\npartitioning: ", int64(p.Partitioning.NumBlocks()))
+	put(" blocks, max block ", p.TIG.MaxLoad())
+	put(" points, ", int64(es.InterBlock))
+	put("/", int64(es.Total))
+	put(" dependences interblock\nTIG: ", int64(len(p.TIG.Edges)))
+	put(" edges, traffic ", p.TIG.TotalTraffic())
+	put(", max out-degree ", int64(p.TIG.MaxOutDegree()))
+	put(" (Theorem 2 bound ", int64(core.Theorem2Bound(p.Partitioning)))
+	b = append(b, ")\n"...)
 	if p.Mapping != nil {
-		fmt.Fprintf(&b, "mapping: %s, hop-weight %d, max dilation %d, load [%d, %d]\n",
-			p.Mapping.Cube, ms.HopWeight, ms.MaxDilation, ms.MinLoad, ms.MaxLoad)
+		b = p.Mapping.Cube.AppendString(append(b, "mapping: "...))
+		put(", hop-weight ", ms.HopWeight)
+		put(", max dilation ", int64(ms.MaxDilation))
+		put(", load [", ms.MinLoad)
+		put(", ", ms.MaxLoad)
+		b = append(b, "]\n"...)
 	}
-	return b.String()
+	return string(b)
 }
 
 // EvaluateMapping computes mapping-quality statistics of the plan's TIG

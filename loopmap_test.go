@@ -1,8 +1,12 @@
 package loopmap
 
 import (
+	"context"
+	"errors"
+	"math"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestNewPlanMatMulDefaults(t *testing.T) {
@@ -291,6 +295,58 @@ func TestPartitionChoiceThroughFacade(t *testing.T) {
 		}
 		if err := plan.Verify(); err != nil {
 			t.Fatalf("choice %d: %v", choice, err)
+		}
+	}
+}
+
+// TestHugeMergeFactorBeatsItsDeadline: a merge factor far past the
+// kernel's extent plans as quickly as a small one, because Algorithm 1
+// scans each group only where it meets the projected points' bounding
+// box, and a merge factor whose r·q or R·d_l^p overflows int64 is refused
+// as ErrTooLarge. Each plan runs under a 2 s deadline and must return
+// within 5 s.
+func TestHugeMergeFactorBeatsItsDeadline(t *testing.T) {
+	type result struct {
+		p   *Plan
+		err error
+	}
+	plan := func(q int64) (*Plan, error) {
+		t.Helper()
+		done := make(chan result, 1)
+		go func() {
+			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+			defer cancel()
+			p, err := NewPlanCtx(ctx, NewKernel("l1", 8), PlanOptions{
+				CubeDim: 2, Partition: PartitionOptions{MergeFactor: q},
+			})
+			done <- result{p, err}
+		}()
+		select {
+		case r := <-done:
+			return r.p, r.err
+		case <-time.After(5 * time.Second):
+			t.Fatalf("merge factor %d: NewPlanCtx still running after 5 s under a 2 s deadline", q)
+			return nil, nil
+		}
+	}
+	spanning, err := plan(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := spanning.Partitioning.R / 64
+	for _, q := range []int64{1 << 40, math.MaxInt64 / (4 * r)} {
+		p, err := plan(q)
+		if err != nil {
+			t.Fatalf("merge factor %d: %v", q, err)
+		}
+		if p.Partitioning.NumBlocks() != spanning.Partitioning.NumBlocks() || p.TIG.TotalTraffic() != spanning.TIG.TotalTraffic() {
+			t.Fatalf("merge factor %d gives %d blocks and traffic %d, 64 gives %d and %d", q,
+				p.Partitioning.NumBlocks(), p.TIG.TotalTraffic(), spanning.Partitioning.NumBlocks(), spanning.TIG.TotalTraffic())
+		}
+	}
+	for _, q := range []int64{math.MaxInt64, math.MaxInt64 / r} {
+		if _, err := plan(q); !errors.Is(err, ErrTooLarge) {
+			t.Fatalf("merge factor %d: err = %v, want ErrTooLarge", q, err)
 		}
 	}
 }
