@@ -7,8 +7,10 @@ package loopmap
 import (
 	"context"
 	"errors"
+	"math"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestLookupKernel(t *testing.T) {
@@ -128,6 +130,38 @@ func TestNewPlanCtxCancellation(t *testing.T) {
 	cancel()
 	if _, err := NewPlanCtx(ctx, k, PlanOptions{CubeDim: -1}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+}
+
+// TestPiSearchHonorsDeadline: a Π search far too large to finish (bound
+// 100000, and math.MaxInt64, whose loop must not wrap) under a 200 ms
+// deadline returns context.DeadlineExceeded within a few seconds.
+func TestPiSearchHonorsDeadline(t *testing.T) {
+	for _, bound := range []int64{100000, math.MaxInt64} {
+		done := make(chan error, 1)
+		go func() {
+			ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+			defer cancel()
+			_, err := NewPlanCtx(ctx, NewKernel("matmul", 4), PlanOptions{SearchPi: true, SearchBound: bound})
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if !errors.Is(err, context.DeadlineExceeded) {
+				t.Fatalf("bound %d: err = %v, want context.DeadlineExceeded", bound, err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("bound %d: NewPlanCtx still searching 5 s after its 200 ms deadline", bound)
+		}
+	}
+}
+
+// TestGroupingChoiceOutOfRange: a grouping choice past the nonzero
+// projected dependences is refused with ErrGroupingChoice.
+func TestGroupingChoiceOutOfRange(t *testing.T) {
+	_, err := NewPlan(NewKernel("l1", 4), PlanOptions{Partition: PartitionOptions{GroupingChoice: 9}})
+	if !errors.Is(err, ErrGroupingChoice) {
+		t.Fatalf("err = %v, want ErrGroupingChoice", err)
 	}
 }
 

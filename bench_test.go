@@ -20,7 +20,6 @@ import (
 	"repro/internal/hyperplane"
 	"repro/internal/machine"
 	"repro/internal/mapping"
-	"repro/internal/project"
 	"repro/internal/sim"
 )
 
@@ -677,7 +676,8 @@ func BenchmarkPlanMissGrid(b *testing.B) {
 	// The tig and map cases time the TIG build and Algorithm 2 alone on
 	// shared stages: every grid key partitioned at merge factors 1–10,
 	// aux on and off, and each partitioning mapped onto cubes of
-	// dimension 2–4. µs/plan is the mean per call.
+	// dimension 2–4. µs/plan is the mean per call, and retained-B/tig the
+	// live heap one TIG pins.
 	var parts []*core.Partitioning
 	for _, g := range grid {
 		st, err := PrepareCtx(ctx, NewKernel(g.kernel, g.size), PlanOptions{})
@@ -702,6 +702,18 @@ func BenchmarkPlanMissGrid(b *testing.B) {
 			}
 		}
 		b.ReportMetric(float64(b.Elapsed())/float64(time.Microsecond)/float64(b.N*len(parts)), "µs/plan")
+		b.StopTimer()
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		kept := make([]*core.TIG, len(parts))
+		for i, p := range parts {
+			kept[i] = core.BuildTIG(p)
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		b.ReportMetric(float64(int64(after.HeapAlloc)-int64(before.HeapAlloc))/float64(len(kept)), "retained-B/tig")
+		runtime.KeepAlive(kept)
 	})
 	dims := []int{2, 3, 4}
 	b.Run("map", func(b *testing.B) {
@@ -721,25 +733,26 @@ func BenchmarkPlanMissGrid(b *testing.B) {
 
 // BenchmarkPartitionMissGrid measures Algorithm 1 alone on the grid of
 // BenchmarkPlanMissGrid: one op partitions every kernel's projected
-// structure at merge factors 1 and 3. ms/partition is the mean per call,
-// and retained-B/partition the live heap one partitioning pins.
+// structure at merge factors 1 and 3, from one core.Stage per structure,
+// as a Stage's plans share it. ms/partition is the mean per call, and
+// retained-B/partition the live heap one partitioning pins.
 func BenchmarkPartitionMissGrid(b *testing.B) {
 	merges := []int64{1, 3}
-	var structs []*project.Structure
+	var structs []*core.Stage
 	for _, g := range missGridKeys() {
 		plan, err := NewPlan(NewKernel(g.kernel, g.size), PlanOptions{CubeDim: -1})
 		if err != nil {
 			b.Fatalf("%s/%d: %v", g.kernel, g.size, err)
 		}
-		structs = append(structs, plan.Projected)
+		structs = append(structs, core.NewStage(plan.Projected))
 	}
 	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, ps := range structs {
+		for _, st := range structs {
 			for _, m := range merges {
-				if _, err := core.PartitionCtx(ctx, ps, core.Options{MergeFactor: m}); err != nil {
+				if _, err := st.PartitionCtx(ctx, core.Options{MergeFactor: m}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -755,9 +768,9 @@ func BenchmarkPartitionMissGrid(b *testing.B) {
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	kept := make([]*core.Partitioning, 0, len(structs)*len(merges))
-	for _, ps := range structs {
+	for _, st := range structs {
 		for _, m := range merges {
-			p, err := core.PartitionCtx(ctx, ps, core.Options{MergeFactor: m})
+			p, err := st.PartitionCtx(ctx, core.Options{MergeFactor: m})
 			if err != nil {
 				b.Fatal(err)
 			}

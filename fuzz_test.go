@@ -38,24 +38,30 @@ func fuzzKernel(name string, size, seed int64) (*Kernel, bool) {
 // context.
 func FuzzNewPlan(f *testing.F) {
 	for i, name := range KernelNames() {
-		f.Add(name, int64(4+i%5), 3, false, int64(0), false, 0, int64(0))
-		f.Add(name, int64(8), -1, true, int64(2), true, 1, int64(0))
-		f.Add(name, int64(6), 2, false, int64(3), false, 2, int64(0))
+		f.Add(name, int64(4+i%5), 3, false, int64(0), false, 0, int64(0), int64(0))
+		f.Add(name, int64(8), -1, true, int64(2), true, 1, int64(0), int64(0))
+		f.Add(name, int64(6), 2, false, int64(3), false, 2, int64(0), int64(0))
 	}
 	for seed := int64(0); seed < 16; seed++ {
-		f.Add(fuzzNestgen, int64(1), int(seed%4), seed%3 == 0, seed%4, seed%2 == 1, int(seed%3), seed)
+		f.Add(fuzzNestgen, int64(1), int(seed%4), seed%3 == 0, seed%4, seed%2 == 1, int(seed%3), seed, int64(0))
 	}
 	// Merge factors far past any kernel's extent, and one whose r·q
 	// overflows int64.
 	for _, merge := range []int64{1 << 40, math.MaxInt64} {
-		f.Add("l1", int64(8), 2, false, merge, false, 0, int64(0))
-		f.Add("matmul", int64(6), 3, false, merge, true, 0, int64(0))
-		f.Add(fuzzNestgen, int64(1), 2, false, merge, false, 0, int64(5))
+		f.Add("l1", int64(8), 2, false, merge, false, 0, int64(0), int64(0))
+		f.Add("matmul", int64(6), 3, false, merge, true, 0, int64(0), int64(0))
+		f.Add(fuzzNestgen, int64(1), 2, false, merge, false, 0, int64(5), int64(0))
 	}
-	f.Fuzz(func(t *testing.T, name string, size int64, cubeDim int, searchPi bool, merge int64, noAux bool, choice int, seed int64) {
+	// Π search bounds past any finishable search, one at the edge of
+	// int64: each must end at its deadline.
+	for _, bound := range []int64{1 << 20, math.MaxInt64} {
+		f.Add("matmul", int64(4), 2, true, int64(0), false, 0, int64(0), bound)
+		f.Add(fuzzNestgen, int64(1), -1, true, int64(2), false, 0, int64(3), bound)
+	}
+	f.Fuzz(func(t *testing.T, name string, size int64, cubeDim int, searchPi bool, merge int64, noAux bool, choice int, seed int64, bound int64) {
 		// Keep the fuzzed size, cube dimension and grouping choice small;
-		// the merge factor spans every value the daemon admits (any
-		// q >= 0).
+		// the merge factor and the search bound span every value the
+		// daemon admits (any q >= 0, any bound >= 0).
 		if size < 1 || size > 16 {
 			t.Skip()
 		}
@@ -70,8 +76,9 @@ func FuzzNewPlan(f *testing.F) {
 			t.Skip() // unknown kernel name or no valid Π: not this fuzzer's target
 		}
 		opt := PlanOptions{
-			SearchPi: searchPi,
-			CubeDim:  cubeDim,
+			SearchPi:    searchPi,
+			SearchBound: bound,
+			CubeDim:     cubeDim,
 			Partition: PartitionOptions{
 				MergeFactor:    merge,
 				NoAux:          noAux,
@@ -81,9 +88,19 @@ func FuzzNewPlan(f *testing.F) {
 		if err := opt.Validate(); err != nil {
 			t.Skip() // invalid combinations are the caller's error
 		}
-		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+		// A search past bound 3 may not finish: give it a short
+		// deadline, which it must honor.
+		deadline := 20 * time.Second
+		if bound > 3 {
+			deadline = 100 * time.Millisecond
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), deadline)
 		defer cancel()
+		start := time.Now()
 		p, err := NewPlanCtx(ctx, k, opt)
+		if took := time.Since(start); took > deadline+5*time.Second {
+			t.Fatalf("%s size %d: NewPlanCtx took %v under a %v deadline", name, size, took, deadline)
+		}
 		if err != nil {
 			return // a typed refusal is a valid outcome
 		}

@@ -38,9 +38,12 @@ func Predict(p *core.Partitioning, t *core.TIG, nodeOf []int, numProcs int, para
 	for b := 0; b < t.N; b++ {
 		pred.Ops[nodeOf[b]] += t.Loads[b] * opsPerPoint
 	}
-	for _, e := range t.Edges {
-		if nodeOf[e.From] != nodeOf[e.To] {
-			pred.SendWords[nodeOf[e.From]] += e.Weight
+	for u := range t.N {
+		to, weight := t.Row(u)
+		for i, v := range to {
+			if nodeOf[u] != nodeOf[v] {
+				pred.SendWords[nodeOf[u]] += weight[i]
+			}
 		}
 	}
 	for pr := 0; pr < numProcs; pr++ {

@@ -272,8 +272,8 @@ func checkGrowAllOptions(t *testing.T, name string, ps *project.Structure) {
 
 // TestGrowGroupsMatchesVecSet diffs the flat region growing against the
 // visited-set reference on every built-in kernel (own and searched Π),
-// generated nests of every shape, Example 2's pinned seed and a seed far
-// outside the structure. TestEdgeStatsMatchesWalkOnMissGrid runs the same
+// generated nests of every shape, Example 2's pinned seed, a seed far
+// outside the structure and one off the hyperplane. TestEdgeStatsMatchesWalkOnMissGrid runs the same
 // diff over the miss grid's kernels and sizes.
 func TestGrowGroupsMatchesVecSet(t *testing.T) {
 	for _, name := range kernels.Names() {
@@ -302,12 +302,36 @@ func TestGrowGroupsMatchesVecSet(t *testing.T) {
 		checked++
 	}
 
-	for _, seed := range []vec.Int{vec.NewInt(-3, -3, 6), vec.NewInt(99, -99, 0)} {
+	// The third seed lies off the hyperplane Π·y = 0, so its probes
+	// share table slots with points they are not.
+	for _, seed := range []vec.Int{vec.NewInt(-3, -3, 6), vec.NewInt(99, -99, 0), vec.NewInt(-3, -3, 7)} {
 		for _, noAux := range []bool{false, true} {
 			partitionAndCheck(t, fmt.Sprintf("matmul/4 seed %v noAux=%v", seed, noAux), matmulProjected(t, 4),
 				Options{SeedBase: seed, NoAux: noAux})
 		}
 	}
+}
+
+// TestGrowGroupsMatchesVecSetOnMapIndex runs the reference diff on a
+// projection whose bounding box is too large for the dense lattice table,
+// so the region growing probes through the map fallback's IndexOf: a
+// 2-D nest under the non-primitive Π = (1000, 1000), whose scale factor
+// s = 2·10^6 spreads the points 10^6 apart while r stays small.
+func TestGrowGroupsMatchesVecSetOnMapIndex(t *testing.T) {
+	st, err := loop.NewStructure(loop.NewRect("spread", []int64{0, 0}, []int64{5, 5}),
+		vec.NewInt(0, 1), vec.NewInt(1, 0), vec.NewInt(1, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ps, err := project.Project(st, vec.NewInt(1000, 1000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ps.Dense() {
+		t.Fatal("the spread projection got a dense index; the case tests nothing")
+	}
+	checkGrowAllOptions(t, "spread", ps)
+	partitionAndCheck(t, "spread, seed off the hyperplane", ps, Options{SeedBase: vec.NewInt(7, -3)})
 }
 
 // TestPartitionAllocsDoNotGrowWithGroups checks that Algorithm 1 makes

@@ -203,14 +203,28 @@ func Partition(ps *project.Structure, opt Options) (*Partitioning, error) {
 	return PartitionCtx(context.Background(), ps, opt)
 }
 
+// ErrGroupingChoice marks an Options.GroupingChoice past the structure's
+// nonzero projected dependences: the caller's mistake, not the
+// planner's.
+var ErrGroupingChoice = errors.New("grouping choice out of range")
+
 // PartitionCtx is Partition with cooperative cancellation: the Step 3–5
 // region-growing sweep polls ctx between BFS expansions, so a caller's
 // deadline bounds the partitioning of even huge projected structures. A nil
-// ctx means context.Background().
+// ctx means context.Background(). It builds the structure's Stage for
+// this one call; callers that partition one structure repeatedly keep a
+// Stage and call its PartitionCtx.
 func PartitionCtx(ctx context.Context, ps *project.Structure, opt Options) (*Partitioning, error) {
+	return NewStage(ps).PartitionCtx(ctx, opt)
+}
+
+// PartitionCtx runs Algorithm 1 on the stage's structure, as the
+// package-level PartitionCtx does.
+func (s *Stage) PartitionCtx(ctx context.Context, opt Options) (*Partitioning, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	ps := s.PS
 	if len(ps.Points) == 0 {
 		return nil, errors.New("core: empty projected structure")
 	}
@@ -227,18 +241,8 @@ func PartitionCtx(ctx context.Context, ps *project.Structure, opt Options) (*Par
 	if merge < 1 {
 		merge = 1
 	}
-	p := &Partitioning{PS: ps, R: 1, MergeFactor: merge}
-
-	nz := ps.NonzeroDeps()
-
-	// β = rank(mat(D^p)); zero columns do not contribute.
-	cols := make([]vec.Int, len(nz))
-	for i, d := range nz {
-		cols[i] = d.Scaled
-	}
-	p.Beta = vec.RankOfIntColumns(cols...)
-
-	if len(nz) == 0 {
+	p := &Partitioning{PS: ps, R: 1, MergeFactor: merge, Beta: s.beta}
+	if len(s.nz) == 0 {
 		// Every dependence is parallel to Π: each projected point is its
 		// own group and no interblock dependences exist along D.
 		p.singletonGroups()
@@ -247,21 +251,14 @@ func PartitionCtx(ctx context.Context, ps *project.Structure, opt Options) (*Par
 
 	// Step 1: grouping vector = max-r projected dependence (deterministic
 	// tie-break: first in NonzeroDeps order), unless overridden.
-	var gi int
+	gi := s.first
 	if opt.GroupingChoice > 0 {
 		gi = opt.GroupingChoice - 1
-		if gi >= len(nz) {
-			return nil, fmt.Errorf("core: grouping choice %d out of range (%d nonzero projected deps)", opt.GroupingChoice, len(nz))
-		}
-	} else {
-		for i, d := range nz {
-			if d.R > nz[gi].R {
-				gi = i
-			}
+		if gi >= len(s.nz) {
+			return nil, fmt.Errorf("core: %w: choice %d, %d nonzero projected deps", ErrGroupingChoice, opt.GroupingChoice, len(s.nz))
 		}
 	}
-	gvec := nz[gi]
-	p.Grouping = &gvec
+	p.Grouping = &s.nz[gi]
 	// r = max_i r_i regardless of which vector is chosen; MergeFactor > 1
 	// coarsens beyond the paper's r (relaxing Theorem 1).
 	r, ok := ints.CheckedMul(ps.GroupSizeR(), merge)
@@ -270,25 +267,16 @@ func PartitionCtx(ctx context.Context, ps *project.Structure, opt Options) (*Par
 	}
 	p.R = r
 
-	// Step 2: auxiliary vectors — greedily extend {d_l^p} to a linearly
-	// independent set of size β from the remaining projected deps.
+	// Step 2: auxiliary vectors — the stage extended {d_l^p} to a
+	// linearly independent set of size β from the remaining projected
+	// deps.
 	if !opt.NoAux {
-		chosen := []vec.Rat{gvec.Scaled.ToRat()}
-		for i, d := range nz {
-			if i == gi || len(chosen) == p.Beta {
-				continue
-			}
-			cand := append(append([]vec.Rat{}, chosen...), d.Scaled.ToRat())
-			if vec.LinearlyIndependent(cand...) {
-				chosen = cand
-				p.Aux = append(p.Aux, d)
-			}
-		}
+		p.Aux = s.aux[gi]
 	}
 
 	// Steps 3–5: region growing. Step 6, pulling each group back to its
 	// block, is BlockOf.
-	if err := p.growGroups(ctx, opt.SeedBase); err != nil {
+	if err := p.growGroups(ctx, opt.SeedBase, s.lo, s.hi, s.step[gi]); err != nil {
 		return nil, err
 	}
 	return p, nil
@@ -318,13 +306,16 @@ const growCheckEvery = 1024
 // |V^p| long, and members fills in creation order, filled entries so far.
 // Group g's record is rec[g*rw : (g+1)*rw]: its base (n entries), its
 // lattice coordinates (one per axis), the end of its run in members, and
-// its component. lo and hi bound the projected points.
+// its component. lo and hi bound the projected points. On a dense lattice
+// index, step is the table stride of one d_l^p step.
 type grower struct {
 	ps      *project.Structure
 	r       int64
 	dl      vec.Int
 	n, rw   int
 	lo, hi  []int64
+	dense   bool
+	step    int64
 	groupOf []int32
 	members []int32
 	filled  int
@@ -392,7 +383,10 @@ func (g *grower) span(base []int64) (kLo, kHi int64) {
 // tryCreate claims the free projected points at base + k·d_l^p for k in
 // [0, r) as a new group of component comp with the given lattice
 // coordinates, and reports whether it made one. Only the k that span
-// keeps inside the bounding box are probed. Points already owned by
+// keeps inside the bounding box are probed; on a dense lattice index the
+// probes walk the table by the stride of d_l^p, and each hit is compared
+// with its position, since a base (SeedBase) may lie off the hyperplane
+// and share its slots with other points. Points already owned by
 // another group are left alone; the reference grower's test asserts that
 // a new group never finds one (no partial overlap) on its input grid.
 //
@@ -408,13 +402,31 @@ func (g *grower) tryCreate(base []int64, comp int, coords []int64) bool {
 	// when it is made.
 	end := g.filled
 	kLo, kHi := g.span(base)
-	for k := kLo; k < kHi; k++ {
-		// The sum lies in the box, so it is exact even where the
-		// product k·d_l^p wraps.
+	// position sets cand to base + k·d_l^p. The sum lies in the box, so
+	// it is exact even where the product k·d_l^p wraps.
+	position := func(k int64) {
 		for j := range cand {
 			cand[j] = base[j] + k*g.dl[j]
 		}
-		idx := ps.IndexOf(cand)
+	}
+	var slot int64
+	if g.dense && kLo < kHi {
+		position(kLo)
+		slot, _ = ps.LatticeSlot(cand)
+	}
+	for k := kLo; k < kHi; k, slot = k+1, slot+g.step {
+		idx := -1
+		if g.dense {
+			if idx = ps.PointAtSlot(slot); idx < 0 {
+				continue
+			}
+		}
+		position(k)
+		if !g.dense {
+			idx = ps.IndexOf(cand)
+		} else if !ps.Points[idx].Equal(cand) {
+			idx = -1
+		}
 		if idx < 0 {
 			continue
 		}
@@ -443,7 +455,8 @@ func (g *grower) tryCreate(base []int64, comp int, coords []int64) bool {
 // seedBase, when non-nil, pins the base vertex of the very first group.
 // It polls ctx every growCheckEvery expansions and returns its error on
 // cancellation, and it refuses a group size whose probes would leave
-// int64 (see checkReach).
+// int64 (see checkReach). lo and hi bound the projected points, and step
+// is the lattice table stride of d_l^p (see Stage).
 //
 // Groups are created in BFS order and every created group is queued, so
 // the queue of a component is the run of groups created since its seed:
@@ -452,19 +465,11 @@ func (g *grower) tryCreate(base []int64, comp int, coords []int64) bool {
 // number of allocations does not grow with the number of groups or
 // probes unless more groups than the scratch's estimate sit on the
 // boundary.
-func (p *Partitioning) growGroups(ctx context.Context, seedBase vec.Int) error {
+func (p *Partitioning) growGroups(ctx context.Context, seedBase vec.Int, lo, hi []int64, step int64) error {
 	ps := p.PS
 	np, n, axes := len(ps.Points), len(ps.Pi), 1+len(p.Aux)
 	w := n + axes
-	scratch := make([]int64, 5*n+2*axes)
-	lo, hi := scratch[3*n:4*n:4*n], scratch[4*n:5*n:5*n]
-	copy(lo, ps.Points[0])
-	copy(hi, ps.Points[0])
-	for _, pt := range ps.Points[1:] {
-		for j, x := range pt {
-			lo[j], hi[j] = min(lo[j], x), max(hi[j], x)
-		}
-	}
+	scratch := make([]int64, 3*n+2*axes)
 	if err := p.checkReach(lo, hi); err != nil {
 		return err
 	}
@@ -478,12 +483,12 @@ func (p *Partitioning) growGroups(ctx context.Context, seedBase vec.Int) error {
 	est := min(np, np/int(min(p.R, int64(np)))+16)
 	g := &grower{
 		ps: ps, r: p.R, dl: p.Grouping.Scaled, n: n, rw: w + 2, lo: lo, hi: hi,
-		groupOf: p.GroupOf, members: p.members, rec: make([]int64, 0, est*(w+2)), cand: scratch[:n:n],
+		dense: ps.Dense(), step: step, groupOf: p.GroupOf, members: p.members, rec: make([]int64, 0, est*(w+2)), cand: scratch[:n:n],
 	}
 	// base and coords hold the group being expanded, next and nextCoords
 	// the neighbour being probed.
 	base, next := vec.Int(scratch[n:2*n:2*n]), vec.Int(scratch[2*n:3*n:3*n])
-	coords, nextCoords := scratch[5*n:5*n+axes:5*n+axes], scratch[5*n+axes:]
+	coords, nextCoords := scratch[3*n:3*n+axes:3*n+axes], scratch[3*n+axes:]
 
 	// probe tries the neighbour of the expanded group at
 	// base + delta·stride·v, delta steps along coordinate axis.

@@ -1,12 +1,15 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
+	"unsafe"
 )
 
-// TIGEdge is one directed communication requirement between two blocks.
+// TIGEdge is one directed communication requirement between two blocks,
+// as NewTIG takes it. A TIG does not store TIGEdges: it keeps its edges
+// in flat CSR tables (see TIG and Row).
 type TIGEdge struct {
 	From, To int
 	// Weight is the number of data items crossing the edge (one per
@@ -17,20 +20,25 @@ type TIGEdge struct {
 // TIG is the Task Interaction Graph of §IV: vertices are partitioned
 // blocks, edges carry the interblock communication volume.
 //
-// Edges doubles as a CSR adjacency: block u's out-edges are
-// Edges[rowStart[u]:rowStart[u+1]], sorted by To. Theorem 2 keeps a row
+// The edges are a CSR adjacency in pointer-free tables: block u's
+// out-edges are positions rowStart[u] to rowStart[u+1] of the target
+// column Edges and the weight column weight, sorted by target. An edge
+// costs 12 bytes (an int32 target and an int64 weight) and a row 4 (its
+// int32 offset); no edge repeats the row it sits in. Theorem 2 keeps a row
 // of Algorithm 1's TIG to at most 2m − β entries, so every per-edge
-// accessor is a short scan.
+// accessor is a short scan. Readers go through Row.
 type TIG struct {
 	// N is the number of blocks (TIG vertices).
 	N int
 	// Loads[g] is the number of index points in block g (its computation
 	// weight).
 	Loads []int64
-	// Edges holds the directed edges, sorted by (From, To).
-	Edges []TIGEdge
+	// Edges is the target column, row after row: len(Edges) is the
+	// number of edges. Read a block's edges through Row.
+	Edges []int32
 
-	rowStart []int
+	weight   []int64
+	rowStart []int32
 	// arcs is the number of dependence arcs in the structure, intra-block
 	// and Π-parallel ones included; a synthetic TIG knows only its
 	// interblock arcs.
@@ -41,41 +49,44 @@ type TIG struct {
 	part *Partitioning
 }
 
-// NewTIG builds a TIG directly from loads and edges — used for synthetic
-// task graphs such as the 4×4 mesh of the paper's Example 3 (Fig. 8).
-// Parallel edges accumulate.
-func NewTIG(n int, loads []int64, edges []TIGEdge) *TIG {
-	t := &TIG{N: n}
-	t.Loads = make([]int64, n)
-	copy(t.Loads, loads)
-	sorted := append([]TIGEdge(nil), edges...)
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].From != sorted[j].From {
-			return sorted[i].From < sorted[j].From
-		}
-		return sorted[i].To < sorted[j].To
-	})
-	for _, e := range sorted {
-		if k := len(t.Edges) - 1; k >= 0 && t.Edges[k].From == e.From && t.Edges[k].To == e.To {
-			t.Edges[k].Weight += e.Weight
-			continue
-		}
-		t.Edges = append(t.Edges, e)
+// newTIG lays out a TIG's tables for n blocks and e edges in two
+// allocations: the row offsets and targets share one int32 table, the
+// loads and weights one int64 table.
+func newTIG(n, e int) *TIG {
+	i32, i64 := make([]int32, n+1+e), make([]int64, n+e)
+	return &TIG{
+		N: n, Loads: i64[:n:n], weight: i64[n:],
+		rowStart: i32[: n+1 : n+1], Edges: i32[n+1:],
 	}
-	t.indexRows()
-	t.arcs = t.TotalTraffic()
-	return t
 }
 
-// indexRows fills rowStart from the sorted Edges.
-func (t *TIG) indexRows() {
-	t.rowStart = make([]int, t.N+1)
-	for _, e := range t.Edges {
-		t.rowStart[e.From+1]++
+// NewTIG builds a TIG directly from loads and edges — used for synthetic
+// task graphs such as the 4×4 mesh of the paper's Example 3 (Fig. 8).
+// Parallel edges accumulate. Every From must name a block in [0, n).
+func NewTIG(n int, loads []int64, edges []TIGEdge) *TIG {
+	sorted := slices.Clone(edges)
+	slices.SortFunc(sorted, func(a, b TIGEdge) int {
+		return cmp.Or(cmp.Compare(a.From, b.From), cmp.Compare(a.To, b.To))
+	})
+	merged := sorted[:0]
+	for _, e := range sorted {
+		if k := len(merged) - 1; k >= 0 && merged[k].From == e.From && merged[k].To == e.To {
+			merged[k].Weight += e.Weight
+			continue
+		}
+		merged = append(merged, e)
 	}
-	for u := 0; u < t.N; u++ {
+	t := newTIG(n, len(merged))
+	copy(t.Loads, loads)
+	for i, e := range merged {
+		t.rowStart[e.From+1]++
+		t.Edges[i], t.weight[i] = int32(e.To), e.Weight
+	}
+	for u := range n {
 		t.rowStart[u+1] += t.rowStart[u]
 	}
+	t.arcs = t.TotalTraffic()
+	return t
 }
 
 // BuildTIG constructs the TIG of a partitioning by classifying every
@@ -84,45 +95,48 @@ func (t *TIG) indexRows() {
 // dependence) pair's target line and arc count, so the build walks the
 // table rows of each block's points, |V^p|·m entries in all. The pairs
 // that stay inside a block count toward EdgeStats' total. A first walk
-// counts each block's distinct targets, so Edges is laid out at its
-// exact length; the second fills the rows. Blocks are visited in order,
-// so each row is complete before the next starts: a per-block stamp
-// array finds an edge in O(1), and the finished row (at most 2m − β
-// entries by Theorem 2) is sorted in place.
+// counts each block's distinct targets, so the tables are laid out at
+// their exact length; the second fills the rows and the loads. Blocks are
+// visited in order, so each row is complete before the next starts: a
+// per-block stamp array finds an edge in O(1), and the finished row (at
+// most 2m − β entries by Theorem 2) is insertion-sorted in place.
 func BuildTIG(p *Partitioning) *TIG {
 	ps := p.PS
 	n := p.NumBlocks()
-	t := &TIG{N: n, part: p}
-	t.Loads = make([]int64, n)
-	t.rowStart = make([]int, n+1)
-	// The first walk sets stamp[v] = u+1 when row u first targets v, the
-	// second −(u+1), and slot[v] is then the position in Edges of the
-	// row's edge to v.
+	// The first walk sets stamp[v] = u+1 when row u first targets v and
+	// counts row u's targets in slot[u]; the second sets stamp[v] =
+	// −(u+1), and slot[v] is then the position of the row's edge to v.
 	marks := make([]int32, 2*n)
 	stamp, slot := marks[:n:n], marks[n:]
+	var arcs int64
+	edges := 0
 	for u := range n {
-		targets := 0
+		targets := int32(0)
 		for _, pt := range p.Members(u) {
-			t.Loads[u] += int64(ps.Fibers[pt].Len)
 			for _, a := range ps.Line(int(pt)) {
 				if a.To < 0 {
 					continue
 				}
-				t.arcs += a.Arcs
+				arcs += a.Arcs
 				if v := p.GroupOf[a.To]; int(v) != u && a.Arcs != 0 && stamp[v] != int32(u+1) {
 					stamp[v] = int32(u + 1)
 					targets++
 				}
 			}
 		}
-		t.rowStart[u+1] = t.rowStart[u] + targets
+		slot[u] = targets
+		edges += int(targets)
 	}
-	if t.rowStart[n] > 0 {
-		t.Edges = make([]TIGEdge, 0, t.rowStart[n])
-	}
+	t := newTIG(n, edges)
+	t.arcs, t.part = arcs, p
 	for u := range n {
-		row := len(t.Edges)
+		t.rowStart[u+1] = t.rowStart[u] + slot[u]
+	}
+	next := int32(0)
+	for u := range n {
+		row := next
 		for _, pt := range p.Members(u) {
+			t.Loads[u] += int64(ps.Fibers[pt].Len)
 			for _, a := range ps.Line(int(pt)) {
 				if a.To < 0 || a.Arcs == 0 {
 					continue
@@ -133,25 +147,56 @@ func BuildTIG(p *Partitioning) *TIG {
 				}
 				if stamp[v] != -int32(u+1) {
 					stamp[v] = -int32(u + 1)
-					slot[v] = int32(len(t.Edges))
-					t.Edges = append(t.Edges, TIGEdge{From: u, To: int(v)})
+					slot[v] = next
+					t.Edges[next] = v
+					next++
 				}
-				t.Edges[slot[v]].Weight += a.Arcs
+				t.weight[slot[v]] += a.Arcs
 			}
 		}
-		slices.SortFunc(t.Edges[row:], func(a, b TIGEdge) int { return a.To - b.To })
+		t.sortRow(row, next)
 	}
 	return t
 }
 
-// edge returns the position in Edges of the edge u → v, or -1.
+// sortRow insertion-sorts the edges [from, to) by target, moving each
+// weight along with its target.
+func (t *TIG) sortRow(from, to int32) {
+	tgt, w := t.Edges[from:to], t.weight[from:to]
+	for i := 1; i < len(tgt); i++ {
+		for j := i; j > 0 && tgt[j-1] > tgt[j]; j-- {
+			tgt[j-1], tgt[j] = tgt[j], tgt[j-1]
+			w[j-1], w[j] = w[j], w[j-1]
+		}
+	}
+}
+
+// Row returns block u's out-edges: their targets, ascending, and their
+// weights, position by position; both are empty for a u outside [0, N).
+// The slices are the TIG's; callers must not modify them.
+func (t *TIG) Row(u int) (to []int32, weight []int64) {
+	if u < 0 || u >= t.N {
+		return nil, nil
+	}
+	s, e := t.rowStart[u], t.rowStart[u+1]
+	return t.Edges[s:e:e], t.weight[s:e:e]
+}
+
+// RetainedBytes returns the bytes the TIG itself pins: its struct and its
+// two tables, the partitioning it points to excluded.
+func (t *TIG) RetainedBytes() int64 {
+	return int64(unsafe.Sizeof(*t)) + int64(len(t.rowStart)+len(t.Edges))*4 +
+		int64(len(t.Loads)+len(t.weight))*8
+}
+
+// edge returns the position in the tables of the edge u → v, or -1.
 func (t *TIG) edge(u, v int) int {
 	if u < 0 || u >= t.N {
 		return -1
 	}
 	for e := t.rowStart[u]; e < t.rowStart[u+1]; e++ {
-		if t.Edges[e].To == v {
-			return e
+		if int(t.Edges[e]) == v {
+			return int(e)
 		}
 	}
 	return -1
@@ -160,7 +205,7 @@ func (t *TIG) edge(u, v int) int {
 // Weight returns the communication volume from block u to block v.
 func (t *TIG) Weight(u, v int) int64 {
 	if e := t.edge(u, v); e >= 0 {
-		return t.Edges[e].Weight
+		return t.weight[e]
 	}
 	return 0
 }
@@ -210,7 +255,7 @@ type DepEdgeStats struct {
 // paper's "number of data dependencies between index points is 33, and
 // only 12 of them require interprocessor communication" for loop L1).
 // BuildTIG counts them as it classifies the arcs, so this costs one pass
-// over the edges; InterBlock equals TotalTraffic.
+// over the weight column; InterBlock equals TotalTraffic.
 func (t *TIG) EdgeStats() DepEdgeStats {
 	return DepEdgeStats{Total: int(t.arcs), InterBlock: int(t.TotalTraffic())}
 }
@@ -220,7 +265,7 @@ func (t *TIG) OutDegree(u int) int {
 	if u < 0 || u >= t.N {
 		return 0
 	}
-	return t.rowStart[u+1] - t.rowStart[u]
+	return int(t.rowStart[u+1] - t.rowStart[u])
 }
 
 // MaxOutDegree returns the largest out-degree over all blocks. Theorem 2
@@ -250,8 +295,8 @@ func (t *TIG) MaxLoad() int64 {
 // items).
 func (t *TIG) TotalTraffic() int64 {
 	var s int64
-	for _, e := range t.Edges {
-		s += e.Weight
+	for _, w := range t.weight {
+		s += w
 	}
 	return s
 }
@@ -259,10 +304,9 @@ func (t *TIG) TotalTraffic() int64 {
 // Successors returns the blocks u sends data to, sorted.
 func (t *TIG) Successors(u int) []int {
 	var out []int
-	if u >= 0 && u < t.N {
-		for _, e := range t.Edges[t.rowStart[u]:t.rowStart[u+1]] {
-			out = append(out, e.To)
-		}
+	to, _ := t.Row(u)
+	for _, v := range to {
+		out = append(out, int(v))
 	}
 	return out
 }

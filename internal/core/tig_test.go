@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -49,10 +50,11 @@ func TestTIGEdgesSorted(t *testing.T) {
 		{From: 0, To: 2, Weight: 1},
 		{From: 0, To: 1, Weight: 1},
 	})
-	for i := 1; i < len(tig.Edges); i++ {
-		a, b := tig.Edges[i-1], tig.Edges[i]
+	edges := tigEdges(tig)
+	for i := 1; i < len(edges); i++ {
+		a, b := edges[i-1], edges[i]
 		if a.From > b.From || (a.From == b.From && a.To >= b.To) {
-			t.Fatalf("edges not sorted: %v", tig.Edges)
+			t.Fatalf("edges not sorted: %v", edges)
 		}
 	}
 }
@@ -63,7 +65,7 @@ func TestDepBreakdownSumsToWeight(t *testing.T) {
 		t.Fatal(err)
 	}
 	tig := BuildTIG(p)
-	for _, e := range tig.Edges {
+	for _, e := range tigEdges(tig) {
 		var sum int64
 		for dep, w := range tig.DepBreakdown(e.From, e.To) {
 			if w != tig.WeightByDep(e.From, e.To, dep) {
@@ -165,4 +167,51 @@ func TestCheckTheorem2CatchesViolation(t *testing.T) {
 	if err := CheckTheorem2(p, bad); err == nil {
 		t.Fatal("Theorem 2 violation not detected")
 	}
+}
+
+// TestRetainedTablesHoldNoPointers checks by reflection that every table
+// a Partitioning or a TIG keeps is pointer-free, so the collector never
+// scans the bulk of a cached plan. A slice field's own header points at
+// its backing array; what counts is what the array holds. The only
+// pointer-holding fields are the documented references to shared data:
+// Partitioning.PS and TIG.part, the structure and partitioning they were
+// built from, and Partitioning.Grouping and Aux, the grouping and
+// auxiliary vectors of the Stage every partitioning built on it shares.
+func TestRetainedTablesHoldNoPointers(t *testing.T) {
+	shared := map[string]bool{
+		"Partitioning.PS": true, "Partitioning.Grouping": true, "Partitioning.Aux": true,
+		"TIG.part": true,
+	}
+	for _, typ := range []reflect.Type{reflect.TypeOf(Partitioning{}), reflect.TypeOf(TIG{})} {
+		for i := range typ.NumField() {
+			f := typ.Field(i)
+			name := typ.Name() + "." + f.Name
+			held := f.Type
+			if held.Kind() == reflect.Slice {
+				held = held.Elem()
+			}
+			if hasPointers(held) && !shared[name] {
+				t.Errorf("%s (%v) holds pointers", name, f.Type)
+			}
+		}
+	}
+}
+
+// hasPointers reports whether a value of type typ holds a pointer the
+// collector must follow.
+func hasPointers(typ reflect.Type) bool {
+	switch typ.Kind() {
+	case reflect.Pointer, reflect.Slice, reflect.Map, reflect.Chan, reflect.Func,
+		reflect.Interface, reflect.String, reflect.UnsafePointer:
+		return true
+	case reflect.Array:
+		return typ.Len() > 0 && hasPointers(typ.Elem())
+	case reflect.Struct:
+		for i := range typ.NumField() {
+			if hasPointers(typ.Field(i).Type) {
+				return true
+			}
+		}
+	}
+	return false
 }

@@ -12,6 +12,7 @@
 package hyperplane
 
 import (
+	"context"
 	"errors"
 	"fmt"
 
@@ -122,6 +123,19 @@ func normalizePi(pi vec.Int) vec.Int {
 // Typical calls use bound 2 or 3; for the paper's uniform kernels the
 // optimum is Π = (1, …, 1).
 func FindOptimal(st *loop.Structure, bound int64) (Schedule, error) {
+	return FindOptimalCtx(context.Background(), st, bound)
+}
+
+// searchCheckEvery is how often (in candidates) FindOptimalCtx polls its
+// context.
+const searchCheckEvery = 256
+
+// FindOptimalCtx is FindOptimal with cooperative cancellation: the search
+// visits (2·bound+1)^n candidates, so it polls ctx every searchCheckEvery
+// of them, the first included, and returns ctx's error once it is done.
+// Any bound up to math.MaxInt64 is admitted; only the deadline ends a
+// search that large.
+func FindOptimalCtx(ctx context.Context, st *loop.Structure, bound int64) (Schedule, error) {
 	if bound < 1 {
 		return Schedule{}, errors.New("hyperplane: bound must be >= 1")
 	}
@@ -129,10 +143,16 @@ func FindOptimal(st *loop.Structure, bound int64) (Schedule, error) {
 	var best Schedule
 	var bestSteps int64 = -1
 	var bestAbsSum int64
+	var visited int
+	var stop error
 	cur := make(vec.Int, n)
 	var rec func(j int)
 	rec = func(j int) {
 		if j == n {
+			if visited%searchCheckEvery == 0 {
+				stop = ctx.Err()
+			}
+			visited++
 			if cur.IsZero() || !Valid(cur, st.D) {
 				return
 			}
@@ -155,13 +175,21 @@ func FindOptimal(st *loop.Structure, bound int64) (Schedule, error) {
 			}
 			return
 		}
-		for a := -bound; a <= bound; a++ {
+		// The loop ends at bound itself, so a bound of math.MaxInt64
+		// never wraps a.
+		for a := -bound; stop == nil; a++ {
 			cur[j] = a
 			rec(j + 1)
+			if a == bound {
+				break
+			}
 		}
 		cur[j] = 0
 	}
 	rec(0)
+	if stop != nil {
+		return Schedule{}, stop
+	}
 	if bestSteps < 0 {
 		return Schedule{}, ErrNoValidPi
 	}

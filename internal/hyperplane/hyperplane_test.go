@@ -1,9 +1,11 @@
 package hyperplane
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
+	"time"
 
 	"repro/internal/loop"
 	"repro/internal/vec"
@@ -169,6 +171,28 @@ func TestFindOptimalBadBound(t *testing.T) {
 	st := l1Structure(t)
 	if _, err := FindOptimal(st, 0); err == nil {
 		t.Fatal("bound 0 accepted")
+	}
+}
+
+// TestFindOptimalCtxStops: a canceled search returns the context's error
+// at once, whatever its bound, and a 1-D search with bound math.MaxInt64
+// whose loop would wrap at the top ends at its deadline.
+func TestFindOptimalCtxStops(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, bound := range []int64{2, math.MaxInt64} {
+		if _, err := FindOptimalCtx(ctx, l1Structure(t), bound); !errors.Is(err, context.Canceled) {
+			t.Fatalf("bound %d: err = %v, want context.Canceled", bound, err)
+		}
+	}
+	st, err := loop.NewStructure(loop.NewRect("line", []int64{0}, []int64{3}), vec.NewInt(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel = context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	if _, err := FindOptimalCtx(ctx, st, math.MaxInt64); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
 }
 

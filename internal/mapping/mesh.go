@@ -87,13 +87,16 @@ func EvaluateGeneral(t *core.TIG, nodeOf []int, numNodes int, dist func(a, b int
 			s.MinLoad = l
 		}
 	}
-	for _, e := range t.Edges {
-		d := dist(nodeOf[e.From], nodeOf[e.To])
-		s.HopWeight += e.Weight * int64(d)
-		if d > 0 {
-			s.RemoteWeight += e.Weight
-			if d > s.MaxDilation {
-				s.MaxDilation = d
+	for u := range t.N {
+		to, weight := t.Row(u)
+		for i, v := range to {
+			d := dist(nodeOf[u], nodeOf[v])
+			s.HopWeight += weight[i] * int64(d)
+			if d > 0 {
+				s.RemoteWeight += weight[i]
+				if d > s.MaxDilation {
+					s.MaxDilation = d
+				}
 			}
 		}
 	}

@@ -66,6 +66,84 @@ func TestLatticeIndexAgreesWithMap(t *testing.T) {
 	}
 }
 
+// TestLatticeSlotWalkMatchesIndexOf walks lines p + k·d through the
+// bounding box of random dense structures by LatticeSlot and LatticeStep,
+// from on- and off-hyperplane starts, and checks that PointAtSlot plus an
+// Equal check names the same point as IndexOf at every position. It also
+// checks Bounds against the points, on the dense index and on the map
+// fallback.
+func TestLatticeSlotWalkMatchesIndexOf(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	defer func(old int64) { latticeDenseCap = old }(latticeDenseCap)
+	for trial := 0; trial < 60; trial++ {
+		latticeDenseCap = 1 << 22
+		ps, err := buildRandom(rand.New(rand.NewSource(int64(trial))))
+		if err != nil {
+			t.Fatal(err)
+		}
+		latticeDenseCap = 0
+		sparse, err := buildRandom(rand.New(rand.NewSource(int64(trial))))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ps.Dense() || sparse.Dense() {
+			t.Fatalf("trial %d: cap override ineffective", trial)
+		}
+		lo, hi := ps.Bounds()
+		slo, shi := sparse.Bounds()
+		for j := range lo {
+			wlo, whi := ps.Points[0][j], ps.Points[0][j]
+			for _, p := range ps.Points {
+				wlo, whi = min(wlo, p[j]), max(whi, p[j])
+			}
+			if lo[j] != wlo || hi[j] != whi || slo[j] != wlo || shi[j] != whi {
+				t.Fatalf("trial %d: Bounds axis %d = [%d,%d] dense, [%d,%d] map, want [%d,%d]",
+					trial, j, lo[j], hi[j], slo[j], shi[j], wlo, whi)
+			}
+		}
+		inBox := func(q vec.Int) bool {
+			for j, x := range q {
+				if x < lo[j] || x > hi[j] {
+					return false
+				}
+			}
+			return true
+		}
+		for probe := 0; probe < 40; probe++ {
+			start := ps.Points[rng.Intn(len(ps.Points))].Clone()
+			if probe%4 == 3 {
+				start[rng.Intn(len(start))]++ // off the hyperplane
+			}
+			d := ps.Deps[rng.Intn(len(ps.Deps))].Scaled
+			step := ps.LatticeStep(d)
+			// Back up to the first in-box position of the line.
+			for inBox(start.Sub(d)) && !d.IsZero() {
+				start = start.Sub(d)
+			}
+			slot, ok := ps.LatticeSlot(start)
+			if !ok {
+				t.Fatalf("trial %d: LatticeSlot not ok on a dense index", trial)
+			}
+			for q := start; inBox(q); q = q.Add(d) {
+				got := ps.PointAtSlot(slot)
+				if got >= 0 && !ps.Points[got].Equal(q) {
+					got = -1
+				}
+				if want := ps.IndexOf(q); got != want {
+					t.Fatalf("trial %d: slot walk at %v names %d, IndexOf %d", trial, q, got, want)
+				}
+				if d.IsZero() {
+					break
+				}
+				slot += step
+			}
+		}
+		if _, ok := sparse.LatticeSlot(sparse.Points[0]); ok || sparse.LatticeStep(sparse.Deps[0].Scaled) != 0 {
+			t.Fatalf("trial %d: the map fallback reports a lattice slot", trial)
+		}
+	}
+}
+
 // TestLatticeFallbackMatchesDense forces the map fallback (by shrinking the
 // dense cap) and checks that the two lookup paths agree everywhere.
 func TestLatticeFallbackMatchesDense(t *testing.T) {

@@ -490,6 +490,60 @@ func (ps *Structure) IndexOf(scaled vec.Int) int {
 	return i
 }
 
+// Bounds returns the bounding box [lo, hi] of the scaled projected
+// points, coordinate by coordinate; nil when there are none. A dense
+// index keeps its box, and Bounds returns it; the slices are then the
+// structure's, and callers must not modify them.
+func (ps *Structure) Bounds() (lo, hi []int64) {
+	if ps.lattice != nil {
+		return ps.lattice.lo, ps.lattice.hi
+	}
+	if len(ps.Points) == 0 {
+		return nil, nil
+	}
+	lo, hi = slices.Clone(ps.Points[0]), slices.Clone(ps.Points[0])
+	for _, p := range ps.Points[1:] {
+		for j, x := range p {
+			lo[j], hi[j] = min(lo[j], x), max(hi[j], x)
+		}
+	}
+	return lo, hi
+}
+
+// LatticeSlot returns the dense index's table slot for the scaled
+// position p, which must lie inside Bounds; ok is false when lookups run
+// on the fallback map. The slot ignores the coordinate the hyperplane
+// equation makes redundant, so walking positions p + k·d is one addition
+// of LatticeStep(d) per step.
+func (ps *Structure) LatticeSlot(p vec.Int) (slot int64, ok bool) {
+	if ps.lattice == nil {
+		return 0, false
+	}
+	return ps.lattice.offset(p), true
+}
+
+// LatticeStep returns how far one step along the scaled vector d moves a
+// table slot: LatticeSlot(p + d) = LatticeSlot(p) + LatticeStep(d) while
+// both positions lie inside Bounds. Zero without a dense index.
+func (ps *Structure) LatticeStep(d vec.Int) int64 {
+	if ps.lattice == nil {
+		return 0
+	}
+	var step int64
+	for j, x := range d {
+		step += x * ps.lattice.strides[j]
+	}
+	return step
+}
+
+// PointAtSlot returns the projected point filed under a dense table slot,
+// or -1 for an empty slot. The slot does not pin the redundant
+// coordinate, so a position off the hyperplane Π·y = 0 shares its slot
+// with a point it is not: callers compare the point with their position.
+func (ps *Structure) PointAtSlot(slot int64) int {
+	return int(ps.lattice.table[slot]) - 1
+}
+
 // IndexBytes returns the bytes the point index holds: the dense lattice
 // table, or an estimate of the fallback map's keys and buckets.
 func (ps *Structure) IndexBytes() int64 {

@@ -98,6 +98,7 @@ func TestBatchPerItemErrors(t *testing.T) {
 		planItem(`{"kernel": "l1", "size": 9999, "cube_dim": 3}`),
 		{}, // neither plan nor simulate
 		{Plan: &pr, Simulate: &api.SimulateRequest{}}, // both
+		planItem(`{"kernel": "l1", "size": 4, "grouping_choice": 9}`),
 	}}
 	resp, br := postBatch(t, ts.URL, req)
 	if resp.StatusCode != http.StatusOK {
@@ -106,7 +107,7 @@ func TestBatchPerItemErrors(t *testing.T) {
 	if br.Results[0].Status != http.StatusOK {
 		t.Fatalf("good item: status %d (%s)", br.Results[0].Status, br.Results[0].Error)
 	}
-	for i := 1; i < 5; i++ {
+	for i := 1; i < len(req.Items); i++ {
 		if br.Results[i].Status != http.StatusBadRequest {
 			t.Fatalf("bad item %d: status %d, want 400 (%s)", i, br.Results[i].Status, br.Results[i].Error)
 		}

@@ -223,14 +223,17 @@ func stageBytes(st *loopmap.Stage) int64 {
 	ps := st.Projected
 	b += int64(len(ps.Points))*perVec + int64(len(ps.Fibers))*fiberBytes
 	b += ps.IndexBytes() + int64(len(ps.Arcs))*lineArcBytes
-	return b + 256 // fixed struct overhead
+	// Algorithm 1's per-stage inputs, which the stage's plans share:
+	// per dependence one project.Dep (64 B), a lattice stride and an
+	// auxiliary set of about one more Dep.
+	b += int64(len(ps.Deps)) * 136
+	return b + 256 + 144 // fixed struct overhead, the inputs' included
 }
 
 // partitionBytes estimates what a plan holds beyond its stage: the
 // partitioning's flat tables and the TIG. Blocks are derived from the
 // groups.
 func partitionBytes(p *loopmap.Plan) int64 {
-	const edgeBytes = 24 // one TIGEdge
 	// Per projected point, its group and its place in the member list
 	// (an int32 each); per group, a member offset and a component (an
 	// int32 each) and its base and lattice coordinates (int64s).
@@ -240,12 +243,9 @@ func partitionBytes(p *loopmap.Plan) int64 {
 	if groups > 0 {
 		b += groups * int64(len(part.Base(0))+len(part.Coords(0))) * 8
 	}
-	// Each TIG edge is one TIGEdge; each block has a load and a row
-	// offset. Per-dependence weights are summed from the stage's line
-	// graph on demand, so the TIG holds none.
-	b += int64(len(p.TIG.Edges))*edgeBytes + int64(len(p.TIG.Loads))*16
-	// Fixed: the Plan (96 B), Partitioning (192 B) and TIG (96 B)
-	// structs, the grouping vector's Dep (64 B) and the auxiliary
-	// vectors' backing array.
-	return b + 512
+	// The TIG knows its own layout.
+	b += p.TIG.RetainedBytes()
+	// Fixed: the Plan (112 B) and Partitioning (192 B) structs. The
+	// grouping and auxiliary vectors are the stage's (see stageBytes).
+	return b + 304
 }

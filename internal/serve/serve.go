@@ -455,7 +455,8 @@ func errStatus(err error) int {
 		errors.Is(err, loopmap.ErrBadSimOptions),
 		errors.Is(err, loopmap.ErrBadFaultSchedule),
 		errors.Is(err, loopmap.ErrDegraded),
-		errors.Is(err, loopmap.ErrTooLarge):
+		errors.Is(err, loopmap.ErrTooLarge),
+		errors.Is(err, loopmap.ErrGroupingChoice):
 		return http.StatusBadRequest
 	default:
 		return http.StatusInternalServerError

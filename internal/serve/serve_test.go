@@ -197,6 +197,7 @@ func TestBadRequests(t *testing.T) {
 		{"cube dim too large", "/v1/plan", `{"kernel": "l1", "size": 8, "cube_dim": 99}`},
 		{"negative search bound", "/v1/plan", `{"kernel": "l1", "size": 8, "search_bound": -1}`},
 		{"pi conflicts with search", "/v1/plan", `{"kernel": "l1", "size": 8, "pi": [1, 1], "search_pi": true}`},
+		{"grouping choice out of range", "/v1/plan", `{"kernel": "l1", "size": 4, "grouping_choice": 9}`},
 		{"trailing junk", "/v1/plan", `{"kernel":"l1","size":8} junk`},
 		{"two objects", "/v1/plan", `{"kernel":"l1","size":8}{"kernel":"l1","size":8}`},
 		{"simulate trailing junk", "/v1/simulate", `{"kernel":"l1","size":8} junk`},
@@ -479,6 +480,35 @@ func TestHugeMergeFactorAnswersPromptly(t *testing.T) {
 		case rec := <-done:
 			if rec.Code != c.want {
 				t.Fatalf("%s: status %d, want %d: %s", body, rec.Code, c.want, rec.Body)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s: no answer within 5 s (%d plans in flight)", body, s.Metrics().InflightPlans)
+		}
+		if n := s.Metrics().InflightPlans; n != 0 {
+			t.Fatalf("%s: %d plans still in flight after the answer", body, n)
+		}
+	}
+}
+
+// TestPiSearchAnswersAtDeadline sends Π searches far too large to finish
+// (bound 100000, and one whose loop would wrap at math.MaxInt64) with a
+// 200 ms deadline: each must answer 504 within a few seconds and release
+// its admission slot.
+func TestPiSearchAnswersAtDeadline(t *testing.T) {
+	s := New(Config{})
+	h := s.Handler()
+	for _, bound := range []string{"100000", "9223372036854775807"} {
+		body := `{"kernel":"matmul","size":4,"search_pi":true,"search_bound":` + bound + `,"timeout_ms":200}`
+		done := make(chan *httptest.ResponseRecorder, 1)
+		go func() {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/plan", strings.NewReader(body)))
+			done <- rec
+		}()
+		select {
+		case rec := <-done:
+			if rec.Code != http.StatusGatewayTimeout {
+				t.Fatalf("%s: status %d, want 504: %s", body, rec.Code, rec.Body)
 			}
 		case <-time.After(5 * time.Second):
 			t.Fatalf("%s: no answer within 5 s (%d plans in flight)", body, s.Metrics().InflightPlans)

@@ -92,8 +92,15 @@ func TestSharedStagePlansMatchFreshNewPlan(t *testing.T) {
 				if !reflect.DeepEqual(got.Partitioning.GroupOf, fresh.Partitioning.GroupOf) {
 					t.Fatalf("%s: GroupOf differs", label)
 				}
-				if !reflect.DeepEqual(got.TIG.Edges, fresh.TIG.Edges) {
-					t.Fatalf("%s: TIG edges differ", label)
+				if got.TIG.N != fresh.TIG.N {
+					t.Fatalf("%s: TIG has %d blocks, want %d", label, got.TIG.N, fresh.TIG.N)
+				}
+				for u := range got.TIG.N {
+					gt, gw := got.TIG.Row(u)
+					ft, fw := fresh.TIG.Row(u)
+					if !reflect.DeepEqual(gt, ft) || !reflect.DeepEqual(gw, fw) {
+						t.Fatalf("%s: TIG row %d differs", label, u)
+					}
 				}
 			}
 		}

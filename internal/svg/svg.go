@@ -117,9 +117,10 @@ func TIG(t *core.TIG) (string, error) {
 		pos[i] = [2]float64{cx + r*math.Cos(ang), cy + r*math.Sin(ang)}
 	}
 	var maxW int64 = 1
-	for _, e := range t.Edges {
-		if e.Weight > maxW {
-			maxW = e.Weight
+	for u := range t.N {
+		_, weight := t.Row(u)
+		for _, w := range weight {
+			maxW = max(maxW, w)
 		}
 	}
 	var maxLoad int64 = 1
@@ -132,10 +133,13 @@ func TIG(t *core.TIG) (string, error) {
 	fmt.Fprintf(&b, `<svg xmlns="http://www.w3.org/2000/svg" width="%.0f" height="%.0f" viewBox="0 0 %.0f %.0f">`+"\n",
 		size, size, size, size)
 	b.WriteString(`<defs><marker id="tarr" markerWidth="8" markerHeight="8" refX="7" refY="3" orient="auto"><path d="M0,0 L7,3 L0,6 z" fill="#777"/></marker></defs>` + "\n")
-	for _, e := range t.Edges {
-		w := 1 + 3*float64(e.Weight)/float64(maxW)
-		fmt.Fprintf(&b, `<line x1="%.1f" y1="%.1f" x2="%.1f" y2="%.1f" stroke="#777" stroke-width="%.1f" marker-end="url(#tarr)"/>`+"\n",
-			pos[e.From][0], pos[e.From][1], pos[e.To][0], pos[e.To][1], w)
+	for u := range t.N {
+		to, weight := t.Row(u)
+		for i, v := range to {
+			w := 1 + 3*float64(weight[i])/float64(maxW)
+			fmt.Fprintf(&b, `<line x1="%.1f" y1="%.1f" x2="%.1f" y2="%.1f" stroke="#777" stroke-width="%.1f" marker-end="url(#tarr)"/>`+"\n",
+				pos[u][0], pos[u][1], pos[v][0], pos[v][1], w)
+		}
 	}
 	for i := 0; i < t.N; i++ {
 		nr := 10 + 14*float64(t.Loads[i])/float64(maxLoad)

@@ -136,6 +136,10 @@ var (
 	// overflows int64 — adversarial bounds are a caller error, detected
 	// before enumeration rather than wrapped silently into bogus indexing.
 	ErrTooLarge = loop.ErrTooLarge
+	// ErrGroupingChoice is returned when PartitionOptions.GroupingChoice
+	// names a grouping vector past the structure's nonzero projected
+	// dependences.
+	ErrGroupingChoice = core.ErrGroupingChoice
 )
 
 // LookupKernel instantiates a built-in kernel by name. Unknown names
@@ -282,6 +286,10 @@ type Plan struct {
 	// simulation: blocks of failed nodes live on their takeover nodes and
 	// messages route over the surviving cube (see RemapDegraded).
 	Degraded *DegradedMapping
+
+	// inputs are Algorithm 1's per-stage inputs the plan was partitioned
+	// from, handed on by Stage.
+	inputs *core.Stage
 }
 
 // NewPlan runs schedule → projection → partitioning (→ mapping) on the
@@ -309,12 +317,15 @@ func NewPlanCtx(ctx context.Context, k *Kernel, opt PlanOptions) (*Plan, error) 
 // kernel and the time function (opt.Pi, SearchPi, SearchBound), never on
 // Algorithm 1 or Algorithm 2 options, so plans that differ only in those
 // options can be built from one Stage. A Stage is read-only once built:
-// any number of goroutines may call PlanCtx on it at once.
+// any number of goroutines may call PlanCtx on it at once, and they share
+// Algorithm 1's per-stage inputs (core.Stage), computed once.
 type Stage struct {
 	Kernel    *Kernel
 	Structure *Structure
 	Schedule  Schedule
 	Projected *Projected
+
+	inputs *core.Stage
 }
 
 // PrepareCtx runs the first half of NewPlanCtx: option validation,
@@ -343,21 +354,21 @@ func PrepareCtx(ctx context.Context, k *Kernel, opt PlanOptions) (*Stage, error)
 		if bound <= 0 {
 			bound = 2
 		}
-		sch, err = hyperplane.FindOptimal(st, bound)
+		sch, err = hyperplane.FindOptimalCtx(ctx, st, bound)
 	default:
 		sch, err = hyperplane.NewSchedule(st, k.Pi)
 	}
-	if err != nil {
-		return nil, fmt.Errorf("%w for %s: %w", ErrNoSchedule, k.Name, err)
-	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
+	}
+	if err != nil {
+		return nil, fmt.Errorf("%w for %s: %w", ErrNoSchedule, k.Name, err)
 	}
 	ps, err := project.Project(st, sch.Pi)
 	if err != nil {
 		return nil, err
 	}
-	return &Stage{Kernel: k, Structure: st, Schedule: sch, Projected: ps}, nil
+	return &Stage{Kernel: k, Structure: st, Schedule: sch, Projected: ps, inputs: core.NewStage(ps)}, nil
 }
 
 // PlanCtx runs the second half of NewPlanCtx on the stage: Algorithm 1,
@@ -372,7 +383,11 @@ func (s *Stage) PlanCtx(ctx context.Context, opt PlanOptions) (*Plan, error) {
 	if err := opt.Validate(); err != nil {
 		return nil, err
 	}
-	part, err := core.PartitionCtx(ctx, s.Projected, opt.Partition)
+	in := s.inputs
+	if in == nil {
+		in = core.NewStage(s.Projected)
+	}
+	part, err := in.PartitionCtx(ctx, opt.Partition)
 	if err != nil {
 		return nil, err
 	}
@@ -389,6 +404,7 @@ func (s *Stage) PlanCtx(ctx context.Context, opt PlanOptions) (*Plan, error) {
 		Projected:    s.Projected,
 		Partitioning: part,
 		TIG:          core.BuildTIG(part),
+		inputs:       in,
 	}
 	if opt.CubeDim >= 0 {
 		m, err := mapping.MapPartitioning(part, opt.CubeDim, opt.Mapping)
@@ -408,13 +424,17 @@ func (s *Stage) Compact() *Stage {
 	st := s.Structure.Compact()
 	ps := *s.Projected
 	ps.Orig = st
-	return &Stage{Kernel: s.Kernel, Structure: st, Schedule: s.Schedule, Projected: &ps}
+	c := &Stage{Kernel: s.Kernel, Structure: st, Schedule: s.Schedule, Projected: &ps}
+	if s.inputs != nil {
+		c.inputs = s.inputs.WithStructure(&ps)
+	}
+	return c
 }
 
 // Stage returns the Π-stage the plan was built from; PlanCtx on it builds
 // plans that differ from this one only in Algorithm 1 and 2 options.
 func (p *Plan) Stage() *Stage {
-	return &Stage{Kernel: p.Kernel, Structure: p.Structure, Schedule: p.Schedule, Projected: p.Projected}
+	return &Stage{Kernel: p.Kernel, Structure: p.Structure, Schedule: p.Schedule, Projected: p.Projected, inputs: p.inputs}
 }
 
 // Remap returns a plan that shares this plan's structure, schedule,
