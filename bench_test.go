@@ -74,8 +74,8 @@ func BenchmarkFig3PartitionL1(b *testing.B) {
 func BenchmarkFig5ProjectMatMul(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		plan := mustPlan(b, "matmul", 4, -1)
-		if len(plan.Projected.Points) != 37 || plan.Partitioning.R != 3 {
-			b.Fatalf("Fig. 5 shape broken: points=%d r=%d", len(plan.Projected.Points), plan.Partitioning.R)
+		if plan.Projected.NumPoints() != 37 || plan.Partitioning.R != 3 {
+			b.Fatalf("Fig. 5 shape broken: points=%d r=%d", plan.Projected.NumPoints(), plan.Partitioning.R)
 		}
 	}
 	b.ReportMetric(37, "projected-points")
@@ -100,9 +100,9 @@ func BenchmarkFig7GroupMatMul(b *testing.B) {
 // 3-cube with mesh-edge dilation 1.
 func BenchmarkFig8MapTIG(b *testing.B) {
 	items := make([]mapping.Item, 0, 16)
-	for y := int64(0); y < 4; y++ {
-		for x := int64(0); x < 4; x++ {
-			items = append(items, mapping.Item{ID: int(4*y + x), Coords: []int64{x, y}})
+	for y := int32(0); y < 4; y++ {
+		for x := int32(0); x < 4; x++ {
+			items = append(items, mapping.Item{ID: int(4*y + x), Coords: []int32{x, y}})
 		}
 	}
 	for i := 0; i < b.N; i++ {
@@ -124,7 +124,7 @@ func BenchmarkFig8MapTIG(b *testing.B) {
 func BenchmarkFig9StructureMatVec(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		plan := mustPlan(b, "matvec", 16, -1)
-		if len(plan.Projected.Points) != 31 || plan.Partitioning.NumBlocks() != 16 {
+		if plan.Projected.NumPoints() != 31 || plan.Partitioning.NumBlocks() != 16 {
 			b.Fatalf("Fig. 9 shape broken")
 		}
 	}
@@ -623,7 +623,8 @@ func missGridKeys() []missGridKey {
 // ms/plan is the mean over the grid's plans. The plan+summary case also
 // renders Plan.Summary, the costliest part of building a plan response.
 // The shared-stages case builds one Stage per grid key and runs only
-// Stage.PlanCtx per merge factor, as the daemon does on a stage hit.
+// Stage.PlanCtx per merge factor, as the daemon does on a stage hit; its
+// retained-B/stage is the live heap one compact stage pins.
 func BenchmarkPlanMissGrid(b *testing.B) {
 	grid := missGridKeys()
 	merges := []int64{1, 3}
@@ -672,6 +673,25 @@ func BenchmarkPlanMissGrid(b *testing.B) {
 		}
 		plans := float64(b.N * len(grid) * len(merges))
 		b.ReportMetric(float64(b.Elapsed())/float64(time.Millisecond)/plans, "ms/plan")
+		// retained-B/stage is the live heap one compact stage pins, as
+		// the daemon's plan cache keeps it: per grid key, the projection,
+		// its index and line graph, and Algorithm 1's inputs.
+		b.StopTimer()
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		kept := make([]*Stage, len(grid))
+		for i, g := range grid {
+			st, err := PrepareCtx(ctx, NewKernel(g.kernel, g.size), PlanOptions{})
+			if err != nil {
+				b.Fatalf("%s/%d: %v", g.kernel, g.size, err)
+			}
+			kept[i] = st.Compact()
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		b.ReportMetric(float64(int64(after.HeapAlloc)-int64(before.HeapAlloc))/float64(len(kept)), "retained-B/stage")
+		runtime.KeepAlive(kept)
 	})
 	// The tig and map cases time the TIG build and Algorithm 2 alone on
 	// shared stages: every grid key partitioned at merge factors 1–10,

@@ -129,7 +129,7 @@ func fig3() string {
 	plan, err := loopmap.NewPlan(loopmap.NewKernel("l1", 3), loopmap.PlanOptions{CubeDim: -1})
 	check(err)
 	var b strings.Builder
-	pv(&b, "projected points", 7, len(plan.Projected.Points))
+	pv(&b, "projected points", 7, plan.Projected.NumPoints())
 	pv(&b, "group size r", 2, plan.Partitioning.R)
 	pv(&b, "groups/blocks", 4, plan.Partitioning.NumBlocks())
 	es := plan.TIG.EdgeStats()
@@ -141,7 +141,7 @@ func fig3() string {
 	})
 	b.WriteString(indent(grid, "    "))
 	b.WriteString("\n  projected points (rational coordinates):\n")
-	for i := range plan.Projected.Points {
+	for i := range plan.Projected.NumPoints() {
 		fmt.Fprintf(&b, "    v%d = %v  (%d index points on its line)\n",
 			i, plan.Projected.RatPoint(i), plan.Projected.Fibers[i].Len)
 	}
@@ -152,7 +152,7 @@ func fig5() string {
 	plan, err := loopmap.NewPlan(loopmap.NewKernel("matmul", 4), loopmap.PlanOptions{CubeDim: -1})
 	check(err)
 	var b strings.Builder
-	pv(&b, "projected points", 37, len(plan.Projected.Points))
+	pv(&b, "projected points", 37, plan.Projected.NumPoints())
 	pv(&b, "scale s = Π·Π", 3, plan.Projected.S)
 	for _, d := range plan.Projected.Deps {
 		pv(&b, fmt.Sprintf("projected dep of %v", d.Orig), "r=3", fmt.Sprintf("r=%d", d.R))
@@ -204,9 +204,9 @@ func fig7() string {
 func fig8() string {
 	// The synthetic 4×4 mesh TIG of Example 3 onto a 3-cube.
 	var items []mapping.Item
-	for y := int64(0); y < 4; y++ {
-		for x := int64(0); x < 4; x++ {
-			items = append(items, mapping.Item{ID: int(4*y + x), Coords: []int64{x, y}})
+	for y := int32(0); y < 4; y++ {
+		for x := int32(0); x < 4; x++ {
+			items = append(items, mapping.Item{ID: int(4*y + x), Coords: []int32{x, y}})
 		}
 	}
 	res, err := mapping.MapItems(items, 3, mapping.Options{})
@@ -249,7 +249,7 @@ func fig9() string {
 	check(err)
 	var b strings.Builder
 	pv(&b, "dependence vectors", "[(0, 1) (1, 0)]", fmt.Sprint(plan.Structure.D))
-	pv(&b, "projected points (2M−1)", 7, len(plan.Projected.Points))
+	pv(&b, "projected points (2M−1)", 7, plan.Projected.NumPoints())
 	pv(&b, "blocks (M)", 4, plan.Partitioning.NumBlocks())
 	b.WriteString("\n  block of each iteration (i down, j right):\n")
 	grid := report.Grid2D(plan.Structure.Vertices(), func(p vec.Int) string {

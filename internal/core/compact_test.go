@@ -30,7 +30,7 @@ func TestLemma1ClashOnCompactStructure(t *testing.T) {
 			t.Fatalf("%s: a clean invariant check built V", c.name)
 		}
 		clashes := 0
-		for pt := range ps.Points {
+		for pt := range ps.NumPoints() {
 			to := (int(p.GroupOf[pt]) + 1) % p.NumBlocks()
 			q, cq := regrouped(p), regrouped(cp)
 			q.movePoint(pt, to)
@@ -49,6 +49,6 @@ func TestLemma1ClashOnCompactStructure(t *testing.T) {
 		if !cps.Orig.Materialized() {
 			t.Fatalf("%s: %d clashes named without building V", c.name, clashes)
 		}
-		t.Logf("%s/%d: %d of %d moves clash", c.name, c.size, clashes, len(ps.Points))
+		t.Logf("%s/%d: %d of %d moves clash", c.name, c.size, clashes, ps.NumPoints())
 	}
 }

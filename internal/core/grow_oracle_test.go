@@ -73,11 +73,11 @@ func (p *Partitioning) growGroupsByVecSet(seedBase vec.Int) (ref refGroups, conf
 	r := p.R
 	dl := p.Grouping.Scaled
 
-	ref.GroupOf = make([]int, len(ps.Points))
+	ref.GroupOf = make([]int, ps.NumPoints())
 	for i := range ref.GroupOf {
 		ref.GroupOf[i] = -1
 	}
-	visited := newVecSet(len(ps.Points))
+	visited := newVecSet(ps.NumPoints())
 
 	cand := make(vec.Int, len(dl))
 	membersAt := func(base vec.Int) (mem []int, slots []int) {
@@ -118,7 +118,7 @@ func (p *Partitioning) growGroupsByVecSet(seedBase vec.Int) (ref refGroups, conf
 	}
 
 	nextUngrouped := func() int {
-		for i := range ps.Points {
+		for i := range ps.NumPoints() {
 			if ref.GroupOf[i] < 0 {
 				return i
 			}
@@ -131,7 +131,7 @@ func (p *Partitioning) growGroupsByVecSet(seedBase vec.Int) (ref refGroups, conf
 		if seed < 0 {
 			return ref, conflicts
 		}
-		base := ps.Points[seed]
+		base := ps.Point(seed)
 		if comp == 0 && seedBase != nil {
 			base = seedBase.Clone()
 		}
@@ -172,9 +172,12 @@ func flatViews(t *testing.T, name string, p *Partitioning) refGroups {
 		v.GroupOf = append(v.GroupOf, int(g))
 	}
 	for g := range p.NumBlocks() {
-		grp := refGroup{ID: g, Base: p.Base(g), Component: p.Component(g), Coords: p.Coords(g)}
+		grp := refGroup{ID: g, Base: p.Base(g), Component: p.Component(g), Coords: []int64{}}
+		for _, c := range p.Coords(g) {
+			grp.Coords = append(grp.Coords, int64(c))
+		}
 		for _, m := range p.Members(g) {
-			k, ok := p.slot(g, int(m))
+			k, ok := p.slot(grp.Base, int(m))
 			if !ok {
 				t.Fatalf("%s: group %d member %d is off its group line", name, g, m)
 			}
@@ -193,7 +196,7 @@ func edgeStatsPerPair(p *Partitioning) DepEdgeStats {
 	var s DepEdgeStats
 	q := make(vec.Int, len(ps.Pi))
 	lag := depLags(ps)
-	for pt := range ps.Points {
+	for pt := range ps.NumPoints() {
 		for dep := range ps.Deps {
 			qi := lineTarget(ps, pt, dep, q)
 			if qi < 0 {
@@ -234,7 +237,7 @@ func checkGrowAgainstVecSet(t *testing.T, name string, p *Partitioning, seedBase
 	if p.Grouping == nil {
 		// Every projected point is its own group.
 		for i, g := range view.Groups {
-			want := refGroup{ID: i, Base: p.PS.Points[i], Members: []int{i}, Slot: []int{0}, Coords: []int64{}}
+			want := refGroup{ID: i, Base: p.PS.Point(i), Members: []int{i}, Slot: []int{0}, Coords: []int64{}}
 			if !reflect.DeepEqual(g, want) || view.GroupOf[i] != i {
 				t.Fatalf("%s: singleton group %d = %+v (GroupOf %d), want %+v", name, i, g, view.GroupOf[i], want)
 			}

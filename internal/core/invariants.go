@@ -18,14 +18,20 @@ import (
 //   - Group size: no group exceeds r members.
 func CheckInvariants(p *Partitioning) error {
 	ps := p.PS
-	np, groups, n := len(ps.Points), p.NumBlocks(), len(ps.Pi)
+	np, groups, n := ps.NumPoints(), p.NumBlocks(), len(ps.Pi)
 	if len(p.GroupOf) != np || len(p.members) != np || len(p.start) != groups+1 || p.start[0] != 0 ||
-		int(p.start[groups]) != np || p.w < n || len(p.rec) != groups*p.w {
+		int(p.start[groups]) != np || len(p.coords) != groups*p.axes {
 		return fmt.Errorf("group tables do not cover %d projected points in %d groups", np, groups)
 	}
+	if p.Grouping != nil && (p.axes != 1+len(p.Aux) || len(p.seeds)%n != 0) {
+		return fmt.Errorf("group tables hold %d axes and %d seed entries for %d auxiliary vectors in %d dimensions",
+			p.axes, len(p.seeds), len(p.Aux), n)
+	}
 
-	// Every projected point grouped exactly once.
+	// Every projected point grouped exactly once. Each group's base is
+	// derived once, into base.
 	seen := make([]int32, np)
+	base := make(vec.Int, n)
 	for g := range groups {
 		s, e := p.start[g], p.start[g+1]
 		if e < s || int(e) > np {
@@ -35,6 +41,12 @@ func CheckInvariants(p *Partitioning) error {
 			return fmt.Errorf("group %d has %d members, exceeds r=%d", g, e-s, p.R)
 		}
 		prev := int64(-1)
+		if p.Grouping != nil {
+			if c := p.comp[g]; c < 0 || int(c) >= len(p.seeds)/n {
+				return fmt.Errorf("group %d is in component %d of %d seeded", g, c, len(p.seeds)/n)
+			}
+			p.baseInto(base, g)
+		}
 		for _, m := range p.members[s:e] {
 			if m < 0 || int(m) >= np {
 				return fmt.Errorf("group %d lists projected point %d of %d", g, m, np)
@@ -46,10 +58,10 @@ func CheckInvariants(p *Partitioning) error {
 			if p.Grouping == nil {
 				continue
 			}
-			k, ok := p.slot(g, int(m))
+			k, ok := p.slot(base, int(m))
 			if !ok || k < 0 || k >= p.R {
 				return fmt.Errorf("group %d member %d at %v is off its group line at slots [0, %d) (base %v)",
-					g, m, ps.Points[m], p.R, p.Base(g))
+					g, m, ps.Point(int(m)), p.R, base)
 			}
 			if k <= prev {
 				return fmt.Errorf("group %d member %d at slot %d follows slot %d", g, m, k, prev)

@@ -152,7 +152,8 @@ func spanningMerge(p *Partitioning) int64 {
 	w := toRat(p.Grouping.Scaled)
 	minusProjections(w, basis)
 	var lo, hi *big.Rat
-	for _, x := range p.PS.Points {
+	for i := range p.PS.NumPoints() {
+		x := p.PS.Point(i)
 		d := dot(w, toRat(x))
 		if lo == nil || d.Cmp(lo) < 0 {
 			lo = d
@@ -199,7 +200,7 @@ func checkMergePastBox(t *testing.T, name string, ps *project.Structure, noAux b
 			t.Fatalf("%s: the groups at q=%d differ from those at q=%d", name, q, qmin)
 		}
 		for g := range got.NumBlocks() {
-			c0 := ref.Coords(g)[0]
+			c0 := int64(ref.Coords(g)[0])
 			want := ref.Base(g).AddScaled(c0*(got.R-ref.R), dl)
 			if !slices.Equal(got.Coords(g), ref.Coords(g)) || !got.Base(g).Equal(want) {
 				t.Fatalf("%s: group %d at q=%d has base %v coords %v, at q=%d base %v coords %v",

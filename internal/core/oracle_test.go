@@ -296,7 +296,7 @@ func checkStepsAgainstMaps(t *testing.T, name string, p *Partitioning, rng *rand
 		}
 	}
 	compare(name, p)
-	nP, nB := len(p.PS.Points), p.NumBlocks()
+	nP, nB := p.PS.NumPoints(), p.NumBlocks()
 	for trial := 0; trial < 12; trial++ {
 		q := regrouped(p)
 		switch trial % 2 {
@@ -348,7 +348,7 @@ func checkArcsAndBlocks(t *testing.T, name string, p *Partitioning) {
 	lists := fiberLists(ps)
 	lag := depLags(ps)
 	q := make(vec.Int, len(ps.Pi))
-	for pt := range ps.Points {
+	for pt := range ps.NumPoints() {
 		for dep, d := range ps.Orig.D {
 			qi := lineTarget(ps, pt, dep, q)
 			if qi < 0 {

@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"unsafe"
 
 	"repro/internal/ints"
 	"repro/internal/loop"
@@ -67,10 +68,12 @@ func DefaultOptions() Options { return Options{} }
 // Partitioning is the result of Algorithm 1: G_Π(Q) = {B_0, …, B_{α−1}}.
 //
 // Algorithm 1 labels the projected lattice: every projected point gets a
-// group, and every group a base, lattice coordinates and a component. The
-// labels live in flat, pointer-free tables read through NumBlocks,
-// Members, Base, Coords and Component. A member's within-group slot is not
-// stored: member k of group g sits at Base(g) + k·d_l^p (see slot).
+// group, and every group lattice coordinates and a component. The labels
+// live in flat, pointer-free tables read through NumBlocks, Members,
+// Coords and Component. A group's base is not stored: it is its
+// component's seed plus the lattice steps its coordinates count (see
+// Base). Nor is a member's within-group slot: member k of group g sits at
+// Base(g) + k·d_l^p (see slot).
 type Partitioning struct {
 	// PS is the projected structure the partitioning was computed from.
 	PS *project.Structure
@@ -99,29 +102,59 @@ type Partitioning struct {
 	// comp[g] is the region-growing component of group g (Step 3
 	// re-seeds a new component for unreached lines).
 	comp []int32
-	// rec holds every group's scaled base vertex v_0^p and lattice
-	// coordinates, w entries per group: see Base and Coords.
-	rec []int64
-	w   int
+	// coords holds every group's lattice coordinates, axes entries per
+	// group (see Coords). A coordinate counts steps from the component's
+	// seed along a BFS path of created groups, so its magnitude is below
+	// the number of groups, which fits an int32.
+	coords []int32
+	axes   int
+	// seeds holds the scaled base of every component's first group, n
+	// entries per component, indexed by component; nil for singleton
+	// groups, whose base is their point.
+	seeds []int64
 }
 
 // NumBlocks returns α, the number of partitioned blocks.
 func (p *Partitioning) NumBlocks() int { return len(p.comp) }
 
 // Members returns the projected points of group g (indices into
-// PS.Points) in slot order along the grouping vector. The slice is the
+// PS's points) in slot order along the grouping vector. The slice is the
 // partitioning's; callers must not modify it.
 func (p *Partitioning) Members(g int) []int32 {
 	s, e := p.start[g], p.start[g+1]
 	return p.members[s:e:e]
 }
 
-// Base returns the scaled base vertex v_0^p of group g. For boundary
-// groups the base may be a virtual lattice position outside V^p. The
-// vector is the partitioning's; callers must not modify it.
+// Base returns the scaled base vertex v_0^p of group g in a fresh
+// vector. For boundary groups the base may be a virtual lattice position
+// outside V^p.
 func (p *Partitioning) Base(g int) vec.Int {
-	n := len(p.PS.Pi)
-	return p.rec[g*p.w : g*p.w+n : g*p.w+n]
+	return p.baseInto(make(vec.Int, len(p.PS.Pi)), g)
+}
+
+// baseInto writes group g's base into dst and returns it: its component's
+// seed plus Coords[0]·r·d_l^p plus Coords[1+j]·d_j^p, the steps that
+// region growing took to reach it. A singleton group's base is its point.
+// The terms are summed in wrapping int64 arithmetic, which is exact
+// because the base itself fits (checkReach kept every probe in int64).
+func (p *Partitioning) baseInto(dst vec.Int, g int) vec.Int {
+	if p.Grouping == nil {
+		copy(dst, p.PS.Point(g))
+		return dst
+	}
+	n := len(dst)
+	c := p.Coords(g)
+	copy(dst, p.seeds[int(p.comp[g])*n:])
+	steps := int64(c[0]) * p.R
+	for j, d := range p.Grouping.Scaled {
+		dst[j] += steps * d
+	}
+	for i, a := range p.Aux {
+		for j, d := range a.Scaled {
+			dst[j] += int64(c[1+i]) * d
+		}
+	}
+	return dst
 }
 
 // Coords returns the integer lattice coordinates of group g's base
@@ -129,18 +162,27 @@ func (p *Partitioning) Base(g int) vec.Int {
 // the grouping axis and Coords[1+j] counts steps of the j-th auxiliary
 // vector. Singleton groups (no grouping vector) have none. The mapping
 // phase's recursive bisection reads them; callers must not modify them.
-func (p *Partitioning) Coords(g int) []int64 {
-	n := len(p.PS.Pi)
-	return p.rec[g*p.w+n : (g+1)*p.w : (g+1)*p.w]
+func (p *Partitioning) Coords(g int) []int32 {
+	return p.coords[g*p.axes : (g+1)*p.axes : (g+1)*p.axes]
+}
+
+// RetainedBytes returns the bytes the partitioning itself pins: its
+// struct and its tables, the structure and the shared grouping and
+// auxiliary vectors excluded.
+func (p *Partitioning) RetainedBytes() int64 {
+	return int64(unsafe.Sizeof(*p)) +
+		int64(len(p.GroupOf)+len(p.members)+len(p.start)+len(p.comp)+len(p.coords))*4 +
+		int64(len(p.seeds))*8
 }
 
 // Component returns the region-growing component of group g.
 func (p *Partitioning) Component(g int) int { return int(p.comp[g]) }
 
-// slot returns the k with PS.Points[pt] = Base(g) + k·d_l^p, and whether
-// one exists; without a grouping vector the point must be the base (k = 0).
-func (p *Partitioning) slot(g, pt int) (int64, bool) {
-	x, base := p.PS.Points[pt], p.Base(g)
+// slot returns the k with point pt = base + k·d_l^p, where base is a
+// group's Base, and whether one exists; without a grouping vector the
+// point must be the base (k = 0).
+func (p *Partitioning) slot(base vec.Int, pt int) (int64, bool) {
+	x := p.PS.Point(pt)
 	if p.Grouping == nil {
 		return 0, x.Equal(base)
 	}
@@ -225,11 +267,11 @@ func (s *Stage) PartitionCtx(ctx context.Context, opt Options) (*Partitioning, e
 		ctx = context.Background()
 	}
 	ps := s.PS
-	if len(ps.Points) == 0 {
+	if ps.NumPoints() == 0 {
 		return nil, errors.New("core: empty projected structure")
 	}
-	if len(ps.Points) > math.MaxInt32 {
-		return nil, fmt.Errorf("core: %d projected points exceed the int32 group tables: %w", len(ps.Points), loop.ErrTooLarge)
+	if ps.NumPoints() > math.MaxInt32 {
+		return nil, fmt.Errorf("core: %d projected points exceed the int32 group tables: %w", ps.NumPoints(), loop.ErrTooLarge)
 	}
 	if opt.MergeFactor < 0 {
 		return nil, fmt.Errorf("core: negative merge factor %d", opt.MergeFactor)
@@ -285,15 +327,12 @@ func (s *Stage) PartitionCtx(ctx context.Context, opt Options) (*Partitioning, e
 // singletonGroups makes every projected point its own group: group i
 // holds point i, is based at it, and has no lattice coordinates.
 func (p *Partitioning) singletonGroups() {
-	ps := p.PS
-	np, n := len(ps.Points), len(ps.Pi)
+	np := p.PS.NumPoints()
 	tab := make([]int32, 4*np+1)
 	p.GroupOf, p.members = tab[:np:np], tab[np:2*np:2*np]
 	p.start, p.comp = tab[2*np:3*np+1:3*np+1], tab[3*np+1:]
-	p.rec, p.w = make([]int64, np*n), n
-	for i, pt := range ps.Points {
+	for i := range np {
 		p.GroupOf[i], p.members[i], p.start[i+1] = int32(i), int32(i), int32(i+1)
-		copy(p.rec[i*n:], pt)
 	}
 }
 
@@ -424,7 +463,7 @@ func (g *grower) tryCreate(base []int64, comp int, coords []int64) bool {
 		position(k)
 		if !g.dense {
 			idx = ps.IndexOf(cand)
-		} else if !ps.Points[idx].Equal(cand) {
+		} else if !ps.Point(idx).Equal(cand) {
 			idx = -1
 		}
 		if idx < 0 {
@@ -464,10 +503,11 @@ func (g *grower) tryCreate(base []int64, comp int, coords []int64) bool {
 // (see grower) and copied at the end into exactly sized tables, so the
 // number of allocations does not grow with the number of groups or
 // probes unless more groups than the scratch's estimate sit on the
-// boundary.
+// boundary. The tables keep each group's coordinates as int32s and each
+// component's seed, from which Base derives the group's base.
 func (p *Partitioning) growGroups(ctx context.Context, seedBase vec.Int, lo, hi []int64, step int64) error {
 	ps := p.PS
-	np, n, axes := len(ps.Points), len(ps.Pi), 1+len(p.Aux)
+	np, n, axes := ps.NumPoints(), len(ps.Pi), 1+len(p.Aux)
 	w := n + axes
 	scratch := make([]int64, 3*n+2*axes)
 	if err := p.checkReach(lo, hi); err != nil {
@@ -518,7 +558,7 @@ func (p *Partitioning) growGroups(ctx context.Context, seedBase vec.Int, lo, hi 
 		if comp == 0 && seedBase != nil {
 			copy(next, seedBase)
 		} else {
-			copy(next, ps.Points[cursor])
+			copy(next, ps.Point(cursor))
 		}
 		clear(nextCoords)
 		head := g.groups()
@@ -544,16 +584,27 @@ func (p *Partitioning) growGroups(ctx context.Context, seedBase vec.Int, lo, hi 
 		}
 	}
 
-	// Copy the records into exactly sized tables: bases and coordinates
-	// into rec, the run ends into start and the components into comp.
+	// Copy the records into exactly sized tables: the run ends into
+	// start, the components into comp, the coordinates into coords, and
+	// the base of each component's first group, which region growing
+	// created at coordinates zero, into seeds. Components are created in
+	// order, each one's groups in one run, so the last group's is the
+	// highest; a component whose seed created no group keeps zeros.
 	groups := g.groups()
-	p.rec, p.w = make([]int64, groups*w), w
-	idx := make([]int32, 2*groups+1)
-	p.start, p.comp = idx[:groups+1:groups+1], idx[groups+1:]
+	idx := make([]int32, (2+axes)*groups+1)
+	p.start, p.comp = idx[:groups+1:groups+1], idx[groups+1:2*groups+1:2*groups+1]
+	p.coords, p.axes = idx[2*groups+1:], axes
+	p.seeds = make([]int64, (g.rec[(groups-1)*g.rw+w+1]+1)*int64(n))
 	for id := range groups {
 		r := g.rec[id*g.rw : (id+1)*g.rw]
-		copy(p.rec[id*w:], r[:w])
-		p.start[id+1], p.comp[id] = int32(r[w]), int32(r[w+1])
+		c := r[w+1]
+		p.start[id+1], p.comp[id] = int32(r[w]), int32(c)
+		for a, x := range r[n:w] {
+			p.coords[id*axes+a] = int32(x)
+		}
+		if id == 0 || c != g.rec[(id-1)*g.rw+w+1] {
+			copy(p.seeds[c*int64(n):], r[:n])
+		}
 	}
 	return nil
 }

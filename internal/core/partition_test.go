@@ -205,9 +205,9 @@ func TestGroupCoordsConsistent(t *testing.T) {
 			t.Fatalf("component %d has no seed group", p.Component(g))
 		}
 		coords := p.Coords(g)
-		want := seed.AddScaled(coords[0]*p.R, p.Grouping.Scaled)
+		want := seed.AddScaled(int64(coords[0])*p.R, p.Grouping.Scaled)
 		for j, a := range p.Aux {
-			want = want.AddScaled(coords[1+j], a.Scaled)
+			want = want.AddScaled(int64(coords[1+j]), a.Scaled)
 		}
 		if !p.Base(g).Equal(want) {
 			t.Fatalf("group %d base %v, lattice position %v (coords %v)", g, p.Base(g), want, coords)
@@ -243,8 +243,8 @@ func TestSeedBaseReproducesPaperExample2Grouping(t *testing.T) {
 			t.Fatalf("paper's G1 has 3 members, got %d", len(p.Members(g)))
 		}
 		for i, m := range p.Members(g) {
-			if !ps.Points[m].Equal(want[i]) {
-				t.Fatalf("member %d = %v, want %v", i, ps.Points[m], want[i])
+			if !ps.Point(int(m)).Equal(want[i]) {
+				t.Fatalf("member %d = %v, want %v", i, ps.Point(int(m)), want[i])
 			}
 		}
 	}
@@ -289,8 +289,8 @@ func TestPartitionAllDepsParallelToPi(t *testing.T) {
 	if p.Grouping != nil {
 		t.Fatal("no grouping vector expected")
 	}
-	if p.NumBlocks() != len(ps.Points) {
-		t.Fatalf("blocks = %d, want %d", p.NumBlocks(), len(ps.Points))
+	if p.NumBlocks() != ps.NumPoints() {
+		t.Fatalf("blocks = %d, want %d", p.NumBlocks(), ps.NumPoints())
 	}
 	if err := CheckInvariants(p); err != nil {
 		t.Fatal(err)

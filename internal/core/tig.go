@@ -117,7 +117,7 @@ func BuildTIG(p *Partitioning) *TIG {
 				if a.To < 0 {
 					continue
 				}
-				arcs += a.Arcs
+				arcs += int64(a.Arcs)
 				if v := p.GroupOf[a.To]; int(v) != u && a.Arcs != 0 && stamp[v] != int32(u+1) {
 					stamp[v] = int32(u + 1)
 					targets++
@@ -151,7 +151,7 @@ func BuildTIG(p *Partitioning) *TIG {
 					t.Edges[next] = v
 					next++
 				}
-				t.weight[slot[v]] += a.Arcs
+				t.weight[slot[v]] += int64(a.Arcs)
 			}
 		}
 		t.sortRow(row, next)
@@ -221,7 +221,7 @@ func (t *TIG) WeightByDep(u, v, dep int) int64 {
 	var w int64
 	for _, pt := range t.part.Members(u) {
 		if a := t.part.PS.Line(int(pt))[dep]; a.To >= 0 && int(t.part.GroupOf[a.To]) == v {
-			w += a.Arcs
+			w += int64(a.Arcs)
 		}
 	}
 	return w
@@ -238,7 +238,7 @@ func (t *TIG) DepBreakdown(u, v int) map[int]int64 {
 	for _, pt := range t.part.Members(u) {
 		for dep, a := range t.part.PS.Line(int(pt)) {
 			if a.To >= 0 && a.Arcs != 0 && int(t.part.GroupOf[a.To]) == v {
-				out[dep] += a.Arcs
+				out[dep] += int64(a.Arcs)
 			}
 		}
 	}

@@ -95,7 +95,7 @@ func (t *edgeTIG) depBreakdown(u, v int) map[int]int64 {
 	for _, pt := range t.part.Members(u) {
 		for dep, a := range t.part.PS.Line(int(pt)) {
 			if a.To >= 0 && a.Arcs != 0 && int(t.part.GroupOf[a.To]) == v {
-				out[dep] += a.Arcs
+				out[dep] += int64(a.Arcs)
 			}
 		}
 	}
@@ -120,7 +120,7 @@ func buildTIGByEdges(p *Partitioning) *edgeTIG {
 				if a.To < 0 {
 					continue
 				}
-				t.arcs += a.Arcs
+				t.arcs += int64(a.Arcs)
 				if v := p.GroupOf[a.To]; int(v) != u && a.Arcs != 0 && stamp[v] != int32(u+1) {
 					stamp[v] = int32(u + 1)
 					targets++
@@ -148,7 +148,7 @@ func buildTIGByEdges(p *Partitioning) *edgeTIG {
 					slot[v] = int32(len(t.edges))
 					t.edges = append(t.edges, TIGEdge{From: u, To: int(v)})
 				}
-				t.edges[slot[v]].Weight += a.Arcs
+				t.edges[slot[v]].Weight += int64(a.Arcs)
 			}
 		}
 		slices.SortFunc(t.edges[row:], func(a, b TIGEdge) int { return a.To - b.To })
@@ -156,12 +156,12 @@ func buildTIGByEdges(p *Partitioning) *edgeTIG {
 	return t
 }
 
-// lineTarget returns the projected point x^p + d^p for x^p = ps.Points[pt]
+// lineTarget returns the projected point x^p + d^p for x^p = ps.Point(pt)
 // and d = ps.Deps[dep], or -1 when no index point projects there. q is
 // scratch of the structure's dimension.
 func lineTarget(ps *project.Structure, pt, dep int, q vec.Int) int {
 	d := ps.Deps[dep].Scaled
-	for k, x := range ps.Points[pt] {
+	for k, x := range ps.Point(pt) {
 		q[k] = x + d[k]
 	}
 	return ps.IndexOf(q)

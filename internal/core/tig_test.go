@@ -4,6 +4,9 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/project"
+	"repro/internal/vec"
 )
 
 func TestNewTIGAndAccessors(t *testing.T) {
@@ -100,22 +103,31 @@ func TestCheckInvariantsCatchesCorruption(t *testing.T) {
 	}
 	p.GroupOf[0] = saved
 
-	// Corrupt a group's base: its members leave the group line.
-	base := p.Base(1)
+	// Corrupt a group's base, which Base derives from its component's
+	// seed: the members leave the group line.
+	n := len(p.PS.Pi)
+	base := vec.Int(p.seeds[p.Component(1)*n : p.Component(1)*n+n])
 	base[0]++
 	if err := CheckInvariants(p); err == nil {
 		t.Fatal("corrupted group base not detected")
 	}
 	base[0]--
 
-	// Shift a group's base one step forward: its first member falls to
-	// slot −1, outside [0, r).
+	// Shift the bases one step forward: a first member falls to slot −1,
+	// outside [0, r).
 	saveBase := base.Clone()
 	copy(base, base.Add(p.Grouping.Scaled))
 	if err := CheckInvariants(p); err == nil {
 		t.Fatal("member at slot -1 not detected")
 	}
 	copy(base, saveBase)
+
+	// Corrupt a group's lattice coordinate: its base moves by r·d_l^p.
+	p.coords[p.axes]++
+	if err := CheckInvariants(p); err == nil {
+		t.Fatal("corrupted group coordinates not detected")
+	}
+	p.coords[p.axes]--
 
 	// Every line in one block: same-hyperplane points share it. The
 	// regrouped copy drops group geometry and r, so only Lemma 1 can
@@ -170,19 +182,25 @@ func TestCheckTheorem2CatchesViolation(t *testing.T) {
 }
 
 // TestRetainedTablesHoldNoPointers checks by reflection that every table
-// a Partitioning or a TIG keeps is pointer-free, so the collector never
-// scans the bulk of a cached plan. A slice field's own header points at
-// its backing array; what counts is what the array holds. The only
-// pointer-holding fields are the documented references to shared data:
-// Partitioning.PS and TIG.part, the structure and partitioning they were
-// built from, and Partitioning.Grouping and Aux, the grouping and
-// auxiliary vectors of the Stage every partitioning built on it shares.
+// a Partitioning, a TIG or a projected structure keeps is pointer-free,
+// so the collector never scans the bulk of a cached plan or Π-stage. A
+// slice field's own header points at its backing array; what counts is
+// what the array holds. The only pointer-holding fields are the
+// documented references to shared data: Partitioning.PS and TIG.part,
+// the structure and partitioning they were built from, Partitioning.
+// Grouping and Aux, the grouping and auxiliary vectors of the Stage every
+// partitioning built on it shares, and the projected structure's nest
+// (Orig), its per-dependence table (Deps) and its point index (the dense
+// table behind one pointer, or the fallback map). The structure's
+// per-line columns (the points, fibers and line graph) must not hold
+// pointers.
 func TestRetainedTablesHoldNoPointers(t *testing.T) {
 	shared := map[string]bool{
 		"Partitioning.PS": true, "Partitioning.Grouping": true, "Partitioning.Aux": true,
-		"TIG.part": true,
+		"TIG.part":       true,
+		"Structure.Orig": true, "Structure.Deps": true, "Structure.lattice": true, "Structure.index": true,
 	}
-	for _, typ := range []reflect.Type{reflect.TypeOf(Partitioning{}), reflect.TypeOf(TIG{})} {
+	for _, typ := range []reflect.Type{reflect.TypeOf(Partitioning{}), reflect.TypeOf(TIG{}), reflect.TypeOf(project.Structure{})} {
 		for i := range typ.NumField() {
 			f := typ.Field(i)
 			name := typ.Name() + "." + f.Name

@@ -36,13 +36,18 @@ func Valid(pi vec.Int, deps []vec.Int) bool {
 }
 
 // Check returns a descriptive error when pi is not a valid time function
-// for the dependence set.
+// for the dependence set. A Π·d that overflows int64 is refused with an
+// error wrapping loop.ErrTooLarge rather than judged by its wrapped sign.
 func Check(pi vec.Int, deps []vec.Int) error {
 	if pi.IsZero() {
 		return errors.New("hyperplane: zero time function")
 	}
 	for _, d := range deps {
-		if v := pi.Dot(d); v <= 0 {
+		v, ok := pi.CheckedDot(d)
+		if !ok {
+			return fmt.Errorf("hyperplane: Π%v·d%v overflows int64: %w", pi, d, loop.ErrTooLarge)
+		}
+		if v <= 0 {
 			return fmt.Errorf("hyperplane: Π%v·d%v = %d ≤ 0", pi, d, v)
 		}
 	}

@@ -6,7 +6,10 @@
 // integer or rational arithmetic; this package is the lowest layer.
 package ints
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Abs returns the absolute value of x. It panics on math.MinInt64 whose
 // absolute value is not representable.
@@ -111,7 +114,9 @@ func CheckedMul(a, b int64) (int64, bool) {
 		return 0, true
 	}
 	p := a * b
-	if p/b != a {
+	// MinInt64·(−1) wraps to MinInt64, and so does MinInt64/(−1), so the
+	// division test alone would pass it.
+	if p/b != a || (b == -1 && a == math.MinInt64) {
 		return 0, false
 	}
 	return p, true

@@ -210,6 +210,15 @@ func TestCheckedMul(t *testing.T) {
 	if v, ok := CheckedMul(0, math.MaxInt64); !ok || v != 0 {
 		t.Error("CheckedMul zero failed")
 	}
+	if _, ok := CheckedMul(math.MinInt64, -1); ok {
+		t.Error("CheckedMul(MinInt64, -1) overflow not detected")
+	}
+	if _, ok := CheckedMul(-1, math.MinInt64); ok {
+		t.Error("CheckedMul(-1, MinInt64) overflow not detected")
+	}
+	if v, ok := CheckedMul(math.MinInt64, 1); !ok || v != math.MinInt64 {
+		t.Error("CheckedMul(MinInt64, 1) failed")
+	}
 }
 
 func TestCheckedAdd(t *testing.T) {

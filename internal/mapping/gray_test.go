@@ -28,7 +28,7 @@ func refSlices(items []Item, dim int) map[int][]int {
 		case len(it.Coords) == 0 && a == 0:
 			return int64(it.ID)
 		case a < len(it.Coords):
-			return it.Coords[a]
+			return int64(it.Coords[a])
 		}
 		return 0
 	}

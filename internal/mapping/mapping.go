@@ -36,8 +36,9 @@ type Item struct {
 	// components are never interleaved inside a sort.
 	Component int
 	// Coords are the block's integer lattice coordinates (axis 0 is the
-	// grouping vector, axis 1+j the j-th auxiliary vector).
-	Coords []int64
+	// grouping vector, axis 1+j the j-th auxiliary vector), as a
+	// partitioning keeps them.
+	Coords []int32
 }
 
 // AxisPolicy selects how Phase I chooses the bisection axis at each step.
@@ -181,7 +182,7 @@ func coord(it *Item, a int) int64 {
 		return 0
 	}
 	if a < len(it.Coords) {
-		return it.Coords[a]
+		return int64(it.Coords[a])
 	}
 	return 0
 }

@@ -13,9 +13,9 @@ import (
 // 16 blocks, block ID = 4*y + x, with lattice coordinates (x, y).
 func meshItems() []Item {
 	var items []Item
-	for y := int64(0); y < 4; y++ {
-		for x := int64(0); x < 4; x++ {
-			items = append(items, Item{ID: int(4*y + x), Coords: []int64{x, y}})
+	for y := int32(0); y < 4; y++ {
+		for x := int32(0); x < 4; x++ {
+			items = append(items, Item{ID: int(4*y + x), Coords: []int32{x, y}})
 		}
 	}
 	return items
@@ -256,9 +256,9 @@ func TestGreedyVsGrayOnStructuredTIG(t *testing.T) {
 func TestWidestFirstPolicy(t *testing.T) {
 	// An 8×2 strip: widest-first should bisect the long axis repeatedly.
 	var items []Item
-	for y := int64(0); y < 2; y++ {
-		for x := int64(0); x < 8; x++ {
-			items = append(items, Item{ID: int(8*y + x), Coords: []int64{x, y}})
+	for y := int32(0); y < 2; y++ {
+		for x := int32(0); x < 8; x++ {
+			items = append(items, Item{ID: int(8*y + x), Coords: []int32{x, y}})
 		}
 	}
 	res, err := MapItems(items, 3, Options{Policy: WidestFirst})

@@ -104,7 +104,7 @@ func TestMeshMapSingleAxisItems(t *testing.T) {
 	// One-axis items (e.g. matvec blocks) spread over both mesh dimensions.
 	var items []Item
 	for i := 0; i < 16; i++ {
-		items = append(items, Item{ID: i, Coords: []int64{int64(i)}})
+		items = append(items, Item{ID: i, Coords: []int32{int32(i)}})
 	}
 	res, err := MapItemsMesh(items, 4, 4, Options{})
 	if err != nil {

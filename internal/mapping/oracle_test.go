@@ -66,7 +66,7 @@ func mapItemsStable(items []Item, dim int, opt Options) (*Result, error) {
 			return 0
 		}
 		if a < len(it.Coords) {
-			return it.Coords[a]
+			return int64(it.Coords[a])
 		}
 		return 0
 	}
@@ -213,7 +213,7 @@ func mapItemsMeshStable(items []Item, rows, cols int, opt Options) (*MeshResult,
 			return 0
 		}
 		if a < len(it.Coords) {
-			return it.Coords[a]
+			return int64(it.Coords[a])
 		}
 		return 0
 	}
@@ -370,9 +370,9 @@ func randomItems(rng *rand.Rand, n int) []Item {
 	for i := range items {
 		it := Item{ID: rng.Intn(n), Component: rng.Intn(3)}
 		if k := rng.Intn(4); k > 0 {
-			it.Coords = make([]int64, k)
+			it.Coords = make([]int32, k)
 			for a := range it.Coords {
-				it.Coords[a] = int64(rng.Intn(5)) - 2
+				it.Coords[a] = int32(rng.Intn(5)) - 2
 			}
 		}
 		items[i] = it

@@ -38,11 +38,11 @@ func TestLatticeIndexAgreesWithMap(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		ref := make(map[string]int, len(ps.Points))
-		for i, p := range ps.Points {
+		ref := make(map[string]int, ps.NumPoints())
+		for i, p := range pointList(ps) {
 			ref[p.Key()] = i
 		}
-		for i, p := range ps.Points {
+		for i, p := range pointList(ps) {
 			if got := ps.IndexOf(p); got != i {
 				t.Fatalf("trial %d: IndexOf(%v) = %d, want %d (dense=%v)", trial, p, got, i, ps.Dense())
 			}
@@ -51,7 +51,7 @@ func TestLatticeIndexAgreesWithMap(t *testing.T) {
 			// Probe positions on the scaled hyperplane lattice: a point plus
 			// random multiples of scaled projected dependence vectors, the
 			// positions Algorithm 1's region growing actually queries.
-			q := ps.Points[rng.Intn(len(ps.Points))].Clone()
+			q := ps.Point(rng.Intn(ps.NumPoints())).Clone()
 			for _, d := range ps.Deps {
 				q = q.AddScaled(int64(rng.Intn(7))-3, d.Scaled)
 			}
@@ -92,8 +92,8 @@ func TestLatticeSlotWalkMatchesIndexOf(t *testing.T) {
 		lo, hi := ps.Bounds()
 		slo, shi := sparse.Bounds()
 		for j := range lo {
-			wlo, whi := ps.Points[0][j], ps.Points[0][j]
-			for _, p := range ps.Points {
+			wlo, whi := ps.Point(0)[j], ps.Point(0)[j]
+			for _, p := range pointList(ps) {
 				wlo, whi = min(wlo, p[j]), max(whi, p[j])
 			}
 			if lo[j] != wlo || hi[j] != whi || slo[j] != wlo || shi[j] != whi {
@@ -110,7 +110,7 @@ func TestLatticeSlotWalkMatchesIndexOf(t *testing.T) {
 			return true
 		}
 		for probe := 0; probe < 40; probe++ {
-			start := ps.Points[rng.Intn(len(ps.Points))].Clone()
+			start := ps.Point(rng.Intn(ps.NumPoints())).Clone()
 			if probe%4 == 3 {
 				start[rng.Intn(len(start))]++ // off the hyperplane
 			}
@@ -126,7 +126,7 @@ func TestLatticeSlotWalkMatchesIndexOf(t *testing.T) {
 			}
 			for q := start; inBox(q); q = q.Add(d) {
 				got := ps.PointAtSlot(slot)
-				if got >= 0 && !ps.Points[got].Equal(q) {
+				if got >= 0 && !ps.Point(got).Equal(q) {
 					got = -1
 				}
 				if want := ps.IndexOf(q); got != want {
@@ -138,7 +138,7 @@ func TestLatticeSlotWalkMatchesIndexOf(t *testing.T) {
 				slot += step
 			}
 		}
-		if _, ok := sparse.LatticeSlot(sparse.Points[0]); ok || sparse.LatticeStep(sparse.Deps[0].Scaled) != 0 {
+		if _, ok := sparse.LatticeSlot(sparse.Point(0)); ok || sparse.LatticeStep(sparse.Deps[0].Scaled) != 0 {
 			t.Fatalf("trial %d: the map fallback reports a lattice slot", trial)
 		}
 	}
@@ -164,7 +164,7 @@ func TestLatticeFallbackMatchesDense(t *testing.T) {
 			t.Fatalf("trial %d: cap override ineffective (dense=%v sparse=%v)", trial, dense.Dense(), sparse.Dense())
 		}
 		for probe := 0; probe < 300; probe++ {
-			q := dense.Points[rng.Intn(len(dense.Points))].Clone()
+			q := dense.Point(rng.Intn(dense.NumPoints())).Clone()
 			for _, d := range dense.Deps {
 				q = q.AddScaled(int64(rng.Intn(9))-4, d.Scaled)
 			}

@@ -20,10 +20,10 @@ import (
 // Π-parallel dependence.
 func checkLineGraph(t *testing.T, name string, ps *Structure) (missing, parallel int) {
 	t.Helper()
-	if len(ps.Arcs) != len(ps.Points)*len(ps.Deps) {
-		t.Fatalf("%s: %d line graph entries for %d points and %d dependences", name, len(ps.Arcs), len(ps.Points), len(ps.Deps))
+	if len(ps.Arcs) != ps.NumPoints()*len(ps.Deps) {
+		t.Fatalf("%s: %d line graph entries for %d points and %d dependences", name, len(ps.Arcs), ps.NumPoints(), len(ps.Deps))
 	}
-	for p, x := range ps.Points {
+	for p, x := range pointList(ps) {
 		line := ps.FiberPoints(p)
 		for i, d := range ps.Deps {
 			to := ps.IndexOf(x.Add(d.Scaled))
@@ -38,7 +38,7 @@ func checkLineGraph(t *testing.T, name string, ps *Structure) (missing, parallel
 					t.Fatalf("%s: the arc %v → %v lands on line %d, x^p + d^p is line %d", name, y, z, at, to)
 				}
 			}
-			if got, want := ps.Line(p)[i], (LineArc{To: to, Arcs: arcs}); got != want {
+			if got, want := ps.Line(p)[i], (LineArc{To: int32(to), Arcs: int32(arcs)}); got != want {
 				t.Fatalf("%s: line %d dependence %v: entry %+v, want %+v", name, p, d.Orig, got, want)
 			}
 			if to < 0 {

@@ -3,6 +3,7 @@ package project
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -219,6 +220,41 @@ func sortFibers(st *loop.Structure, pi vec.Int) (r refProjection) {
 	return r
 }
 
+// pointList lists the structure's points as separate vectors, in order.
+func pointList(ps *Structure) []vec.Int {
+	out := make([]vec.Int, ps.NumPoints())
+	for i := range out {
+		out[i] = ps.Point(i)
+	}
+	return out
+}
+
+// buildIndex is the reference for the index sortLines lays while it
+// sorts: it builds the lattice index over the points from their bounding
+// box, or the string-keyed map when the reduced box exceeds
+// latticeDenseCap. A structure without points gets no index.
+func (ps *Structure) buildIndex() {
+	n, np := len(ps.Pi), ps.NumPoints()
+	if np == 0 {
+		return
+	}
+	lo := slices.Clone(ps.Point(0))
+	hi := slices.Clone(ps.Point(0))
+	for i := range np {
+		for j, x := range ps.Point(i) {
+			lo[j], hi[j] = min(lo[j], x), max(hi[j], x)
+		}
+	}
+	if li := newLatticeIndex(ps.Pi, lo, hi); li != nil {
+		for i := range np {
+			li.table[li.offset(ps.coords[i*n:i*n+n])] = int32(i) + 1
+		}
+		ps.lattice = li
+		return
+	}
+	ps.mapIndex()
+}
+
 // expandFibers lists, per projected point, the V indices of its line's
 // points as the compact fiber names them: V[X0] + t·U for t < Len.
 func expandFibers(t *testing.T, ps *Structure) [][]int {
@@ -252,8 +288,8 @@ func checkAgainstSorted(t *testing.T, name string, st *loop.Structure, pi vec.In
 		t.Fatalf("%s: %v", name, err)
 	}
 	want := sortFibers(st, pi)
-	if !reflect.DeepEqual(got.Points, want.points) {
-		t.Fatalf("%s: Points differ:\n got %v\nwant %v", name, got.Points, want.points)
+	if points := pointList(got); !reflect.DeepEqual(points, want.points) {
+		t.Fatalf("%s: points differ:\n got %v\nwant %v", name, points, want.points)
 	}
 	if fibers := expandFibers(t, got); !reflect.DeepEqual(fibers, want.fibers) {
 		t.Fatalf("%s: Fibers differ:\n got %v\nwant %v", name, fibers, want.fibers)
@@ -268,7 +304,10 @@ func checkAgainstSorted(t *testing.T, name string, st *loop.Structure, pi vec.In
 			t.Fatalf("%s: LineOf()[%d] = %d, projected lookup %d", name, vi, pt, ref)
 		}
 	}
-	ref := &Structure{Orig: st, Pi: pi.Clone(), S: pi.Dot(pi), Points: want.points}
+	ref := &Structure{Orig: st, Pi: pi.Clone(), S: pi.Dot(pi), Points: make([]struct{}, len(want.points))}
+	for _, p := range want.points {
+		ref.coords = append(ref.coords, p...)
+	}
 	ref.buildIndex()
 	ref.projectDeps()
 	switch {
@@ -288,7 +327,7 @@ func checkAgainstSorted(t *testing.T, name string, st *loop.Structure, pi vec.In
 		}
 	}
 	rng := rand.New(rand.NewSource(int64(len(st.V))))
-	for i, p := range got.Points {
+	for i, p := range pointList(got) {
 		if g := got.IndexOf(p); g != i {
 			t.Fatalf("%s: IndexOf(point %d) = %d", name, i, g)
 		}
@@ -418,7 +457,7 @@ func TestProjectOverCapFallback(t *testing.T) {
 		if !dense.Dense() || sparse.Dense() {
 			t.Fatalf("%s: cap override ineffective (dense=%v sparse=%v)", name, dense.Dense(), sparse.Dense())
 		}
-		if !reflect.DeepEqual(dense.Points, sparse.Points) || !reflect.DeepEqual(dense.Fibers, sparse.Fibers) {
+		if !reflect.DeepEqual(pointList(dense), pointList(sparse)) || !reflect.DeepEqual(dense.Fibers, sparse.Fibers) {
 			t.Fatalf("%s: fallback projection differs from the dense one", name)
 		}
 	}

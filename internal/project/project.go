@@ -19,6 +19,7 @@ package project
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"repro/internal/hyperplane"
@@ -71,13 +72,18 @@ type LineArc struct {
 	// To is the projected point of the target line, or -1 when no index
 	// point projects to x^p + d^p (then Arcs is 0). A dependence parallel
 	// to Π stays on its own line.
-	To int
-	// Arcs is the number of dependence arcs from the line to To.
-	Arcs int64
+	To int32
+	// Arcs is the number of dependence arcs from the line to To, at most
+	// the line's length.
+	Arcs int32
 }
 
 // Structure is the projected structure Q^p = (V^p, D^p) of Definition 5,
-// in scaled-integer representation.
+// in scaled-integer representation. Its per-point tables are flat and
+// pointer-free: the points' coordinates are one column of n entries per
+// point, read through Point, and the line graph one (To, Arcs) pair of
+// int32s per line and dependence. Project refuses a structure whose
+// point count or line length does not fit an int32.
 type Structure struct {
 	// Orig is the projected computational structure.
 	Orig *loop.Structure
@@ -89,9 +95,13 @@ type Structure struct {
 	// two index points share a line exactly when they differ by a
 	// multiple of U.
 	U vec.Int
-	// Points holds the distinct scaled projected points, in lexicographic
-	// order.
-	Points []vec.Int
+	// Points has one entry per projected point and holds no data:
+	// len(Points) is |V^p|, as NumPoints returns, for callers that count
+	// the points by it. The coordinates are read through Point.
+	Points []struct{}
+	// coords holds the distinct scaled projected points in lexicographic
+	// order, n = len(Pi) entries per point.
+	coords []int64
 	// Fibers[p] is the projection line of projected point p.
 	Fibers []Fiber
 	// Deps holds one entry per original dependence vector.
@@ -109,24 +119,81 @@ type Structure struct {
 
 // Project computes the projected structure of st under pi. pi must be a
 // valid time function for st's dependence set (Π·d > 0), since the
-// partitioning phase relies on the hyperplane schedule.
+// partitioning phase relies on the hyperplane schedule. A Π under which
+// S = Π·Π, a scaled projection or a scaled dependence would leave int64,
+// and a structure whose point count or line length does not fit an
+// int32, are refused with an error wrapping loop.ErrTooLarge.
 func Project(st *loop.Structure, pi vec.Int) (*Structure, error) {
 	if len(pi) != st.Dim() {
 		return nil, fmt.Errorf("project: Π arity %d, structure dim %d", len(pi), st.Dim())
 	}
+	s, ok := pi.CheckedDot(pi)
+	if !ok {
+		return nil, fmt.Errorf("project: Π%v: Π·Π overflows int64: %w", pi, loop.ErrTooLarge)
+	}
 	if err := hyperplane.Check(pi, st.D); err != nil {
 		return nil, err
 	}
-	ps := &Structure{Orig: st, Pi: pi.Clone(), S: pi.Dot(pi)}
+	ps := &Structure{Orig: st, Pi: pi.Clone(), S: s}
 	g := pi.ContentGCD()
 	ps.U = make(vec.Int, len(pi))
 	for k, a := range pi {
 		ps.U[k] = a / g
 	}
-	ps.sortLines(ps.traceLines())
+	buf, err := ps.traceLines()
+	if err != nil {
+		return nil, err
+	}
+	ps.sortLines(buf)
 	ps.projectDeps()
 	ps.buildLineGraph()
 	return ps, nil
+}
+
+// NumPoints returns |V^p|, the number of projected points.
+func (ps *Structure) NumPoints() int { return len(ps.Points) }
+
+// Point returns the scaled coordinates of projected point i, a window
+// onto the structure's coordinate column; callers must not modify it.
+func (ps *Structure) Point(i int) vec.Int {
+	n := len(ps.Pi)
+	return ps.coords[i*n : i*n+n : i*n+n]
+}
+
+// scaledLimit bounds every scaled coordinate and time Project admits:
+// half of int64, so that the difference of two of them (a bounding box
+// extent, a span of times, a step of the line graph) fits as well.
+const scaledLimit = math.MaxInt64 / 2
+
+// scaleFits reports whether no scaled coordinate or time can leave
+// scaledLimit under Π. reach[j] enters as max |x_j| over the index points
+// and leaves with Σ_d |d_j| over the dependences added, a bound on |x_j|,
+// |d_j| and |x_j + d_j|. Then |Π·x| and |Π·d| are at most
+// T = Σ_k |Π_k|·reach_k, and a scaled coordinate s·x_j − (Π·x)·Π_j of a
+// point, a dependence or their sum is at most s·reach_j + T·|Π_j|.
+func (ps *Structure) scaleFits(reach []int64) bool {
+	ok := true
+	mulAdd := func(acc, a, b int64) int64 {
+		p, okMul := ints.CheckedMul(a, b)
+		sum, okAdd := ints.CheckedAdd(acc, p)
+		ok = ok && okMul && okAdd && sum <= scaledLimit
+		return sum
+	}
+	for _, d := range ps.Orig.D {
+		ok = ok && !slices.Contains(d, math.MinInt64)
+		for j, x := range d {
+			reach[j] = mulAdd(reach[j], max(x, -x), 1)
+		}
+	}
+	// Π·Π fits, so no Π_k is math.MinInt64 and its magnitude is exact.
+	var t int64
+	for k, a := range ps.Pi {
+		t = mulAdd(t, max(a, -a), reach[k])
+	}
+	for j, a := range ps.Pi {
+		mulAdd(mulAdd(0, ps.S, reach[j]), t, max(a, -a))
+	}
+	return ok
 }
 
 // Stride returns Π·u, the time between consecutive points of a line.
@@ -148,15 +215,15 @@ func (ps *Structure) Line(p int) []LineArc {
 // two intervals.
 func (ps *Structure) buildLineGraph() {
 	m := len(ps.Deps)
-	ps.Arcs = make([]LineArc, len(ps.Points)*m)
+	ps.Arcs = make([]LineArc, ps.NumPoints()*m)
 	q := make(vec.Int, len(ps.Pi))
 	w := ps.Stride()
 	for i, d := range ps.Deps {
 		lag, parallel := ps.Pi.Dot(d.Orig), d.IsZero()
-		for p, x := range ps.Points {
+		for p := range ps.NumPoints() {
 			qi := p
 			if !parallel {
-				for k, xk := range x {
+				for k, xk := range ps.Point(p) {
 					q[k] = xk + d.Scaled[k]
 				}
 				if qi = ps.IndexOf(q); qi < 0 {
@@ -164,9 +231,12 @@ func (ps *Structure) buildLineGraph() {
 					continue
 				}
 			}
+			// The arc count is at most f.Len, which traceLines kept
+			// within int32.
 			f, g := ps.Fibers[p], ps.Fibers[qi]
-			k := int((f.T0 + lag - g.T0) / w)
-			ps.Arcs[p*m+i] = LineArc{To: qi, Arcs: int64(max(0, min(f.Len, g.Len-k)-max(0, -k)))}
+			k := (f.T0 + lag - g.T0) / w
+			arcs := max(0, min(int64(f.Len), int64(g.Len)-k)-max(0, -k))
+			ps.Arcs[p*m+i] = LineArc{To: int32(qi), Arcs: int32(arcs)}
 		}
 	}
 }
@@ -178,23 +248,45 @@ func (ps *Structure) buildLineGraph() {
 // predecessor row (firstRuns), so each row yields at most two runs of
 // first points; the line's length then comes from Nest.LineEnd. A first
 // pass over the rows counts the lines so the second fills exactly sized
-// arrays. It returns the lines' scaled projections, n per line in the
-// same order. Each line is already in time order, since Π·u > 0.
-func (ps *Structure) traceLines() []int64 {
+// arrays. The first pass also bounds the coordinates, so scaleFits can
+// refuse a Π whose scaled projections would overflow before any is
+// computed; a coordinate of math.MinInt64, which has no magnitude, is
+// refused with them. More lines, or a longer line, than an int32 counts
+// are refused too. It returns the lines' scaled projections, n per line in
+// the same order. Each line is already in time order, since Π·u > 0.
+func (ps *Structure) traceLines() ([]int64, error) {
 	nest, pi, u, s := ps.Orig.Nest, ps.Pi, ps.U, ps.S
 	n := len(pi)
 	last := n - 1
 	pred := make(vec.Int, n)
-	np := 0
+	// xmax[j] is max |x_j| over V (see scaleFits).
+	xmax := make([]int64, n)
+	fits := true
+	grow := func(j int, x int64) {
+		fits = fits && x != math.MinInt64
+		xmax[j] = max(xmax[j], x, -x)
+	}
+	var np int64
 	nest.ForEachRow(func(row vec.Int, hi int64) bool {
+		for j, x := range row {
+			grow(j, x)
+		}
+		grow(last, hi)
 		a1, b1, a2, b2 := firstRuns(nest, row, hi, u, pred)
-		np += int(max(0, b1-a1+1) + max(0, b2-a2+1))
+		np += max(0, b1-a1+1) + max(0, b2-a2+1)
 		return true
 	})
+	if !fits || !ps.scaleFits(xmax) {
+		return nil, fmt.Errorf("project: Π%v: scaled projections overflow int64: %w", ps.Pi, loop.ErrTooLarge)
+	}
+	if np > math.MaxInt32 {
+		return nil, fmt.Errorf("project: %d projection lines exceed the int32 point tables: %w", np, loop.ErrTooLarge)
+	}
 	lineEnd := nest.LineEnd(u)
 	ps.Fibers = make([]Fiber, 0, np)
-	buf := make([]int64, 0, np*n) // scaled projections, n per line
-	vi := 0                       // position in V of the current row's first point
+	buf := make([]int64, 0, int(np)*n) // scaled projections, n per line
+	vi := 0                            // position in V of the current row's first point
+	longest := int64(0)
 	nest.ForEachRow(func(row vec.Int, hi int64) bool {
 		lo := row[last]
 		add := func(a, b int64) {
@@ -205,7 +297,9 @@ func (ps *Structure) traceLines() []int64 {
 			t := pi.Dot(row)
 			for x := a; ; x++ {
 				row[last] = x
-				ps.Fibers = append(ps.Fibers, Fiber{X0: vi + int(x-lo), T0: t, Len: int(lineEnd(row)) + 1})
+				l := lineEnd(row) + 1
+				longest = max(longest, l)
+				ps.Fibers = append(ps.Fibers, Fiber{X0: vi + int(x-lo), T0: t, Len: int(l)})
 				w := len(buf)
 				buf = buf[:w+n]
 				for j, xj := range row {
@@ -223,16 +317,20 @@ func (ps *Structure) traceLines() []int64 {
 		vi += int(hi-lo) + 1
 		return true
 	})
-	return buf
+	if longest > math.MaxInt32 {
+		return nil, fmt.Errorf("project: a projection line of %d points exceeds the int32 line graph: %w", longest, loop.ErrTooLarge)
+	}
+	return buf, nil
 }
 
 // sortLines puts the lines traceLines found in the lexicographic order of
-// their projections: Points become windows onto buf, the fibers follow
-// their points, and the lattice index is laid over them.
+// their projections: buf becomes the coordinate column, the fibers follow
+// their points, and the lattice index is laid over them. A structure
+// without points gets no index.
 func (ps *Structure) sortLines(buf []int64) {
 	n, np := len(ps.Pi), len(ps.Fibers)
+	ps.coords, ps.Points = buf, make([]struct{}, np)
 	if np == 0 {
-		ps.buildIndex()
 		return
 	}
 	lo := append([]int64(nil), buf[:n]...)
@@ -265,27 +363,26 @@ func (ps *Structure) sortLines(buf []int64) {
 			return slices.Compare(buf[int(a)*n:int(a)*n+n], buf[int(b)*n:int(b)*n+n])
 		})
 	}
-	ps.Points = make([]vec.Int, np)
-	for r, id := range order {
-		i := int(id) * n
-		ps.Points[r] = buf[i : i+n : i+n]
-	}
-	// Put the fibers in rank order in place, one permutation cycle at a
-	// time: fiber r takes the one at order[r], and a placed slot's order
-	// entry is cleared to -1.
+	// Put the points and fibers in rank order in place, one permutation
+	// cycle at a time: rank r takes the line at order[r], and a placed
+	// slot's order entry is cleared to -1.
+	first := make([]int64, n)
 	for r := range order {
 		if order[r] < 0 {
 			continue
 		}
-		first := ps.Fibers[r]
+		firstFiber := ps.Fibers[r]
+		copy(first, buf[r*n:r*n+n])
 		for j := r; ; {
 			k := int(order[j])
 			order[j] = -1
 			if k == r {
-				ps.Fibers[j] = first
+				ps.Fibers[j] = firstFiber
+				copy(buf[j*n:j*n+n], first)
 				break
 			}
 			ps.Fibers[j] = ps.Fibers[k]
+			copy(buf[j*n:j*n+n], buf[k*n:k*n+n])
 			j = k
 		}
 	}
@@ -389,41 +486,11 @@ func newLatticeIndex(pi, lo, hi []int64) *latticeIndex {
 	return li
 }
 
-// buildIndex constructs the lattice index over Points, falling back to the
-// string-keyed map when the reduced bounding box exceeds latticeDenseCap.
-func (ps *Structure) buildIndex() {
-	n := len(ps.Pi)
-	if len(ps.Points) > 0 {
-		lo := make([]int64, n)
-		hi := make([]int64, n)
-		copy(lo, ps.Points[0])
-		copy(hi, ps.Points[0])
-		for _, p := range ps.Points[1:] {
-			for j, x := range p {
-				if x < lo[j] {
-					lo[j] = x
-				}
-				if x > hi[j] {
-					hi[j] = x
-				}
-			}
-		}
-		if li := newLatticeIndex(ps.Pi, lo, hi); li != nil {
-			for i, p := range ps.Points {
-				li.table[li.offset(p)] = int32(i) + 1
-			}
-			ps.lattice = li
-			return
-		}
-	}
-	ps.mapIndex()
-}
-
-// mapIndex builds the string-keyed fallback index over Points.
+// mapIndex builds the string-keyed fallback index over the points.
 func (ps *Structure) mapIndex() {
-	ps.index = make(map[string]int, len(ps.Points))
-	for i, p := range ps.Points {
-		ps.index[p.Key()] = i
+	ps.index = make(map[string]int, ps.NumPoints())
+	for i := range ps.NumPoints() {
+		ps.index[ps.Point(i).Key()] = i
 	}
 }
 
@@ -439,8 +506,9 @@ func (li *latticeIndex) offset(p vec.Int) int64 {
 	return off
 }
 
-// lookup returns the index of the scaled point, or -1.
-func (li *latticeIndex) lookup(p vec.Int, points []vec.Int) int {
+// lookup returns the index of the scaled point among coords, n entries
+// per point, or -1.
+func (li *latticeIndex) lookup(p vec.Int, coords []int64) int {
 	var off int64
 	for j, x := range p {
 		if j == li.drop {
@@ -455,8 +523,8 @@ func (li *latticeIndex) lookup(p vec.Int, points []vec.Int) int {
 	if t == 0 {
 		return -1
 	}
-	i := int(t) - 1
-	if !points[i].Equal(p) {
+	i, n := int(t)-1, len(p)
+	if !slices.Equal(coords[i*n:i*n+n], p) {
 		return -1
 	}
 	return i
@@ -481,7 +549,7 @@ func rFactor(scaled vec.Int, s int64) int64 {
 // IndexOf returns the position of a scaled projected point, or -1.
 func (ps *Structure) IndexOf(scaled vec.Int) int {
 	if ps.lattice != nil {
-		return ps.lattice.lookup(scaled, ps.Points)
+		return ps.lattice.lookup(scaled, ps.coords)
 	}
 	i, ok := ps.index[scaled.Key()]
 	if !ok {
@@ -495,15 +563,16 @@ func (ps *Structure) IndexOf(scaled vec.Int) int {
 // index keeps its box, and Bounds returns it; the slices are then the
 // structure's, and callers must not modify them.
 func (ps *Structure) Bounds() (lo, hi []int64) {
+	n := len(ps.Pi)
 	if ps.lattice != nil {
 		return ps.lattice.lo, ps.lattice.hi
 	}
-	if len(ps.Points) == 0 {
+	if ps.NumPoints() == 0 {
 		return nil, nil
 	}
-	lo, hi = slices.Clone(ps.Points[0]), slices.Clone(ps.Points[0])
-	for _, p := range ps.Points[1:] {
-		for j, x := range p {
+	lo, hi = slices.Clone(ps.Point(0)), slices.Clone(ps.Point(0))
+	for i := n; i < len(ps.coords); i += n {
+		for j, x := range ps.coords[i : i+n] {
 			lo[j], hi[j] = min(lo[j], x), max(hi[j], x)
 		}
 	}
@@ -570,8 +639,8 @@ func (ps *Structure) ProjectionOf(x vec.Int) vec.Int {
 // RatPoint returns the unscaled rational coordinates of projected point i
 // (for display and for cross-checks against the paper's figures).
 func (ps *Structure) RatPoint(i int) vec.Rat {
-	out := make(vec.Rat, len(ps.Points[i]))
-	for k, x := range ps.Points[i] {
+	out := make(vec.Rat, len(ps.Pi))
+	for k, x := range ps.Point(i) {
 		out[k] = rat.New(x, ps.S)
 	}
 	return out

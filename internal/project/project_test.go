@@ -38,8 +38,8 @@ func matmulProjected(t *testing.T, sz int64) *Structure {
 func TestL1SevenProjectedPoints(t *testing.T) {
 	// §II: "We get seven projected points" for loop L1 with Π=(1,1).
 	ps := l1Projected(t)
-	if len(ps.Points) != 7 {
-		t.Fatalf("|V^p| = %d, want 7", len(ps.Points))
+	if ps.NumPoints() != 7 {
+		t.Fatalf("|V^p| = %d, want 7", ps.NumPoints())
 	}
 	if ps.S != 2 {
 		t.Fatalf("s = %d, want 2", ps.S)
@@ -95,7 +95,7 @@ func TestL1Fibers(t *testing.T) {
 	}
 	// Total fiber sizes must cover all 16 points.
 	total := 0
-	for i := range ps.Points {
+	for i := range ps.NumPoints() {
 		total += ps.Fibers[i].Len
 	}
 	if total != 16 {
@@ -105,7 +105,7 @@ func TestL1Fibers(t *testing.T) {
 
 func TestFibersSortedByTime(t *testing.T) {
 	ps := matmulProjected(t, 4)
-	for i := range ps.Points {
+	for i := range ps.NumPoints() {
 		pts := ps.FiberPoints(i)
 		for j := 1; j < len(pts); j++ {
 			if ps.Pi.Dot(pts[j-1]) >= ps.Pi.Dot(pts[j]) {
@@ -118,8 +118,8 @@ func TestFibersSortedByTime(t *testing.T) {
 func TestMatMul37ProjectedPoints(t *testing.T) {
 	// Fig. 5: "There are 37 projected points" for the 4×4×4 matmul.
 	ps := matmulProjected(t, 4)
-	if len(ps.Points) != 37 {
-		t.Fatalf("|V^p| = %d, want 37", len(ps.Points))
+	if ps.NumPoints() != 37 {
+		t.Fatalf("|V^p| = %d, want 37", ps.NumPoints())
 	}
 	if ps.S != 3 {
 		t.Fatalf("s = %d, want 3", ps.S)
@@ -148,7 +148,7 @@ func TestProjectionOrthogonality(t *testing.T) {
 	// Every scaled projected point must satisfy Π·p = 0 (it lies on the
 	// zero-hyperplane), and projection must be reproducible via ProjectionOf.
 	ps := matmulProjected(t, 4)
-	for i, p := range ps.Points {
+	for i, p := range pointList(ps) {
 		if ps.Pi.Dot(p) != 0 {
 			t.Fatalf("point %d = %v not on zero-hyperplane", i, p)
 		}
@@ -164,7 +164,7 @@ func TestProjectionOrthogonality(t *testing.T) {
 func TestFiberEquivalence(t *testing.T) {
 	// Two index points share a fiber iff their difference is parallel to Π.
 	ps := l1Projected(t)
-	for i := range ps.Points {
+	for i := range ps.NumPoints() {
 		pts := ps.FiberPoints(i)
 		for a := 0; a < len(pts); a++ {
 			for b := a + 1; b < len(pts); b++ {
@@ -191,8 +191,8 @@ func TestMatVecProjection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ps.Points) != 2*m-1 {
-		t.Fatalf("|V^p| = %d, want %d", len(ps.Points), 2*m-1)
+	if ps.NumPoints() != 2*m-1 {
+		t.Fatalf("|V^p| = %d, want %d", ps.NumPoints(), 2*m-1)
 	}
 	if ps.GroupSizeR() != 2 {
 		t.Fatalf("r = %d, want 2", ps.GroupSizeR())
@@ -219,7 +219,7 @@ func TestSkewedPiLargeRFactor(t *testing.T) {
 		t.Fatalf("r = %d, want 5", r)
 	}
 	// All projections stay on the zero-hyperplane.
-	for _, p := range ps.Points {
+	for _, p := range pointList(ps) {
 		if ps.Pi.Dot(p) != 0 {
 			t.Fatalf("point %v off the zero-hyperplane", p)
 		}

@@ -204,24 +204,26 @@ func (c *planCache) stats() (bytes int64, entries int) {
 // graph, and the vertex set (one flat coordinate buffer plus a slice
 // header per vertex) only while the structure holds it. A cached stage is
 // compact, so V is charged once a simulation builds it (see
-// chargeVertices). A stage holds no other per-vertex table: fibers are
-// one (X0, T0, Len) triple per projection line, and the line graph one
-// (target, arc count) pair per line and dependence. The cache budget
-// compares these sums against its byte limit, so they should track the
-// heap the cached stages and plans actually pin.
+// chargeVertices). A stage holds no other per-vertex table, and its
+// per-point tables are flat: the projected points one column of n
+// coordinates per point, fibers one (X0, T0, Len) triple per projection
+// line, and the line graph one int32 (target, arc count) pair per line
+// and dependence. The cache budget compares these sums against its byte
+// limit, so they should track the heap the cached stages and plans
+// actually pin.
 func stageBytes(st *loopmap.Stage) int64 {
 	const (
 		sliceHeader  = 24
 		fiberBytes   = 24 // one project.Fiber
-		lineArcBytes = 16 // one project.LineArc
+		lineArcBytes = 8  // one project.LineArc
 	)
-	perVec := int64(st.Structure.Nest.Dims)*8 + sliceHeader
+	dims := int64(st.Structure.Nest.Dims)
 	var b int64
 	if st.Structure.Materialized() {
-		b = int64(st.Structure.Len()) * perVec
+		b = int64(st.Structure.Len()) * (dims*8 + sliceHeader)
 	}
 	ps := st.Projected
-	b += int64(len(ps.Points))*perVec + int64(len(ps.Fibers))*fiberBytes
+	b += int64(ps.NumPoints()) * (dims*8 + fiberBytes)
 	b += ps.IndexBytes() + int64(len(ps.Arcs))*lineArcBytes
 	// Algorithm 1's per-stage inputs, which the stage's plans share:
 	// per dependence one project.Dep (64 B), a lattice stride and an
@@ -231,21 +233,10 @@ func stageBytes(st *loopmap.Stage) int64 {
 }
 
 // partitionBytes estimates what a plan holds beyond its stage: the
-// partitioning's flat tables and the TIG. Blocks are derived from the
-// groups.
+// partitioning's flat tables and the TIG, each of which knows its own
+// layout. Blocks are derived from the groups.
 func partitionBytes(p *loopmap.Plan) int64 {
-	// Per projected point, its group and its place in the member list
-	// (an int32 each); per group, a member offset and a component (an
-	// int32 each) and its base and lattice coordinates (int64s).
-	part := p.Partitioning
-	groups := int64(part.NumBlocks())
-	b := int64(len(part.GroupOf))*2*4 + groups*2*4
-	if groups > 0 {
-		b += groups * int64(len(part.Base(0))+len(part.Coords(0))) * 8
-	}
-	// The TIG knows its own layout.
-	b += p.TIG.RetainedBytes()
-	// Fixed: the Plan (112 B) and Partitioning (192 B) structs. The
-	// grouping and auxiliary vectors are the stage's (see stageBytes).
-	return b + 304
+	// Fixed: the Plan struct (112 B). The grouping and auxiliary vectors
+	// are the stage's (see stageBytes).
+	return p.Partitioning.RetainedBytes() + p.TIG.RetainedBytes() + 112
 }

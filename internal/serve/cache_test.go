@@ -244,6 +244,52 @@ func TestFlightGroupPropagatesError(t *testing.T) {
 	}
 }
 
+// TestFlightGroupSurvivesPanickingLeader: a leader whose fn panics
+// still releases its key. The panic reaches the leader's caller, a
+// follower already waiting is woken with errLeaderPanicked instead of
+// waiting out its deadline, and the next call for the key runs fn again.
+func TestFlightGroupSurvivesPanickingLeader(t *testing.T) {
+	var g flightGroup
+	started, release := make(chan struct{}), make(chan struct{})
+	leaderPanic := make(chan any, 1)
+	go func() {
+		defer func() { leaderPanic <- recover() }()
+		g.do(context.Background(), "k", func() (any, error) {
+			close(started)
+			<-release
+			panic("boom")
+		})
+	}()
+	<-started
+	type result struct {
+		err    error
+		shared bool
+	}
+	follower := make(chan result, 1)
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		defer cancel()
+		_, err, shared := g.do(ctx, "k", func() (any, error) { return nil, errors.New("follower ran fn") })
+		follower <- result{err, shared}
+	}()
+	// Give the follower time to block on the leader (see
+	// TestFlightGroupDeduplicates).
+	time.Sleep(50 * time.Millisecond)
+	close(release)
+	if r := <-leaderPanic; r != "boom" {
+		t.Fatalf("leader recovered %v, want its panic", r)
+	}
+	if r := <-follower; !r.shared || !errors.Is(r.err, errLeaderPanicked) {
+		t.Fatalf("follower: err %v (shared %v), want errLeaderPanicked", r.err, r.shared)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+	defer cancel()
+	v, err, shared := g.do(ctx, "k", func() (any, error) { return 2, nil })
+	if err != nil || shared || v.(int) != 2 {
+		t.Fatalf("call after the panic: v=%v err=%v shared=%v, want a fresh run", v, err, shared)
+	}
+}
+
 // missGridKey is one (kernel, size) of the miss-cold grid.
 type missGridKey struct {
 	kernel string

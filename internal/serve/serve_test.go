@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	loopmap "repro"
 	"repro/api"
 )
 
@@ -198,6 +199,10 @@ func TestBadRequests(t *testing.T) {
 		{"negative search bound", "/v1/plan", `{"kernel": "l1", "size": 8, "search_bound": -1}`},
 		{"pi conflicts with search", "/v1/plan", `{"kernel": "l1", "size": 8, "pi": [1, 1], "search_pi": true}`},
 		{"grouping choice out of range", "/v1/plan", `{"kernel": "l1", "size": 4, "grouping_choice": 9}`},
+		{"pi whose Π·Π wraps to 0", "/v1/plan", `{"kernel": "l1", "size": 8, "pi": [4294967296, 4294967296]}`},
+		{"pi whose Π·Π wraps negative", "/v1/plan", `{"kernel": "l1", "size": 8, "pi": [2147483648, 2147483648]}`},
+		{"pi whose Π·Π wraps to 1", "/v1/plan", `{"kernel": "l1", "size": 8, "pi": [4294967296, 1]}`},
+		{"pi whose scaled projections overflow", "/v1/plan", `{"kernel": "l1", "size": 8, "pi": [3037000499, 1]}`},
 		{"trailing junk", "/v1/plan", `{"kernel":"l1","size":8} junk`},
 		{"two objects", "/v1/plan", `{"kernel":"l1","size":8}{"kernel":"l1","size":8}`},
 		{"simulate trailing junk", "/v1/simulate", `{"kernel":"l1","size":8} junk`},
@@ -486,6 +491,40 @@ func TestHugeMergeFactorAnswersPromptly(t *testing.T) {
 		}
 		if n := s.Metrics().InflightPlans; n != 0 {
 			t.Fatalf("%s: %d plans still in flight after the answer", body, n)
+		}
+	}
+}
+
+// TestPanickingPlanDoesNotPoisonItsKey plants a Π-stage whose PlanCtx
+// panics under l1/8's stage key. The first request answers 500; the
+// repeat must be computed again (and panic again) well before its 500 ms
+// deadline, not wait on the dead computation and answer 504, and leave
+// no plan in flight. Once the stage is gone, the key plans normally.
+func TestPanickingPlanDoesNotPoisonItsKey(t *testing.T) {
+	s := New(Config{})
+	h := s.Handler()
+	skey := string((&api.PlanRequest{Kernel: "l1", Size: 8}).AppendStageKey(nil))
+	s.cache.mu.Lock()
+	s.cache.stages[skey] = &stageEntry{stage: &loopmap.Stage{}}
+	s.cache.mu.Unlock()
+	body := `{"kernel":"l1","size":8,"timeout_ms":500}`
+	for i, want := range []int{http.StatusInternalServerError, http.StatusInternalServerError, http.StatusOK} {
+		if i == 2 {
+			s.cache.mu.Lock()
+			delete(s.cache.stages, skey)
+			s.cache.mu.Unlock()
+		}
+		start := time.Now()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/plan", strings.NewReader(body)))
+		if rec.Code != want {
+			t.Fatalf("request %d: status %d after %v, want %d: %s", i, rec.Code, time.Since(start), want, rec.Body)
+		}
+		if took := time.Since(start); took > 250*time.Millisecond {
+			t.Fatalf("request %d took %v, want an answer well before its 500 ms deadline", i, took)
+		}
+		if n := s.Metrics().InflightPlans; n != 0 {
+			t.Fatalf("request %d: %d plans still in flight after the answer", i, n)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"sync"
 )
 
@@ -20,6 +21,10 @@ type flightCall struct {
 	err  error
 }
 
+// errLeaderPanicked is what the followers of a leader whose fn panicked
+// receive. The panic itself propagates in the leader's goroutine.
+var errLeaderPanicked = errors.New("serve: the shared computation panicked")
+
 // do invokes fn once per concurrent set of callers sharing key. The
 // returned bool reports whether this caller shared another caller's result
 // (true) or ran fn itself (false).
@@ -29,7 +34,10 @@ type flightCall struct {
 // finishes under the leader's context and every remaining waiter still
 // shares the result. (The leader itself ignores ctx here: fn is expected
 // to honor the leader's context internally, and cancelling a leader with
-// live followers would poison the herd.)
+// live followers would poison the herd.) If fn panics, the key is still
+// released and its waiters woken with errLeaderPanicked, so the next
+// caller for the key runs fn afresh; the panic goes on up the leader's
+// stack.
 func (g *flightGroup) do(ctx context.Context, key string, fn func() (any, error)) (any, error, bool) {
 	g.mu.Lock()
 	if g.m == nil {
@@ -44,15 +52,16 @@ func (g *flightGroup) do(ctx context.Context, key string, fn func() (any, error)
 			return nil, ctx.Err(), true
 		}
 	}
-	c := &flightCall{done: make(chan struct{})}
+	c := &flightCall{done: make(chan struct{}), err: errLeaderPanicked}
 	g.m[key] = c
 	g.mu.Unlock()
+	defer func() {
+		g.mu.Lock()
+		delete(g.m, key)
+		g.mu.Unlock()
+		close(c.done)
+	}()
 
 	c.val, c.err = fn()
-
-	g.mu.Lock()
-	delete(g.m, key)
-	g.mu.Unlock()
-	close(c.done)
 	return c.val, c.err, false
 }

@@ -80,6 +80,23 @@ func (v Int) Dot(w Int) int64 {
 	return s
 }
 
+// CheckedDot returns v·w and whether every product and partial sum
+// stayed within int64.
+func (v Int) CheckedDot(w Int) (int64, bool) {
+	mustSameLen(len(v), len(w))
+	var s int64
+	for i := range v {
+		p, ok := ints.CheckedMul(v[i], w[i])
+		if !ok {
+			return 0, false
+		}
+		if s, ok = ints.CheckedAdd(s, p); !ok {
+			return 0, false
+		}
+	}
+	return s, true
+}
+
 // IsZero reports whether every component is zero.
 func (v Int) IsZero() bool {
 	for _, x := range v {

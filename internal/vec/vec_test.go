@@ -1,6 +1,7 @@
 package vec
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/rat"
@@ -29,6 +30,22 @@ func TestIntBasics(t *testing.T) {
 	}
 	if NewInt(1).Equal(NewInt(1, 2)) {
 		t.Error("length mismatch should not be equal")
+	}
+}
+
+func TestIntCheckedDot(t *testing.T) {
+	if v, ok := NewInt(3, -4).CheckedDot(NewInt(5, 2)); !ok || v != 7 {
+		t.Errorf("CheckedDot = %d, %v; want 7, true", v, ok)
+	}
+	for _, c := range [][2]Int{
+		{NewInt(1<<32, 1), NewInt(1<<32, 1)},         // a product overflows
+		{NewInt(math.MaxInt64, 1), NewInt(1, 1)},     // the sum overflows
+		{NewInt(math.MinInt64, 0), NewInt(-1, 0)},    // MinInt64·(−1)
+		{NewInt(1<<31, 1<<31), NewInt(1<<31, 1<<31)}, // Π·Π = 2^63
+	} {
+		if _, ok := c[0].CheckedDot(c[1]); ok {
+			t.Errorf("%v·%v: overflow not reported", c[0], c[1])
+		}
 	}
 }
 

@@ -606,7 +606,7 @@ func (p *Plan) SummaryWith(ms mapping.Stats) string {
 	put(" iterations, ", int64(len(p.Structure.D)))
 	b = p.Schedule.Pi.AppendString(append(b, " dependences, Π = "...))
 	put(", ", p.Schedule.Steps())
-	put(" steps\nprojection: ", int64(len(p.Projected.Points)))
+	put(" steps\nprojection: ", int64(p.Projected.NumPoints()))
 	put(" projected points (s = ", p.Projected.S)
 	put("), group size r = ", p.Partitioning.R)
 	put(", β = ", int64(p.Partitioning.Beta))

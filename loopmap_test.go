@@ -98,6 +98,47 @@ func TestNewPlanExplicitPi(t *testing.T) {
 	}
 }
 
+// TestNewPlanRefusesOverflowingPi: an explicit Π whose Π·Π, scaled
+// projections or Π·d leave int64 is refused with ErrTooLarge instead of
+// panicking or planning on wrapped values (Π = (2^32, 1) once planned
+// l1/8 with S wrapped to 1 and β = 2, impossible in two dimensions). A
+// large Π that fits plans as its primitive direction does.
+func TestNewPlanRefusesOverflowingPi(t *testing.T) {
+	for _, pi := range []IntVec{
+		Vec(1<<32, 1<<32),                 // Π·Π wraps to 0
+		Vec(1<<31, 1<<31),                 // Π·Π wraps to math.MinInt64
+		Vec(1<<32, 1),                     // Π·Π wraps to 1
+		Vec(3037000499, 1),                // Π·Π fits, s·x does not
+		Vec(math.MaxInt64, math.MaxInt64), // Π·d overflows
+	} {
+		if _, err := NewPlan(NewKernel("l1", 8), PlanOptions{Pi: pi, CubeDim: 3}); !errors.Is(err, ErrTooLarge) {
+			t.Errorf("Π = %v: err = %v, want ErrTooLarge", pi, err)
+		}
+	}
+	want, err := NewPlan(NewKernel("l1", 8), PlanOptions{Pi: Vec(1, 1), CubeDim: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := NewPlan(NewKernel("l1", 8), PlanOptions{Pi: Vec(1<<20, 1<<20), CubeDim: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g, w := shapeOf(got), shapeOf(want); g != w {
+		t.Fatalf("Π = (2^20, 2^20) plans %+v, Π = (1, 1) %+v", g, w)
+	}
+}
+
+// planShape is what scaling Π leaves unchanged in a plan: β, R, the
+// block count and the TIG's edge count.
+type planShape struct {
+	beta, blocks, edges int
+	r                   int64
+}
+
+func shapeOf(p *Plan) planShape {
+	return planShape{p.Partitioning.Beta, p.Partitioning.NumBlocks(), len(p.TIG.Edges), p.Partitioning.R}
+}
+
 func TestNewPlanRejectsBadPi(t *testing.T) {
 	if _, err := NewPlan(NewKernel("matmul", 4), PlanOptions{Pi: Vec(1, -1, 0)}); err == nil {
 		t.Fatal("invalid Π accepted")
