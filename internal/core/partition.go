@@ -222,7 +222,7 @@ func (p *Partitioning) BlockPoints(g int) []vec.Int {
 func (p *Partitioning) BlockSize(g int) int {
 	n := 0
 	for _, pi := range p.Members(g) {
-		n += p.PS.Fibers[pi].Len
+		n += int(p.PS.Fibers[pi].Len)
 	}
 	return n
 }

@@ -187,7 +187,7 @@ func depLags(ps *project.Structure) []int64 {
 func fiberArcs(ps *project.Structure, pt, qi int, lag, w int64) int64 {
 	f, g := ps.Fibers[pt], ps.Fibers[qi]
 	k := int((f.T0 + lag - g.T0) / w)
-	return int64(max(0, min(f.Len, g.Len-k)-max(0, -k)))
+	return int64(max(0, min(int(f.Len), int(g.Len)-k)-max(0, -k)))
 }
 
 // buildTIGByLookup is BuildTIG as it was before the line graph: one

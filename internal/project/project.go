@@ -58,11 +58,11 @@ func (d Dep) Rat(s int64) vec.Rat {
 // Fiber is the run of index points on one projection line, in execution
 // order: x0 + t·u for t in [0, Len), where x0 = Orig.Vertices()[X0] is
 // the line's first point and u = Π/gcd(Π) the line's primitive
-// direction. Point t runs at time T0 + t·Π·u with T0 = Π·x0.
+// direction. Point t runs at time T0 + t·Π·u with T0 = Π·x0. X0 and Len
+// are int32: Project refuses a structure of more index points.
 type Fiber struct {
-	X0  int
-	T0  int64
-	Len int
+	T0      int64
+	X0, Len int32
 }
 
 // LineArc is one entry of the line graph over Q^p: the arcs of one
@@ -121,11 +121,22 @@ type Structure struct {
 // valid time function for st's dependence set (Π·d > 0), since the
 // partitioning phase relies on the hyperplane schedule. A Π under which
 // S = Π·Π, a scaled projection or a scaled dependence would leave int64,
-// and a structure whose point count or line length does not fit an
-// int32, are refused with an error wrapping loop.ErrTooLarge.
+// and a structure of more index points than an int32 counts, are refused
+// with an error wrapping loop.ErrTooLarge.
 func Project(st *loop.Structure, pi vec.Int) (*Structure, error) {
+	return project(st, pi, math.MaxInt32)
+}
+
+// project is Project for structures of at most maxPoints index points.
+// Every projection line is a run of index points, so under that bound
+// the line count, each line's length and each line's first index fit
+// the int32 tables; it is checked before any table is built.
+func project(st *loop.Structure, pi vec.Int, maxPoints int) (*Structure, error) {
 	if len(pi) != st.Dim() {
 		return nil, fmt.Errorf("project: Π arity %d, structure dim %d", len(pi), st.Dim())
+	}
+	if st.Len() > maxPoints {
+		return nil, fmt.Errorf("project: %d index points exceed the int32 point tables: %w", st.Len(), loop.ErrTooLarge)
 	}
 	s, ok := pi.CheckedDot(pi)
 	if !ok {
@@ -231,8 +242,7 @@ func (ps *Structure) buildLineGraph() {
 					continue
 				}
 			}
-			// The arc count is at most f.Len, which traceLines kept
-			// within int32.
+			// The arc count is at most f.Len, an int32.
 			f, g := ps.Fibers[p], ps.Fibers[qi]
 			k := (f.T0 + lag - g.T0) / w
 			arcs := max(0, min(int64(f.Len), int64(g.Len)-k)-max(0, -k))
@@ -251,9 +261,8 @@ func (ps *Structure) buildLineGraph() {
 // arrays. The first pass also bounds the coordinates, so scaleFits can
 // refuse a Π whose scaled projections would overflow before any is
 // computed; a coordinate of math.MinInt64, which has no magnitude, is
-// refused with them. More lines, or a longer line, than an int32 counts
-// are refused too. It returns the lines' scaled projections, n per line in
-// the same order. Each line is already in time order, since Π·u > 0.
+// refused with them. It returns the lines' scaled projections, n per line
+// in the same order. Each line is already in time order, since Π·u > 0.
 func (ps *Structure) traceLines() ([]int64, error) {
 	nest, pi, u, s := ps.Orig.Nest, ps.Pi, ps.U, ps.S
 	n := len(pi)
@@ -279,14 +288,10 @@ func (ps *Structure) traceLines() ([]int64, error) {
 	if !fits || !ps.scaleFits(xmax) {
 		return nil, fmt.Errorf("project: Π%v: scaled projections overflow int64: %w", ps.Pi, loop.ErrTooLarge)
 	}
-	if np > math.MaxInt32 {
-		return nil, fmt.Errorf("project: %d projection lines exceed the int32 point tables: %w", np, loop.ErrTooLarge)
-	}
 	lineEnd := nest.LineEnd(u)
 	ps.Fibers = make([]Fiber, 0, np)
 	buf := make([]int64, 0, int(np)*n) // scaled projections, n per line
 	vi := 0                            // position in V of the current row's first point
-	longest := int64(0)
 	nest.ForEachRow(func(row vec.Int, hi int64) bool {
 		lo := row[last]
 		add := func(a, b int64) {
@@ -298,8 +303,7 @@ func (ps *Structure) traceLines() ([]int64, error) {
 			for x := a; ; x++ {
 				row[last] = x
 				l := lineEnd(row) + 1
-				longest = max(longest, l)
-				ps.Fibers = append(ps.Fibers, Fiber{X0: vi + int(x-lo), T0: t, Len: int(l)})
+				ps.Fibers = append(ps.Fibers, Fiber{T0: t, X0: int32(vi + int(x-lo)), Len: int32(l)})
 				w := len(buf)
 				buf = buf[:w+n]
 				for j, xj := range row {
@@ -317,9 +321,6 @@ func (ps *Structure) traceLines() ([]int64, error) {
 		vi += int(hi-lo) + 1
 		return true
 	})
-	if longest > math.MaxInt32 {
-		return nil, fmt.Errorf("project: a projection line of %d points exceeds the int32 line graph: %w", longest, loop.ErrTooLarge)
-	}
 	return buf, nil
 }
 
@@ -685,7 +686,7 @@ func (ps *Structure) LineOf() []int {
 	st := ps.Orig
 	out := make([]int, st.Len())
 	for pt, f := range ps.Fibers {
-		for vi, t := f.X0, 0; ; t++ {
+		for vi, t := int(f.X0), int32(0); ; t++ {
 			out[vi] = pt
 			if t+1 == f.Len {
 				break

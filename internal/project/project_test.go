@@ -1,6 +1,7 @@
 package project
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/loop"
@@ -96,7 +97,7 @@ func TestL1Fibers(t *testing.T) {
 	// Total fiber sizes must cover all 16 points.
 	total := 0
 	for i := range ps.NumPoints() {
-		total += ps.Fibers[i].Len
+		total += int(ps.Fibers[i].Len)
 	}
 	if total != 16 {
 		t.Fatalf("fibers cover %d points, want 16", total)
@@ -237,6 +238,26 @@ func TestProjectRejectsInvalidPi(t *testing.T) {
 	}
 	if _, err := Project(st, vec.NewInt(1)); err == nil {
 		t.Fatal("arity mismatch accepted")
+	}
+}
+
+// TestProjectRefusesTooManyPoints: a structure of more index points than
+// the fiber tables index is ErrTooLarge, and one at the bound projects.
+// Project's bound is math.MaxInt32; project takes it as a parameter so a
+// 16-point structure can stand in for one past it.
+func TestProjectRefusesTooManyPoints(t *testing.T) {
+	n := loop.NewRect("L1", []int64{0, 0}, []int64{3, 3})
+	st, err := loop.NewStructure(n, vec.NewInt(0, 1), vec.NewInt(1, 0), vec.NewInt(1, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ps, err := project(st, vec.NewInt(1, 1), st.Len()-1)
+	if !errors.Is(err, loop.ErrTooLarge) || ps != nil {
+		t.Fatalf("16 points under a bound of 15: %v, %v; want ErrTooLarge and no structure", ps, err)
+	}
+	ps, err = project(st, vec.NewInt(1, 1), st.Len())
+	if err != nil || ps.NumPoints() != 7 {
+		t.Fatalf("16 points under a bound of 16: %v; want the 7 projected points", err)
 	}
 }
 

@@ -17,6 +17,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
@@ -126,6 +127,7 @@ func (p *proc) wait() error {
 
 // kill SIGKILLs the daemon: the crash under test.
 func (p *proc) kill() {
+	p.noteRebuilds()
 	p.cmd.Process.Kill()
 	p.wait()
 }
@@ -133,6 +135,7 @@ func (p *proc) kill() {
 // terminate sends SIGTERM and requires a clean exit within 15 s.
 func (p *proc) terminate(t *testing.T) {
 	t.Helper()
+	p.noteRebuilds()
 	if err := p.cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatal(err)
 	}
@@ -151,9 +154,33 @@ func (p *proc) terminate(t *testing.T) {
 // metrics scrapes the bare integer samples of p's /metrics.
 func (p *proc) metrics(t *testing.T) map[string]int64 {
 	t.Helper()
-	resp, err := http.Get(p.url + "/metrics")
+	m, err := p.scrape()
 	if err != nil {
 		t.Fatal(err)
+	}
+	return m
+}
+
+// rebuilds tallies the plan rebuilds of every daemon stopped so far, each
+// read just before it stops; TestScenario logs the tally per row.
+var rebuilds atomic.Int64
+
+// noteRebuilds adds p's loopmapd_plan_rebuilds_total to rebuilds; a
+// daemon that no longer answers adds nothing.
+func (p *proc) noteRebuilds() {
+	if p.url == "" {
+		return
+	}
+	if m, err := p.scrape(); err == nil {
+		rebuilds.Add(m["loopmapd_plan_rebuilds_total"])
+	}
+}
+
+func (p *proc) scrape() (map[string]int64, error) {
+	c := http.Client{Timeout: 5 * time.Second}
+	resp, err := c.Get(p.url + "/metrics")
+	if err != nil {
+		return nil, err
 	}
 	defer resp.Body.Close()
 	out := make(map[string]int64)
@@ -166,7 +193,7 @@ func (p *proc) metrics(t *testing.T) map[string]int64 {
 			}
 		}
 	}
-	return out
+	return out, sc.Err()
 }
 
 // --- in-process shards ---
@@ -208,6 +235,7 @@ func (sh *shard) client() *client.Client { return client.New(client.Config{BaseU
 
 func (sh *shard) stop() {
 	sh.once.Do(func() {
+		rebuilds.Add(sh.srv.Metrics().PlanRebuilds)
 		sh.hs.Close()
 		sh.srv.Close()
 	})

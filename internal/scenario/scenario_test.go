@@ -39,13 +39,17 @@ var scenarios = []struct {
 
 func TestScenario(t *testing.T) {
 	for _, sc := range scenarios {
-		t.Run(sc.name, func(t *testing.T) {
+		before := rebuilds.Load()
+		ran := t.Run(sc.name, func(t *testing.T) {
 			if sc.proc && testing.Short() {
 				t.Skip("starts loopmapd subprocesses")
 			}
 			t.Logf("seed %d", sc.seed)
 			sc.run(t, sc.params)
 		})
+		if ran {
+			t.Logf("%s: %d plan rebuilds over its daemons", sc.name, rebuilds.Load()-before)
+		}
 	}
 }
 

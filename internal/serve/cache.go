@@ -8,21 +8,27 @@ import (
 	"repro/internal/persist"
 )
 
-// planCache is a content-addressed LRU over *base* plans (planned with
-// CubeDim = -1, the expensive enumerate→schedule→partition→TIG artifact).
-// One cached partitioning serves every cube dimension through Plan.Remap,
-// so the mapping phase is never a cache dimension. Capacity is accounted
-// in estimated bytes (see stageBytes and partitionBytes), not entry
-// counts, because plan size varies by orders of magnitude across kernels
-// and sizes.
+// planCache is a content-addressed LRU over base keys (plans built with
+// CubeDim = -1). One cached partitioning serves every cube dimension
+// through Plan.Remap, so the mapping phase is never a cache dimension.
+//
+// A key is admitted on its second use. The first request that computes
+// a key leaves a recipe: the entry holds the key, its canonical payload
+// and a reference to its Π-stage, but not the plan. A later lookup that
+// finds the recipe rebuilds the plan from that stage (Algorithm 1 and the
+// TIG only) and stores it on the entry, and from then on every lookup is
+// a plain hit. Keys used once, the common case for a cold stream of
+// requests, so pin no partitioning and no TIG.
 //
 // Plans that differ only in Algorithm 1's options share one Π-stage
-// (enumeration, schedule, projection), kept once per stage key in stages.
-// A stage is charged to the budget once, when the first plan built on it
-// enters, and released when the last such plan is evicted; it has no LRU
-// position of its own. A plan whose stage is a different copy from the
-// one cached under its stage key (two leaders raced to build it) is
-// charged its own copy instead.
+// (enumeration, schedule, projection), kept once per stage key in stages;
+// a Π-stage is a pure function of its stage key, so every entry refers to
+// the one cached there, and a copy a racing leader built is dropped. A
+// stage is charged to the budget once, when the first entry on it enters,
+// and released when the last such entry is evicted; it has no LRU
+// position of its own. Capacity is accounted in estimated bytes (see
+// entryBytes, stageBytes and partitionBytes), not entry counts, because
+// plan size varies by orders of magnitude across kernels and sizes.
 type planCache struct {
 	mu       sync.Mutex
 	maxBytes int64
@@ -34,22 +40,21 @@ type planCache struct {
 
 type cacheEntry struct {
 	key   string
-	plan  *loopmap.Plan
-	bytes int64
-	// stageKey and stage name the shared stage the plan is charged to;
-	// stage is nil when the plan is charged its own copy.
-	stageKey string
-	stage    *stageEntry
-	// payload is the canonical request the plan was computed from — the
+	stage *stageEntry
+	// payload is the canonical request the plan is computed from — the
 	// compact durable encoding the persist WAL stores (the plan itself is
 	// a pure function of it, so recovery recomputes instead of
 	// deserializing megabytes). Nil when persistence is disabled.
 	payload []byte
+	// plan is the base plan, nil while the entry is a recipe.
+	plan  *loopmap.Plan
+	bytes int64
 }
 
-// stageEntry is one cached Π-stage and the number of cached plans that
+// stageEntry is one cached Π-stage and the number of cached entries that
 // reference it.
 type stageEntry struct {
+	key   string
 	stage *loopmap.Stage
 	refs  int
 	bytes int64
@@ -64,19 +69,22 @@ func newPlanCache(maxBytes int64) *planCache {
 	}
 }
 
-// get returns the cached base plan for key, promoting it to most recent.
-func (c *planCache) get(key string) (*loopmap.Plan, bool) {
+// get looks key up and promotes it to most recent. A held key returns
+// its plan, or a nil plan while the entry is a recipe, and in both cases
+// the Π-stage the plan is (or is to be) built on.
+func (c *planCache) get(key string) (p *loopmap.Plan, st *loopmap.Stage, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.items[key]
 	if !ok {
-		return nil, false
+		return nil, nil, false
 	}
 	c.ll.MoveToFront(el)
-	return el.Value.(*cacheEntry).plan, true
+	e := el.Value.(*cacheEntry)
+	return e.plan, e.stage.stage, true
 }
 
-// stage returns the cached Π-stage for a stage key, if a cached plan
+// stage returns the cached Π-stage for a stage key, if a cached entry
 // still references it.
 func (c *planCache) stage(stageKey string) (*loopmap.Stage, bool) {
 	c.mu.Lock()
@@ -88,40 +96,56 @@ func (c *planCache) stage(stageKey string) (*loopmap.Stage, bool) {
 	return se.stage, true
 }
 
-// put inserts a base plan under key, sharing the stage cached under
-// stageKey when the plan was built on it, and evicts least-recently-used
-// entries until the byte budget holds again; the newest entry itself is
-// never evicted, so a single oversized plan still caches (and evicts
-// everything else). It returns the number of evictions.
-func (c *planCache) put(key, stageKey string, p *loopmap.Plan, payload []byte) int {
-	pb := partitionBytes(p)
+// put inserts a recipe for key: its payload and the Π-stage st, which is
+// cached under stageKey unless a stage is already cached there (then st
+// is dropped). It evicts least-recently-used entries until the byte
+// budget holds again; the newest entry itself is never evicted, so a
+// single oversized entry still caches (and evicts everything else). It
+// returns the number of evictions; a held key is only promoted.
+func (c *planCache) put(key, stageKey string, st *loopmap.Stage, payload []byte) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
 		c.ll.MoveToFront(el)
 		return 0
 	}
-	e := &cacheEntry{key: key, plan: p, bytes: pb, stageKey: stageKey, payload: payload}
 	se := c.stages[stageKey]
 	if se == nil {
-		st := p.Stage()
-		se = &stageEntry{stage: st, bytes: stageBytes(st)}
+		se = &stageEntry{key: stageKey, stage: st, bytes: stageEntryBytes(stageKey, st)}
 		c.stages[stageKey] = se
 		c.bytes += se.bytes
 	}
-	if se.stage.Projected == p.Projected {
-		se.refs++
-		e.stage = se
-	} else {
-		// A racing leader built its own copy of the stage.
-		e.bytes += stageBytes(p.Stage())
-	}
+	se.refs++
+	e := &cacheEntry{key: key, stage: se, payload: payload, bytes: entryBytes(key, payload)}
 	c.items[key] = c.ll.PushFront(e)
 	c.bytes += e.bytes
 	return c.evictOverBudget()
 }
 
-// chargeVertices re-charges the stage of the plan cached under key once
+// setPlan stores p, rebuilt on the entry's own stage, on the recipe held
+// under key and charges it, then evicts least-recently-used entries until
+// the budget holds again (never the last one). It returns the number of
+// evictions; a key evicted meanwhile, or one that already holds a plan,
+// is left as it is.
+func (c *planCache) setPlan(key string, p *loopmap.Plan) int {
+	pb := partitionBytes(p)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.items[key]
+	if !ok {
+		return 0
+	}
+	e := el.Value.(*cacheEntry)
+	if e.plan != nil {
+		return 0
+	}
+	e.plan = p
+	e.bytes += pb
+	c.bytes += pb
+	return c.evictOverBudget()
+}
+
+// chargeVertices re-charges the stage of the entry cached under key once
 // running a plan on it has built the stage's vertex set, then evicts
 // least-recently-used entries until the budget holds again (never the
 // last one). It returns the number of evictions; an uncached key is a
@@ -133,22 +157,16 @@ func (c *planCache) chargeVertices(key string) int {
 	if !ok {
 		return 0
 	}
-	e := el.Value.(*cacheEntry)
-	if se := e.stage; se != nil {
-		b := stageBytes(se.stage)
-		c.bytes += b - se.bytes
-		se.bytes = b
-	} else {
-		b := partitionBytes(e.plan) + stageBytes(e.plan.Stage())
-		c.bytes += b - e.bytes
-		e.bytes = b
-	}
+	se := el.Value.(*cacheEntry).stage
+	b := stageEntryBytes(se.key, se.stage)
+	c.bytes += b - se.bytes
+	se.bytes = b
 	return c.evictOverBudget()
 }
 
-// evictOverBudget evicts least-recently-used plans until the byte budget
-// holds or one plan is left, and returns how many it evicted. c.mu must
-// be held.
+// evictOverBudget evicts least-recently-used entries until the byte
+// budget holds or one entry is left, and returns how many it evicted.
+// c.mu must be held.
 func (c *planCache) evictOverBudget() int {
 	evicted := 0
 	for c.bytes > c.maxBytes && c.ll.Len() > 1 {
@@ -158,20 +176,18 @@ func (c *planCache) evictOverBudget() int {
 	return evicted
 }
 
-// evictOldest removes the least-recently-used plan and uncharges it, and
-// its shared stage when this was the stage's last plan. c.mu must be
-// held.
+// evictOldest removes the least-recently-used entry and uncharges it,
+// and its stage when this was the stage's last entry. c.mu must be held.
 func (c *planCache) evictOldest() {
 	oldest := c.ll.Back()
 	c.ll.Remove(oldest)
 	e := oldest.Value.(*cacheEntry)
 	delete(c.items, e.key)
 	c.bytes -= e.bytes
-	if se := e.stage; se != nil {
-		if se.refs--; se.refs == 0 {
-			delete(c.stages, e.stageKey)
-			c.bytes -= se.bytes
-		}
+	se := e.stage
+	if se.refs--; se.refs == 0 {
+		delete(c.stages, se.key)
+		c.bytes -= se.bytes
 	}
 }
 
@@ -199,6 +215,27 @@ func (c *planCache) stats() (bytes int64, entries int) {
 	return c.bytes, c.ll.Len()
 }
 
+// allocBytes is the heap a byte buffer of length n takes: the allocator
+// rounds small objects up to a size class, here to 16 bytes.
+func allocBytes(n int) int64 {
+	return int64(n+15) &^ 15
+}
+
+// entryBytes estimates what every entry pins besides its plan and stage:
+// the key and payload bytes, the cacheEntry (64 B), its list.Element
+// (48 B) and its slot in the items map (about 40 B with the map's spare
+// capacity). For a recipe it is the entry's whole cost.
+func entryBytes(key string, payload []byte) int64 {
+	return allocBytes(len(key)) + allocBytes(len(payload)) + 64 + 48 + 40
+}
+
+// stageEntryBytes estimates what a stage cached under key pins: the
+// stage itself (stageBytes), the key's bytes, the stageEntry (48 B) and
+// its slot in the stages map (about 40 B).
+func stageEntryBytes(key string, st *loopmap.Stage) int64 {
+	return stageBytes(st) + allocBytes(len(key)) + 48 + 40
+}
+
 // stageBytes estimates the resident size of a Π-stage from what it
 // holds: the projected points with their fibers, point index and line
 // graph, and the vertex set (one flat coordinate buffer plus a slice
@@ -214,7 +251,7 @@ func (c *planCache) stats() (bytes int64, entries int) {
 func stageBytes(st *loopmap.Stage) int64 {
 	const (
 		sliceHeader  = 24
-		fiberBytes   = 24 // one project.Fiber
+		fiberBytes   = 16 // one project.Fiber
 		lineArcBytes = 8  // one project.LineArc
 	)
 	dims := int64(st.Structure.Nest.Dims)

@@ -30,10 +30,18 @@ func testPlan(t *testing.T, size int64) *loopmap.Plan {
 	return p
 }
 
-// planBytes is what the cache charges for a plan that holds its stage
-// alone: stageBytes plus partitionBytes.
-func planBytes(p *loopmap.Plan) int64 {
-	return stageBytes(p.Stage()) + partitionBytes(p)
+// planBytes is what the cache charges for a plan cached under key that
+// holds its stage alone: the entry, the stage under its stage key, and
+// the partitioning and TIG.
+func planBytes(key, stageKey string, p *loopmap.Plan) int64 {
+	return entryBytes(key, nil) + stageEntryBytes(stageKey, p.Stage()) + partitionBytes(p)
+}
+
+// putPlan caches p under key as the daemon does on the key's second use:
+// a recipe on p's stage, then the plan stored on it. It returns the
+// evictions.
+func putPlan(c *planCache, key, stageKey string, p *loopmap.Plan) int {
+	return c.put(key, stageKey, p.Stage(), nil) + c.setPlan(key, p)
 }
 
 // testStagePlans builds one Π-stage of l1 at the given size and a plan on
@@ -72,10 +80,11 @@ func evictAll(c *planCache) {
 func TestPlanCacheChargesStageOnce(t *testing.T) {
 	st, plans := testStagePlans(t, 12, 1, 2, 3)
 	c := newPlanCache(1 << 30)
-	want := stageBytes(st)
+	want := stageEntryBytes("stage", st)
+	key := func(i int) string { return fmt.Sprintf("merge=%d", i+1) }
 	for i, p := range plans {
-		c.put(fmt.Sprintf("merge=%d", i+1), "stage", p, nil)
-		want += partitionBytes(p)
+		putPlan(c, key(i), "stage", p)
+		want += entryBytes(key(i), nil) + partitionBytes(p)
 		if b, _ := c.stats(); b != want {
 			t.Fatalf("after %d plans: bytes = %d, want %d (stage charged once)", i+1, b, want)
 		}
@@ -92,8 +101,8 @@ func TestPlanCacheChargesStageOnce(t *testing.T) {
 	c.evictOldest()
 	c.evictOldest()
 	c.mu.Unlock()
-	if b, _ := c.stats(); b != stageBytes(st)+partitionBytes(plans[2]) {
-		t.Fatalf("one plan left: bytes = %d, want %d", b, stageBytes(st)+partitionBytes(plans[2]))
+	if b, _ := c.stats(); b != planBytes(key(2), "stage", plans[2]) {
+		t.Fatalf("one plan left: bytes = %d, want %d", b, planBytes(key(2), "stage", plans[2]))
 	}
 	if _, ok := c.stage("stage"); !ok {
 		t.Fatal("stage released while a plan still references it")
@@ -104,60 +113,97 @@ func TestPlanCacheChargesStageOnce(t *testing.T) {
 	}
 }
 
-// TestPlanCacheRacingDuplicateStage: a plan built on a second copy of a
-// cached stage (two leaders raced to build it) is charged that copy
-// itself and never becomes a reference of the cached one.
+// TestPlanCacheRacingDuplicateStage: a key computed on a second copy of a
+// cached stage (two leaders raced to build it) refers to the cached copy;
+// its own copy is dropped and never charged, and a plan rebuilt for the
+// key runs on the cached copy.
 func TestPlanCacheRacingDuplicateStage(t *testing.T) {
-	stA, a := testStagePlans(t, 12, 1)
-	stB, b := testStagePlans(t, 12, 2)
+	stA, _ := testStagePlans(t, 12)
+	stB, _ := testStagePlans(t, 12)
 	c := newPlanCache(1 << 30)
-	c.put("a", "stage", a[0], nil)
-	c.put("b", "stage", b[0], nil)
-	want := stageBytes(stA) + partitionBytes(a[0]) + stageBytes(stB) + partitionBytes(b[0])
+	c.put("a", "stage", stA, nil)
+	c.put("b", "stage", stB, nil)
+	want := stageEntryBytes("stage", stA) + entryBytes("a", nil) + entryBytes("b", nil)
 	if got, _ := c.stats(); got != want {
-		t.Fatalf("bytes = %d, want %d (the duplicate charged its own copy)", got, want)
+		t.Fatalf("bytes = %d, want %d (the duplicate stage charged nothing)", got, want)
 	}
-	if n := c.stages["stage"].refs; n != 1 {
-		t.Fatalf("stage refs = %d, want 1", n)
+	if n := c.stages["stage"].refs; n != 2 {
+		t.Fatalf("stage refs = %d, want 2", n)
 	}
-	// Evicting a releases the shared stage; b still carries its copy.
+	if _, st, ok := c.get("b"); !ok || st != stA {
+		t.Fatal("b does not refer to the cached stage")
+	}
+	// Evicting a keeps the shared stage for b; evicting b releases it.
 	c.mu.Lock()
 	c.evictOldest()
 	c.mu.Unlock()
-	if _, ok := c.stage("stage"); ok {
-		t.Fatal("stage survived its only referencing plan")
-	}
-	if got, _ := c.stats(); got != planBytes(b[0]) {
-		t.Fatalf("bytes = %d, want %d", got, planBytes(b[0]))
+	if _, ok := c.stage("stage"); !ok {
+		t.Fatal("stage released while b still references it")
 	}
 	evictAll(c)
-	if got, n := c.stats(); got != 0 || n != 0 {
-		t.Fatalf("after evicting everything: bytes %d, entries %d; want 0, 0", got, n)
+	if got, n := c.stats(); got != 0 || n != 0 || len(c.stages) != 0 {
+		t.Fatalf("after evicting everything: bytes %d, entries %d, stages %d; want 0, 0, 0", got, n, len(c.stages))
+	}
+}
+
+// TestOneTouchKeysHoldNoPlan: keys computed once through the daemon leave
+// recipes, entries that hold their stage but no plan, charged the entry
+// alone on top of their shared stages.
+func TestOneTouchKeysHoldNoPlan(t *testing.T) {
+	s := New(Config{})
+	ctx := context.Background()
+	const n = 12
+	for i := 0; i < n; i++ {
+		req := &api.PlanRequest{Kernel: []string{"l1", "matvec", "stencil"}[i%3], Size: 10, MergeFactor: int64(1 + i/3)}
+		if _, outcome, err := s.basePlan(ctx, req); err != nil || outcome != api.CacheMiss {
+			t.Fatalf("%s: outcome %q, err %v; want a miss", req.Key(), outcome, err)
+		}
+	}
+	var want int64
+	s.cache.mu.Lock()
+	for el := s.cache.ll.Front(); el != nil; el = el.Next() {
+		if e := el.Value.(*cacheEntry); e.plan != nil {
+			t.Errorf("%s holds a plan after one use", e.key)
+		} else {
+			want += entryBytes(e.key, e.payload)
+		}
+	}
+	for _, se := range s.cache.stages {
+		want += se.bytes
+	}
+	s.cache.mu.Unlock()
+	m := s.Metrics()
+	if m.CacheEntries != n || cachedStages(s.cache) != 3 || m.PlanComputations != n || m.PlanRebuilds != 0 {
+		t.Fatalf("%d entries on %d stages, %d computations, %d rebuilds; want %d on 3, %d, 0",
+			m.CacheEntries, cachedStages(s.cache), m.PlanComputations, m.PlanRebuilds, n, n)
+	}
+	if m.CacheBytes != want {
+		t.Fatalf("cache bytes %d, want %d (entries and stages only)", m.CacheBytes, want)
 	}
 }
 
 func TestPlanCacheLRUOrder(t *testing.T) {
 	pa, pb, pc := testPlan(t, 4), testPlan(t, 5), testPlan(t, 6)
 	// Budget for exactly two of these plans.
-	budget := planBytes(pa) + planBytes(pb) + planBytes(pc)/2
+	budget := planBytes("a", "stage-a", pa) + planBytes("b", "stage-b", pb) + planBytes("c", "stage-c", pc)/2
 	c := newPlanCache(budget)
 
-	c.put("a", "stage-a", pa, nil)
-	c.put("b", "stage-b", pb, nil)
+	putPlan(c, "a", "stage-a", pa)
+	putPlan(c, "b", "stage-b", pb)
 	// Touch a so b becomes the eviction candidate.
-	if _, ok := c.get("a"); !ok {
+	if _, _, ok := c.get("a"); !ok {
 		t.Fatal("a missing before eviction")
 	}
-	if ev := c.put("c", "stage-c", pc, nil); ev == 0 {
+	if ev := putPlan(c, "c", "stage-c", pc); ev == 0 {
 		t.Fatal("inserting c should evict")
 	}
-	if _, ok := c.get("b"); ok {
+	if _, _, ok := c.get("b"); ok {
 		t.Fatal("b should have been evicted (least recently used)")
 	}
-	if _, ok := c.get("a"); !ok {
+	if p, _, _ := c.get("a"); p != pa {
 		t.Fatal("a should have survived (recently used)")
 	}
-	if _, ok := c.get("c"); !ok {
+	if p, _, _ := c.get("c"); p != pc {
 		t.Fatal("c should be cached (newest)")
 	}
 }
@@ -165,8 +211,8 @@ func TestPlanCacheLRUOrder(t *testing.T) {
 func TestPlanCacheNewestNeverEvicted(t *testing.T) {
 	p := testPlan(t, 6)
 	c := newPlanCache(1) // smaller than any plan
-	c.put("big", "stage", p, nil)
-	if _, ok := c.get("big"); !ok {
+	putPlan(c, "big", "stage", p)
+	if got, _, _ := c.get("big"); got != p {
 		t.Fatal("an oversized newest entry must still cache")
 	}
 	if _, n := c.stats(); n != 1 {
@@ -177,14 +223,14 @@ func TestPlanCacheNewestNeverEvicted(t *testing.T) {
 func TestPlanCacheDuplicatePut(t *testing.T) {
 	p := testPlan(t, 4)
 	c := newPlanCache(1 << 20)
-	c.put("k", "stage", p, nil)
-	c.put("k", "stage", p, nil)
+	putPlan(c, "k", "stage", p)
+	putPlan(c, "k", "stage", p)
 	b1, n := c.stats()
 	if n != 1 {
 		t.Fatalf("entries = %d, want 1 after duplicate put", n)
 	}
-	if b1 != planBytes(p) {
-		t.Fatalf("bytes = %d, want %d (no double counting)", b1, planBytes(p))
+	if b1 != planBytes("k", "stage", p) {
+		t.Fatalf("bytes = %d, want %d (no double counting)", b1, planBytes("k", "stage", p))
 	}
 }
 
@@ -315,9 +361,9 @@ func missGridKeys() []missGridKey {
 
 // TestPlanBytesTracksHeap builds base plans shaped like the miss-cold
 // grid (every kernel, sizes across the grid, merge factors 1–10, aux on
-// and off) and checks that their summed planBytes stays within
-// [0.85, 1.30] of the live heap they pin, so the cache's byte budget
-// bounds the memory the cached plans really hold.
+// and off) and checks that their summed stage and partition bytes stay
+// within [0.85, 1.30] of the live heap they pin, so the cache's byte
+// budget bounds the memory the cached plans really hold.
 func TestPlanBytesTracksHeap(t *testing.T) {
 	checkBytesTrackHeap(t, func() (int64, any, string) {
 		keys := missGridKeys()
@@ -336,9 +382,9 @@ func TestPlanBytesTracksHeap(t *testing.T) {
 				t.Fatal(err)
 			}
 			plans = append(plans, p)
-			est += planBytes(p)
+			est += stageBytes(p.Stage()) + partitionBytes(p)
 		}
-		return est, plans, fmt.Sprintf("%d plans, planBytes sum", len(plans))
+		return est, plans, fmt.Sprintf("%d plans, stage and partition bytes sum", len(plans))
 	})
 }
 
@@ -369,7 +415,7 @@ func TestSharedStageBytesTracksHeap(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				c.put(fmt.Sprintf("%s/merge=%d", skey, merge), skey, p, nil)
+				putPlan(c, fmt.Sprintf("%s/merge=%d", skey, merge), skey, p)
 			}
 		}
 		est, n := c.stats()
@@ -383,25 +429,37 @@ func TestSharedStageBytesTracksHeap(t *testing.T) {
 // TestCompactStageBytesTracksHeap is TestSharedStageBytesTracksHeap on
 // the daemon's own stages: every miss-grid key planned through the
 // server at merge factors 1–10 (aux on and off by key), so each stage is
-// compact and shared by ten plans. The second case then serves one
-// /v1/simulate per stage, which builds the stage's V and charges it. In
-// both, the cache's byte count must stay within the band of the live
-// heap.
+// compact and shared by ten entries. Planned once, every entry is a
+// recipe; planned twice, every entry holds its plan. The last case plans
+// once and then serves one /v1/simulate per stage, which builds the
+// stage's V and charges it (and, as its key's second use, stores one
+// plan). In each, the cache's byte count must stay within the band of the
+// live heap.
 func TestCompactStageBytesTracksHeap(t *testing.T) {
 	ctx := context.Background()
 	keys := missGridKeys()
-	for _, simulate := range []bool{false, true} {
+	for _, c := range []struct {
+		uses     int
+		simulate bool
+		what     string
+	}{
+		{1, false, "recipes on compact stages"},
+		{2, false, "plans on compact stages"},
+		{1, true, "recipes on stages after one simulation each"},
+	} {
 		s := New(Config{CacheBytes: 1 << 40})
 		checkBytesTrackHeap(t, func() (int64, any, string) {
 			for i, k := range keys {
 				noAux := i%2 == 1
 				for merge := int64(1); merge <= 10; merge++ {
 					req := &api.PlanRequest{Kernel: k.kernel, Size: k.size, MergeFactor: merge, NoAux: noAux}
-					if _, _, err := s.basePlan(ctx, req); err != nil {
-						t.Fatal(err)
+					for range c.uses {
+						if _, _, err := s.basePlan(ctx, req); err != nil {
+							t.Fatal(err)
+						}
 					}
 				}
-				if simulate {
+				if c.simulate {
 					body := fmt.Sprintf(`{"kernel": %q, "size": %d, "no_aux": %v, "engine": "block"}`, k.kernel, k.size, noAux)
 					rec := httptest.NewRecorder()
 					s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/simulate", strings.NewReader(body)))
@@ -412,13 +470,9 @@ func TestCompactStageBytesTracksHeap(t *testing.T) {
 			}
 			est, n := s.cache.stats()
 			if n != 10*len(keys) || cachedStages(s.cache) != len(keys) {
-				t.Fatalf("cached %d plans on %d stages, want %d on %d", n, cachedStages(s.cache), 10*len(keys), len(keys))
+				t.Fatalf("cached %d entries on %d stages, want %d on %d", n, cachedStages(s.cache), 10*len(keys), len(keys))
 			}
-			what := "compact stages"
-			if simulate {
-				what = "stages after one simulation each"
-			}
-			return est, s, fmt.Sprintf("%d plans on %d %s, cache bytes", n, len(keys), what)
+			return est, s, fmt.Sprintf("%d %s, cache bytes", n, c.what)
 		})
 	}
 }
@@ -441,5 +495,73 @@ func checkBytesTrackHeap(t *testing.T, build func() (est int64, keep any, what s
 	t.Logf("%s %d, live heap %d, ratio %.3f", what, est, live, ratio)
 	if ratio < 0.85 || ratio > 1.30 {
 		t.Fatalf("%s is %.3f× the live heap, want within [0.85, 1.30]", what, ratio)
+	}
+}
+
+// BenchmarkBaseReuse times what a key's reuse costs on the miss-cold
+// grid: every kernel and size of missGridKeys at merge factors 1–10, one
+// shared stage each. "rebuild" is a key's second use, which finds a
+// recipe, rebuilds the plan from the stage and stores it; "stored" is a
+// later use, which finds the plan. Both remap it onto the request's cube.
+func BenchmarkBaseReuse(b *testing.B) {
+	ctx := context.Background()
+	type gridKey struct {
+		req  *api.PlanRequest
+		skey string
+		st   *loopmap.Stage
+	}
+	var grid []gridKey
+	for i, k := range missGridKeys() {
+		kern, err := loopmap.LookupKernel(k.kernel, k.size)
+		if err != nil {
+			b.Fatal(err)
+		}
+		st, err := prepareStage(ctx, kern, loopmap.PlanOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for merge := int64(1); merge <= 10; merge++ {
+			cube := int(2 + merge%3)
+			req := &api.PlanRequest{Kernel: k.kernel, Size: k.size, CubeDim: &cube, MergeFactor: merge, NoAux: i%2 == 1}
+			grid = append(grid, gridKey{req, string(req.AppendStageKey(nil)), st})
+		}
+	}
+	// recipes returns a daemon whose cache holds every grid key as a
+	// recipe, used uses more times.
+	recipes := func(uses int) *Server {
+		s := New(Config{CacheBytes: 1 << 40})
+		for _, g := range grid {
+			s.cache.put(g.req.Key(), g.skey, g.st, nil)
+		}
+		for range uses {
+			for _, g := range grid {
+				if _, _, err := s.basePlan(ctx, g.req); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+		return s
+	}
+	for _, c := range []struct {
+		name string
+		uses int
+	}{{"rebuild", 0}, {"stored", 1}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var s *Server
+			for i := range b.N {
+				if i%len(grid) == 0 {
+					b.StopTimer()
+					s = recipes(c.uses)
+					b.StartTimer()
+				}
+				if _, outcome, err := s.mappedPlan(ctx, grid[i%len(grid)].req); err != nil || outcome != api.CacheHit {
+					b.Fatalf("outcome %q, err %v; want a hit", outcome, err)
+				}
+			}
+			if m := s.Metrics(); c.uses > 0 && m.PlanRebuilds != int64(len(grid)) {
+				b.Fatalf("%d rebuilds before timing, want %d", m.PlanRebuilds, len(grid))
+			}
+		})
 	}
 }

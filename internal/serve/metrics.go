@@ -104,6 +104,7 @@ type metrics struct {
 	singleflightShared atomic.Int64
 	planComputations   atomic.Int64
 	stageReuses        atomic.Int64
+	planRebuilds       atomic.Int64
 	inflightPlans      atomic.Int64
 	cacheBytes         atomic.Int64
 	cacheEntries       atomic.Int64
@@ -219,6 +220,7 @@ type Snapshot struct {
 	SingleflightShared int64
 	PlanComputations   int64
 	StageReuses        int64 // plan computations that ran on a cached Π-stage
+	PlanRebuilds       int64 // plans rebuilt for a recipe on its key's second use
 	InflightPlans      int64
 	CacheBytes         int64
 	CacheEntries       int64
@@ -310,6 +312,7 @@ func (m *metrics) snapshot() Snapshot {
 		SingleflightShared:   m.singleflightShared.Load(),
 		PlanComputations:     m.planComputations.Load(),
 		StageReuses:          m.stageReuses.Load(),
+		PlanRebuilds:         m.planRebuilds.Load(),
 		InflightPlans:        m.inflightPlans.Load(),
 		CacheBytes:           m.cacheBytes.Load(),
 		CacheEntries:         m.cacheEntries.Load(),
@@ -389,10 +392,11 @@ func (s Snapshot) render(w io.Writer) {
 	counter("loopmapd_cache_misses_total", "Plan cache misses.", s.CacheMisses)
 	counter("loopmapd_cache_evictions_total", "Plan cache evictions.", s.CacheEvictions)
 	counter("loopmapd_singleflight_shared_total", "Requests served by joining an in-flight computation.", s.SingleflightShared)
-	counter("loopmapd_plan_computations_total", "Underlying NewPlan computations performed.", s.PlanComputations)
+	counter("loopmapd_plan_computations_total", "Plans computed for keys the daemon did not hold.", s.PlanComputations)
 	counter("loopmapd_stage_reuses_total", "Plan computations that reused a cached enumeration, schedule and projection.", s.StageReuses)
+	counter("loopmapd_plan_rebuilds_total", "Plans rebuilt from a cached stage on a key's second use; counted as cache hits, not computations.", s.PlanRebuilds)
 	counter("loopmapd_panics_total", "Handler panics recovered by the middleware.", s.Panics)
-	counter("loopmapd_recovered_plans_total", "Plans recomputed into the cache during warm restart.", s.RecoveredPlans)
+	counter("loopmapd_recovered_plans_total", "Keys recovered into the plan cache during warm restart.", s.RecoveredPlans)
 	counter("loopmapd_recovery_skipped_total", "Durable records skipped during warm restart (undecodable, invalid, or key-mismatched).", s.RecoverySkipped)
 	counter("loopmapd_recovery_rejected_total", "Durable records dropped during warm restart because they no longer pass the admission limits.", s.RecoveryRejected)
 	counter("loopmapd_wal_appends_total", "Plan records appended to the durable WAL.", s.WALAppends)

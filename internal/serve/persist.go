@@ -114,13 +114,15 @@ type RecoveryStats struct {
 // only its WAL tail — the records written since the last memtable flush.
 // Everything older is already segment-resident and is served (and
 // promoted back into RAM) on demand, which is what makes restart cost
-// O(tail) instead of O(history). Tail base records recompute concurrently
-// (up to MaxInflight at once), each Π-stage once for all the records that
-// share its stage key, and are inserted in replay order, so the
-// most recently used plans end up warmest; tail frame records go straight
-// into the encoded-response cache. It must be called before the handler
-// serves traffic; with no DiskCacheDir it is a no-op. Corrupt or stale
-// records are skipped and counted, never fatal — only an unusable
+// O(tail) instead of O(history). Tail base records are planned
+// concurrently (up to MaxInflight at once), each Π-stage once for all the
+// records that share its stage key, and enter the plan cache as recipes
+// in replay order, so the most recently used keys end up warmest: a
+// recovered key pins its stage, and its plan is rebuilt and kept on its
+// next use. A record whose plan fails is dropped. Tail frame records go
+// straight into the encoded-response cache. It must be called before the
+// handler serves traffic; with no DiskCacheDir it is a no-op. Corrupt or
+// stale records are skipped and counted, never fatal — only an unusable
 // directory fails recovery.
 func (s *Server) Recover(ctx context.Context) (RecoveryStats, error) {
 	var rs RecoveryStats
@@ -166,7 +168,7 @@ func (s *Server) Recover(ctx context.Context) (RecoveryStats, error) {
 		key   string
 		stage int // index into stages
 		rec   persist.Record
-		plan  *loopmap.Plan
+		ok    bool // the record plans without error
 	}
 	type stageSlot struct {
 		key   string
@@ -231,17 +233,19 @@ func (s *Server) Recover(ctx context.Context) (RecoveryStats, error) {
 		if ctx.Err() != nil || st == nil {
 			return
 		}
-		slots[i].plan, _ = st.PlanCtx(ctx, planOptions(slots[i].req))
+		_, err := st.PlanCtx(ctx, planOptions(slots[i].req))
+		slots[i].ok = err == nil
 	})
 	if err := ctx.Err(); err != nil {
 		return rs, err
 	}
 	for _, sl := range slots {
-		if sl.plan == nil {
+		if !sl.ok {
 			rs.Skipped++
 			continue
 		}
-		s.cache.put(sl.key, stages[sl.stage].key, sl.plan, sl.rec.Value)
+		st := stages[sl.stage]
+		s.cache.put(sl.key, st.key, st.stage, sl.rec.Value)
 		rs.Recovered++
 	}
 	s.metrics.recoveredPlans.Add(int64(rs.Recovered))

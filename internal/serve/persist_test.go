@@ -123,10 +123,15 @@ func TestWarmRestartServesIdenticalPlans(t *testing.T) {
 
 	// Plan + Stats identity against fresh computation, per acceptance
 	// criterion: DeepEqual, not just summary equality.
+	// Recovery leaves a recipe; the key's next use rebuilds its plan from
+	// the recovered stage.
 	req := &api.PlanRequest{Kernel: "matvec", Size: 12}
-	recovered, ok := s2.cache.get(req.Key())
-	if !ok {
-		t.Fatal("recovered matvec plan missing from cache")
+	if _, _, ok := s2.cache.get(req.Key()); !ok {
+		t.Fatal("recovered matvec key missing from cache")
+	}
+	recovered, outcome, err := s2.basePlan(context.Background(), req)
+	if err != nil || outcome != api.CacheHit {
+		t.Fatalf("recovered matvec key: outcome %q, err %v; want a hit", outcome, err)
 	}
 	// The daemon caches compact stages, so the fresh computation builds
 	// one too: a compact structure and an eager one differ in V, which

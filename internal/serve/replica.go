@@ -355,7 +355,7 @@ func (s *Server) ingestRecords(recs []persist.Record) int {
 			applied++
 		case strings.HasPrefix(rec.Key, repBasePrefix):
 			key := rec.Key[len(repBasePrefix):]
-			if _, ok := s.cache.get(key); ok {
+			if _, _, ok := s.cache.get(key); ok {
 				continue
 			}
 			var sr storedRequest

@@ -549,6 +549,11 @@ func (s *Server) acquire(ctx context.Context) error {
 
 // basePlan returns the base (unmapped) plan for the request: LRU lookup,
 // then singleflight-deduplicated computation under the admission gate.
+// A key the cache holds as a recipe (used once before) is rebuilt from
+// its cached stage under the same flight and gate, stored, and reported
+// as a hit to every request that shared the rebuild; a rebuild writes
+// nothing durable and replicates nothing, since the key's payload is
+// already wherever the first computation put it.
 //
 // The leader computes under its own request context: followers share the
 // leader's result AND its fate — if the leader's deadline fires first, the
@@ -557,16 +562,20 @@ func (s *Server) acquire(ctx context.Context) error {
 // abandoned request burn a gate slot with nobody waiting.
 func (s *Server) basePlan(ctx context.Context, req *api.PlanRequest) (*loopmap.Plan, api.CacheOutcome, error) {
 	key := req.Key()
-	if p, ok := s.cache.get(key); ok {
+	if p, _, _ := s.cache.get(key); p != nil {
 		s.metrics.cacheHits.Add(1)
 		return p, api.CacheHit, nil
 	}
 	v, err, shared := s.flight.do(ctx, key, func() (any, error) {
 		// Double-check under the flight: a prior leader may have populated
 		// the cache between this request's lookup and its arrival here.
-		if p, ok := s.cache.get(key); ok {
+		p, st, held := s.cache.get(key)
+		if p != nil {
 			s.metrics.cacheHits.Add(1)
-			return p, nil
+			return flightPlan{plan: p}, nil
+		}
+		if held {
+			return s.rebuildPlan(ctx, req, key, st)
 		}
 		s.metrics.cacheMisses.Add(1)
 		// Disk tier probe: a key whose canonical request already sits in a
@@ -595,7 +604,7 @@ func (s *Server) basePlan(ctx context.Context, req *api.PlanRequest) (*loopmap.P
 		defer s.metrics.inflightPlans.Add(-1)
 
 		skey := string(req.AppendStageKey(make([]byte, 0, 64)))
-		p, err := s.computePlan(ctx, req, skey)
+		p, st, err := s.computePlan(ctx, req, skey)
 		if err != nil {
 			return nil, err
 		}
@@ -606,7 +615,7 @@ func (s *Server) basePlan(ctx context.Context, req *api.PlanRequest) (*loopmap.P
 			payload = persistPayload(req)
 		}
 		// Durability before visibility: the WAL append must succeed
-		// before the plan enters the cache or the client sees a 200. A
+		// before the key enters the cache or the client sees a 200. A
 		// failed append latches the store read-only and fails this
 		// request — never ack what did not reach disk. A key already
 		// segment-durable skips the append: re-touching an evicted key
@@ -616,43 +625,86 @@ func (s *Server) basePlan(ctx context.Context, req *api.PlanRequest) (*loopmap.P
 				return nil, err
 			}
 		}
-		if ev := s.cache.put(key, skey, p, payload); ev > 0 {
+		if ev := s.cache.put(key, skey, st, payload); ev > 0 {
 			s.metrics.cacheEvictions.Add(int64(ev))
 		}
 		s.replicateBase(key, payload)
-		return p, nil
+		return flightPlan{plan: p}, nil
 	})
 	if err != nil {
 		return nil, api.CacheMiss, err
 	}
+	fp := v.(flightPlan)
 	outcome := api.CacheMiss
-	if shared {
+	switch {
+	case fp.rebuilt:
+		// The key was held: every request that shared the rebuild is
+		// answered as the hit it would have been with the plan cached.
+		if shared {
+			s.metrics.cacheHits.Add(1)
+		}
+		outcome = api.CacheHit
+	case shared:
 		s.metrics.singleflightShared.Add(1)
 		outcome = api.CacheShared
 	}
-	return v.(*loopmap.Plan), outcome, nil
+	return fp.plan, outcome, nil
 }
 
-// computePlan builds the request's base plan. A Π-stage cached under
-// skey is reused, so only Algorithm 1 onward runs; otherwise the whole
-// pipeline runs and put caches the new stage with the plan.
-func (s *Server) computePlan(ctx context.Context, req *api.PlanRequest, skey string) (*loopmap.Plan, error) {
+// flightPlan is the result basePlan's flight shares: the base plan, and
+// whether the flight rebuilt it from a recipe.
+type flightPlan struct {
+	plan    *loopmap.Plan
+	rebuilt bool
+}
+
+// rebuildPlan runs Algorithm 1 onward on st, the stage of the recipe
+// cached under key, under the admission gate, and stores the plan on the
+// entry. It counts a cache hit and a rebuild, not a computation.
+func (s *Server) rebuildPlan(ctx context.Context, req *api.PlanRequest, key string, st *loopmap.Stage) (any, error) {
+	if err := s.acquire(ctx); err != nil {
+		return nil, err
+	}
+	defer s.gate.Release()
+	s.metrics.inflightPlans.Add(1)
+	defer s.metrics.inflightPlans.Add(-1)
+	p, err := st.PlanCtx(ctx, planOptions(req))
+	if err != nil {
+		return nil, err
+	}
+	s.metrics.cacheHits.Add(1)
+	s.metrics.planRebuilds.Add(1)
+	if ev := s.cache.setPlan(key, p); ev > 0 {
+		s.metrics.cacheEvictions.Add(int64(ev))
+	}
+	return flightPlan{plan: p, rebuilt: true}, nil
+}
+
+// computePlan builds the request's base plan and returns it with the
+// Π-stage it was built on. A Π-stage cached under skey is reused, so
+// only Algorithm 1 onward runs; otherwise the whole pipeline runs and put
+// caches the new stage.
+func (s *Server) computePlan(ctx context.Context, req *api.PlanRequest, skey string) (*loopmap.Plan, *loopmap.Stage, error) {
 	opt := planOptions(req)
 	st, ok := s.cache.stage(skey)
-	if !ok {
+	if ok {
+		s.metrics.planComputations.Add(1)
+		s.metrics.stageReuses.Add(1)
+	} else {
 		k, err := loopmap.LookupKernel(req.Kernel, req.Size)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		s.metrics.planComputations.Add(1)
 		if st, err = prepareStage(ctx, k, opt); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		return st.PlanCtx(ctx, opt)
 	}
-	s.metrics.planComputations.Add(1)
-	s.metrics.stageReuses.Add(1)
-	return st.PlanCtx(ctx, opt)
+	p, err := st.PlanCtx(ctx, opt)
+	if err != nil {
+		return nil, nil, err
+	}
+	return p, st, nil
 }
 
 // prepareStage builds a Π-stage as the plan cache keeps it: enumeration,

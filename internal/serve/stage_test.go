@@ -1,12 +1,17 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	loopmap "repro"
 	"repro/api"
@@ -163,5 +168,126 @@ func TestMergeSweepSharesOneStage(t *testing.T) {
 	if m.PlanComputations != 10 || m.StageReuses != 9 || cachedStages(s.cache) != 1 {
 		t.Fatalf("computations %d, stage reuses %d, stages %d; want 10, 9, 1",
 			m.PlanComputations, m.StageReuses, cachedStages(s.cache))
+	}
+}
+
+// TestSecondUseCachesPlan: a key's first request leaves a recipe; its
+// second use (a remap to cube 1) rebuilds the plan once and stores it,
+// and later uses (cube 5, /v1/simulate) are plain hits. Every body after
+// the first reports a hit and is otherwise byte-equal to a fresh
+// daemon's answer to the same request.
+func TestSecondUseCachesPlan(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	key := (&api.PlanRequest{Kernel: "stencil", Size: 20}).Key()
+	for i, c := range []struct {
+		path, body string
+		rebuilds   int64
+		plan       bool // the cache holds the key's plan afterwards
+	}{
+		{"/v1/plan", `{"kernel": "stencil", "size": 20, "cube_dim": 3}`, 0, false},
+		{"/v1/plan", `{"kernel": "stencil", "size": 20, "cube_dim": 1}`, 1, true},
+		{"/v1/plan", `{"kernel": "stencil", "size": 20, "cube_dim": 5}`, 1, true},
+		{"/v1/simulate", `{"kernel": "stencil", "size": 20, "cube_dim": 2, "sequential": true}`, 1, true},
+	} {
+		resp, got := postJSON(t, ts.URL+c.path, c.body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s %s: %s: %s", c.path, c.body, resp.Status, got)
+		}
+		_, fresh := newTestServer(t, Config{})
+		_, want := postJSON(t, fresh.URL+c.path, c.body)
+		if i > 0 {
+			want = bytes.Replace(want, []byte(`"cache":"miss"`), []byte(`"cache":"hit"`), 1)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s %s: body differs from a fresh daemon's:\n got %s\nwant %s", c.path, c.body, got, want)
+		}
+		m := s.Metrics()
+		if m.PlanRebuilds != c.rebuilds || m.PlanComputations != 1 {
+			t.Fatalf("%s %s: %d rebuilds, %d computations; want %d, 1", c.path, c.body, m.PlanRebuilds, m.PlanComputations, c.rebuilds)
+		}
+		if p, _, ok := s.cache.get(key); !ok || (p != nil) != c.plan {
+			t.Fatalf("%s %s: key held %v, plan stored %v; want held, plan %v", c.path, c.body, ok, p != nil, c.plan)
+		}
+	}
+}
+
+// TestRecipeHerdRebuildsOnce: 32 concurrent remaps of a recipe, over
+// cube dimensions 0–6 and both mapping modes, rebuild its plan exactly
+// once, and every answer is a hit. The test holds the daemon's only
+// admission slot until the whole herd has arrived, so every request
+// finds the recipe. Run with -race.
+func TestRecipeHerdRebuildsOnce(t *testing.T) {
+	s, ts := newTestServer(t, Config{MaxInflight: 1})
+	planBody(t, ts.URL+"/v1/plan", `{"kernel": "matvec", "size": 30, "cube_dim": 3}`)
+	if !s.gate.TryAcquire() {
+		t.Fatal("the admission slot is busy")
+	}
+	const herd = 32
+	var wg sync.WaitGroup
+	for g := range herd {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			// An exclusive mapping needs a processor per block.
+			body := fmt.Sprintf(`{"kernel": "matvec", "size": 30, "cube_dim": %d}`, g%6)
+			if g%2 == 1 {
+				body = fmt.Sprintf(`{"kernel": "matvec", "size": 30, "cube_dim": %d, "exclusive": true}`, 5+g%4/2)
+			}
+			rec := httptest.NewRecorder()
+			s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/plan", strings.NewReader(body)))
+			var pr api.PlanResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &pr); rec.Code != http.StatusOK || err != nil || pr.Cache != api.CacheHit {
+				t.Errorf("%s: %d %q (%v); want 200 and a hit", body, rec.Code, pr.Cache, err)
+			}
+		}()
+	}
+	// Give the herd time to reach the recipe (see
+	// TestFlightGroupDeduplicates), well within the 1 s admission wait.
+	time.Sleep(100 * time.Millisecond)
+	s.gate.Release()
+	wg.Wait()
+	if m := s.Metrics(); m.PlanRebuilds != 1 || m.PlanComputations != 1 {
+		t.Fatalf("%d rebuilds, %d computations; want 1, 1", m.PlanRebuilds, m.PlanComputations)
+	}
+}
+
+// TestRecoveredKeyRebuildsOnce: a key recovered from the WAL enters the
+// cache as a recipe. Its first use after the restart rebuilds the plan,
+// the next is a plain hit, and neither writes to the durable store.
+func TestRecoveredKeyRebuildsOnce(t *testing.T) {
+	dir := t.TempDir()
+	s1, ts1, _ := newPersistentServer(t, dir, nil)
+	planBody(t, ts1.URL+"/v1/plan", `{"kernel": "l1", "size": 12, "cube_dim": 2}`)
+	ts1.Close()
+	if err := s1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, ts2, rs := newPersistentServer(t, dir, nil)
+	if rs.Recovered != 1 {
+		t.Fatalf("recovered %d keys, want 1", rs.Recovered)
+	}
+	key := (&api.PlanRequest{Kernel: "l1", Size: 12}).Key()
+	if p, _, ok := s2.cache.get(key); !ok || p != nil {
+		t.Fatalf("recovered key: held %v, plan stored %v; want a recipe", ok, p != nil)
+	}
+	pre := s2.Metrics()
+	for i := range 2 {
+		resp, out := postJSON(t, ts2.URL+"/v1/simulate", `{"kernel": "l1", "size": 12, "cube_dim": 3}`)
+		var sr api.SimulateResponse
+		if err := json.Unmarshal(out, &sr); resp.StatusCode != http.StatusOK || err != nil || sr.Cache != api.CacheHit {
+			t.Fatalf("simulate %d: %s %q (%v): %s; want 200 and a hit", i, resp.Status, sr.Cache, err, out)
+		}
+	}
+	post := s2.Metrics()
+	if post.PlanRebuilds != 1 || post.PlanComputations != 0 {
+		t.Fatalf("%d rebuilds, %d computations; want 1, 0", post.PlanRebuilds, post.PlanComputations)
+	}
+	if post.WALAppends != pre.WALAppends || post.WALBytes != pre.WALBytes || post.TieredKeys != pre.TieredKeys {
+		t.Fatalf("the rebuild wrote to the store: WAL appends %d → %d, WAL bytes %d → %d, keys %d → %d",
+			pre.WALAppends, post.WALAppends, pre.WALBytes, post.WALBytes, pre.TieredKeys, post.TieredKeys)
+	}
+	if p, _, _ := s2.cache.get(key); p == nil {
+		t.Fatal("the rebuilt plan was not stored")
 	}
 }
