@@ -45,18 +45,15 @@ type ClusterInfo struct {
 // embedded in ClusterStatus so harnesses can assert replication and
 // recomputation behavior per shard.
 type ClusterNodeStats struct {
-	// Computations counts base plans this shard computed (including
-	// replica materializations).
+	// Computations counts base plans this shard computed for keys it did
+	// not hold. Ingesting replicated or transferred records computes
+	// nothing: they load as recipes, rebuilt on first use.
 	Computations int64 `json:"computations"`
 	// ReplicasSent / ReplicasReceived count replica push requests.
 	ReplicasSent     int64 `json:"replicas_sent"`
 	ReplicasReceived int64 `json:"replicas_received"`
-	// ReplicaMaterializations counts base plans computed while ingesting
-	// replicated or transferred records (Computations minus these is the
-	// demand-driven compute).
-	ReplicaMaterializations int64 `json:"replica_materializations"`
-	// ReplicaQueue is the backlog of replica records awaiting
-	// materialization plus pushes awaiting send — zero means quiesced.
+	// ReplicaQueue is the backlog of replica pushes awaiting send — zero
+	// means quiesced.
 	ReplicaQueue int64 `json:"replica_queue"`
 }
 

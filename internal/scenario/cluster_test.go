@@ -28,7 +28,7 @@ const adminToken = "scenario-admin"
 
 // counters are the parts of a shard's /v1/cluster stats the cluster row
 // asserts on.
-type counters struct{ comp, recvd, mats, queue int64 }
+type counters struct{ comp, recvd, queue int64 }
 
 func shardCounters(url string) (counters, bool) {
 	st := clusterStatus(url)
@@ -36,7 +36,7 @@ func shardCounters(url string) (counters, bool) {
 		return counters{}, false
 	}
 	s := st.Stats
-	return counters{s.Computations, s.ReplicasReceived, s.ReplicaMaterializations, s.ReplicaQueue}, true
+	return counters{s.Computations, s.ReplicasReceived, s.ReplicaQueue}, true
 }
 
 // quiesce waits until every shard's replication queue is empty and its
@@ -62,9 +62,10 @@ func quiesce(t *testing.T, urls []string) map[string]counters {
 }
 
 // demand is how many plans a shard computed between two counter
-// snapshots for a reason other than materializing a pushed replica.
+// snapshots. Ingesting a pushed replica computes nothing, so every
+// computation is demand.
 func demand(before, after counters) int64 {
-	return (after.comp - before.comp) - (after.mats - before.mats)
+	return after.comp - before.comp
 }
 
 func baseKey(it item) string { return it.PlanRequest.Key() }
@@ -225,8 +226,8 @@ func elasticCluster(t *testing.T, p params) {
 
 	postJoin := quiesce(t, all)
 	for i, u := range static {
-		// A new computation on an established shard must be a replica
-		// the post-join re-replication sweep pushed to it.
+		// The post-join re-replication sweep's pushes load as recipes,
+		// so an established shard computes nothing during the join.
 		if n := demand(preJoin[u], postJoin[u]); n != 0 {
 			t.Fatalf("shard %d recomputed %d keys on demand during the join", i, n)
 		}

@@ -68,8 +68,7 @@ type clusterNode struct {
 	done chan struct{}
 
 	// Replication machinery (replica.go): the async push queue toward
-	// Gray-ring standbys and the materialization queue that turns
-	// received replicas into live cache entries.
+	// Gray-ring standbys.
 	rep *replicator
 
 	// Anti-entropy repair worker (antientropy.go): periodic digest
@@ -173,11 +172,10 @@ func (s *Server) handleClusterStatus(w http.ResponseWriter, r *http.Request) {
 		Map:    cn.m.Map(),
 		Shards: cn.m.Snapshot(),
 		Stats: &api.ClusterNodeStats{
-			Computations:            s.metrics.planComputations.Load(),
-			ReplicasSent:            s.metrics.replicasSent.Load(),
-			ReplicasReceived:        s.metrics.replicasReceived.Load(),
-			ReplicaMaterializations: s.metrics.replicaMaterializations.Load(),
-			ReplicaQueue:            cn.rep.queueDepth(),
+			Computations:     s.metrics.planComputations.Load(),
+			ReplicasSent:     s.metrics.replicasSent.Load(),
+			ReplicasReceived: s.metrics.replicasReceived.Load(),
+			ReplicaQueue:     cn.rep.queueDepth(),
 		},
 	})
 }

@@ -8,11 +8,12 @@
 //  3. It streams its future keyspace from every active shard over
 //     POST /v1/admin/transfer — base-plan records and encoded frames,
 //     filtered server-side to keys the joiner will own once active —
-//     and replays them through the replica ingest path.
-//  4. Once the materialization queue drains, it flips itself to "up"
-//     with an epoch bump. Gossip spreads the new map within one probe
-//     interval, and exactly the joiner's HRW keyspace moves — every
-//     other key keeps its owner, and the moved keys arrive warm.
+//     and replays them through the replica ingest path, which loads
+//     each base record as a recipe and plans nothing.
+//  4. It then flips itself to "up" with an epoch bump. Gossip spreads
+//     the new map within one probe interval, and exactly the joiner's
+//     HRW keyspace moves — every other key keeps its owner, and the
+//     moved keys arrive warm.
 package serve
 
 import (
@@ -81,15 +82,6 @@ func (s *Server) JoinCluster(ctx context.Context, opts JoinOptions) error {
 		pulled += n
 	}
 
-	// Let the materialization queue drain so the shard activates warm.
-	deadline := time.Now().Add(2 * time.Minute)
-	for cn.rep.queueDepth() > 0 && time.Now().Before(deadline) {
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-time.After(20 * time.Millisecond):
-		}
-	}
 	if err := cn.m.Activate(jr.ID); err != nil {
 		return fmt.Errorf("serve: activating shard %d: %w", jr.ID, err)
 	}
@@ -131,7 +123,7 @@ func (s *Server) joinCall(ctx context.Context, client *http.Client, opts JoinOpt
 }
 
 // pullTransfer streams one shard's view of this shard's future keyspace
-// and ingests it. It returns the number of records applied or queued.
+// and ingests it. It returns the number of records applied.
 func (s *Server) pullTransfer(ctx context.Context, client *http.Client, token, from string, forShard int) (int, error) {
 	body, err := json.Marshal(api.TransferRequest{ForShard: forShard})
 	if err != nil {

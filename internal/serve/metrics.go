@@ -13,8 +13,14 @@ import (
 	"sync/atomic"
 )
 
-// latencyBuckets are the per-endpoint histogram upper bounds, in seconds.
-var latencyBuckets = []float64{0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1, 5}
+// latencyBuckets are the per-endpoint histogram upper bounds, in
+// seconds: a 1-2-5 ladder from 10 µs to 5 s, fine enough that a hit
+// (about 0.1 ms) and a miss of the same key fall in different buckets.
+var latencyBuckets = []float64{
+	10e-6, 20e-6, 50e-6, 100e-6, 200e-6, 500e-6,
+	1e-3, 2e-3, 5e-3, 10e-3, 20e-3, 50e-3,
+	0.1, 0.2, 0.5, 1, 2, 5,
+}
 
 // sizeBuckets are the upper bounds for count-shaped histograms (batch
 // sizes, WAL group-commit sizes).
@@ -158,12 +164,11 @@ type metrics struct {
 	forwardReadOnlyLocal atomic.Int64
 
 	// replication and elasticity instruments.
-	replicasSent            atomic.Int64 // records pushed to a standby
-	replicasReceived        atomic.Int64 // replica-push requests accepted
-	replicaErrors           atomic.Int64 // failed pushes (retried by the next compute, not here)
-	replicaDrops            atomic.Int64 // records dropped on a full replication queue
-	replicaMaterializations atomic.Int64 // replicated base plans computed into the local cache
-	transfersServed         atomic.Int64 // bulk keyspace transfers served to joiners
+	replicasSent     atomic.Int64 // records pushed to a standby
+	replicasReceived atomic.Int64 // replica-push requests accepted
+	replicaErrors    atomic.Int64 // failed pushes (retried by the next compute, not here)
+	replicaDrops     atomic.Int64 // records dropped on a full replication queue
+	transfersServed  atomic.Int64 // bulk keyspace transfers served to joiners
 
 	// anti-entropy and deadline-forwarding instruments.
 	antientropyRounds           atomic.Int64 // digest exchanges attempted
@@ -220,7 +225,7 @@ type Snapshot struct {
 	SingleflightShared int64
 	PlanComputations   int64
 	StageReuses        int64 // plan computations that ran on a cached Π-stage
-	PlanRebuilds       int64 // plans rebuilt for a recipe on its key's second use
+	PlanRebuilds       int64 // plans rebuilt from recipes (a key's second use, a loaded key's first)
 	InflightPlans      int64
 	CacheBytes         int64
 	CacheEntries       int64
@@ -271,12 +276,11 @@ type Snapshot struct {
 	ForwardReadOnlyLocal int64
 
 	// Replication and elasticity accounting.
-	ReplicasSent            int64
-	ReplicasReceived        int64
-	ReplicaErrors           int64
-	ReplicaDrops            int64
-	ReplicaMaterializations int64
-	TransfersServed         int64
+	ReplicasSent     int64
+	ReplicasReceived int64
+	ReplicaErrors    int64
+	ReplicaDrops     int64
+	TransfersServed  int64
 
 	// Anti-entropy and deadline-forwarding accounting.
 	AntiEntropyRounds           int64
@@ -354,12 +358,11 @@ func (m *metrics) snapshot() Snapshot {
 		ProbeFailures:        m.probeFailures.Load(),
 		ForwardReadOnlyLocal: m.forwardReadOnlyLocal.Load(),
 
-		ReplicasSent:            m.replicasSent.Load(),
-		ReplicasReceived:        m.replicasReceived.Load(),
-		ReplicaErrors:           m.replicaErrors.Load(),
-		ReplicaDrops:            m.replicaDrops.Load(),
-		ReplicaMaterializations: m.replicaMaterializations.Load(),
-		TransfersServed:         m.transfersServed.Load(),
+		ReplicasSent:     m.replicasSent.Load(),
+		ReplicasReceived: m.replicasReceived.Load(),
+		ReplicaErrors:    m.replicaErrors.Load(),
+		ReplicaDrops:     m.replicaDrops.Load(),
+		TransfersServed:  m.transfersServed.Load(),
 
 		AntiEntropyRounds:           m.antientropyRounds.Load(),
 		AntiEntropyCleanRounds:      m.antientropyCleanRounds.Load(),
@@ -394,7 +397,7 @@ func (s Snapshot) render(w io.Writer) {
 	counter("loopmapd_singleflight_shared_total", "Requests served by joining an in-flight computation.", s.SingleflightShared)
 	counter("loopmapd_plan_computations_total", "Plans computed for keys the daemon did not hold.", s.PlanComputations)
 	counter("loopmapd_stage_reuses_total", "Plan computations that reused a cached enumeration, schedule and projection.", s.StageReuses)
-	counter("loopmapd_plan_rebuilds_total", "Plans rebuilt from a cached stage on a key's second use; counted as cache hits, not computations.", s.PlanRebuilds)
+	counter("loopmapd_plan_rebuilds_total", "Plans rebuilt from a recipe on a key's second use, or on the first use of a key loaded from a durable record; counted as cache hits, not computations.", s.PlanRebuilds)
 	counter("loopmapd_panics_total", "Handler panics recovered by the middleware.", s.Panics)
 	counter("loopmapd_recovered_plans_total", "Keys recovered into the plan cache during warm restart.", s.RecoveredPlans)
 	counter("loopmapd_recovery_skipped_total", "Durable records skipped during warm restart (undecodable, invalid, or key-mismatched).", s.RecoverySkipped)
@@ -456,7 +459,6 @@ func (s Snapshot) render(w io.Writer) {
 		counter("loopmapd_cluster_replicas_received_total", "Replica-push requests accepted from primaries.", s.ReplicasReceived)
 		counter("loopmapd_cluster_replica_errors_total", "Replica pushes that failed.", s.ReplicaErrors)
 		counter("loopmapd_cluster_replica_drops_total", "Replica records dropped on a full queue.", s.ReplicaDrops)
-		counter("loopmapd_cluster_replica_materializations_total", "Replicated base plans computed into the local cache.", s.ReplicaMaterializations)
 		counter("loopmapd_cluster_transfers_served_total", "Bulk keyspace transfers served to joining shards.", s.TransfersServed)
 		counter("loopmapd_antientropy_rounds_total", "Digest anti-entropy exchanges attempted with the standby.", s.AntiEntropyRounds)
 		counter("loopmapd_antientropy_clean_rounds_total", "Anti-entropy exchanges whose digest roots already matched.", s.AntiEntropyCleanRounds)

@@ -1,12 +1,16 @@
 package serve
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -265,6 +269,33 @@ func TestRecoverySkipsForeignRecords(t *testing.T) {
 	}
 }
 
+// TestRecoveredRecordThatDoesNotPlan: a tail record that passes
+// validatePlanRequest but whose Π is no valid schedule is recovered, since
+// recovery plans nothing. Its first use answers with the status and body
+// a fresh daemon gives, and drops the key.
+func TestRecoveredRecordThatDoesNotPlan(t *testing.T) {
+	dir := t.TempDir()
+	bad := &api.PlanRequest{Kernel: "l1", Size: 8, Pi: []int64{-1, 0}}
+	writeTail(t, dir, []*api.PlanRequest{bad})
+	s, ts, rs := newPersistentServer(t, dir, nil)
+	if rs.Recovered != 1 || rs.Skipped != 0 {
+		t.Fatalf("recovered %d / skipped %d, want 1 / 0", rs.Recovered, rs.Skipped)
+	}
+	body := `{"kernel":"l1","size":8,"pi":[-1,0]}`
+	resp, got := postJSON(t, ts.URL+"/v1/plan", body)
+	_, fresh := newTestServer(t, Config{})
+	wantResp, want := postJSON(t, fresh.URL+"/v1/plan", body)
+	if resp.StatusCode != wantResp.StatusCode || !bytes.Equal(got, want) {
+		t.Fatalf("first use: %s %s; a fresh daemon: %s %s", resp.Status, got, wantResp.Status, want)
+	}
+	if resp.StatusCode == http.StatusOK {
+		t.Fatalf("Π (-1, 0) planned: %s", got)
+	}
+	if _, _, ok := s.cache.get(bad.Key()); ok {
+		t.Fatal("the key is still held after its plan failed")
+	}
+}
+
 // TestCompactionKeepsStoreRecoverable drives the tier through memtable
 // flushes and segment compactions and verifies a restart still serves
 // every plan warm: segment-resident ones promote from disk, the WAL tail
@@ -330,17 +361,22 @@ func TestRecoverRejectsBadFsyncPolicy(t *testing.T) {
 }
 
 // TestRecoverBuildsEachStageOnce: ten merge variants of one kernel come
-// back from the WAL on one Π-stage, and the recovered cache charges the
-// same bytes as a live daemon that served the same keys.
+// back from the WAL as stage-less recipes, so recovery builds no stage.
+// Their first uses build one stage between them, after which the cache
+// charges the same bytes as a live daemon that served each key twice.
 func TestRecoverBuildsEachStageOnce(t *testing.T) {
 	dir := t.TempDir()
 	s1, ts1, _ := newPersistentServer(t, dir, nil)
-	for merge := 1; merge <= 10; merge++ {
-		planBody(t, ts1.URL+"/v1/plan", fmt.Sprintf(`{"kernel": "stencil", "size": 20, "merge_factor": %d}`, merge))
+	// The second use asks for another cube, so it misses the encoded
+	// response cache and reaches the plan cache.
+	for _, cube := range []int{3, 2} {
+		for merge := 1; merge <= 10; merge++ {
+			planBody(t, ts1.URL+"/v1/plan", fmt.Sprintf(`{"kernel": "stencil", "size": 20, "merge_factor": %d, "cube_dim": %d}`, merge, cube))
+		}
 	}
 	live := s1.Metrics()
-	if live.StageReuses != 9 {
-		t.Fatalf("live stage reuses = %d, want 9", live.StageReuses)
+	if live.StageReuses != 9 || live.PlanRebuilds != 10 {
+		t.Fatalf("live stage reuses %d, rebuilds %d; want 9, 10", live.StageReuses, live.PlanRebuilds)
 	}
 	ts1.Close()
 	if err := s1.Close(); err != nil {
@@ -351,12 +387,149 @@ func TestRecoverBuildsEachStageOnce(t *testing.T) {
 	if rs.Recovered != 10 || rs.Skipped != 0 {
 		t.Fatalf("recovered %d / skipped %d, want 10 / 0", rs.Recovered, rs.Skipped)
 	}
+	if n := cachedStages(s2.cache); n != 0 {
+		t.Fatalf("recovery built %d stages, want 0", n)
+	}
+	var projected *loopmap.Projected
+	for merge := int64(1); merge <= 10; merge++ {
+		p, outcome, err := s2.basePlan(context.Background(), &api.PlanRequest{Kernel: "stencil", Size: 20, MergeFactor: merge})
+		if err != nil || outcome != api.CacheHit {
+			t.Fatalf("merge %d: outcome %q, err %v; want a hit", merge, outcome, err)
+		}
+		if projected == nil {
+			projected = p.Projected
+		}
+		if p.Projected != projected {
+			t.Fatalf("merge %d was planned on a second stage", merge)
+		}
+	}
 	got := s2.Metrics()
-	if n := cachedStages(s2.cache); n != 1 {
-		t.Fatalf("recovered cache holds %d stages, want 1", n)
+	if n := cachedStages(s2.cache); n != 1 || got.PlanRebuilds != 10 || got.PlanComputations != 0 {
+		t.Fatalf("first uses: %d stages, %d rebuilds, %d computations; want 1, 10, 0", n, got.PlanRebuilds, got.PlanComputations)
 	}
 	if got.CacheBytes != live.CacheBytes || got.CacheEntries != live.CacheEntries {
 		t.Fatalf("recovered cache: %d bytes in %d entries; live daemon: %d bytes in %d entries",
 			got.CacheBytes, got.CacheEntries, live.CacheBytes, live.CacheEntries)
+	}
+}
+
+// recoveryTail returns n base requests on the miss grid's kernels at
+// every size of their range, smallest sizes first: one stage per kernel
+// and size, each shared by twenty keys (merge factors 1–10, aux on and
+// off).
+func recoveryTail(n int) []*api.PlanRequest {
+	reqs := make([]*api.PlanRequest, 0, n)
+	for size := int64(4); size <= 128; size++ {
+		for _, k := range []string{"closure", "convolution", "dct", "l1", "matmul", "matvec", "sor2d", "stencil", "triangular"} {
+			if threeD := k == "closure" || k == "matmul" || k == "sor2d"; threeD && size > 28 || !threeD && size < 8 {
+				continue
+			}
+			for merge := int64(1); merge <= 10; merge++ {
+				for _, noAux := range []bool{false, true} {
+					if len(reqs) == n {
+						return reqs
+					}
+					reqs = append(reqs, &api.PlanRequest{Kernel: k, Size: size, MergeFactor: merge, NoAux: noAux})
+				}
+			}
+		}
+	}
+	return reqs
+}
+
+// writeTail writes reqs' durable base records into a fresh tiered store
+// at dir, where a restart finds them as its WAL tail.
+func writeTail(tb testing.TB, dir string, reqs []*api.PlanRequest) {
+	tb.Helper()
+	store, _, err := tiered.Open(tiered.Config{Dir: dir, Fsync: persist.FsyncNever, MemtableBytes: 64 << 20})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for _, req := range reqs {
+		if err := store.Put(repBasePrefix+req.Key(), persistPayload(req)); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if err := store.Close(); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// TestRecoverPlansNothing: a restart on a 1,000-record WAL tail spread
+// over 50 stages loads every record as a stage-less recipe. Until the
+// first request nothing is computed or rebuilt and no stage is built;
+// then each key's first use is a hit whose body is byte-identical to a
+// fresh daemon's, with the cache field set to hit.
+func TestRecoverPlansNothing(t *testing.T) {
+	reqs := recoveryTail(1000)
+	stages := map[string]bool{}
+	for _, req := range reqs {
+		stages[string(req.AppendStageKey(nil))] = true
+	}
+	if len(stages) < 10 {
+		t.Fatalf("the tail spans %d stages, want at least 10", len(stages))
+	}
+	dir := t.TempDir()
+	writeTail(t, dir, reqs)
+	s, ts, rs := newPersistentServer(t, dir, func(c *Config) { c.Fsync = "never" })
+	if rs.Recovered != len(reqs) || rs.Skipped != 0 {
+		t.Fatalf("recovered %d / skipped %d, want %d / 0", rs.Recovered, rs.Skipped, len(reqs))
+	}
+	if m := s.Metrics(); m.PlanComputations != 0 || m.PlanRebuilds != 0 || cachedStages(s.cache) != 0 {
+		t.Fatalf("after recovery: %d computations, %d rebuilds, %d stages; want 0, 0, 0",
+			m.PlanComputations, m.PlanRebuilds, cachedStages(s.cache))
+	}
+	_, fresh := newTestServer(t, Config{})
+	for _, req := range reqs {
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, got := postJSON(t, ts.URL+"/v1/plan", string(body))
+		_, want := postJSON(t, fresh.URL+"/v1/plan", string(body))
+		want = bytes.Replace(want, []byte(`"cache":"miss"`), []byte(`"cache":"hit"`), 1)
+		if resp.StatusCode != http.StatusOK || !bytes.Equal(got, want) {
+			t.Fatalf("%s: %s, body differs from a fresh daemon's:\n got %s\nwant %s", body, resp.Status, got, want)
+		}
+	}
+	if m := s.Metrics(); m.PlanComputations != 0 || m.PlanRebuilds != int64(len(reqs)) || cachedStages(s.cache) != len(stages) {
+		t.Fatalf("after first uses: %d computations, %d rebuilds, %d stages; want 0, %d, %d",
+			m.PlanComputations, m.PlanRebuilds, cachedStages(s.cache), len(reqs), len(stages))
+	}
+}
+
+// BenchmarkRecover times a warm restart on a WAL tail of 1k and 10k base
+// records (see recoveryTail) and reports the heap the recovered daemon
+// retains.
+func BenchmarkRecover(b *testing.B) {
+	for _, n := range []int{1000, 10000} {
+		b.Run(fmt.Sprintf("records=%d", n), func(b *testing.B) {
+			dir := b.TempDir()
+			writeTail(b, dir, recoveryTail(n))
+			b.ReportAllocs()
+			var before, after runtime.MemStats
+			var retained int64
+			for range b.N {
+				b.StopTimer()
+				s := New(Config{DiskCacheDir: dir, Fsync: "never", ScrubInterval: -1})
+				runtime.GC()
+				runtime.ReadMemStats(&before)
+				b.StartTimer()
+				rs, err := s.Recover(context.Background())
+				b.StopTimer()
+				if err != nil || rs.Recovered != n {
+					b.Fatalf("recovered %d of %d records: %v", rs.Recovered, n, err)
+				}
+				runtime.GC()
+				runtime.ReadMemStats(&after)
+				retained = int64(after.HeapAlloc) - int64(before.HeapAlloc)
+				runtime.KeepAlive(s)
+				if err := s.Close(); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+			}
+			b.ReportMetric(float64(retained), "retained-B")
+		})
 	}
 }
