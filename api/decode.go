@@ -64,14 +64,20 @@ func DecodePlanRequest(b []byte, r *PlanRequest) bool {
 
 // DecodePlanResponse fills r from b and reports whether it could. On false
 // r is untouched and b must be decoded by json.Unmarshal instead. On true
-// *r is replaced by the decoded response.
+// *r is replaced by the decoded response. Its string fields share one
+// allocation, so none of them aliases b, which the caller may reuse.
 func DecodePlanResponse(b []byte, r *PlanResponse) bool {
 	var v PlanResponse
+	// text collects the decoded strings, each field's at its span; they
+	// become one string once the whole object is accepted.
+	var stack [1024]byte
+	text := stack[:0]
+	var kernel, summary, cache span
 	s := scanner{b: b}
 	for s.member() {
 		switch string(s.key) {
 		case "kernel":
-			v.Kernel = s.str()
+			text, kernel = s.appendStr(text)
 		case "size":
 			v.Size = s.int64()
 		case "pi":
@@ -107,9 +113,9 @@ func DecodePlanResponse(b []byte, r *PlanResponse) bool {
 		case "max_load":
 			v.MaxLoad = s.int64()
 		case "summary":
-			v.Summary = s.str()
+			text, summary = s.appendStr(text)
 		case "cache":
-			v.Cache = cacheOutcome(s.strBytes())
+			text, cache = s.appendStr(text)
 		case "cluster":
 			// encoding/json decodes a repeated object into the value the
 			// first one allocated, so fields merge across duplicates.
@@ -124,13 +130,21 @@ func DecodePlanResponse(b []byte, r *PlanResponse) bool {
 	if !s.done() {
 		return false
 	}
+	all := string(text)
+	v.Kernel, v.Summary = kernel.of(all), summary.of(all)
+	v.Cache = cacheOutcome(text[cache.start:cache.end], cache.of(all))
 	*r = v
 	return true
 }
 
+// span locates one decoded string in a decoder's text.
+type span struct{ start, end int }
+
+func (p span) of(all string) string { return all[p.start:p.end] }
+
 // cacheOutcome returns the named constant for the outcomes the daemon
-// sends, so a decode allocates no string for them.
-func cacheOutcome(b []byte) CacheOutcome {
+// sends, and other, the same text as b, for any other.
+func cacheOutcome(b []byte, other string) CacheOutcome {
 	switch string(b) {
 	case "hit":
 		return CacheHit
@@ -139,7 +153,7 @@ func cacheOutcome(b []byte) CacheOutcome {
 	case "shared":
 		return CacheShared
 	}
-	return CacheOutcome(b)
+	return CacheOutcome(other)
 }
 
 // cluster decodes the nested "cluster" object into c.
@@ -268,18 +282,18 @@ func (s *scanner) done() bool {
 	return s.i == len(s.b)
 }
 
-// strBytes decodes a string value. The result aliases the input unless
-// the string holds escapes.
-func (s *scanner) strBytes() []byte {
+// rawStr scans a string value and returns its body as it stands in the
+// input, and whether the body holds escapes.
+func (s *scanner) rawStr() (raw []byte, escaped bool) {
 	if s.failed {
-		return nil
+		return nil, false
 	}
 	if !s.eat('"') {
 		s.fail()
-		return nil
+		return nil, false
 	}
 	start := s.i
-	escaped, ascii := false, true
+	ascii := true
 	for ; s.i < len(s.b); s.i++ {
 		switch c := s.b[s.i]; {
 		case c == '"':
@@ -288,32 +302,52 @@ func (s *scanner) strBytes() []byte {
 			// encoding/json replaces invalid UTF-8 with U+FFFD; decline it.
 			if !ascii && !utf8.Valid(raw) {
 				s.fail()
-				return nil
+				return nil, false
 			}
-			if escaped {
-				return unescape(raw)
-			}
-			return raw
+			return raw, escaped
 		case c == '\\':
 			s.i++
 			if s.i == len(s.b) || unescapeByte(s.b[s.i]) == 0 {
 				s.fail()
-				return nil
+				return nil, false
 			}
 			escaped = true
 		case c < 0x20:
 			s.fail()
-			return nil
+			return nil, false
 		case c >= utf8.RuneSelf:
 			ascii = false
 		}
 	}
 	s.fail()
-	return nil
+	return nil, false
+}
+
+// strBytes decodes a string value. The result aliases the input unless
+// the string holds escapes.
+func (s *scanner) strBytes() []byte {
+	raw, escaped := s.rawStr()
+	if escaped {
+		return appendUnescaped(make([]byte, 0, len(raw)), raw)
+	}
+	return raw
 }
 
 func (s *scanner) str() string {
 	return string(s.strBytes())
+}
+
+// appendStr decodes a string value onto dst and returns dst and the
+// value's span in it.
+func (s *scanner) appendStr(dst []byte) ([]byte, span) {
+	raw, escaped := s.rawStr()
+	start := len(dst)
+	if escaped {
+		dst = appendUnescaped(dst, raw)
+	} else {
+		dst = append(dst, raw...)
+	}
+	return dst, span{start, len(dst)}
 }
 
 // unescapeByte maps the byte after a backslash to the byte it stands for,
@@ -336,18 +370,18 @@ func unescapeByte(c byte) byte {
 	return 0
 }
 
-// unescape decodes a string body already checked by strBytes.
-func unescape(raw []byte) []byte {
-	out := make([]byte, 0, len(raw))
+// appendUnescaped appends the decoding of a string body already checked
+// by rawStr to dst.
+func appendUnescaped(dst, raw []byte) []byte {
 	for i := 0; i < len(raw); i++ {
 		c := raw[i]
 		if c == '\\' {
 			i++
 			c = unescapeByte(raw[i])
 		}
-		out = append(out, c)
+		dst = append(dst, c)
 	}
-	return out
+	return dst
 }
 
 // digits scans an unsigned integer literal in JSON form (no leading zero

@@ -26,8 +26,11 @@ import (
 	"io"
 	"math/rand/v2"
 	"net/http"
+	"net/url"
+	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -169,6 +172,7 @@ type ClientStats struct {
 type Client struct {
 	cfg     Config
 	base    string
+	targets map[string]target
 	breaker *breaker
 	reval   *revalCache // nil unless Config.Revalidate
 
@@ -189,6 +193,7 @@ func New(cfg Config) *Client {
 		base:    strings.TrimRight(cfg.BaseURL, "/"),
 		breaker: newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown),
 	}
+	c.targets = resolveTargets(c.base)
 	if cfg.Revalidate {
 		c.reval = newRevalCache(revalidateCap)
 	}
@@ -231,9 +236,9 @@ func (c *Client) Plan(ctx context.Context, req *api.PlanRequest) (*api.PlanRespo
 		return &out, nil
 	}
 	key := req.ResponseKey()
-	var inm string
+	var inm []string
 	if e, ok := c.reval.get(key); ok {
-		inm = e.etag
+		inm = e.inm
 	}
 	var out api.PlanResponse
 	etag, notModified, err := c.exchange(ctx, http.MethodPost, "/v1/plan", req, &out, true, inm)
@@ -261,7 +266,7 @@ func (c *Client) Plan(ctx context.Context, req *api.PlanRequest) (*api.PlanRespo
 // planFresh is Plan without a validator — the revalidation fallback.
 func (c *Client) planFresh(ctx context.Context, req *api.PlanRequest) (*api.PlanResponse, error) {
 	var out api.PlanResponse
-	etag, _, err := c.exchange(ctx, http.MethodPost, "/v1/plan", req, &out, true, "")
+	etag, _, err := c.exchange(ctx, http.MethodPost, "/v1/plan", req, &out, true, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -314,7 +319,7 @@ func (c *Client) ClusterStatus(ctx context.Context) (*api.ClusterStatus, error) 
 // Ready probes /readyz once — no retries, no breaker — and returns nil
 // iff the daemon is accepting traffic. Meant for wait-until-up loops.
 func (c *Client) Ready(ctx context.Context) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/readyz", nil)
+	req, err := c.newRequest(ctx, http.MethodGet, "/readyz", nil)
 	if err != nil {
 		return err
 	}
@@ -337,18 +342,22 @@ type httpResult struct {
 	etag       string
 	readOnly   bool // api.ReadOnlyHeader was set
 	body       []byte
+	buf        *[]byte // body's pooled buffer, until release
 }
 
 // doJSON runs one API call through the breaker + retry + hedging stack.
 func (c *Client) doJSON(ctx context.Context, method, path string, in, out any, hedgeable bool) error {
-	_, _, err := c.exchange(ctx, method, path, in, out, hedgeable, "")
+	_, _, err := c.exchange(ctx, method, path, in, out, hedgeable, nil)
 	return err
 }
 
-// exchange is doJSON plus conditional-request support: inm rides along as
-// If-None-Match, the response's ETag is returned, and a 304 reports
-// notModified=true with out left untouched.
-func (c *Client) exchange(ctx context.Context, method, path string, in, out any, hedgeable bool, inm string) (etag string, notModified bool, err error) {
+// exchange is doJSON plus conditional-request support: inm, when non-nil,
+// is sent as the If-None-Match header's values, the response's ETag is
+// returned, and a 304 reports notModified=true with out left untouched.
+// Each attempt's body buffer goes back to the pool once the next attempt
+// starts or exchange returns: by then the decode and any error text have
+// copied what they keep out of it.
+func (c *Client) exchange(ctx context.Context, method, path string, in, out any, hedgeable bool, inm []string) (etag string, notModified bool, err error) {
 	c.requests.Add(1)
 	var body []byte
 	if in != nil {
@@ -361,6 +370,8 @@ func (c *Client) exchange(ctx context.Context, method, path string, in, out any,
 
 	budget := budgetFrom(ctx)
 	var lastErr error
+	var res httpResult
+	defer func() { res.release() }()
 	for attempt := 0; ; attempt++ {
 		// Budget before breaker: an exhausted budget must not consume the
 		// breaker's single half-open probe slot.
@@ -384,7 +395,8 @@ func (c *Client) exchange(ctx context.Context, method, path string, in, out any,
 		}
 		c.attempts.Add(1)
 		// A half-open probe must be exactly one request on the wire.
-		res, err := c.attempt(ctx, method, path, body, hedgeable && !probe, inm)
+		res.release()
+		res, err = c.attempt(ctx, method, path, body, hedgeable && !probe, inm)
 
 		// Classify. A 4xx means the server is healthy and we are wrong:
 		// success for the breaker, terminal for the caller. 503 is the
@@ -410,20 +422,20 @@ func (c *Client) exchange(ctx context.Context, method, path string, in, out any,
 			// changes that. Terminal so Multi fails over immediately.
 			c.breaker.record(true)
 			c.failures.Add(1)
-			return "", false, apiErrorFrom(res)
+			return "", false, apiErrorFrom(&res)
 		case res.status == http.StatusServiceUnavailable:
 			c.breaker.record(false)
-			lastErr = apiErrorFrom(res)
+			lastErr = apiErrorFrom(&res)
 			retryable = true
 			retryAfter = res.retryAfter
 		case res.status >= 500:
 			c.breaker.record(false)
 			c.failures.Add(1)
-			return "", false, apiErrorFrom(res)
+			return "", false, apiErrorFrom(&res)
 		case res.status >= 300:
 			c.breaker.record(true)
 			c.failures.Add(1)
-			return "", false, apiErrorFrom(res)
+			return "", false, apiErrorFrom(&res)
 		default:
 			if out != nil {
 				if err := decodeBody(res.body, out); err != nil {
@@ -481,13 +493,13 @@ func (c *Client) backoff(attempt int, retryAfter time.Duration) time.Duration {
 }
 
 // attempt performs one (possibly hedged) exchange.
-func (c *Client) attempt(ctx context.Context, method, path string, body []byte, hedgeable bool, inm string) (*httpResult, error) {
+func (c *Client) attempt(ctx context.Context, method, path string, body []byte, hedgeable bool, inm []string) (httpResult, error) {
 	if !hedgeable || c.cfg.HedgeDelay <= 0 {
 		return c.roundTrip(ctx, method, path, body, inm)
 	}
 
 	type outcome struct {
-		res    *httpResult
+		res    httpResult
 		err    error
 		hedged bool
 	}
@@ -530,63 +542,133 @@ func (c *Client) attempt(ctx context.Context, method, path string, body []byte, 
 				firstErr = o.err
 			}
 			if pending == 0 {
-				return nil, firstErr
+				return httpResult{}, firstErr
 			}
 		}
 	}
 }
 
-// roundTrip is one HTTP exchange with the body fully read.
-func (c *Client) roundTrip(ctx context.Context, method, path string, body []byte, inm string) (*httpResult, error) {
+// roundTrip is one HTTP exchange with the body fully read into a pooled
+// buffer (see httpResult.release).
+func (c *Client) roundTrip(ctx context.Context, method, path string, body []byte, inm []string) (httpResult, error) {
 	var rd io.Reader
 	if body != nil {
 		rd = bytes.NewReader(body)
 	}
-	req, err := http.NewRequestWithContext(ctx, method, c.base+path, rd)
+	req, err := c.newRequest(ctx, method, path, rd)
 	if err != nil {
-		return nil, err
+		return httpResult{}, err
 	}
 	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
+		req.Header["Content-Type"] = jsonContentType
 	}
-	if inm != "" {
-		req.Header.Set("If-None-Match", inm)
+	if inm != nil {
+		req.Header["If-None-Match"] = inm
 	}
 	resp, err := c.cfg.HTTPClient.Do(req)
 	if err != nil {
-		return nil, err
+		return httpResult{}, err
 	}
 	defer resp.Body.Close()
-	data, err := readBody(resp)
+	buf := bodyPool.Get().(*[]byte)
+	data, err := readBody(resp, (*buf)[:0])
 	if err != nil {
-		return nil, fmt.Errorf("reading response: %w", err)
+		bodyPool.Put(buf)
+		return httpResult{}, fmt.Errorf("reading response: %w", err)
 	}
-	return &httpResult{
+	*buf = data
+	return httpResult{
 		status:     resp.StatusCode,
 		retryAfter: parseRetryAfter(resp.Header.Get("Retry-After")),
 		etag:       resp.Header.Get("ETag"),
 		readOnly:   resp.Header.Get(api.ReadOnlyHeader) == "1",
 		body:       data,
+		buf:        buf,
 	}, nil
 }
 
-// maxSizedBody caps the buffer readBody allocates up front from a
-// response's Content-Length; longer bodies grow through io.ReadAll as
-// their bytes actually arrive.
-const maxSizedBody = 1 << 20
+// jsonContentType is the Content-Type header value of every request
+// body, shared by all requests so setting it allocates nothing.
+var jsonContentType = []string{"application/json"}
 
-// readBody reads a whole response body, into one exact-size buffer when
-// the length is declared and small.
-func readBody(resp *http.Response) ([]byte, error) {
-	n := resp.ContentLength
-	if n < 0 || n > maxSizedBody {
-		return io.ReadAll(resp.Body)
+// apiPaths lists every path the client requests; New resolves each
+// against the base URL once.
+var apiPaths = [...]string{"/v1/plan", "/v1/batch", "/v1/simulate", "/v1/spmd", "/v1/kernels", "/v1/cluster", "/readyz"}
+
+// target is one API path resolved against the base URL.
+type target struct {
+	url  *url.URL
+	host string
+}
+
+// resolveTargets parses the base URL joined with every API path, as
+// http.NewRequest would per call. A base URL that does not parse yields
+// no targets, so every call reports the parse error.
+func resolveTargets(base string) map[string]target {
+	targets := make(map[string]target, len(apiPaths))
+	for _, p := range apiPaths {
+		r, err := http.NewRequest(http.MethodGet, base+p, nil)
+		if err != nil {
+			return nil
+		}
+		targets[p] = target{url: r.URL, host: r.Host}
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(resp.Body, buf); err != nil {
+	return targets
+}
+
+// newRequest builds a request for path under the base URL. A known path
+// reuses its parsed URL, which requests only read, so building one parses
+// nothing; any other path is parsed for the call.
+func (c *Client) newRequest(ctx context.Context, method, path string, body io.Reader) (*http.Request, error) {
+	t, ok := c.targets[path]
+	if !ok {
+		return http.NewRequestWithContext(ctx, method, c.base+path, body)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, "", body)
+	if err != nil {
 		return nil, err
 	}
-	return buf, nil
+	req.URL, req.Host = t.url, t.host
+	return req, nil
+}
+
+// maxSizedBody caps the buffer readBody sizes up front from a response's
+// Content-Length; longer bodies grow as their bytes actually arrive.
+const maxSizedBody = 1 << 20
+
+// bodyPool holds response body buffers. A buffer larger than
+// bodyPoolMax is dropped instead of pinned for later calls.
+var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
+
+const bodyPoolMax = 64 << 10
+
+// readBody reads a whole response body onto buf, sized once when the
+// length is declared and small.
+func readBody(resp *http.Response, buf []byte) ([]byte, error) {
+	if n := resp.ContentLength; n >= 0 && n <= maxSizedBody {
+		buf = slices.Grow(buf, int(n))[:n]
+		if _, err := io.ReadFull(resp.Body, buf); err != nil {
+			return nil, err
+		}
+		return buf, nil
+	}
+	b := bytes.NewBuffer(buf)
+	if _, err := b.ReadFrom(resp.Body); err != nil {
+		return nil, err
+	}
+	return b.Bytes(), nil
+}
+
+// release returns the result's body buffer to the pool; the body must
+// not be read afterwards. It is a no-op on a released or empty result.
+func (r *httpResult) release() {
+	if r.buf == nil {
+		return
+	}
+	if cap(*r.buf) <= bodyPoolMax {
+		bodyPool.Put(r.buf)
+	}
+	r.buf, r.body = nil, nil
 }
 
 // decodeBody decodes a 2xx response body into out. Plan responses go

@@ -15,6 +15,9 @@ import (
 type revalEntry struct {
 	key  string
 	etag string
+	// inm is etag as the If-None-Match header value a revalidation sends,
+	// built once per entry.
+	inm  []string
 	resp api.PlanResponse
 }
 
@@ -46,11 +49,11 @@ func (c *revalCache) put(key, etag string, resp api.PlanResponse) {
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
 		e := el.Value.(*revalEntry)
-		e.etag, e.resp = etag, resp
+		e.etag, e.inm, e.resp = etag, []string{etag}, resp
 		c.ll.MoveToFront(el)
 		return
 	}
-	c.items[key] = c.ll.PushFront(&revalEntry{key: key, etag: etag, resp: resp})
+	c.items[key] = c.ll.PushFront(&revalEntry{key: key, etag: etag, inm: []string{etag}, resp: resp})
 	for c.ll.Len() > c.cap {
 		oldest := c.ll.Back()
 		c.ll.Remove(oldest)

@@ -29,9 +29,10 @@ func CheckInvariants(p *Partitioning) error {
 	}
 
 	// Every projected point grouped exactly once. Each group's base is
-	// derived once, into base.
-	seen := make([]int32, np)
-	base := make(vec.Int, n)
+	// derived once, into base. Both are pooled scratch, cleared on take.
+	sc := getScratch()
+	defer putScratch(sc)
+	seen, base := sc.int32s(np), vec.Int(sc.vec(n))
 	for g := range groups {
 		s, e := p.start[g], p.start[g+1]
 		if e < s || int(e) > np {

@@ -503,13 +503,14 @@ func (g *grower) tryCreate(base []int64, comp int, coords []int64) bool {
 // (see grower) and copied at the end into exactly sized tables, so the
 // number of allocations does not grow with the number of groups or
 // probes unless more groups than the scratch's estimate sit on the
-// boundary. The tables keep each group's coordinates as int32s and each
-// component's seed, from which Base derives the group's base.
+// boundary. The scratch comes from scratchFree, so a planner that has
+// grown it once allocates none per plan. The tables keep each group's
+// coordinates as int32s and each component's seed, from which Base
+// derives the group's base; none of them references the scratch.
 func (p *Partitioning) growGroups(ctx context.Context, seedBase vec.Int, lo, hi []int64, step int64) error {
 	ps := p.PS
 	np, n, axes := ps.NumPoints(), len(ps.Pi), 1+len(p.Aux)
 	w := n + axes
-	scratch := make([]int64, 3*n+2*axes)
 	if err := p.checkReach(lo, hi); err != nil {
 		return err
 	}
@@ -518,17 +519,22 @@ func (p *Partitioning) growGroups(ctx context.Context, seedBase vec.Int, lo, hi 
 	for i := range p.GroupOf {
 		p.GroupOf[i] = -1
 	}
+	sc := getScratch()
+	defer putScratch(sc)
+	vecs := sc.vec(3*n + 2*axes)
 	// About |V^p|/r groups fill the interior; the slack covers partial
-	// groups on the boundary, and append grows the scratch past it.
+	// groups on the boundary, and append grows the records past it.
 	est := min(np, np/int(min(p.R, int64(np)))+16)
 	g := &grower{
 		ps: ps, r: p.R, dl: p.Grouping.Scaled, n: n, rw: w + 2, lo: lo, hi: hi,
-		dense: ps.Dense(), step: step, groupOf: p.GroupOf, members: p.members, rec: make([]int64, 0, est*(w+2)), cand: scratch[:n:n],
+		dense: ps.Dense(), step: step, groupOf: p.GroupOf, members: p.members, rec: sc.records(est * (w + 2)), cand: vecs[:n:n],
 	}
+	// Keep the records' append growth for the next run.
+	defer func() { sc.rec = g.rec[:0] }()
 	// base and coords hold the group being expanded, next and nextCoords
 	// the neighbour being probed.
-	base, next := vec.Int(scratch[n:2*n:2*n]), vec.Int(scratch[2*n:3*n:3*n])
-	coords, nextCoords := scratch[3*n:3*n+axes:3*n+axes], scratch[3*n+axes:]
+	base, next := vec.Int(vecs[n:2*n:2*n]), vec.Int(vecs[2*n:3*n:3*n])
+	coords, nextCoords := vecs[3*n:3*n+axes:3*n+axes], vecs[3*n+axes:]
 
 	// probe tries the neighbour of the expanded group at
 	// base + delta·stride·v, delta steps along coordinate axis.

@@ -98,15 +98,18 @@ func NewTIG(n int, loads []int64, edges []TIGEdge) *TIG {
 // counts each block's distinct targets, so the tables are laid out at
 // their exact length; the second fills the rows and the loads. Blocks are
 // visited in order, so each row is complete before the next starts: a
-// per-block stamp array finds an edge in O(1), and the finished row (at
-// most 2m − β entries by Theorem 2) is insertion-sorted in place.
+// per-block stamp array, pooled scratch, finds an edge in O(1), and the
+// finished row (at most 2m − β entries by Theorem 2) is insertion-sorted
+// in place.
 func BuildTIG(p *Partitioning) *TIG {
 	ps := p.PS
 	n := p.NumBlocks()
 	// The first walk sets stamp[v] = u+1 when row u first targets v and
 	// counts row u's targets in slot[u]; the second sets stamp[v] =
 	// −(u+1), and slot[v] is then the position of the row's edge to v.
-	marks := make([]int32, 2*n)
+	sc := getScratch()
+	defer putScratch(sc)
+	marks := sc.int32s(2 * n)
 	stamp, slot := marks[:n:n], marks[n:]
 	var arcs int64
 	edges := 0

@@ -70,6 +70,7 @@ func Generic(name string, nest *loop.Nest, deps []vec.Int, pi vec.Int, seed uint
 			}
 			return out
 		},
+		data: vectorBytes(mix, gain),
 	}
 	return &Kernel{Name: name, Nest: nest, Deps: deps, Pi: pi, Sem: sem}
 }

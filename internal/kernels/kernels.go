@@ -23,6 +23,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"unsafe"
 
 	"repro/internal/loop"
 	"repro/internal/vec"
@@ -37,6 +38,10 @@ type Semantics struct {
 	// Deps[i]) and produces one output per dependence (out[i] is sent to
 	// x + Deps[i]).
 	Compute func(x vec.Int, in []float64) []float64
+
+	// data is the heap the closures hold from construction: input
+	// vectors, and the wrappers of input matrices built on first read.
+	data int64
 }
 
 // Kernel is a loop nest with dependence structure and optional executable
@@ -51,6 +56,43 @@ type Kernel struct {
 	// Sem is the executable semantics; nil for structure-only kernels.
 	Sem *Semantics
 }
+
+// RetainedBytes estimates the heap a kernel pins: its struct, its nest,
+// its dependence and Π vectors, and its semantics with the input data
+// their closures hold. An input matrix built lazily is counted by its
+// wrapper until a simulation first reads it; the matrix it then builds is
+// not counted.
+func (k *Kernel) RetainedBytes() int64 {
+	b := int64(unsafe.Sizeof(*k)) + int64(len(k.Name)) + int64(cap(k.Pi))*8
+	b += int64(cap(k.Deps)) * int64(unsafe.Sizeof(vec.Int{}))
+	for _, d := range k.Deps {
+		b += int64(cap(d)) * 8
+	}
+	if k.Nest != nil {
+		b += k.Nest.RetainedBytes()
+	}
+	if k.Sem != nil {
+		b += int64(unsafe.Sizeof(*k.Sem)) + semClosureBytes + k.Sem.data
+	}
+	return b
+}
+
+// semClosureBytes is what a semantics' two closures pin beyond its data:
+// their function values and captured variables.
+const semClosureBytes = 64
+
+// vectorBytes is the heap input vectors pin.
+func vectorBytes(vs ...[]float64) int64 {
+	var b int64
+	for _, v := range vs {
+		b += int64(cap(v)) * 8
+	}
+	return b
+}
+
+// lazyMatrixBytes is what a lazyMatrix pins before its first read: the
+// once wrapper and the closures, not the matrix.
+const lazyMatrixBytes = 192
 
 // Structure builds the computational structure of the kernel.
 func (k *Kernel) Structure() (*loop.Structure, error) {
@@ -290,6 +332,7 @@ func MatMul(size int64) *Kernel {
 			c := in[0] + in[1]*in[2]
 			return []float64{c, in[1], in[2]}
 		},
+		data: 2 * lazyMatrixBytes,
 	}
 	k := &Kernel{Name: "matmul", Nest: n, Deps: deps, Pi: vec.NewInt(1, 1, 1), Sem: sem}
 	return k
@@ -346,6 +389,7 @@ func MatVec(m int64) *Kernel {
 			y := in[0] + a()[p[0]][p[1]]*in[1]
 			return []float64{y, in[1]}
 		},
+		data: lazyMatrixBytes + vectorBytes(x),
 	}
 	return &Kernel{Name: "matvec", Nest: n, Deps: deps, Pi: vec.NewInt(1, 1), Sem: sem}
 }
@@ -418,6 +462,7 @@ func Convolution(n, taps int64) *Kernel {
 			y := in[0] + in[1]*in[2]
 			return []float64{y, in[1], in[2]}
 		},
+		data: vectorBytes(w, x),
 	}
 	return &Kernel{Name: "convolution", Nest: nest, Deps: deps, Pi: vec.NewInt(1, 1), Sem: sem}
 }
@@ -489,6 +534,7 @@ func Stencil(steps, width int64) *Kernel {
 			u := (in[0] + 2*in[1] + in[2]) / 4
 			return []float64{u, u, u}
 		},
+		data: vectorBytes(u0),
 	}
 	return &Kernel{Name: "stencil", Nest: nest, Deps: deps, Pi: vec.NewInt(1, 0), Sem: sem}
 }
@@ -549,6 +595,7 @@ func Closure(size int64) *Kernel {
 			}
 			return []float64{c, in[1], in[2]}
 		},
+		data: lazyMatrixBytes,
 	}
 	return k
 }
@@ -582,6 +629,7 @@ func ClosureStep(adj [][]float64) *Kernel {
 			}
 			return []float64{c, in[1], in[2]}
 		},
+		data: vectorBytes(adj...) + int64(cap(adj))*24,
 	}
 	return k
 }
@@ -632,6 +680,7 @@ func DCT(m int64) *Kernel {
 			y := in[0] + c*in[1]
 			return []float64{y, in[1]}
 		},
+		data: vectorBytes(x),
 	}
 	return k
 }
@@ -690,6 +739,7 @@ func SOR2D(steps, width int64) *Kernel {
 			}
 			return out
 		},
+		data: lazyMatrixBytes,
 	}
 	return &Kernel{Name: "sor2d", Nest: nest, Deps: deps, Pi: vec.NewInt(1, 0, 0), Sem: sem}
 }

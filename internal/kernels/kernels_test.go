@@ -2,6 +2,7 @@ package kernels
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/hyperplane"
@@ -338,5 +339,32 @@ func TestLookupDoesNotBuildInputMatrices(t *testing.T) {
 	in := []float64{1, 2}
 	if got, want := k.Sem.Compute(vec.NewInt(1, 2), in)[0], 1+m[1][2]*2; got != want {
 		t.Fatalf("matvec Compute at (1,2) = %v, want %v from the seeded matrix", got, want)
+	}
+}
+
+// TestKernelRetainedBytesTracksHeap checks that RetainedBytes stays within
+// [0.85, 1.30] of the live heap a looked-up kernel pins, for every
+// built-in kernel at two sizes, so the plan cache's stage charge counts
+// the kernel it keeps.
+func TestKernelRetainedBytesTracksHeap(t *testing.T) {
+	for _, name := range Names() {
+		for _, size := range []int64{8, 20} {
+			keep := make([]*Kernel, 200)
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			for i := range keep {
+				keep[i], _ = Lookup(name, size)
+			}
+			runtime.GC()
+			runtime.ReadMemStats(&after)
+			live := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / float64(len(keep))
+			ratio := float64(keep[0].RetainedBytes()) / live
+			runtime.KeepAlive(keep)
+			if ratio < 0.85 || ratio > 1.30 {
+				t.Errorf("%s/%d: RetainedBytes %d is %.3f× the %.0f B a kernel pins, want within [0.85, 1.30]",
+					name, size, keep[0].RetainedBytes(), ratio, live)
+			}
+		}
 	}
 }

@@ -21,6 +21,7 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/ints"
 	"repro/internal/vec"
@@ -127,6 +128,31 @@ func NewRect(name string, lo, hi []int64) *Nest {
 		n.Upper = append(n.Upper, Const(hi[i]))
 	}
 	return n
+}
+
+// RetainedBytes returns the bytes the nest pins: its struct, its bounds'
+// tables and coefficients, and its statements with their accesses and
+// offsets. Names and variable strings are counted by length; the
+// literals built-in kernels use live in static data, which costs less.
+func (n *Nest) RetainedBytes() int64 {
+	b := int64(unsafe.Sizeof(*n)) + int64(len(n.Name))
+	for _, bounds := range [...][]Affine{n.Lower, n.Upper} {
+		b += int64(cap(bounds)) * int64(unsafe.Sizeof(Affine{}))
+		for _, a := range bounds {
+			b += int64(cap(a.Coeffs)) * 8
+		}
+	}
+	b += int64(cap(n.Stmts)) * int64(unsafe.Sizeof(Stmt{}))
+	for _, st := range n.Stmts {
+		b += int64(len(st.Label))
+		for _, accs := range [...][]Access{st.Writes, st.Reads} {
+			b += int64(cap(accs)) * int64(unsafe.Sizeof(Access{}))
+			for _, a := range accs {
+				b += int64(len(a.Var)) + int64(cap(a.Offset))*8
+			}
+		}
+	}
+	return b
 }
 
 // Validate checks structural well-formedness: positive depth, bounds of the

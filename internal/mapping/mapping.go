@@ -25,6 +25,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/hypercube"
 	"repro/internal/ints"
+	"repro/internal/pool"
 )
 
 // Item is one mappable task: a partitioned block with its lattice
@@ -85,6 +86,13 @@ type Result struct {
 
 // MapItems runs Algorithm 2 on the given items for a dim-dimensional cube.
 func MapItems(items []Item, dim int, opt Options) (*Result, error) {
+	b := getBisection()
+	defer putBisection(b)
+	return b.mapCube(items, dim, opt)
+}
+
+// mapCube runs Algorithm 2 on the items with b as Phase I's state.
+func (b *bisection) mapCube(items []Item, dim int, opt Options) (*Result, error) {
 	if len(items) == 0 {
 		return nil, errors.New("mapping: no items")
 	}
@@ -97,7 +105,7 @@ func MapItems(items []Item, dim int, opt Options) (*Result, error) {
 	if opt.Exclusive && int64(len(items)) > int64(1)<<dim {
 		return nil, fmt.Errorf("%w: exclusive placement of %d blocks needs more than the 2^%d available nodes", ErrCubeTooSmall, len(items), dim)
 	}
-	b, maxID, err := newBisection(items)
+	maxID, err := b.reset(items)
 	if err != nil {
 		return nil, err
 	}
@@ -142,33 +150,87 @@ func MapItems(items []Item, dim int, opt Options) (*Result, error) {
 // cluster sorted, so a split halves every cluster in one pass over it.
 // Items the order cannot tell apart share their ID and coordinates, so
 // which of them lands in which half never shows in a result.
+//
+// A bisection is working memory that no result keeps: mappers take one
+// from bisectionFree, reset it for their items, and give it back when
+// they return, so a planner reuses its tables across plans. Every table
+// a Result holds is allocated fresh.
 type bisection struct {
 	items []Item
 	// axes is the longest Coords length, at least 1.
 	axes int
-	// orders[a] lists item positions in axis a's order; nil until axis
+	// orders[a] lists item positions in axis a's order; empty until axis
 	// a is first split.
 	orders [][]int32
-	// cluster[i] is item i's cluster and size[c] cluster c's item count.
-	cluster []int
-	size    []int
+	// cluster[i] is item i's cluster and size[c] cluster c's item count;
+	// split builds the next sizes in spare and room, then swaps.
+	cluster     []int
+	size, spare []int
+	room        []int
 	// fields[s] is the address field split s halved along.
 	fields []int
+	// start and next are place's scratch.
+	start, next []int
+	// itemBuf holds the items MapPartitioning builds from a partitioning.
+	itemBuf []Item
 }
 
-// newBisection puts every item in cluster 0 and returns the largest item
-// ID. It fails on a negative ID.
-func newBisection(items []Item) (*bisection, int, error) {
+// bisectionFree holds bisections between mappings, one per mapping that
+// was in progress at once, up to bisectionsKept.
+var bisectionFree = pool.NewFree[bisection](bisectionsKept)
+
+const (
+	bisectionsKept = 8
+	// bisectionMaxItems bounds the tables a mapping gives back: a huge
+	// mapping's are dropped rather than pinned for later plans.
+	bisectionMaxItems = 1 << 16
+)
+
+func getBisection() *bisection { return bisectionFree.Get() }
+
+// putBisection gives b back. It drops b's references to the caller's
+// items, and the item buffer's to a partitioning's coordinates, so the
+// free list pins no plan.
+func putBisection(b *bisection) {
+	clear(b.itemBuf)
+	b.items = nil
+	if cap(b.cluster) > bisectionMaxItems || cap(b.itemBuf) > bisectionMaxItems {
+		return
+	}
+	bisectionFree.Put(b)
+}
+
+// reset puts every item in cluster 0 and returns the largest item ID. It
+// fails on a negative ID.
+func (b *bisection) reset(items []Item) (int, error) {
 	maxID, axes := 0, 1
 	for _, it := range items {
 		if it.ID < 0 {
-			return nil, 0, fmt.Errorf("mapping: negative item ID %d", it.ID)
+			return 0, fmt.Errorf("mapping: negative item ID %d", it.ID)
 		}
 		maxID = max(maxID, it.ID)
 		axes = max(axes, len(it.Coords))
 	}
-	b := &bisection{items: items, axes: axes, orders: make([][]int32, axes), cluster: make([]int, len(items)), size: []int{len(items)}}
-	return b, maxID, nil
+	b.items, b.axes = items, axes
+	b.orders = slices.Grow(b.orders[:0], axes)[:axes]
+	for a := range b.orders {
+		b.orders[a] = b.orders[a][:0]
+	}
+	zeroInts(&b.cluster, len(items))
+	b.size = append(b.size[:0], len(items))
+	b.fields = b.fields[:0]
+	return maxID, nil
+}
+
+// zeroInts resizes *buf to n zeroed entries, reusing its storage when it
+// is large enough, and returns it.
+func zeroInts(buf *[]int, n int) []int {
+	if cap(*buf) < n {
+		*buf = make([]int, n)
+	}
+	*buf = (*buf)[:n]
+	clear(*buf)
+	return *buf
 }
 
 // coord returns an item's coordinate along axis a. Items with no
@@ -210,10 +272,10 @@ func (b *bisection) compare(x, y *Item, axis int) int {
 // order returns the item positions in axis order, sorting them on first
 // use.
 func (b *bisection) order(axis int) []int32 {
-	if b.orders[axis] == nil {
-		ord := make([]int32, len(b.items))
-		for i := range ord {
-			ord[i] = int32(i)
+	if len(b.orders[axis]) == 0 {
+		ord := b.orders[axis][:0]
+		for i := range b.items {
+			ord = append(ord, int32(i))
 		}
 		slices.SortFunc(ord, func(i, j int32) int { return b.compare(&b.items[i], &b.items[j], axis) })
 		b.orders[axis] = ord
@@ -225,8 +287,8 @@ func (b *bisection) order(axis int) []int32 {
 // field the halves differ in: the first ⌈n/2⌉ of a cluster's n items in
 // axis order form its lower half.
 func (b *bisection) split(axis, field int) {
-	size := make([]int, 2*len(b.size))
-	room := make([]int, len(b.size))
+	size := zeroInts(&b.spare, 2*len(b.size))
+	room := zeroInts(&b.room, len(b.size))
 	for c, n := range b.size {
 		size[2*c], size[2*c+1] = (n+1)/2, n/2
 		room[c] = (n + 1) / 2
@@ -240,7 +302,7 @@ func (b *bisection) split(axis, field int) {
 			b.cluster[i] = 2*c + 1
 		}
 	}
-	b.size = size
+	b.size, b.spare = size, b.size
 	b.fields = append(b.fields, field)
 }
 
@@ -298,11 +360,12 @@ func (b *bisection) place(maxID, nodes int, node func(c int) int) (nodeOf []int,
 		nodeOf[i] = -1
 	}
 	// Bucket the IDs by cluster; each node's list is a window onto ids.
-	start := make([]int, len(b.size)+1)
+	start := zeroInts(&b.start, len(b.size)+1)
 	for c, n := range b.size {
 		start[c+1] = start[c] + n
 	}
-	next := slices.Clone(start[:len(b.size)])
+	next := zeroInts(&b.next, len(b.size))
+	copy(next, start)
 	ids := make([]int, len(b.items))
 	for i, c := range b.cluster {
 		ids[next[c]] = b.items[i].ID
@@ -326,16 +389,24 @@ func (b *bisection) place(maxID, nodes int, node func(c int) int) (nodeOf []int,
 // ItemsOf converts a partitioning's groups into mappable items. The
 // items share the partitioning's coordinate table.
 func ItemsOf(p *core.Partitioning) []Item {
-	items := make([]Item, p.NumBlocks())
-	for g := range items {
-		items[g] = Item{ID: g, Component: p.Component(g), Coords: p.Coords(g)}
-	}
-	return items
+	return appendItems(make([]Item, 0, p.NumBlocks()), p)
 }
 
-// MapPartitioning runs Algorithm 2 on a partitioning for a dim-cube.
+// appendItems appends a partitioning's groups to dst as mappable items.
+func appendItems(dst []Item, p *core.Partitioning) []Item {
+	for g := range p.NumBlocks() {
+		dst = append(dst, Item{ID: g, Component: p.Component(g), Coords: p.Coords(g)})
+	}
+	return dst
+}
+
+// MapPartitioning runs Algorithm 2 on a partitioning for a dim-cube. Its
+// items live in the bisection's buffer.
 func MapPartitioning(p *core.Partitioning, dim int, opt Options) (*Result, error) {
-	return MapItems(ItemsOf(p), dim, opt)
+	b := getBisection()
+	defer putBisection(b)
+	b.itemBuf = appendItems(b.itemBuf[:0], p)
+	return b.mapCube(b.itemBuf, dim, opt)
 }
 
 // Linear assigns blocks to nodes in contiguous ID chunks with plain binary

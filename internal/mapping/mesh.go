@@ -33,7 +33,9 @@ func MapItemsMesh(items []Item, rows, cols int, opt Options) (*MeshResult, error
 	if !ints.IsPow2(int64(rows)) || !ints.IsPow2(int64(cols)) {
 		return nil, fmt.Errorf("mapping: mesh dimensions %dx%d must be powers of two", rows, cols)
 	}
-	b, maxID, err := newBisection(items)
+	b := getBisection()
+	defer putBisection(b)
+	maxID, err := b.reset(items)
 	if err != nil {
 		return nil, err
 	}

@@ -1,0 +1,54 @@
+package pool
+
+import "sync"
+
+// Free is a bounded free list of reusable working memory, safe for
+// concurrent use: Get returns a held value, or a new zero one when none
+// is held, and Put keeps a value for a later Get. Unlike sync.Pool it
+// keeps what it holds through garbage collections and under the race
+// detector, so whether a Get reuses memory, and with it the caller's
+// allocation count, does not depend on the collector. It never holds more
+// values than were in use at once, nor more than its capacity.
+type Free[T any] struct {
+	mu       sync.Mutex
+	held     []*T
+	capacity int
+}
+
+// NewFree returns an empty free list that keeps at most capacity values.
+func NewFree[T any](capacity int) *Free[T] {
+	return &Free[T]{capacity: capacity}
+}
+
+// Get returns a held value, or a new zero value when none is held.
+func (f *Free[T]) Get() *T {
+	f.mu.Lock()
+	n := len(f.held)
+	if n == 0 {
+		f.mu.Unlock()
+		return new(T)
+	}
+	x := f.held[n-1]
+	f.held[n-1] = nil
+	f.held = f.held[:n-1]
+	f.mu.Unlock()
+	return x
+}
+
+// Put keeps x for a later Get, or drops it when the list is full. The
+// caller must not use x afterwards.
+func (f *Free[T]) Put(x *T) {
+	f.mu.Lock()
+	if len(f.held) < f.capacity {
+		f.held = append(f.held, x)
+	}
+	f.mu.Unlock()
+}
+
+// Clear drops every held value.
+func (f *Free[T]) Clear() {
+	f.mu.Lock()
+	clear(f.held)
+	f.held = f.held[:0]
+	f.mu.Unlock()
+}

@@ -1,7 +1,8 @@
 // Package pool provides the bounded fan-out primitive the sweep and
 // experiment drivers parallelize with: run n independent jobs on a worker
 // pool sized to the machine, with results written by job index so output
-// order is deterministic regardless of scheduling.
+// order is deterministic regardless of scheduling. It also holds Free, the
+// bounded free list the planner keeps its working memory in.
 package pool
 
 import (

@@ -282,16 +282,17 @@ func stageEntryBytes(key string, st *loopmap.Stage) int64 {
 
 // stageBytes estimates the resident size of a Π-stage from what it
 // holds: the projected points with their fibers, point index and line
-// graph, and the vertex set (one flat coordinate buffer plus a slice
-// header per vertex) only while the structure holds it. A cached stage is
-// compact, so V is charged once a simulation builds it (see
-// chargeVertices). A stage holds no other per-vertex table, and its
-// per-point tables are flat: the projected points one column of n
-// coordinates per point, fibers one (X0, T0, Len) triple per projection
-// line, and the line graph one int32 (target, arc count) pair per line
-// and dependence. The cache budget compares these sums against its byte
-// limit, so they should track the heap the cached stages and plans
-// actually pin.
+// graph, the kernel the stage was built from (its nest, vectors and
+// semantics' data, see Kernel.RetainedBytes), and the vertex set (one
+// flat coordinate buffer plus a slice header per vertex) only while the
+// structure holds it. A cached stage is compact, so V is charged once a
+// simulation builds it (see chargeVertices). A stage holds no other
+// per-vertex table, and its per-point tables are flat: the projected
+// points one column of n coordinates per point, fibers one (X0, T0, Len)
+// triple per projection line, and the line graph one int32 (target, arc
+// count) pair per line and dependence. The cache budget compares these
+// sums against its byte limit, so they should track the heap the cached
+// stages and plans actually pin.
 func stageBytes(st *loopmap.Stage) int64 {
 	const (
 		sliceHeader  = 24
@@ -310,6 +311,7 @@ func stageBytes(st *loopmap.Stage) int64 {
 	// per dependence one project.Dep (64 B), a lattice stride and an
 	// auxiliary set of about one more Dep.
 	b += int64(len(ps.Deps)) * 136
+	b += st.Kernel.RetainedBytes()
 	return b + 256 + 144 // fixed struct overhead, the inputs' included
 }
 

@@ -570,3 +570,66 @@ func BenchmarkBaseReuse(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkPlanMiss times a key's first use on a cached Π-stage, the
+// miss-cold request: /v1/plan through handlePlan with a recorder, over
+// every kernel and size of missGridKeys at merge factors 1–10. The
+// daemon holds each grid stage (under a merge-factor-11 recipe) and no
+// grid key, so every request runs Algorithm 1 onward, remaps, encodes
+// and caches a recipe and a frame. B/op and allocs/op are what such a
+// request costs the daemon, recorder included.
+func BenchmarkPlanMiss(b *testing.B) {
+	ctx := context.Background()
+	type stageKey struct {
+		warm string
+		skey string
+		st   *loopmap.Stage
+	}
+	var stages []stageKey
+	var bodies []string
+	for i, k := range missGridKeys() {
+		kern, err := loopmap.LookupKernel(k.kernel, k.size)
+		if err != nil {
+			b.Fatal(err)
+		}
+		st, err := prepareStage(ctx, kern, loopmap.PlanOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		warm := &api.PlanRequest{Kernel: k.kernel, Size: k.size, MergeFactor: 11}
+		stages = append(stages, stageKey{warm.Key(), string(warm.AppendStageKey(nil)), st})
+		for merge := 1; merge <= 10; merge++ {
+			bodies = append(bodies, fmt.Sprintf(`{"kernel":%q,"size":%d,"cube_dim":%d,"merge_factor":%d,"no_aux":%v}`,
+				k.kernel, k.size, 2+merge%3, merge, i%2 == 1))
+		}
+	}
+	// stagesOnly returns a daemon that holds every grid stage and no grid
+	// key.
+	stagesOnly := func() *Server {
+		s := New(Config{CacheBytes: 1 << 40})
+		for _, g := range stages {
+			s.cache.put(g.warm, g.skey, g.st, nil)
+		}
+		return s
+	}
+	b.ReportAllocs()
+	var s *Server
+	misses := 0
+	for i := range b.N {
+		if i%len(bodies) == 0 {
+			b.StopTimer()
+			s, misses = stagesOnly(), 0
+			b.StartTimer()
+		}
+		rec := httptest.NewRecorder()
+		s.handlePlan(rec, httptest.NewRequest(http.MethodPost, "/v1/plan", strings.NewReader(bodies[i%len(bodies)])))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("%s: %d %s", bodies[i%len(bodies)], rec.Code, rec.Body)
+		}
+		misses++
+	}
+	if m := s.Metrics(); m.PlanComputations != int64(misses) || m.StageReuses != int64(misses) {
+		b.Fatalf("%d computations, %d stage reuses for %d first uses; want every one on a cached stage",
+			m.PlanComputations, m.StageReuses, misses)
+	}
+}

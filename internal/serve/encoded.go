@@ -47,11 +47,17 @@ func putBuf(b *bytes.Buffer) {
 }
 
 // respFrame is one cached encoded response: the invariant JSON bytes
-// missing the final '}', and the strong ETag computed over them.
+// missing the final '}', and the strong ETag computed over them, also
+// kept as the one-value header slice writeFrame serves.
 type respFrame struct {
-	prefix []byte
-	etag   string
+	prefix  []byte
+	etag    string
+	etagHdr []string
 }
+
+// jsonContentType is the Content-Type header value of every frame, shared
+// by all responses so writing it allocates nothing.
+var jsonContentType = []string{"application/json"}
 
 // newRespFrame slices a fully-encoded invariant response (as produced by
 // a json.Encoder: a single object followed by '\n') into a frame.
@@ -61,10 +67,8 @@ func newRespFrame(encoded []byte) *respFrame {
 	copy(prefix, trimmed[:len(trimmed)-1]) // drop the closing '}'
 	h := fnv.New64a()
 	h.Write(prefix)
-	return &respFrame{
-		prefix: prefix,
-		etag:   fmt.Sprintf("\"p%016x\"", h.Sum64()),
-	}
+	etag := fmt.Sprintf("\"p%016x\"", h.Sum64())
+	return &respFrame{prefix: prefix, etag: etag, etagHdr: []string{etag}}
 }
 
 // etagMatch implements the If-None-Match comparison: a "*" or any listed
@@ -188,9 +192,13 @@ func (c *respCache) stats() (bytes int64, entries int) {
 // writeFrame serves one response from a frame: ETag always set, an
 // If-None-Match match answered with an empty 304, and the cache/cluster
 // metadata patched in as a suffix otherwise. encoded reports whether the
-// frame came out of the response cache (for the bytes accounting).
+// frame came out of the response cache (for the bytes accounting). The
+// ETag and Content-Type values are the frame's and the package's
+// prebuilt slices, assigned under their canonical keys, so the headers
+// cost no allocation.
 func (s *Server) writeFrame(w http.ResponseWriter, r *http.Request, f *respFrame, outcome api.CacheOutcome, key string, encoded bool) {
-	w.Header().Set("ETag", f.etag)
+	h := w.Header()
+	h["Etag"] = f.etagHdr
 	if inm := r.Header.Get("If-None-Match"); inm != "" && etagMatch(inm, f.etag) {
 		s.metrics.notModified.Add(1)
 		w.WriteHeader(http.StatusNotModified)
@@ -206,7 +214,7 @@ func (s *Server) writeFrame(w http.ResponseWriter, r *http.Request, f *respFrame
 		fmt.Fprintf(buf, `,"cluster":{"shard":%d,"owner":%d,"hops":%d,"epoch":%d}`, ci.Shard, ci.Owner, ci.Hops, ci.Epoch)
 	}
 	buf.WriteString("}\n")
-	w.Header().Set("Content-Type", "application/json")
+	h["Content-Type"] = jsonContentType
 	w.WriteHeader(http.StatusOK)
 	n, _ := w.Write(buf.Bytes())
 	if encoded {

@@ -110,6 +110,7 @@ type metrics struct {
 	singleflightShared atomic.Int64
 	planComputations   atomic.Int64
 	stageReuses        atomic.Int64
+	stageBuilds        atomic.Int64
 	planRebuilds       atomic.Int64
 	inflightPlans      atomic.Int64
 	cacheBytes         atomic.Int64
@@ -225,6 +226,7 @@ type Snapshot struct {
 	SingleflightShared int64
 	PlanComputations   int64
 	StageReuses        int64 // plan computations that ran on a cached Π-stage
+	StageBuilds        int64 // Π-stages built by computations and rebuilds
 	PlanRebuilds       int64 // plans rebuilt from recipes (a key's second use, a loaded key's first)
 	InflightPlans      int64
 	CacheBytes         int64
@@ -316,6 +318,7 @@ func (m *metrics) snapshot() Snapshot {
 		SingleflightShared:   m.singleflightShared.Load(),
 		PlanComputations:     m.planComputations.Load(),
 		StageReuses:          m.stageReuses.Load(),
+		StageBuilds:          m.stageBuilds.Load(),
 		PlanRebuilds:         m.planRebuilds.Load(),
 		InflightPlans:        m.inflightPlans.Load(),
 		CacheBytes:           m.cacheBytes.Load(),
@@ -397,6 +400,7 @@ func (s Snapshot) render(w io.Writer) {
 	counter("loopmapd_singleflight_shared_total", "Requests served by joining an in-flight computation.", s.SingleflightShared)
 	counter("loopmapd_plan_computations_total", "Plans computed for keys the daemon did not hold.", s.PlanComputations)
 	counter("loopmapd_stage_reuses_total", "Plan computations that reused a cached enumeration, schedule and projection.", s.StageReuses)
+	counter("loopmapd_stage_builds_total", "Enumerations, schedules and projections built for a plan computation or rebuild that found no cached stage.", s.StageBuilds)
 	counter("loopmapd_plan_rebuilds_total", "Plans rebuilt from a recipe on a key's second use, or on the first use of a key loaded from a durable record; counted as cache hits, not computations.", s.PlanRebuilds)
 	counter("loopmapd_panics_total", "Handler panics recovered by the middleware.", s.Panics)
 	counter("loopmapd_recovered_plans_total", "Keys recovered into the plan cache during warm restart.", s.RecoveredPlans)

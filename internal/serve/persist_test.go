@@ -375,8 +375,8 @@ func TestRecoverBuildsEachStageOnce(t *testing.T) {
 		}
 	}
 	live := s1.Metrics()
-	if live.StageReuses != 9 || live.PlanRebuilds != 10 {
-		t.Fatalf("live stage reuses %d, rebuilds %d; want 9, 10", live.StageReuses, live.PlanRebuilds)
+	if live.StageBuilds != 1 || live.StageReuses != 9 || live.PlanRebuilds != 10 {
+		t.Fatalf("live stage builds %d, reuses %d, rebuilds %d; want 1, 9, 10", live.StageBuilds, live.StageReuses, live.PlanRebuilds)
 	}
 	ts1.Close()
 	if err := s1.Close(); err != nil {
@@ -390,22 +390,16 @@ func TestRecoverBuildsEachStageOnce(t *testing.T) {
 	if n := cachedStages(s2.cache); n != 0 {
 		t.Fatalf("recovery built %d stages, want 0", n)
 	}
-	var projected *loopmap.Projected
 	for merge := int64(1); merge <= 10; merge++ {
-		p, outcome, err := s2.basePlan(context.Background(), &api.PlanRequest{Kernel: "stencil", Size: 20, MergeFactor: merge})
+		_, outcome, err := s2.basePlan(context.Background(), &api.PlanRequest{Kernel: "stencil", Size: 20, MergeFactor: merge})
 		if err != nil || outcome != api.CacheHit {
 			t.Fatalf("merge %d: outcome %q, err %v; want a hit", merge, outcome, err)
 		}
-		if projected == nil {
-			projected = p.Projected
-		}
-		if p.Projected != projected {
-			t.Fatalf("merge %d was planned on a second stage", merge)
-		}
 	}
 	got := s2.Metrics()
-	if n := cachedStages(s2.cache); n != 1 || got.PlanRebuilds != 10 || got.PlanComputations != 0 {
-		t.Fatalf("first uses: %d stages, %d rebuilds, %d computations; want 1, 10, 0", n, got.PlanRebuilds, got.PlanComputations)
+	if n := cachedStages(s2.cache); n != 1 || got.StageBuilds != 1 || got.PlanRebuilds != 10 || got.PlanComputations != 0 {
+		t.Fatalf("first uses: %d stages cached, %d built, %d rebuilds, %d computations; want 1, 1, 10, 0",
+			n, got.StageBuilds, got.PlanRebuilds, got.PlanComputations)
 	}
 	if got.CacheBytes != live.CacheBytes || got.CacheEntries != live.CacheEntries {
 		t.Fatalf("recovered cache: %d bytes in %d entries; live daemon: %d bytes in %d entries",

@@ -721,9 +721,9 @@ func (s *Server) computePlan(ctx context.Context, req *api.PlanRequest, skey str
 }
 
 // stageFor returns the request's Π-stage: the one cached under skey,
-// or a new one from prepareStage. It reports whether the stage was
-// cached. Two keys that race to build one stage each get a copy; the
-// cache keeps the first one stored.
+// or a new one from prepareStage, counted in StageBuilds. It reports
+// whether the stage was cached. Two keys that race to build one stage
+// each get a copy; the cache keeps the first one stored.
 func (s *Server) stageFor(ctx context.Context, req *api.PlanRequest, skey string, opt loopmap.PlanOptions) (*loopmap.Stage, bool, error) {
 	if st, ok := s.cache.stage(skey); ok {
 		return st, true, nil
@@ -732,6 +732,7 @@ func (s *Server) stageFor(ctx context.Context, req *api.PlanRequest, skey string
 	if err != nil {
 		return nil, false, err
 	}
+	s.metrics.stageBuilds.Add(1)
 	st, err := prepareStage(ctx, k, opt)
 	return st, false, err
 }
@@ -879,15 +880,10 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	body := bodyBuf.Bytes()
-	// The byte scanner handles what clients send; anything it declines
-	// goes through the strict encoding/json decoder, which alone decides
-	// rejections and their text.
-	var req api.PlanRequest
-	if !api.DecodePlanRequest(body, &req) {
-		if err := decodeJSONBytes(body, &req); err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
+	req, err := decodePlanRequest(body)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
 	}
 	// Fast path before validation: a frame cached under an identical
 	// canonical key can only have been produced by a request that already
@@ -1230,6 +1226,21 @@ func decodeJSON(r *http.Request, v any) error {
 		return fmt.Errorf("serve: bad request body: %w", err)
 	}
 	return decodeJSONBytes(b, v)
+}
+
+// decodePlanRequest decodes a /v1/plan body. The byte scanner handles
+// what clients send; anything it declines goes through the strict
+// encoding/json decoder, which alone decides rejections and their text.
+// The request is returned by value, so a caller that keeps it on the
+// stack allocates nothing for it when the scanner accepts.
+func decodePlanRequest(b []byte) (api.PlanRequest, error) {
+	var r api.PlanRequest
+	if api.DecodePlanRequest(b, &r) {
+		return r, nil
+	}
+	p := new(api.PlanRequest)
+	err := decodeJSONBytes(b, p)
+	return *p, err
 }
 
 // decodeJSONBytes strictly decodes one JSON object from a pre-read body
