@@ -263,6 +263,13 @@ func PartitionCtx(ctx context.Context, ps *project.Structure, opt Options) (*Par
 // PartitionCtx runs Algorithm 1 on the stage's structure, as the
 // package-level PartitionCtx does.
 func (s *Stage) PartitionCtx(ctx context.Context, opt Options) (*Partitioning, error) {
+	return s.PartitionInto(ctx, opt, nil)
+}
+
+// PartitionInto is PartitionCtx building the partitioning into t's
+// recycled memory (see Tables); a nil t builds a kept partitioning, as
+// PartitionCtx does.
+func (s *Stage) PartitionInto(ctx context.Context, opt Options, t *Tables) (*Partitioning, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -283,11 +290,12 @@ func (s *Stage) PartitionCtx(ctx context.Context, opt Options) (*Partitioning, e
 	if merge < 1 {
 		merge = 1
 	}
-	p := &Partitioning{PS: ps, R: 1, MergeFactor: merge, Beta: s.beta}
+	p := t.partitioning()
+	*p = Partitioning{PS: ps, R: 1, MergeFactor: merge, Beta: s.beta}
 	if len(s.nz) == 0 {
 		// Every dependence is parallel to Π: each projected point is its
 		// own group and no interblock dependences exist along D.
-		p.singletonGroups()
+		p.singletonGroups(t)
 		return p, nil
 	}
 
@@ -318,17 +326,18 @@ func (s *Stage) PartitionCtx(ctx context.Context, opt Options) (*Partitioning, e
 
 	// Steps 3–5: region growing. Step 6, pulling each group back to its
 	// block, is BlockOf.
-	if err := p.growGroups(ctx, opt.SeedBase, s.lo, s.hi, s.step[gi]); err != nil {
+	if err := p.growGroups(ctx, opt.SeedBase, s.lo, s.hi, s.step[gi], t); err != nil {
 		return nil, err
 	}
 	return p, nil
 }
 
 // singletonGroups makes every projected point its own group: group i
-// holds point i, is based at it, and has no lattice coordinates.
-func (p *Partitioning) singletonGroups() {
+// holds point i, is based at it, and has no lattice coordinates. Its
+// table comes from t.
+func (p *Partitioning) singletonGroups(t *Tables) {
 	np := p.PS.NumPoints()
-	tab := make([]int32, 4*np+1)
+	tab := t.int32s(4*np + 1)
 	p.GroupOf, p.members = tab[:np:np], tab[np:2*np:2*np]
 	p.start, p.comp = tab[2*np:3*np+1:3*np+1], tab[3*np+1:]
 	for i := range np {
@@ -500,21 +509,22 @@ func (g *grower) tryCreate(base []int64, comp int, coords []int64) bool {
 // Groups are created in BFS order and every created group is queued, so
 // the queue of a component is the run of groups created since its seed:
 // a pop is one step of an index. The groups are grown on flat scratch
-// (see grower) and copied at the end into exactly sized tables, so the
-// number of allocations does not grow with the number of groups or
-// probes unless more groups than the scratch's estimate sit on the
-// boundary. The scratch comes from scratchFree, so a planner that has
-// grown it once allocates none per plan. The tables keep each group's
-// coordinates as int32s and each component's seed, from which Base
-// derives the group's base; none of them references the scratch.
-func (p *Partitioning) growGroups(ctx context.Context, seedBase vec.Int, lo, hi []int64, step int64) error {
+// (see grower) and copied at the end into tables from t (exactly sized
+// ones when t is nil), so the number of allocations does not grow with
+// the number of groups or probes unless more groups than the scratch's
+// estimate sit on the boundary. The scratch comes from scratchFree, so
+// a planner that has grown it once allocates none per plan. The tables
+// keep each group's coordinates as int32s and each component's seed,
+// from which Base derives the group's base; none of them references the
+// scratch.
+func (p *Partitioning) growGroups(ctx context.Context, seedBase vec.Int, lo, hi []int64, step int64, t *Tables) error {
 	ps := p.PS
 	np, n, axes := ps.NumPoints(), len(ps.Pi), 1+len(p.Aux)
 	w := n + axes
 	if err := p.checkReach(lo, hi); err != nil {
 		return err
 	}
-	tab := make([]int32, 2*np)
+	tab := t.int32s(2 * np)
 	p.GroupOf, p.members = tab[:np:np], tab[np:]
 	for i := range p.GroupOf {
 		p.GroupOf[i] = -1
@@ -590,17 +600,17 @@ func (p *Partitioning) growGroups(ctx context.Context, seedBase vec.Int, lo, hi 
 		}
 	}
 
-	// Copy the records into exactly sized tables: the run ends into
+	// Copy the records into tables from t: the run ends into
 	// start, the components into comp, the coordinates into coords, and
 	// the base of each component's first group, which region growing
 	// created at coordinates zero, into seeds. Components are created in
 	// order, each one's groups in one run, so the last group's is the
 	// highest; a component whose seed created no group keeps zeros.
 	groups := g.groups()
-	idx := make([]int32, (2+axes)*groups+1)
+	idx := t.int32s((2+axes)*groups + 1)
 	p.start, p.comp = idx[:groups+1:groups+1], idx[groups+1:2*groups+1:2*groups+1]
 	p.coords, p.axes = idx[2*groups+1:], axes
-	p.seeds = make([]int64, (g.rec[(groups-1)*g.rw+w+1]+1)*int64(n))
+	p.seeds = t.int64s(int(g.rec[(groups-1)*g.rw+w+1]+1) * n)
 	for id := range groups {
 		r := g.rec[id*g.rw : (id+1)*g.rw]
 		c := r[w+1]

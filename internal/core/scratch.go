@@ -3,16 +3,19 @@ package core
 import "repro/internal/pool"
 
 // scratch is the working memory of one Algorithm 1 run, one invariant
-// check or one TIG build: the grower's group records and probe vectors,
-// and a table of int32 counters or stamps. Runs take it from scratchFree
-// and give it back when they return, so a planner reuses it across plans
+// check or one TIG build: the grower's group records and probe vectors
+// (a TIG build's loads), a table of int32 counters or stamps, and a TIG
+// build's edge targets and weights. Runs take it from scratchFree and
+// give it back when they return, so a planner reuses it across plans
 // instead of allocating it per plan. Results never reference it: every
-// table a Partitioning or TIG keeps is allocated at its exact size and
-// filled from the scratch.
+// table a Partitioning or TIG keeps is allocated at its exact size, or
+// carved from Tables, and filled from the scratch.
 type scratch struct {
-	rec  []int64
-	vecs []int64
-	i32  []int32
+	rec    []int64
+	vecs   []int64
+	i32    []int32
+	to     []int32
+	weight []int64
 }
 
 // scratchFree holds the scratch between runs, one per run that was in
@@ -29,7 +32,7 @@ const (
 func getScratch() *scratch { return scratchFree.Get() }
 
 func putScratch(s *scratch) {
-	if cap(s.rec)*8 > scratchMaxBytes || cap(s.i32)*4 > scratchMaxBytes {
+	if cap(s.rec)*8 > scratchMaxBytes || cap(s.i32)*4 > scratchMaxBytes || cap(s.weight)*8 > scratchMaxBytes {
 		return
 	}
 	scratchFree.Put(s)

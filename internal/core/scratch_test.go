@@ -11,6 +11,7 @@ import (
 	"repro/internal/kernels"
 	"repro/internal/loop"
 	"repro/internal/nestgen"
+	"repro/internal/pool"
 	"repro/internal/project"
 )
 
@@ -83,12 +84,30 @@ func runScratchCase(c scratchCase) (scratchRun, error) {
 	return scratchRun{p: p, err: CheckInvariants(p), tig: BuildTIG(p)}, nil
 }
 
+// runTablesCase builds case c's partitioning and TIG into tab, checks
+// them against the kept run want, and resets tab.
+func runTablesCase(c scratchCase, tab *Tables, want scratchRun) error {
+	defer tab.Reset()
+	p, err := c.stage.PartitionInto(context.Background(), c.opt, tab)
+	if err != nil {
+		return err
+	}
+	if r := (scratchRun{p: p, err: CheckInvariants(p), tig: BuildTIGInto(p, tab)}); !reflect.DeepEqual(r, want) {
+		return fmt.Errorf("%s: the build into Tables differs from the kept one (invariants: %v)", c.name, r.err)
+	}
+	return nil
+}
+
 // TestScratchReuse runs Algorithm 1, the invariant check and the TIG
 // build on four goroutines that share the scratch free list, each walking
 // the cases in its own order. Every run must equal the one built with the
 // list empty, and every result must still equal it once all runs are
-// done, so no returned table shares pooled memory.
+// done, so no returned table shares pooled memory. Each goroutine also
+// builds every case into its own Tables, poisoned on each Reset, and that
+// build must equal the kept one too.
 func TestScratchReuse(t *testing.T) {
+	pool.PoisonReleased.Store(true)
+	defer pool.PoisonReleased.Store(false)
 	cases := scratchCases(t)
 	want := make([]scratchRun, len(cases))
 	for i, c := range cases {
@@ -112,11 +131,15 @@ func TestScratchReuse(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var tab Tables
 			for j := range cases {
 				i := (j*7 + w*13) % len(cases)
 				r, err := runScratchCase(cases[i])
 				if err == nil && (r.err != nil || !reflect.DeepEqual(r, want[i])) {
 					err = fmt.Errorf("worker %d: %s differs from its build on an empty free list (invariants: %v)", w, cases[i].name, r.err)
+				}
+				if err == nil {
+					err = runTablesCase(cases[i], &tab, want[i])
 				}
 				if err != nil {
 					errs <- err

@@ -49,15 +49,17 @@ type TIG struct {
 	part *Partitioning
 }
 
-// newTIG lays out a TIG's tables for n blocks and e edges in two
-// allocations: the row offsets and targets share one int32 table, the
-// loads and weights one int64 table.
-func newTIG(n, e int) *TIG {
-	i32, i64 := make([]int32, n+1+e), make([]int64, n+e)
-	return &TIG{
+// newTIG lays out a TIG's tables for n blocks and e edges in two tables
+// from t: the row offsets and targets share an int32 table, the loads and
+// weights an int64 one.
+func newTIG(t *Tables, n, e int) *TIG {
+	i32, i64 := t.int32s(n+1+e), t.int64s(n+e)
+	g := t.graph()
+	*g = TIG{
 		N: n, Loads: i64[:n:n], weight: i64[n:],
 		rowStart: i32[: n+1 : n+1], Edges: i32[n+1:],
 	}
+	return g
 }
 
 // NewTIG builds a TIG directly from loads and edges — used for synthetic
@@ -76,7 +78,7 @@ func NewTIG(n int, loads []int64, edges []TIGEdge) *TIG {
 		}
 		merged = append(merged, e)
 	}
-	t := newTIG(n, len(merged))
+	t := newTIG(nil, n, len(merged))
 	copy(t.Loads, loads)
 	for i, e := range merged {
 		t.rowStart[e.From+1]++
@@ -93,79 +95,68 @@ func NewTIG(n int, loads []int64, edges []TIGEdge) *TIG {
 // dependence arc of the computational structure. The stage's line graph
 // (project.Structure.Arcs) already names each (projected point,
 // dependence) pair's target line and arc count, so the build walks the
-// table rows of each block's points, |V^p|·m entries in all. The pairs
-// that stay inside a block count toward EdgeStats' total. A first walk
-// counts each block's distinct targets, so the tables are laid out at
-// their exact length; the second fills the rows and the loads. Blocks are
-// visited in order, so each row is complete before the next starts: a
-// per-block stamp array, pooled scratch, finds an edge in O(1), and the
+// table rows of each block's points once, |V^p|·m entries in all. The
+// pairs that stay inside a block count toward EdgeStats' total. Blocks
+// are visited in order, so each row is complete before the next starts:
+// a per-block stamp array finds an edge of the row in O(1), and the
 // finished row (at most 2m − β entries by Theorem 2) is insertion-sorted
-// in place.
+// in place. The rows and loads are built in pooled scratch and copied
+// into the TIG's tables once the walk knows their length.
 func BuildTIG(p *Partitioning) *TIG {
+	return BuildTIGInto(p, nil)
+}
+
+// BuildTIGInto is BuildTIG building the TIG into t's recycled memory
+// (see Tables); a nil t builds a kept TIG, as BuildTIG does.
+func BuildTIGInto(p *Partitioning, t *Tables) *TIG {
 	ps := p.PS
 	n := p.NumBlocks()
-	// The first walk sets stamp[v] = u+1 when row u first targets v and
-	// counts row u's targets in slot[u]; the second sets stamp[v] =
-	// −(u+1), and slot[v] is then the position of the row's edge to v.
+	// stamp[v] = u+1 once row u has an edge to v, which sits at slot[v]
+	// of the edge buffers; rows[u+1] is where row u ends.
 	sc := getScratch()
 	defer putScratch(sc)
-	marks := sc.int32s(2 * n)
-	stamp, slot := marks[:n:n], marks[n:]
+	marks := sc.int32s(3*n + 1)
+	stamp, slot, rows := marks[:n:n], marks[n:2*n:2*n], marks[2*n:]
+	loads := sc.vec(n)
+	to, weight := sc.to[:0], sc.weight[:0]
 	var arcs int64
-	edges := 0
 	for u := range n {
-		targets := int32(0)
+		row := len(to)
 		for _, pt := range p.Members(u) {
+			loads[u] += int64(ps.Fibers[pt].Len)
 			for _, a := range ps.Line(int(pt)) {
 				if a.To < 0 {
 					continue
 				}
 				arcs += int64(a.Arcs)
-				if v := p.GroupOf[a.To]; int(v) != u && a.Arcs != 0 && stamp[v] != int32(u+1) {
-					stamp[v] = int32(u + 1)
-					targets++
-				}
-			}
-		}
-		slot[u] = targets
-		edges += int(targets)
-	}
-	t := newTIG(n, edges)
-	t.arcs, t.part = arcs, p
-	for u := range n {
-		t.rowStart[u+1] = t.rowStart[u] + slot[u]
-	}
-	next := int32(0)
-	for u := range n {
-		row := next
-		for _, pt := range p.Members(u) {
-			t.Loads[u] += int64(ps.Fibers[pt].Len)
-			for _, a := range ps.Line(int(pt)) {
-				if a.To < 0 || a.Arcs == 0 {
-					continue
-				}
 				v := p.GroupOf[a.To]
-				if int(v) == u {
+				if int(v) == u || a.Arcs == 0 {
 					continue
 				}
-				if stamp[v] != -int32(u+1) {
-					stamp[v] = -int32(u + 1)
-					slot[v] = next
-					t.Edges[next] = v
-					next++
+				if stamp[v] != int32(u+1) {
+					stamp[v], slot[v] = int32(u+1), int32(len(to))
+					to, weight = append(to, v), append(weight, 0)
 				}
-				t.weight[slot[v]] += int64(a.Arcs)
+				weight[slot[v]] += int64(a.Arcs)
 			}
 		}
-		t.sortRow(row, next)
+		sortRow(to[row:], weight[row:])
+		rows[u+1] = int32(len(to))
 	}
-	return t
+	// Keep the edge buffers' growth for the next build.
+	sc.to, sc.weight = to, weight
+	g := newTIG(t, n, len(to))
+	g.arcs, g.part = arcs, p
+	copy(g.rowStart, rows)
+	copy(g.Edges, to)
+	copy(g.weight, weight)
+	copy(g.Loads, loads)
+	return g
 }
 
-// sortRow insertion-sorts the edges [from, to) by target, moving each
-// weight along with its target.
-func (t *TIG) sortRow(from, to int32) {
-	tgt, w := t.Edges[from:to], t.weight[from:to]
+// sortRow insertion-sorts one row's edges by target, moving each weight
+// along with its target.
+func sortRow(tgt []int32, w []int64) {
 	for i := 1; i < len(tgt); i++ {
 		for j := i; j > 0 && tgt[j-1] > tgt[j]; j-- {
 			tgt[j-1], tgt[j] = tgt[j], tgt[j-1]

@@ -23,6 +23,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"unsafe"
 
 	"repro/internal/loop"
@@ -42,6 +43,9 @@ type Semantics struct {
 	// data is the heap the closures hold from construction: input
 	// vectors, and the wrappers of input matrices built on first read.
 	data int64
+	// lazy records the input matrices built on first read; nil when the
+	// closures read none.
+	lazy *lazyInputs
 }
 
 // Kernel is a loop nest with dependence structure and optional executable
@@ -60,8 +64,9 @@ type Kernel struct {
 // RetainedBytes estimates the heap a kernel pins: its struct, its nest,
 // its dependence and Π vectors, and its semantics with the input data
 // their closures hold. An input matrix built lazily is counted by its
-// wrapper until a simulation first reads it; the matrix it then builds is
-// not counted.
+// wrapper until something first reads it (Execute, Verify or a
+// sequential run; planning and simulation never do), and with the matrix
+// from then on.
 func (k *Kernel) RetainedBytes() int64 {
 	b := int64(unsafe.Sizeof(*k)) + int64(len(k.Name)) + int64(cap(k.Pi))*8
 	b += int64(cap(k.Deps)) * int64(unsafe.Sizeof(vec.Int{}))
@@ -73,6 +78,9 @@ func (k *Kernel) RetainedBytes() int64 {
 	}
 	if k.Sem != nil {
 		b += int64(unsafe.Sizeof(*k.Sem)) + semClosureBytes + k.Sem.data
+		if l := k.Sem.lazy; l != nil {
+			b += int64(unsafe.Sizeof(*l)) + l.built.Load()
+		}
 	}
 	return b
 }
@@ -90,8 +98,8 @@ func vectorBytes(vs ...[]float64) int64 {
 	return b
 }
 
-// lazyMatrixBytes is what a lazyMatrix pins before its first read: the
-// once wrapper and the closures, not the matrix.
+// lazyMatrixBytes is what a lazyInputs.matrix pins before its first
+// read: the once wrapper and the closures, not the matrix.
 const lazyMatrixBytes = 192
 
 // Structure builds the computational structure of the kernel.
@@ -230,14 +238,28 @@ func dataMatrix(seed uint64, rows, cols int) [][]float64 {
 	return m
 }
 
-// lazyMatrix returns a function that fills dataMatrix(seed, rows, cols)
-// on its first call and returns the same matrix on every later one. Only
-// a kernel's Sem closures read its input data, so looking a kernel up
-// and planning it never builds the matrix, and a cached plan does not pin
-// it.
-func lazyMatrix(seed uint64, rows, cols int) func() [][]float64 {
-	return sync.OnceValue(func() [][]float64 { return dataMatrix(seed, rows, cols) })
+// lazyInputs records the heap of a kernel's input matrices as their
+// first reads build them, for RetainedBytes.
+type lazyInputs struct{ built atomic.Int64 }
+
+// matrix returns a function that fills dataMatrix(seed, rows, cols) on
+// its first call, adds the matrix's heap to l, and returns the same
+// matrix on every later one. Only a kernel's Sem closures read its input
+// data, so looking a kernel up and planning it never builds the matrix,
+// and a cached plan does not pin it.
+func (l *lazyInputs) matrix(seed uint64, rows, cols int) func() [][]float64 {
+	return sync.OnceValue(func() [][]float64 {
+		m := dataMatrix(seed, rows, cols)
+		// The row headers and each row, rounded up to the allocator's
+		// 16-byte size classes.
+		l.built.Add(int64(rows) * (roundAlloc(24) + roundAlloc(int64(cols)*8)))
+		return m
+	})
 }
+
+// roundAlloc rounds a small allocation of n bytes up to a multiple of 16,
+// as the allocator's size classes do.
+func roundAlloc(n int64) int64 { return (n + 15) &^ 15 }
 
 func dataVector(seed uint64, n int) []float64 {
 	g := &prng{s: seed | 1}
@@ -310,8 +332,9 @@ func MatMul(size int64) *Kernel {
 			Ops:    2,
 		},
 	}
-	a := lazyMatrix(101, int(size), int(size))
-	b := lazyMatrix(202, int(size), int(size))
+	lazy := new(lazyInputs)
+	a := lazy.matrix(101, int(size), int(size))
+	b := lazy.matrix(202, int(size), int(size))
 	// Channel order matches sorted dependence order:
 	// dep0 = (0,0,1) carries C, dep1 = (0,1,0) carries A, dep2 = (1,0,0) carries B.
 	deps := []vec.Int{vec.NewInt(0, 0, 1), vec.NewInt(0, 1, 0), vec.NewInt(1, 0, 0)}
@@ -333,6 +356,7 @@ func MatMul(size int64) *Kernel {
 			return []float64{c, in[1], in[2]}
 		},
 		data: 2 * lazyMatrixBytes,
+		lazy: lazy,
 	}
 	k := &Kernel{Name: "matmul", Nest: n, Deps: deps, Pi: vec.NewInt(1, 1, 1), Sem: sem}
 	return k
@@ -374,7 +398,8 @@ func MatVec(m int64) *Kernel {
 			Ops:    2,
 		},
 	}
-	a := lazyMatrix(303, int(m)+1, int(m)+1)
+	lazy := new(lazyInputs)
+	a := lazy.matrix(303, int(m)+1, int(m)+1)
 	x := dataVector(404, int(m)+1)
 	// dep0 = (0,1) carries y; dep1 = (1,0) carries x.
 	deps := []vec.Int{vec.NewInt(0, 1), vec.NewInt(1, 0)}
@@ -390,6 +415,7 @@ func MatVec(m int64) *Kernel {
 			return []float64{y, in[1]}
 		},
 		data: lazyMatrixBytes + vectorBytes(x),
+		lazy: lazy,
 	}
 	return &Kernel{Name: "matvec", Nest: n, Deps: deps, Pi: vec.NewInt(1, 1), Sem: sem}
 }
@@ -569,7 +595,8 @@ func Closure(size int64) *Kernel {
 	k := MatMul(size)
 	k.Name = "closure"
 	k.Nest.Name = "closure"
-	adj := lazyMatrix(808, int(size), int(size))
+	lazy := new(lazyInputs)
+	adj := lazy.matrix(808, int(size), int(size))
 	bit := func(v float64) float64 {
 		if v > 0.3 {
 			return 1
@@ -596,6 +623,7 @@ func Closure(size int64) *Kernel {
 			return []float64{c, in[1], in[2]}
 		},
 		data: lazyMatrixBytes,
+		lazy: lazy,
 	}
 	return k
 }
@@ -708,7 +736,8 @@ func SOR2D(steps, width int64) *Kernel {
 		Reads:  reads,
 		Ops:    5,
 	}}
-	u0 := lazyMatrix(1111, int(width), int(width))
+	lazy := new(lazyInputs)
+	u0 := lazy.matrix(1111, int(width), int(width))
 	// Dependence channel order (lexicographic): (1,-1,0), (1,0,-1),
 	// (1,0,0), (1,0,1), (1,1,0); the value arriving along (1,a,b) comes
 	// from grid cell (i−a, j−b) of the previous timestep.
@@ -740,6 +769,7 @@ func SOR2D(steps, width int64) *Kernel {
 			return out
 		},
 		data: lazyMatrixBytes,
+		lazy: lazy,
 	}
 	return &Kernel{Name: "sor2d", Nest: nest, Deps: deps, Pi: vec.NewInt(1, 0, 0), Sem: sem}
 }

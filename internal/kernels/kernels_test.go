@@ -345,25 +345,40 @@ func TestLookupDoesNotBuildInputMatrices(t *testing.T) {
 // TestKernelRetainedBytesTracksHeap checks that RetainedBytes stays within
 // [0.85, 1.30] of the live heap a looked-up kernel pins, for every
 // built-in kernel at two sizes, so the plan cache's stage charge counts
-// the kernel it keeps.
+// the kernel it keeps. It checks kernels again after a sequential run,
+// which builds the input matrices matmul, matvec, closure and sor2d read
+// lazily.
 func TestKernelRetainedBytesTracksHeap(t *testing.T) {
 	for _, name := range Names() {
 		for _, size := range []int64{8, 20} {
-			keep := make([]*Kernel, 200)
-			var before, after runtime.MemStats
-			runtime.GC()
-			runtime.ReadMemStats(&before)
-			for i := range keep {
-				keep[i], _ = Lookup(name, size)
-			}
-			runtime.GC()
-			runtime.ReadMemStats(&after)
-			live := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / float64(len(keep))
-			ratio := float64(keep[0].RetainedBytes()) / live
-			runtime.KeepAlive(keep)
-			if ratio < 0.85 || ratio > 1.30 {
-				t.Errorf("%s/%d: RetainedBytes %d is %.3f× the %.0f B a kernel pins, want within [0.85, 1.30]",
-					name, size, keep[0].RetainedBytes(), ratio, live)
+			for _, run := range []bool{false, true} {
+				keep := make([]*Kernel, 200)
+				if run {
+					keep = keep[:20]
+				}
+				var before, after runtime.MemStats
+				runtime.GC()
+				runtime.ReadMemStats(&before)
+				for i := range keep {
+					keep[i], _ = Lookup(name, size)
+					if run {
+						if _, err := RunSequential(keep[i]); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				runtime.GC()
+				runtime.ReadMemStats(&after)
+				live := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / float64(len(keep))
+				ratio := float64(keep[0].RetainedBytes()) / live
+				runtime.KeepAlive(keep)
+				if ratio < 0.85 || ratio > 1.30 {
+					t.Errorf("%s/%d (after a run: %v): RetainedBytes %d is %.3f× the %.0f B a kernel pins, want within [0.85, 1.30]",
+						name, size, run, keep[0].RetainedBytes(), ratio, live)
+				}
+				if run {
+					t.Logf("%s/%d after a run: RetainedBytes %d, %.0f B live, ratio %.3f", name, size, keep[0].RetainedBytes(), live, ratio)
+				}
 			}
 		}
 	}

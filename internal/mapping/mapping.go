@@ -88,11 +88,12 @@ type Result struct {
 func MapItems(items []Item, dim int, opt Options) (*Result, error) {
 	b := getBisection()
 	defer putBisection(b)
-	return b.mapCube(items, dim, opt)
+	return b.mapCube(items, dim, opt, nil)
 }
 
-// mapCube runs Algorithm 2 on the items with b as Phase I's state.
-func (b *bisection) mapCube(items []Item, dim int, opt Options) (*Result, error) {
+// mapCube runs Algorithm 2 on the items with b as Phase I's state,
+// building the result into t (see Tables).
+func (b *bisection) mapCube(items []Item, dim int, opt Options, t *Tables) (*Result, error) {
 	if len(items) == 0 {
 		return nil, errors.New("mapping: no items")
 	}
@@ -111,7 +112,7 @@ func (b *bisection) mapCube(items []Item, dim int, opt Options) (*Result, error)
 	}
 	// Phase I: each step halves every cluster along one axis, which is
 	// also the address field the halves differ in.
-	bits := make([]int, b.axes)
+	bits := t.ints(b.axes)
 	for step := 0; step < dim; step++ {
 		axis := step % b.axes
 		if opt.Policy == WidestFirst {
@@ -123,15 +124,17 @@ func (b *bisection) mapCube(items []Item, dim int, opt Options) (*Result, error)
 
 	// Phase II: per-axis Gray fields concatenated into the node address,
 	// axis 0 in the most significant position.
-	shift := make([]int, b.axes)
+	// shift and idx are working tables, carved from t like the result's.
+	shift := t.ints(b.axes)
 	total := 0
 	for a := b.axes - 1; a >= 0; a-- {
 		shift[a] = total
 		total += bits[a]
 	}
-	res := &Result{Cube: hypercube.New(dim), BitsPerAxis: bits}
-	idx := make([]int, b.axes)
-	res.NodeOf, res.Clusters = b.place(maxID, res.Cube.N, func(c int) int {
+	res := t.result()
+	*res = Result{Cube: hypercube.New(dim), BitsPerAxis: bits}
+	idx := t.ints(b.axes)
+	res.NodeOf, res.Clusters = b.place(maxID, res.Cube.N, t, func(c int) int {
 		b.fieldIndices(c, idx)
 		node := 0
 		for a, x := range idx {
@@ -352,10 +355,10 @@ func (b *bisection) fieldIndices(c int, idx []int) {
 // place puts every cluster's items on node(c), visiting clusters in
 // number order. It returns the node of each item ID (-1 for an ID no item
 // has; an ID held by items in several clusters takes the last cluster's
-// node) and each node's IDs, sorted. Distinct clusters must map to
-// distinct nodes.
-func (b *bisection) place(maxID, nodes int, node func(c int) int) (nodeOf []int, clusters [][]int) {
-	nodeOf = make([]int, maxID+1)
+// node) and each node's IDs, sorted, in tables from t. Distinct clusters
+// must map to distinct nodes.
+func (b *bisection) place(maxID, nodes int, t *Tables, node func(c int) int) (nodeOf []int, clusters [][]int) {
+	nodeOf = t.ints(maxID + 1)
 	for i := range nodeOf {
 		nodeOf[i] = -1
 	}
@@ -366,12 +369,12 @@ func (b *bisection) place(maxID, nodes int, node func(c int) int) (nodeOf []int,
 	}
 	next := zeroInts(&b.next, len(b.size))
 	copy(next, start)
-	ids := make([]int, len(b.items))
+	ids := t.ints(len(b.items))
 	for i, c := range b.cluster {
 		ids[next[c]] = b.items[i].ID
 		next[c]++
 	}
-	clusters = make([][]int, nodes)
+	clusters = t.clusterTable(nodes)
 	for c := range b.size {
 		if start[c] == start[c+1] {
 			continue
@@ -403,10 +406,17 @@ func appendItems(dst []Item, p *core.Partitioning) []Item {
 // MapPartitioning runs Algorithm 2 on a partitioning for a dim-cube. Its
 // items live in the bisection's buffer.
 func MapPartitioning(p *core.Partitioning, dim int, opt Options) (*Result, error) {
+	return MapPartitioningInto(p, dim, opt, nil)
+}
+
+// MapPartitioningInto is MapPartitioning building the result into t's
+// recycled memory (see Tables); a nil t builds a kept result, as
+// MapPartitioning does.
+func MapPartitioningInto(p *core.Partitioning, dim int, opt Options, t *Tables) (*Result, error) {
 	b := getBisection()
 	defer putBisection(b)
 	b.itemBuf = appendItems(b.itemBuf[:0], p)
-	return b.mapCube(b.itemBuf, dim, opt)
+	return b.mapCube(b.itemBuf, dim, opt, t)
 }
 
 // Linear assigns blocks to nodes in contiguous ID chunks with plain binary

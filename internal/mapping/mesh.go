@@ -60,7 +60,7 @@ func MapItemsMesh(items []Item, rows, cols int, opt Options) (*MeshResult, error
 	m := mesh.New(rows, cols)
 	res := &MeshResult{Mesh: m}
 	idx := make([]int, 2)
-	res.NodeOf, res.Clusters = b.place(maxID, m.N(), func(c int) int {
+	res.NodeOf, res.Clusters = b.place(maxID, m.N(), nil, func(c int) int {
 		b.fieldIndices(c, idx)
 		return m.Node(idx[rowField], idx[colField])
 	})
@@ -76,7 +76,14 @@ func MapPartitioningMesh(p *core.Partitioning, rows, cols int, opt Options) (*Me
 // given its distance function.
 func EvaluateGeneral(t *core.TIG, nodeOf []int, numNodes int, dist func(a, b int) int) Stats {
 	var s Stats
-	loads := make([]int64, numNodes)
+	// The per-node loads of a small machine live on the stack.
+	var small [64]int64
+	loads := small[:0]
+	if numNodes <= len(small) {
+		loads = small[:numNodes]
+	} else {
+		loads = make([]int64, numNodes)
+	}
 	for b := 0; b < t.N; b++ {
 		loads[nodeOf[b]] += t.Loads[b]
 	}

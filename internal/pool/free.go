@@ -1,6 +1,9 @@
 package pool
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // Free is a bounded free list of reusable working memory, safe for
 // concurrent use: Get returns a held value, or a new zero one when none
@@ -51,4 +54,34 @@ func (f *Free[T]) Clear() {
 	clear(f.held)
 	f.held = f.held[:0]
 	f.mu.Unlock()
+}
+
+// PoisonReleased, when set, makes the holders of recycled result tables
+// overwrite them with Poison as they are handed back, so a reader that
+// outlives the release reads garbage instead of the next result's
+// tables. Tests set it; a release pays one atomic load while it is clear.
+var PoisonReleased atomic.Bool
+
+// Poison sets every entry of s to ^0x5a5a5a5a, a negative value that no
+// group, edge or node table holds.
+func Poison[T ~int32 | ~int64 | ~int](s []T) {
+	for i := range s {
+		s[i] = ^T(0x5a5a5a5a)
+	}
+}
+
+// Carve returns the n zeroed entries of *arena past its length and
+// extends the length over them, so one arena holds the tables of one
+// result and a truncated arena serves the next. An arena too short
+// starts over at twice the room carved so far; what was carved stays
+// where it is, and the next result fits.
+func Carve[T any](arena *[]T, n int) []T {
+	used := len(*arena)
+	if used+n > cap(*arena) {
+		*arena = make([]T, used, 2*(used+n))
+	}
+	s := (*arena)[used : used+n : used+n]
+	*arena = (*arena)[:used+n]
+	clear(s)
+	return s
 }

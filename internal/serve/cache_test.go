@@ -160,7 +160,7 @@ func TestOneTouchKeysHoldNoPlan(t *testing.T) {
 	const n = 12
 	for i := 0; i < n; i++ {
 		req := &api.PlanRequest{Kernel: []string{"l1", "matvec", "stencil"}[i%3], Size: 10, MergeFactor: int64(1 + i/3)}
-		if _, outcome, err := s.basePlan(ctx, req); err != nil || outcome != api.CacheMiss {
+		if _, outcome, _, err := s.basePlan(ctx, req, false); err != nil || outcome != api.CacheMiss {
 			t.Fatalf("%s: outcome %q, err %v; want a miss", req.Key(), outcome, err)
 		}
 	}
@@ -253,7 +253,7 @@ func TestFlightGroupDeduplicates(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			v, err, shared := g.do(context.Background(), "k", func() (any, error) {
+			v, err, shared, _ := g.do(context.Background(), "k", func() (any, error) {
 				calls.Add(1)
 				once.Do(func() { close(started) })
 				<-release
@@ -284,12 +284,12 @@ func TestFlightGroupDeduplicates(t *testing.T) {
 func TestFlightGroupPropagatesError(t *testing.T) {
 	var g flightGroup
 	boom := errors.New("boom")
-	_, err, _ := g.do(context.Background(), "k", func() (any, error) { return nil, boom })
+	_, err, _, _ := g.do(context.Background(), "k", func() (any, error) { return nil, boom })
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
 	}
 	// A failed flight is not cached: the next call runs again.
-	v, err, _ := g.do(context.Background(), "k", func() (any, error) { return 1, nil })
+	v, err, _, _ := g.do(context.Background(), "k", func() (any, error) { return 1, nil })
 	if err != nil || v.(int) != 1 {
 		t.Fatalf("retry after failure: v=%v err=%v", v, err)
 	}
@@ -320,7 +320,7 @@ func TestFlightGroupSurvivesPanickingLeader(t *testing.T) {
 	go func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 		defer cancel()
-		_, err, shared := g.do(ctx, "k", func() (any, error) { return nil, errors.New("follower ran fn") })
+		_, err, shared, _ := g.do(ctx, "k", func() (any, error) { return nil, errors.New("follower ran fn") })
 		follower <- result{err, shared}
 	}()
 	// Give the follower time to block on the leader (see
@@ -335,7 +335,7 @@ func TestFlightGroupSurvivesPanickingLeader(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 	defer cancel()
-	v, err, shared := g.do(ctx, "k", func() (any, error) { return 2, nil })
+	v, err, shared, _ := g.do(ctx, "k", func() (any, error) { return 2, nil })
 	if err != nil || shared || v.(int) != 2 {
 		t.Fatalf("call after the panic: v=%v err=%v shared=%v, want a fresh run", v, err, shared)
 	}
@@ -459,7 +459,7 @@ func TestCompactStageBytesTracksHeap(t *testing.T) {
 				for merge := int64(1); merge <= 10; merge++ {
 					req := &api.PlanRequest{Kernel: k.kernel, Size: k.size, MergeFactor: merge, NoAux: noAux}
 					for range c.uses {
-						if _, _, err := s.basePlan(ctx, req); err != nil {
+						if _, _, _, err := s.basePlan(ctx, req, false); err != nil {
 							t.Fatal(err)
 						}
 					}
@@ -540,7 +540,7 @@ func BenchmarkBaseReuse(b *testing.B) {
 		}
 		for range uses {
 			for _, g := range grid {
-				if _, _, err := s.basePlan(ctx, g.req); err != nil {
+				if _, _, _, err := s.basePlan(ctx, g.req, false); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -260,7 +260,7 @@ func TestSingleflightFollowerCancellation(t *testing.T) {
 	leaderDone := make(chan struct{})
 	go func() {
 		defer close(leaderDone)
-		v, err, shared := g.do(context.Background(), "k", func() (any, error) {
+		v, err, shared, _ := g.do(context.Background(), "k", func() (any, error) {
 			close(started)
 			<-release
 			return "result", nil
@@ -275,7 +275,7 @@ func TestSingleflightFollowerCancellation(t *testing.T) {
 	patientDone := make(chan struct{})
 	go func() {
 		defer close(patientDone)
-		v, err, shared := g.do(context.Background(), "k", func() (any, error) {
+		v, err, shared, _ := g.do(context.Background(), "k", func() (any, error) {
 			t.Error("patient follower ran fn — flight not shared")
 			return nil, nil
 		})
@@ -288,7 +288,7 @@ func TestSingleflightFollowerCancellation(t *testing.T) {
 	// on the leader.
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
-	_, err, shared := g.do(ctx, "k", func() (any, error) {
+	_, err, shared, _ := g.do(ctx, "k", func() (any, error) {
 		t.Error("impatient follower ran fn — flight not shared")
 		return nil, nil
 	})
@@ -307,7 +307,7 @@ func TestSingleflightFollowerCancellation(t *testing.T) {
 	// And the flight is fully cleaned up: a fresh caller recomputes.
 	var again sync.Once
 	ran := false
-	v, err, shared := g.do(context.Background(), "k", func() (any, error) {
+	v, err, shared, _ := g.do(context.Background(), "k", func() (any, error) {
 		again.Do(func() { ran = true })
 		return "fresh", nil
 	})

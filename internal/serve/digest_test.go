@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -15,7 +16,9 @@ import (
 	"strings"
 	"testing"
 
+	loopmap "repro"
 	"repro/api"
+	"repro/internal/pool"
 )
 
 var updateDigest = flag.Bool("update-digest", false, "rewrite testdata/plan_digest.txt from the current planner")
@@ -63,9 +66,12 @@ var cacheField = regexp.MustCompile(`,"cache":"[a-z]+"`)
 // request sample to a committed SHA-256 digest, so a planner change that
 // alters any answer — block counts, TIG traffic, the summary text — fails
 // here. Run with -update-digest to rewrite the digest after an intended
-// change.
+// change. Released transient plans are poisoned, and every body is also
+// checked against encoding/json of the response struct (buildPlanResponse)
+// on a kept plan from a second daemon.
 func TestPlanResponseDigest(t *testing.T) {
-	s := New(Config{})
+	poisonReleased(t)
+	s, oracle := New(Config{}), New(Config{})
 	h := s.Handler()
 	keys := digestKeys()
 	if len(keys) < 1000 {
@@ -84,7 +90,15 @@ func TestPlanResponseDigest(t *testing.T) {
 			t.Fatalf("%s: %d %s", body, rec.Code, rec.Body.Bytes())
 		}
 		fmt.Fprintf(sum, "%s\n", body)
-		sum.Write(cacheField.ReplaceAll(rec.Body.Bytes(), nil))
+		invariant := cacheField.ReplaceAll(rec.Body.Bytes(), nil)
+		sum.Write(invariant)
+		kept, _, err := oracle.mappedPlan(context.Background(), &req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := encodeByJSON(t, &req, kept); !bytes.Equal(invariant, want) {
+			t.Fatalf("%s: body without its cache field\n%s\nencoding/json gives\n%s", body, invariant, want)
+		}
 
 		// Both byte scanners against their encoding/json oracles: the
 		// strict request decoder and json.Unmarshal of the response.
@@ -126,4 +140,53 @@ func TestPlanResponseDigest(t *testing.T) {
 	if w := strings.TrimSpace(string(want)); got != w {
 		t.Fatalf("plan response digest = %s, want %s (run with -update-digest only if the change is intended)", got, w)
 	}
+}
+
+// buildPlanResponse is the plan response as a struct, every field that
+// is a pure function of (request, plan) filled and Cache and Cluster
+// left zero: encoding/json of it (without HTML escaping) is the byte
+// oracle of encodePlanFrame.
+func buildPlanResponse(req *api.PlanRequest, p *loopmap.Plan) *api.PlanResponse {
+	ms, _ := p.EvaluateMapping()
+	return &api.PlanResponse{
+		Kernel:       req.Kernel,
+		Size:         req.Size,
+		Pi:           p.Schedule.Pi,
+		Steps:        p.Schedule.Steps(),
+		Iterations:   p.Structure.Len(),
+		Blocks:       p.Partitioning.NumBlocks(),
+		MaxBlock:     int(p.TIG.MaxLoad()),
+		GroupSizeR:   p.Partitioning.R,
+		Beta:         p.Partitioning.Beta,
+		TIGEdges:     len(p.TIG.Edges),
+		TIGTraffic:   p.TIG.TotalTraffic(),
+		MaxOutDegree: p.TIG.MaxOutDegree(),
+		CubeDim:      req.CubeDimOrDefault(),
+		Procs:        p.Procs(),
+		Summary:      p.SummaryWith(ms),
+		HopWeight:    ms.HopWeight,
+		MaxDilation:  ms.MaxDilation,
+		MinLoad:      ms.MinLoad,
+		MaxLoad:      ms.MaxLoad,
+	}
+}
+
+// encodeByJSON is the oracle's encoding of a plan response: what
+// encoding/json writes for buildPlanResponse, newline included.
+func encodeByJSON(t *testing.T, req *api.PlanRequest, p *loopmap.Plan) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetEscapeHTML(false)
+	if err := enc.Encode(buildPlanResponse(req, p)); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// poisonReleased makes released transient plans' tables poisoned for the
+// rest of the test, so an answer read after its plan's release differs.
+func poisonReleased(t *testing.T) {
+	pool.PoisonReleased.Store(true)
+	t.Cleanup(func() { pool.PoisonReleased.Store(false) })
 }

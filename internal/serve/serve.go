@@ -169,14 +169,20 @@ var endpointNames = []string{
 
 // Server is the daemon's handler set and shared state.
 type Server struct {
-	cfg     Config
-	cache   *planCache
-	resp    *respCache // encoded /v1/plan responses
-	flight  flightGroup
-	gate    *pool.Gate
-	metrics *metrics
-	drain   chan struct{} // closed when draining
-	mux     *http.ServeMux
+	cfg    Config
+	cache  *planCache
+	resp   *respCache // encoded /v1/plan responses
+	flight flightGroup
+	// stageFlight deduplicates Π-stage builds by stage key (see
+	// stageFor), apart from flight's base keys.
+	stageFlight flightGroup
+	// beforeStageBuild, a test seam, runs in stageFlight's leader just
+	// before it builds the stage for the given key.
+	beforeStageBuild func(skey string)
+	gate             *pool.Gate
+	metrics          *metrics
+	drain            chan struct{} // closed when draining
+	mux              *http.ServeMux
 
 	// tier is the durable plan store, attached by Recover when
 	// DiskCacheDir is set (nil when persistence is disabled). It must be
@@ -563,13 +569,19 @@ func (s *Server) acquire(ctx context.Context) error {
 // followers see its cancellation error and may retry. This is the standard
 // singleflight trade; the alternative (detached computation) would let an
 // abandoned request burn a gate slot with nobody waiting.
-func (s *Server) basePlan(ctx context.Context, req *api.PlanRequest) (*loopmap.Plan, api.CacheOutcome, error) {
+//
+// With transient set, a miss builds the plan it does not cache in
+// recycled memory (Stage.PlanTransientCtx). alone reports that no other
+// request shares the returned plan: the caller ran the flight and no
+// follower joined it, so it may Release the plan once done with it
+// (a no-op on a kept plan).
+func (s *Server) basePlan(ctx context.Context, req *api.PlanRequest, transient bool) (p *loopmap.Plan, outcome api.CacheOutcome, alone bool, err error) {
 	key := req.Key()
 	if p, _, _ := s.cache.get(key); p != nil {
 		s.metrics.cacheHits.Add(1)
-		return p, api.CacheHit, nil
+		return p, api.CacheHit, false, nil
 	}
-	v, err, shared := s.flight.do(ctx, key, func() (any, error) {
+	v, err, shared, joined := s.flight.do(ctx, key, func() (any, error) {
 		// Double-check under the flight: a prior leader may have populated
 		// the cache between this request's lookup and its arrival here.
 		p, st, held := s.cache.get(key)
@@ -614,7 +626,7 @@ func (s *Server) basePlan(ctx context.Context, req *api.PlanRequest) (*loopmap.P
 		defer s.metrics.inflightPlans.Add(-1)
 
 		skey := string(req.AppendStageKey(make([]byte, 0, 64)))
-		p, st, err := s.computePlan(ctx, req, skey)
+		p, st, err := s.computePlan(ctx, req, skey, transient)
 		if err != nil {
 			return nil, err
 		}
@@ -632,6 +644,7 @@ func (s *Server) basePlan(ctx context.Context, req *api.PlanRequest) (*loopmap.P
 		// costs zero new WAL writes.
 		if !diskDurable {
 			if err := s.persistPlan(key, payload); err != nil {
+				p.Release()
 				return nil, err
 			}
 		}
@@ -642,10 +655,10 @@ func (s *Server) basePlan(ctx context.Context, req *api.PlanRequest) (*loopmap.P
 		return flightPlan{plan: p}, nil
 	})
 	if err != nil {
-		return nil, api.CacheMiss, err
+		return nil, api.CacheMiss, false, err
 	}
 	fp := v.(flightPlan)
-	outcome := api.CacheMiss
+	outcome = api.CacheMiss
 	switch {
 	case fp.rebuilt:
 		// The key was held: every request that shared the rebuild is
@@ -658,7 +671,7 @@ func (s *Server) basePlan(ctx context.Context, req *api.PlanRequest) (*loopmap.P
 		s.metrics.singleflightShared.Add(1)
 		outcome = api.CacheShared
 	}
-	return fp.plan, outcome, nil
+	return fp.plan, outcome, !shared && joined == 0, nil
 }
 
 // flightPlan is the result basePlan's flight shares: the base plan, and
@@ -699,11 +712,11 @@ func (s *Server) rebuildPlan(ctx context.Context, req *api.PlanRequest, key stri
 	return flightPlan{plan: p, rebuilt: true}, nil
 }
 
-// computePlan builds the request's base plan and returns it with the
-// Π-stage it was built on. A Π-stage cached under skey is reused, so
-// only Algorithm 1 onward runs; otherwise the whole pipeline runs and put
-// caches the new stage.
-func (s *Server) computePlan(ctx context.Context, req *api.PlanRequest, skey string) (*loopmap.Plan, *loopmap.Stage, error) {
+// computePlan builds the request's base plan, a transient one when
+// transient is set, and returns it with the Π-stage it was built on. A
+// Π-stage cached under skey is reused, so only Algorithm 1 onward runs;
+// otherwise the whole pipeline runs and put caches the new stage.
+func (s *Server) computePlan(ctx context.Context, req *api.PlanRequest, skey string, transient bool) (*loopmap.Plan, *loopmap.Stage, error) {
 	opt := planOptions(req)
 	st, reused, err := s.stageFor(ctx, req, skey, opt)
 	if err != nil {
@@ -713,7 +726,12 @@ func (s *Server) computePlan(ctx context.Context, req *api.PlanRequest, skey str
 	if reused {
 		s.metrics.stageReuses.Add(1)
 	}
-	p, err := st.PlanCtx(ctx, opt)
+	var p *loopmap.Plan
+	if transient {
+		p, err = st.PlanTransientCtx(ctx, opt)
+	} else {
+		p, err = st.PlanCtx(ctx, opt)
+	}
 	if err != nil {
 		return nil, nil, err
 	}
@@ -722,19 +740,38 @@ func (s *Server) computePlan(ctx context.Context, req *api.PlanRequest, skey str
 
 // stageFor returns the request's Π-stage: the one cached under skey,
 // or a new one from prepareStage, counted in StageBuilds. It reports
-// whether the stage was cached. Two keys that race to build one stage
-// each get a copy; the cache keeps the first one stored.
+// whether the stage was cached. Keys that need one uncached stage at once
+// share one build through a flight keyed by the stage key; every one of
+// them gets the same stage, so the cache stores each of their plans.
 func (s *Server) stageFor(ctx context.Context, req *api.PlanRequest, skey string, opt loopmap.PlanOptions) (*loopmap.Stage, bool, error) {
 	if st, ok := s.cache.stage(skey); ok {
 		return st, true, nil
 	}
-	k, err := loopmap.LookupKernel(req.Kernel, req.Size)
-	if err != nil {
-		return nil, false, err
+	for {
+		reused := false
+		v, err, shared, _ := s.stageFlight.do(ctx, skey, func() (any, error) {
+			if st, ok := s.cache.stage(skey); ok {
+				reused = true
+				return st, nil
+			}
+			k, err := loopmap.LookupKernel(req.Kernel, req.Size)
+			if err != nil {
+				return nil, err
+			}
+			if s.beforeStageBuild != nil {
+				s.beforeStageBuild(skey)
+			}
+			s.metrics.stageBuilds.Add(1)
+			return prepareStage(ctx, k, opt)
+		})
+		if shared && ctx.Err() == nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
+			continue // the leader's deadline, not this request's
+		}
+		if err != nil {
+			return nil, false, err
+		}
+		return v.(*loopmap.Stage), reused, nil
 	}
-	s.metrics.stageBuilds.Add(1)
-	st, err := prepareStage(ctx, k, opt)
-	return st, false, err
 }
 
 // prepareStage builds a Π-stage as the plan cache keeps it: enumeration,
@@ -749,9 +786,10 @@ func prepareStage(ctx context.Context, k *loopmap.Kernel, opt loopmap.PlanOption
 	return st.Compact(), nil
 }
 
-// mappedPlan remaps the base plan onto the request's cube dimension.
+// mappedPlan remaps the base plan onto the request's cube dimension. The
+// plan is kept: the caller may hold it as long as it likes.
 func (s *Server) mappedPlan(ctx context.Context, req *api.PlanRequest) (*loopmap.Plan, api.CacheOutcome, error) {
-	base, outcome, err := s.basePlan(ctx, req)
+	base, outcome, _, err := s.basePlan(ctx, req, false)
 	if err != nil {
 		return nil, outcome, err
 	}
@@ -764,53 +802,86 @@ func (s *Server) mappedPlan(ctx context.Context, req *api.PlanRequest) (*loopmap
 
 // --- /v1/plan ---
 
-// buildPlanResponse fills the invariant part of a plan response — every
-// field that is a pure function of (request, plan). Cache and Cluster
-// stay zero; writeFrame patches them per request.
-func buildPlanResponse(req *api.PlanRequest, p *loopmap.Plan) *api.PlanResponse {
+// encodePlanFrame is the single encoder for the plan response shape:
+// every field of the response that is a pure function of (request,
+// plan), appended straight into a pooled buffer and framed. Cache and
+// Cluster are left for writeFrame to patch in per request. The bytes are
+// the ones encoding/json writes (without HTML escaping) for the
+// api.PlanResponse these fields fill, which TestPlanResponseDigest checks
+// on every body. Every /v1/plan and batched plan item goes through here
+// exactly once per distinct (key, cube, exclusive) while the frame stays
+// cached.
+func encodePlanFrame(req *api.PlanRequest, p *loopmap.Plan) *respFrame {
+	buf, text := getBuf(), getBuf()
+	defer putBuf(buf)
+	defer putBuf(text)
+	buf.Grow(frameRoom)
+	text.Grow(frameRoom)
 	// Without a mapping phase ms is zero, as are the fields it fills.
 	ms, _ := p.EvaluateMapping()
-	return &api.PlanResponse{
-		Kernel:       req.Kernel,
-		Size:         req.Size,
-		Pi:           p.Schedule.Pi,
-		Steps:        p.Schedule.Steps(),
-		Iterations:   p.Structure.Len(),
-		Blocks:       p.Partitioning.NumBlocks(),
-		MaxBlock:     int(p.TIG.MaxLoad()),
-		GroupSizeR:   p.Partitioning.R,
-		Beta:         p.Partitioning.Beta,
-		TIGEdges:     len(p.TIG.Edges),
-		TIGTraffic:   p.TIG.TotalTraffic(),
-		MaxOutDegree: p.TIG.MaxOutDegree(),
-		CubeDim:      req.CubeDimOrDefault(),
-		Procs:        p.Procs(),
-		Summary:      p.SummaryWith(ms),
-		HopWeight:    ms.HopWeight,
-		MaxDilation:  ms.MaxDilation,
-		MinLoad:      ms.MinLoad,
-		MaxLoad:      ms.MaxLoad,
+	b := append(buf.AvailableBuffer(), `{"kernel":`...)
+	b = appendJSONString(b, req.Kernel)
+	b = appendField(b, `,"size":`, req.Size)
+	if pi := p.Schedule.Pi; pi == nil {
+		b = append(b, `,"pi":null`...)
+	} else {
+		b = append(b, `,"pi":[`...)
+		for i, x := range pi {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = strconv.AppendInt(b, x, 10)
+		}
+		b = append(b, ']')
 	}
+	b = appendField(b, `,"steps":`, p.Schedule.Steps())
+	b = appendField(b, `,"iterations":`, int64(p.Structure.Len()))
+	b = appendField(b, `,"blocks":`, int64(p.Partitioning.NumBlocks()))
+	b = appendField(b, `,"max_block":`, p.TIG.MaxLoad())
+	b = appendField(b, `,"group_size_r":`, p.Partitioning.R)
+	b = appendField(b, `,"beta":`, int64(p.Partitioning.Beta))
+	b = appendField(b, `,"tig_edges":`, int64(len(p.TIG.Edges)))
+	b = appendField(b, `,"tig_traffic":`, p.TIG.TotalTraffic())
+	b = appendField(b, `,"max_out_degree":`, int64(p.TIG.MaxOutDegree()))
+	b = appendField(b, `,"cube_dim":`, int64(req.CubeDimOrDefault()))
+	b = appendField(b, `,"procs":`, int64(p.Procs()))
+	// hop_weight through max_load are omitempty.
+	for _, f := range [...]struct {
+		name string
+		x    int64
+	}{
+		{`,"hop_weight":`, ms.HopWeight},
+		{`,"max_dilation":`, int64(ms.MaxDilation)},
+		{`,"min_load":`, ms.MinLoad},
+		{`,"max_load":`, ms.MaxLoad},
+	} {
+		if f.x != 0 {
+			b = appendField(b, f.name, f.x)
+		}
+	}
+	b = appendJSONString(append(b, `,"summary":`...), p.AppendSummary(text.AvailableBuffer(), ms))
+	return newFrame(b)
 }
 
-// encodePlanFrame is the single encoder for the plan response shape:
-// invariant response → JSON bytes → frame. Every /v1/plan and batched
-// plan item goes through here exactly once per distinct (key, cube,
-// exclusive) while the frame stays cached.
-func encodePlanFrame(req *api.PlanRequest, p *loopmap.Plan) (*respFrame, error) {
-	buf := getBuf()
-	defer putBuf(buf)
-	enc := json.NewEncoder(buf)
-	enc.SetEscapeHTML(false)
-	if err := enc.Encode(buildPlanResponse(req, p)); err != nil {
-		return nil, err
-	}
-	return newRespFrame(buf.Bytes()), nil
+// frameRoom is what encodePlanFrame reserves in each pooled buffer: room
+// for nearly every plan response and its summary text.
+const frameRoom = 2048
+
+// appendField appends a JSON member's separator and name, then x.
+func appendField(b []byte, name string, x int64) []byte {
+	return strconv.AppendInt(append(b, name...), x, 10)
 }
 
 // planFrame returns the encoded frame for a request: response-cache hit,
 // or plan pipeline + one encode on miss. The returned CacheOutcome is
 // what the patched-in "cache" field should report.
+//
+// A miss answers from a transient plan (Stage.PlanTransientCtx) and
+// releases it once the frame is encoded, when the request alone holds
+// it: it ran the plan's flight and no follower joined. The remap built
+// for the request's cube is always its own and always released. A plan
+// that followers share, a cached one, and every plan a simulation reads
+// is never released.
 func (s *Server) planFrame(ctx context.Context, req *api.PlanRequest) (*respFrame, api.CacheOutcome, bool, error) {
 	ekey := req.ResponseKey()
 	if f, ok := s.resp.get(ekey); ok {
@@ -824,14 +895,19 @@ func (s *Server) planFrame(ctx context.Context, req *api.PlanRequest) (*respFram
 	if f, ok := s.tierFrame(ekey); ok {
 		return f, api.CacheHit, true, nil
 	}
-	p, outcome, err := s.mappedPlan(ctx, req)
+	base, outcome, alone, err := s.basePlan(ctx, req, true)
 	if err != nil {
 		return nil, outcome, false, err
 	}
-	f, err := encodePlanFrame(req, p)
+	if alone {
+		defer base.Release()
+	}
+	p, err := base.RemapOpts(req.CubeDimOrDefault(), loopmap.MapOptions{Exclusive: req.Exclusive})
 	if err != nil {
 		return nil, outcome, false, err
 	}
+	f := encodePlanFrame(req, p)
+	p.Release()
 	s.resp.put(ekey, f)
 	s.demoteFrame(ekey, f)
 	s.replicateFrame(req, ekey, f)

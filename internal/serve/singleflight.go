@@ -19,6 +19,9 @@ type flightCall struct {
 	done chan struct{}
 	val  any
 	err  error
+	// joined counts the followers that waited on the call; g.mu guards
+	// it.
+	joined int
 }
 
 // errLeaderPanicked is what the followers of a leader whose fn panicked
@@ -27,7 +30,9 @@ var errLeaderPanicked = errors.New("serve: the shared computation panicked")
 
 // do invokes fn once per concurrent set of callers sharing key. The
 // returned bool reports whether this caller shared another caller's result
-// (true) or ran fn itself (false).
+// (true) or ran fn itself (false). A leader also learns how many
+// followers joined its call, so it knows whether it alone holds fn's
+// result (joined is 0 for a follower).
 //
 // A follower whose ctx expires while coalesced abandons the wait and gets
 // its own context error; the leader's computation is untouched — it
@@ -38,30 +43,34 @@ var errLeaderPanicked = errors.New("serve: the shared computation panicked")
 // released and its waiters woken with errLeaderPanicked, so the next
 // caller for the key runs fn afresh; the panic goes on up the leader's
 // stack.
-func (g *flightGroup) do(ctx context.Context, key string, fn func() (any, error)) (any, error, bool) {
+func (g *flightGroup) do(ctx context.Context, key string, fn func() (any, error)) (val any, err error, shared bool, joined int) {
 	g.mu.Lock()
 	if g.m == nil {
 		g.m = map[string]*flightCall{}
 	}
 	if c, ok := g.m[key]; ok {
+		c.joined++
 		g.mu.Unlock()
 		select {
 		case <-c.done:
-			return c.val, c.err, true
+			return c.val, c.err, true, 0
 		case <-ctx.Done():
-			return nil, ctx.Err(), true
+			return nil, ctx.Err(), true, 0
 		}
 	}
 	c := &flightCall{done: make(chan struct{}), err: errLeaderPanicked}
 	g.m[key] = c
 	g.mu.Unlock()
+	// Once the key is gone from m no follower can join, so the count
+	// read with it is final.
 	defer func() {
 		g.mu.Lock()
 		delete(g.m, key)
+		joined = c.joined
 		g.mu.Unlock()
 		close(c.done)
 	}()
 
 	c.val, c.err = fn()
-	return c.val, c.err, false
+	return c.val, c.err, false, 0
 }

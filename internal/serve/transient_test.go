@@ -1,0 +1,251 @@
+package serve
+
+import (
+	"context"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"runtime"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"repro/api"
+)
+
+// firstUseGrid is the miss-cold benchmark's grid of first uses, rebuilt
+// here: 2-D kernels at sizes 8–128 in steps of 3 and 3-D kernels at 4–28
+// in steps of 2, each kernel and size crossed with merge factors 1–10 and
+// aux on and off, on cube dimensions 2–4 in rotation. warm holds one
+// request per kernel and size at merge factor 11, which the grid never
+// uses, to cache the stage under.
+func firstUseGrid() (grid, warm []api.PlanRequest) {
+	n := 0
+	add := func(kernels []string, from, to, step int64) {
+		for _, k := range kernels {
+			for size := from; size <= to; size += step {
+				warm = append(warm, api.PlanRequest{Kernel: k, Size: size, MergeFactor: 11})
+				for merge := int64(1); merge <= 10; merge++ {
+					for _, noAux := range []bool{false, true} {
+						cube := 2 + n%3
+						grid = append(grid, api.PlanRequest{Kernel: k, Size: size, CubeDim: &cube, MergeFactor: merge, NoAux: noAux})
+						n++
+					}
+				}
+			}
+		}
+	}
+	add([]string{"convolution", "dct", "l1", "matvec", "stencil", "triangular"}, 8, 128, 3)
+	add([]string{"closure", "matmul", "sor2d"}, 4, 28, 2)
+	return grid, warm
+}
+
+// TestFirstUseAllocatesOnlyWhatItKeeps plans every first use of the
+// miss-cold grid on a daemon that already caches each grid stage, and
+// counts the bytes planFrame allocates per request: the plan, its remap,
+// the frame and the cache entries. A first use keeps only its recipe and
+// its frame (about 0.8 KB), so the count must stay at or below 2 KB; when
+// the partitioning, TIG, mapping and response struct were garbage it
+// read about 7.4 KB. The race detector drops pooled buffers at random, so
+// the count is taken only without it.
+func TestFirstUseAllocatesOnlyWhatItKeeps(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops make the count meaningless")
+	}
+	ctx := context.Background()
+	grid, warm := firstUseGrid()
+	s := New(Config{CacheBytes: 1 << 40})
+	for i := range warm {
+		if _, _, _, err := s.planFrame(ctx, &warm[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range grid {
+		if _, outcome, _, err := s.planFrame(ctx, &grid[i]); err != nil || outcome != api.CacheMiss {
+			t.Fatalf("%+v: outcome %q, err %v; want a miss", grid[i], outcome, err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if m := s.Metrics(); m.StageReuses != int64(len(grid)) {
+		t.Fatalf("%d of %d first uses reused a cached stage, want all", m.StageReuses, len(grid))
+	}
+	perMiss := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(grid))
+	t.Logf("%d first uses on cached stages: %.0f B allocated per request", len(grid), perMiss)
+	if perMiss > 2048 {
+		t.Fatalf("a first use allocates %.0f B, want at most 2048 (its frame and recipe)", perMiss)
+	}
+}
+
+// lifetimeOp is one request of the lifetime test.
+type lifetimeOp struct{ path, body string }
+
+// lifetimeRounds builds the lifetime test's workload: rounds of one
+// request per worker, run with the workers released together. It mixes
+// distinct first uses, herds (every worker asks for one new key at once,
+// so followers share a leader's plan), batches of first-use plan items,
+// and a simulation of a key whose first use three plan requests race.
+func lifetimeRounds(workers int) [][]lifetimeOp {
+	plan := func(kernel string, size int64, merge int64, noAux bool, cube int) string {
+		return fmt.Sprintf(`{"kernel":%q,"size":%d,"merge_factor":%d,"no_aux":%v,"cube_dim":%d}`, kernel, size, merge, noAux, cube)
+	}
+	var rounds [][]lifetimeOp
+	for r := range 24 {
+		ops := make([]lifetimeOp, workers)
+		for w := range ops {
+			i := r*workers + w
+			switch r % 4 {
+			case 0: // distinct first uses
+				ops[w] = lifetimeOp{"/v1/plan", plan([]string{"stencil", "l1", "matvec", "dct"}[w], 10+int64(i), 1+int64(i%5), i%2 == 0, i%5)}
+			case 1: // a herd on one new key, each worker on its own cube
+				ops[w] = lifetimeOp{"/v1/plan", plan("matmul", 12+int64(r), 2, false, w%3)}
+			case 2: // batches of first-use plan items, one shared with the next worker
+				items := make([]string, 3)
+				for j := range items {
+					items[j] = `{"plan":` + plan("triangular", 20+int64(r), 1+int64((w+j)%workers), j%2 == 0, j+1) + `}`
+				}
+				ops[w] = lifetimeOp{"/v1/batch", `{"items":[` + strings.Join(items, ",") + `]}`}
+			default: // a simulation racing the first plan requests of its key
+				if w == 0 {
+					ops[w] = lifetimeOp{"/v1/simulate", fmt.Sprintf(`{"kernel":"convolution","size":%d,"merge_factor":3,"cube_dim":2}`, 12+r)}
+				} else {
+					ops[w] = lifetimeOp{"/v1/plan", plan("convolution", 12+int64(r), 3, false, w)}
+				}
+			}
+		}
+		rounds = append(rounds, ops)
+	}
+	return rounds
+}
+
+// serveOp runs one request on h and returns its status and body with
+// every cache outcome removed, which depends on what the daemon holds,
+// not on the answer.
+func serveOp(h http.Handler, op lifetimeOp) (int, string) {
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, op.path, strings.NewReader(op.body)))
+	return rec.Code, string(cacheField.ReplaceAll(rec.Body.Bytes(), nil))
+}
+
+// TestTransientPlanLifetimes serves the lifetime workload on four
+// workers with released plans poisoned, and checks every answer against
+// a fresh daemon's answer to the same request, served alone. A first use
+// whose plan were released before its frame was encoded, or while a
+// follower (another /v1/plan, a batch item or a simulation) still read
+// it, would answer with poisoned tables or crash; under -race the release
+// also races the follower's reads.
+func TestTransientPlanLifetimes(t *testing.T) {
+	poisonReleased(t)
+	const workers = 4
+	rounds := lifetimeRounds(workers)
+	fresh := New(Config{}).Handler()
+	s := New(Config{MaxInflight: workers})
+	h := s.Handler()
+	got := make([][]string, len(rounds))
+	for r, ops := range rounds {
+		got[r] = make([]string, workers)
+		var start, wg sync.WaitGroup
+		start.Add(1)
+		for w, op := range ops {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				start.Wait()
+				code, body := serveOp(h, op)
+				got[r][w] = fmt.Sprintf("%d %s", code, body)
+			}()
+		}
+		start.Done()
+		wg.Wait()
+	}
+	for r, ops := range rounds {
+		for w, op := range ops {
+			code, body := serveOp(fresh, op)
+			if want := fmt.Sprintf("%d %s", code, body); got[r][w] != want || code != http.StatusOK {
+				t.Fatalf("round %d worker %d: %s %s answered\n%s\na fresh daemon answers\n%s", r, w, op.path, op.body, got[r][w], want)
+			}
+		}
+	}
+	m := s.Metrics()
+	t.Logf("%d computations, %d shared flights", m.PlanComputations, m.SingleflightShared)
+	if m.SingleflightShared == 0 {
+		t.Fatal("no request followed another's flight; the herds did not overlap")
+	}
+}
+
+// joiners returns how many followers wait on key's call in flight.
+func (g *flightGroup) joiners(key string) int {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if c := g.m[key]; c != nil {
+		return c.joined
+	}
+	return 0
+}
+
+// TestStageBuiltOncePerFlight restarts on ten stencil keys that share one
+// Π-stage, so each is a stage-less recipe, and fires their first uses at
+// once with a gate slot each. The first stage build is held until the
+// other nine first uses wait on it (or two seconds pass): they must
+// share that one build, and every rebuilt plan must be stored, since all
+// ten were built on the stage the cache keeps.
+func TestStageBuiltOncePerFlight(t *testing.T) {
+	dir := t.TempDir()
+	const keys = 10
+	s1, ts1, _ := newPersistentServer(t, dir, nil)
+	for merge := 1; merge <= keys; merge++ {
+		planBody(t, ts1.URL+"/v1/plan", fmt.Sprintf(`{"kernel": "stencil", "size": 20, "merge_factor": %d}`, merge))
+	}
+	ts1.Close()
+	if err := s1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2, _, rs := newPersistentServer(t, dir, func(c *Config) { c.MaxInflight = keys })
+	if rs.Recovered != keys {
+		t.Fatalf("recovered %d records, want %d", rs.Recovered, keys)
+	}
+	var once sync.Once
+	s2.beforeStageBuild = func(skey string) {
+		once.Do(func() {
+			for deadline := time.Now().Add(2 * time.Second); s2.stageFlight.joiners(skey) < keys-1 && time.Now().Before(deadline); {
+				time.Sleep(time.Millisecond)
+			}
+		})
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, keys)
+	for merge := int64(1); merge <= keys; merge++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			req := &api.PlanRequest{Kernel: "stencil", Size: 20, MergeFactor: merge}
+			if _, outcome, _, err := s2.basePlan(context.Background(), req, false); err != nil || outcome != api.CacheHit {
+				errs <- fmt.Errorf("merge %d: outcome %q, err %v; want a hit", merge, outcome, err)
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	m := s2.Metrics()
+	if stored := storedPlans(s2.cache); m.StageBuilds != 1 || m.PlanRebuilds != keys || stored != keys {
+		t.Fatalf("%d stage builds, %d rebuilds, %d plans stored; want 1, %d, %d", m.StageBuilds, m.PlanRebuilds, stored, keys, keys)
+	}
+}
+
+// storedPlans counts the cache entries that hold a plan.
+func storedPlans(c *planCache) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	n := 0
+	for _, el := range c.items {
+		if el.Value.(*cacheEntry).plan != nil {
+			n++
+		}
+	}
+	return n
+}

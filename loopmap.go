@@ -37,6 +37,7 @@ import (
 	"repro/internal/machine"
 	"repro/internal/mapping"
 	"repro/internal/parser"
+	"repro/internal/pool"
 	"repro/internal/project"
 	"repro/internal/sim"
 	"repro/internal/vec"
@@ -290,6 +291,71 @@ type Plan struct {
 	// inputs are Algorithm 1's per-stage inputs the plan was partitioned
 	// from, handed on by Stage.
 	inputs *core.Stage
+	// rec is the recycled memory a transient plan lives in, nil for a
+	// kept plan.
+	rec *recycled
+}
+
+// recycled is the memory of one transient plan: the Plan struct, its
+// partitioning and TIG, and its mapping. A nil *recycled builds a kept
+// plan, every struct and table allocated at its exact size.
+type recycled struct {
+	plan Plan
+	core core.Tables
+	maps mapping.Tables
+}
+
+// recycledFree holds transient plans' memory between plans, one per
+// transient plan that was live at once, up to recycledKept.
+var recycledFree = pool.NewFree[recycled](recycledKept)
+
+const recycledKept = 8
+
+func (r *recycled) newPlan() *Plan {
+	if r == nil {
+		return new(Plan)
+	}
+	return &r.plan
+}
+
+func (r *recycled) coreTables() *core.Tables {
+	if r == nil {
+		return nil
+	}
+	return &r.core
+}
+
+func (r *recycled) mapTables() *mapping.Tables {
+	if r == nil {
+		return nil
+	}
+	return &r.maps
+}
+
+// release hands r to the next transient plan; a nil r is a no-op.
+func (r *recycled) release() {
+	if r == nil {
+		return
+	}
+	r.core.Reset()
+	r.maps.Reset()
+	r.plan = Plan{}
+	recycledFree.Put(r)
+}
+
+// Release hands a transient plan's memory (see Stage.PlanTransientCtx)
+// to the next transient plan. Afterwards nothing may read the plan or
+// anything read from it — its partitioning, TIG, mapping and their
+// tables — on any goroutine, and a plan remapped from it must already be
+// released or dropped. It is a no-op on a kept plan, on a copy of a
+// transient Plan value and on nil.
+func (p *Plan) Release() {
+	if p == nil {
+		return
+	}
+	if r := p.rec; r != nil && &r.plan == p {
+		r.release()
+	}
 }
 
 // NewPlan runs schedule → projection → partitioning (→ mapping) on the
@@ -377,6 +443,28 @@ func PrepareCtx(ctx context.Context, k *Kernel, opt PlanOptions) (*Stage, error)
 // validated but otherwise ignored. The plan shares the stage's artifacts.
 // A nil ctx means context.Background().
 func (s *Stage) PlanCtx(ctx context.Context, opt PlanOptions) (*Plan, error) {
+	return s.plan(ctx, opt, nil)
+}
+
+// PlanTransientCtx is PlanCtx for a plan that is read once and dropped:
+// the Plan, its partitioning, TIG and mapping live in recycled memory,
+// which Release hands to the next transient plan instead of leaving it
+// to the garbage collector. Until then it is an ordinary read-only plan,
+// which any number of goroutines may read; one never released is
+// collected like a kept plan. Remapping it (Remap, RemapOpts) gives a
+// transient plan with recycled memory of its own.
+func (s *Stage) PlanTransientCtx(ctx context.Context, opt PlanOptions) (*Plan, error) {
+	r := recycledFree.Get()
+	p, err := s.plan(ctx, opt, r)
+	if err != nil {
+		r.release()
+		return nil, err
+	}
+	return p, nil
+}
+
+// plan runs PlanCtx, building the plan into r (see recycled).
+func (s *Stage) plan(ctx context.Context, opt PlanOptions, r *recycled) (*Plan, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -387,7 +475,7 @@ func (s *Stage) PlanCtx(ctx context.Context, opt PlanOptions) (*Plan, error) {
 	if in == nil {
 		in = core.NewStage(s.Projected)
 	}
-	part, err := in.PartitionCtx(ctx, opt.Partition)
+	part, err := in.PartitionInto(ctx, opt.Partition, r.coreTables())
 	if err != nil {
 		return nil, err
 	}
@@ -397,17 +485,19 @@ func (s *Stage) PlanCtx(ctx context.Context, opt PlanOptions) (*Plan, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	plan := &Plan{
+	plan := r.newPlan()
+	*plan = Plan{
 		Kernel:       s.Kernel,
 		Structure:    s.Structure,
 		Schedule:     s.Schedule,
 		Projected:    s.Projected,
 		Partitioning: part,
-		TIG:          core.BuildTIG(part),
+		TIG:          core.BuildTIGInto(part, r.coreTables()),
 		inputs:       in,
+		rec:          r,
 	}
 	if opt.CubeDim >= 0 {
-		m, err := mapping.MapPartitioning(part, opt.CubeDim, opt.Mapping)
+		m, err := mapping.MapPartitioningInto(part, opt.CubeDim, opt.Mapping, r.mapTables())
 		if err != nil {
 			return nil, err
 		}
@@ -449,18 +539,25 @@ func (p *Plan) Remap(cubeDim int) (*Plan, error) {
 
 // RemapOpts is Remap with explicit Algorithm 2 options (e.g. Exclusive
 // placement, which fails with ErrCubeTooSmall on an undersized cube).
+// The remap of a transient plan (see Stage.PlanTransientCtx) is
+// transient too, with recycled memory of its own.
 func (p *Plan) RemapOpts(cubeDim int, opt MapOptions) (*Plan, error) {
-	clone := *p
-	clone.Mapping = nil
-	clone.Degraded = nil
+	var r *recycled
+	if p.rec != nil {
+		r = recycledFree.Get()
+	}
+	clone := r.newPlan()
+	*clone = *p
+	clone.Mapping, clone.Degraded, clone.rec = nil, nil, r
 	if cubeDim >= 0 {
-		m, err := mapping.MapPartitioning(p.Partitioning, cubeDim, opt)
+		m, err := mapping.MapPartitioningInto(p.Partitioning, cubeDim, opt, r.mapTables())
 		if err != nil {
+			r.release()
 			return nil, err
 		}
 		clone.Mapping = m
 	}
-	return &clone, nil
+	return clone, nil
 }
 
 // RemapDegraded returns a plan that survives the given node failures:
@@ -490,7 +587,7 @@ func (p *Plan) RemapDegradedTopology(failedNodes []int, failedLinks [][2]int) (*
 		return nil, nil, err
 	}
 	clone := *p
-	clone.Degraded = d
+	clone.Degraded, clone.rec = d, nil
 	params := machine.Era1991()
 	base, err := p.Simulate(params, SimOptions{})
 	if err != nil {
@@ -598,7 +695,12 @@ func (p *Plan) Summary() string {
 // EvaluateMapping statistics; ms is unused when the plan has no mapping
 // phase.
 func (p *Plan) SummaryWith(ms mapping.Stats) string {
-	b := make([]byte, 0, 512)
+	return string(p.AppendSummary(make([]byte, 0, 512), ms))
+}
+
+// AppendSummary appends SummaryWith's text to b and returns the extended
+// buffer.
+func (p *Plan) AppendSummary(b []byte, ms mapping.Stats) []byte {
 	// put appends text and then x in decimal.
 	put := func(text string, x int64) { b = strconv.AppendInt(append(b, text...), x, 10) }
 	b = append(append(b, "kernel "...), p.Kernel.Name...)
@@ -628,7 +730,7 @@ func (p *Plan) SummaryWith(ms mapping.Stats) string {
 		put(", ", ms.MaxLoad)
 		b = append(b, "]\n"...)
 	}
-	return string(b)
+	return b
 }
 
 // EvaluateMapping computes mapping-quality statistics of the plan's TIG
