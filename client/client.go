@@ -30,12 +30,12 @@ import (
 	"slices"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/api"
 	"repro/internal/cluster"
+	"repro/internal/pool"
 )
 
 // PeerStatus re-exports the cluster package's per-peer health record,
@@ -570,7 +570,7 @@ func (c *Client) roundTrip(ctx context.Context, method, path string, body []byte
 		return httpResult{}, err
 	}
 	defer resp.Body.Close()
-	buf := bodyPool.Get().(*[]byte)
+	buf := bodyPool.Get()
 	data, err := readBody(resp, (*buf)[:0])
 	if err != nil {
 		bodyPool.Put(buf)
@@ -636,9 +636,9 @@ func (c *Client) newRequest(ctx context.Context, method, path string, body io.Re
 // Content-Length; longer bodies grow as their bytes actually arrive.
 const maxSizedBody = 1 << 20
 
-// bodyPool holds response body buffers. A buffer larger than
+// bodyPool holds up to 16 response body buffers. A buffer larger than
 // bodyPoolMax is dropped instead of pinned for later calls.
-var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
+var bodyPool = pool.NewFree[[]byte](16)
 
 const bodyPoolMax = 64 << 10
 

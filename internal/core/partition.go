@@ -25,7 +25,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"unsafe"
 
 	"repro/internal/ints"
 	"repro/internal/loop"
@@ -164,15 +163,6 @@ func (p *Partitioning) baseInto(dst vec.Int, g int) vec.Int {
 // phase's recursive bisection reads them; callers must not modify them.
 func (p *Partitioning) Coords(g int) []int32 {
 	return p.coords[g*p.axes : (g+1)*p.axes : (g+1)*p.axes]
-}
-
-// RetainedBytes returns the bytes the partitioning itself pins: its
-// struct and its tables, the structure and the shared grouping and
-// auxiliary vectors excluded.
-func (p *Partitioning) RetainedBytes() int64 {
-	return int64(unsafe.Sizeof(*p)) +
-		int64(len(p.GroupOf)+len(p.members)+len(p.start)+len(p.comp)+len(p.coords))*4 +
-		int64(len(p.seeds))*8
 }
 
 // Component returns the region-growing component of group g.

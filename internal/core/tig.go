@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"unsafe"
 )
 
 // TIGEdge is one directed communication requirement between two blocks,
@@ -174,13 +173,6 @@ func (t *TIG) Row(u int) (to []int32, weight []int64) {
 	}
 	s, e := t.rowStart[u], t.rowStart[u+1]
 	return t.Edges[s:e:e], t.weight[s:e:e]
-}
-
-// RetainedBytes returns the bytes the TIG itself pins: its struct and its
-// two tables, the partitioning it points to excluded.
-func (t *TIG) RetainedBytes() int64 {
-	return int64(unsafe.Sizeof(*t)) + int64(len(t.rowStart)+len(t.Edges))*4 +
-		int64(len(t.Loads)+len(t.weight))*8
 }
 
 // edge returns the position in the tables of the edge u → v, or -1.

@@ -124,8 +124,9 @@ func (b *bisection) mapCube(items []Item, dim int, opt Options, t *Tables) (*Res
 
 	// Phase II: per-axis Gray fields concatenated into the node address,
 	// axis 0 in the most significant position.
-	// shift and idx are working tables, carved from t like the result's.
-	shift := t.ints(b.axes)
+	b.shift = slices.Grow(b.shift[:0], b.axes)[:b.axes]
+	b.idx = slices.Grow(b.idx[:0], b.axes)[:b.axes]
+	shift, idx := b.shift, b.idx
 	total := 0
 	for a := b.axes - 1; a >= 0; a-- {
 		shift[a] = total
@@ -133,7 +134,6 @@ func (b *bisection) mapCube(items []Item, dim int, opt Options, t *Tables) (*Res
 	}
 	res := t.result()
 	*res = Result{Cube: hypercube.New(dim), BitsPerAxis: bits}
-	idx := t.ints(b.axes)
 	res.NodeOf, res.Clusters = b.place(maxID, res.Cube.N, t, func(c int) int {
 		b.fieldIndices(c, idx)
 		node := 0
@@ -174,6 +174,8 @@ type bisection struct {
 	fields []int
 	// start and next are place's scratch.
 	start, next []int
+	// shift and idx are Phase II's per-axis address tables.
+	shift, idx []int
 	// itemBuf holds the items MapPartitioning builds from a partitioning.
 	itemBuf []Item
 }

@@ -9,19 +9,14 @@ import (
 )
 
 // planCache is a content-addressed LRU over base keys (plans built with
-// CubeDim = -1). One cached partitioning serves every cube dimension
-// through Plan.Remap, so the mapping phase is never a cache dimension.
-//
-// A key is admitted on its second use. The first request that computes
-// a key leaves a recipe: the entry holds the key, its canonical payload
-// and a reference to its Π-stage, but not the plan. A later lookup that
-// finds the recipe rebuilds the plan from that stage (Algorithm 1 and the
-// TIG only) and stores it on the entry, and from then on every lookup is
-// a plain hit. Keys used once, the common case for a cold stream of
-// requests, so pin no partitioning and no TIG. A key loaded from a
+// CubeDim = -1). It holds recipes, never plans: an entry is the key, its
+// canonical payload and a reference to its Π-stage. Algorithm 1, the TIG
+// and Algorithm 2 are pure functions of the stage and the request's
+// options, so every use of a held key builds its plan from the entry's
+// stage (Algorithm 1 onward) and answers a hit. A key loaded from a
 // durable record (warm restart, replica ingest) is a stage-less recipe:
 // key and payload only. Its first use takes the stage from the stage
-// cache, or builds it, and attaches it with the plan.
+// cache, or builds it, and attaches it.
 //
 // Plans that differ only in Algorithm 1's options share one Π-stage
 // (enumeration, schedule, projection), kept once per stage key in stages;
@@ -30,8 +25,8 @@ import (
 // stage is charged to the budget once, when the first entry on it enters,
 // and released when the last such entry is evicted; it has no LRU
 // position of its own. Capacity is accounted in estimated bytes (see
-// entryBytes, stageBytes and partitionBytes), not entry counts, because
-// plan size varies by orders of magnitude across kernels and sizes.
+// entryBytes and stageBytes), not entry counts, because stage size varies
+// by orders of magnitude across kernels and sizes.
 type planCache struct {
 	mu       sync.Mutex
 	maxBytes int64
@@ -51,9 +46,7 @@ type cacheEntry struct {
 	// a pure function of it, so a loaded record is a recipe, not a
 	// deserialized plan). Nil when persistence is disabled.
 	payload []byte
-	// plan is the base plan, nil while the entry is a recipe.
-	plan  *loopmap.Plan
-	bytes int64
+	bytes   int64
 }
 
 // stageEntry is one cached Π-stage and the number of cached entries that
@@ -75,29 +68,27 @@ func newPlanCache(maxBytes int64) *planCache {
 }
 
 // get looks key up and promotes it to most recent. A held key returns
-// its plan, or a nil plan while the entry is a recipe, and the Π-stage
-// the plan is (or is to be) built on, nil for a stage-less recipe.
-func (c *planCache) get(key string) (p *loopmap.Plan, st *loopmap.Stage, ok bool) {
+// the Π-stage its plan is built on, nil for a stage-less recipe.
+func (c *planCache) get(key string) (st *loopmap.Stage, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.items[key]
 	if !ok {
-		return nil, nil, false
+		return nil, false
 	}
 	c.ll.MoveToFront(el)
-	e := el.Value.(*cacheEntry)
-	if e.stage != nil {
-		st = e.stage.stage
+	if se := el.Value.(*cacheEntry).stage; se != nil {
+		st = se.stage
 	}
-	return e.plan, st, true
+	return st, true
 }
 
 // stage returns the cached Π-stage for a stage key, if a cached entry
 // still references it.
-func (c *planCache) stage(stageKey string) (*loopmap.Stage, bool) {
+func (c *planCache) stage(stageKey []byte) (*loopmap.Stage, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	se, ok := c.stages[stageKey]
+	se, ok := c.stages[string(stageKey)]
 	if !ok {
 		return nil, false
 	}
@@ -111,7 +102,7 @@ func (c *planCache) stage(stageKey string) (*loopmap.Stage, bool) {
 // newest entry itself is never evicted, so a single oversized entry
 // still caches (and evicts everything else). It returns the number of
 // evictions and whether key is new; a held key is only promoted.
-func (c *planCache) put(key, stageKey string, st *loopmap.Stage, payload []byte) (evicted int, added bool) {
+func (c *planCache) put(key string, stageKey []byte, st *loopmap.Stage, payload []byte) (evicted int, added bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
@@ -128,28 +119,26 @@ func (c *planCache) put(key, stageKey string, st *loopmap.Stage, payload []byte)
 }
 
 // attachStage points e at the stage cached under stageKey, first caching
-// and charging st there when no stage is. c.mu must be held.
-func (c *planCache) attachStage(e *cacheEntry, stageKey string, st *loopmap.Stage) {
-	se := c.stages[stageKey]
+// and charging st there when no stage is. Only then is the key's string
+// made. c.mu must be held.
+func (c *planCache) attachStage(e *cacheEntry, stageKey []byte, st *loopmap.Stage) {
+	se := c.stages[string(stageKey)]
 	if se == nil {
-		se = &stageEntry{key: stageKey, stage: st, bytes: stageEntryBytes(stageKey, st)}
-		c.stages[stageKey] = se
+		k := string(stageKey)
+		se = &stageEntry{key: k, stage: st, bytes: stageEntryBytes(k, st)}
+		c.stages[k] = se
 		c.bytes += se.bytes
 	}
 	se.refs++
 	e.stage = se
 }
 
-// setPlan stores p, built on the stage st, on the recipe held under key
-// and charges it, then evicts least-recently-used entries until the
-// budget holds again (never the last one). A stage-less recipe first
-// attaches st under stageKey, as put does. A plan built on another copy
-// of the entry's stage (two keys raced to build it) is not stored: it
-// would pin a copy the cache does not charge, and the recipe rebuilds on
-// the cached copy next time. It returns the number of evictions; a key
-// evicted meanwhile, or one that already holds a plan, is left as it is.
-func (c *planCache) setPlan(key, stageKey string, st *loopmap.Stage, p *loopmap.Plan) int {
-	pb := partitionBytes(p)
+// attach points the stage-less recipe held under key at the Π-stage st
+// its use resolved, as put does, then evicts least-recently-used entries
+// until the budget holds again (never the last one). It returns the
+// number of evictions; a key evicted meanwhile, or one already on a
+// stage, is left as it is.
+func (c *planCache) attach(key string, stageKey []byte, st *loopmap.Stage) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.items[key]
@@ -157,17 +146,10 @@ func (c *planCache) setPlan(key, stageKey string, st *loopmap.Stage, p *loopmap.
 		return 0
 	}
 	e := el.Value.(*cacheEntry)
-	if e.plan != nil {
+	if e.stage != nil {
 		return 0
 	}
-	if e.stage == nil {
-		c.attachStage(e, stageKey, st)
-	}
-	if e.stage.stage == st {
-		e.plan = p
-		e.bytes += pb
-		c.bytes += pb
-	}
+	c.attachStage(e, stageKey, st)
 	return c.evictOverBudget()
 }
 
@@ -265,10 +247,10 @@ func allocBytes(n int) int64 {
 	return int64(n+15) &^ 15
 }
 
-// entryBytes estimates what every entry pins besides its plan and stage:
-// the key and payload bytes, the cacheEntry (64 B), its list.Element
-// (48 B) and its slot in the items map (about 40 B with the map's spare
-// capacity). For a recipe it is the entry's whole cost.
+// entryBytes estimates what an entry pins besides its stage: the key
+// and payload bytes, the cacheEntry (56 B, in a 64 B size class), its
+// list.Element (48 B) and its slot in the items map (about 40 B with the
+// map's spare capacity).
 func entryBytes(key string, payload []byte) int64 {
 	return allocBytes(len(key)) + allocBytes(len(payload)) + 64 + 48 + 40
 }
@@ -292,7 +274,7 @@ func stageEntryBytes(key string, st *loopmap.Stage) int64 {
 // triple per projection line, and the line graph one int32 (target, arc
 // count) pair per line and dependence. The cache budget compares these
 // sums against its byte limit, so they should track the heap the cached
-// stages and plans actually pin.
+// stages actually pin.
 func stageBytes(st *loopmap.Stage) int64 {
 	const (
 		sliceHeader  = 24
@@ -313,13 +295,4 @@ func stageBytes(st *loopmap.Stage) int64 {
 	b += int64(len(ps.Deps)) * 136
 	b += st.Kernel.RetainedBytes()
 	return b + 256 + 144 // fixed struct overhead, the inputs' included
-}
-
-// partitionBytes estimates what a plan holds beyond its stage: the
-// partitioning's flat tables and the TIG, each of which knows its own
-// layout. Blocks are derived from the groups.
-func partitionBytes(p *loopmap.Plan) int64 {
-	// Fixed: the Plan struct (112 B). The grouping and auxiliary vectors
-	// are the stage's (see stageBytes).
-	return p.Partitioning.RetainedBytes() + p.TIG.RetainedBytes() + 112
 }

@@ -17,58 +17,28 @@ import (
 	"repro/api"
 )
 
-func testPlan(t *testing.T, size int64) *loopmap.Plan {
-	t.Helper()
-	k, err := loopmap.LookupKernel("l1", size)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := loopmap.NewPlan(k, loopmap.PlanOptions{CubeDim: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return p
-}
-
-// planBytes is what the cache charges for a plan cached under key that
-// holds its stage alone: the entry, the stage under its stage key, and
-// the partitioning and TIG.
-func planBytes(key, stageKey string, p *loopmap.Plan) int64 {
-	return entryBytes(key, nil) + stageEntryBytes(stageKey, p.Stage()) + partitionBytes(p)
-}
-
-// putPlan caches p under key as the daemon does on the key's second use:
-// a recipe on p's stage (the copy cached under stageKey, if any), then
-// the plan stored on it. It returns the evictions.
-func putPlan(c *planCache, key, stageKey string, p *loopmap.Plan) int {
-	st, ok := c.stage(stageKey)
-	if !ok {
-		st = p.Stage()
-	}
-	ev, _ := c.put(key, stageKey, st, nil)
-	return ev + c.setPlan(key, stageKey, st, p)
-}
-
-// testStagePlans builds one Π-stage of l1 at the given size and a plan on
-// it per merge factor.
-func testStagePlans(t *testing.T, size int64, merges ...int64) (*loopmap.Stage, []*loopmap.Plan) {
+// testStage builds the Π-stage of l1 at the given size.
+func testStage(t *testing.T, size int64) *loopmap.Stage {
 	t.Helper()
 	st, err := loopmap.PrepareCtx(context.Background(), loopmap.NewKernel("l1", size), loopmap.PlanOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var plans []*loopmap.Plan
-	for _, m := range merges {
-		p, err := st.PlanCtx(context.Background(), loopmap.PlanOptions{
-			CubeDim:   -1,
-			Partition: loopmap.PartitionOptions{MergeFactor: m},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		plans = append(plans, p)
-	}
-	return st, plans
+	return st
+}
+
+// recipeBytes is what the cache charges for a recipe cached under key
+// that holds its stage alone: the entry and the stage under its stage
+// key.
+func recipeBytes(key, stageKey string, st *loopmap.Stage) int64 {
+	return entryBytes(key, nil) + stageEntryBytes(stageKey, st)
+}
+
+// putRecipe caches a recipe for key on st under stageKey, as a key's
+// first use does, and returns the evictions.
+func putRecipe(c *planCache, key, stageKey string, st *loopmap.Stage) int {
+	ev, _ := c.put(key, []byte(stageKey), st, nil)
+	return ev
 }
 
 // evictAll empties the cache through its own eviction path.
@@ -80,37 +50,38 @@ func evictAll(c *planCache) {
 	}
 }
 
-// TestPlanCacheChargesStageOnce: plans built on one stage charge it once,
+// TestPlanCacheChargesStageOnce: recipes on one stage charge it once,
 // it stays while any of them is cached, and is released with the last.
 func TestPlanCacheChargesStageOnce(t *testing.T) {
-	st, plans := testStagePlans(t, 12, 1, 2, 3)
+	st := testStage(t, 12)
 	c := newPlanCache(1 << 30)
 	want := stageEntryBytes("stage", st)
 	key := func(i int) string { return fmt.Sprintf("merge=%d", i+1) }
-	for i, p := range plans {
-		putPlan(c, key(i), "stage", p)
-		want += entryBytes(key(i), nil) + partitionBytes(p)
+	for i := range 3 {
+		putRecipe(c, key(i), "stage", st)
+		want += entryBytes(key(i), nil)
 		if b, _ := c.stats(); b != want {
-			t.Fatalf("after %d plans: bytes = %d, want %d (stage charged once)", i+1, b, want)
+			t.Fatalf("after %d recipes: bytes = %d, want %d (stage charged once)", i+1, b, want)
 		}
 	}
-	if got, ok := c.stage("stage"); !ok || got.Projected != st.Projected {
-		t.Fatal("the cached stage is not the one the plans were built on")
+	if got, ok := c.stage([]byte("stage")); !ok || got != st {
+		t.Fatal("the cached stage is not the one the recipes were put on")
 	}
 	if n := c.stages["stage"].refs; n != 3 {
 		t.Fatalf("stage refs = %d, want 3", n)
 	}
 
-	// Evicting the two oldest plans keeps the stage; the last releases it.
+	// Evicting the two oldest recipes keeps the stage; the last releases
+	// it.
 	c.mu.Lock()
 	c.evictOldest()
 	c.evictOldest()
 	c.mu.Unlock()
-	if b, _ := c.stats(); b != planBytes(key(2), "stage", plans[2]) {
-		t.Fatalf("one plan left: bytes = %d, want %d", b, planBytes(key(2), "stage", plans[2]))
+	if b, _ := c.stats(); b != recipeBytes(key(2), "stage", st) {
+		t.Fatalf("one recipe left: bytes = %d, want %d", b, recipeBytes(key(2), "stage", st))
 	}
-	if _, ok := c.stage("stage"); !ok {
-		t.Fatal("stage released while a plan still references it")
+	if _, ok := c.stage([]byte("stage")); !ok {
+		t.Fatal("stage released while a recipe still references it")
 	}
 	evictAll(c)
 	if b, n := c.stats(); b != 0 || n != 0 || len(c.stages) != 0 {
@@ -119,15 +90,14 @@ func TestPlanCacheChargesStageOnce(t *testing.T) {
 }
 
 // TestPlanCacheRacingDuplicateStage: a key computed on a second copy of a
-// cached stage (two leaders raced to build it) refers to the cached copy;
-// its own copy is dropped and never charged, and a plan rebuilt for the
-// key runs on the cached copy.
+// cached stage (two leaders raced to build it) refers to the cached copy,
+// which every later use of the key builds on; its own copy is dropped
+// and never charged.
 func TestPlanCacheRacingDuplicateStage(t *testing.T) {
-	stA, _ := testStagePlans(t, 12)
-	stB, _ := testStagePlans(t, 12)
+	stA, stB := testStage(t, 12), testStage(t, 12)
 	c := newPlanCache(1 << 30)
-	c.put("a", "stage", stA, nil)
-	c.put("b", "stage", stB, nil)
+	putRecipe(c, "a", "stage", stA)
+	putRecipe(c, "b", "stage", stB)
 	want := stageEntryBytes("stage", stA) + entryBytes("a", nil) + entryBytes("b", nil)
 	if got, _ := c.stats(); got != want {
 		t.Fatalf("bytes = %d, want %d (the duplicate stage charged nothing)", got, want)
@@ -135,14 +105,14 @@ func TestPlanCacheRacingDuplicateStage(t *testing.T) {
 	if n := c.stages["stage"].refs; n != 2 {
 		t.Fatalf("stage refs = %d, want 2", n)
 	}
-	if _, st, ok := c.get("b"); !ok || st != stA {
+	if st, ok := c.get("b"); !ok || st != stA {
 		t.Fatal("b does not refer to the cached stage")
 	}
 	// Evicting a keeps the shared stage for b; evicting b releases it.
 	c.mu.Lock()
 	c.evictOldest()
 	c.mu.Unlock()
-	if _, ok := c.stage("stage"); !ok {
+	if _, ok := c.stage([]byte("stage")); !ok {
 		t.Fatal("stage released while b still references it")
 	}
 	evictAll(c)
@@ -152,7 +122,7 @@ func TestPlanCacheRacingDuplicateStage(t *testing.T) {
 }
 
 // TestOneTouchKeysHoldNoPlan: keys computed once through the daemon leave
-// recipes, entries that hold their stage but no plan, charged the entry
+// recipes, entries that hold their stage and payload, charged the entry
 // alone on top of their shared stages.
 func TestOneTouchKeysHoldNoPlan(t *testing.T) {
 	s := New(Config{})
@@ -167,11 +137,8 @@ func TestOneTouchKeysHoldNoPlan(t *testing.T) {
 	var want int64
 	s.cache.mu.Lock()
 	for el := s.cache.ll.Front(); el != nil; el = el.Next() {
-		if e := el.Value.(*cacheEntry); e.plan != nil {
-			t.Errorf("%s holds a plan after one use", e.key)
-		} else {
-			want += entryBytes(e.key, e.payload)
-		}
+		e := el.Value.(*cacheEntry)
+		want += entryBytes(e.key, e.payload)
 	}
 	for _, se := range s.cache.stages {
 		want += se.bytes
@@ -188,36 +155,36 @@ func TestOneTouchKeysHoldNoPlan(t *testing.T) {
 }
 
 func TestPlanCacheLRUOrder(t *testing.T) {
-	pa, pb, pc := testPlan(t, 4), testPlan(t, 5), testPlan(t, 6)
-	// Budget for exactly two of these plans.
-	budget := planBytes("a", "stage-a", pa) + planBytes("b", "stage-b", pb) + planBytes("c", "stage-c", pc)/2
+	sa, sb, sc := testStage(t, 4), testStage(t, 5), testStage(t, 6)
+	// Budget for exactly two of these recipes.
+	budget := recipeBytes("a", "stage-a", sa) + recipeBytes("b", "stage-b", sb) + recipeBytes("c", "stage-c", sc)/2
 	c := newPlanCache(budget)
 
-	putPlan(c, "a", "stage-a", pa)
-	putPlan(c, "b", "stage-b", pb)
+	putRecipe(c, "a", "stage-a", sa)
+	putRecipe(c, "b", "stage-b", sb)
 	// Touch a so b becomes the eviction candidate.
-	if _, _, ok := c.get("a"); !ok {
+	if _, ok := c.get("a"); !ok {
 		t.Fatal("a missing before eviction")
 	}
-	if ev := putPlan(c, "c", "stage-c", pc); ev == 0 {
+	if ev := putRecipe(c, "c", "stage-c", sc); ev == 0 {
 		t.Fatal("inserting c should evict")
 	}
-	if _, _, ok := c.get("b"); ok {
+	if _, ok := c.get("b"); ok {
 		t.Fatal("b should have been evicted (least recently used)")
 	}
-	if p, _, _ := c.get("a"); p != pa {
+	if st, _ := c.get("a"); st != sa {
 		t.Fatal("a should have survived (recently used)")
 	}
-	if p, _, _ := c.get("c"); p != pc {
+	if st, _ := c.get("c"); st != sc {
 		t.Fatal("c should be cached (newest)")
 	}
 }
 
 func TestPlanCacheNewestNeverEvicted(t *testing.T) {
-	p := testPlan(t, 6)
-	c := newPlanCache(1) // smaller than any plan
-	putPlan(c, "big", "stage", p)
-	if got, _, _ := c.get("big"); got != p {
+	st := testStage(t, 6)
+	c := newPlanCache(1) // smaller than any recipe
+	putRecipe(c, "big", "stage", st)
+	if got, _ := c.get("big"); got != st {
 		t.Fatal("an oversized newest entry must still cache")
 	}
 	if _, n := c.stats(); n != 1 {
@@ -226,16 +193,16 @@ func TestPlanCacheNewestNeverEvicted(t *testing.T) {
 }
 
 func TestPlanCacheDuplicatePut(t *testing.T) {
-	p := testPlan(t, 4)
+	st := testStage(t, 4)
 	c := newPlanCache(1 << 20)
-	putPlan(c, "k", "stage", p)
-	putPlan(c, "k", "stage", p)
+	putRecipe(c, "k", "stage", st)
+	putRecipe(c, "k", "stage", st)
 	b1, n := c.stats()
 	if n != 1 {
 		t.Fatalf("entries = %d, want 1 after duplicate put", n)
 	}
-	if b1 != planBytes("k", "stage", p) {
-		t.Fatalf("bytes = %d, want %d (no double counting)", b1, planBytes("k", "stage", p))
+	if b1 != recipeBytes("k", "stage", st) {
+		t.Fatalf("bytes = %d, want %d (no double counting)", b1, recipeBytes("k", "stage", st))
 	}
 }
 
@@ -364,45 +331,18 @@ func missGridKeys() []missGridKey {
 	return keys
 }
 
-// TestPlanBytesTracksHeap builds base plans shaped like the miss-cold
-// grid (every kernel, sizes across the grid, merge factors 1–10, aux on
-// and off) and checks that their summed stage and partition bytes stay
-// within [0.85, 1.30] of the live heap they pin, so the cache's byte
-// budget bounds the memory the cached plans really hold.
-func TestPlanBytesTracksHeap(t *testing.T) {
-	checkBytesTrackHeap(t, func() (int64, any, string) {
-		keys := missGridKeys()
-		plans := make([]*loopmap.Plan, 0, len(keys))
-		var est int64
-		for i, k := range keys {
-			kern, err := loopmap.LookupKernel(k.kernel, k.size)
-			if err != nil {
-				t.Fatal(err)
-			}
-			p, err := loopmap.NewPlan(kern, loopmap.PlanOptions{
-				CubeDim:   -1,
-				Partition: loopmap.PartitionOptions{MergeFactor: int64(1 + i%10), NoAux: i%2 == 1},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			plans = append(plans, p)
-			est += stageBytes(p.Stage()) + partitionBytes(p)
-		}
-		return est, plans, fmt.Sprintf("%d plans, stage and partition bytes sum", len(plans))
-	})
-}
-
-// TestSharedStageBytesTracksHeap is TestPlanBytesTracksHeap with shared
-// stages: per grid key one stage and plans at merge factors 1–3 on it,
-// all cached, so the stage is charged once. The cache's byte count must
-// stay within the same band of the live heap the stages and plans pin.
+// TestSharedStageBytesTracksHeap: per miss-grid key (every kernel, sizes
+// across the grid) one eager stage, its vertex set built, and recipes
+// for merge factors 1–3 on it, all cached, so the stage is charged once.
+// The cache's byte count must stay within [0.85, 1.30] of the live heap
+// the stages and recipes pin, so the cache's byte budget bounds the
+// memory it really holds.
 func TestSharedStageBytesTracksHeap(t *testing.T) {
 	checkBytesTrackHeap(t, func() (int64, any, string) {
 		keys := missGridKeys()
 		c := newPlanCache(1 << 40)
 		ctx := context.Background()
-		for i, k := range keys {
+		for _, k := range keys {
 			kern, err := loopmap.LookupKernel(k.kernel, k.size)
 			if err != nil {
 				t.Fatal(err)
@@ -413,44 +353,33 @@ func TestSharedStageBytesTracksHeap(t *testing.T) {
 			}
 			skey := fmt.Sprintf("%s/%d", k.kernel, k.size)
 			for merge := int64(1); merge <= 3; merge++ {
-				p, err := st.PlanCtx(ctx, loopmap.PlanOptions{
-					CubeDim:   -1,
-					Partition: loopmap.PartitionOptions{MergeFactor: merge, NoAux: i%2 == 1},
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				putPlan(c, fmt.Sprintf("%s/merge=%d", skey, merge), skey, p)
+				putRecipe(c, fmt.Sprintf("%s/merge=%d", skey, merge), skey, st)
 			}
 		}
 		est, n := c.stats()
 		if n != 3*len(keys) || len(c.stages) != len(keys) {
-			t.Fatalf("cached %d plans on %d stages, want %d on %d", n, len(c.stages), 3*len(keys), len(keys))
+			t.Fatalf("cached %d recipes on %d stages, want %d on %d", n, len(c.stages), 3*len(keys), len(keys))
 		}
-		return est, c, fmt.Sprintf("%d plans on %d shared stages, cache bytes", n, len(c.stages))
+		return est, c, fmt.Sprintf("%d recipes on %d shared stages, cache bytes", n, len(c.stages))
 	})
 }
 
 // TestCompactStageBytesTracksHeap is TestSharedStageBytesTracksHeap on
 // the daemon's own stages: every miss-grid key planned through the
 // server at merge factors 1–10 (aux on and off by key), so each stage is
-// compact and shared by ten entries. Planned once, every entry is a
-// recipe; planned twice, every entry holds its plan. The last case plans
-// once and then serves one /v1/simulate per stage, which builds the
-// stage's V and charges it (and, as its key's second use, stores one
-// plan). In each, the cache's byte count must stay within the band of the
-// live heap.
+// compact and shared by ten recipes. The second case then serves one
+// /v1/simulate per stage, which builds the stage's V and charges it. In
+// each, the cache's byte count must stay within the band of the live
+// heap.
 func TestCompactStageBytesTracksHeap(t *testing.T) {
 	ctx := context.Background()
 	keys := missGridKeys()
 	for _, c := range []struct {
-		uses     int
 		simulate bool
 		what     string
 	}{
-		{1, false, "recipes on compact stages"},
-		{2, false, "plans on compact stages"},
-		{1, true, "recipes on stages after one simulation each"},
+		{false, "recipes on compact stages"},
+		{true, "recipes on stages after one simulation each"},
 	} {
 		s := New(Config{CacheBytes: 1 << 40})
 		checkBytesTrackHeap(t, func() (int64, any, string) {
@@ -458,10 +387,8 @@ func TestCompactStageBytesTracksHeap(t *testing.T) {
 				noAux := i%2 == 1
 				for merge := int64(1); merge <= 10; merge++ {
 					req := &api.PlanRequest{Kernel: k.kernel, Size: k.size, MergeFactor: merge, NoAux: noAux}
-					for range c.uses {
-						if _, _, _, err := s.basePlan(ctx, req, false); err != nil {
-							t.Fatal(err)
-						}
+					if _, _, _, err := s.basePlan(ctx, req, false); err != nil {
+						t.Fatal(err)
 					}
 				}
 				if c.simulate {
@@ -503,19 +430,15 @@ func checkBytesTrackHeap(t *testing.T, build func() (est int64, keep any, what s
 	}
 }
 
-// BenchmarkBaseReuse times what a key's reuse costs on the miss-cold
+// BenchmarkBaseReuse times what a held key's use costs on the miss-cold
 // grid: every kernel and size of missGridKeys at merge factors 1–10, one
-// shared stage each. "rebuild" is a key's second use, which finds a
-// recipe, rebuilds the plan from the stage and stores it; "stored" is a
-// later use, which finds the plan. Both remap it onto the request's cube.
+// shared stage each, every key held as a recipe. Each use builds the
+// plan from the stage (Algorithm 1 onward) and remaps it onto the
+// request's cube.
 func BenchmarkBaseReuse(b *testing.B) {
 	ctx := context.Background()
-	type gridKey struct {
-		req  *api.PlanRequest
-		skey string
-		st   *loopmap.Stage
-	}
-	var grid []gridKey
+	s := New(Config{CacheBytes: 1 << 40})
+	var grid []*api.PlanRequest
 	for i, k := range missGridKeys() {
 		kern, err := loopmap.LookupKernel(k.kernel, k.size)
 		if err != nil {
@@ -528,46 +451,19 @@ func BenchmarkBaseReuse(b *testing.B) {
 		for merge := int64(1); merge <= 10; merge++ {
 			cube := int(2 + merge%3)
 			req := &api.PlanRequest{Kernel: k.kernel, Size: k.size, CubeDim: &cube, MergeFactor: merge, NoAux: i%2 == 1}
-			grid = append(grid, gridKey{req, string(req.AppendStageKey(nil)), st})
+			s.cache.put(req.Key(), req.AppendStageKey(nil), st, nil)
+			grid = append(grid, req)
 		}
 	}
-	// recipes returns a daemon whose cache holds every grid key as a
-	// recipe, used uses more times.
-	recipes := func(uses int) *Server {
-		s := New(Config{CacheBytes: 1 << 40})
-		for _, g := range grid {
-			s.cache.put(g.req.Key(), g.skey, g.st, nil)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := range b.N {
+		if _, outcome, err := s.mappedPlan(ctx, grid[i%len(grid)]); err != nil || outcome != api.CacheHit {
+			b.Fatalf("outcome %q, err %v; want a hit", outcome, err)
 		}
-		for range uses {
-			for _, g := range grid {
-				if _, _, _, err := s.basePlan(ctx, g.req, false); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-		return s
 	}
-	for _, c := range []struct {
-		name string
-		uses int
-	}{{"rebuild", 0}, {"stored", 1}} {
-		b.Run(c.name, func(b *testing.B) {
-			b.ReportAllocs()
-			var s *Server
-			for i := range b.N {
-				if i%len(grid) == 0 {
-					b.StopTimer()
-					s = recipes(c.uses)
-					b.StartTimer()
-				}
-				if _, outcome, err := s.mappedPlan(ctx, grid[i%len(grid)].req); err != nil || outcome != api.CacheHit {
-					b.Fatalf("outcome %q, err %v; want a hit", outcome, err)
-				}
-			}
-			if m := s.Metrics(); c.uses > 0 && m.PlanRebuilds != int64(len(grid)) {
-				b.Fatalf("%d rebuilds before timing, want %d", m.PlanRebuilds, len(grid))
-			}
-		})
+	if m := s.Metrics(); m.PlanRebuilds != int64(b.N) || m.PlanComputations != 0 {
+		b.Fatalf("%d rebuilds, %d computations for %d uses; want %d, 0", m.PlanRebuilds, m.PlanComputations, b.N, b.N)
 	}
 }
 
@@ -582,7 +478,7 @@ func BenchmarkPlanMiss(b *testing.B) {
 	ctx := context.Background()
 	type stageKey struct {
 		warm string
-		skey string
+		skey []byte
 		st   *loopmap.Stage
 	}
 	var stages []stageKey
@@ -597,7 +493,7 @@ func BenchmarkPlanMiss(b *testing.B) {
 			b.Fatal(err)
 		}
 		warm := &api.PlanRequest{Kernel: k.kernel, Size: k.size, MergeFactor: 11}
-		stages = append(stages, stageKey{warm.Key(), string(warm.AppendStageKey(nil)), st})
+		stages = append(stages, stageKey{warm.Key(), warm.AppendStageKey(nil), st})
 		for merge := 1; merge <= 10; merge++ {
 			bodies = append(bodies, fmt.Sprintf(`{"kernel":%q,"size":%d,"cube_dim":%d,"merge_factor":%d,"no_aux":%v}`,
 				k.kernel, k.size, 2+merge%3, merge, i%2 == 1))

@@ -116,22 +116,11 @@ func TestCompactStagePlansMatchEager(t *testing.T) {
 // cachedStage returns the Π-stage the server's plan cache holds for req.
 func cachedStage(t *testing.T, s *Server, req *api.PlanRequest) *loopmap.Stage {
 	t.Helper()
-	st, ok := s.cache.stage(string(req.AppendStageKey(nil)))
+	st, ok := s.cache.stage(req.AppendStageKey(nil))
 	if !ok {
 		t.Fatalf("no cached stage for %s", req.Key())
 	}
 	return st
-}
-
-// storedPlanBytes is what the plan the server's cache stores for req's
-// key is charged: its partitioning and TIG.
-func storedPlanBytes(t *testing.T, s *Server, req *api.PlanRequest) int64 {
-	t.Helper()
-	p, _, _ := s.cache.get(req.Key())
-	if p == nil {
-		t.Fatalf("no plan stored for %s", req.Key())
-	}
-	return partitionBytes(p)
 }
 
 // eagerSimulate answers a simulate request from an eager NewPlan, through
@@ -236,12 +225,12 @@ func TestCompactCachedPlanConsumers(t *testing.T) {
 		if !st.Structure.Materialized() {
 			t.Fatalf("%s: simulating did not build the cached stage's V", kern.name)
 		}
-		// The simulations are the key's second use, so the cache now also
-		// holds its plan.
+		// The simulations build plans for a held key, which the cache does
+		// not keep: only V is charged.
 		after, _ := s.cache.stats()
 		perVec := int64(st.Structure.Nest.Dims)*8 + 24
-		if got, exp := after-before, int64(st.Structure.Len())*perVec+storedPlanBytes(t, s, preq); got != exp {
-			t.Fatalf("%s: building V and storing the plan charged %d bytes, want %d", kern.name, got, exp)
+		if got, exp := after-before, int64(st.Structure.Len())*perVec; got != exp {
+			t.Fatalf("%s: building V charged %d bytes, want %d", kern.name, got, exp)
 		}
 
 		_, br := postBatch(t, ts.URL, api.BatchRequest{Items: items})
@@ -287,8 +276,8 @@ func TestCompactCachedPlanConsumers(t *testing.T) {
 
 // TestCompactFirstRunConcurrent: eight /v1/simulate requests make the
 // first run of one cached compact plan at once. Every answer equals the
-// eager one, V is built once, and the cache charges it once, with the
-// plan the key's second use stores. Run with -race.
+// eager one, V is built once, and the cache charges it once. Run with
+// -race.
 func TestCompactFirstRunConcurrent(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	planBody(t, ts.URL+"/v1/plan", `{"kernel": "stencil", "size": 40, "cube_dim": 2}`)
@@ -333,8 +322,8 @@ func TestCompactFirstRunConcurrent(t *testing.T) {
 		}
 	}
 	after, _ := s.cache.stats()
-	exp := int64(st.Structure.Len())*(2*8+24) + storedPlanBytes(t, s, &sreq.PlanRequest)
+	exp := int64(st.Structure.Len()) * (2*8 + 24)
 	if got := after - before; got != exp {
-		t.Fatalf("concurrent first runs charged %d bytes, want %d (V and the stored plan)", got, exp)
+		t.Fatalf("concurrent first runs charged %d bytes, want %d (V once)", got, exp)
 	}
 }

@@ -24,18 +24,19 @@ import (
 	"unicode/utf8"
 
 	"repro/api"
+	"repro/internal/pool"
 )
 
 // bufPool recycles response-encoding buffers across requests on every
-// daemon response path (frames, writeJSON, metrics).
-var bufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+// daemon response path (frames, writeJSON, metrics), keeping up to 16.
+var bufPool = pool.NewFree[bytes.Buffer](16)
 
 // bufPoolMax bounds what a returned buffer may retain: a one-off giant
 // response (a traced simulation) must not pin its footprint forever.
 const bufPoolMax = 1 << 20
 
 func getBuf() *bytes.Buffer {
-	return bufPool.Get().(*bytes.Buffer)
+	return bufPool.Get()
 }
 
 func putBuf(b *bytes.Buffer) {

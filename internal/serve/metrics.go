@@ -112,30 +112,12 @@ type metrics struct {
 	stageReuses        atomic.Int64
 	stageBuilds        atomic.Int64
 	planRebuilds       atomic.Int64
-	inflightPlans      atomic.Int64
-	cacheBytes         atomic.Int64
-	cacheEntries       atomic.Int64
 	panics             atomic.Int64
 	recoveredPlans     atomic.Int64
 	recoverySkipped    atomic.Int64
 	recoveryRejected   atomic.Int64 // skips caused by current admission limits specifically
 	walAppends         atomic.Int64
 	walErrors          atomic.Int64
-	walBytes           atomic.Int64
-
-	// tiered disk-store instruments (stay zero without -disk-cache-dir).
-	// Counters mirror tiered.Stats totals, refreshed at snapshot time.
-	tieredDiskHits       atomic.Int64
-	tieredDiskMisses     atomic.Int64
-	tieredBloomNegatives atomic.Int64
-	tieredFlushes        atomic.Int64
-	tieredCompactions    atomic.Int64
-	tieredEvictions      atomic.Int64
-	tieredCorruptions    atomic.Int64
-	tieredQuarantined    atomic.Int64
-	tieredSegments       atomic.Int64 // gauge: live segment files
-	tieredBytes          atomic.Int64 // gauge: total segment bytes
-	tieredKeys           atomic.Int64 // gauge: entries across segments + memtable
 
 	// storage-fault instruments.
 	storeDegraded atomic.Int64 // gauge: 1 once the store latches read-only
@@ -148,10 +130,8 @@ type metrics struct {
 	bytesServed     atomic.Int64 // response body bytes, all endpoints
 	encodedBytes    atomic.Int64 // response body bytes served from encoded frames
 	batchItems      atomic.Int64 // items carried by /v1/batch requests
-	respCacheBytes  atomic.Int64
-	respCacheCount  atomic.Int64
-	batchSize       *histogram // items per /v1/batch request
-	groupCommitSize *histogram // records per WAL group commit
+	batchSize       *histogram   // items per /v1/batch request
+	groupCommitSize *histogram   // records per WAL group commit
 
 	// cluster-mode instruments (stay zero in single-daemon mode).
 	forwardsSent       atomic.Int64
@@ -227,7 +207,7 @@ type Snapshot struct {
 	PlanComputations   int64
 	StageReuses        int64 // plan computations that ran on a cached Π-stage
 	StageBuilds        int64 // Π-stages built by computations and rebuilds
-	PlanRebuilds       int64 // plans rebuilt from recipes (a key's second use, a loaded key's first)
+	PlanRebuilds       int64 // plans built for held keys (every use after a key's first, a loaded key's first)
 	InflightPlans      int64
 	CacheBytes         int64
 	CacheEntries       int64
@@ -320,27 +300,12 @@ func (m *metrics) snapshot() Snapshot {
 		StageReuses:          m.stageReuses.Load(),
 		StageBuilds:          m.stageBuilds.Load(),
 		PlanRebuilds:         m.planRebuilds.Load(),
-		InflightPlans:        m.inflightPlans.Load(),
-		CacheBytes:           m.cacheBytes.Load(),
-		CacheEntries:         m.cacheEntries.Load(),
 		Panics:               m.panics.Load(),
 		RecoveredPlans:       m.recoveredPlans.Load(),
 		RecoverySkipped:      m.recoverySkipped.Load(),
 		RecoveryRejected:     m.recoveryRejected.Load(),
 		WALAppends:           m.walAppends.Load(),
 		WALErrors:            m.walErrors.Load(),
-		WALBytes:             m.walBytes.Load(),
-		TieredDiskHits:       m.tieredDiskHits.Load(),
-		TieredDiskMisses:     m.tieredDiskMisses.Load(),
-		TieredBloomNegatives: m.tieredBloomNegatives.Load(),
-		TieredFlushes:        m.tieredFlushes.Load(),
-		TieredCompactions:    m.tieredCompactions.Load(),
-		TieredEvictions:      m.tieredEvictions.Load(),
-		TieredCorruptions:    m.tieredCorruptions.Load(),
-		TieredQuarantined:    m.tieredQuarantined.Load(),
-		TieredSegments:       m.tieredSegments.Load(),
-		TieredBytes:          m.tieredBytes.Load(),
-		TieredKeys:           m.tieredKeys.Load(),
 		StoreDegraded:        m.storeDegraded.Load(),
 		ScrubRuns:            m.scrubRuns.Load(),
 		ScrubCorrupt:         m.scrubCorrupt.Load(),
@@ -349,8 +314,6 @@ func (m *metrics) snapshot() Snapshot {
 		BytesServed:          m.bytesServed.Load(),
 		EncodedBytes:         m.encodedBytes.Load(),
 		BatchItems:           m.batchItems.Load(),
-		RespCacheBytes:       m.respCacheBytes.Load(),
-		RespCacheCount:       m.respCacheCount.Load(),
 		BatchSize:            m.batchSize.snapshot(),
 		CommitGroupSize:      m.groupCommitSize.snapshot(),
 		ForwardsSent:         m.forwardsSent.Load(),
@@ -401,7 +364,7 @@ func (s Snapshot) render(w io.Writer) {
 	counter("loopmapd_plan_computations_total", "Plans computed for keys the daemon did not hold.", s.PlanComputations)
 	counter("loopmapd_stage_reuses_total", "Plan computations that reused a cached enumeration, schedule and projection.", s.StageReuses)
 	counter("loopmapd_stage_builds_total", "Enumerations, schedules and projections built for a plan computation or rebuild that found no cached stage.", s.StageBuilds)
-	counter("loopmapd_plan_rebuilds_total", "Plans rebuilt from a recipe on a key's second use, or on the first use of a key loaded from a durable record; counted as cache hits, not computations.", s.PlanRebuilds)
+	counter("loopmapd_plan_rebuilds_total", "Plans built from a recipe for a key the plan cache held: any use after the key's first that no cached encoded response answered, and the first use of a key loaded from a durable record; counted as cache hits, not computations.", s.PlanRebuilds)
 	counter("loopmapd_panics_total", "Handler panics recovered by the middleware.", s.Panics)
 	counter("loopmapd_recovered_plans_total", "Keys recovered into the plan cache during warm restart.", s.RecoveredPlans)
 	counter("loopmapd_recovery_skipped_total", "Durable records skipped during warm restart (undecodable, invalid, or key-mismatched).", s.RecoverySkipped)

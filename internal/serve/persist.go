@@ -208,7 +208,7 @@ func (s *Server) loadRecipe(key string, value []byte) (bool, error) {
 	if err := s.validatePlanRequest(req); err != nil {
 		return false, err
 	}
-	ev, added := s.cache.put(key, "", nil, value)
+	ev, added := s.cache.put(key, nil, nil, value)
 	if ev > 0 {
 		s.metrics.cacheEvictions.Add(int64(ev))
 	}

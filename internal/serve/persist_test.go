@@ -130,7 +130,7 @@ func TestWarmRestartServesIdenticalPlans(t *testing.T) {
 	// Recovery leaves a recipe; the key's next use rebuilds its plan from
 	// the recovered stage.
 	req := &api.PlanRequest{Kernel: "matvec", Size: 12}
-	if _, _, ok := s2.cache.get(req.Key()); !ok {
+	if _, ok := s2.cache.get(req.Key()); !ok {
 		t.Fatal("recovered matvec key missing from cache")
 	}
 	recovered, outcome, _, err := s2.basePlan(context.Background(), req, false)
@@ -291,7 +291,7 @@ func TestRecoveredRecordThatDoesNotPlan(t *testing.T) {
 	if resp.StatusCode == http.StatusOK {
 		t.Fatalf("Π (-1, 0) planned: %s", got)
 	}
-	if _, _, ok := s.cache.get(bad.Key()); ok {
+	if _, ok := s.cache.get(bad.Key()); ok {
 		t.Fatal("the key is still held after its plan failed")
 	}
 }

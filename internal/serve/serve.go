@@ -4,10 +4,12 @@
 //
 // The pipeline is a pure function of (kernel, size, Π, partition options),
 // which makes its artifacts ideal for content-addressed caching: requests
-// are canonicalized into a cache key over exactly those inputs, base plans
-// (partitioning + TIG, no mapping) are held in a byte-budgeted LRU, and
-// each request remaps the shared base onto its own cube dimension with
-// Plan.Remap. A thundering herd of identical requests collapses to one
+// are canonicalized into a cache key over exactly those inputs, each key's
+// recipe and the Π-stages (enumeration, schedule, projection) its plans
+// are built on are held in a byte-budgeted LRU, every use builds its base
+// plan (partitioning + TIG) from the cached stage and maps it onto its
+// own cube dimension, and encoded responses are cached apart (see
+// encoded.go). A thundering herd of identical requests collapses to one
 // computation through singleflight deduplication, and a bounded admission
 // gate (internal/pool.Gate) caps concurrent planning work. Request
 // deadlines propagate through context into the enumeration, partitioning
@@ -271,29 +273,27 @@ var buildModule = func() string {
 // Metrics returns a point-in-time snapshot of every instrument (tests
 // assert on it; /metrics renders it).
 func (s *Server) Metrics() Snapshot {
+	snap := s.metrics.snapshot()
 	b, n := s.cache.stats()
-	s.metrics.cacheBytes.Store(b)
-	s.metrics.cacheEntries.Store(int64(n))
+	snap.CacheBytes, snap.CacheEntries = b, int64(n)
 	rb, rn := s.resp.stats()
-	s.metrics.respCacheBytes.Store(rb)
-	s.metrics.respCacheCount.Store(int64(rn))
-	s.metrics.inflightPlans.Store(int64(s.gate.InFlight()))
+	snap.RespCacheBytes, snap.RespCacheCount = rb, int64(rn)
+	snap.InflightPlans = int64(s.gate.InFlight())
 	if s.tier != nil {
 		ts := s.tier.Stats()
-		s.metrics.tieredDiskHits.Store(ts.DiskHits)
-		s.metrics.tieredDiskMisses.Store(ts.DiskMisses)
-		s.metrics.tieredBloomNegatives.Store(ts.BloomNegatives)
-		s.metrics.tieredFlushes.Store(ts.Flushes)
-		s.metrics.tieredCompactions.Store(ts.Compactions)
-		s.metrics.tieredEvictions.Store(ts.Evictions)
-		s.metrics.tieredCorruptions.Store(ts.Corruptions)
-		s.metrics.tieredQuarantined.Store(ts.Quarantined)
-		s.metrics.tieredSegments.Store(ts.Segments)
-		s.metrics.tieredBytes.Store(ts.Bytes)
-		s.metrics.tieredKeys.Store(ts.Keys)
-		s.metrics.walBytes.Store(ts.WALBytes)
+		snap.TieredDiskHits = ts.DiskHits
+		snap.TieredDiskMisses = ts.DiskMisses
+		snap.TieredBloomNegatives = ts.BloomNegatives
+		snap.TieredFlushes = ts.Flushes
+		snap.TieredCompactions = ts.Compactions
+		snap.TieredEvictions = ts.Evictions
+		snap.TieredCorruptions = ts.Corruptions
+		snap.TieredQuarantined = ts.Quarantined
+		snap.TieredSegments = ts.Segments
+		snap.TieredBytes = ts.Bytes
+		snap.TieredKeys = ts.Keys
+		snap.WALBytes = ts.WALBytes
 	}
-	snap := s.metrics.snapshot()
 
 	snap.Goroutines = runtime.NumGoroutine()
 	var ms runtime.MemStats
@@ -553,16 +553,12 @@ func (s *Server) acquire(ctx context.Context) error {
 	return nil
 }
 
-// basePlan returns the base (unmapped) plan for the request: LRU lookup,
-// then singleflight-deduplicated computation under the admission gate.
-// A key the cache holds as a recipe (used once before, or loaded from a
-// durable record) is rebuilt under the same flight and gate, stored, and
-// reported as a hit to every request that shared the rebuild; a rebuild
-// writes nothing durable and replicates nothing, since the key's payload
-// is already wherever the first computation put it. A recipe whose
-// rebuild fails for any reason but the request's own deadline or the
-// gate is dropped and counted as a miss, and its error answers the
-// request, as a fresh daemon's computation would.
+// basePlan returns the base (unmapped) plan for the request, built under
+// a singleflight keyed by the base key and the admission gate. The plan
+// cache holds recipes, never plans, so every use builds its plan (see
+// buildBase). A key the cache holds (used before, or loaded from a
+// durable record) is answered as a hit to every request that shared its
+// build.
 //
 // The leader computes under its own request context: followers share the
 // leader's result AND its fate — if the leader's deadline fires first, the
@@ -570,89 +566,15 @@ func (s *Server) acquire(ctx context.Context) error {
 // singleflight trade; the alternative (detached computation) would let an
 // abandoned request burn a gate slot with nobody waiting.
 //
-// With transient set, a miss builds the plan it does not cache in
-// recycled memory (Stage.PlanTransientCtx). alone reports that no other
-// request shares the returned plan: the caller ran the flight and no
-// follower joined it, so it may Release the plan once done with it
-// (a no-op on a kept plan).
+// With transient set, the plan is built in recycled memory
+// (Stage.PlanTransientCtx). alone reports that no other request shares
+// the returned plan: the caller ran the flight and no follower joined
+// it, so it may Release the plan once done with it (a no-op on a kept
+// plan).
 func (s *Server) basePlan(ctx context.Context, req *api.PlanRequest, transient bool) (p *loopmap.Plan, outcome api.CacheOutcome, alone bool, err error) {
 	key := req.Key()
-	if p, _, _ := s.cache.get(key); p != nil {
-		s.metrics.cacheHits.Add(1)
-		return p, api.CacheHit, false, nil
-	}
 	v, err, shared, joined := s.flight.do(ctx, key, func() (any, error) {
-		// Double-check under the flight: a prior leader may have populated
-		// the cache between this request's lookup and its arrival here.
-		p, st, held := s.cache.get(key)
-		if p != nil {
-			s.metrics.cacheHits.Add(1)
-			return flightPlan{plan: p}, nil
-		}
-		if held {
-			v, err := s.rebuildPlan(ctx, req, key, st)
-			if err != nil && ctx.Err() == nil && !errors.Is(err, ErrOverloaded) {
-				// The pipeline is deterministic, so a miss would fail
-				// the same way: answer as a fresh daemon does.
-				s.cache.remove(key)
-				s.metrics.cacheMisses.Add(1)
-			}
-			return v, err
-		}
-		s.metrics.cacheMisses.Add(1)
-		// Disk tier probe: a key whose canonical request already sits in a
-		// segment needs no new WAL write — it recomputes (the pipeline is a
-		// pure function of it) and re-enters RAM, even while the store is
-		// latched read-only.
-		diskDurable := false
-		if s.tier != nil {
-			if _, ok, _ := s.tier.Get(repBasePrefix + key); ok {
-				diskDurable = true
-			}
-		}
-		// A miss means new durable state: fail fast while the store is
-		// read-only instead of burning a gate slot on a plan that cannot
-		// be acked.
-		if !diskDurable {
-			if err := s.writableStore(); err != nil {
-				return nil, err
-			}
-		}
-		if err := s.acquire(ctx); err != nil {
-			return nil, err
-		}
-		defer s.gate.Release()
-		s.metrics.inflightPlans.Add(1)
-		defer s.metrics.inflightPlans.Add(-1)
-
-		skey := string(req.AppendStageKey(make([]byte, 0, 64)))
-		p, st, err := s.computePlan(ctx, req, skey, transient)
-		if err != nil {
-			return nil, err
-		}
-		var payload []byte
-		if s.tier != nil || s.cnode() != nil {
-			// Cluster mode needs the canonical payload even without a
-			// local store: it is the replication and transfer currency.
-			payload = persistPayload(req)
-		}
-		// Durability before visibility: the WAL append must succeed
-		// before the key enters the cache or the client sees a 200. A
-		// failed append latches the store read-only and fails this
-		// request — never ack what did not reach disk. A key already
-		// segment-durable skips the append: re-touching an evicted key
-		// costs zero new WAL writes.
-		if !diskDurable {
-			if err := s.persistPlan(key, payload); err != nil {
-				p.Release()
-				return nil, err
-			}
-		}
-		if ev, _ := s.cache.put(key, skey, st, payload); ev > 0 {
-			s.metrics.cacheEvictions.Add(int64(ev))
-		}
-		s.replicateBase(key, payload)
-		return flightPlan{plan: p}, nil
+		return s.buildBase(ctx, req, key, transient)
 	})
 	if err != nil {
 		return nil, api.CacheMiss, false, err
@@ -660,9 +582,7 @@ func (s *Server) basePlan(ctx context.Context, req *api.PlanRequest, transient b
 	fp := v.(flightPlan)
 	outcome = api.CacheMiss
 	switch {
-	case fp.rebuilt:
-		// The key was held: every request that shared the rebuild is
-		// answered as the hit it would have been with the plan cached.
+	case fp.held:
 		if shared {
 			s.metrics.cacheHits.Add(1)
 		}
@@ -675,81 +595,128 @@ func (s *Server) basePlan(ctx context.Context, req *api.PlanRequest, transient b
 }
 
 // flightPlan is the result basePlan's flight shares: the base plan, and
-// whether the flight rebuilt it from a recipe.
+// whether the cache held its key.
 type flightPlan struct {
-	plan    *loopmap.Plan
-	rebuilt bool
+	plan *loopmap.Plan
+	held bool
 }
 
-// rebuildPlan runs Algorithm 1 onward for the recipe cached under key,
-// under the admission gate, and stores the plan on the entry. st is the
-// recipe's stage; a stage-less recipe resolves its stage as computePlan
-// does. It counts a cache hit and a rebuild, not a computation.
-func (s *Server) rebuildPlan(ctx context.Context, req *api.PlanRequest, key string, st *loopmap.Stage) (any, error) {
+// buildBase is basePlan's flight body, for held keys and misses alike:
+// it builds the key's plan under the admission gate on its Π-stage — the
+// entry's, the one cached under its stage key, or a new one (stageFor) —
+// so only Algorithm 1 onward runs on a cached stage.
+//
+// A held key counts a cache hit and a rebuild, not a computation, and
+// writes nothing durable and replicates nothing: its payload is already
+// wherever its first use put it. A stage-less recipe attaches the stage
+// its use resolved. A held key whose build fails for any reason but the
+// request's own deadline or the gate is dropped and counted as a miss,
+// and its error answers the request, as a fresh daemon's computation
+// would.
+//
+// A miss makes the key durable and caches its recipe: its canonical
+// payload and the stage.
+func (s *Server) buildBase(ctx context.Context, req *api.PlanRequest, key string, transient bool) (any, error) {
+	st, held := s.cache.get(key)
+	// durable: the key's canonical request needs no new WAL write.
+	durable := held
+	if !held {
+		s.metrics.cacheMisses.Add(1)
+		// Disk tier probe: a key whose canonical request already sits in
+		// a segment recomputes (the pipeline is a pure function of it) and
+		// re-enters RAM, even while the store is latched read-only.
+		if s.tier != nil {
+			_, durable, _ = s.tier.Get(repBasePrefix + key)
+		}
+		// A miss means new durable state: fail fast while the store is
+		// read-only instead of burning a gate slot on a plan that cannot
+		// be acked.
+		if !durable {
+			if err := s.writableStore(); err != nil {
+				return nil, err
+			}
+		}
+	}
 	if err := s.acquire(ctx); err != nil {
 		return nil, err
 	}
 	defer s.gate.Release()
-	s.metrics.inflightPlans.Add(1)
-	defer s.metrics.inflightPlans.Add(-1)
+
+	var kb [128]byte
+	skey := req.AppendStageKey(kb[:0])
 	opt := planOptions(req)
-	skey := string(req.AppendStageKey(make([]byte, 0, 64)))
+	var err error
 	if st == nil {
-		var err error
-		if st, _, err = s.stageFor(ctx, req, skey, opt); err != nil {
+		var reused bool
+		if st, reused, err = s.stageFor(ctx, req, skey, opt); err == nil && reused && !held {
+			s.metrics.stageReuses.Add(1)
+		}
+	}
+	var p *loopmap.Plan
+	if err == nil {
+		if !held {
+			s.metrics.planComputations.Add(1)
+		}
+		if transient {
+			p, err = st.PlanTransientCtx(ctx, opt)
+		} else {
+			p, err = st.PlanCtx(ctx, opt)
+		}
+	}
+	if err != nil {
+		if held && ctx.Err() == nil {
+			// The pipeline is deterministic, so a miss would fail the
+			// same way: answer as a fresh daemon does.
+			s.cache.remove(key)
+			s.metrics.cacheMisses.Add(1)
+		}
+		return nil, err
+	}
+	if held {
+		s.metrics.cacheHits.Add(1)
+		s.metrics.planRebuilds.Add(1)
+		if ev := s.cache.attach(key, skey, st); ev > 0 {
+			s.metrics.cacheEvictions.Add(int64(ev))
+		}
+		return flightPlan{plan: p, held: true}, nil
+	}
+	var payload []byte
+	if s.tier != nil || s.cnode() != nil {
+		// Cluster mode needs the canonical payload even without a local
+		// store: it is the replication and transfer currency.
+		payload = persistPayload(req)
+	}
+	// Durability before visibility: the WAL append must succeed before
+	// the key enters the cache or the client sees a 200. A failed append
+	// latches the store read-only and fails this request — never ack what
+	// did not reach disk. A key already segment-durable skips the append:
+	// re-touching an evicted key costs zero new WAL writes.
+	if !durable {
+		if err := s.persistPlan(key, payload); err != nil {
+			p.Release()
 			return nil, err
 		}
 	}
-	p, err := st.PlanCtx(ctx, opt)
-	if err != nil {
-		return nil, err
-	}
-	s.metrics.cacheHits.Add(1)
-	s.metrics.planRebuilds.Add(1)
-	if ev := s.cache.setPlan(key, skey, st, p); ev > 0 {
+	if ev, _ := s.cache.put(key, skey, st, payload); ev > 0 {
 		s.metrics.cacheEvictions.Add(int64(ev))
 	}
-	return flightPlan{plan: p, rebuilt: true}, nil
-}
-
-// computePlan builds the request's base plan, a transient one when
-// transient is set, and returns it with the Π-stage it was built on. A
-// Π-stage cached under skey is reused, so only Algorithm 1 onward runs;
-// otherwise the whole pipeline runs and put caches the new stage.
-func (s *Server) computePlan(ctx context.Context, req *api.PlanRequest, skey string, transient bool) (*loopmap.Plan, *loopmap.Stage, error) {
-	opt := planOptions(req)
-	st, reused, err := s.stageFor(ctx, req, skey, opt)
-	if err != nil {
-		return nil, nil, err
-	}
-	s.metrics.planComputations.Add(1)
-	if reused {
-		s.metrics.stageReuses.Add(1)
-	}
-	var p *loopmap.Plan
-	if transient {
-		p, err = st.PlanTransientCtx(ctx, opt)
-	} else {
-		p, err = st.PlanCtx(ctx, opt)
-	}
-	if err != nil {
-		return nil, nil, err
-	}
-	return p, st, nil
+	s.replicateBase(key, payload)
+	return flightPlan{plan: p}, nil
 }
 
 // stageFor returns the request's Π-stage: the one cached under skey,
 // or a new one from prepareStage, counted in StageBuilds. It reports
 // whether the stage was cached. Keys that need one uncached stage at once
 // share one build through a flight keyed by the stage key; every one of
-// them gets the same stage, so the cache stores each of their plans.
-func (s *Server) stageFor(ctx context.Context, req *api.PlanRequest, skey string, opt loopmap.PlanOptions) (*loopmap.Stage, bool, error) {
+// them gets the same stage.
+func (s *Server) stageFor(ctx context.Context, req *api.PlanRequest, skey []byte, opt loopmap.PlanOptions) (*loopmap.Stage, bool, error) {
 	if st, ok := s.cache.stage(skey); ok {
 		return st, true, nil
 	}
+	fkey := string(skey)
 	for {
 		reused := false
-		v, err, shared, _ := s.stageFlight.do(ctx, skey, func() (any, error) {
+		v, err, shared, _ := s.stageFlight.do(ctx, fkey, func() (any, error) {
 			if st, ok := s.cache.stage(skey); ok {
 				reused = true
 				return st, nil
@@ -759,7 +726,7 @@ func (s *Server) stageFor(ctx context.Context, req *api.PlanRequest, skey string
 				return nil, err
 			}
 			if s.beforeStageBuild != nil {
-				s.beforeStageBuild(skey)
+				s.beforeStageBuild(fkey)
 			}
 			s.metrics.stageBuilds.Add(1)
 			return prepareStage(ctx, k, opt)
@@ -776,8 +743,8 @@ func (s *Server) stageFor(ctx context.Context, req *api.PlanRequest, skey string
 
 // prepareStage builds a Π-stage as the plan cache keeps it: enumeration,
 // schedule and projection, then compacted, so the stage holds no vertex
-// set until something runs a plan on it. Live misses and recipe
-// rebuilds both build their stages here.
+// set until something runs a plan on it. Misses and stage-less recipes
+// both build their stages here.
 func prepareStage(ctx context.Context, k *loopmap.Kernel, opt loopmap.PlanOptions) (*loopmap.Stage, error) {
 	st, err := loopmap.PrepareCtx(ctx, k, opt)
 	if err != nil {
@@ -876,12 +843,13 @@ func appendField(b []byte, name string, x int64) []byte {
 // or plan pipeline + one encode on miss. The returned CacheOutcome is
 // what the patched-in "cache" field should report.
 //
-// A miss answers from a transient plan (Stage.PlanTransientCtx) and
-// releases it once the frame is encoded, when the request alone holds
-// it: it ran the plan's flight and no follower joined. The remap built
-// for the request's cube is always its own and always released. A plan
-// that followers share, a cached one, and every plan a simulation reads
-// is never released.
+// An encoded-cache miss answers from a transient plan
+// (Stage.PlanTransientCtx), whether or not the plan cache holds its key,
+// and releases it once the frame is encoded, when the request alone
+// holds it: it ran the plan's flight and no follower joined. The remap
+// built for the request's cube is always its own and always released. A
+// plan that followers share, and every plan a simulation reads, is never
+// released.
 func (s *Server) planFrame(ctx context.Context, req *api.PlanRequest) (*respFrame, api.CacheOutcome, bool, error) {
 	ekey := req.ResponseKey()
 	if f, ok := s.resp.get(ekey); ok {
@@ -1230,8 +1198,6 @@ func (s *Server) handleSPMD(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer s.gate.Release()
-	s.metrics.inflightPlans.Add(1)
-	defer s.metrics.inflightPlans.Add(-1)
 
 	src, err := loopmap.GenerateSPMDCtx(ctx, name, req.Source, dim, seed)
 	if err != nil {

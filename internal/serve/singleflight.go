@@ -16,6 +16,8 @@ type flightGroup struct {
 }
 
 type flightCall struct {
+	// done is made by the first follower, so a call nobody joins
+	// allocates no channel; g.mu guards it until the call ends.
 	done chan struct{}
 	val  any
 	err  error
@@ -50,15 +52,19 @@ func (g *flightGroup) do(ctx context.Context, key string, fn func() (any, error)
 	}
 	if c, ok := g.m[key]; ok {
 		c.joined++
+		if c.done == nil {
+			c.done = make(chan struct{})
+		}
+		done := c.done
 		g.mu.Unlock()
 		select {
-		case <-c.done:
+		case <-done:
 			return c.val, c.err, true, 0
 		case <-ctx.Done():
 			return nil, ctx.Err(), true, 0
 		}
 	}
-	c := &flightCall{done: make(chan struct{}), err: errLeaderPanicked}
+	c := &flightCall{err: errLeaderPanicked}
 	g.m[key] = c
 	g.mu.Unlock()
 	// Once the key is gone from m no follower can join, so the count
@@ -67,8 +73,11 @@ func (g *flightGroup) do(ctx context.Context, key string, fn func() (any, error)
 		g.mu.Lock()
 		delete(g.m, key)
 		joined = c.joined
+		done := c.done
 		g.mu.Unlock()
-		close(c.done)
+		if done != nil {
+			close(done)
+		}
 	}()
 
 	c.val, c.err = fn()

@@ -173,44 +173,55 @@ func TestMergeSweepSharesOneStage(t *testing.T) {
 	}
 }
 
-// TestSecondUseCachesPlan: a key's first request leaves a recipe; its
-// second use (a remap to cube 1) rebuilds the plan once and stores it,
-// and later uses (cube 5, /v1/simulate) are plain hits. Every body after
-// the first reports a hit and is otherwise byte-equal to a fresh
-// daemon's answer to the same request.
-func TestSecondUseCachesPlan(t *testing.T) {
-	s, ts := newTestServer(t, Config{})
-	key := (&api.PlanRequest{Kernel: "stencil", Size: 20}).Key()
-	for i, c := range []struct {
-		path, body string
-		rebuilds   int64
-		plan       bool // the cache holds the key's plan afterwards
-	}{
-		{"/v1/plan", `{"kernel": "stencil", "size": 20, "cube_dim": 3}`, 0, false},
-		{"/v1/plan", `{"kernel": "stencil", "size": 20, "cube_dim": 1}`, 1, true},
-		{"/v1/plan", `{"kernel": "stencil", "size": 20, "cube_dim": 5}`, 1, true},
-		{"/v1/simulate", `{"kernel": "stencil", "size": 20, "cube_dim": 2, "sequential": true}`, 1, true},
-	} {
-		resp, got := postJSON(t, ts.URL+c.path, c.body)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("%s %s: %s: %s", c.path, c.body, resp.Status, got)
+// TestHeldKeyBuildsEveryUse: the plan cache keeps no plan, so every use
+// of a held key builds its plan from the cached stage. For every built-in
+// kernel at size 8, after the key's first use (cube 7), /v1/plan on cube
+// dimensions 0–6 with exclusive off and on each misses the encoded
+// response cache and builds a plan: every status and body equals a fresh
+// daemon's, cache field aside, every 200 answers a hit, each use counts a
+// rebuild and no computation, and the plan cache's byte count stays where
+// the first use left it. A /v1/simulate of the key is then a hit too,
+// with a fresh daemon's body.
+func TestHeldKeyBuildsEveryUse(t *testing.T) {
+	s := New(Config{})
+	serve := func(h http.Handler, path, body string) (int, []byte) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+		return rec.Code, rec.Body.Bytes()
+	}
+	check := func(path, body string) {
+		t.Helper()
+		code, got := serve(s.Handler(), path, body)
+		wantCode, want := serve(New(Config{}).Handler(), path, body)
+		if code != wantCode || !bytes.Equal(cacheField.ReplaceAll(got, nil), cacheField.ReplaceAll(want, nil)) {
+			t.Fatalf("%s %s: %d %s\na fresh daemon answers %d %s", path, body, code, got, wantCode, want)
 		}
-		_, fresh := newTestServer(t, Config{})
-		_, want := postJSON(t, fresh.URL+c.path, c.body)
-		if i > 0 {
-			want = bytes.Replace(want, []byte(`"cache":"miss"`), []byte(`"cache":"hit"`), 1)
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("%s %s: body differs from a fresh daemon's:\n got %s\nwant %s", c.path, c.body, got, want)
-		}
-		m := s.Metrics()
-		if m.PlanRebuilds != c.rebuilds || m.PlanComputations != 1 {
-			t.Fatalf("%s %s: %d rebuilds, %d computations; want %d, 1", c.path, c.body, m.PlanRebuilds, m.PlanComputations, c.rebuilds)
-		}
-		if p, _, ok := s.cache.get(key); !ok || (p != nil) != c.plan {
-			t.Fatalf("%s %s: key held %v, plan stored %v; want held, plan %v", c.path, c.body, ok, p != nil, c.plan)
+		if code == http.StatusOK && !bytes.Contains(got, []byte(`"cache":"hit"`)) {
+			t.Fatalf("%s %s: %s; want a hit", path, body, got)
 		}
 	}
+	var uses int64
+	for i, name := range loopmap.KernelNames() {
+		first := fmt.Sprintf(`{"kernel": %q, "size": 8, "cube_dim": 7}`, name)
+		if code, out := serve(s.Handler(), "/v1/plan", first); code != http.StatusOK {
+			t.Fatalf("%s: %d %s", first, code, out)
+		}
+		held, _ := s.cache.stats()
+		for dim := 0; dim <= 6; dim++ {
+			for _, exclusive := range []bool{false, true} {
+				check("/v1/plan", fmt.Sprintf(`{"kernel": %q, "size": 8, "cube_dim": %d, "exclusive": %v}`, name, dim, exclusive))
+				uses++
+			}
+		}
+		m := s.Metrics()
+		if m.PlanRebuilds != uses || m.PlanComputations != int64(i+1) {
+			t.Fatalf("%s: %d rebuilds, %d computations; want %d, %d", name, m.PlanRebuilds, m.PlanComputations, uses, i+1)
+		}
+		if b, _ := s.cache.stats(); b != held {
+			t.Fatalf("%s: plan cache bytes %d after the held uses, %d after the first", name, b, held)
+		}
+	}
+	check("/v1/simulate", `{"kernel": "stencil", "size": 8, "cube_dim": 2, "sequential": true}`)
 }
 
 // TestRecipeHerdRebuildsOnce: 32 concurrent remaps of a recipe, over
@@ -253,10 +264,11 @@ func TestRecipeHerdRebuildsOnce(t *testing.T) {
 	}
 }
 
-// TestRecoveredKeyRebuildsOnce: a key recovered from the WAL enters the
-// cache as a recipe. Its first use after the restart rebuilds the plan,
-// the next is a plain hit, and neither writes to the durable store.
-func TestRecoveredKeyRebuildsOnce(t *testing.T) {
+// TestRecoveredKeyUsesWriteNothing: a key recovered from the WAL enters
+// the cache as a stage-less recipe. Each use after the restart builds the
+// plan and answers a hit, the first attaches the stage, and neither
+// writes to the durable store.
+func TestRecoveredKeyUsesWriteNothing(t *testing.T) {
 	dir := t.TempDir()
 	s1, ts1, _ := newPersistentServer(t, dir, nil)
 	planBody(t, ts1.URL+"/v1/plan", `{"kernel": "l1", "size": 12, "cube_dim": 2}`)
@@ -270,8 +282,8 @@ func TestRecoveredKeyRebuildsOnce(t *testing.T) {
 		t.Fatalf("recovered %d keys, want 1", rs.Recovered)
 	}
 	key := (&api.PlanRequest{Kernel: "l1", Size: 12}).Key()
-	if p, _, ok := s2.cache.get(key); !ok || p != nil {
-		t.Fatalf("recovered key: held %v, plan stored %v; want a recipe", ok, p != nil)
+	if st, ok := s2.cache.get(key); !ok || st != nil {
+		t.Fatalf("recovered key: held %v, stage %v; want a stage-less recipe", ok, st != nil)
 	}
 	pre := s2.Metrics()
 	for i := range 2 {
@@ -280,17 +292,17 @@ func TestRecoveredKeyRebuildsOnce(t *testing.T) {
 		if err := json.Unmarshal(out, &sr); resp.StatusCode != http.StatusOK || err != nil || sr.Cache != api.CacheHit {
 			t.Fatalf("simulate %d: %s %q (%v): %s; want 200 and a hit", i, resp.Status, sr.Cache, err, out)
 		}
+		if st, _ := s2.cache.get(key); st == nil {
+			t.Fatalf("simulate %d: the recipe has no stage", i)
+		}
 	}
 	post := s2.Metrics()
-	if post.PlanRebuilds != 1 || post.PlanComputations != 0 {
-		t.Fatalf("%d rebuilds, %d computations; want 1, 0", post.PlanRebuilds, post.PlanComputations)
+	if post.PlanRebuilds != 2 || post.PlanComputations != 0 || post.StageBuilds != 1 {
+		t.Fatalf("%d rebuilds, %d computations, %d stage builds; want 2, 0, 1", post.PlanRebuilds, post.PlanComputations, post.StageBuilds)
 	}
 	if post.WALAppends != pre.WALAppends || post.WALBytes != pre.WALBytes || post.TieredKeys != pre.TieredKeys {
-		t.Fatalf("the rebuild wrote to the store: WAL appends %d → %d, WAL bytes %d → %d, keys %d → %d",
+		t.Fatalf("a held key's use wrote to the store: WAL appends %d → %d, WAL bytes %d → %d, keys %d → %d",
 			pre.WALAppends, post.WALAppends, pre.WALBytes, post.WALBytes, pre.TieredKeys, post.TieredKeys)
-	}
-	if p, _, _ := s2.cache.get(key); p == nil {
-		t.Fatal("the rebuilt plan was not stored")
 	}
 }
 
@@ -306,7 +318,7 @@ func TestStagelessRecipeUnderRunningSimulate(t *testing.T) {
 	req := &api.PlanRequest{Kernel: "matmul", Size: 24}
 	key := req.Key()
 	planBody(t, url+"/v1/plan", `{"kernel": "matmul", "size": 24, "cube_dim": 3}`)
-	_, st, ok := s.cache.get(key)
+	st, ok := s.cache.get(key)
 	if !ok || st == nil {
 		t.Fatal("the key's first use left no recipe on a stage")
 	}
@@ -346,7 +358,7 @@ func TestStagelessRecipeUnderRunningSimulate(t *testing.T) {
 	}
 	resp.Body.Close()
 	reloaded := time.Now()
-	if _, st, ok := s.cache.get(key); !ok || st != nil {
+	if st, ok := s.cache.get(key); !ok || st != nil {
 		t.Fatalf("after ingest: held %v, stage %v; want a stage-less recipe", ok, st != nil)
 	}
 	<-done
@@ -354,7 +366,7 @@ func TestStagelessRecipeUnderRunningSimulate(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("simulate: %d %s", code, out)
 	}
-	if _, st, ok := s.cache.get(key); !ok || st != nil {
+	if st, ok := s.cache.get(key); !ok || st != nil {
 		t.Fatalf("after the simulation: held %v, stage %v; want a stage-less recipe", ok, st != nil)
 	}
 	evictAll(s.cache)
@@ -377,7 +389,7 @@ func TestIngestAppliesNewBaseRecordsOnly(t *testing.T) {
 	if n := s.ingestRecords(rec); n != 0 {
 		t.Fatalf("re-ingesting a held key applied %d records, want 0", n)
 	}
-	if _, _, ok := s.cache.get(req.Key()); !ok {
+	if _, ok := s.cache.get(req.Key()); !ok {
 		t.Fatal("the ingested key is not held")
 	}
 }
