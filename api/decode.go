@@ -1,6 +1,11 @@
 package api
 
-import "unicode/utf8"
+import (
+	"bytes"
+	"encoding/binary"
+	"math/bits"
+	"unicode/utf8"
+)
 
 // Reflection-free decoders for the two /v1/plan messages.
 //
@@ -252,18 +257,11 @@ func (s *scanner) member() bool {
 	if !s.eat('"') {
 		return s.fail()
 	}
-	start := s.i
-	for s.i < len(s.b) && s.b[s.i] != '"' {
-		if c := s.b[s.i]; c == '\\' || c < 0x20 || c >= utf8.RuneSelf {
-			return s.fail()
-		}
-		s.i++
-	}
-	if s.i == len(s.b) {
+	end := skipPlain(s.b, s.i)
+	if end == len(s.b) || s.b[end] != '"' {
 		return s.fail()
 	}
-	s.key = s.b[start:s.i]
-	s.i++
+	s.key, s.i = s.b[s.i:end], end+1
 	s.ws()
 	if !s.eat(':') {
 		return s.fail()
@@ -282,6 +280,34 @@ func (s *scanner) done() bool {
 	return s.i == len(s.b)
 }
 
+// plain reports whether c stands for itself in a string body: it is
+// not the closing quote, a backslash, a control byte (which
+// encoding/json rejects) or part of a multi-byte UTF-8 sequence.
+func plain(c byte) bool {
+	return c >= 0x20 && c != '"' && c != '\\' && c < utf8.RuneSelf
+}
+
+// skipPlain returns the index of the first byte at or after i that is
+// not plain, or len(b). It tests eight bytes at a time: a word x holds a
+// quote, backslash, control or non-ASCII byte exactly when some byte has
+// its high bit set in x, in x minus 0x20 per byte, or in x^c minus 0x01
+// per byte for c a quote or backslash. A plain byte sets none of those
+// bits and lends no borrow to the byte above it, so the lowest bit set
+// is the first such byte's.
+func skipPlain(b []byte, i int) int {
+	const ones, highs = 0x0101010101010101, 0x8080808080808080
+	for ; i+8 <= len(b); i += 8 {
+		x := binary.LittleEndian.Uint64(b[i:])
+		if m := (x | (x - 0x20*ones) | ((x ^ '"'*ones) - ones) | ((x ^ '\\'*ones) - ones)) & highs; m != 0 {
+			return i + bits.TrailingZeros64(m)/8
+		}
+	}
+	for i < len(b) && plain(b[i]) {
+		i++
+	}
+	return i
+}
+
 // rawStr scans a string value and returns its body as it stands in the
 // input, and whether the body holds escapes.
 func (s *scanner) rawStr() (raw []byte, escaped bool) {
@@ -292,35 +318,39 @@ func (s *scanner) rawStr() (raw []byte, escaped bool) {
 		s.fail()
 		return nil, false
 	}
-	start := s.i
-	ascii := true
-	for ; s.i < len(s.b); s.i++ {
-		switch c := s.b[s.i]; {
+	b, i := s.b, s.i
+	start := i
+	for {
+		if i = skipPlain(b, i); i == len(b) {
+			s.fail()
+			return nil, false
+		}
+		switch c := b[i]; {
 		case c == '"':
-			raw := s.b[start:s.i]
-			s.i++
-			// encoding/json replaces invalid UTF-8 with U+FFFD; decline it.
-			if !ascii && !utf8.Valid(raw) {
-				s.fail()
-				return nil, false
-			}
-			return raw, escaped
+			s.i = i + 1
+			return b[start:i], escaped
 		case c == '\\':
-			s.i++
-			if s.i == len(s.b) || unescapeByte(s.b[s.i]) == 0 {
+			if i+1 == len(b) || unescapeByte(b[i+1]) == 0 {
 				s.fail()
 				return nil, false
 			}
 			escaped = true
-		case c < 0x20:
+			i += 2
+		case c >= utf8.RuneSelf:
+			// encoding/json replaces invalid UTF-8 with U+FFFD; decline it.
+			// A valid sequence holds no ASCII byte, so decoding past the
+			// closing quote reads the same rune.
+			r, n := utf8.DecodeRune(b[i:])
+			if r == utf8.RuneError && n == 1 {
+				s.fail()
+				return nil, false
+			}
+			i += n
+		default: // a control byte
 			s.fail()
 			return nil, false
-		case c >= utf8.RuneSelf:
-			ascii = false
 		}
 	}
-	s.fail()
-	return nil, false
 }
 
 // strBytes decodes a string value. The result aliases the input unless
@@ -371,17 +401,16 @@ func unescapeByte(c byte) byte {
 }
 
 // appendUnescaped appends the decoding of a string body already checked
-// by rawStr to dst.
+// by rawStr to dst, copying the runs between escapes whole.
 func appendUnescaped(dst, raw []byte) []byte {
-	for i := 0; i < len(raw); i++ {
-		c := raw[i]
-		if c == '\\' {
-			i++
-			c = unescapeByte(raw[i])
+	for {
+		j := bytes.IndexByte(raw, '\\')
+		if j < 0 {
+			return append(dst, raw...)
 		}
-		dst = append(dst, c)
+		dst = append(append(dst, raw[:j]...), unescapeByte(raw[j+1]))
+		raw = raw[j+2:]
 	}
-	return dst
 }
 
 // digits scans an unsigned integer literal in JSON form (no leading zero

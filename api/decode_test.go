@@ -5,7 +5,9 @@ import (
 	"encoding/json"
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
+	"unicode/utf8"
 )
 
 // strictRequest is the daemon's request decoding in encoding/json terms:
@@ -104,6 +106,16 @@ var wireSeeds = []string{
 	`{"kernel":"bad \x01 control"}`,
 	"{\"kernel\":\"bad \xff utf8\"}",
 	`{"bogus":1}`,
+	// Requests for the encoder: a nil, zero and negative cube_dim,
+	// negative Π entries, and kernels holding a quote, HTML characters,
+	// control bytes, U+2028 and invalid UTF-8.
+	`{"kernel":"l1","size":8}`,
+	`{"kernel":"l1","size":8,"cube_dim":0}`,
+	`{"kernel":"l1","size":-8,"cube_dim":-1,"search_bound":-2,"merge_factor":-3,"grouping_choice":-4,"timeout_ms":-5}`,
+	`{"kernel":"l1","size":8,"pi":[-1,0,-9223372036854775808]}`,
+	`{"kernel":"q\"uote <&> \b\f\n\r\t \\ \/","size":8}`,
+	"{\"kernel\":\"line\u2028para\u2029\",\"size\":8}",
+	"{\"kernel\":\"\xff\xfe\",\"size\":8}",
 }
 
 // TestPlanWireSeeds: the shapes the daemon and client exchange take the
@@ -132,13 +144,130 @@ func TestPlanWireSeeds(t *testing.T) {
 	}
 }
 
+// checkEncode requires AppendPlanRequest(r) to equal json.Marshal(r)
+// byte for byte and, with roundTrip, to decode back to r. An empty Pi,
+// which omitempty leaves out, decodes back as nil.
+func checkEncode(t *testing.T, r *PlanRequest, roundTrip bool) {
+	t.Helper()
+	want, err := json.Marshal(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := AppendPlanRequest(nil, r)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("AppendPlanRequest(%+v) = %s, json.Marshal gives %s", r, got, want)
+	}
+	if !roundTrip {
+		return
+	}
+	same := *r
+	if len(same.Pi) == 0 {
+		same.Pi = nil
+	}
+	back, err := strictRequest(got)
+	if err != nil || !reflect.DeepEqual(back, same) {
+		t.Fatalf("AppendPlanRequest(%+v) = %s decodes to %+v (%v)", r, got, back, err)
+	}
+}
+
+// rawStrBytewise is the string scan rawStr replaced, kept as its oracle:
+// it visits one byte at a time and checks UTF-8 over the whole body once
+// the closing quote is found. It scans the string value opening b and
+// returns its body, whether it holds escapes, the index past it, and
+// whether it is in the accepted subset.
+func rawStrBytewise(b []byte) (raw []byte, escaped bool, next int, ok bool) {
+	if len(b) == 0 || b[0] != '"' {
+		return nil, false, 0, false
+	}
+	ascii := true
+	for i := 1; i < len(b); i++ {
+		switch c := b[i]; {
+		case c == '"':
+			if !ascii && !utf8.Valid(b[1:i]) {
+				return nil, false, 0, false
+			}
+			return b[1:i], escaped, i + 1, true
+		case c == '\\':
+			i++
+			if i == len(b) || unescapeByte(b[i]) == 0 {
+				return nil, false, 0, false
+			}
+			escaped = true
+		case c < 0x20:
+			return nil, false, 0, false
+		case c >= utf8.RuneSelf:
+			ascii = false
+		}
+	}
+	return nil, false, 0, false
+}
+
+// unescapeBytewise is appendUnescaped's byte-at-a-time oracle.
+func unescapeBytewise(raw []byte) []byte {
+	var dst []byte
+	for i := 0; i < len(raw); i++ {
+		c := raw[i]
+		if c == '\\' {
+			i++
+			c = unescapeByte(raw[i])
+		}
+		dst = append(dst, c)
+	}
+	return dst
+}
+
+// checkString requires rawStr and appendUnescaped to accept, decline and
+// decode the string value that opens b as their bytewise oracles do.
+func checkString(t *testing.T, b []byte) {
+	t.Helper()
+	wantRaw, wantEsc, wantNext, wantOK := rawStrBytewise(b)
+	s := scanner{b: b}
+	raw, esc := s.rawStr()
+	if s.failed == wantOK || (wantOK && (!bytes.Equal(raw, wantRaw) || esc != wantEsc || s.i != wantNext)) {
+		t.Fatalf("rawStr(%q) = %q, escaped %v, next %d, failed %v; oracle %q, %v, %d, accepted %v",
+			b, raw, esc, s.i, s.failed, wantRaw, wantEsc, wantNext, wantOK)
+	}
+	if wantOK {
+		if got, want := appendUnescaped([]byte("x"), raw), append([]byte("x"), unescapeBytewise(raw)...); !bytes.Equal(got, want) {
+			t.Fatalf("appendUnescaped(%q) = %q, oracle %q", raw, got[1:], want[1:])
+		}
+	}
+}
+
 // FuzzPlanWire: for any bytes, when a fast decoder accepts, encoding/json
-// accepts too and gives a DeepEqual value.
+// accepts too and gives a DeepEqual value, and the string scan accepts,
+// declines and decodes a string of the bytes as its bytewise oracle
+// does. Every request the fast decoder accepts encodes through
+// AppendPlanRequest as json.Marshal encodes it and decodes back to
+// itself; a request whose kernel is the raw bytes, whatever they hold,
+// encodes as json.Marshal encodes it.
 func FuzzPlanWire(f *testing.F) {
 	for _, s := range wireSeeds {
 		f.Add([]byte(s))
 	}
+	// String bodies for checkString: escapes, multi-byte runes valid,
+	// cut and surrogate, and each special byte at every offset of a run
+	// longer than one 8-byte word.
+	for _, s := range []string{
+		`tab\tquote\" slash\/ back\\ \b\f\n\r"`,
+		`kernel l1: Π = (1, 1), β = 1\nmapping\n"`,
+		"ok\xe2\x80\"", "\xed\xa0\x80\"", `\u0031"`, `\`, `\"`,
+	} {
+		f.Add([]byte(s))
+	}
+	for _, c := range []string{`"`, `\`, `\\`, `\n`, "\x01", "\x7f", "\xc3\xa9", "\xff"} {
+		for at := 0; at < 17; at++ {
+			run := []byte(strings.Repeat("a", 20))
+			f.Add(append(append(run[:at:at], c...), append(run[at:], '"')...))
+		}
+	}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		checkWire(t, b)
+		checkString(t, append([]byte{'"'}, b...))
+		var r PlanRequest
+		if DecodePlanRequest(b, &r) {
+			checkEncode(t, &r, true)
+		}
+		checkEncode(t, &PlanRequest{Kernel: string(b)}, false)
 	})
 }

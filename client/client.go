@@ -21,6 +21,7 @@ package client
 import (
 	"bytes"
 	"context"
+	"crypto/tls"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -65,7 +66,9 @@ type Config struct {
 	BaseURL string
 	// HTTPClient overrides the transport (default: a plain http.Client;
 	// per-call contexts bound every request, so no global timeout is
-	// set).
+	// set). One that sets no Jar, Timeout or CheckRedirect has requests
+	// sent straight through its Transport, unless the base URL carries
+	// userinfo; any other sends through Client.Do.
 	HTTPClient *http.Client
 
 	// MaxRetries is how many times a retryable failure (503 or transport
@@ -172,7 +175,7 @@ type ClientStats struct {
 type Client struct {
 	cfg     Config
 	base    string
-	targets map[string]target
+	targets map[string]*http.Request
 	breaker *breaker
 	reval   *revalCache // nil unless Config.Revalidate
 
@@ -236,12 +239,12 @@ func (c *Client) Plan(ctx context.Context, req *api.PlanRequest) (*api.PlanRespo
 		return &out, nil
 	}
 	key := req.ResponseKey()
-	var inm []string
+	var hdr http.Header
 	if e, ok := c.reval.get(key); ok {
-		inm = e.inm
+		hdr = e.hdr
 	}
 	var out api.PlanResponse
-	etag, notModified, err := c.exchange(ctx, http.MethodPost, "/v1/plan", req, &out, true, inm)
+	etag, notModified, err := c.exchange(ctx, http.MethodPost, "/v1/plan", req, &out, true, hdr)
 	if err != nil {
 		return nil, err
 	}
@@ -319,11 +322,7 @@ func (c *Client) ClusterStatus(ctx context.Context) (*api.ClusterStatus, error) 
 // Ready probes /readyz once — no retries, no breaker — and returns nil
 // iff the daemon is accepting traffic. Meant for wait-until-up loops.
 func (c *Client) Ready(ctx context.Context) error {
-	req, err := c.newRequest(ctx, http.MethodGet, "/readyz", nil)
-	if err != nil {
-		return err
-	}
-	resp, err := c.cfg.HTTPClient.Do(req)
+	resp, err := c.send(ctx, http.MethodGet, "/readyz", nil, nil)
 	if err != nil {
 		return err
 	}
@@ -351,16 +350,23 @@ func (c *Client) doJSON(ctx context.Context, method, path string, in, out any, h
 	return err
 }
 
-// exchange is doJSON plus conditional-request support: inm, when non-nil,
-// is sent as the If-None-Match header's values, the response's ETag is
-// returned, and a 304 reports notModified=true with out left untouched.
-// Each attempt's body buffer goes back to the pool once the next attempt
-// starts or exchange returns: by then the decode and any error text have
-// copied what they keep out of it.
-func (c *Client) exchange(ctx context.Context, method, path string, in, out any, hedgeable bool, inm []string) (etag string, notModified bool, err error) {
+// exchange is doJSON plus conditional-request support: hdr, when
+// non-nil, is the request's header map (a revalidation entry's, carrying
+// If-None-Match), the response's ETag is returned, and a 304 reports
+// notModified=true with out left untouched. A *api.PlanRequest body is
+// encoded by api.AppendPlanRequest, any other by encoding/json. Each
+// attempt's response body buffer goes back to the pool once the next
+// attempt starts or exchange returns: by then the decode and any error
+// text have copied what they keep out of it. The request body is never
+// reused, since the transport may read it after RoundTrip returns.
+func (c *Client) exchange(ctx context.Context, method, path string, in, out any, hedgeable bool, hdr http.Header) (etag string, notModified bool, err error) {
 	c.requests.Add(1)
 	var body []byte
-	if in != nil {
+	if pr, ok := in.(*api.PlanRequest); ok && pr != nil {
+		// Encoded on the stack, then copied out at its size.
+		var scratch [planRequestRoom]byte
+		body = bytes.Clone(api.AppendPlanRequest(scratch[:0], pr))
+	} else if in != nil {
 		var err error
 		if body, err = json.Marshal(in); err != nil {
 			c.failures.Add(1)
@@ -396,7 +402,7 @@ func (c *Client) exchange(ctx context.Context, method, path string, in, out any,
 		c.attempts.Add(1)
 		// A half-open probe must be exactly one request on the wire.
 		res.release()
-		res, err = c.attempt(ctx, method, path, body, hedgeable && !probe, inm)
+		res, err = c.attempt(ctx, method, path, body, hedgeable && !probe, hdr)
 
 		// Classify. A 4xx means the server is healthy and we are wrong:
 		// success for the breaker, terminal for the caller. 503 is the
@@ -493,9 +499,9 @@ func (c *Client) backoff(attempt int, retryAfter time.Duration) time.Duration {
 }
 
 // attempt performs one (possibly hedged) exchange.
-func (c *Client) attempt(ctx context.Context, method, path string, body []byte, hedgeable bool, inm []string) (httpResult, error) {
+func (c *Client) attempt(ctx context.Context, method, path string, body []byte, hedgeable bool, hdr http.Header) (httpResult, error) {
 	if !hedgeable || c.cfg.HedgeDelay <= 0 {
-		return c.roundTrip(ctx, method, path, body, inm)
+		return c.roundTrip(ctx, method, path, body, hdr)
 	}
 
 	type outcome struct {
@@ -508,7 +514,7 @@ func (c *Client) attempt(ctx context.Context, method, path string, body []byte, 
 	ch := make(chan outcome, 2)
 	launch := func(hedged bool) {
 		go func() {
-			res, err := c.roundTrip(hctx, method, path, body, inm)
+			res, err := c.roundTrip(hctx, method, path, body, hdr)
 			ch <- outcome{res, err, hedged}
 		}()
 	}
@@ -550,22 +556,8 @@ func (c *Client) attempt(ctx context.Context, method, path string, body []byte, 
 
 // roundTrip is one HTTP exchange with the body fully read into a pooled
 // buffer (see httpResult.release).
-func (c *Client) roundTrip(ctx context.Context, method, path string, body []byte, inm []string) (httpResult, error) {
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
-	}
-	req, err := c.newRequest(ctx, method, path, rd)
-	if err != nil {
-		return httpResult{}, err
-	}
-	if body != nil {
-		req.Header["Content-Type"] = jsonContentType
-	}
-	if inm != nil {
-		req.Header["If-None-Match"] = inm
-	}
-	resp, err := c.cfg.HTTPClient.Do(req)
+func (c *Client) roundTrip(ctx context.Context, method, path string, body []byte, hdr http.Header) (httpResult, error) {
+	resp, err := c.send(ctx, method, path, body, hdr)
 	if err != nil {
 		return httpResult{}, err
 	}
@@ -580,55 +572,150 @@ func (c *Client) roundTrip(ctx context.Context, method, path string, body []byte
 	return httpResult{
 		status:     resp.StatusCode,
 		retryAfter: parseRetryAfter(resp.Header.Get("Retry-After")),
-		etag:       resp.Header.Get("ETag"),
+		etag:       resp.Header.Get("Etag"), // ETag's canonical form, which Get need not rebuild
 		readOnly:   resp.Header.Get(api.ReadOnlyHeader) == "1",
 		body:       data,
 		buf:        buf,
 	}, nil
 }
 
-// jsonContentType is the Content-Type header value of every request
-// body, shared by all requests so setting it allocates nothing.
-var jsonContentType = []string{"application/json"}
+// planRequestRoom is the stack room a plan request is encoded in,
+// enough for a kernel, size, cube and a few options (the benchmark's
+// requests take 60-70 bytes); a longer request grows onto the heap.
+const planRequestRoom = 256
+
+// Request header maps. Every request carries Content-Type when it has a
+// body, and Accept-Encoding: identity, which keeps the transport from
+// asking for gzip (and building a header map per request to say so);
+// the daemon never compresses, so the answer is the same. The direct
+// send path shares these maps, which nothing writes; Client.Do gets a
+// copy, since a cookie jar adds to it.
+var (
+	jsonContentType = []string{"application/json"}
+	identity        = []string{"identity"}
+	getHeader       = http.Header{"Accept-Encoding": identity}
+	postHeader      = http.Header{"Accept-Encoding": identity, "Content-Type": jsonContentType}
+)
+
+// revalHeader returns the header map of a /v1/plan request revalidating
+// the response with the given ETag, which its cache entry keeps.
+func revalHeader(etag string) http.Header {
+	return http.Header{"Accept-Encoding": identity, "Content-Type": jsonContentType, "If-None-Match": {etag}}
+}
+
+// send sends one request for path and returns the response, whose body
+// the caller closes. hdr is the header map; nil means getHeader or, with
+// a body, postHeader.
+//
+// When direct allows it, send calls the HTTP client's Transport itself,
+// skipping what Client.Do adds per request (its redirect bookkeeping and
+// header copier) that such a client does not use. Errors are wrapped in
+// *url.Error as Client.Do wraps them, and a redirect answer is sent again
+// through Client.Do, which follows it. Otherwise Client.Do sends.
+func (c *Client) send(ctx context.Context, method, path string, body []byte, hdr http.Header) (*http.Response, error) {
+	if hdr == nil {
+		hdr = getHeader
+		if body != nil {
+			hdr = postHeader
+		}
+	}
+	req, err := c.newRequest(ctx, method, path, body)
+	if err != nil {
+		return nil, err
+	}
+	hc := c.cfg.HTTPClient
+	if direct(hc, req.URL) {
+		req.Header = hdr
+		rt := hc.Transport
+		if rt == nil {
+			rt = http.DefaultTransport
+		}
+		resp, err := rt.RoundTrip(req)
+		if err == nil && resp == nil {
+			err = fmt.Errorf("http: RoundTripper implementation (%T) returned a nil *Response with a nil error", rt)
+		}
+		if err != nil {
+			if tlsErr, ok := err.(tls.RecordHeaderError); ok && string(tlsErr.RecordHeader[:]) == "HTTP/" {
+				err = http.ErrSchemeMismatch
+			}
+			return nil, &url.Error{Op: method[:1] + strings.ToLower(method[1:]), URL: req.URL.String(), Err: err}
+		}
+		if resp.Body == nil {
+			resp.Body = http.NoBody
+		}
+		if !isRedirect(resp) {
+			return resp, nil
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if req, err = c.newRequest(ctx, method, path, body); err != nil {
+			return nil, err
+		}
+	}
+	req.Header = hdr.Clone()
+	return hc.Do(req)
+}
+
+// direct reports whether a request to u through hc may skip Client.Do:
+// hc sets no cookie jar, timeout or redirect policy, and u carries no
+// userinfo for basic auth. That holds for the default HTTP client.
+func direct(hc *http.Client, u *url.URL) bool {
+	return hc.Jar == nil && hc.Timeout == 0 && hc.CheckRedirect == nil && u.User == nil
+}
+
+// isRedirect reports whether Client.Do would follow resp: a 301, 302,
+// 303, 307 or 308 with a Location.
+func isRedirect(resp *http.Response) bool {
+	switch resp.StatusCode {
+	case http.StatusMovedPermanently, http.StatusFound, http.StatusSeeOther, http.StatusTemporaryRedirect, http.StatusPermanentRedirect:
+		return resp.Header.Get("Location") != ""
+	}
+	return false
+}
 
 // apiPaths lists every path the client requests; New resolves each
 // against the base URL once.
 var apiPaths = [...]string{"/v1/plan", "/v1/batch", "/v1/simulate", "/v1/spmd", "/v1/kernels", "/v1/cluster", "/readyz"}
 
-// target is one API path resolved against the base URL.
-type target struct {
-	url  *url.URL
-	host string
-}
-
-// resolveTargets parses the base URL joined with every API path, as
-// http.NewRequest would per call. A base URL that does not parse yields
-// no targets, so every call reports the parse error.
-func resolveTargets(base string) map[string]target {
-	targets := make(map[string]target, len(apiPaths))
+// resolveTargets builds a request for the base URL joined with every
+// API path, as http.NewRequest would per call, for newRequest to copy. A
+// base URL that does not parse yields no targets, so every call reports
+// the parse error.
+func resolveTargets(base string) map[string]*http.Request {
+	targets := make(map[string]*http.Request, len(apiPaths))
 	for _, p := range apiPaths {
 		r, err := http.NewRequest(http.MethodGet, base+p, nil)
 		if err != nil {
 			return nil
 		}
-		targets[p] = target{url: r.URL, host: r.Host}
+		targets[p] = r
 	}
 	return targets
 }
 
-// newRequest builds a request for path under the base URL. A known path
-// reuses its parsed URL, which requests only read, so building one parses
-// nothing; any other path is parsed for the call.
-func (c *Client) newRequest(ctx context.Context, method, path string, body io.Reader) (*http.Request, error) {
+// newRequest builds a request for path under the base URL, with body
+// (none if nil) and no header map. A known path's request is a copy of
+// its target, whose parsed URL every copy shares (requests only read
+// it), so building one parses nothing; any other path, or a nil
+// context, goes through http.NewRequestWithContext.
+func (c *Client) newRequest(ctx context.Context, method, path string, body []byte) (*http.Request, error) {
 	t, ok := c.targets[path]
-	if !ok {
-		return http.NewRequestWithContext(ctx, method, c.base+path, body)
+	if !ok || ctx == nil {
+		var rd io.Reader
+		if body != nil {
+			rd = bytes.NewReader(body)
+		}
+		return http.NewRequestWithContext(ctx, method, c.base+path, rd)
 	}
-	req, err := http.NewRequestWithContext(ctx, method, "", body)
-	if err != nil {
-		return nil, err
+	req := t.WithContext(ctx)
+	req.Method, req.Header = method, nil
+	if body != nil {
+		// As http.NewRequest sets them for a *bytes.Reader: GetBody lets
+		// the transport resend the body on a fresh connection.
+		req.ContentLength = int64(len(body))
+		req.Body = io.NopCloser(bytes.NewReader(body))
+		req.GetBody = func() (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader(body)), nil }
 	}
-	req.URL, req.Host = t.url, t.host
 	return req, nil
 }
 

@@ -7,6 +7,7 @@ package client
 
 import (
 	"container/list"
+	"net/http"
 	"sync"
 
 	"repro/api"
@@ -15,9 +16,9 @@ import (
 type revalEntry struct {
 	key  string
 	etag string
-	// inm is etag as the If-None-Match header value a revalidation sends,
-	// built once per entry.
-	inm  []string
+	// hdr is the header map a revalidation sends, If-None-Match etag
+	// included, built once per entry (see revalHeader).
+	hdr  http.Header
 	resp api.PlanResponse
 }
 
@@ -49,11 +50,11 @@ func (c *revalCache) put(key, etag string, resp api.PlanResponse) {
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
 		e := el.Value.(*revalEntry)
-		e.etag, e.inm, e.resp = etag, []string{etag}, resp
+		e.etag, e.hdr, e.resp = etag, revalHeader(etag), resp
 		c.ll.MoveToFront(el)
 		return
 	}
-	c.items[key] = c.ll.PushFront(&revalEntry{key: key, etag: etag, inm: []string{etag}, resp: resp})
+	c.items[key] = c.ll.PushFront(&revalEntry{key: key, etag: etag, hdr: revalHeader(etag), resp: resp})
 	for c.ll.Len() > c.cap {
 		oldest := c.ll.Back()
 		c.ll.Remove(oldest)

@@ -18,6 +18,7 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"sort"
@@ -152,7 +153,9 @@ func (b *bisection) mapCube(items []Item, dim int, opt Options, t *Tables) (*Res
 // axes in order, then ID. That order restricted to one cluster is the
 // cluster sorted, so a split halves every cluster in one pass over it.
 // Items the order cannot tell apart share their ID and coordinates, so
-// which of them lands in which half never shows in a result.
+// which of them lands in which half never shows in a result. When every
+// sort key fits in 64 bits, an axis sorts packed integer keys instead of
+// comparing items (see pack).
 //
 // A bisection is working memory that no result keeps: mappers take one
 // from bisectionFree, reset it for their items, and give it back when
@@ -165,6 +168,16 @@ type bisection struct {
 	// orders[a] lists item positions in axis a's order; empty until axis
 	// a is first split.
 	orders [][]int32
+	// packed reports that the orders sort packed keys (see pack): keys is
+	// their scratch, compLo and lo[a] the least component and axis-a
+	// coordinate, and compBits, bits[a] and posBits the widths of the
+	// key's fields.
+	packed            bool
+	keys              []uint64
+	compLo            int
+	lo, hi            []int64
+	bits              []int
+	compBits, posBits int
 	// cluster[i] is item i's cluster and size[c] cluster c's item count;
 	// split builds the next sizes in spare and room, then swaps.
 	cluster     []int
@@ -199,7 +212,7 @@ func getBisection() *bisection { return bisectionFree.Get() }
 func putBisection(b *bisection) {
 	clear(b.itemBuf)
 	b.items = nil
-	if cap(b.cluster) > bisectionMaxItems || cap(b.itemBuf) > bisectionMaxItems {
+	if cap(b.cluster) > bisectionMaxItems || cap(b.itemBuf) > bisectionMaxItems || cap(b.keys) > bisectionMaxItems {
 		return
 	}
 	bisectionFree.Put(b)
@@ -224,7 +237,50 @@ func (b *bisection) reset(items []Item) (int, error) {
 	zeroInts(&b.cluster, len(items))
 	b.size = append(b.size[:0], len(items))
 	b.fields = b.fields[:0]
+	b.packed = b.pack()
 	return maxID, nil
+}
+
+// pack lays out the items' packed sort keys and reports whether the
+// orders can use them. An item's key along an axis holds, from the most
+// significant bits down: its component, its coordinate on the axis, its
+// coordinates on the other axes in order, and its position, each less
+// its least value over the items and in the fewest bits that hold the
+// range. Sorted keys follow compare, with position in place of ID as the
+// last tie-break, which agrees with it when IDs do not descend with
+// position, as in every partitioning's items. So pack declines when some
+// ID is below the one before it, or when the fields need more than 64
+// bits.
+func (b *bisection) pack() bool {
+	items := b.items
+	b.lo = slices.Grow(b.lo[:0], b.axes)[:b.axes]
+	b.hi = slices.Grow(b.hi[:0], b.axes)[:b.axes]
+	b.bits = slices.Grow(b.bits[:0], b.axes)[:b.axes]
+	for a := range b.lo {
+		b.lo[a] = coord(&items[0], a)
+		b.hi[a] = b.lo[a]
+	}
+	compLo, compHi := items[0].Component, items[0].Component
+	for i := range items {
+		it := &items[i]
+		if i > 0 && it.ID < items[i-1].ID {
+			return false
+		}
+		compLo, compHi = min(compLo, it.Component), max(compHi, it.Component)
+		for a := range b.lo {
+			c := coord(it, a)
+			b.lo[a], b.hi[a] = min(b.lo[a], c), max(b.hi[a], c)
+		}
+	}
+	b.compLo = compLo
+	b.compBits = bits.Len64(uint64(compHi) - uint64(compLo))
+	b.posBits = bits.Len(uint(len(items) - 1))
+	total := b.compBits + b.posBits
+	for a := range b.bits {
+		b.bits[a] = bits.Len64(uint64(b.hi[a]) - uint64(b.lo[a]))
+		total += b.bits[a]
+	}
+	return total <= 64
 }
 
 // zeroInts resizes *buf to n zeroed entries, reusing its storage when it
@@ -275,17 +331,39 @@ func (b *bisection) compare(x, y *Item, axis int) int {
 }
 
 // order returns the item positions in axis order, sorting them on first
-// use.
+// use: as packed keys when pack allowed it, else with compare.
 func (b *bisection) order(axis int) []int32 {
-	if len(b.orders[axis]) == 0 {
-		ord := b.orders[axis][:0]
+	if len(b.orders[axis]) > 0 {
+		return b.orders[axis]
+	}
+	ord := b.orders[axis][:0]
+	if b.packed {
+		keys := b.keys[:0]
+		for i := range b.items {
+			it := &b.items[i]
+			k := uint64(it.Component) - uint64(b.compLo)
+			k = k<<b.bits[axis] | (uint64(coord(it, axis)) - uint64(b.lo[axis]))
+			for o := range b.bits {
+				if o != axis {
+					k = k<<b.bits[o] | (uint64(coord(it, o)) - uint64(b.lo[o]))
+				}
+			}
+			keys = append(keys, k<<b.posBits|uint64(i))
+		}
+		slices.Sort(keys)
+		mask := uint64(1)<<b.posBits - 1
+		for _, k := range keys {
+			ord = append(ord, int32(k&mask))
+		}
+		b.keys = keys
+	} else {
 		for i := range b.items {
 			ord = append(ord, int32(i))
 		}
 		slices.SortFunc(ord, func(i, j int32) int { return b.compare(&b.items[i], &b.items[j], axis) })
-		b.orders[axis] = ord
 	}
-	return b.orders[axis]
+	b.orders[axis] = ord
+	return ord
 }
 
 // split halves every cluster along axis, recording field as the address

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -445,4 +446,82 @@ func TestMapItemsMatchesStableOracle(t *testing.T) {
 		check(fmt.Sprintf("random %d", trial), randomItems(rng, 1+rng.Intn(40)))
 	}
 	check("negative ID", []Item{{ID: 1}, {ID: -1}})
+}
+
+// TestPackedOrderMatchesCompare holds the packed-key axis orders to
+// compare and slices.SortFunc, their oracle, on every oracle
+// partitioning (every built-in kernel and generated nest) and on seeded
+// random items with negative coordinates, several components, short or
+// missing coordinates, and repeated or descending IDs. At every position
+// of every axis order, the two orders must hold items that compare
+// ranks equal, so they differ only among items no result tells apart.
+// Items whose IDs do not descend and whose key fields fit in 64 bits
+// must take the packed path, and all others the comparison sort.
+func TestPackedOrderMatchesCompare(t *testing.T) {
+	check := func(name string, items []Item, wantPacked bool) {
+		t.Helper()
+		b := &bisection{}
+		if _, err := b.reset(items); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if b.packed != wantPacked {
+			t.Fatalf("%s: packed %v, want %v", name, b.packed, wantPacked)
+		}
+		for axis := range b.axes {
+			got := b.order(axis)
+			want := make([]int32, len(items))
+			for i := range want {
+				want[i] = int32(i)
+			}
+			slices.SortFunc(want, func(i, j int32) int { return b.compare(&items[i], &items[j], axis) })
+			seen := make([]bool, len(items))
+			for k, i := range got {
+				if seen[i] {
+					t.Fatalf("%s axis %d: position %d listed twice", name, axis, i)
+				}
+				seen[i] = true
+				if b.compare(&items[i], &items[want[k]], axis) != 0 {
+					t.Fatalf("%s axis %d: order %v, compare sorts %v", name, axis, got, want)
+				}
+			}
+			if len(got) != len(items) {
+				t.Fatalf("%s axis %d: order lists %d of %d items", name, axis, len(got), len(items))
+			}
+		}
+	}
+	for name, items := range oracleItemSets(t) {
+		check(name, items, true)
+	}
+	rng := rand.New(rand.NewSource(37))
+	for trial := 0; trial < 300; trial++ {
+		items := randomItems(rng, 1+rng.Intn(40))
+		for i := range items {
+			for a := range items[i].Coords {
+				items[i].Coords[a] *= int32(1 + rng.Intn(1000))
+			}
+		}
+		ids := make([]int, len(items))
+		for i := range items {
+			ids[i] = items[i].ID
+		}
+		slices.Sort(ids)
+		for i := range items {
+			items[i].ID = ids[i]
+		}
+		check(fmt.Sprintf("random %d, IDs ascending", trial), items, true)
+		for i := range items {
+			items[i].ID = ids[len(ids)-1-i]
+		}
+		check(fmt.Sprintf("random %d, IDs descending", trial), items, ids[0] == ids[len(ids)-1])
+	}
+	// Fields of 64 bits in all pack (here 62 for the component, one for
+	// the ID that stands in for a missing coordinate, one for the
+	// position); one more bit does not.
+	check("64 bits", []Item{{ID: 0, Component: 0}, {ID: 1, Component: 1 << 61}}, true)
+	check("65 bits", []Item{{ID: 0, Component: 0}, {ID: 1, Component: 1 << 62}}, false)
+	check("66 bits of coordinates", []Item{
+		{ID: 0, Coords: []int32{math.MinInt32, math.MinInt32}},
+		{ID: 1, Component: 1, Coords: []int32{math.MaxInt32, math.MaxInt32}},
+	}, false)
+	check("widest component", []Item{{ID: 0, Component: math.MinInt}, {ID: 1, Component: math.MaxInt}}, false)
 }

@@ -21,7 +21,6 @@ import (
 	"net/http"
 	"strings"
 	"sync"
-	"unicode/utf8"
 
 	"repro/api"
 	"repro/internal/pool"
@@ -87,58 +86,6 @@ func newFrame(prefix []byte) *respFrame {
 }
 
 const hexDigits = "0123456789abcdef"
-
-// appendJSONString appends s as a JSON string exactly as encoding/json
-// writes it with HTML escaping off: '"', '\\' and control characters
-// escaped (\b, \f, \n, \r and \t by their short forms), invalid UTF-8
-// replaced by \ufffd, and U+2028 and U+2029 escaped.
-func appendJSONString[T string | []byte](b []byte, s T) []byte {
-	b = append(b, '"')
-	start := 0
-	for i := 0; i < len(s); {
-		c := s[i]
-		if c < utf8.RuneSelf {
-			if c >= 0x20 && c != '"' && c != '\\' {
-				i++
-				continue
-			}
-			b = append(b, s[start:i]...)
-			switch c {
-			case '"', '\\':
-				b = append(b, '\\', c)
-			case '\b':
-				b = append(b, '\\', 'b')
-			case '\f':
-				b = append(b, '\\', 'f')
-			case '\n':
-				b = append(b, '\\', 'n')
-			case '\r':
-				b = append(b, '\\', 'r')
-			case '\t':
-				b = append(b, '\\', 't')
-			default:
-				b = append(b, '\\', 'u', '0', '0', hexDigits[c>>4], hexDigits[c&0xf])
-			}
-			i++
-			start = i
-			continue
-		}
-		// At most UTFMax bytes, so the conversion needs no allocation.
-		r, size := utf8.DecodeRune([]byte(s[i:min(i+utf8.UTFMax, len(s))]))
-		switch {
-		case r == utf8.RuneError && size == 1:
-			b = append(append(b, s[start:i]...), `\ufffd`...)
-		case r == '\u2028' || r == '\u2029':
-			b = append(append(b, s[start:i]...), '\\', 'u', '2', '0', '2', hexDigits[r&0xf])
-		default:
-			i += size
-			continue
-		}
-		i += size
-		start = i
-	}
-	return append(append(b, s[start:]...), '"')
-}
 
 // etagMatch implements the If-None-Match comparison: a "*" or any listed
 // entity tag matching the frame's. If-None-Match uses the weak comparison

@@ -342,30 +342,3 @@ func TestRespCacheBudgetBelowOneIsDefault(t *testing.T) {
 		t.Fatalf("transfer streamed %+v, want the ingested frame", recs)
 	}
 }
-
-// TestAppendJSONStringMatchesEncodingJSON holds the frame appender's
-// string escaping to encoding/json without HTML escaping, on the cases
-// plan bodies never reach: quotes, backslashes, every control byte,
-// HTML characters, invalid UTF-8, U+2028 and U+2029, and multi-byte
-// runes cut at the end of the input.
-func TestAppendJSONStringMatchesEncodingJSON(t *testing.T) {
-	cases := []string{"", "matmul", `a"b\c`, "<&>", "Π·x = 0, β", "\u2028 \u2029", "\xff", "ok\xe2\x80", "\xed\xa0\x80", "\U0001F600"}
-	for c := 0; c < 0x20; c++ {
-		cases = append(cases, fmt.Sprintf("x%cy", c))
-	}
-	for _, s := range cases {
-		var want bytes.Buffer
-		enc := json.NewEncoder(&want)
-		enc.SetEscapeHTML(false)
-		if err := enc.Encode(s); err != nil {
-			t.Fatal(err)
-		}
-		w := bytes.TrimSuffix(want.Bytes(), []byte("\n"))
-		if got := appendJSONString(nil, s); !bytes.Equal(got, w) {
-			t.Errorf("appendJSONString(%q) = %s, encoding/json gives %s", s, got, w)
-		}
-		if got := appendJSONString(nil, []byte(s)); !bytes.Equal(got, w) {
-			t.Errorf("appendJSONString([]byte(%q)) = %s, encoding/json gives %s", s, got, w)
-		}
-	}
-}

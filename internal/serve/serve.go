@@ -181,10 +181,14 @@ type Server struct {
 	// beforeStageBuild, a test seam, runs in stageFlight's leader just
 	// before it builds the stage for the given key.
 	beforeStageBuild func(skey string)
-	gate             *pool.Gate
-	metrics          *metrics
-	drain            chan struct{} // closed when draining
-	mux              *http.ServeMux
+	// beforeHeldBuild, a test seam, runs in flight's leader for a key the
+	// plan cache holds, before it takes an admission slot to build the
+	// key's plan.
+	beforeHeldBuild func(key string)
+	gate            *pool.Gate
+	metrics         *metrics
+	drain           chan struct{} // closed when draining
+	mux             *http.ServeMux
 
 	// tier is the durable plan store, attached by Recover when
 	// DiskCacheDir is set (nil when persistence is disabled). It must be
@@ -330,6 +334,10 @@ type statusWriter struct {
 	bytes int64
 }
 
+// statusWriters recycles instrument's writers, keeping up to 16: a
+// handler never keeps its writer past its return.
+var statusWriters = pool.NewFree[statusWriter](16)
+
 func (w *statusWriter) WriteHeader(code int) {
 	w.code = code
 	w.wrote = true
@@ -350,10 +358,17 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		if r.Body != nil {
+		// A declared length within the limit bounds the body already: the
+		// server reads no byte past it.
+		if r.Body != nil && (r.ContentLength < 0 || r.ContentLength > maxBodyBytes) {
 			r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 		}
-		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
+		sw := statusWriters.Get()
+		*sw = statusWriter{ResponseWriter: w, code: http.StatusOK}
+		defer func() {
+			*sw = statusWriter{}
+			statusWriters.Put(sw)
+		}()
 		if cn := s.cnode(); cn != nil {
 			// Epoch gossip over ordinary traffic: every cluster-mode
 			// response advertises the responder's map version so clients
@@ -618,6 +633,9 @@ type flightPlan struct {
 // payload and the stage.
 func (s *Server) buildBase(ctx context.Context, req *api.PlanRequest, key string, transient bool) (any, error) {
 	st, held := s.cache.get(key)
+	if held && s.beforeHeldBuild != nil {
+		s.beforeHeldBuild(key)
+	}
 	// durable: the key's canonical request needs no new WAL write.
 	durable := held
 	if !held {
@@ -787,7 +805,7 @@ func encodePlanFrame(req *api.PlanRequest, p *loopmap.Plan) *respFrame {
 	// Without a mapping phase ms is zero, as are the fields it fills.
 	ms, _ := p.EvaluateMapping()
 	b := append(buf.AvailableBuffer(), `{"kernel":`...)
-	b = appendJSONString(b, req.Kernel)
+	b = api.AppendJSONString(b, req.Kernel, false)
 	b = appendField(b, `,"size":`, req.Size)
 	if pi := p.Schedule.Pi; pi == nil {
 		b = append(b, `,"pi":null`...)
@@ -826,7 +844,7 @@ func encodePlanFrame(req *api.PlanRequest, p *loopmap.Plan) *respFrame {
 			b = appendField(b, f.name, f.x)
 		}
 	}
-	b = appendJSONString(append(b, `,"summary":`...), p.AppendSummary(text.AvailableBuffer(), ms))
+	b = api.AppendJSONString(append(b, `,"summary":`...), p.AppendSummary(text.AvailableBuffer(), ms), false)
 	return newFrame(b)
 }
 

@@ -429,6 +429,30 @@ func TestRequestBodyLimit(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("oversized body: status %d, want 400", resp.StatusCode)
 	}
+
+	// A valid request padded one byte past the limit and sent chunked
+	// declares no length, so the limit alone turns it away.
+	small := `{"kernel":"l1","size":8,"pi":[1,1]}`
+	over := small + strings.Repeat(" ", maxBodyBytes+1-len(small))
+	resp, err := http.Post(ts.URL+"/v1/plan", "application/json", io.MultiReader(strings.NewReader(over)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("oversized chunked body: status %d, want 400", resp.StatusCode)
+	}
+
+	// Padded to exactly the limit, it is read whole and answered as the
+	// request without its padding is.
+	atLimit := over[:maxBodyBytes]
+	_, fresh := newTestServer(t, Config{})
+	wantResp, want := postJSON(t, fresh.URL+"/v1/plan", small)
+	resp, got := postJSON(t, ts.URL+"/v1/plan", atLimit)
+	if resp.StatusCode != wantResp.StatusCode || !bytes.Equal(got, want) {
+		t.Fatalf("body of exactly %d bytes: status %d %s, want %d %s", maxBodyBytes, resp.StatusCode, got, wantResp.StatusCode, want)
+	}
 }
 
 func TestDefaultTimeoutClamped(t *testing.T) {

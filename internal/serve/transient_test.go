@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -150,7 +151,9 @@ func serveOp(h http.Handler, op lifetimeOp) (int, string) {
 // whose plan were released before its frame was encoded, or while a
 // follower (another /v1/plan, a batch item or a simulation) still read
 // it, would answer with poisoned tables or crash; under -race the release
-// also races the follower's reads.
+// also races the follower's reads. Each held-key round's build waits
+// until the round's other requests for its key have joined the flight
+// (or two seconds pass), so those rounds always share a held key's plan.
 func TestTransientPlanLifetimes(t *testing.T) {
 	poisonReleased(t)
 	const workers = 4
@@ -158,9 +161,30 @@ func TestTransientPlanLifetimes(t *testing.T) {
 	fresh := New(Config{}).Handler()
 	s := New(Config{MaxInflight: workers})
 	h := s.Handler()
+	// heldKey is the current held-key round's base key, "" in other
+	// rounds; every worker but the last asks for it, one of them leading.
+	var heldKey string
+	var overlapped atomic.Int64
+	s.beforeHeldBuild = func(key string) {
+		if key != heldKey {
+			return
+		}
+		for deadline := time.Now().Add(2 * time.Second); s.flight.joiners(key) < workers-2; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				return
+			}
+		}
+		overlapped.Add(1)
+	}
 	got := make([][]string, len(rounds))
+	heldRounds := 0
 	for r, ops := range rounds {
 		got[r] = make([]string, workers)
+		heldKey = ""
+		if r%5 == 4 {
+			heldKey = (&api.PlanRequest{Kernel: "convolution", Size: 12 + int64(r-1), MergeFactor: 3}).Key()
+			heldRounds++
+		}
 		var start, wg sync.WaitGroup
 		start.Add(1)
 		for w, op := range ops {
@@ -184,9 +208,12 @@ func TestTransientPlanLifetimes(t *testing.T) {
 		}
 	}
 	m := s.Metrics()
-	t.Logf("%d computations, %d shared flights", m.PlanComputations, m.SingleflightShared)
+	t.Logf("%d computations, %d shared flights, %d of %d held-key rounds overlapped", m.PlanComputations, m.SingleflightShared, overlapped.Load(), heldRounds)
 	if m.SingleflightShared == 0 {
 		t.Fatal("no request followed another's flight; the herds did not overlap")
+	}
+	if n := overlapped.Load(); n != int64(heldRounds) {
+		t.Fatalf("%d of %d held-key rounds shared the held key's build", n, heldRounds)
 	}
 }
 
