@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race short bench benchpairs fuzz experiments cover clean serve serve-smoke chaos scenario
+.PHONY: all build vet test race short bench benchpairs fuzz experiments cover clean serve serve-smoke chaos scenario loc
 
 all: build vet test
 
@@ -65,6 +65,11 @@ chaos:
 # -short skips the rows that start loopmapd subprocesses.
 scenario:
 	$(GO) test -race -v -run TestScenario ./internal/scenario
+
+# Lines of the tracked Go files outside perfbench/: non-test, then test.
+loc:
+	@echo "non-test $$(git ls-files '*.go' | grep -v '_test\.go$$' | grep -v '^perfbench/' | xargs cat | wc -l)"
+	@echo "test $$(git ls-files '*_test.go' | grep -v '^perfbench/' | xargs cat | wc -l)"
 
 cover:
 	$(GO) test -coverprofile=cover.out ./...

@@ -56,14 +56,25 @@ func (r *PlanRequest) Key() string {
 	return string(r.AppendKey(make([]byte, 0, 96)))
 }
 
+// CanonicalOptions returns the request's Π-search bound and merge factor
+// with the defaults every canonical form applies (the keys and the
+// daemon's durable record): the bound is 2 when SearchPi is set without
+// a positive one and 0 without SearchPi, and a merge factor below 1 is 1.
+func (r *PlanRequest) CanonicalOptions() (searchBound, mergeFactor int64) {
+	searchBound, mergeFactor = r.SearchBound, max(r.MergeFactor, 1)
+	if !r.SearchPi {
+		searchBound = 0
+	} else if searchBound <= 0 {
+		searchBound = 2
+	}
+	return searchBound, mergeFactor
+}
+
 // AppendKey renders the canonical base key into b — the hit path builds
 // the base and encoded keys in one buffer without intermediate strings.
 // It is the stage key (AppendStageKey) followed by Algorithm 1's options.
 func (r *PlanRequest) AppendKey(b []byte) []byte {
-	merge := r.MergeFactor
-	if merge < 1 {
-		merge = 1
-	}
+	_, merge := r.CanonicalOptions()
 	b = r.AppendStageKey(b)
 	b = append(b, "|merge="...)
 	b = strconv.AppendInt(b, merge, 10)
@@ -79,12 +90,7 @@ func (r *PlanRequest) AppendKey(b []byte) []byte {
 // (kernel, size and the time-function fields). Requests that differ only
 // in Algorithm 1's options share it, and with it one projection.
 func (r *PlanRequest) AppendStageKey(b []byte) []byte {
-	bound := r.SearchBound
-	if !r.SearchPi {
-		bound = 0
-	} else if bound <= 0 {
-		bound = 2
-	}
+	bound, _ := r.CanonicalOptions()
 	b = append(b, "kernel="...)
 	b = append(b, r.Kernel...)
 	b = append(b, "|size="...)

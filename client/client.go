@@ -239,42 +239,23 @@ func (c *Client) Plan(ctx context.Context, req *api.PlanRequest) (*api.PlanRespo
 		return &out, nil
 	}
 	key := req.ResponseKey()
-	var hdr http.Header
-	if e, ok := c.reval.get(key); ok {
-		hdr = e.hdr
-	}
+	// e is a copy of the remembered entry: a 304 vouches for the response
+	// whose ETag the request carried, even if the cache has since
+	// evicted or replaced it.
+	e, _ := c.reval.get(key)
 	var out api.PlanResponse
-	etag, notModified, err := c.exchange(ctx, http.MethodPost, "/v1/plan", req, &out, true, hdr)
+	etag, notModified, err := c.exchange(ctx, http.MethodPost, "/v1/plan", req, &out, true, e.hdr)
 	if err != nil {
 		return nil, err
 	}
 	if notModified {
 		c.revalidations.Add(1)
-		e, ok := c.reval.get(key)
-		if !ok {
-			// The entry was evicted between the lookup and the 304; retry
-			// without a validator rather than failing a healthy exchange.
-			return c.planFresh(ctx, req)
-		}
 		r := e.resp // copy; the cached response stays immutable
 		r.Cache = api.CacheHit
 		return &r, nil
 	}
 	if etag != "" {
 		c.reval.put(key, etag, out)
-	}
-	return &out, nil
-}
-
-// planFresh is Plan without a validator — the revalidation fallback.
-func (c *Client) planFresh(ctx context.Context, req *api.PlanRequest) (*api.PlanResponse, error) {
-	var out api.PlanResponse
-	etag, _, err := c.exchange(ctx, http.MethodPost, "/v1/plan", req, &out, true, nil)
-	if err != nil {
-		return nil, err
-	}
-	if etag != "" {
-		c.reval.put(req.ResponseKey(), etag, out)
 	}
 	return &out, nil
 }

@@ -6,15 +6,14 @@
 package client
 
 import (
-	"container/list"
 	"net/http"
 	"sync"
 
 	"repro/api"
+	"repro/internal/lru"
 )
 
 type revalEntry struct {
-	key  string
 	etag string
 	// hdr is the header map a revalidation sends, If-None-Match etag
 	// included, built once per entry (see revalHeader).
@@ -22,48 +21,41 @@ type revalEntry struct {
 	resp api.PlanResponse
 }
 
-// revalCache is a small entry-capped LRU, safe for concurrent use.
+// revalCache is a small entry-capped LRU, safe for concurrent use: every
+// entry costs 1 against a budget of its capacity.
 type revalCache struct {
-	mu    sync.Mutex
-	cap   int
-	ll    *list.List // front = most recently used
-	items map[string]*list.Element
+	mu  sync.Mutex
+	lru *lru.Cache[*revalEntry]
 }
 
 func newRevalCache(capacity int) *revalCache {
-	return &revalCache{cap: capacity, ll: list.New(), items: map[string]*list.Element{}}
+	return &revalCache{lru: lru.New[*revalEntry](int64(capacity), nil)}
 }
 
 func (c *revalCache) get(key string) (revalEntry, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.items[key]
+	e, ok := c.lru.Get(key)
 	if !ok {
 		return revalEntry{}, false
 	}
-	c.ll.MoveToFront(el)
-	return *el.Value.(*revalEntry), true
+	return *e, true
 }
 
+// put remembers resp and its etag under key; a key already held is
+// updated in place.
 func (c *revalCache) put(key, etag string, resp api.PlanResponse) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		e := el.Value.(*revalEntry)
+	if e, ok := c.lru.Get(key); ok {
 		e.etag, e.hdr, e.resp = etag, revalHeader(etag), resp
-		c.ll.MoveToFront(el)
 		return
 	}
-	c.items[key] = c.ll.PushFront(&revalEntry{key: key, etag: etag, hdr: revalHeader(etag), resp: resp})
-	for c.ll.Len() > c.cap {
-		oldest := c.ll.Back()
-		c.ll.Remove(oldest)
-		delete(c.items, oldest.Value.(*revalEntry).key)
-	}
+	c.lru.Add(key, &revalEntry{etag: etag, hdr: revalHeader(etag), resp: resp}, 1)
 }
 
 func (c *revalCache) len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.ll.Len()
+	return c.lru.Len()
 }

@@ -14,7 +14,6 @@ package persist
 import (
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"math/bits"
 )
 
@@ -29,13 +28,7 @@ const MaxDigestDepth = 12
 // DigestEntry is one record's digest input.
 type DigestEntry struct {
 	Key string
-	CRC uint32 // CRC-32C of the record value (EntryCRC)
-}
-
-// EntryCRC is the record-value checksum digests are built over — the
-// same Castagnoli CRC the WAL frames carry.
-func EntryCRC(value []byte) uint32 {
-	return crc32.Checksum(value, castagnoli)
+	CRC uint32 // CRC-32C of the record value (Checksum)
 }
 
 // Digest is the Merkle tree: levels[0] is the single root, levels[depth]

@@ -10,7 +10,7 @@ func digestEntries(n int) []DigestEntry {
 	out := make([]DigestEntry, 0, n)
 	for i := 0; i < n; i++ {
 		v := []byte(fmt.Sprintf("value-%d", i))
-		out = append(out, DigestEntry{Key: fmt.Sprintf("kernel=k%d|size=%d", i, i), CRC: EntryCRC(v)})
+		out = append(out, DigestEntry{Key: fmt.Sprintf("kernel=k%d|size=%d", i, i), CRC: Checksum(v)})
 	}
 	return out
 }

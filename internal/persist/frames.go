@@ -7,10 +7,9 @@
 package persist
 
 import (
-	"encoding/binary"
+	"bytes"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 )
 
@@ -32,38 +31,19 @@ func WriteRecords(w io.Writer, recs []Record) error {
 // record; a torn or corrupt tail (a truncated transfer) is reported as
 // an error alongside the records read so far.
 func ReadRecords(r io.Reader) ([]Record, error) {
-	magic := make([]byte, len(Magic))
-	if _, err := io.ReadFull(r, magic); err != nil {
+	data, err := io.ReadAll(r)
+	if !bytes.HasPrefix(data, []byte(Magic)) {
+		if err == nil {
+			err = errors.New("bad header")
+		}
 		return nil, fmt.Errorf("persist: record stream: %w", err)
 	}
-	if string(magic) != Magic {
-		return nil, errors.New("persist: record stream: bad header")
+	recs, _, ferr := decodeFrames(data[len(Magic):])
+	if err == nil {
+		err = ferr
 	}
-	var recs []Record
-	hdr := make([]byte, 8)
-	for {
-		if _, err := io.ReadFull(r, hdr); err != nil {
-			if errors.Is(err, io.EOF) {
-				return recs, nil
-			}
-			return recs, fmt.Errorf("persist: record stream: torn frame header: %w", err)
-		}
-		plen := binary.LittleEndian.Uint32(hdr[0:4])
-		wantCRC := binary.LittleEndian.Uint32(hdr[4:8])
-		if plen > maxRecordBytes {
-			return recs, fmt.Errorf("persist: record stream: bad record length %d", plen)
-		}
-		payload := make([]byte, plen)
-		if _, err := io.ReadFull(r, payload); err != nil {
-			return recs, fmt.Errorf("persist: record stream: torn record: %w", err)
-		}
-		if crc32.Checksum(payload, castagnoli) != wantCRC {
-			return recs, errors.New("persist: record stream: checksum mismatch")
-		}
-		rec, err := decodePayload(payload)
-		if err != nil {
-			return recs, err
-		}
-		recs = append(recs, rec)
+	if err != nil {
+		return recs, fmt.Errorf("persist: record stream: %w", err)
 	}
+	return recs, nil
 }

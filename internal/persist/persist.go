@@ -40,12 +40,44 @@ const (
 	// bumps the digit.
 	Magic = "LOOPMAP1"
 
-	// maxRecordBytes bounds a record's length prefix during replay, so a
-	// corrupt length cannot provoke a giant allocation.
-	maxRecordBytes = 16 << 20
+	// MaxFrameBytes bounds a frame's payload length, so a corrupt length
+	// cannot provoke a giant allocation.
+	MaxFrameBytes = 16 << 20
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// Checksum returns the CRC-32C of b, the checksum a frame carries over
+// its payload.
+func Checksum(b []byte) uint32 {
+	return crc32.Checksum(b, castagnoli)
+}
+
+// AppendFrame appends payload to dst as one frame, [len][crc][payload]:
+// the envelope of every log record and record stream, and of the tiered
+// store's segment blocks and manifest.
+func AppendFrame(dst, payload []byte) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
+	dst = binary.LittleEndian.AppendUint32(dst, Checksum(payload))
+	return append(dst, payload...)
+}
+
+// NextFrame checks the frame at the start of b — a whole header, a
+// payload length within MaxFrameBytes and within b, and the payload's
+// checksum — and returns its payload and the bytes after it.
+func NextFrame(b []byte) (payload, rest []byte, err error) {
+	if len(b) < 8 {
+		return nil, nil, errors.New("torn frame header")
+	}
+	n := int64(binary.LittleEndian.Uint32(b))
+	if n > MaxFrameBytes || n > int64(len(b)-8) {
+		return nil, nil, fmt.Errorf("bad record length %d", n)
+	}
+	if payload = b[8 : 8+n]; Checksum(payload) != binary.LittleEndian.Uint32(b[4:]) {
+		return nil, nil, errors.New("checksum mismatch")
+	}
+	return payload, b[8+n:], nil
+}
 
 // ErrDegraded marks the sticky read-only state a store enters on its
 // first write or fsync failure. Every subsequent mutation fails fast
@@ -107,10 +139,7 @@ func EncodeFrame(rec Record) []byte {
 	payload = binary.AppendUvarint(payload, uint64(len(rec.Key)))
 	payload = append(payload, rec.Key...)
 	payload = append(payload, rec.Value...)
-	frame := make([]byte, 8, 8+len(payload))
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(payload, castagnoli))
-	return append(frame, payload...)
+	return AppendFrame(make([]byte, 0, 8+len(payload)), payload)
 }
 
 // decodePayload splits a verified payload back into a Record.
@@ -141,27 +170,31 @@ func ReplayLog(fsys FS, path string) (recs []Record, goodOff int64, dropped int6
 	if len(data) < len(Magic) || string(data[:len(Magic)]) != Magic {
 		return nil, 0, int64(len(data)), fmt.Errorf("persist: %s: bad or missing header", name)
 	}
-	off := int64(len(Magic))
-	total := int64(len(data))
-	for off < total {
-		if total-off < 8 {
-			return recs, off, total - off, fmt.Errorf("persist: %s: torn frame header at offset %d", name, off)
-		}
-		plen := int64(binary.LittleEndian.Uint32(data[off : off+4]))
-		wantCRC := binary.LittleEndian.Uint32(data[off+4 : off+8])
-		if plen > maxRecordBytes || off+8+plen > total {
-			return recs, off, total - off, fmt.Errorf("persist: %s: bad record length %d at offset %d", name, plen, off)
-		}
-		payload := data[off+8 : off+8+plen]
-		if crc32.Checksum(payload, castagnoli) != wantCRC {
-			return recs, off, total - off, fmt.Errorf("persist: %s: checksum mismatch at offset %d", name, off)
-		}
-		rec, err := decodePayload(payload)
-		if err != nil {
-			return recs, off, total - off, fmt.Errorf("persist: %s: %w at offset %d", name, err, off)
-		}
-		recs = append(recs, rec)
-		off += 8 + plen
+	recs, n, err := decodeFrames(data[len(Magic):])
+	off := int64(len(Magic) + n)
+	if err != nil {
+		return recs, off, int64(len(data)) - off, fmt.Errorf("persist: %s: %w at offset %d", name, err, off)
 	}
 	return recs, off, 0, nil
+}
+
+// decodeFrames decodes the records framed in data up to the first frame
+// that fails its checks (NextFrame) or holds no record, and returns them
+// with the number of bytes they span.
+func decodeFrames(data []byte) ([]Record, int, error) {
+	var recs []Record
+	rest := data
+	for len(rest) > 0 {
+		payload, next, err := NextFrame(rest)
+		var rec Record
+		if err == nil {
+			rec, err = decodePayload(payload)
+		}
+		if err != nil {
+			return recs, len(data) - len(rest), err
+		}
+		recs = append(recs, rec)
+		rest = next
+	}
+	return recs, len(data), nil
 }

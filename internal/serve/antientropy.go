@@ -276,7 +276,7 @@ func (s *Server) replicaRecordsOwnedBy(owner int, active []int) []persist.Record
 func digestEntriesOf(recs []persist.Record) []persist.DigestEntry {
 	entries := make([]persist.DigestEntry, len(recs))
 	for i, rec := range recs {
-		entries[i] = persist.DigestEntry{Key: rec.Key, CRC: persist.EntryCRC(rec.Value)}
+		entries[i] = persist.DigestEntry{Key: rec.Key, CRC: persist.Checksum(rec.Value)}
 	}
 	return entries
 }

@@ -128,7 +128,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 // already encoded JSON, and routing them through json.Marshal again
 // would re-scan every body byte — the dominant cost of a hit-heavy
 // batch. Output is byte-identical to json.Marshal(BatchResponse) plus
-// the trailing newline writeJSON would have added.
+// the trailing newline writeJSON would have added: strings are escaped
+// as json.Marshal escapes them, HTML characters included.
 func encodeBatchResponse(buf *bytes.Buffer, results []api.BatchItemResult) {
 	buf.WriteString(`{"results":[`)
 	for i := range results {
@@ -137,14 +138,14 @@ func encodeBatchResponse(buf *bytes.Buffer, results []api.BatchItemResult) {
 		}
 		r := &results[i]
 		buf.WriteString(`{"status":`)
-		buf.Write(strconv.AppendInt(nil, int64(r.Status), 10))
+		buf.Write(strconv.AppendInt(buf.AvailableBuffer(), int64(r.Status), 10))
 		if r.Error != "" {
 			buf.WriteString(`,"error":`)
-			writeJSONString(buf, r.Error)
+			buf.Write(api.AppendJSONString(buf.AvailableBuffer(), r.Error, true))
 		}
 		if r.ETag != "" {
 			buf.WriteString(`,"etag":`)
-			writeJSONString(buf, r.ETag)
+			buf.Write(api.AppendJSONString(buf.AvailableBuffer(), r.ETag, true))
 		}
 		if len(r.Body) > 0 {
 			buf.WriteString(`,"body":`)
@@ -153,14 +154,6 @@ func encodeBatchResponse(buf *bytes.Buffer, results []api.BatchItemResult) {
 		buf.WriteByte('}')
 	}
 	buf.WriteString("]}\n")
-}
-
-// writeJSONString appends one JSON-encoded string. Error and ETag text
-// can carry quotes (ETags are quoted by definition), so this goes
-// through the real encoder; these fields are tiny.
-func writeJSONString(buf *bytes.Buffer, s string) {
-	b, _ := json.Marshal(s)
-	buf.Write(b)
 }
 
 // batchItem serves one validated item under the batch context.
@@ -185,18 +178,10 @@ func (s *Server) batchItem(ctx context.Context, it *api.BatchItem) api.BatchItem
 	if err != nil {
 		return api.BatchItemResult{Status: http.StatusBadRequest, Error: err.Error()}
 	}
-	if err := simEngine(sreq); err != nil {
-		return api.BatchItemResult{Status: http.StatusBadRequest, Error: err.Error()}
-	}
-	p, outcome, err := s.mappedPlan(ctx, &sreq.PlanRequest)
+	resp, err := s.simulate(ctx, sreq, params)
 	if err != nil {
 		return errResult(err)
 	}
-	resp, err := s.runSimulate(ctx, sreq, p, params)
-	if err != nil {
-		return errResult(err)
-	}
-	resp.Cache = outcome
 	buf := getBuf()
 	defer putBuf(buf)
 	enc := json.NewEncoder(buf)

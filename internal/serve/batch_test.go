@@ -179,6 +179,7 @@ func TestBatchEnvelopeEncoding(t *testing.T) {
 		{Status: 400, Error: `serve: size 9999 out of range [1, 128]`},
 		{Status: 200, Body: json.RawMessage(`{"makespan":12.5}`)},
 		{Status: 503, Error: "quoted \"error\" with\nnewline"},
+		{Status: 500, Error: "<b>&</b> \"q\" \x01\x1f\t\u2028 \xff"},
 	}
 	var buf bytes.Buffer
 	encodeBatchResponse(&buf, results)

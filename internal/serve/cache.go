@@ -1,10 +1,10 @@
 package serve
 
 import (
-	"container/list"
 	"sync"
 
 	loopmap "repro"
+	"repro/internal/lru"
 	"repro/internal/persist"
 )
 
@@ -28,16 +28,13 @@ import (
 // entryBytes and stageBytes), not entry counts, because stage size varies
 // by orders of magnitude across kernels and sizes.
 type planCache struct {
-	mu       sync.Mutex
-	maxBytes int64
-	bytes    int64
-	ll       *list.List // front = most recently used
-	items    map[string]*list.Element
-	stages   map[string]*stageEntry
+	mu     sync.Mutex
+	lru    *lru.Cache[*recipe]
+	stages map[string]*stageEntry
 }
 
-type cacheEntry struct {
-	key string
+// recipe is what the cache holds for a key.
+type recipe struct {
 	// stage is the entry's Π-stage, nil while the entry is a stage-less
 	// recipe.
 	stage *stageEntry
@@ -46,7 +43,6 @@ type cacheEntry struct {
 	// a pure function of it, so a loaded record is a recipe, not a
 	// deserialized plan). Nil when persistence is disabled.
 	payload []byte
-	bytes   int64
 }
 
 // stageEntry is one cached Π-stage and the number of cached entries that
@@ -59,12 +55,9 @@ type stageEntry struct {
 }
 
 func newPlanCache(maxBytes int64) *planCache {
-	return &planCache{
-		maxBytes: maxBytes,
-		ll:       list.New(),
-		items:    map[string]*list.Element{},
-		stages:   map[string]*stageEntry{},
-	}
+	c := &planCache{stages: map[string]*stageEntry{}}
+	c.lru = lru.New(maxBytes, c.release)
+	return c
 }
 
 // get looks key up and promotes it to most recent. A held key returns
@@ -72,15 +65,11 @@ func newPlanCache(maxBytes int64) *planCache {
 func (c *planCache) get(key string) (st *loopmap.Stage, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.items[key]
-	if !ok {
-		return nil, false
+	r, ok := c.lru.Get(key)
+	if ok && r.stage != nil {
+		st = r.stage.stage
 	}
-	c.ll.MoveToFront(el)
-	if se := el.Value.(*cacheEntry).stage; se != nil {
-		st = se.stage
-	}
-	return st, true
+	return st, ok
 }
 
 // stage returns the cached Π-stage for a stage key, if a cached entry
@@ -105,32 +94,29 @@ func (c *planCache) stage(stageKey []byte) (*loopmap.Stage, bool) {
 func (c *planCache) put(key string, stageKey []byte, st *loopmap.Stage, payload []byte) (evicted int, added bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		c.ll.MoveToFront(el)
+	if _, ok := c.lru.Get(key); ok {
 		return 0, false
 	}
-	e := &cacheEntry{key: key, payload: payload, bytes: entryBytes(key, payload)}
+	r := &recipe{payload: payload}
 	if st != nil {
-		c.attachStage(e, stageKey, st)
+		c.attachStage(r, stageKey, st)
 	}
-	c.items[key] = c.ll.PushFront(e)
-	c.bytes += e.bytes
-	return c.evictOverBudget(), true
+	return c.lru.Add(key, r, entryBytes(key, payload))
 }
 
-// attachStage points e at the stage cached under stageKey, first caching
-// and charging st there when no stage is. Only then is the key's string
-// made. c.mu must be held.
-func (c *planCache) attachStage(e *cacheEntry, stageKey []byte, st *loopmap.Stage) {
+// attachStage points r at the stage cached under stageKey, first caching
+// st there and charging it to the budget when no stage is. Only then is
+// the key's string made. c.mu must be held.
+func (c *planCache) attachStage(r *recipe, stageKey []byte, st *loopmap.Stage) {
 	se := c.stages[string(stageKey)]
 	if se == nil {
 		k := string(stageKey)
 		se = &stageEntry{key: k, stage: st, bytes: stageEntryBytes(k, st)}
 		c.stages[k] = se
-		c.bytes += se.bytes
+		c.lru.Charge(se.bytes)
 	}
 	se.refs++
-	e.stage = se
+	r.stage = se
 }
 
 // attach points the stage-less recipe held under key at the Π-stage st
@@ -141,16 +127,12 @@ func (c *planCache) attachStage(e *cacheEntry, stageKey []byte, st *loopmap.Stag
 func (c *planCache) attach(key string, stageKey []byte, st *loopmap.Stage) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.items[key]
-	if !ok {
+	r, ok := c.lru.Peek(key)
+	if !ok || r.stage != nil {
 		return 0
 	}
-	e := el.Value.(*cacheEntry)
-	if e.stage != nil {
-		return 0
-	}
-	c.attachStage(e, stageKey, st)
-	return c.evictOverBudget()
+	c.attachStage(r, stageKey, st)
+	return c.lru.Trim()
 }
 
 // chargeVertices re-charges the stage of the entry cached under key once
@@ -162,75 +144,49 @@ func (c *planCache) attach(key string, stageKey []byte, st *loopmap.Stage) int {
 func (c *planCache) chargeVertices(key string) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.items[key]
-	if !ok {
+	r, ok := c.lru.Peek(key)
+	if !ok || r.stage == nil {
 		return 0
 	}
-	se := el.Value.(*cacheEntry).stage
-	if se == nil {
-		return 0
-	}
+	se := r.stage
 	b := stageEntryBytes(se.key, se.stage)
-	c.bytes += b - se.bytes
+	c.lru.Charge(b - se.bytes)
 	se.bytes = b
-	return c.evictOverBudget()
-}
-
-// evictOverBudget evicts least-recently-used entries until the byte
-// budget holds or one entry is left, and returns how many it evicted.
-// c.mu must be held.
-func (c *planCache) evictOverBudget() int {
-	evicted := 0
-	for c.bytes > c.maxBytes && c.ll.Len() > 1 {
-		c.evictOldest()
-		evicted++
-	}
-	return evicted
-}
-
-// evictOldest removes the least-recently-used entry. c.mu must be held.
-func (c *planCache) evictOldest() {
-	c.removeElement(c.ll.Back())
+	return c.lru.Trim()
 }
 
 // remove drops the entry cached under key, if any.
 func (c *planCache) remove(key string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		c.removeElement(el)
-	}
+	c.lru.Remove(key)
 }
 
-// removeElement removes an entry and uncharges it, and its stage when
-// this was the stage's last entry. c.mu must be held.
-func (c *planCache) removeElement(el *list.Element) {
-	c.ll.Remove(el)
-	e := el.Value.(*cacheEntry)
-	delete(c.items, e.key)
-	c.bytes -= e.bytes
-	if se := e.stage; se != nil {
+// release is the LRU's eviction hook: an entry that leaves the cache
+// drops its stage reference, and the last reference uncaches the stage
+// and its charge. c.mu is held.
+func (c *planCache) release(_ string, r *recipe) {
+	if se := r.stage; se != nil {
 		if se.refs--; se.refs == 0 {
 			delete(c.stages, se.key)
-			c.bytes -= se.bytes
+			c.lru.Charge(-se.bytes)
 		}
 	}
 }
 
 // records dumps the live entries as durable records, least-recently-used
-// first, so a replay re-inserts them in recency order and the warmest
-// entries survive any budget eviction during recovery. Entries without a
-// payload (cached before persistence was enabled) are skipped.
+// first, so a replay or a receiver re-inserts them in recency order and
+// the warmest entries survive any budget eviction on the way. Entries
+// without a payload (cached before persistence was enabled) are skipped.
 func (c *planCache) records() []persist.Record {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]persist.Record, 0, c.ll.Len())
-	for el := c.ll.Back(); el != nil; el = el.Prev() {
-		e := el.Value.(*cacheEntry)
-		if e.payload != nil {
-			out = append(out, persist.Record{Key: e.key, Value: e.payload})
+	out := make([]persist.Record, 0, c.lru.Len())
+	c.lru.Walk(func(key string, r *recipe) {
+		if r.payload != nil {
+			out = append(out, persist.Record{Key: key, Value: r.payload})
 		}
-	}
+	})
 	return out
 }
 
@@ -238,7 +194,7 @@ func (c *planCache) records() []persist.Record {
 func (c *planCache) stats() (bytes int64, entries int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.bytes, c.ll.Len()
+	return c.lru.Cost(), c.lru.Len()
 }
 
 // allocBytes is the heap a byte buffer of length n takes: the allocator
@@ -247,12 +203,14 @@ func allocBytes(n int) int64 {
 	return int64(n+15) &^ 15
 }
 
-// entryBytes estimates what an entry pins besides its stage: the key
-// and payload bytes, the cacheEntry (56 B, in a 64 B size class), its
-// list.Element (48 B) and its slot in the items map (about 40 B with the
-// map's spare capacity).
+// entryBytes is what an entry is charged besides its stage: the key and
+// payload bytes and 152 B for the rest. An entry pins about 120 B of
+// that: its LRU node (48 B), its recipe (32 B) and its slot in the map
+// (about 40 B with the map's spare capacity). The 32 B over are slack
+// that keeps a configured budget admitting as many recipes as it was
+// sized for.
 func entryBytes(key string, payload []byte) int64 {
-	return allocBytes(len(key)) + allocBytes(len(payload)) + 64 + 48 + 40
+	return allocBytes(len(key)) + allocBytes(len(payload)) + 152
 }
 
 // stageEntryBytes estimates what a stage cached under key pins: the

@@ -45,8 +45,8 @@ func putRecipe(c *planCache, key, stageKey string, st *loopmap.Stage) int {
 func evictAll(c *planCache) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for c.ll.Len() > 0 {
-		c.evictOldest()
+	for c.lru.Len() > 0 {
+		c.lru.RemoveOldest()
 	}
 }
 
@@ -74,8 +74,8 @@ func TestPlanCacheChargesStageOnce(t *testing.T) {
 	// Evicting the two oldest recipes keeps the stage; the last releases
 	// it.
 	c.mu.Lock()
-	c.evictOldest()
-	c.evictOldest()
+	c.lru.RemoveOldest()
+	c.lru.RemoveOldest()
 	c.mu.Unlock()
 	if b, _ := c.stats(); b != recipeBytes(key(2), "stage", st) {
 		t.Fatalf("one recipe left: bytes = %d, want %d", b, recipeBytes(key(2), "stage", st))
@@ -110,7 +110,7 @@ func TestPlanCacheRacingDuplicateStage(t *testing.T) {
 	}
 	// Evicting a keeps the shared stage for b; evicting b releases it.
 	c.mu.Lock()
-	c.evictOldest()
+	c.lru.RemoveOldest()
 	c.mu.Unlock()
 	if _, ok := c.stage([]byte("stage")); !ok {
 		t.Fatal("stage released while b still references it")
@@ -130,16 +130,15 @@ func TestOneTouchKeysHoldNoPlan(t *testing.T) {
 	const n = 12
 	for i := 0; i < n; i++ {
 		req := &api.PlanRequest{Kernel: []string{"l1", "matvec", "stencil"}[i%3], Size: 10, MergeFactor: int64(1 + i/3)}
-		if _, outcome, _, err := s.basePlan(ctx, req, false); err != nil || outcome != api.CacheMiss {
+		if _, outcome, _, err := s.basePlan(ctx, req); err != nil || outcome != api.CacheMiss {
 			t.Fatalf("%s: outcome %q, err %v; want a miss", req.Key(), outcome, err)
 		}
 	}
 	var want int64
 	s.cache.mu.Lock()
-	for el := s.cache.ll.Front(); el != nil; el = el.Next() {
-		e := el.Value.(*cacheEntry)
-		want += entryBytes(e.key, e.payload)
-	}
+	s.cache.lru.Walk(func(key string, r *recipe) {
+		want += entryBytes(key, r.payload)
+	})
 	for _, se := range s.cache.stages {
 		want += se.bytes
 	}
@@ -387,7 +386,7 @@ func TestCompactStageBytesTracksHeap(t *testing.T) {
 				noAux := i%2 == 1
 				for merge := int64(1); merge <= 10; merge++ {
 					req := &api.PlanRequest{Kernel: k.kernel, Size: k.size, MergeFactor: merge, NoAux: noAux}
-					if _, _, _, err := s.basePlan(ctx, req, false); err != nil {
+					if _, _, _, err := s.basePlan(ctx, req); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -434,7 +433,7 @@ func checkBytesTrackHeap(t *testing.T, build func() (est int64, keep any, what s
 // grid: every kernel and size of missGridKeys at merge factors 1–10, one
 // shared stage each, every key held as a recipe. Each use builds the
 // plan from the stage (Algorithm 1 onward) and remaps it onto the
-// request's cube.
+// request's cube (usePlan, which then releases both).
 func BenchmarkBaseReuse(b *testing.B) {
 	ctx := context.Background()
 	s := New(Config{CacheBytes: 1 << 40})
@@ -458,7 +457,7 @@ func BenchmarkBaseReuse(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := range b.N {
-		if _, outcome, err := s.mappedPlan(ctx, grid[i%len(grid)]); err != nil || outcome != api.CacheHit {
+		if outcome, err := s.usePlan(ctx, grid[i%len(grid)], func(*loopmap.Plan) error { return nil }); err != nil || outcome != api.CacheHit {
 			b.Fatalf("outcome %q, err %v; want a hit", outcome, err)
 		}
 	}

@@ -137,9 +137,6 @@ func eagerSimulate(t *testing.T, s *Server, sreq *api.SimulateRequest) api.Simul
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := simEngine(sreq); err != nil {
-		t.Fatal(err)
-	}
 	resp, err := s.runSimulate(context.Background(), sreq, p, params)
 	if err != nil {
 		t.Fatal(err)

@@ -68,10 +68,10 @@ var cacheField = regexp.MustCompile(`,"cache":"[a-z]+"`)
 // here. Run with -update-digest to rewrite the digest after an intended
 // change. Released transient plans are poisoned, and every body is also
 // checked against encoding/json of the response struct (buildPlanResponse)
-// on a kept plan from a second daemon.
+// on a kept plan (planOracle).
 func TestPlanResponseDigest(t *testing.T) {
 	poisonReleased(t)
-	s, oracle := New(Config{}), New(Config{})
+	s, oracle := New(Config{}), planOracle{}
 	h := s.Handler()
 	keys := digestKeys()
 	if len(keys) < 1000 {
@@ -92,7 +92,7 @@ func TestPlanResponseDigest(t *testing.T) {
 		fmt.Fprintf(sum, "%s\n", body)
 		invariant := cacheField.ReplaceAll(rec.Body.Bytes(), nil)
 		sum.Write(invariant)
-		kept, _, err := oracle.mappedPlan(context.Background(), &req)
+		kept, err := oracle.plan(&req)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -169,6 +169,33 @@ func buildPlanResponse(req *api.PlanRequest, p *loopmap.Plan) *api.PlanResponse 
 		MinLoad:      ms.MinLoad,
 		MaxLoad:      ms.MaxLoad,
 	}
+}
+
+// planOracle builds plans as a library caller does, apart from the
+// daemon: kept plans on eager Π-stages, one stage per stage key. The
+// daemon's transient plans are checked against them.
+type planOracle map[string]*loopmap.Stage
+
+// plan returns the request's kept plan, mapped onto its cube.
+func (o planOracle) plan(req *api.PlanRequest) (*loopmap.Plan, error) {
+	ctx, opt := context.Background(), planOptions(req)
+	skey := string(req.AppendStageKey(nil))
+	st := o[skey]
+	if st == nil {
+		k, err := loopmap.LookupKernel(req.Kernel, req.Size)
+		if err != nil {
+			return nil, err
+		}
+		if st, err = loopmap.PrepareCtx(ctx, k, opt); err != nil {
+			return nil, err
+		}
+		o[skey] = st
+	}
+	base, err := st.PlanCtx(ctx, opt)
+	if err != nil {
+		return nil, err
+	}
+	return base.RemapOpts(req.CubeDimOrDefault(), loopmap.MapOptions{Exclusive: req.Exclusive})
 }
 
 // encodeByJSON is the oracle's encoding of a plan response: what

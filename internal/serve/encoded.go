@@ -16,13 +16,14 @@ package serve
 
 import (
 	"bytes"
-	"container/list"
 	"fmt"
 	"net/http"
 	"strings"
 	"sync"
 
 	"repro/api"
+	"repro/internal/lru"
+	"repro/internal/persist"
 	"repro/internal/pool"
 )
 
@@ -48,11 +49,21 @@ func putBuf(b *bytes.Buffer) {
 
 // respFrame is one cached encoded response: the invariant JSON bytes
 // missing the final '}', and the strong ETag computed over them, also
-// kept as the one-value header slice writeFrame serves.
+// kept as the one-value header slice writeFrame serves. newFrame stores
+// the closing "}\n" just past the prefix's length, so the frame's
+// standalone encoding (see encoded) costs no copy.
 type respFrame struct {
 	prefix  []byte
 	etag    string
 	etagHdr []string
+}
+
+// encoded returns the frame's standalone encoding, prefix + "}\n":
+// exactly what newRespFrame slices back into the frame. It is what the
+// disk tier, replicas and transfers store. The caller must not modify
+// it.
+func (f *respFrame) encoded() []byte {
+	return f.prefix[:len(f.prefix)+2]
 }
 
 // jsonContentType is the Content-Type header value of every frame, shared
@@ -69,6 +80,8 @@ func newRespFrame(encoded []byte) *respFrame {
 // newFrame frames a copy of prefix, an invariant response missing its
 // closing '}', under the strong ETag "p<hex FNV-1a of prefix>".
 func newFrame(prefix []byte) *respFrame {
+	enc := append(append(make([]byte, 0, len(prefix)+2), prefix...), '}', '\n')
+	prefix = enc[:len(prefix)]
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
@@ -82,7 +95,7 @@ func newFrame(prefix []byte) *respFrame {
 		tag[i] = hexDigits[h&0xf]
 	}
 	etag := string(tag[:])
-	return &respFrame{prefix: bytes.Clone(prefix), etag: etag, etagHdr: []string{etag}}
+	return &respFrame{prefix: prefix, etag: etag, etagHdr: []string{etag}}
 }
 
 const hexDigits = "0123456789abcdef"
@@ -108,101 +121,60 @@ func etagMatch(header, etag string) bool {
 // a frame is a pure function of its key — so the only invalidation is
 // budget eviction.
 type respCache struct {
-	mu       sync.Mutex
-	maxBytes int64
-	bytes    int64
-	ll       *list.List // front = most recently used
-	items    map[string]*list.Element
+	mu  sync.Mutex
+	lru *lru.Cache[*respFrame]
 }
 
-type respEntry struct {
-	key   string
-	frame *respFrame
-}
-
-func (e *respEntry) size() int64 {
-	return int64(len(e.key) + len(e.frame.prefix) + len(e.frame.etag) + 96)
+// frameBytes is what a frame cached under key is charged.
+func frameBytes(key string, f *respFrame) int64 {
+	return int64(len(key) + len(f.prefix) + len(f.etag) + 96)
 }
 
 func newRespCache(maxBytes int64) *respCache {
-	return &respCache{maxBytes: maxBytes, ll: list.New(), items: map[string]*list.Element{}}
+	return &respCache{lru: lru.New[*respFrame](maxBytes, nil)}
 }
 
 func (c *respCache) get(key string) (*respFrame, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.items[key]
-	if !ok {
-		return nil, false
-	}
-	c.ll.MoveToFront(el)
-	return el.Value.(*respEntry).frame, true
+	return c.lru.Get(key)
 }
 
-// getBytes is get for a key still in its build buffer: the map index
+// getBytes is get for a key still in its build buffer: the lookup
 // converts without allocating, so the hit path never materializes the
 // key string.
 func (c *respCache) getBytes(key []byte) (*respFrame, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.items[string(key)]
-	if !ok {
-		return nil, false
-	}
-	c.ll.MoveToFront(el)
-	return el.Value.(*respEntry).frame, true
+	return c.lru.GetBytes(key)
 }
 
 // put inserts a frame, evicting least-recently-used entries down to the
 // byte budget (the newest entry itself always stays).
 func (c *respCache) put(key string, f *respFrame) {
-	e := &respEntry{key: key, frame: f}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		c.ll.MoveToFront(el)
-		return
-	}
-	el := c.ll.PushFront(e)
-	c.items[key] = el
-	c.bytes += e.size()
-	for c.bytes > c.maxBytes && c.ll.Len() > 1 {
-		oldest := c.ll.Back()
-		old := oldest.Value.(*respEntry)
-		c.ll.Remove(oldest)
-		delete(c.items, old.key)
-		c.bytes -= old.size()
-	}
+	c.lru.Add(key, f, frameBytes(key, f))
 }
 
-// respDump is one cached frame reassembled into standalone encoded
-// bytes for replication and bulk transfer.
-type respDump struct {
-	key     string
-	encoded []byte
-}
-
-// dump reassembles every cached frame into its full invariant encoding
-// (prefix + "}\n" — exactly what newRespFrame will slice back apart),
-// most-recently-used first. The transfer path filters this by ownership.
-func (c *respCache) dump() []respDump {
+// records returns every cached frame as a replica record value, its
+// standalone encoding, least-recently-used first, so a receiver that
+// inserts them in order keeps the warmest when its budget is smaller.
+// The transfer path filters this by ownership.
+func (c *respCache) records() []persist.Record {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]respDump, 0, c.ll.Len())
-	for el := c.ll.Front(); el != nil; el = el.Next() {
-		e := el.Value.(*respEntry)
-		enc := make([]byte, 0, len(e.frame.prefix)+2)
-		enc = append(enc, e.frame.prefix...)
-		enc = append(enc, '}', '\n')
-		out = append(out, respDump{key: e.key, encoded: enc})
-	}
+	out := make([]persist.Record, 0, c.lru.Len())
+	c.lru.Walk(func(key string, f *respFrame) {
+		out = append(out, persist.Record{Key: key, Value: f.encoded()})
+	})
 	return out
 }
 
 func (c *respCache) stats() (bytes int64, entries int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.bytes, c.ll.Len()
+	return c.lru.Cost(), c.lru.Len()
 }
 
 // writeFrame serves one response from a frame: ETag always set, an

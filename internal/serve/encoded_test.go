@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	loopmap "repro"
 	"repro/api"
 	"repro/internal/persist"
 )
@@ -235,7 +236,7 @@ func BenchmarkHitPathLegacy(b *testing.B) {
 	if err := json.Unmarshal([]byte(body), &warm); err != nil {
 		b.Fatal(err)
 	}
-	if _, _, _, err := s.basePlan(context.Background(), &warm, false); err != nil {
+	if _, _, _, err := s.basePlan(context.Background(), &warm); err != nil {
 		b.Fatal(err)
 	}
 	_, rd := benchRequest(b, body)
@@ -255,11 +256,13 @@ func BenchmarkHitPathLegacy(b *testing.B) {
 		if err := s.validatePlanRequest(&r2); err != nil {
 			b.Fatal(err)
 		}
-		p2, _, err := s.mappedPlan(context.Background(), &r2)
-		if err != nil {
+		var resp *api.PlanResponse
+		if _, err := s.usePlan(context.Background(), &r2, func(p2 *loopmap.Plan) error {
+			resp = buildPlanResponse(&r2, p2)
+			return nil
+		}); err != nil {
 			b.Fatal(err)
 		}
-		resp := buildPlanResponse(&r2, p2)
 		resp.Cache = api.CacheHit
 		out, err := json.Marshal(resp)
 		if err != nil {
@@ -340,5 +343,70 @@ func TestRespCacheBudgetBelowOneIsDefault(t *testing.T) {
 	}
 	if len(recs) != 1 || recs[0].Key != frame.Key || !bytes.Equal(recs[0].Value, frame.Value) {
 		t.Fatalf("transfer streamed %+v, want the ingested frame", recs)
+	}
+}
+
+// TestTransferKeepsSendersWarmestFrames: a keyspace transfer streams
+// more frames than the receiver's RespCacheBytes holds. The receiver
+// inserts them in stream order, so the stream must carry the sender's
+// frames least-recently-used first: then the receiver keeps the sender's
+// most recently used frames, and evicts the rest.
+func TestTransferKeepsSendersWarmestFrames(t *testing.T) {
+	const token = "tok"
+	s, ts := newTestServer(t, Config{AdminToken: token})
+	opts := ClusterOptions{SelfID: 0, Peers: []string{ts.URL}}
+	opts.ProbeInterval = -1
+	opts.AntiEntropyInterval = -1
+	if err := s.EnableCluster(opts); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+
+	const keys, warm = 40, 10
+	bodies := make([]string, keys)
+	ekeys := make([]string, keys)
+	for i := range bodies {
+		bodies[i] = fmt.Sprintf(`{"kernel": "l1", "size": %d, "cube_dim": 2}`, 8+i)
+		var req api.PlanRequest
+		if err := json.Unmarshal([]byte(bodies[i]), &req); err != nil {
+			t.Fatal(err)
+		}
+		ekeys[i] = req.ResponseKey()
+		postJSON(t, ts.URL+"/v1/plan", bodies[i])
+	}
+	// Hits on the first keys make them the sender's most recently used.
+	var budget int64
+	for i := range warm {
+		if _, out := postJSON(t, ts.URL+"/v1/plan", bodies[i]); !bytes.Contains(out, []byte(`"cache":"hit"`)) {
+			t.Fatalf("%s: %s, want a hit", bodies[i], out)
+		}
+		f, _ := s.resp.get(ekeys[i])
+		budget += frameBytes(ekeys[i], f)
+	}
+
+	treq, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/admin/transfer", strings.NewReader(`{"for_shard": 0}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	treq.Header.Set(api.AdminTokenHeader, token)
+	tresp, err := http.DefaultClient.Do(treq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tresp.Body.Close()
+	recs, err := persist.ReadRecords(tresp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The receiver's encoded cache holds exactly the warm frames.
+	r := New(Config{RespCacheBytes: budget})
+	if n := r.ingestRecords(recs); n != 2*keys {
+		t.Fatalf("ingested %d records, want %d base records and frames", n, 2*keys)
+	}
+	for i, k := range ekeys {
+		if _, ok := r.resp.get(k); ok != (i < warm) {
+			t.Fatalf("frame %d of %d (%d most recently used) held by the receiver: %v, want %v", i, keys, warm, ok, i < warm)
+		}
 	}
 }

@@ -25,7 +25,7 @@ import (
 
 // storedRequest is the durable encoding of a plan's canonical request:
 // exactly the cacheKey fields, with the key's default normalization
-// (SearchBound, MergeFactor) applied before writing.
+// (PlanRequest.CanonicalOptions) applied before writing.
 type storedRequest struct {
 	Kernel         string  `json:"kernel"`
 	Size           int64   `json:"size"`
@@ -40,24 +40,16 @@ type storedRequest struct {
 // persistPayload renders the request's canonical planning fields as the
 // WAL record value.
 func persistPayload(r *api.PlanRequest) []byte {
+	bound, merge := r.CanonicalOptions()
 	sr := storedRequest{
 		Kernel:         r.Kernel,
 		Size:           r.Size,
 		Pi:             r.Pi,
 		SearchPi:       r.SearchPi,
-		SearchBound:    r.SearchBound,
-		MergeFactor:    r.MergeFactor,
+		SearchBound:    bound,
+		MergeFactor:    merge,
 		NoAux:          r.NoAux,
 		GroupingChoice: r.GroupingChoice,
-	}
-	if sr.SearchPi && sr.SearchBound <= 0 {
-		sr.SearchBound = 2
-	}
-	if !sr.SearchPi {
-		sr.SearchBound = 0
-	}
-	if sr.MergeFactor < 1 {
-		sr.MergeFactor = 1
 	}
 	b, err := json.Marshal(sr)
 	if err != nil {
@@ -65,20 +57,6 @@ func persistPayload(r *api.PlanRequest) []byte {
 		panic(fmt.Sprintf("serve: persistPayload: %v", err))
 	}
 	return b
-}
-
-// planRequest reconstructs the in-memory request a stored record encodes.
-func (sr *storedRequest) planRequest() *api.PlanRequest {
-	return &api.PlanRequest{
-		Kernel:         sr.Kernel,
-		Size:           sr.Size,
-		Pi:             sr.Pi,
-		SearchPi:       sr.SearchPi,
-		SearchBound:    sr.SearchBound,
-		MergeFactor:    sr.MergeFactor,
-		NoAux:          sr.NoAux,
-		GroupingChoice: sr.GroupingChoice,
-	}
 }
 
 // RecoveryStats summarizes a warm start for the startup log line and for
@@ -195,17 +173,17 @@ var errForeignRecord = errors.New("serve: durable record does not match its key"
 // held key is only promoted), or returns errForeignRecord, or the
 // validation error of a record the current admission limits reject.
 func (s *Server) loadRecipe(key string, value []byte) (bool, error) {
-	var sr storedRequest
-	if err := json.Unmarshal(value, &sr); err != nil {
+	// A storedRequest's fields are PlanRequest's, under the same names.
+	var req api.PlanRequest
+	if err := json.Unmarshal(value, &req); err != nil {
 		return false, errForeignRecord
 	}
-	req := sr.planRequest()
 	if req.Key() != key {
 		return false, errForeignRecord
 	}
 	// A record stale under the current limits (e.g. a smaller
 	// MaxKernelSize) would admit work the daemon now rejects.
-	if err := s.validatePlanRequest(req); err != nil {
+	if err := s.validatePlanRequest(&req); err != nil {
 		return false, err
 	}
 	ev, added := s.cache.put(key, nil, nil, value)

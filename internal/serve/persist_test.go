@@ -133,7 +133,7 @@ func TestWarmRestartServesIdenticalPlans(t *testing.T) {
 	if _, ok := s2.cache.get(req.Key()); !ok {
 		t.Fatal("recovered matvec key missing from cache")
 	}
-	recovered, outcome, _, err := s2.basePlan(context.Background(), req, false)
+	recovered, outcome, _, err := s2.basePlan(context.Background(), req)
 	if err != nil || outcome != api.CacheHit {
 		t.Fatalf("recovered matvec key: outcome %q, err %v; want a hit", outcome, err)
 	}
@@ -391,7 +391,7 @@ func TestRecoverBuildsEachStageOnce(t *testing.T) {
 		t.Fatalf("recovery built %d stages, want 0", n)
 	}
 	for merge := int64(1); merge <= 10; merge++ {
-		_, outcome, _, err := s2.basePlan(context.Background(), &api.PlanRequest{Kernel: "stencil", Size: 20, MergeFactor: merge}, false)
+		_, outcome, _, err := s2.basePlan(context.Background(), &api.PlanRequest{Kernel: "stencil", Size: 20, MergeFactor: merge})
 		if err != nil || outcome != api.CacheHit {
 			t.Fatalf("merge %d: outcome %q, err %v; want a hit", merge, outcome, err)
 		}

@@ -264,10 +264,7 @@ func (s *Server) replicateFrame(req *api.PlanRequest, ekey string, f *respFrame)
 	if !ok {
 		return
 	}
-	enc := make([]byte, 0, len(f.prefix)+2)
-	enc = append(enc, f.prefix...)
-	enc = append(enc, '}', '\n')
-	cn.rep.enqueuePush(target, persist.Record{Key: repFramePrefix + ekey, Value: enc})
+	cn.rep.enqueuePush(target, persist.Record{Key: repFramePrefix + ekey, Value: f.encoded()})
 }
 
 // replicaTargetFor returns the standby to push key's records to, and
@@ -342,15 +339,15 @@ func (s *Server) tierIngest(rec persist.Record) {
 }
 
 // forEachCachedRecord visits every record the RAM caches hold — base
-// plans from the plan cache, then encoded frames from the response cache
-// — keyed as replica pushes key them, with the base-plan key its
-// ownership hashes by.
+// plans from the plan cache, then encoded frames from the response cache,
+// each least-recently-used first — keyed as replica pushes key them, with
+// the base-plan key its ownership hashes by.
 func (s *Server) forEachCachedRecord(fn func(rec persist.Record, baseKey string)) {
 	for _, rec := range s.cache.records() {
 		fn(persist.Record{Key: repBasePrefix + rec.Key, Value: rec.Value}, rec.Key)
 	}
-	for _, d := range s.resp.dump() {
-		fn(persist.Record{Key: repFramePrefix + d.key, Value: d.encoded}, frameBaseKey(d.key))
+	for _, rec := range s.resp.records() {
+		fn(persist.Record{Key: repFramePrefix + rec.Key, Value: rec.Value}, frameBaseKey(rec.Key))
 	}
 }
 

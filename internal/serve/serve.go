@@ -181,14 +181,15 @@ type Server struct {
 	// beforeStageBuild, a test seam, runs in stageFlight's leader just
 	// before it builds the stage for the given key.
 	beforeStageBuild func(skey string)
-	// beforeHeldBuild, a test seam, runs in flight's leader for a key the
-	// plan cache holds, before it takes an admission slot to build the
-	// key's plan.
-	beforeHeldBuild func(key string)
-	gate            *pool.Gate
-	metrics         *metrics
-	drain           chan struct{} // closed when draining
-	mux             *http.ServeMux
+	// beforeBuild, a test seam, runs in flight's leader before it takes
+	// an admission slot to build the key's plan; afterJoin runs in each
+	// follower once the flight it joined has ended.
+	beforeBuild, afterJoin func(key string)
+
+	gate    *pool.Gate
+	metrics *metrics
+	drain   chan struct{} // closed when draining
+	mux     *http.ServeMux
 
 	// tier is the durable plan store, attached by Recover when
 	// DiskCacheDir is set (nil when persistence is disabled). It must be
@@ -581,18 +582,20 @@ func (s *Server) acquire(ctx context.Context) error {
 // singleflight trade; the alternative (detached computation) would let an
 // abandoned request burn a gate slot with nobody waiting.
 //
-// With transient set, the plan is built in recycled memory
-// (Stage.PlanTransientCtx). alone reports that no other request shares
-// the returned plan: the caller ran the flight and no follower joined
-// it, so it may Release the plan once done with it (a no-op on a kept
-// plan).
-func (s *Server) basePlan(ctx context.Context, req *api.PlanRequest, transient bool) (p *loopmap.Plan, outcome api.CacheOutcome, alone bool, err error) {
+// The plan is built in recycled memory (Stage.PlanTransientCtx). alone
+// reports that no other request shares it: the caller ran the flight and
+// no follower joined it, so it may Release the plan once done with it
+// (see usePlan).
+func (s *Server) basePlan(ctx context.Context, req *api.PlanRequest) (p *loopmap.Plan, outcome api.CacheOutcome, alone bool, err error) {
 	key := req.Key()
 	v, err, shared, joined := s.flight.do(ctx, key, func() (any, error) {
-		return s.buildBase(ctx, req, key, transient)
+		return s.buildBase(ctx, req, key)
 	})
 	if err != nil {
 		return nil, api.CacheMiss, false, err
+	}
+	if shared && s.afterJoin != nil {
+		s.afterJoin(key)
 	}
 	fp := v.(flightPlan)
 	outcome = api.CacheMiss
@@ -631,10 +634,10 @@ type flightPlan struct {
 //
 // A miss makes the key durable and caches its recipe: its canonical
 // payload and the stage.
-func (s *Server) buildBase(ctx context.Context, req *api.PlanRequest, key string, transient bool) (any, error) {
+func (s *Server) buildBase(ctx context.Context, req *api.PlanRequest, key string) (any, error) {
 	st, held := s.cache.get(key)
-	if held && s.beforeHeldBuild != nil {
-		s.beforeHeldBuild(key)
+	if s.beforeBuild != nil {
+		s.beforeBuild(key)
 	}
 	// durable: the key's canonical request needs no new WAL write.
 	durable := held
@@ -675,11 +678,7 @@ func (s *Server) buildBase(ctx context.Context, req *api.PlanRequest, key string
 		if !held {
 			s.metrics.planComputations.Add(1)
 		}
-		if transient {
-			p, err = st.PlanTransientCtx(ctx, opt)
-		} else {
-			p, err = st.PlanCtx(ctx, opt)
-		}
+		p, err = st.PlanTransientCtx(ctx, opt)
 	}
 	if err != nil {
 		if held && ctx.Err() == nil {
@@ -771,18 +770,26 @@ func prepareStage(ctx context.Context, k *loopmap.Kernel, opt loopmap.PlanOption
 	return st.Compact(), nil
 }
 
-// mappedPlan remaps the base plan onto the request's cube dimension. The
-// plan is kept: the caller may hold it as long as it likes.
-func (s *Server) mappedPlan(ctx context.Context, req *api.PlanRequest) (*loopmap.Plan, api.CacheOutcome, error) {
-	base, outcome, _, err := s.basePlan(ctx, req, false)
+// usePlan runs use on the request's plan: its base plan (basePlan)
+// remapped onto the request's cube dimension. Both are transient (see
+// Stage.PlanTransientCtx). Once use returns, the remap is released, and
+// so is the base when the request ran its flight alone; a base that
+// followers share is left to the garbage collector. use must keep
+// nothing it read from the plan.
+func (s *Server) usePlan(ctx context.Context, req *api.PlanRequest, use func(p *loopmap.Plan) error) (api.CacheOutcome, error) {
+	base, outcome, alone, err := s.basePlan(ctx, req)
 	if err != nil {
-		return nil, outcome, err
+		return outcome, err
+	}
+	if alone {
+		defer base.Release()
 	}
 	p, err := base.RemapOpts(req.CubeDimOrDefault(), loopmap.MapOptions{Exclusive: req.Exclusive})
 	if err != nil {
-		return nil, outcome, err
+		return outcome, err
 	}
-	return p, outcome, nil
+	defer p.Release()
+	return outcome, use(p)
 }
 
 // --- /v1/plan ---
@@ -861,13 +868,8 @@ func appendField(b []byte, name string, x int64) []byte {
 // or plan pipeline + one encode on miss. The returned CacheOutcome is
 // what the patched-in "cache" field should report.
 //
-// An encoded-cache miss answers from a transient plan
-// (Stage.PlanTransientCtx), whether or not the plan cache holds its key,
-// and releases it once the frame is encoded, when the request alone
-// holds it: it ran the plan's flight and no follower joined. The remap
-// built for the request's cube is always its own and always released. A
-// plan that followers share, and every plan a simulation reads, is never
-// released.
+// An encoded-cache miss encodes its frame from the request's plan
+// (usePlan), whether or not the plan cache holds its key.
 func (s *Server) planFrame(ctx context.Context, req *api.PlanRequest) (*respFrame, api.CacheOutcome, bool, error) {
 	ekey := req.ResponseKey()
 	if f, ok := s.resp.get(ekey); ok {
@@ -881,19 +883,14 @@ func (s *Server) planFrame(ctx context.Context, req *api.PlanRequest) (*respFram
 	if f, ok := s.tierFrame(ekey); ok {
 		return f, api.CacheHit, true, nil
 	}
-	base, outcome, alone, err := s.basePlan(ctx, req, true)
+	var f *respFrame
+	outcome, err := s.usePlan(ctx, req, func(p *loopmap.Plan) error {
+		f = encodePlanFrame(req, p)
+		return nil
+	})
 	if err != nil {
 		return nil, outcome, false, err
 	}
-	if alone {
-		defer base.Release()
-	}
-	p, err := base.RemapOpts(req.CubeDimOrDefault(), loopmap.MapOptions{Exclusive: req.Exclusive})
-	if err != nil {
-		return nil, outcome, false, err
-	}
-	f := encodePlanFrame(req, p)
-	p.Release()
 	s.resp.put(ekey, f)
 	s.demoteFrame(ekey, f)
 	s.replicateFrame(req, ekey, f)
@@ -926,10 +923,7 @@ func (s *Server) demoteFrame(ekey string, f *respFrame) {
 	if s.tier == nil {
 		return
 	}
-	enc := make([]byte, 0, len(f.prefix)+2)
-	enc = append(enc, f.prefix...)
-	enc = append(enc, '}', '\n')
-	if err := s.tier.Put(repFramePrefix+ekey, enc); err != nil {
+	if err := s.tier.Put(repFramePrefix+ekey, f.encoded()); err != nil {
 		s.metrics.walErrors.Add(1)
 	}
 }
@@ -1013,7 +1007,7 @@ func faultSchedule(f *api.FaultSpec) *loopmap.FaultSchedule {
 }
 
 // simParams resolves the request's machine-parameter preset and
-// overrides.
+// overrides, and checks its engine field.
 func simParams(r *api.SimulateRequest) (machine.Params, error) {
 	var p machine.Params
 	switch r.Era {
@@ -1038,19 +1032,16 @@ func simParams(r *api.SimulateRequest) (machine.Params, error) {
 	if r.THop != nil {
 		p.THop = *r.THop
 	}
-	return p, p.Validate()
-}
-
-// simEngine validates the request's engine field. The daemon has one
-// simulator; "block" and "point" are accepted for compatibility and
-// return the same answer.
-func simEngine(r *api.SimulateRequest) error {
+	if err := p.Validate(); err != nil {
+		return p, err
+	}
+	// The daemon has one simulator; "block" and "point" are accepted for
+	// compatibility and return the same answer.
 	switch r.Engine {
 	case "", "block", "point":
-		return nil
-	default:
-		return fmt.Errorf("serve: unknown engine %q (have block, point)", r.Engine)
+		return p, nil
 	}
+	return p, fmt.Errorf("serve: unknown engine %q (have block, point)", r.Engine)
 }
 
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
@@ -1073,12 +1064,8 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	if err := simEngine(&req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
 	// Simulation shards by the base-plan key: the owner's cache holds the
-	// expensive partitioning, and every simulate variant remaps it.
+	// key's recipe and Π-stage, which every simulate variant builds on.
 	key := req.PlanRequest.Key()
 	if s.maybeForward(w, r, "/v1/simulate", key, body, req.TimeoutMS) {
 		return
@@ -1086,19 +1073,29 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := s.requestContext(r, req.TimeoutMS)
 	defer cancel()
 
-	p, outcome, err := s.mappedPlan(ctx, &req.PlanRequest)
+	resp, err := s.simulate(ctx, &req, params)
 	if err != nil {
 		writeError(w, errStatus(err), err)
 		return
 	}
-	resp, err := s.runSimulate(ctx, &req, p, params)
-	if err != nil {
-		writeError(w, errStatus(err), err)
-		return
-	}
-	resp.Cache = outcome
 	resp.Cluster = s.clusterMeta(key, r)
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// simulate answers a (possibly batched) simulate request: runSimulate on
+// the request's plan (usePlan), with the plan's cache outcome. Cluster is
+// left for the caller.
+func (s *Server) simulate(ctx context.Context, req *api.SimulateRequest, params machine.Params) (*api.SimulateResponse, error) {
+	var resp *api.SimulateResponse
+	outcome, err := s.usePlan(ctx, &req.PlanRequest, func(p *loopmap.Plan) (err error) {
+		resp, err = s.runSimulate(ctx, req, p, params)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	resp.Cache = outcome
+	return resp, nil
 }
 
 // runSimulate executes the simulation half of a (possibly batched)

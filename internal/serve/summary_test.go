@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -35,10 +34,9 @@ func summaryByFmt(p *loopmap.Plan, ms mapping.Stats) string {
 // response digest covers, mapped and unmapped, and compares it with the
 // fmt reference.
 func TestSummaryMatchesFmtOracle(t *testing.T) {
-	s := New(Config{})
-	ctx := context.Background()
+	oracle := planOracle{}
 	for _, req := range digestKeys() {
-		p, _, err := s.mappedPlan(ctx, &req)
+		p, err := oracle.plan(&req)
 		if err != nil {
 			t.Fatalf("%+v: %v", req, err)
 		}

@@ -136,6 +136,57 @@ func lifetimeRounds(workers int) [][]lifetimeOp {
 	return rounds
 }
 
+// ledRound is a lifetime round with a fixed leader: lead runs the flight
+// for the base key key, which waits until every follower has joined it,
+// and each follower waits, once the flight has ended, until lead has
+// answered. So the followers read the plan they share only after the
+// leader is done with it.
+type ledRound struct {
+	key    string
+	lead   lifetimeOp
+	follow []lifetimeOp
+}
+
+// ledRounds builds the led rounds: a /v1/simulate leads /v1/plan
+// requests for its key, a batch simulate item leads /v1/plan requests,
+// and a /v1/plan leads /v1/simulate requests or batch simulate items.
+// Each runs on a new key (a first use) and again on the key it left
+// held.
+func ledRounds() []ledRound {
+	plan := func(size int64, cube int) lifetimeOp {
+		return lifetimeOp{"/v1/plan", fmt.Sprintf(`{"kernel":"matvec","size":%d,"merge_factor":2,"cube_dim":%d}`, size, cube)}
+	}
+	sim := func(size int64, cube int) lifetimeOp {
+		return lifetimeOp{"/v1/simulate", fmt.Sprintf(`{"kernel":"matvec","size":%d,"merge_factor":2,"cube_dim":%d,"sequential":true}`, size, cube)}
+	}
+	batchSim := func(size int64, cube int) lifetimeOp {
+		return lifetimeOp{"/v1/batch", `{"items":[{"simulate":` + sim(size, cube).body + `}]}`}
+	}
+	var out []ledRound
+	for kind := range 4 {
+		size := 30 + int64(kind)
+		key := (&api.PlanRequest{Kernel: "matvec", Size: size, MergeFactor: 2}).Key()
+		for use := range 2 { // a first use, then the held key
+			// Every /v1/plan asks for a cube no earlier request of the key
+			// did, so none is answered from the encoded cache.
+			plans := []lifetimeOp{plan(size, 3*use), plan(size, 3*use+1), plan(size, 3*use+2)}
+			r := ledRound{key: key}
+			switch kind {
+			case 0:
+				r.lead, r.follow = sim(size, 2+use), plans
+			case 1:
+				r.lead, r.follow = batchSim(size, 2+use), plans
+			case 2:
+				r.lead, r.follow = plan(size, 6+use), []lifetimeOp{sim(size, 2), sim(size, 3)}
+			default:
+				r.lead, r.follow = plan(size, 6+use), []lifetimeOp{batchSim(size, 2), batchSim(size, 3)}
+			}
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
 // serveOp runs one request on h and returns its status and body with
 // every cache outcome removed, which depends on what the daemon holds,
 // not on the answer.
@@ -154,6 +205,8 @@ func serveOp(h http.Handler, op lifetimeOp) (int, string) {
 // also races the follower's reads. Each held-key round's build waits
 // until the round's other requests for its key have joined the flight
 // (or two seconds pass), so those rounds always share a held key's plan.
+// The led rounds then fix who leads (see ledRound), so a leader that
+// released a plan its followers share would fail them on every run.
 func TestTransientPlanLifetimes(t *testing.T) {
 	poisonReleased(t)
 	const workers = 4
@@ -165,16 +218,41 @@ func TestTransientPlanLifetimes(t *testing.T) {
 	// rounds; every worker but the last asks for it, one of them leading.
 	var heldKey string
 	var overlapped atomic.Int64
-	s.beforeHeldBuild = func(key string) {
-		if key != heldKey {
+	// led is the current led round, nil in other rounds; leading is
+	// closed once its leader's flight has started, leaderDone once the
+	// leader has answered.
+	var led *ledRound
+	var leading, leaderDone chan struct{}
+	var ledJoined, ledWaited atomic.Int64
+	s.beforeBuild = func(key string) {
+		want := workers - 2
+		switch {
+		case led != nil && key == led.key:
+			close(leading)
+			want = len(led.follow)
+		case key != heldKey:
 			return
 		}
-		for deadline := time.Now().Add(2 * time.Second); s.flight.joiners(key) < workers-2; time.Sleep(time.Millisecond) {
+		for deadline := time.Now().Add(2 * time.Second); s.flight.joiners(key) < want; time.Sleep(time.Millisecond) {
 			if time.Now().After(deadline) {
 				return
 			}
 		}
-		overlapped.Add(1)
+		if led != nil {
+			ledJoined.Add(1)
+		} else {
+			overlapped.Add(1)
+		}
+	}
+	s.afterJoin = func(key string) {
+		if led == nil || key != led.key {
+			return
+		}
+		select {
+		case <-leaderDone:
+			ledWaited.Add(1)
+		case <-time.After(2 * time.Second):
+		}
 	}
 	got := make([][]string, len(rounds))
 	heldRounds := 0
@@ -199,6 +277,33 @@ func TestTransientPlanLifetimes(t *testing.T) {
 		start.Done()
 		wg.Wait()
 	}
+	heldKey = ""
+	leds := ledRounds()
+	for i := range leds {
+		r := &leds[i]
+		led, leading, leaderDone = r, make(chan struct{}), make(chan struct{})
+		ops := append([]lifetimeOp{r.lead}, r.follow...)
+		answers := make([]string, len(ops))
+		var wg sync.WaitGroup
+		for w, op := range ops {
+			if w == 1 {
+				<-leading // the leader's flight has started; join it
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				code, body := serveOp(h, op)
+				answers[w] = fmt.Sprintf("%d %s", code, body)
+				if w == 0 {
+					close(leaderDone)
+				}
+			}()
+		}
+		wg.Wait()
+		led = nil
+		rounds = append(rounds, ops)
+		got = append(got, answers)
+	}
 	for r, ops := range rounds {
 		for w, op := range ops {
 			code, body := serveOp(fresh, op)
@@ -214,6 +319,14 @@ func TestTransientPlanLifetimes(t *testing.T) {
 	}
 	if n := overlapped.Load(); n != int64(heldRounds) {
 		t.Fatalf("%d of %d held-key rounds shared the held key's build", n, heldRounds)
+	}
+	followers := 0
+	for _, r := range leds {
+		followers += len(r.follow)
+	}
+	if ledJoined.Load() != int64(len(leds)) || ledWaited.Load() != int64(followers) {
+		t.Fatalf("%d of %d led rounds had every follower join, %d of %d followers waited for their leader",
+			ledJoined.Load(), len(leds), ledWaited.Load(), followers)
 	}
 }
 
@@ -263,7 +376,7 @@ func TestStageBuiltOncePerFlight(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			req := &api.PlanRequest{Kernel: "stencil", Size: 20, MergeFactor: merge}
-			if _, outcome, _, err := s2.basePlan(context.Background(), req, false); err != nil || outcome != api.CacheHit {
+			if _, outcome, _, err := s2.basePlan(context.Background(), req); err != nil || outcome != api.CacheHit {
 				errs <- fmt.Errorf("merge %d: outcome %q, err %v; want a hit", merge, outcome, err)
 			}
 		}()
@@ -285,10 +398,10 @@ func entriesOnStages(c *planCache) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	n := 0
-	for _, el := range c.items {
-		if el.Value.(*cacheEntry).stage != nil {
+	c.lru.Walk(func(_ string, r *recipe) {
+		if r.stage != nil {
 			n++
 		}
-	}
+	})
 	return n
 }

@@ -14,10 +14,8 @@
 package tiered
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sort"
@@ -77,7 +75,7 @@ func saveManifest(fsys persist.FS, dir string, m *manifest) error {
 	if err != nil {
 		return err
 	}
-	buf := append([]byte(manifestMagic), appendFrame(nil, doc)...)
+	buf := append([]byte(manifestMagic), persist.AppendFrame(nil, doc)...)
 	tmp := filepath.Join(dir, manifestName+".tmp")
 	f, err := fsys.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
@@ -115,17 +113,12 @@ func loadManifest(fsys persist.FS, dir string) (*manifest, error) {
 		}
 		return nil, err
 	}
-	if len(data) < len(manifestMagic)+8 || string(data[:len(manifestMagic)]) != manifestMagic {
+	if len(data) < len(manifestMagic) || string(data[:len(manifestMagic)]) != manifestMagic {
 		return nil, fmt.Errorf("%w: manifest header", errCorrupt)
 	}
-	body := data[len(manifestMagic):]
-	plen := binary.LittleEndian.Uint32(body[0:4])
-	if int(plen) != len(body)-8 {
-		return nil, fmt.Errorf("%w: manifest length", errCorrupt)
-	}
-	payload := body[8:]
-	if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(body[4:8]) {
-		return nil, fmt.Errorf("%w: manifest checksum", errCorrupt)
+	payload, err := wholeFrame(data[len(manifestMagic):])
+	if err != nil {
+		return nil, fmt.Errorf("%w: manifest frame: %v", errCorrupt, err)
 	}
 	var m manifest
 	if err := json.Unmarshal(payload, &m); err != nil {

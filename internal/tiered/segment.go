@@ -21,7 +21,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -39,13 +38,7 @@ const (
 	// 32 KiB keeps the sparse index tiny (one entry per block) while a
 	// single read amortizes well against seek cost.
 	blockTarget = 32 << 10
-
-	// maxFrameBytes bounds any single frame so a corrupt length field
-	// cannot drive a huge allocation. Mirrors the WAL's record cap.
-	maxFrameBytes = 16 << 20
 )
-
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // errCorrupt tags any structural failure inside a segment file. The
 // store treats it as "this segment is sick" (scrub quarantines it), not
@@ -56,15 +49,6 @@ var errCorrupt = errors.New("tiered: corrupt segment")
 type entry struct {
 	key   string
 	value []byte
-}
-
-// appendFrame appends [len][crc][payload] to dst.
-func appendFrame(dst, payload []byte) []byte {
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, castagnoli))
-	dst = append(dst, hdr[:]...)
-	return append(dst, payload...)
 }
 
 // indexEntry locates one data block: the first key it holds and the
@@ -152,7 +136,7 @@ func (w *segWriter) flushBlock() error {
 	if len(w.block) == 0 {
 		return nil
 	}
-	frame := appendFrame(nil, w.block)
+	frame := persist.AppendFrame(nil, w.block)
 	blockOff := w.off
 	if err := w.write(frame); err != nil {
 		return err
@@ -190,12 +174,12 @@ func (w *segWriter) finishInner() (SegmentMeta, error) {
 		filter.add(k)
 	}
 	bloomOff := w.off
-	if err := w.write(appendFrame(nil, filter.marshal())); err != nil {
+	if err := w.write(persist.AppendFrame(nil, filter.marshal())); err != nil {
 		return SegmentMeta{}, err
 	}
 
 	indexOff := w.off
-	if err := w.write(appendFrame(nil, encodeIndex(w.index, w.lastKey))); err != nil {
+	if err := w.write(persist.AppendFrame(nil, encodeIndex(w.index, w.lastKey))); err != nil {
 		return SegmentMeta{}, err
 	}
 
@@ -203,7 +187,7 @@ func (w *segWriter) finishInner() (SegmentMeta, error) {
 	binary.LittleEndian.PutUint64(footer[0:8], uint64(bloomOff))
 	binary.LittleEndian.PutUint64(footer[8:16], uint64(indexOff))
 	binary.LittleEndian.PutUint64(footer[16:24], uint64(w.count))
-	binary.LittleEndian.PutUint32(footer[24:28], crc32.Checksum(footer[:24], castagnoli))
+	binary.LittleEndian.PutUint32(footer[24:28], persist.Checksum(footer[:24]))
 	copy(footer[28:], footerMagic)
 	if err := w.write(footer[:]); err != nil {
 		return SegmentMeta{}, err
@@ -380,7 +364,7 @@ func loadSegment(f persist.File, meta SegmentMeta) (*segment, error) {
 	if string(footer[28:]) != footerMagic {
 		return nil, fmt.Errorf("%w: %s: bad footer magic", errCorrupt, meta.Name)
 	}
-	if crc32.Checksum(footer[:24], castagnoli) != binary.LittleEndian.Uint32(footer[24:28]) {
+	if persist.Checksum(footer[:24]) != binary.LittleEndian.Uint32(footer[24:28]) {
 		return nil, fmt.Errorf("%w: %s: footer checksum", errCorrupt, meta.Name)
 	}
 	bloomOff := int64(binary.LittleEndian.Uint64(footer[0:8]))
@@ -422,22 +406,28 @@ func loadSegment(f persist.File, meta SegmentMeta) (*segment, error) {
 // readFrameAt reads and verifies one [len][crc][payload] frame occupying
 // exactly extent bytes at off.
 func readFrameAt(f persist.File, off, extent int64, name string) ([]byte, error) {
-	if extent < 8 || extent > maxFrameBytes+8 {
+	if extent < 8 || extent > persist.MaxFrameBytes+8 {
 		return nil, fmt.Errorf("%w: %s: frame extent %d", errCorrupt, name, extent)
 	}
 	buf := make([]byte, extent)
 	if _, err := f.ReadAt(buf, off); err != nil {
 		return nil, err
 	}
-	plen := binary.LittleEndian.Uint32(buf[0:4])
-	if int64(plen) != extent-8 {
-		return nil, fmt.Errorf("%w: %s: frame length", errCorrupt, name)
-	}
-	payload := buf[8:]
-	if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(buf[4:8]) {
-		return nil, fmt.Errorf("%w: %s: frame checksum", errCorrupt, name)
+	payload, err := wholeFrame(buf)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %s: frame: %v", errCorrupt, name, err)
 	}
 	return payload, nil
+}
+
+// wholeFrame checks that b holds exactly one frame (persist.NextFrame)
+// and returns its payload.
+func wholeFrame(b []byte) ([]byte, error) {
+	payload, rest, err := persist.NextFrame(b)
+	if err == nil && len(rest) > 0 {
+		err = fmt.Errorf("%d bytes past the frame", len(rest))
+	}
+	return payload, err
 }
 
 // get looks one key up: bloom → index binary search → one block read →
