@@ -549,26 +549,31 @@ func BenchmarkVertexIndex(b *testing.B) {
 }
 
 // BenchmarkSimulate times the simulator on the Table I workload shape —
-// matvec on a 32-processor cube — with default options. One untimed run
-// first builds the vertex→line map the projection caches.
+// matvec on a 32-processor cube — with default options, and on
+// triangular at the same size, whose structure uses the row index where
+// matvec's uses the rectangular one. One untimed run comes first.
 func BenchmarkSimulate(b *testing.B) {
-	plan := mustPlan(b, "matvec", 512, 5)
-	params := machine.Era1991()
-	if _, err := plan.Simulate(params, SimOptions{}); err != nil {
-		b.Fatal(err)
+	for _, kernel := range []string{"matvec", "triangular"} {
+		b.Run("kernel="+kernel, func(b *testing.B) {
+			plan := mustPlan(b, kernel, 512, 5)
+			params := machine.Era1991()
+			if _, err := plan.Simulate(params, SimOptions{}); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			var makespan float64
+			for i := 0; i < b.N; i++ {
+				s, err := plan.Simulate(params, SimOptions{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				makespan = s.Makespan
+			}
+			b.ReportMetric(makespan, "makespan")
+			b.ReportMetric(float64(plan.Structure.Len()), "vertices")
+		})
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	var makespan float64
-	for i := 0; i < b.N; i++ {
-		s, err := plan.Simulate(params, SimOptions{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		makespan = s.Makespan
-	}
-	b.ReportMetric(makespan, "makespan")
-	b.ReportMetric(float64(plan.Structure.Len()), "vertices")
 }
 
 // BenchmarkSweepFanOut measures the Remap-based sweep unit — clone the

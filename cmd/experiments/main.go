@@ -118,7 +118,7 @@ func fig1() string {
 	sizes := hyperplane.WavefrontSizes(plan.Structure, plan.Schedule)
 	pv(&b, "wavefront sizes", "[1 2 3 4 3 2 1]", fmt.Sprint(sizes))
 	b.WriteString("\n  execution step of each iteration (i down, j right):\n")
-	grid := report.Grid2D(plan.Structure.Vertices(), func(p vec.Int) string {
+	grid := report.Grid2D(plan.Structure.Points, func(p vec.Int) string {
 		return fmt.Sprint(plan.Schedule.Step(p))
 	})
 	b.WriteString(indent(grid, "    "))
@@ -136,7 +136,7 @@ func fig3() string {
 	pv(&b, "data dependencies", 33, es.Total)
 	pv(&b, "interblock dependencies", 12, es.InterBlock)
 	b.WriteString("\n  block of each iteration (i down, j right):\n")
-	grid := report.Grid2D(plan.Structure.Vertices(), func(p vec.Int) string {
+	grid := report.Grid2D(plan.Structure.Points, func(p vec.Int) string {
 		return fmt.Sprintf("B%d", plan.Partitioning.BlockOfPoint(p))
 	})
 	b.WriteString(indent(grid, "    "))
@@ -252,7 +252,7 @@ func fig9() string {
 	pv(&b, "projected points (2M−1)", 7, plan.Projected.NumPoints())
 	pv(&b, "blocks (M)", 4, plan.Partitioning.NumBlocks())
 	b.WriteString("\n  block of each iteration (i down, j right):\n")
-	grid := report.Grid2D(plan.Structure.Vertices(), func(p vec.Int) string {
+	grid := report.Grid2D(plan.Structure.Points, func(p vec.Int) string {
 		return fmt.Sprintf("B%d", plan.Partitioning.BlockOfPoint(p))
 	})
 	b.WriteString(indent(grid, "    "))

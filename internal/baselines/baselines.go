@@ -24,6 +24,7 @@ import (
 	"repro/internal/lattice"
 	"repro/internal/loop"
 	"repro/internal/project"
+	"repro/internal/vec"
 )
 
 // Blocks is a generic block assignment over a computational structure.
@@ -45,9 +46,9 @@ type Stats struct {
 // EdgeStats classifies all dependence arcs of the structure.
 func (b *Blocks) EdgeStats(st *loop.Structure) Stats {
 	var s Stats
-	st.ForEachEdge(func(e loop.Edge) {
+	st.ForEachEdgeIdx(func(ui, vi, _ int) {
 		s.Total++
-		if b.Of[st.VertexIndex(e.From)] != b.Of[st.VertexIndex(e.To)] {
+		if b.Of[ui] != b.Of[vi] {
 			s.InterBlock++
 		}
 	})
@@ -90,7 +91,7 @@ func Independent(st *loop.Structure) (*Blocks, error) {
 	l := lattice.FromVectors(st.Dim(), st.D...)
 	b := &Blocks{Name: "independent", Of: make([]int, st.Len())}
 	ids := map[string]int{}
-	for vi, x := range st.Vertices() {
+	st.Points(func(vi int, x vec.Int) bool {
 		key := l.CosetKey(x)
 		id, ok := ids[key]
 		if !ok {
@@ -98,7 +99,8 @@ func Independent(st *loop.Structure) (*Blocks, error) {
 			ids[key] = id
 		}
 		b.Of[vi] = id
-	}
+		return true
+	})
 	b.N = len(ids)
 	return b, nil
 }

@@ -5,8 +5,8 @@ import "testing"
 // TestLemma1ClashOnCompactStructure: moving a projection line into
 // another group makes a partitioning whose blocks run two points in one
 // step; CheckInvariants must report the same Lemma-1 error on a compact
-// structure (no vertex set) as on an eager one. A clean check leaves the
-// compact structure without V; only a clash builds it, to name the step.
+// structure (no vertex set) as on an eager one, and neither a clean check
+// nor naming a clash builds V.
 func TestLemma1ClashOnCompactStructure(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -26,7 +26,7 @@ func TestLemma1ClashOnCompactStructure(t *testing.T) {
 		if err := CheckInvariants(cp); err != nil {
 			t.Fatalf("%s: compact partitioning fails: %v", c.name, err)
 		}
-		if cps.Orig.Materialized() {
+		if cps.Orig.V != nil {
 			t.Fatalf("%s: a clean invariant check built V", c.name)
 		}
 		clashes := 0
@@ -46,8 +46,8 @@ func TestLemma1ClashOnCompactStructure(t *testing.T) {
 		if clashes == 0 {
 			t.Fatalf("%s: no move made a clash", c.name)
 		}
-		if !cps.Orig.Materialized() {
-			t.Fatalf("%s: %d clashes named without building V", c.name, clashes)
+		if cps.Orig.V != nil {
+			t.Fatalf("%s: naming %d clashes built V", c.name, clashes)
 		}
 		t.Logf("%s/%d: %d of %d moves clash", c.name, c.size, clashes, ps.NumPoints())
 	}

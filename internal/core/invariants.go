@@ -101,8 +101,8 @@ func CheckInvariants(p *Partitioning) error {
 // lexicographically positive and at the last one otherwise. The walk's
 // first clash at a step is the second point of the block there, which is
 // the least over pairs of the larger point, so the least over all pairs
-// is the answer. Only a clash reads the vertex set, for the points' first
-// coordinates, so a compact structure stays compact when Lemma 1 holds.
+// is the answer. Only a clash decodes points (Structure.Point), for the
+// fibers' first coordinates.
 func (p *Partitioning) firstStepClash() (vec.Int, int) {
 	ps := p.PS
 	u, w := ps.U, ps.Stride()
@@ -128,9 +128,8 @@ func (p *Partitioning) firstStepClash() (vec.Int, int) {
 				if !uPos {
 					at = last
 				}
-				V := ps.Orig.Vertices()
-				xa := V[fa.X0].AddScaled((at-fa.T0)/w, u)
-				xb := V[fb.X0].AddScaled((at-fb.T0)/w, u)
+				xa := ps.Orig.Point(int(fa.X0), nil).AddScaled((at-fa.T0)/w, u)
+				xb := ps.Orig.Point(int(fb.X0), nil).AddScaled((at-fb.T0)/w, u)
 				x := xa
 				if xb.Cmp(xa) > 0 {
 					x = xb

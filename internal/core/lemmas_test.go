@@ -3,7 +3,6 @@ package core
 import (
 	"testing"
 
-	"repro/internal/loop"
 	"repro/internal/project"
 	"repro/internal/vec"
 )
@@ -15,12 +14,11 @@ func depTargets(p *Partitioning, g int, d vec.Int) map[int]bool {
 	targets := map[int]bool{}
 	st := p.PS.Orig
 	blockOf := p.BlockOf()
-	st.ForEachEdge(func(e loop.Edge) {
-		if !st.D[e.Dep].Equal(d) {
+	st.ForEachEdgeIdx(func(ui, vi, di int) {
+		if !st.D[di].Equal(d) {
 			return
 		}
-		from := blockOf[st.VertexIndex(e.From)]
-		to := blockOf[st.VertexIndex(e.To)]
+		from, to := blockOf[ui], blockOf[vi]
 		if from == g && to != g {
 			targets[to] = true
 		}

@@ -217,7 +217,7 @@ func (p *Partitioning) BlockSize(g int) int {
 	return n
 }
 
-// BlockOf maps every original vertex index (into PS.Orig.Vertices()) to
+// BlockOf maps every original vertex index (its position in PS.Orig.Points) to
 // its block, the group of the vertex's projected point (Step 6):
 // GroupOf ∘ LineOf.
 // It costs |V| and returns a fresh slice the caller owns; the

@@ -22,6 +22,7 @@ import (
 	"repro/internal/hyperplane"
 	"repro/internal/kernels"
 	"repro/internal/loop"
+	"repro/internal/vec"
 )
 
 // message carries one value along one dependence edge between processors.
@@ -65,29 +66,28 @@ func Run(k *kernels.Kernel, st *loop.Structure, procOf []int, numProcs int) (*ke
 	}
 
 	nD := len(st.D)
-	V := st.Vertices()
 
 	// Pre-compute, per processor: owned vertices in schedule order, and the
 	// exact number of remote inputs (to size inbox buffers so sends never
 	// block).
 	owned := make([][]int, numProcs)
 	inbound := make([]int, numProcs)
-	for vi := range V {
+	timeOf := make([]int64, st.Len())
+	st.Points(func(vi int, x vec.Int) bool {
 		owned[procOf[vi]] = append(owned[procOf[vi]], vi)
-	}
-	timeOf := func(vi int) int64 { return k.Pi.Dot(V[vi]) }
+		timeOf[vi] = k.Pi.Dot(x)
+		return true
+	})
 	for pr := range owned {
 		sort.Slice(owned[pr], func(a, b int) bool {
-			ta, tb := timeOf(owned[pr][a]), timeOf(owned[pr][b])
+			ta, tb := timeOf[owned[pr][a]], timeOf[owned[pr][b]]
 			if ta != tb {
 				return ta < tb
 			}
 			return owned[pr][a] < owned[pr][b]
 		})
 	}
-	st.ForEachEdge(func(e loop.Edge) {
-		from := st.VertexIndex(e.From)
-		to := st.VertexIndex(e.To)
+	st.ForEachEdgeIdx(func(from, to, _ int) {
 		if procOf[from] != procOf[to] {
 			inbound[procOf[to]]++
 		}
@@ -109,8 +109,9 @@ func Run(k *kernels.Kernel, st *loop.Structure, procOf []int, numProcs int) (*ke
 			remote := make(map[int64]float64, inbound[pr])
 			out := make(map[string][]float64, len(owned[pr]))
 			in := make([]float64, nD)
+			var x vec.Int
 			for _, vi := range owned[pr] {
-				x := V[vi]
+				x = st.Point(vi, x)
 				for di, d := range st.D {
 					pred := x.Sub(d)
 					pi := st.VertexIndex(pred)
@@ -137,8 +138,7 @@ func Run(k *kernels.Kernel, st *loop.Structure, procOf []int, numProcs int) (*ke
 				local[vi] = stored
 				out[x.Key()] = stored
 				for di, d := range st.D {
-					succ := x.Add(d)
-					si := st.VertexIndex(succ)
+					si := st.NeighborOf(vi, x, d)
 					if si < 0 || procOf[si] == pr {
 						continue
 					}

@@ -2,6 +2,7 @@ package hyperplane
 
 import (
 	"repro/internal/loop"
+	"repro/internal/vec"
 )
 
 // Coordinate is the outcome of Lamport's *coordinate method* — the second
@@ -58,13 +59,14 @@ func CoordinateMethod(st *loop.Structure) Coordinate {
 		return c
 	}
 	seen := map[string]bool{}
-	for _, x := range st.Vertices() {
+	st.Points(func(_ int, x vec.Int) bool {
 		key := ""
 		for _, j := range c.SequentialDims {
 			key += "," + itoa(x[j])
 		}
 		seen[key] = true
-	}
+		return true
+	})
 	c.Steps = int64(len(seen))
 	return c
 }

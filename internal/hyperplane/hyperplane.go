@@ -205,8 +205,9 @@ func FindOptimalCtx(ctx context.Context, st *loop.Structure, bound int64) (Sched
 // that hyperplane — the degree of parallelism available at each step.
 func WavefrontSizes(st *loop.Structure, sch Schedule) []int64 {
 	sizes := make([]int64, sch.Steps())
-	for _, p := range st.Vertices() {
+	st.Points(func(_ int, p vec.Int) bool {
 		sizes[sch.Step(p)]++
-	}
+		return true
+	})
 	return sizes
 }

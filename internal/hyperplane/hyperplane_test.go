@@ -81,9 +81,9 @@ func TestScheduleRespectsDependences(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st.ForEachEdge(func(e loop.Edge) {
-		if sch.Step(e.To) <= sch.Step(e.From) {
-			t.Fatalf("edge %v->%v does not advance time", e.From, e.To)
+	st.ForEachEdgeIdx(func(ui, vi, _ int) {
+		if sch.Step(st.V[vi]) <= sch.Step(st.V[ui]) {
+			t.Fatalf("edge %v->%v does not advance time", st.V[ui], st.V[vi])
 		}
 	})
 }
@@ -221,7 +221,7 @@ func TestStepsRectMatchesEnumeration(t *testing.T) {
 			t.Fatal(err)
 		}
 		lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
-		for _, p := range st.Vertices() {
+		for _, p := range st.V {
 			lo, hi = min(lo, c.pi.Dot(p)), max(hi, c.pi.Dot(p))
 		}
 		if got := hi - lo + 1; got != sch.Steps() {

@@ -162,22 +162,13 @@ func (r *Result) Equal(o *Result) bool {
 // are the kernel's external outputs (e.g. the finished y[i] of matvec leave
 // along d_y at j = M).
 func (r *Result) ExitValues(st *loop.Structure, dep int) []float64 {
-	type kv struct {
-		p vec.Int
-		v float64
-	}
-	var out []kv
-	for _, p := range st.Vertices() {
-		succ := p.Add(st.D[dep])
-		if !st.HasVertex(succ) {
-			out = append(out, kv{p: p, v: r.Out[p.Key()][dep]})
+	vals := []float64{}
+	st.Points(func(vi int, p vec.Int) bool {
+		if st.NeighborOf(vi, p, st.D[dep]) < 0 {
+			vals = append(vals, r.Out[p.Key()][dep])
 		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].p.Cmp(out[j].p) < 0 })
-	vals := make([]float64, len(out))
-	for i, e := range out {
-		vals[i] = e.v
-	}
+		return true
+	})
 	return vals
 }
 
@@ -195,7 +186,7 @@ func RunSequential(k *Kernel) (*Result, error) {
 	}
 	res := &Result{Out: make(map[string][]float64, st.Len())}
 	in := make([]float64, len(st.D))
-	for _, p := range st.Vertices() {
+	st.Points(func(_ int, p vec.Int) bool {
 		for di, d := range st.D {
 			pred := p.Sub(d)
 			if st.HasVertex(pred) {
@@ -206,9 +197,14 @@ func RunSequential(k *Kernel) (*Result, error) {
 		}
 		out := k.Sem.Compute(p, in)
 		if len(out) != len(st.D) {
-			return nil, fmt.Errorf("kernels: %s Compute returned %d outputs, want %d", k.Name, len(out), len(st.D))
+			err = fmt.Errorf("kernels: %s Compute returned %d outputs, want %d", k.Name, len(out), len(st.D))
+			return false
 		}
 		res.Out[p.Key()] = append([]float64{}, out...)
+		return true
+	})
+	if err != nil {
+		return nil, err
 	}
 	return res, nil
 }

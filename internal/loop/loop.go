@@ -19,8 +19,6 @@ import (
 	"math"
 	"slices"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"unsafe"
 
 	"repro/internal/ints"
@@ -215,32 +213,26 @@ func (n *Nest) Row(p vec.Int) (lo, hi int64, ok bool) {
 	return lo, hi, lo <= hi
 }
 
-// ForEach visits every point of the index set in lexicographic order.
-func (n *Nest) ForEach(visit func(vec.Int)) {
-	n.ForEachUntil(func(p vec.Int) bool {
-		visit(p)
-		return true
-	})
-}
-
 // ForEachUntil visits the index set in lexicographic order until visit
 // returns false; it reports whether the walk ran to completion. It is the
 // abortable primitive behind cancellable enumeration.
 func (n *Nest) ForEachUntil(visit func(vec.Int) bool) bool {
-	return n.walk(nil, func(p vec.Int) bool { return visit(p.Clone()) })
+	return n.walk(func(_ int, p vec.Int) bool { return visit(p.Clone()) })
 }
 
-// walk is ForEachUntil without the per-point copy: visit sees one scratch
-// vector that the next point overwrites, so it must copy what it keeps.
-// A non-nil rows records every prefix the walk descends into.
-func (n *Nest) walk(rows *rowIndex, visit func(vec.Int) bool) bool {
+// walk is ForEachUntil without the per-point copy, with each point's
+// position in the walk: visit sees one scratch vector that the next
+// point overwrites, so it must copy what it keeps.
+func (n *Nest) walk(visit func(vi int, p vec.Int) bool) bool {
 	last := n.Dims - 1
-	return n.walkRows(rows, func(p vec.Int, hi int64) bool {
+	vi := 0
+	return n.walkRows(nil, func(p vec.Int, hi int64) bool {
 		for x := p[last]; ; x++ {
 			p[last] = x
-			if !visit(p) {
+			if !visit(vi, p) {
 				return false
 			}
+			vi++
 			if x == hi {
 				return true
 			}
@@ -341,19 +333,8 @@ func (n *Nest) LineEnd(u vec.Int) func(x vec.Int) int64 {
 	}
 }
 
-// Points materializes the index set.
-func (n *Nest) Points() []vec.Int {
-	var out []vec.Int
-	n.ForEach(func(p vec.Int) { out = append(out, p) })
-	return out
-}
-
 // Size returns the number of iterations.
-func (n *Nest) Size() int64 {
-	var c int64
-	n.ForEach(func(vec.Int) { c++ })
-	return c
-}
+func (n *Nest) Size() int64 { return n.rowCount(context.Background(), math.MaxInt64) }
 
 // OpsPerIteration returns the total abstract operation count of the loop
 // body (the paper's matvec body counts 2: one multiply, one add).
@@ -434,14 +415,12 @@ type Structure struct {
 	Nest *Nest
 	// V is the vertex set (index points) in lexicographic order. The
 	// constructors fill it; a compact structure (see Compact) leaves it
-	// nil. Read it through Vertices, which builds it on a compact one.
+	// nil. Walk it with Points, or read one vertex with Point.
 	V []vec.Int
 	// D is the set of dependence vectors.
 	D []vec.Int
 	// n is |V|, counted at enumeration.
 	n int
-	// lazy builds V on first use; nil when V is filled.
-	lazy *lazyVertices
 	// rect holds the arithmetic indexer for rectangular nests:
 	// idx(p) = Σ (p_k − lo_k)·stride_k.
 	rect *rectIndex
@@ -517,20 +496,37 @@ func (r *rectIndex) indexOf(p vec.Int) int {
 
 // neighborOf returns the index of p+d given that p is the vertex at
 // position vi, without materializing p+d: the offset is Σ d_k·stride_k and
-// each stepped coordinate is bounds-checked. O(dims), zero allocations.
+// each stepped coordinate is bounds-checked. A nil p decodes the stepped
+// coordinates from vi instead. O(dims), zero allocations.
 func (r *rectIndex) neighborOf(p vec.Int, vi int, d vec.Int) int {
 	var off int64
 	for j, dx := range d {
 		if dx == 0 {
 			continue
 		}
-		x := p[j] + dx
-		if x < r.lo[j] || x > r.hi[j] {
+		var x int64
+		if p != nil {
+			x = p[j]
+		} else {
+			x = r.lo[j] + int64(vi)/r.strides[j]%(r.hi[j]-r.lo[j]+1)
+		}
+		if x += dx; x < r.lo[j] || x > r.hi[j] {
 			return -1
 		}
 		off += dx * r.strides[j]
 	}
 	return vi + int(off)
+}
+
+// point writes the vertex at position vi into p: each coordinate is the
+// quotient of what the outer strides leave of vi.
+func (r *rectIndex) point(vi int, p vec.Int) {
+	rem := int64(vi)
+	for j, s := range r.strides {
+		q := rem / s
+		p[j] = r.lo[j] + q
+		rem -= q * s
+	}
 }
 
 // rowIndex is the dense vertex indexer for nests whose bounds reference
@@ -586,6 +582,26 @@ func (t *rowIndex) find(p, d vec.Int) int {
 		r = t.first[j][r] + int(x-lo)
 	}
 	return r
+}
+
+// point writes the vertex at position vi into p. It climbs from the
+// innermost level, finding at each the prefix whose children span the
+// position: the last one whose first child is at or before it (an empty
+// prefix's entry equals its successor's, so it is never the last). The
+// position within that row is the coordinate's offset from its lower
+// bound, which the descent then adds, outermost level first.
+func (t *rowIndex) point(vi int, p vec.Int) {
+	pos := vi
+	for j := len(p) - 1; j >= 0; j-- {
+		f := t.first[j]
+		r, _ := slices.BinarySearch(f, pos+1)
+		r--
+		p[j] = int64(pos - f[r])
+		pos = r
+	}
+	for j := range p {
+		p[j] += t.lower[j].Eval(p)
+	}
 }
 
 // NewStructure builds the computational structure of the nest, deriving D
@@ -713,46 +729,34 @@ func (n *Nest) vertices(ctx context.Context, rows *rowIndex, size int64) ([]vec.
 	return v, nil
 }
 
-// lazyVertices builds a compact structure's V once, on first use.
-type lazyVertices struct {
-	once  sync.Once
-	v     []vec.Int
-	built atomic.Bool
-}
-
 // Compact returns a copy of the structure without its vertex set: it
-// shares the nest, D and the vertex index, and builds V on the first
-// Vertices call (or any method that reads V), once, by the same row walk
-// as NewStructureCtx. A compact structure is safe for concurrent use.
+// shares the nest, D and the vertex index, and every method reads the
+// index, never V. A compact structure is safe for concurrent use.
 func (s *Structure) Compact() *Structure {
-	return &Structure{Nest: s.Nest, D: s.D, n: s.n, rect: s.rect, rows: s.rows, lazy: &lazyVertices{}}
+	return &Structure{Nest: s.Nest, D: s.D, n: s.n, rect: s.rect, rows: s.rows}
 }
 
-// Vertices returns the vertex set V in lexicographic order, building it
-// on the first call when the structure is compact. Callers must not
-// modify it.
-func (s *Structure) Vertices() []vec.Int {
-	l := s.lazy
-	if l == nil {
-		return s.V
+// Points visits every vertex in lexicographic order, with its position vi
+// in V (0…Len−1), until visit returns false. It walks the nest's rows and
+// never reads V: p is one buffer that the next point overwrites, so visit
+// must copy what it keeps and must not modify it.
+func (s *Structure) Points(visit func(vi int, p vec.Int) bool) { s.Nest.walk(visit) }
+
+// Point writes the coordinates of vertex vi into buf, grown when it is
+// too short, and returns it. It inverts VertexIndex from the vertex index
+// alone: in closed form on a rectangular structure, with one binary
+// search per level over the row offsets on any other.
+func (s *Structure) Point(vi int, buf vec.Int) vec.Int {
+	buf = slices.Grow(buf[:0], s.Nest.Dims)[:s.Nest.Dims]
+	if s.rect != nil {
+		s.rect.point(vi, buf)
+	} else {
+		s.rows.point(vi, buf)
 	}
-	l.once.Do(func() {
-		// The walk never fails without a deadline, and the row index
-		// already exists.
-		l.v, _ = s.Nest.vertices(context.Background(), nil, int64(s.n))
-		l.built.Store(true)
-	})
-	return l.v
+	return buf
 }
 
-// Materialized reports whether the structure holds its vertex set: always
-// for one the constructors built, and for a compact one once Vertices has
-// built it.
-func (s *Structure) Materialized() bool {
-	return s.lazy == nil || s.lazy.built.Load()
-}
-
-// Len returns |V|, the number of index points, without building V.
+// Len returns |V|, the number of index points, counted at enumeration.
 func (s *Structure) Len() int { return s.n }
 
 // rowCount counts the nest's points one innermost row at a time, or
@@ -795,51 +799,47 @@ func (s *Structure) VertexIndex(p vec.Int) int {
 func (s *Structure) Rectangular() bool { return s.rect != nil }
 
 // NeighborIndex returns the position in V of V[vi]+d, or -1 when the
-// neighbour lies outside the index set. It is pure arithmetic with no
-// allocation — the primitive the partitioner and the simulator resolve
-// dependence arcs with.
+// neighbour lies outside the index set. It reads the vertex index, never
+// V, and allocates nothing: a rectangular structure decodes only the
+// coordinates d steps; any other decodes the point (Point) first, so a
+// caller walking the points should use NeighborOf with the point in hand.
 func (s *Structure) NeighborIndex(vi int, d vec.Int) int {
-	p := s.Vertices()[vi]
+	if s.rect != nil {
+		return s.rect.neighborOf(nil, vi, d)
+	}
+	var buf [8]int64
+	return s.rows.find(s.Point(vi, buf[:0]), d)
+}
+
+// NeighborOf is NeighborIndex given p, the coordinates of vertex vi: the
+// form a walk over Points resolves dependence arcs with.
+func (s *Structure) NeighborOf(vi int, p, d vec.Int) int {
 	if s.rect != nil {
 		return s.rect.neighborOf(p, vi, d)
 	}
 	return s.rows.find(p, d)
 }
 
-// Edge is a dependence arc u → v (v depends on u) labelled with the
-// dependence vector index into D.
-type Edge struct {
-	From, To vec.Int
-	Dep      int
-}
-
-// ForEachEdge visits every dependence arc of the structure: for each vertex
-// u and dependence d ∈ D, the arc u → u+d when u+d is also a vertex.
-func (s *Structure) ForEachEdge(visit func(Edge)) {
-	v := s.Vertices()
-	s.ForEachEdgeIdx(func(ui, vi, di int) {
-		visit(Edge{From: v[ui], To: v[vi], Dep: di})
-	})
-}
-
-// ForEachEdgeIdx visits every dependence arc by vertex index: ui → vi along
-// D[di]. This is the allocation-free form edge statistics run on;
-// callers needing coordinates use ForEachEdge.
+// ForEachEdgeIdx visits every dependence arc of the structure by vertex
+// index: for each vertex ui and dependence D[di], the arc ui → vi when
+// V[ui]+D[di] is the vertex vi. It walks the points (Points) and never
+// reads V.
 func (s *Structure) ForEachEdgeIdx(visit func(ui, vi, di int)) {
-	for ui := range s.Vertices() {
+	s.Points(func(ui int, p vec.Int) bool {
 		for di, d := range s.D {
-			if vi := s.NeighborIndex(ui, d); vi >= 0 {
+			if vi := s.NeighborOf(ui, p, d); vi >= 0 {
 				visit(ui, vi, di)
 			}
 		}
-	}
+		return true
+	})
 }
 
 // EdgeCount returns the total number of dependence arcs (the paper counts
 // 33 for loop L1 on a 4×4 index set).
 func (s *Structure) EdgeCount() int {
 	c := 0
-	s.ForEachEdge(func(Edge) { c++ })
+	s.ForEachEdgeIdx(func(int, int, int) { c++ })
 	return c
 }
 

@@ -96,7 +96,8 @@ func TestMatVecDependences(t *testing.T) {
 
 func TestRectEnumeration(t *testing.T) {
 	n := NewRect("r", []int64{0, 1}, []int64{1, 2})
-	pts := n.Points()
+	var pts []vec.Int
+	n.ForEachUntil(func(p vec.Int) bool { pts = append(pts, p); return true })
 	want := []vec.Int{
 		vec.NewInt(0, 1), vec.NewInt(0, 2), vec.NewInt(1, 1), vec.NewInt(1, 2),
 	}
@@ -189,12 +190,13 @@ func TestStructureEdgeEndpointsInside(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.ForEachEdge(func(e Edge) {
-		if !s.HasVertex(e.From) || !s.HasVertex(e.To) {
-			t.Fatalf("edge %v -> %v leaves the index set", e.From, e.To)
+	s.ForEachEdgeIdx(func(ui, vi, di int) {
+		from, to := s.V[ui], s.V[vi]
+		if !s.HasVertex(from) || !s.HasVertex(to) {
+			t.Fatalf("edge %v -> %v leaves the index set", from, to)
 		}
-		if !e.To.Sub(e.From).Equal(s.D[e.Dep]) {
-			t.Fatalf("edge %v -> %v does not match dep %v", e.From, e.To, s.D[e.Dep])
+		if !to.Sub(from).Equal(s.D[di]) {
+			t.Fatalf("edge %v -> %v does not match dep %v", from, to, s.D[di])
 		}
 	})
 }

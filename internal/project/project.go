@@ -56,7 +56,7 @@ func (d Dep) Rat(s int64) vec.Rat {
 }
 
 // Fiber is the run of index points on one projection line, in execution
-// order: x0 + t·u for t in [0, Len), where x0 = Orig.Vertices()[X0] is
+// order: x0 + t·u for t in [0, Len), where x0 = Orig.Point(X0) is
 // the line's first point and u = Π/gcd(Π) the line's primitive
 // direction. Point t runs at time T0 + t·Π·u with T0 = Π·x0. X0 and Len
 // are int32: Project refuses a structure of more index points.
@@ -679,19 +679,25 @@ func (ps *Structure) NonzeroDeps() []Dep {
 	return out
 }
 
-// LineOf maps every original vertex index (into Orig.Vertices()) to the
-// projected point of its projection line. It walks each fiber, so it
-// costs |V| and returns a fresh slice the caller owns.
+// LineOf maps every original vertex index (its position in Points) to
+// the projected point of its projection line. It walks each fiber from
+// its first point, so it costs |V| and returns a fresh slice the caller
+// owns.
 func (ps *Structure) LineOf() []int {
 	st := ps.Orig
 	out := make([]int, st.Len())
+	var x vec.Int
 	for pt, f := range ps.Fibers {
+		x = st.Point(int(f.X0), x)
 		for vi, t := int(f.X0), int32(0); ; t++ {
 			out[vi] = pt
 			if t+1 == f.Len {
 				break
 			}
-			vi = st.NeighborIndex(vi, ps.U)
+			vi = st.NeighborOf(vi, x, ps.U)
+			for j, u := range ps.U {
+				x[j] += u
+			}
 		}
 	}
 	return out
@@ -702,7 +708,7 @@ func (ps *Structure) LineOf() []int {
 func (ps *Structure) FiberPoints(i int) []vec.Int {
 	f := ps.Fibers[i]
 	out := make([]vec.Int, f.Len)
-	x := ps.Orig.Vertices()[f.X0]
+	x := ps.Orig.Point(int(f.X0), nil)
 	for t := range out {
 		out[t] = x.AddScaled(int64(t), ps.U)
 	}

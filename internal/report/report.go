@@ -125,36 +125,27 @@ func (t *Table) CSV(w io.Writer) {
 
 // Grid2D renders a labelling of 2-D integer points as a grid, with the
 // first coordinate increasing downward (rows) and the second rightward
-// (columns) — the layout of the paper's Figs. 1 and 3.
+// (columns) — the layout of the paper's Figs. 1 and 3. points walks the
+// points until its visit returns false, as loop.Structure.Points does; it
+// may reuse one buffer for every point.
 // label(p) should return a short string for point p (e.g. its block ID).
-func Grid2D(points []vec.Int, label func(p vec.Int) string) string {
-	if len(points) == 0 {
-		return "(empty)\n"
-	}
-	minI, maxI := points[0][0], points[0][0]
-	minJ, maxJ := points[0][1], points[0][1]
-	for _, p := range points {
-		if p[0] < minI {
-			minI = p[0]
-		}
-		if p[0] > maxI {
-			maxI = p[0]
-		}
-		if p[1] < minJ {
-			minJ = p[1]
-		}
-		if p[1] > maxJ {
-			maxJ = p[1]
-		}
-	}
+func Grid2D(points func(visit func(int, vec.Int) bool), label func(p vec.Int) string) string {
+	var minI, maxI, minJ, maxJ int64
 	cells := map[string]string{}
 	width := 1
-	for _, p := range points {
+	points(func(_ int, p vec.Int) bool {
+		if len(cells) == 0 {
+			minI, maxI, minJ, maxJ = p[0], p[0], p[1], p[1]
+		}
+		minI, maxI = min(minI, p[0]), max(maxI, p[0])
+		minJ, maxJ = min(minJ, p[1]), max(maxJ, p[1])
 		l := label(p)
 		cells[p.Key()] = l
-		if len(l) > width {
-			width = len(l)
-		}
+		width = max(width, len(l))
+		return true
+	})
+	if len(cells) == 0 {
+		return "(empty)\n"
 	}
 	var b strings.Builder
 	for i := minI; i <= maxI; i++ {

@@ -66,11 +66,22 @@ func TestCSV(t *testing.T) {
 	}
 }
 
+// each walks pts as loop.Structure.Points walks a structure.
+func each(pts []vec.Int) func(func(int, vec.Int) bool) {
+	return func(visit func(int, vec.Int) bool) {
+		for i, p := range pts {
+			if !visit(i, p) {
+				return
+			}
+		}
+	}
+}
+
 func TestGrid2D(t *testing.T) {
 	pts := []vec.Int{
 		vec.NewInt(0, 0), vec.NewInt(0, 1), vec.NewInt(1, 0), vec.NewInt(1, 1),
 	}
-	out := Grid2D(pts, func(p vec.Int) string {
+	out := Grid2D(each(pts), func(p vec.Int) string {
 		if p[0] == p[1] {
 			return "D"
 		}
@@ -84,7 +95,7 @@ func TestGrid2D(t *testing.T) {
 
 func TestGrid2DSparse(t *testing.T) {
 	pts := []vec.Int{vec.NewInt(0, 0), vec.NewInt(2, 2)}
-	out := Grid2D(pts, func(p vec.Int) string { return "X" })
+	out := Grid2D(each(pts), func(p vec.Int) string { return "X" })
 	// Missing points are dots.
 	if strings.Count(out, ".") != 7 || strings.Count(out, "X") != 2 {
 		t.Fatalf("sparse grid wrong:\n%s", out)
@@ -92,7 +103,7 @@ func TestGrid2DSparse(t *testing.T) {
 }
 
 func TestGrid2DEmpty(t *testing.T) {
-	if Grid2D(nil, nil) != "(empty)\n" {
+	if Grid2D(each(nil), nil) != "(empty)\n" {
 		t.Fatal("empty grid rendering wrong")
 	}
 }

@@ -135,26 +135,6 @@ func (c *planCache) attach(key string, stageKey []byte, st *loopmap.Stage) int {
 	return c.lru.Trim()
 }
 
-// chargeVertices re-charges the stage of the entry cached under key once
-// running a plan on it has built the stage's vertex set, then evicts
-// least-recently-used entries until the budget holds again (never the
-// last one). It returns the number of evictions; an uncached key, or a
-// stage-less recipe (the key was evicted and reloaded while the plan
-// ran), is a no-op.
-func (c *planCache) chargeVertices(key string) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	r, ok := c.lru.Peek(key)
-	if !ok || r.stage == nil {
-		return 0
-	}
-	se := r.stage
-	b := stageEntryBytes(se.key, se.stage)
-	c.lru.Charge(b - se.bytes)
-	se.bytes = b
-	return c.lru.Trim()
-}
-
 // remove drops the entry cached under key, if any.
 func (c *planCache) remove(key string) {
 	c.mu.Lock()
@@ -222,30 +202,23 @@ func stageEntryBytes(key string, st *loopmap.Stage) int64 {
 
 // stageBytes estimates the resident size of a Π-stage from what it
 // holds: the projected points with their fibers, point index and line
-// graph, the kernel the stage was built from (its nest, vectors and
-// semantics' data, see Kernel.RetainedBytes), and the vertex set (one
-// flat coordinate buffer plus a slice header per vertex) only while the
-// structure holds it. A cached stage is compact, so V is charged once a
-// simulation builds it (see chargeVertices). A stage holds no other
-// per-vertex table, and its per-point tables are flat: the projected
-// points one column of n coordinates per point, fibers one (X0, T0, Len)
-// triple per projection line, and the line graph one int32 (target, arc
-// count) pair per line and dependence. The cache budget compares these
-// sums against its byte limit, so they should track the heap the cached
-// stages actually pin.
+// graph, and the kernel the stage was built from (its nest, vectors and
+// semantics' data, see Kernel.RetainedBytes). A cached stage is compact
+// and nothing builds its vertex set, so its charge is fixed when it is
+// inserted. A stage holds no per-vertex table, and its per-point tables
+// are flat: the projected points one column of n coordinates per point,
+// fibers one (X0, T0, Len) triple per projection line, and the line
+// graph one int32 (target, arc count) pair per line and dependence. The
+// cache budget compares these sums against its byte limit, so they
+// should track the heap the cached stages actually pin.
 func stageBytes(st *loopmap.Stage) int64 {
 	const (
-		sliceHeader  = 24
 		fiberBytes   = 16 // one project.Fiber
 		lineArcBytes = 8  // one project.LineArc
 	)
 	dims := int64(st.Structure.Nest.Dims)
-	var b int64
-	if st.Structure.Materialized() {
-		b = int64(st.Structure.Len()) * (dims*8 + sliceHeader)
-	}
 	ps := st.Projected
-	b += int64(ps.NumPoints()) * (dims*8 + fiberBytes)
+	b := int64(ps.NumPoints()) * (dims*8 + fiberBytes)
 	b += ps.IndexBytes() + int64(len(ps.Arcs))*lineArcBytes
 	// Algorithm 1's per-stage inputs, which the stage's plans share:
 	// per dependence one project.Dep (64 B), a lattice stride and an

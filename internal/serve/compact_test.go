@@ -105,7 +105,7 @@ func TestCompactStagePlansMatchEager(t *testing.T) {
 						t.Fatalf("%s cube %d: compact response\n%+v\neager\n%+v", label, dim, got, exp)
 					}
 				}
-				if st.Structure.Materialized() {
+				if st.Structure.V != nil {
 					t.Fatalf("%s: planning on the compact stage built V", label)
 				}
 			}
@@ -166,9 +166,10 @@ var simulateEngines = []string{``, `, "engine": "block"`, `, "engine": "point"`}
 // TestCompactCachedPlanConsumers: every reader of V answers from a
 // compact cached plan exactly as from an eager one. Each kernel is
 // planned first, so /v1/simulate (faults, degraded cubes, the
-// sequential baseline) and /v1/batch run on the cached compact stage; the
-// first run builds V and the cache charges it. Every engine spelling of a
-// request gets byte-identical /v1/simulate and /v1/batch bodies.
+// sequential baseline) and /v1/batch run on the cached compact stage;
+// none of them builds V, and the stage's charge never changes. Every
+// engine spelling of a request gets byte-identical /v1/simulate and
+// /v1/batch bodies.
 func TestCompactCachedPlanConsumers(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	for _, kern := range []struct {
@@ -179,7 +180,7 @@ func TestCompactCachedPlanConsumers(t *testing.T) {
 		planBody(t, ts.URL+"/v1/plan", "{"+plan+"}")
 		preq := &api.PlanRequest{Kernel: kern.name, Size: kern.size}
 		st := cachedStage(t, s, preq)
-		if st.Structure.Materialized() {
+		if st.Structure.V != nil {
 			t.Fatalf("%s: /v1/plan built V", kern.name)
 		}
 		before, _ := s.cache.stats()
@@ -219,15 +220,13 @@ func TestCompactCachedPlanConsumers(t *testing.T) {
 				want = append(want, exp)
 			}
 		}
-		if !st.Structure.Materialized() {
-			t.Fatalf("%s: simulating did not build the cached stage's V", kern.name)
-		}
 		// The simulations build plans for a held key, which the cache does
-		// not keep: only V is charged.
-		after, _ := s.cache.stats()
-		perVec := int64(st.Structure.Nest.Dims)*8 + 24
-		if got, exp := after-before, int64(st.Structure.Len())*perVec; got != exp {
-			t.Fatalf("%s: building V charged %d bytes, want %d", kern.name, got, exp)
+		// not keep, on a stage whose charge is fixed.
+		if st.Structure.V != nil {
+			t.Fatalf("%s: simulating built the cached stage's V", kern.name)
+		}
+		if after, _ := s.cache.stats(); after != before {
+			t.Fatalf("%s: simulating changed the cache's bytes from %d to %d", kern.name, before, after)
 		}
 
 		_, br := postBatch(t, ts.URL, api.BatchRequest{Items: items})
@@ -247,6 +246,12 @@ func TestCompactCachedPlanConsumers(t *testing.T) {
 			if !reflect.DeepEqual(got, want[i]) {
 				t.Fatalf("%s batch item %s: compact\n%+v\neager\n%+v", kern.name, variant, got, want[i])
 			}
+		}
+		if st.Structure.V != nil {
+			t.Fatalf("%s: the batch built the cached stage's V", kern.name)
+		}
+		if after, _ := s.cache.stats(); after != before {
+			t.Fatalf("%s: the batch changed the cache's bytes from %d to %d", kern.name, before, after)
 		}
 	}
 
@@ -273,7 +278,7 @@ func TestCompactCachedPlanConsumers(t *testing.T) {
 
 // TestCompactFirstRunConcurrent: eight /v1/simulate requests make the
 // first run of one cached compact plan at once. Every answer equals the
-// eager one, V is built once, and the cache charges it once. Run with
+// eager one, and none builds V or changes the cache's bytes. Run with
 // -race.
 func TestCompactFirstRunConcurrent(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
@@ -288,15 +293,11 @@ func TestCompactFirstRunConcurrent(t *testing.T) {
 	want := eagerSimulate(t, s, &sreq)
 
 	got := make([]api.SimulateResponse, 8)
-	verts := make([]int, 8)
 	var wg sync.WaitGroup
 	for g := range got {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			if g%2 == 1 {
-				verts[g] = len(st.Structure.Vertices())
-			}
 			rec := httptest.NewRecorder()
 			s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/simulate", strings.NewReader(body)))
 			if rec.Code != http.StatusOK {
@@ -314,13 +315,11 @@ func TestCompactFirstRunConcurrent(t *testing.T) {
 		if !reflect.DeepEqual(got[g], want) {
 			t.Fatalf("goroutine %d: compact\n%+v\neager\n%+v", g, got[g], want)
 		}
-		if g%2 == 1 && verts[g] != st.Structure.Len() {
-			t.Fatalf("goroutine %d saw %d vertices, want %d", g, verts[g], st.Structure.Len())
-		}
 	}
-	after, _ := s.cache.stats()
-	exp := int64(st.Structure.Len()) * (2*8 + 24)
-	if got := after - before; got != exp {
-		t.Fatalf("concurrent first runs charged %d bytes, want %d (V once)", got, exp)
+	if st.Structure.V != nil {
+		t.Fatal("concurrent first runs built V")
+	}
+	if after, _ := s.cache.stats(); after != before {
+		t.Fatalf("concurrent first runs changed the cache's bytes from %d to %d", before, after)
 	}
 }

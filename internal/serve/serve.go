@@ -185,6 +185,9 @@ type Server struct {
 	// an admission slot to build the key's plan; afterJoin runs in each
 	// follower once the flight it joined has ended.
 	beforeBuild, afterJoin func(key string)
+	// beforeUse, a test seam, runs in usePlan once it has the request's
+	// plan, just before use runs on it.
+	beforeUse func(key string)
 
 	gate    *pool.Gate
 	metrics *metrics
@@ -759,9 +762,9 @@ func (s *Server) stageFor(ctx context.Context, req *api.PlanRequest, skey []byte
 }
 
 // prepareStage builds a Π-stage as the plan cache keeps it: enumeration,
-// schedule and projection, then compacted, so the stage holds no vertex
-// set until something runs a plan on it. Misses and stage-less recipes
-// both build their stages here.
+// schedule and projection, then compacted, so the stage never holds a
+// vertex set. Misses and stage-less recipes both build their stages
+// here.
 func prepareStage(ctx context.Context, k *loopmap.Kernel, opt loopmap.PlanOptions) (*loopmap.Stage, error) {
 	st, err := loopmap.PrepareCtx(ctx, k, opt)
 	if err != nil {
@@ -789,6 +792,9 @@ func (s *Server) usePlan(ctx context.Context, req *api.PlanRequest, use func(p *
 		return outcome, err
 	}
 	defer p.Release()
+	if s.beforeUse != nil {
+		s.beforeUse(req.Key())
+	}
 	return outcome, use(p)
 }
 
@@ -1103,16 +1109,6 @@ func (s *Server) simulate(ctx context.Context, req *api.SimulateRequest, params 
 // simulation, the optional sequential baseline, and the optional trace. Cache
 // and Cluster are left for the caller.
 func (s *Server) runSimulate(ctx context.Context, req *api.SimulateRequest, p *loopmap.Plan, params machine.Params) (*api.SimulateResponse, error) {
-	// The first run on a cached stage builds its vertex set, which the
-	// plan cache then holds: charge it to the budget (a no-op once
-	// charged).
-	defer func(st *loopmap.Structure) {
-		if st.Materialized() {
-			if ev := s.cache.chargeVertices(req.PlanRequest.Key()); ev > 0 {
-				s.metrics.cacheEvictions.Add(int64(ev))
-			}
-		}
-	}(p.Structure)
 	var degraded *api.DegradedInfo
 	if len(req.FailedNodes) > 0 {
 		dp, dstats, err := p.RemapDegraded(req.FailedNodes)

@@ -309,9 +309,8 @@ func TestRecoveredKeyUsesWriteNothing(t *testing.T) {
 // TestStagelessRecipeUnderRunningSimulate: a /v1/simulate that took its
 // plan from the cache is still running when its key is evicted and
 // re-ingested through /v1/replica as a stage-less recipe. When the
-// simulation ends, charging the vertex set it built must skip the
-// stage-less entry, and evicting that entry must release no stage. Run
-// with -race.
+// simulation ends, the entry is still stage-less, and evicting it must
+// release no stage. Run with -race.
 func TestStagelessRecipeUnderRunningSimulate(t *testing.T) {
 	srvs, tss := newTestCluster(t, 1)
 	s, url := srvs[0], tss[0].URL
@@ -323,6 +322,16 @@ func TestStagelessRecipeUnderRunningSimulate(t *testing.T) {
 		t.Fatal("the key's first use left no recipe on a stage")
 	}
 
+	// The simulation holds its plan at the beforeUse seam until the key
+	// has been evicted and reloaded; what follows it is the simulation
+	// itself.
+	hasPlan, reloaded := make(chan struct{}), make(chan struct{})
+	release := sync.OnceFunc(func() { close(reloaded) })
+	defer release()
+	s.beforeUse = func(string) {
+		close(hasPlan)
+		<-reloaded
+	}
 	done := make(chan struct{})
 	var code int
 	var out []byte
@@ -338,15 +347,7 @@ func TestStagelessRecipeUnderRunningSimulate(t *testing.T) {
 		resp.Body.Close()
 		code = resp.StatusCode
 	}()
-	// The simulation has its plan once it has built the stage's vertex
-	// set; what follows it is the simulation itself.
-	start := time.Now()
-	for !st.Structure.Materialized() {
-		if time.Since(start) > 10*time.Second {
-			t.Fatal("the simulation never built the stage's vertex set")
-		}
-		time.Sleep(50 * time.Microsecond)
-	}
+	<-hasPlan
 	evictAll(s.cache)
 	var buf bytes.Buffer
 	if err := persist.WriteRecords(&buf, []persist.Record{{Key: repBasePrefix + key, Value: persistPayload(req)}}); err != nil {
@@ -357,12 +358,11 @@ func TestStagelessRecipeUnderRunningSimulate(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	reloaded := time.Now()
 	if st, ok := s.cache.get(key); !ok || st != nil {
 		t.Fatalf("after ingest: held %v, stage %v; want a stage-less recipe", ok, st != nil)
 	}
+	release()
 	<-done
-	t.Logf("the simulation ran %v past the reload", time.Since(reloaded))
 	if code != http.StatusOK {
 		t.Fatalf("simulate: %d %s", code, out)
 	}

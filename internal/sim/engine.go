@@ -7,6 +7,7 @@ import (
 	"repro/internal/hyperplane"
 	"repro/internal/loop"
 	"repro/internal/machine"
+	"repro/internal/vec"
 )
 
 // Simulate runs the event-driven execution of a partitioned, mapped nest.
@@ -22,11 +23,13 @@ import (
 // partitioning that puts same-step points in one block stays exact too.)
 //
 // The simulation therefore schedules one slot per (block, hyperplane
-// step): vertices are bucketed by step with a counting pass (no
-// comparison sort), dependence arcs are resolved with O(dims) stride
-// arithmetic (loop.Structure.NeighborIndex — no tables), and the only
-// per-vertex state is a single float64 arrival time, about 2 words per
-// vertex, with no allocation in the hot loop. Every Options knob
+// step): vertices are bucketed by step with a counting pass over
+// loop.Structure.Points (no comparison sort, and no vertex list),
+// dependence arcs are resolved by index arithmetic (NeighborIndex's
+// O(dims) stride decode on a rectangular structure, a successor table
+// filled in the counting pass on any other), and the only per-vertex
+// state the event loop updates is a single float64 arrival time, with
+// no allocation in the hot loop. Every Options knob
 // (Aggregate, Timeline, LinkContention, Faults) follows the same
 // deterministic event order. The tests compare its whole Stats with a
 // point-level reference simulator that keeps full predecessor/successor
@@ -65,19 +68,36 @@ func SimulateCtx(ctx context.Context, st *loop.Structure, sch hyperplane.Schedul
 	opsInt := int64(opsPerPoint)
 	compute := opsPerPoint * p.TCalc
 
-	// Bucket vertices by hyperplane step with a counting pass. V is in
-	// lexicographic order, so each bucket keeps ascending vertex ids and the
-	// global processing order is the (step, vertex) order.
+	// Bucket vertices by hyperplane step with a counting pass. The walk
+	// is in lexicographic order, so each bucket keeps ascending vertex ids
+	// and the global processing order is the (step, vertex) order. A
+	// rectangular structure resolves a successor from its id alone; any
+	// other resolves them here, with the point in hand, into succ.
 	nSteps := int(sch.Steps())
 	counts := make([]int, nSteps+1)
 	stepOf := make([]int32, nV)
-	for vi, x := range st.Vertices() {
+	var succ []int32
+	if !st.Rectangular() {
+		succ = make([]int32, nV*nD)
+	}
+	var err error
+	st.Points(func(vi int, x vec.Int) bool {
 		s := int(sch.Step(x))
 		if s < 0 || s >= nSteps {
-			return nil, fmt.Errorf("sim: vertex %v at step %d outside schedule [0, %d)", x, s, nSteps)
+			err = fmt.Errorf("sim: vertex %v at step %d outside schedule [0, %d)", x, s, nSteps)
+			return false
 		}
 		stepOf[vi] = int32(s)
 		counts[s+1]++
+		if succ != nil {
+			for di, d := range st.D {
+				succ[vi*nD+di] = int32(st.NeighborOf(vi, x, d))
+			}
+		}
+		return true
+	})
+	if err != nil {
+		return nil, err
 	}
 	for s := 0; s < nSteps; s++ {
 		counts[s+1] += counts[s]
@@ -163,8 +183,13 @@ func SimulateCtx(ctx context.Context, st *loop.Structure, sch hyperplane.Schedul
 			// Collect remote successors in dependence order.
 			remoteSucc = remoteSucc[:0]
 			remoteProc = remoteProc[:0]
-			for _, d := range st.D {
-				si := st.NeighborIndex(vi, d)
+			for di, d := range st.D {
+				var si int
+				if succ != nil {
+					si = int(succ[vi*nD+di])
+				} else {
+					si = st.NeighborIndex(vi, d)
+				}
 				if si < 0 || a.ProcOf[si] == pr {
 					continue
 				}

@@ -68,10 +68,11 @@ func simulatePoint(ctx context.Context, st *loop.Structure, sch hyperplane.Sched
 	// because Π·d > 0 strictly).
 	order := make([]int, nV)
 	steps := make([]int64, nV)
-	for i, x := range st.Vertices() {
+	st.Points(func(i int, x vec.Int) bool {
 		order[i] = i
 		steps[i] = sch.Step(x)
-	}
+		return true
+	})
 	sort.Slice(order, func(i, j int) bool {
 		si, sj := steps[order[i]], steps[order[j]]
 		if si != sj {

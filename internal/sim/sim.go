@@ -36,7 +36,7 @@ var ErrBadOptions = errors.New("sim: conflicting options")
 // Assignment places every vertex of a computational structure on a
 // processor.
 type Assignment struct {
-	// ProcOf[vi] is the processor of vertex vi (indices into Structure.Vertices()).
+	// ProcOf[vi] is the processor of vertex vi (positions in Structure.Points).
 	ProcOf []int
 	// NumProcs is the processor count.
 	NumProcs int

@@ -38,26 +38,17 @@ func Structure2D(st *loop.Structure, blockOf func(p vec.Int) int, numBlocks int,
 	if st.Dim() != 2 {
 		return "", fmt.Errorf("svg: Structure2D needs a 2-D structure, got %d-D", st.Dim())
 	}
-	V := st.Vertices()
-	if len(V) == 0 {
+	if st.Len() == 0 {
 		return "", fmt.Errorf("svg: empty structure")
 	}
-	minI, maxI := V[0][0], V[0][0]
-	minJ, maxJ := V[0][1], V[0][1]
-	for _, p := range V {
-		if p[0] < minI {
-			minI = p[0]
-		}
-		if p[0] > maxI {
-			maxI = p[0]
-		}
-		if p[1] < minJ {
-			minJ = p[1]
-		}
-		if p[1] > maxJ {
-			maxJ = p[1]
-		}
-	}
+	p0 := st.Point(0, nil)
+	minI, maxI := p0[0], p0[0]
+	minJ, maxJ := p0[1], p0[1]
+	st.Points(func(_ int, p vec.Int) bool {
+		minI, maxI = min(minI, p[0]), max(maxI, p[0])
+		minJ, maxJ = min(minJ, p[1]), max(maxJ, p[1])
+		return true
+	})
 	// j increases rightward (x), i downward (y) — the paper's layout.
 	px := func(p vec.Int) (float64, float64) {
 		return margin + float64(p[1]-minJ)*cell, margin + float64(p[0]-minI)*cell
@@ -71,22 +62,23 @@ func Structure2D(st *loop.Structure, blockOf func(p vec.Int) int, numBlocks int,
 	b.WriteString(`<defs><marker id="arr" markerWidth="8" markerHeight="8" refX="7" refY="3" orient="auto"><path d="M0,0 L7,3 L0,6 z" fill="#555"/></marker></defs>` + "\n")
 
 	// Dependence arrows first (under the nodes), shortened to the circle rim.
-	st.ForEachEdge(func(e loop.Edge) {
-		x1, y1 := px(e.From)
-		x2, y2 := px(e.To)
-		dx, dy := x2-x1, y2-y1
-		l := dx*dx + dy*dy
-		if l == 0 {
-			return
+	st.Points(func(ui int, p vec.Int) bool {
+		for _, d := range st.D {
+			if st.NeighborOf(ui, p, d) < 0 {
+				continue
+			}
+			x1, y1 := px(p)
+			dx, dy := float64(d[1])*cell, float64(d[0])*cell
+			// Normalize and trim by the radius on both ends.
+			inv := 1.0 / math.Sqrt(dx*dx+dy*dy)
+			ux, uy := dx*inv, dy*inv
+			fmt.Fprintf(&b, `<line x1="%.1f" y1="%.1f" x2="%.1f" y2="%.1f" stroke="#555" stroke-width="1" marker-end="url(#arr)"/>`+"\n",
+				x1+ux*radius, y1+uy*radius, x1+dx-ux*(radius+3), y1+dy-uy*(radius+3))
 		}
-		// Normalize and trim by the radius on both ends.
-		inv := 1.0 / math.Sqrt(l)
-		ux, uy := dx*inv, dy*inv
-		fmt.Fprintf(&b, `<line x1="%.1f" y1="%.1f" x2="%.1f" y2="%.1f" stroke="#555" stroke-width="1" marker-end="url(#arr)"/>`+"\n",
-			x1+ux*radius, y1+uy*radius, x2-ux*(radius+3), y2-uy*(radius+3))
+		return true
 	})
 
-	for _, p := range V {
+	st.Points(func(_ int, p vec.Int) bool {
 		x, y := px(p)
 		fill := palette(0, 1)
 		if blockOf != nil {
@@ -97,7 +89,8 @@ func Structure2D(st *loop.Structure, blockOf func(p vec.Int) int, numBlocks int,
 			fmt.Fprintf(&b, `<text x="%.1f" y="%.1f" font-size="11" text-anchor="middle" dominant-baseline="central">%d</text>`+"\n",
 				x, y, stepOf(p))
 		}
-	}
+		return true
+	})
 	b.WriteString("</svg>\n")
 	return b.String(), nil
 }

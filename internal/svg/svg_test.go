@@ -35,13 +35,6 @@ func countElems(t *testing.T, doc string) map[string]int {
 	return counts
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 func l1Pipeline(t *testing.T) (*loop.Structure, hyperplane.Schedule, *core.Partitioning) {
 	t.Helper()
 	k := kernels.L1(3)

@@ -508,8 +508,8 @@ func (s *Stage) plan(ctx context.Context, opt PlanOptions, r *recycled) (*Plan, 
 
 // Compact returns a stage that shares this one's schedule and projection
 // but whose structure holds no vertex set (see loop.Structure.Compact).
-// Plans built on it never build V; the first call that runs one
-// (Simulate, Execute, Verify) builds V once and the stage keeps it.
+// Plans built on it, and every call that runs one (Simulate, Execute,
+// Verify), walk or index the structure and never build V.
 func (s *Stage) Compact() *Stage {
 	st := s.Structure.Compact()
 	ps := *s.Projected
