@@ -611,15 +611,39 @@ type missGridKey struct {
 
 // missGridKeys is the grid of the miss-path benchmarks: 2-D kernels at
 // size 32 and 3-D kernels at size 12.
-func missGridKeys() []missGridKey {
+func missGridKeys() []missGridKey { return missGridKernels(32, 12) }
+
+// missGridKernels is every kernel of the miss-cold grid, the 2-D ones at
+// size2 and the 3-D ones at size3.
+func missGridKernels(size2, size3 int64) []missGridKey {
 	var grid []missGridKey
 	for _, k := range []string{"convolution", "dct", "l1", "matvec", "stencil", "triangular"} {
-		grid = append(grid, missGridKey{k, 32})
+		grid = append(grid, missGridKey{k, size2})
 	}
 	for _, k := range []string{"closure", "matmul", "sor2d"} {
-		grid = append(grid, missGridKey{k, 12})
+		grid = append(grid, missGridKey{k, size3})
 	}
 	return grid
+}
+
+// BenchmarkStageBuild times one Π-stage build as the daemon runs it on a
+// stage-cache miss: PrepareCtx (the counted structure, the schedule, the
+// projection and Algorithm 1's inputs) for each miss-grid kernel at the
+// grid's largest sizes, 2-D 128 and 3-D 16. ns/op, B/op and allocs/op
+// are per stage.
+func BenchmarkStageBuild(b *testing.B) {
+	ctx := context.Background()
+	for _, g := range missGridKernels(128, 16) {
+		k := NewKernel(g.kernel, g.size)
+		b.Run(fmt.Sprintf("%s/%d", g.kernel, g.size), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := PrepareCtx(ctx, k, PlanOptions{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 // BenchmarkPlanMissGrid measures the planner's cold path, as a plan-cache
@@ -629,7 +653,7 @@ func missGridKeys() []missGridKey {
 // renders Plan.Summary, the costliest part of building a plan response.
 // The shared-stages case builds one Stage per grid key and runs only
 // Stage.PlanCtx per merge factor, as the daemon does on a stage hit; its
-// retained-B/stage is the live heap one compact stage pins.
+// retained-B/stage is the live heap one stage pins.
 func BenchmarkPlanMissGrid(b *testing.B) {
 	grid := missGridKeys()
 	merges := []int64{1, 3}
@@ -678,8 +702,8 @@ func BenchmarkPlanMissGrid(b *testing.B) {
 		}
 		plans := float64(b.N * len(grid) * len(merges))
 		b.ReportMetric(float64(b.Elapsed())/float64(time.Millisecond)/plans, "ms/plan")
-		// retained-B/stage is the live heap one compact stage pins, as
-		// the daemon's plan cache keeps it: per grid key, the projection,
+		// retained-B/stage is the live heap one PrepareCtx stage pins, as
+		// the daemon's plan cache keeps it (no vertex set): per grid key, the projection,
 		// its index and line graph, and Algorithm 1's inputs.
 		b.StopTimer()
 		var before, after runtime.MemStats
@@ -691,7 +715,7 @@ func BenchmarkPlanMissGrid(b *testing.B) {
 			if err != nil {
 				b.Fatalf("%s/%d: %v", g.kernel, g.size, err)
 			}
-			kept[i] = st.Compact()
+			kept[i] = st
 		}
 		runtime.GC()
 		runtime.ReadMemStats(&after)

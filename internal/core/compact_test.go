@@ -1,6 +1,12 @@
 package core
 
-import "testing"
+import (
+	"context"
+	"testing"
+
+	"repro/internal/loop"
+	"repro/internal/project"
+)
 
 // TestLemma1ClashOnCompactStructure: moving a projection line into
 // another group makes a partitioning whose blocks run two points in one
@@ -13,18 +19,24 @@ func TestLemma1ClashOnCompactStructure(t *testing.T) {
 		size int64
 	}{{"matmul", 4}, {"triangular", 7}, {"l1", 6}, {"sor2d", 4}} {
 		ps := projectKernel(t, c.name, c.size, false)
-		cps := *ps
-		cps.Orig = ps.Orig.Compact()
+		cst, err := loop.NewCountedStructureCtx(context.Background(), ps.Orig.Nest, ps.Orig.D...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cps, err := project.Project(cst, ps.Pi)
+		if err != nil {
+			t.Fatal(err)
+		}
 		p, err := Partition(ps, DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
-		cp, err := Partition(&cps, DefaultOptions())
+		cp, err := Partition(cps, DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := CheckInvariants(cp); err != nil {
-			t.Fatalf("%s: compact partitioning fails: %v", c.name, err)
+			t.Fatalf("%s: counted partitioning fails: %v", c.name, err)
 		}
 		if cps.Orig.V != nil {
 			t.Fatalf("%s: a clean invariant check built V", c.name)
@@ -37,7 +49,7 @@ func TestLemma1ClashOnCompactStructure(t *testing.T) {
 			cq.movePoint(pt, to)
 			want, got := CheckInvariants(q), CheckInvariants(cq)
 			if errString(got) != errString(want) {
-				t.Fatalf("%s line %d → group %d: compact %v, eager %v", c.name, pt, to, got, want)
+				t.Fatalf("%s line %d → group %d: counted %v, eager %v", c.name, pt, to, got, want)
 			}
 			if want != nil {
 				clashes++

@@ -71,12 +71,3 @@ func NewStage(ps *project.Structure) *Stage {
 	}
 	return s
 }
-
-// WithStructure returns the stage's inputs for ps, a copy of s.PS that
-// shares its points, dependences and index (such as a compacted stage's
-// projection).
-func (s *Stage) WithStructure(ps *project.Structure) *Stage {
-	c := *s
-	c.PS = ps
-	return &c
-}

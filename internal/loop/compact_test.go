@@ -1,9 +1,13 @@
 package loop_test
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/kernels"
 	"repro/internal/loop"
@@ -12,9 +16,9 @@ import (
 )
 
 // TestCompactMatchesEager checks, on generated nests of every shape, that
-// a compact structure counts |V|, answers VertexIndex and NeighborIndex,
-// and counts edges exactly as the eager structure does, and never builds
-// V.
+// a counted structure (NewCountedStructureCtx) counts |V|, answers
+// VertexIndex and NeighborIndex, and counts edges exactly as the eager
+// structure does, and never builds V.
 func TestCompactMatchesEager(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 200; trial++ {
@@ -26,13 +30,16 @@ func TestCompactMatchesEager(t *testing.T) {
 		if st.Len() != len(st.V) {
 			t.Fatalf("trial %d: eager structure: Len %d, |V| %d", trial, st.Len(), len(st.V))
 		}
-		c := st.Compact()
+		c, err := loop.NewCountedStructureCtx(context.Background(), n, unitDep(n.Dims))
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
 		if c.V != nil || c.Len() != st.Len() {
-			t.Fatalf("trial %d: compact structure: V %d points, Len %d, want Len %d", trial, len(c.V), c.Len(), st.Len())
+			t.Fatalf("trial %d: counted structure: V %d points, Len %d, want Len %d", trial, len(c.V), c.Len(), st.Len())
 		}
 		for i, p := range st.V {
 			if got := c.VertexIndex(p); got != i {
-				t.Fatalf("trial %d: compact VertexIndex(%v) = %d, want %d", trial, p, got, i)
+				t.Fatalf("trial %d: counted VertexIndex(%v) = %d, want %d", trial, p, got, i)
 			}
 		}
 		for vi := range st.V {
@@ -46,21 +53,24 @@ func TestCompactMatchesEager(t *testing.T) {
 			t.Fatalf("trial %d: EdgeCount %d, want %d", trial, got, want)
 		}
 		if c.V != nil {
-			t.Fatalf("trial %d: the compact structure built V", trial)
+			t.Fatalf("trial %d: the counted structure built V", trial)
 		}
 	}
 }
 
-// TestPointsMatchEager checks the vertex set's read primitives on a
-// compact copy of every built-in kernel and of generated nests of every
-// shape (rectangular and row-indexed): Points visits the eager V in
-// order with vi running over 0…Len−1, Point(vi) inverts VertexIndex,
-// NeighborIndex and NeighborOf equal VertexIndex(V[vi]+d) for every d in
-// D and its negation, and the copy's V stays nil throughout.
+// TestPointsMatchEager checks the vertex set's read primitives on the
+// counted structure (NewCountedStructureCtx) of every built-in kernel
+// and of generated nests of every shape (rectangular and row-indexed)
+// against NewStructureCtx's: Len and EdgeCount agree, Points visits the
+// eager V in order with vi running over 0…Len−1, Point(vi) inverts
+// VertexIndex, NeighborIndex and NeighborOf equal VertexIndex(V[vi]+d)
+// for every d in D and its negation, and the counted V stays nil
+// throughout.
 func TestPointsMatchEager(t *testing.T) {
 	type tcase struct {
 		name string
-		st   *loop.Structure
+		n    *loop.Nest
+		d    []vec.Int
 	}
 	var cases []tcase
 	for _, name := range kernels.Names() {
@@ -68,31 +78,36 @@ func TestPointsMatchEager(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st, err := k.Structure()
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		cases = append(cases, tcase{name, st})
+		cases = append(cases, tcase{name, k.Nest, k.Deps})
 	}
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 120; trial++ {
 		n := indexTestNest(rng, trial)
 		// Entries up to 3 leave a 1-deep nest its three distinct vectors.
-		st, err := loop.NewStructure(n, nestgen.Deps(rng, n.Dims, 3)...)
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		cases = append(cases, tcase{fmt.Sprintf("trial %d (%s)", trial, nestgen.Kinds[trial%len(nestgen.Kinds)]), st})
+		cases = append(cases, tcase{fmt.Sprintf("trial %d (%s)", trial, nestgen.Kinds[trial%len(nestgen.Kinds)]), n, nestgen.Deps(rng, n.Dims, 3)})
 	}
+	ctx := context.Background()
 	rect, rows := 0, 0
 	for _, tc := range cases {
-		st := tc.st
+		st, err := loop.NewStructureCtx(ctx, tc.n, tc.d...)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		c, err := loop.NewCountedStructureCtx(ctx, tc.n, tc.d...)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if c.Rectangular() != st.Rectangular() {
+			t.Fatalf("%s: counted structure rectangular %v, eager %v", tc.name, c.Rectangular(), st.Rectangular())
+		}
 		if st.Rectangular() {
 			rect++
 		} else {
 			rows++
 		}
-		c := st.Compact()
+		if got, want := c.EdgeCount(), st.EdgeCount(); got != want {
+			t.Fatalf("%s: EdgeCount %d, want %d", tc.name, got, want)
+		}
 		next := 0
 		c.Points(func(vi int, p vec.Int) bool {
 			if vi != next || vi >= len(st.V) || !p.Equal(st.V[vi]) {
@@ -116,7 +131,10 @@ func TestPointsMatchEager(t *testing.T) {
 					for j := range q {
 						q[j] += e[j]
 					}
-					want := c.VertexIndex(q)
+					want := st.VertexIndex(q)
+					if got := c.VertexIndex(q); got != want {
+						t.Fatalf("%s: VertexIndex(%v) = %d, want %d", tc.name, q, got, want)
+					}
 					if got := c.NeighborIndex(vi, e); got != want {
 						t.Fatalf("%s: NeighborIndex(%d, %v) = %d, want %d", tc.name, vi, e, got, want)
 					}
@@ -127,10 +145,60 @@ func TestPointsMatchEager(t *testing.T) {
 			}
 		}
 		if c.V != nil {
-			t.Fatalf("%s: the compact copy built V", tc.name)
+			t.Fatalf("%s: the counted structure built V", tc.name)
 		}
 	}
 	if rect == 0 || rows == 0 {
 		t.Fatalf("%d rectangular and %d row-indexed structures; want both", rect, rows)
 	}
+}
+
+// TestCountedStructureStopsOnCancel: a triangular nest of about 1.5·10^12
+// points is counted, never enumerated. Under a cancelled ctx the count
+// walk stops within enumCheckEvery rows and returns ctx.Err() within a
+// second; counting it to the end under a live ctx gives the closed-form
+// size. Neither allocates per point: the row index holds one entry per
+// row walked, 8 MB for the whole nest (about 40 MB allocated as it grows).
+func TestCountedStructureStopsOnCancel(t *testing.T) {
+	const m = 1_000_000
+	// for i = 0 to m, for j = 0 to m + i: row i has m+i+1 points.
+	n := &loop.Nest{
+		Name:  "wide-triangle",
+		Dims:  2,
+		Lower: []loop.Affine{loop.Const(0), loop.Const(0)},
+		Upper: []loop.Affine{loop.Const(m), {Const: m, Coeffs: []int64{1}}},
+	}
+	d := []vec.Int{vec.NewInt(0, 1), vec.NewInt(1, 0)}
+	build := func(ctx context.Context) (*loop.Structure, time.Duration, uint64, error) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		start := time.Now()
+		st, err := loop.NewCountedStructureCtx(ctx, n, d...)
+		elapsed := time.Since(start)
+		runtime.ReadMemStats(&after)
+		return st, elapsed, after.TotalAlloc - before.TotalAlloc, err
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, elapsed, alloc, err := build(ctx)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled count: err = %v, want context.Canceled", err)
+	}
+	if elapsed > time.Second || alloc > 1<<20 {
+		t.Fatalf("cancelled count took %v and allocated %d B; want under 1 s and 1 MiB", elapsed, alloc)
+	}
+
+	st, elapsed, alloc, err := build(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := (m+1)*(m+1) + m*(m+1)/2
+	if st.Len() != want || st.V != nil || st.Rectangular() {
+		t.Fatalf("Len %d, |V| %d, rectangular %v; want Len %d, V nil, the row index", st.Len(), len(st.V), st.Rectangular(), want)
+	}
+	if alloc > 64<<20 {
+		t.Fatalf("counting %d points allocated %d B; want the row index only", want, alloc)
+	}
+	t.Logf("counted %d points in %v, %d B allocated", want, elapsed, alloc)
 }

@@ -52,7 +52,7 @@ func TestFlatEnumerationMatchesRecursive(t *testing.T) {
 			t.Fatalf("trial %d (%s): V = %v, want %v", trial, n.Name, st.V, want)
 		}
 		var got []vec.Int
-		st.Compact().Points(func(_ int, p vec.Int) bool { got = append(got, p.Clone()); return true })
+		st.Points(func(_ int, p vec.Int) bool { got = append(got, p.Clone()); return true })
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("trial %d: Points = %v, want %v", trial, got, want)
 		}

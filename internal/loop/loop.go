@@ -333,8 +333,15 @@ func (n *Nest) LineEnd(u vec.Int) func(x vec.Int) int64 {
 	}
 }
 
-// Size returns the number of iterations.
-func (n *Nest) Size() int64 { return n.rowCount(context.Background(), math.MaxInt64) }
+// Size returns the number of iterations, counted one innermost row at a
+// time; a count past int64 is reported as math.MaxInt64.
+func (n *Nest) Size() int64 {
+	size, err := n.count(context.Background(), nil)
+	if err != nil {
+		return math.MaxInt64
+	}
+	return size
+}
 
 // OpsPerIteration returns the total abstract operation count of the loop
 // body (the paper's matvec body counts 2: one multiply, one add).
@@ -413,13 +420,13 @@ func (n *Nest) DependenceDetails() []DepInfo {
 // Structure is the computational structure Q = (V, D) of Definition 2.
 type Structure struct {
 	Nest *Nest
-	// V is the vertex set (index points) in lexicographic order. The
-	// constructors fill it; a compact structure (see Compact) leaves it
-	// nil. Walk it with Points, or read one vertex with Point.
+	// V is the vertex set (index points) in lexicographic order.
+	// NewStructureCtx fills it; NewCountedStructureCtx leaves it nil.
+	// Walk the vertices with Points, or read one with Point.
 	V []vec.Int
 	// D is the set of dependence vectors.
 	D []vec.Int
-	// n is |V|, counted at enumeration.
+	// n is |V|, counted when the vertex index is built.
 	n int
 	// rect holds the arithmetic indexer for rectangular nests:
 	// idx(p) = Σ (p_k − lo_k)·stride_k.
@@ -611,21 +618,44 @@ func NewStructure(n *Nest, explicitDeps ...vec.Int) (*Structure, error) {
 	return NewStructureCtx(context.Background(), n, explicitDeps...)
 }
 
-// enumCheckEvery is how often (in enumerated points) NewStructureCtx polls
-// the context, amortizing the cancellation check over the hot enumeration.
+// enumCheckEvery is how often (in enumerated points, or counted rows)
+// the structure constructors poll the context, amortizing the
+// cancellation check over the hot walk.
 const enumCheckEvery = 8192
 
-// enumPreallocCap bounds the coordinates NewStructureCtx reserves up front
-// for a rectangular nest; a larger box grows its buffer as it enumerates,
-// so a deadline can still stop it before it is all allocated.
+// enumPreallocCap bounds the coordinates NewStructureCtx reserves up front;
+// a larger index set grows its buffer as it enumerates, so a deadline can
+// still stop it before it is all allocated.
 const enumPreallocCap = 1 << 24
 
-// NewStructureCtx is NewStructure with cooperative cancellation: the
-// enumeration fills V one innermost row at a time, with no call per
-// point, and polls ctx every enumCheckEvery points, so a caller's deadline
-// bounds the enumeration of even huge index sets. A nil ctx means
-// context.Background(). The structure it returns holds V.
+// NewStructureCtx is NewStructure with cooperative cancellation: it is
+// NewCountedStructureCtx followed by one fill of V, which enumerates one
+// innermost row at a time, with no call per point, and polls ctx every
+// enumCheckEvery points, so a caller's deadline bounds the enumeration of
+// even huge index sets. A nil ctx means context.Background(). The
+// structure it returns holds V.
 func NewStructureCtx(ctx context.Context, n *Nest, explicitDeps ...vec.Int) (*Structure, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	s, err := NewCountedStructureCtx(ctx, n, explicitDeps...)
+	if err != nil {
+		return nil, err
+	}
+	if s.V, err = n.vertices(ctx, int64(s.n)); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// NewCountedStructureCtx builds the structure without its vertex set: it
+// validates the nest and D, builds the vertex index and counts |V|, in
+// closed form on a rectangular nest and otherwise in one row walk that
+// records the row index and polls ctx every enumCheckEvery rows. No
+// method reads V, which it leaves nil; a |V| past int64 is ErrTooLarge.
+// A nil ctx means context.Background(). The structure is safe for
+// concurrent use.
+func NewCountedStructureCtx(ctx context.Context, n *Nest, explicitDeps ...vec.Int) (*Structure, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -649,41 +679,55 @@ func NewStructureCtx(ctx context.Context, n *Nest, explicitDeps ...vec.Int) (*St
 	if err != nil {
 		return nil, fmt.Errorf("loop %q: %w", n.Name, err)
 	}
-	if s.rect = rect; s.rect == nil {
-		s.rows = newRowIndex(n)
-	}
-	// A rectangular nest knows its size up front; any other nest counts
-	// its rows first, so the buffer pins no spare capacity.
 	var size int64
-	if rect != nil {
+	if s.rect = rect; rect != nil {
 		size = rect.size
 	} else {
-		size = n.rowCount(ctx, enumPreallocCap/int64(n.Dims))
+		s.rows = newRowIndex(n)
+		if size, err = n.count(ctx, s.rows); err != nil {
+			return nil, err
+		}
 	}
-	v, err := n.vertices(ctx, s.rows, size)
-	if err != nil {
-		return nil, err
-	}
-	s.V, s.n = v, len(v)
+	s.n = int(size)
 	return s, nil
 }
 
-// vertices enumerates the index set one innermost row at a time, with no
-// call per point, polling ctx every enumCheckEvery points. All
-// coordinates go into one flat buffer and each vertex is a capped window
-// onto it, so enumeration makes one allocation instead of one per point;
-// size, when known (≥ 0), sizes that buffer up front. A non-nil rows
-// records the row index as the walk goes.
-func (n *Nest) vertices(ctx context.Context, rows *rowIndex, size int64) ([]vec.Int, error) {
+// count returns the nest's number of points, summed one innermost row at
+// a time, polling ctx every enumCheckEvery rows; a non-nil rows records
+// the row index as the walk goes. A count past int64 is ErrTooLarge.
+func (n *Nest) count(ctx context.Context, rows *rowIndex) (int64, error) {
+	var size, seen int64
+	var err error
+	n.walkRows(rows, func(p vec.Int, hi int64) bool {
+		var ok bool
+		if size, ok = ints.CheckedAdd(size, hi-p[n.Dims-1]+1); !ok {
+			err = fmt.Errorf("loop %q: %w: its point count overflows int64", n.Name, ErrTooLarge)
+		} else if seen++; seen%enumCheckEvery == 0 {
+			err = ctx.Err()
+		}
+		return err == nil
+	})
+	return size, err
+}
+
+// vertices enumerates the index set's size points one innermost row at a
+// time, with no call per point, polling ctx every enumCheckEvery points.
+// All coordinates go into one flat buffer, sized up front unless it would
+// pass enumPreallocCap, and each vertex is a capped window onto it, so
+// enumeration makes one allocation instead of one per point.
+func (n *Nest) vertices(ctx context.Context, size int64) ([]vec.Int, error) {
+	if size == 0 {
+		return nil, nil
+	}
 	dims := n.Dims
 	var buf []int64
-	if size >= 0 && size <= enumPreallocCap/int64(dims) {
+	if size <= enumPreallocCap/int64(dims) {
 		buf = make([]int64, 0, size*int64(dims))
 	}
 	count, poll := 0, enumCheckEvery
 	var ctxErr error
 	last := dims - 1
-	n.walkRows(rows, func(p vec.Int, hi int64) bool {
+	n.walkRows(nil, func(p vec.Int, hi int64) bool {
 		for lo := p[last]; ; {
 			// Fill at most enumCheckEvery points between polls.
 			end := hi
@@ -719,21 +763,11 @@ func (n *Nest) vertices(ctx context.Context, rows *rowIndex, size int64) ([]vec.
 	if ctxErr != nil {
 		return nil, ctxErr
 	}
-	if count == 0 {
-		return nil, nil
-	}
 	v := make([]vec.Int, count)
 	for i := range v {
 		v[i] = buf[i*dims : i*dims+dims : i*dims+dims]
 	}
 	return v, nil
-}
-
-// Compact returns a copy of the structure without its vertex set: it
-// shares the nest, D and the vertex index, and every method reads the
-// index, never V. A compact structure is safe for concurrent use.
-func (s *Structure) Compact() *Structure {
-	return &Structure{Nest: s.Nest, D: s.D, n: s.n, rect: s.rect, rows: s.rows}
 }
 
 // Points visits every vertex in lexicographic order, with its position vi
@@ -756,26 +790,9 @@ func (s *Structure) Point(vi int, buf vec.Int) vec.Int {
 	return buf
 }
 
-// Len returns |V|, the number of index points, counted at enumeration.
+// Len returns |V|, the number of index points, counted when the vertex
+// index is built.
 func (s *Structure) Len() int { return s.n }
-
-// rowCount counts the nest's points one innermost row at a time, or
-// returns -1 once the count passes limit or ctx is done, so a caller can
-// size the vertex buffer exactly before enumerating.
-func (n *Nest) rowCount(ctx context.Context, limit int64) int64 {
-	var count, rows int64
-	n.walkRows(nil, func(p vec.Int, hi int64) bool {
-		count += hi - p[n.Dims-1] + 1
-		if rows++; rows%enumCheckEvery == 0 && ctx.Err() != nil {
-			count = -1
-		}
-		if count > limit {
-			count = -1
-		}
-		return count >= 0
-	})
-	return count
-}
 
 // HasVertex reports whether p is a vertex of the structure.
 func (s *Structure) HasVertex(p vec.Int) bool {

@@ -54,8 +54,9 @@ type importerFunc func(path string) (*types.Package, error)
 func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
 
 // TestVertexSetHasOneReadPath: outside this package, non-test code reads
-// a structure's vertex set only through Vertices (and counts it with
-// Len), never through the V field, which a compact structure leaves nil.
+// a structure's vertex set only through Points or Point (and counts it
+// with Len), never through the V field, which a loopmap.PrepareCtx stage
+// (NewCountedStructureCtx) leaves nil.
 // One go list call orders the module's packages after their
 // dependencies; each module package is type-checked from source once,
 // and the standard library is imported from its export data. perfbench
@@ -136,6 +137,6 @@ func TestVertexSetHasOneReadPath(t *testing.T) {
 
 	sort.Strings(bad)
 	for _, pos := range bad {
-		t.Errorf("%s: reads loop.Structure.V; use Vertices() or Len()", pos)
+		t.Errorf("%s: reads loop.Structure.V, which a loopmap.PrepareCtx stage leaves nil; use Points, Point or Len()", pos)
 	}
 }

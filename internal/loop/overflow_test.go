@@ -1,6 +1,7 @@
 package loop
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -47,5 +48,24 @@ func TestRectIndexSizingBoundary(t *testing.T) {
 	}
 	if r.strides[0] != (1<<30)+1 {
 		t.Fatalf("stride[0] = %d, want %d", r.strides[0], (1<<30)+1)
+	}
+}
+
+// TestRowCountOverflowGuard: a non-rectangular nest of three rows of
+// about 2^62 points each counts past int64, so the counted structure is
+// refused with ErrTooLarge after three rows, and Size saturates at
+// math.MaxInt64 instead of wrapping.
+func TestRowCountOverflowGuard(t *testing.T) {
+	n := &Nest{
+		Name:  "wide-rows",
+		Dims:  2,
+		Lower: []Affine{Const(0), Const(0)},
+		Upper: []Affine{Const(2), {Const: 1 << 62, Coeffs: []int64{1}}},
+	}
+	if _, err := NewCountedStructureCtx(context.Background(), n, vec.NewInt(0, 1)); !errors.Is(err, ErrTooLarge) {
+		t.Fatalf("err = %v, want ErrTooLarge", err)
+	}
+	if got := n.Size(); got != math.MaxInt64 {
+		t.Fatalf("Size = %d, want math.MaxInt64", got)
 	}
 }

@@ -203,9 +203,9 @@ func stageEntryBytes(key string, st *loopmap.Stage) int64 {
 // stageBytes estimates the resident size of a Π-stage from what it
 // holds: the projected points with their fibers, point index and line
 // graph, and the kernel the stage was built from (its nest, vectors and
-// semantics' data, see Kernel.RetainedBytes). A cached stage is compact
-// and nothing builds its vertex set, so its charge is fixed when it is
-// inserted. A stage holds no per-vertex table, and its per-point tables
+// semantics' data, see Kernel.RetainedBytes). A cached stage comes from
+// loopmap.PrepareCtx, whose structure holds no vertex set and which
+// nothing builds, so its charge is fixed when it is inserted. A stage holds no per-vertex table, and its per-point tables
 // are flat: the projected points one column of n coordinates per point,
 // fibers one (X0, T0, Len) triple per projection line, and the line
 // graph one int32 (target, arc count) pair per line and dependence. The

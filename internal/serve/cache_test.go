@@ -331,7 +331,7 @@ func missGridKeys() []missGridKey {
 }
 
 // TestSharedStageBytesTracksHeap: per miss-grid key (every kernel, sizes
-// across the grid) one compact stage, as the daemon caches it, and
+// across the grid) one PrepareCtx stage, as the daemon caches it, and
 // recipes for merge factors 1–3 on it, all cached, so the stage is
 // charged once.
 // The cache's byte count must stay within [0.85, 1.30] of the live heap
@@ -347,7 +347,7 @@ func TestSharedStageBytesTracksHeap(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			st, err := prepareStage(ctx, kern, loopmap.PlanOptions{})
+			st, err := loopmap.PrepareCtx(ctx, kern, loopmap.PlanOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -366,8 +366,8 @@ func TestSharedStageBytesTracksHeap(t *testing.T) {
 
 // TestCompactStageBytesTracksHeap is TestSharedStageBytesTracksHeap on
 // the daemon's own stages: every miss-grid key planned through the
-// server at merge factors 1–10 (aux on and off by key), so each stage is
-// compact and shared by ten recipes. The second case then serves one
+// server at merge factors 1–10 (aux on and off by key), so each stage
+// holds no vertex set and is shared by ten recipes. The second case then serves one
 // /v1/simulate per stage, which builds no V and leaves the charge as it
 // is. In each, the cache's byte count must stay within the band of the
 // live heap.
@@ -388,7 +388,7 @@ func TestCompactStageBytesTracksHeap(t *testing.T) {
 		simulate bool
 		what     string
 	}{
-		{false, "recipes on compact stages"},
+		{false, "recipes on stages without V"},
 		{true, "recipes on stages after one simulation each"},
 	} {
 		if c.simulate {
@@ -455,7 +455,7 @@ func BenchmarkBaseReuse(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		st, err := prepareStage(ctx, kern, loopmap.PlanOptions{})
+		st, err := loopmap.PrepareCtx(ctx, kern, loopmap.PlanOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -499,7 +499,7 @@ func BenchmarkPlanMiss(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		st, err := prepareStage(ctx, kern, loopmap.PlanOptions{})
+		st, err := loopmap.PrepareCtx(ctx, kern, loopmap.PlanOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}

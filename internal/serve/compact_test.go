@@ -57,19 +57,22 @@ func compactCases(t *testing.T) []compactCase {
 }
 
 // TestCompactStagePlansMatchEager: for every compact case, merge factor
-// 1–10 and aux on and off, a plan built on a compact stage and remapped
-// onto cubes 0–4 answers /v1/plan exactly as an eager NewPlan does, and
-// the whole path (Algorithm 1, the invariant check, the TIG, Algorithm 2,
+// 1–10 and aux on and off, a plan built on a PrepareCtx stage (as the
+// daemon caches it, with no vertex set) and remapped onto cubes 0–4
+// answers /v1/plan exactly as an eager NewPlan does, and the whole path
+// (Algorithm 1, the invariant check, the TIG, Algorithm 2,
 // EvaluateMapping and the response) never builds the stage's vertex set.
 // A reader that starts reading V on that path fails here.
 func TestCompactStagePlansMatchEager(t *testing.T) {
 	ctx := context.Background()
 	for _, c := range compactCases(t) {
-		eager, err := loopmap.PrepareCtx(ctx, c.k, loopmap.PlanOptions{})
+		st, err := loopmap.PrepareCtx(ctx, c.k, loopmap.PlanOptions{})
 		if err != nil {
 			t.Fatalf("%s: %v", c.kernel, err)
 		}
-		st := eager.Compact()
+		if st.Structure.V != nil {
+			t.Fatalf("%s: PrepareCtx built V", c.kernel)
+		}
 		for merge := int64(1); merge <= 10; merge++ {
 			for _, noAux := range []bool{false, true} {
 				label := fmt.Sprintf("%s/%d merge %d noaux %v", c.kernel, c.size, merge, noAux)

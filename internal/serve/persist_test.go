@@ -46,8 +46,8 @@ func newPersistentServer(t *testing.T, dir string, mutate func(*Config)) (*Serve
 // Kernel itself is compared structurally (name, nest, deps, Π) because its
 // executable semantics are function values, which DeepEqual cannot
 // meaningfully compare. Both plans must be built the same way (on
-// compact stages, as the daemon builds them, with V not yet built): a
-// compact and an eager structure differ in V.
+// PrepareCtx stages, as the daemon builds them, whose structures hold no
+// V): a counted and an eager structure differ in V.
 func planArtifactsEqual(t *testing.T, got, want *loopmap.Plan) {
 	t.Helper()
 	if got.Kernel.Name != want.Kernel.Name {
@@ -137,11 +137,11 @@ func TestWarmRestartServesIdenticalPlans(t *testing.T) {
 	if err != nil || outcome != api.CacheHit {
 		t.Fatalf("recovered matvec key: outcome %q, err %v; want a hit", outcome, err)
 	}
-	// The daemon caches compact stages, so the fresh computation builds
-	// one too: a compact structure and an eager one differ in V, which
-	// DeepEqual sees. TestCompactStagePlansMatchEager compares compact
-	// plans with eager NewPlan ones.
-	st, err := prepareStage(context.Background(), loopmap.NewKernel("matvec", 12), planOptions(req))
+	// The daemon caches PrepareCtx stages, so the fresh computation
+	// builds one too: a counted structure and an eager one differ in V,
+	// which DeepEqual sees. TestCompactStagePlansMatchEager compares
+	// plans on PrepareCtx stages with eager NewPlan ones.
+	st, err := loopmap.PrepareCtx(context.Background(), loopmap.NewKernel("matvec", 12), planOptions(req))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -725,10 +725,10 @@ func (s *Server) buildBase(ctx context.Context, req *api.PlanRequest, key string
 }
 
 // stageFor returns the request's Π-stage: the one cached under skey,
-// or a new one from prepareStage, counted in StageBuilds. It reports
-// whether the stage was cached. Keys that need one uncached stage at once
-// share one build through a flight keyed by the stage key; every one of
-// them gets the same stage.
+// or a new one from loopmap.PrepareCtx, which holds no vertex set,
+// counted in StageBuilds. It reports whether the stage was cached. Keys
+// that need one uncached stage at once share one build through a flight
+// keyed by the stage key; every one of them gets the same stage.
 func (s *Server) stageFor(ctx context.Context, req *api.PlanRequest, skey []byte, opt loopmap.PlanOptions) (*loopmap.Stage, bool, error) {
 	if st, ok := s.cache.stage(skey); ok {
 		return st, true, nil
@@ -749,7 +749,7 @@ func (s *Server) stageFor(ctx context.Context, req *api.PlanRequest, skey []byte
 				s.beforeStageBuild(fkey)
 			}
 			s.metrics.stageBuilds.Add(1)
-			return prepareStage(ctx, k, opt)
+			return loopmap.PrepareCtx(ctx, k, opt)
 		})
 		if shared && ctx.Err() == nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
 			continue // the leader's deadline, not this request's
@@ -759,18 +759,6 @@ func (s *Server) stageFor(ctx context.Context, req *api.PlanRequest, skey []byte
 		}
 		return v.(*loopmap.Stage), reused, nil
 	}
-}
-
-// prepareStage builds a Π-stage as the plan cache keeps it: enumeration,
-// schedule and projection, then compacted, so the stage never holds a
-// vertex set. Misses and stage-less recipes both build their stages
-// here.
-func prepareStage(ctx context.Context, k *loopmap.Kernel, opt loopmap.PlanOptions) (*loopmap.Stage, error) {
-	st, err := loopmap.PrepareCtx(ctx, k, opt)
-	if err != nil {
-		return nil, err
-	}
-	return st.Compact(), nil
 }
 
 // usePlan runs use on the request's plan: its base plan (basePlan)

@@ -369,22 +369,23 @@ func NewPlan(k *Kernel, opt PlanOptions) (*Plan, error) {
 // internally, and every stage boundary checks it, so a caller's deadline
 // bounds the whole pipeline. A nil ctx means context.Background().
 //
-// It is PrepareCtx followed by Stage.PlanCtx.
+// It builds its stage as PrepareCtx does, but on a structure that holds
+// V (loop.NewStructureCtx), and plans it with Stage.PlanCtx.
 func NewPlanCtx(ctx context.Context, k *Kernel, opt PlanOptions) (*Plan, error) {
-	st, err := PrepareCtx(ctx, k, opt)
+	st, err := prepare(ctx, k, opt, loop.NewStructureCtx)
 	if err != nil {
 		return nil, err
 	}
 	return st.PlanCtx(ctx, opt)
 }
 
-// Stage holds the pipeline's Π-stage: the enumerated structure, its
-// schedule and the projection onto Π·x = 0. They depend only on the
-// kernel and the time function (opt.Pi, SearchPi, SearchBound), never on
-// Algorithm 1 or Algorithm 2 options, so plans that differ only in those
-// options can be built from one Stage. A Stage is read-only once built:
-// any number of goroutines may call PlanCtx on it at once, and they share
-// Algorithm 1's per-stage inputs (core.Stage), computed once.
+// Stage holds the pipeline's Π-stage: the structure, its schedule and
+// the projection onto Π·x = 0. They depend only on the kernel and the
+// time function (opt.Pi, SearchPi, SearchBound), never on Algorithm 1 or
+// Algorithm 2 options, so plans that differ only in those options can be
+// built from one Stage. A Stage is read-only once built: any number of
+// goroutines may call PlanCtx on it at once, and they share Algorithm 1's
+// per-stage inputs (core.Stage), computed once.
 type Stage struct {
 	Kernel    *Kernel
 	Structure *Structure
@@ -394,10 +395,19 @@ type Stage struct {
 	inputs *core.Stage
 }
 
-// PrepareCtx runs the first half of NewPlanCtx: option validation,
-// enumeration, the schedule (or Π search) and the projection. Its errors
-// are NewPlanCtx's for those stages. A nil ctx means context.Background().
+// PrepareCtx runs the first half of NewPlanCtx: option validation, the
+// structure, the schedule (or Π search) and the projection. The
+// structure is counted, never enumerated (loop.NewCountedStructureCtx):
+// its V is nil, and plans built on the stage, and every call that runs
+// one (Simulate, Execute, Verify), walk or index it instead. Its errors
+// are NewPlanCtx's for those stages. A nil ctx means
+// context.Background().
 func PrepareCtx(ctx context.Context, k *Kernel, opt PlanOptions) (*Stage, error) {
+	return prepare(ctx, k, opt, loop.NewCountedStructureCtx)
+}
+
+// prepare builds a Π-stage on the structure that build returns.
+func prepare(ctx context.Context, k *Kernel, opt PlanOptions, build func(context.Context, *loop.Nest, ...vec.Int) (*Structure, error)) (*Stage, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -407,7 +417,7 @@ func PrepareCtx(ctx context.Context, k *Kernel, opt PlanOptions) (*Stage, error)
 	if err := opt.Validate(); err != nil {
 		return nil, err
 	}
-	st, err := k.StructureCtx(ctx)
+	st, err := build(ctx, k.Nest, k.Deps...)
 	if err != nil {
 		return nil, err
 	}
@@ -504,21 +514,6 @@ func (s *Stage) plan(ctx context.Context, opt PlanOptions, r *recycled) (*Plan, 
 		plan.Mapping = m
 	}
 	return plan, nil
-}
-
-// Compact returns a stage that shares this one's schedule and projection
-// but whose structure holds no vertex set (see loop.Structure.Compact).
-// Plans built on it, and every call that runs one (Simulate, Execute,
-// Verify), walk or index the structure and never build V.
-func (s *Stage) Compact() *Stage {
-	st := s.Structure.Compact()
-	ps := *s.Projected
-	ps.Orig = st
-	c := &Stage{Kernel: s.Kernel, Structure: st, Schedule: s.Schedule, Projected: &ps}
-	if s.inputs != nil {
-		c.inputs = s.inputs.WithStructure(&ps)
-	}
-	return c
 }
 
 // Stage returns the Π-stage the plan was built from; PlanCtx on it builds
